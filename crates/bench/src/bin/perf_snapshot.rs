@@ -622,8 +622,7 @@ fn main() {
     // quotient builds: peak arena+interner bytes each way, with the
     // storage-only contract enforced — both builds must agree bitwise on
     // every representative and every chain rate before the numbers are
-    // recorded.  (Shapes on the packed-u64 fast path report ratio 1 —
-    // packed markings are already 8 bytes and never delta-encoded.)
+    // recorded.
     for (idx, &teams) in sshapes.iter().enumerate() {
         let shape = MappingShape::new(teams.to_vec());
         let tpn = Tpn::build(&shape, ExecModel::Strict);

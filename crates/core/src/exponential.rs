@@ -625,7 +625,8 @@ pub fn throughput_strict_with_solver<'a>(
 
 /// Validation variant: global CTMC of the **Overlap** TPN with a finite
 /// per-place capacity.  Under-estimates the infinite-buffer throughput and
-/// increases towards it with the capacity.
+/// increases towards it with the capacity (at most 255 tokens per place;
+/// more is refused as `MarkingError::CapacityTooLarge`).
 pub fn throughput_overlap_bounded<'a>(
     system: impl Into<SystemRef<'a>>,
     capacity: u32,

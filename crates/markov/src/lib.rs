@@ -14,9 +14,10 @@
 //! * [`net`] — a minimal event-net representation ([`net::EventNet`]) and
 //!   constructors: adapters from `repstream-petri` TPNs and the `u × v`
 //!   communication *pattern* of Theorem 3;
-//! * [`marking`] — reachable-marking enumeration (BFS with an FxHash map,
-//!   optional capacity bound for non-safe nets) producing a [`ctmc::Ctmc`],
-//!   plus the **direct quotient BFS** ([`marking::QuotientGraph`]): when a
+//! * [`marking`] — reachable-marking enumeration (one frontier-BFS kernel
+//!   over byte arenas and an offset-keyed Fx interner, optional capacity
+//!   bound for non-safe nets) producing a [`ctmc::Ctmc`], and the same
+//!   kernel as the **direct quotient BFS** ([`marking::QuotientGraph`]): when a
 //!   validated rate-preserving automorphism is known up front, the state
 //!   space is explored one canonical representative per orbit, emitting
 //!   the symmetry-reduced chain without ever materializing the full one,

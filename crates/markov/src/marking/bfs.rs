@@ -1,0 +1,705 @@
+//! The reachability kernel: **one** frontier BFS, monomorphised over a
+//! [`Canonicalizer`] (how a fired successor becomes an interning key) and
+//! a [`RowSink`] (what a scanned row is emitted as) — the only place
+//! where a successor is fired, canonicalised and interned.  The parent
+//! module docs state the contract.
+
+use super::arena::MarkingStore;
+use super::interner::{OffsetInterner, ShardedInterner, EMPTY};
+use super::{ArenaCompression, ArenaStats, MarkingError, MarkingOptions, MAX_CAPACITY};
+use crate::govern::{Phase, Progress};
+use crate::net::{EventNet, NetSymmetry};
+use repstream_petri::canon::{CanonScratch, MarkingCanonicalizer};
+
+/// A marking as its canonicaliser elected it (borrowed from the
+/// canonicaliser's scratch, or from a [`ChunkStage`] during the merge).
+pub(super) struct Successor<'a> {
+    /// Interning key: the canonical member of the marking's orbit.
+    key: &'a [u8],
+    /// The marking itself — stored as the orbit's representative when
+    /// the key is new.
+    rep: &'a [u8],
+    /// Number of distinct markings in the orbit.
+    period: u32,
+}
+
+/// How a marking becomes an interning key.  All mutable state lives in a
+/// per-thread [`Self::Scratch`] holding the row's marking, transiently
+/// mutated to a successor around each firing — so one canonicaliser is
+/// shared by every worker of a level.
+pub(super) trait Canonicalizer: Sync {
+    /// Per-thread working buffers.
+    type Scratch;
+    /// Whether first-discovered representatives are stored beside the
+    /// keys (`false`: the key *is* the marking).
+    const KEEPS_REPS: bool;
+
+    /// Fresh buffers for markings of `net`.
+    fn scratch(&self, net: &EventNet) -> Self::Scratch;
+
+    /// Start the row of marking `cur`.
+    fn load_row(&self, cur: &[u8], scratch: &mut Self::Scratch);
+
+    /// Turn the loaded row into its successor by `t` (enabled in it)…
+    fn fire(&self, net: &EventNet, t: usize, scratch: &mut Self::Scratch);
+
+    /// …and back.
+    fn unfire(&self, net: &EventNet, t: usize, scratch: &mut Self::Scratch);
+
+    /// Key, representative and orbit size of the marking in `scratch`.
+    fn elect<'s>(&self, scratch: &'s mut Self::Scratch) -> Successor<'s>;
+}
+
+/// `m := m − •t + t•`.
+#[inline]
+fn fire(net: &EventNet, t: usize, m: &mut [u8]) {
+    for &p in net.inputs(t) {
+        m[p] -= 1;
+    }
+    for &p in net.outputs(t) {
+        m[p] += 1;
+    }
+}
+
+/// Undo [`fire`].
+#[inline]
+fn unfire(net: &EventNet, t: usize, m: &mut [u8]) {
+    for &p in net.outputs(t) {
+        m[p] -= 1;
+    }
+    for &p in net.inputs(t) {
+        m[p] += 1;
+    }
+}
+
+/// No symmetry: the key is the marking and no representative arena is
+/// kept — the plain [`MarkingGraph`](super::MarkingGraph) BFS.
+pub(super) struct Identity;
+
+impl Canonicalizer for Identity {
+    type Scratch = Vec<u8>;
+    const KEEPS_REPS: bool = false;
+
+    fn scratch(&self, net: &EventNet) -> Vec<u8> {
+        vec![0; net.n_places()]
+    }
+
+    #[inline]
+    fn load_row(&self, cur: &[u8], m: &mut Vec<u8>) {
+        m.copy_from_slice(cur);
+    }
+
+    #[inline]
+    fn fire(&self, net: &EventNet, t: usize, m: &mut Vec<u8>) {
+        fire(net, t, m);
+    }
+
+    #[inline]
+    fn unfire(&self, net: &EventNet, t: usize, m: &mut Vec<u8>) {
+        unfire(net, t, m);
+    }
+
+    #[inline]
+    fn elect<'s>(&self, m: &'s mut Vec<u8>) -> Successor<'s> {
+        Successor {
+            key: m,
+            rep: m,
+            period: 1,
+        }
+    }
+}
+
+/// One full [`MarkingCanonicalizer::canonicalize_into`] per firing: the
+/// oracle [`RowRotation`] is tested against, and the only strategy once
+/// `order × n_places` exceeds the rotation-buffer cap.
+pub(super) struct PerFiring<'a>(pub &'a MarkingCanonicalizer);
+
+impl Canonicalizer for PerFiring<'_> {
+    /// The marking and the canonicalization buffers.
+    type Scratch = (Vec<u8>, CanonScratch);
+    const KEEPS_REPS: bool = true;
+
+    fn scratch(&self, net: &EventNet) -> Self::Scratch {
+        (vec![0; net.n_places()], CanonScratch::new(net.n_places()))
+    }
+
+    #[inline]
+    fn load_row(&self, cur: &[u8], (m, _): &mut Self::Scratch) {
+        m.copy_from_slice(cur);
+    }
+
+    #[inline]
+    fn fire(&self, net: &EventNet, t: usize, (m, _): &mut Self::Scratch) {
+        fire(net, t, m);
+    }
+
+    #[inline]
+    fn unfire(&self, net: &EventNet, t: usize, (m, _): &mut Self::Scratch) {
+        unfire(net, t, m);
+    }
+
+    #[inline]
+    fn elect<'s>(&self, (m, canon): &'s mut Self::Scratch) -> Successor<'s> {
+        let period = self.0.canonicalize_into(m, canon);
+        Successor {
+            key: canon.key(),
+            rep: m,
+            period,
+        }
+    }
+}
+
+/// One rotation buffer per **row** instead of a canonicalization per
+/// **firing**.
+///
+/// The m rotations `σᵃ(cur)` of the row's marking are materialized once;
+/// a successor's rotations then follow from the automorphism identity
+/// `σᵃ(cur − •t + t•) = σᵃ(cur) − •σᵃ(t) + σᵃ(t)•`, i.e. an
+/// `O(|•t| + |t•|)` delta per rotation (applied in place, undone after
+/// the firing) instead of an `O(n_places)` permutation — on the Theorem 2
+/// chains that cuts the canonicalization work ~`n_places / (|•t|+|t•|)`-
+/// fold.  The lexicographic minimum over the rotations (the same member
+/// [`MarkingCanonicalizer`] elects) is the interning key.
+pub(super) struct RowRotation<'a> {
+    place_perm: &'a [usize],
+    /// Powers of the transition permutation: `tp_pow[a·nt + t] = σᵃ(t)`.
+    tp_pow: Vec<u32>,
+    /// Order of σ (number of rotations held).
+    order: usize,
+    width: usize,
+}
+
+impl<'a> RowRotation<'a> {
+    /// The rotation strategy for the validated automorphism `sym` of
+    /// `net`, whose place permutation has the given `order`.
+    pub(super) fn new(net: &EventNet, sym: &'a NetSymmetry, order: usize) -> Self {
+        let nt = net.n_transitions();
+        let mut tp_pow = vec![0u32; order * nt];
+        for (t, slot) in tp_pow[..nt].iter_mut().enumerate() {
+            *slot = t as u32;
+        }
+        for a in 1..order {
+            for t in 0..nt {
+                tp_pow[a * nt + t] = sym.trans_perm[tp_pow[(a - 1) * nt + t] as usize] as u32;
+            }
+        }
+        RowRotation {
+            place_perm: &sym.place_perm,
+            tp_pow,
+            order,
+            width: net.n_places(),
+        }
+    }
+}
+
+impl Canonicalizer for RowRotation<'_> {
+    /// `rot[a·width..][..width]` holds `σᵃ` of the marking.
+    type Scratch = Vec<u8>;
+    const KEEPS_REPS: bool = true;
+
+    fn scratch(&self, _net: &EventNet) -> Vec<u8> {
+        vec![0; self.order * self.width]
+    }
+
+    #[inline]
+    fn load_row(&self, cur: &[u8], rot: &mut Vec<u8>) {
+        let width = self.width;
+        rot[..width].copy_from_slice(cur);
+        for a in 1..self.order {
+            let (prev, rest) = rot.split_at_mut(a * width);
+            let prev = &prev[(a - 1) * width..];
+            let dst = &mut rest[..width];
+            for (p, &img) in self.place_perm.iter().enumerate() {
+                dst[img] = prev[p];
+            }
+        }
+    }
+
+    /// `rot[a] := σᵃ(succ)`, by the per-rotation firing delta.
+    #[inline]
+    fn fire(&self, net: &EventNet, t: usize, rot: &mut Vec<u8>) {
+        let (nt, width) = (net.n_transitions(), self.width);
+        for a in 0..self.order {
+            let ta = self.tp_pow[a * nt + t] as usize;
+            fire(net, ta, &mut rot[a * width..(a + 1) * width]);
+        }
+    }
+
+    #[inline]
+    fn unfire(&self, net: &EventNet, t: usize, rot: &mut Vec<u8>) {
+        let (nt, width) = (net.n_transitions(), self.width);
+        for a in 0..self.order {
+            let ta = self.tp_pow[a * nt + t] as usize;
+            unfire(net, ta, &mut rot[a * width..(a + 1) * width]);
+        }
+    }
+
+    /// Lexicographic minimum over the rotations; the scan stops at the
+    /// marking's period — later rotations repeat — which is also the
+    /// orbit size.
+    #[inline]
+    fn elect<'s>(&self, rot: &'s mut Vec<u8>) -> Successor<'s> {
+        let width = self.width;
+        let mut best = 0usize;
+        let mut period = self.order as u32;
+        for a in 1..self.order {
+            let c = &rot[a * width..(a + 1) * width];
+            if c == &rot[..width] {
+                period = a as u32;
+                break;
+            }
+            if c < &rot[best * width..(best + 1) * width] {
+                best = a;
+            }
+        }
+        Successor {
+            key: &rot[best * width..(best + 1) * width],
+            rep: &rot[..width],
+            period,
+        }
+    }
+}
+
+/// What a scanned row is emitted as — the two public graph formats.
+pub(super) trait RowSink {
+    /// The governor phase builds into this sink report.
+    const PHASE: Phase;
+
+    /// Transition `t`, enabled in state `s`, fires into state `target`.
+    fn fire(&mut self, s: u32, t: usize, target: u32, rate: f64);
+
+    /// Close the current row; `Err(Deadlock)` when nothing was enabled.
+    fn end_row(&mut self) -> Result<(), MarkingError>;
+}
+
+/// Everything the BFS has interned: canonical keys (what the interner
+/// dedups against), the first-discovered representative and orbit size of
+/// each (when the canonicaliser keeps them), and the interner itself.
+/// State `s`'s row marking is `reps[s]`, or `keys[s]` without `reps`.
+pub(super) struct Frontier {
+    pub(super) keys: MarkingStore,
+    pub(super) reps: Option<MarkingStore>,
+    pub(super) orbit_size: Vec<u32>,
+    interner: ShardedInterner,
+}
+
+impl Frontier {
+    fn new(width: usize, opts: &MarkingOptions, keeps_reps: bool) -> Self {
+        let arena =
+            || MarkingStore::with_spill(width, opts.arena_compression, opts.resolved_spill_limit());
+        Frontier {
+            keys: arena(),
+            reps: keeps_reps.then(arena),
+            orbit_size: Vec::new(),
+            interner: ShardedInterner::for_opts(opts),
+        }
+    }
+
+    /// States interned so far.
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// The arena row markings are read from.
+    fn rows(&self) -> &MarkingStore {
+        self.reps.as_ref().unwrap_or(&self.keys)
+    }
+
+    /// The first spill I/O failure of either arena.  A poisoned read
+    /// zero-fills its marking, which can cascade into bogus dedup misses
+    /// or dead rows — so wherever a build error is raised, this root
+    /// cause takes precedence over the symptom.
+    fn poison(&self) -> Option<MarkingError> {
+        self.keys
+            .take_poison()
+            .or_else(|| self.reps.as_ref().and_then(MarkingStore::take_poison))
+    }
+
+    /// Mark a BFS level boundary in the arenas (a fresh delta base).
+    fn begin_level(&mut self) {
+        self.keys.begin_level();
+        if let Some(reps) = &mut self.reps {
+            reps.begin_level();
+        }
+    }
+
+    /// Cooperative checkpoint: drain any spill failure, then one governor
+    /// check.  Never on the per-firing hot path, so checks cannot perturb
+    /// output bits.
+    fn checkpoint(
+        &self,
+        opts: &MarkingOptions,
+        phase: Phase,
+        levels: usize,
+    ) -> Result<(), MarkingError> {
+        if let Some(e) = self.poison() {
+            return Err(e);
+        }
+        opts.budget.check(Progress {
+            phase,
+            states: self.len(),
+            levels,
+            iterations: 0,
+            arena_bytes: self.stats().total(),
+        })?;
+        Ok(())
+    }
+
+    /// Level-frozen read-only probe of the staged path.
+    #[inline]
+    fn find(&self, key: &[u8]) -> Option<u32> {
+        self.interner.find(&self.keys, key)
+    }
+
+    /// `succ`'s state id, interning it (key, representative, orbit size)
+    /// as the next id when its key is new.
+    #[inline]
+    fn intern(&mut self, succ: Successor<'_>, max_states: usize) -> Result<u32, MarkingError> {
+        let n = self.keys.len();
+        let (id, is_new) = self.interner.intern(&self.keys, succ.key, n as u32);
+        if is_new {
+            if n >= max_states {
+                return Err(self
+                    .poison()
+                    .unwrap_or(MarkingError::TooManyStates(max_states)));
+            }
+            self.keys.push(succ.key);
+            if let Some(reps) = &mut self.reps {
+                reps.push(succ.rep);
+                self.orbit_size.push(succ.period);
+            }
+        }
+        Ok(id)
+    }
+
+    /// Byte accounting of the build so far.
+    pub(super) fn stats(&self) -> ArenaStats {
+        let reps = self.reps.as_ref();
+        ArenaStats {
+            keys_bytes: self.keys.heap_bytes(),
+            reps_bytes: reps.map_or(0, MarkingStore::heap_bytes),
+            interner_bytes: self.interner.table_bytes(),
+            spill_bytes: self.keys.spill_bytes() + reps.map_or(0, MarkingStore::spill_bytes),
+            compressed: self.keys.is_compressed() || reps.is_some_and(MarkingStore::is_compressed),
+        }
+    }
+}
+
+/// Coded-target flag of the staging: targets carrying this bit index a
+/// chunk-local new-key list instead of naming a global state id (ids
+/// therefore live in 31 bits — `max_states` is clamped below it).
+const NEW_BIT: u32 = 1 << 31;
+
+/// Pending states each auto-sized worker must get before a level is
+/// chunked (spawning a scope thread costs tens of microseconds; a
+/// smaller slice of BFS work cannot amortize it).
+const MIN_STATES_PER_WORKER: usize = 256;
+
+/// Worker count for a BFS level with `pending` unexplored states: an
+/// explicit request is honored (clamped to one state per worker), `0`
+/// auto-sizes to the core count ([`crate::ctmc::num_cores`], shared with
+/// the power sweep) gated by [`MIN_STATES_PER_WORKER`].
+fn bfs_threads(requested: usize, pending: usize) -> usize {
+    match requested {
+        0 => crate::ctmc::num_cores()
+            .min(pending / MIN_STATES_PER_WORKER)
+            .max(1),
+        t => t.min(pending).max(1),
+    }
+}
+
+/// The row scanner's fixed inputs.
+struct Scan<'a, C> {
+    net: &'a EventNet,
+    canon: &'a C,
+    /// Per-place token bound; `None` requires the net to be safe.
+    capacity: Option<u8>,
+}
+
+impl<C: Canonicalizer> Scan<'_, C> {
+    /// Scan the row of marking `cur`: for every transition in ascending
+    /// order, enabledness → capacity gate → fire → safety check, handing
+    /// each successor to `resolve`.
+    #[inline]
+    fn row(
+        &self,
+        cur: &[u8],
+        scratch: &mut C::Scratch,
+        mut resolve: impl FnMut(usize, Successor<'_>) -> Result<(), MarkingError>,
+    ) -> Result<(), MarkingError> {
+        let net = self.net;
+        self.canon.load_row(cur, scratch);
+        'trans: for t in 0..net.n_transitions() {
+            // Enabled: all inputs marked…
+            for &p in net.inputs(t) {
+                if cur[p] == 0 {
+                    continue 'trans;
+                }
+            }
+            // …and, under a capacity bound, all outputs below it.
+            // Self-loop places (input and output of t) net out to zero,
+            // so they never block.  Without a capacity, the firing is
+            // attempted and unsafety is reported as an error instead.
+            if let Some(cap) = self.capacity {
+                for &p in net.outputs(t) {
+                    let is_self = net.places[p].0 == net.places[p].1;
+                    if !is_self && cur[p] >= cap {
+                        continue 'trans;
+                    }
+                }
+            }
+            self.canon.fire(net, t, scratch);
+            let succ = self.canon.elect(scratch);
+            if self.capacity.is_none() {
+                if let Some(&place) = net.outputs(t).iter().find(|&&p| succ.rep[p] > 1) {
+                    return Err(MarkingError::NotSafe { place });
+                }
+            }
+            resolve(t, succ)?;
+            self.canon.unfire(net, t, scratch);
+        }
+        Ok(())
+    }
+}
+
+/// Staged exploration of one chunk of a parallel level: every firing is
+/// recorded with its target either resolved against the level-frozen
+/// interner or deduplicated into the chunk-local new-key list, for
+/// [`merge_chunk`] to replay in chunk order.
+struct ChunkStage {
+    /// `(transition, coded target)` per firing, in scan order; targets
+    /// carrying [`NEW_BIT`] index the new-key list.
+    firings: Vec<(u32, u32)>,
+    /// Exclusive end in `firings` of each explored state's row.
+    row_ends: Vec<u32>,
+    /// Chunk-local unique canonical keys, in first-appearance order (a
+    /// flat arena — its lifetime is one level, so it never compresses).
+    new_keys: MarkingStore,
+    /// First-discovered representative per new key
+    /// ([`Canonicalizer::KEEPS_REPS`] only — otherwise the keys *are*
+    /// the markings and both lists stay empty).
+    new_reps: Vec<u8>,
+    /// Orbit period per new key (as `new_reps`).
+    new_periods: Vec<u32>,
+    /// Error that cut the scan short (the last staged row is then
+    /// partial and the merge re-raises the error at that point).
+    error: Option<MarkingError>,
+}
+
+impl ChunkStage {
+    /// The `li`-th chunk-local new state, as the worker elected it.
+    fn successor(&self, li: usize) -> Successor<'_> {
+        let key = self.new_keys.get(li);
+        let width = key.len();
+        match self.new_periods.get(li) {
+            Some(&period) => Successor {
+                key,
+                rep: &self.new_reps[li * width..(li + 1) * width],
+                period,
+            },
+            None => Successor {
+                key,
+                rep: key,
+                period: 1,
+            },
+        }
+    }
+}
+
+/// Worker of a parallel level: scan the rows of `states` (one chunk)
+/// exactly like the direct scan, with per-thread scratch, staging each
+/// firing instead of interning it.
+fn explore_chunk<C: Canonicalizer>(
+    scan: &Scan<'_, C>,
+    store: &Frontier,
+    states: std::ops::Range<usize>,
+) -> ChunkStage {
+    let width = scan.net.n_places();
+    let mut stage = ChunkStage {
+        firings: Vec::new(),
+        row_ends: Vec::new(),
+        new_keys: MarkingStore::with_spill(width, ArenaCompression::Off, usize::MAX),
+        new_reps: Vec::new(),
+        new_periods: Vec::new(),
+        error: None,
+    };
+    let mut local = OffsetInterner::with_capacity(64);
+    let mut scratch = scan.canon.scratch(scan.net);
+    let mut curbuf = vec![0u8; width];
+    for s in states {
+        let cur = store.rows().read_at(s, &mut curbuf);
+        let scanned = scan.row(cur, &mut scratch, |t, succ| {
+            let code = match store.find(succ.key) {
+                Some(id) => id,
+                None => {
+                    let n_local = stage.new_keys.len() as u32;
+                    let (li, fresh) = local.intern(&stage.new_keys, succ.key, n_local);
+                    if fresh {
+                        stage.new_keys.push(succ.key);
+                        if C::KEEPS_REPS {
+                            stage.new_reps.extend_from_slice(succ.rep);
+                            stage.new_periods.push(succ.period);
+                        }
+                    }
+                    NEW_BIT | li
+                }
+            };
+            stage.firings.push((t as u32, code));
+            Ok(())
+        });
+        stage.row_ends.push(stage.firings.len() as u32);
+        if let Err(e) = scanned {
+            stage.error = Some(e);
+            break;
+        }
+    }
+    stage
+}
+
+/// Merge one staged chunk (rows of states `base..`) into the build:
+/// replay the firings sequentially through the sink, interning each
+/// chunk-local key at its first use — the same intern sequence, row
+/// order and error points as the direct scan.
+fn merge_chunk<S: RowSink>(
+    net: &EventNet,
+    stage: &ChunkStage,
+    base: u32,
+    store: &mut Frontier,
+    max_states: usize,
+    sink: &mut S,
+) -> Result<(), MarkingError> {
+    let mut local_ids = vec![EMPTY; stage.new_keys.len()];
+    let mut f = 0usize;
+    for (row, &end) in stage.row_ends.iter().enumerate() {
+        for &(t, code) in &stage.firings[f..end as usize] {
+            let id = if code & NEW_BIT == 0 {
+                code
+            } else {
+                let li = (code & !NEW_BIT) as usize;
+                if local_ids[li] == EMPTY {
+                    local_ids[li] = store.intern(stage.successor(li), max_states)?;
+                }
+                local_ids[li]
+            };
+            sink.fire(base + row as u32, t as usize, id, net.rates[t as usize]);
+        }
+        f = end as usize;
+        if row + 1 == stage.row_ends.len() {
+            if let Some(e) = &stage.error {
+                return Err(e.clone());
+            }
+        }
+        sink.end_row().map_err(|e| store.poison().unwrap_or(e))?;
+    }
+    Ok(())
+}
+
+/// Explore the markings reachable in `net`, deduplicated by `canon`,
+/// emitting every row into `sink`; returns what was interned.
+pub(super) fn explore<C: Canonicalizer, S: RowSink>(
+    net: &EventNet,
+    opts: MarkingOptions,
+    canon: &C,
+    sink: &mut S,
+) -> Result<Frontier, MarkingError> {
+    // Markings are stored one byte per place, so token counts must fit:
+    // the capacity bound (or the safeness bound 1) keeps them ≤ 255.
+    let capacity = match opts.capacity {
+        Some(c) if c > MAX_CAPACITY => return Err(MarkingError::CapacityTooLarge(c)),
+        c => c.map(|c| c.max(1) as u8),
+    };
+    // State ids are u32 in the interner and the CSR, and the staging
+    // codes them in 31 bits; clamp the budget so the id-space bound
+    // fires as `TooManyStates` before any id could wrap.
+    let opts = MarkingOptions {
+        max_states: opts.max_states.min(NEW_BIT as usize - 1),
+        ..opts
+    };
+    let scan = Scan {
+        net,
+        canon,
+        capacity,
+    };
+    let width = net.n_places();
+    let init = net.initial_marking();
+    assert_eq!(init.len(), width);
+
+    let mut scratch = canon.scratch(net);
+    let mut store = Frontier::new(width, &opts, C::KEEPS_REPS);
+    // The initial marking is interned whatever the budget.
+    canon.load_row(&init, &mut scratch);
+    store.intern(canon.elect(&mut scratch), usize::MAX)?;
+
+    let mut cur = vec![0u8; width];
+    let mut frontier = 0usize;
+    // Exclusive end of the BFS level being explored: crossing it starts
+    // the next level (and a fresh delta base in the arenas).
+    let mut level_end = 0usize;
+    let mut levels = 0usize;
+
+    while frontier < store.len() {
+        if frontier >= level_end {
+            store.checkpoint(&opts, S::PHASE, levels)?;
+            levels += 1;
+            level_end = store.len();
+            store.begin_level();
+        }
+        let threads = bfs_threads(opts.threads, store.len() - frontier);
+        if threads > 1 {
+            // Parallel level: freeze the store over the pending range,
+            // stage one chunk per worker, merge in chunk order.
+            let hi = store.len();
+            let chunk = (hi - frontier).div_ceil(threads);
+            let stages: Vec<ChunkStage> = std::thread::scope(|scope| {
+                let (scan, store) = (&scan, &store);
+                let handles: Vec<_> = (frontier..hi)
+                    .step_by(chunk)
+                    .map(|lo| {
+                        scope.spawn(move || explore_chunk(scan, store, lo..(lo + chunk).min(hi)))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| match h.join() {
+                        Ok(stage) => stage,
+                        Err(p) => std::panic::resume_unwind(p),
+                    })
+                    .collect()
+            });
+            let mut base = frontier as u32;
+            for stage in &stages {
+                // Chunk-boundary checkpoint: bounds the coast past a
+                // deadline to one chunk's replay on parallel levels.
+                store.checkpoint(&opts, S::PHASE, levels)?;
+                merge_chunk(net, stage, base, &mut store, opts.max_states, sink)?;
+                base += stage.row_ends.len() as u32;
+            }
+            frontier = hi;
+            continue;
+        }
+
+        let s = frontier;
+        frontier += 1;
+        // Mid-level checkpoint: big levels (millions of states) take
+        // seconds, so the per-level cadence alone cannot honor a
+        // deadline-plus-grace contract.  Strided so the hot path stays
+        // one branch per state.
+        if s & 0xfff == 0xfff {
+            store.checkpoint(&opts, S::PHASE, levels)?;
+        }
+        store.rows().copy_to(s, &mut cur);
+        scan.row(&cur, &mut scratch, |t, succ| {
+            let id = store.intern(succ, opts.max_states)?;
+            sink.fire(s as u32, t, id, net.rates[t]);
+            Ok(())
+        })?;
+        sink.end_row().map_err(|e| store.poison().unwrap_or(e))?;
+    }
+
+    // The last level has no following boundary: drain once more so a
+    // spill failure there still surfaces.
+    match store.poison() {
+        Some(e) => Err(e),
+        None => Ok(store),
+    }
+}

@@ -1,0 +1,1298 @@
+//! Reachable-marking enumeration: event net → CTMC (Theorem 2).
+//!
+//! BFS over markings.  For *safe* nets (the Strict TPNs; resource cycles
+//! are invariant-bounded to one token) markings stay 0/1 and the chain is
+//! the paper's construction verbatim.  For nets with unbounded places (the
+//! forward places of Overlap TPNs taken globally) a finite **capacity**
+//! must be supplied: a transition is then blocked while one of its output
+//! places is at capacity.  Capping adds back-pressure, so the computed
+//! throughput under-estimates the infinite-buffer value and increases to it
+//! as the capacity grows — the validation experiments sweep the capacity.
+//!
+//! # One kernel × {canonicaliser, sink}
+//!
+//! Every build is the same frontier BFS (`bfs.rs`: one level loop, one row
+//! scanner, one staging/merge pair, one set of budget checkpoints and error
+//! points), monomorphised over two small traits:
+//!
+//! * a **canonicaliser** turns a fired successor into its interning key —
+//!   `Identity` (key = marking: the full chain, which is the quotient's
+//!   `m = 1` degenerate made literal), `RowRotation` (one rotation buffer
+//!   per row, an `O(|•t| + |t•|)` delta per rotation and firing) and
+//!   `PerFiring` (a full [`MarkingCanonicalizer`] call per firing: the
+//!   oracle `RowRotation` is tested against, and the fallback when
+//!   `order × n_places` exceeds the rotation-buffer cap);
+//! * a **row sink** turns scanned rows into a public result type —
+//!   [`MarkingGraph`] (one CSR edge per firing, the enabled sets doubling
+//!   as the edge → transition map) or [`QuotientGraph`] (rates aggregated
+//!   per target orbit, intra-orbit firings dropped, an edge → transitions
+//!   refill map).
+//!
+//! The BFS allocates nothing per firing:
+//!
+//! * **marking arenas** (`arena.rs`) — interned markings live in
+//!   append-only byte arenas ([`MarkingStore`]), flat (state `s` at byte
+//!   offset `s · n_places`) or delta-compressed per BFS level
+//!   ([`ArenaCompression`]), optionally spilled to an unlinked temp file
+//!   ([`MarkingOptions::interner_spill`]);
+//! * **offset-keyed interner** (`interner.rs`) — deduplication probes
+//!   open-addressing tables of state ids whose keys *are* arena offsets
+//!   (slices are re-read from the arena on compare), so no owned key is
+//!   ever built; sharded by the top hash bits
+//!   ([`MarkingOptions::interner_shards`]);
+//! * **scratch successor** — each firing writes the successor into the
+//!   canonicaliser's reused per-thread scratch; it is copied into the
+//!   arenas only when its key turns out to be new;
+//! * **flat CSR outputs** — both the chain (via
+//!   [`crate::ctmc::CsrBuilder`]) and the per-state enabled-transition
+//!   sets are built directly in compressed sparse row form.
+//!
+//! Storage and scheduling never reach the output: the chain is **bitwise
+//! identical** for every thread count, shard count, compression mode and
+//! spill setting.
+//!
+//! # Direct quotient construction
+//!
+//! When the net carries a validated rate-preserving automorphism (the TPN
+//! row-rotation in the homogeneous setting of Theorem 2),
+//! [`QuotientGraph::build`] explores the state space **directly in the
+//! quotient**: every successor marking is canonicalized under the
+//! automorphism's cyclic group before interning, so the arenas only ever
+//! hold one representative per orbit — the peak interned-state count is
+//! `full / m` on free orbits — and the CSR is emitted with
+//! orbit-aggregated rates.  The resulting chain (and its uniform
+//! [`Lift`]) is **bitwise identical** to building the full chain and
+//! lumping it through [`MarkingGraph::orbit_partition`] +
+//! [`Ctmc::quotient`](crate::ctmc::Ctmc::quotient), without ever
+//! materializing the full graph or running the orbit/refinement passes.
+//! See the [`QuotientGraph`] docs for why the state numbering and rate
+//! arithmetic coincide exactly.
+//!
+//! # Chunk-parallel levels
+//!
+//! The kernel walks the states in id order, level by level: the
+//! discovered-but-unexplored states form a batch whose rows can be
+//! scanned independently.  [`MarkingOptions::threads`] splits each large
+//! enough level into one contiguous chunk per `std::thread::scope`
+//! worker; smaller levels are scanned in place.  Both run the same row
+//! scanner and differ only in how a successor is resolved:
+//!
+//! * **direct** — interned on the spot and emitted into the sink;
+//! * **staged** — workers probe a **level-frozen** interner; a miss is
+//!   deduplicated into a chunk-local key list and each firing is staged
+//!   as `(transition, target-or-local-key)`.  A sequential merge then
+//!   replays the stages in chunk order (= state order), interning each
+//!   local key at its first use.
+//!
+//! The replay order is the direct scan order, so new states receive the
+//! same ids, rows come out in the same first-hit order, every `f64`
+//! addition of a sink happens in the same sequence, and `TooManyStates` /
+//! `NotSafe` / `Deadlock` surface at the same point — for every
+//! canonicaliser × sink pair, since there is only the one kernel.
+
+mod arena;
+mod bfs;
+mod interner;
+
+pub use arena::MarkingStore;
+
+use crate::ctmc::{CsrBuilder, Ctmc, SolveReport, SolverChoice};
+use crate::govern::{Budget, Interrupt, Phase};
+use crate::lump::{Lift, Partition};
+use crate::net::{EventNet, NetSymmetry};
+use bfs::{Canonicalizer, Identity, PerFiring, RowRotation, RowSink};
+use repstream_petri::canon::MarkingCanonicalizer;
+
+/// When the delta-compressed marking arena engages (see the
+/// [`MarkingStore`] encoding notes and the `arena_memory` section of
+/// `BENCH_ctmc.json` for measured ratios).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ArenaCompression {
+    /// Store verbatim until a flat arena would exceed
+    /// [`ARENA_COMPRESS_THRESHOLD`] bytes, then delta-encode (the
+    /// conversion re-encodes what is already stored; output bits are
+    /// unaffected either way).
+    #[default]
+    Auto,
+    /// Delta-encode from the first marking (what the bitwise A/B tests
+    /// force so small shapes exercise the compressed path).
+    On,
+    /// Never compress (the historical flat layout).
+    Off,
+}
+
+/// Flat-arena byte size above which [`ArenaCompression::Auto`] converts
+/// to the delta encoding.  8 MiB per arena: small enough that the
+/// million-state quotient builds (the 6×7-and-beyond class) compress
+/// long before the interner becomes the memory ceiling, large enough
+/// that the sub-100k-state chains of the interactive paths keep the
+/// zero-decode flat layout.
+pub const ARENA_COMPRESS_THRESHOLD: usize = 8 << 20;
+
+/// Options for marking-graph construction.
+#[derive(Debug, Clone, Copy)]
+pub struct MarkingOptions {
+    /// Hard cap on the number of states (construction fails beyond it).
+    pub max_states: usize,
+    /// Per-place token capacity, at most 255 (markings store one byte per
+    /// place; more is [`MarkingError::CapacityTooLarge`]).  `None` requires
+    /// the net to be safe: the builder fails if any place would exceed one
+    /// token.
+    pub capacity: Option<u32>,
+    /// Worker threads of the chunk-parallel frontier BFS (see the module
+    /// docs).  `0` (the default) auto-sizes to the machine's core count,
+    /// engaging only on levels large enough to amortize the spawns; an
+    /// explicit count is honored on any level with at least that many
+    /// pending states (`1` forces the sequential scan).  Every choice
+    /// produces **bitwise-identical** output.
+    pub threads: usize,
+    /// Delta compression of the marking arenas (keys and
+    /// representatives).  Compression changes only how markings are
+    /// *stored* — BFS order, interned ids and all emitted chain bits are
+    /// identical in every mode.
+    pub arena_compression: ArenaCompression,
+    /// Shard count of the two-level interner (rounded up to a power of
+    /// two, capped at [`MAX_INTERNER_SHARDS`]).  `0` (the default) reads
+    /// `REPSTREAM_INTERNER_SHARDS` from the environment, falling back to
+    /// 16 shards for budgets of 2^18 states and above and a single shard
+    /// below.  Sharding reorganizes only the hash table — ids are still
+    /// assigned in sequential scan/merge order and dedup is exact byte
+    /// equality, so output is **bitwise identical** for any shard count.
+    pub interner_shards: usize,
+    /// Spill the marking arenas' byte payloads (not the slot tables) to
+    /// an unlinked temp file once they outgrow [`Self::spill_limit`], so
+    /// peak RSS stays bounded on 10M+-state builds.  Storage-only: every
+    /// read decodes through the same byte sequence, so chains are
+    /// bitwise identical with spill on or off.  Trades wall clock
+    /// (collision probes against spilled markings re-read from the file)
+    /// for memory; no-op on non-Unix targets.
+    pub interner_spill: bool,
+    /// In-memory payload bytes each arena keeps resident before flushing
+    /// to the spill file (only meaningful with
+    /// [`Self::interner_spill`]).  `0` (the default) reads
+    /// `REPSTREAM_SPILL_MIB` from the environment, falling back to
+    /// 64 MiB per arena.
+    pub spill_limit: usize,
+    /// Cooperative resource limits ([`Budget`]), checked at every BFS
+    /// level and chunk boundary and every 4096 states in between.  The
+    /// default [`Budget::UNLIMITED`] never fires; output is
+    /// bitwise identical for any budget, as long as no limit fires —
+    /// the checks only decide *whether to abort*, never what to emit.
+    pub budget: Budget,
+}
+
+impl Default for MarkingOptions {
+    fn default() -> Self {
+        MarkingOptions {
+            max_states: 1 << 20,
+            capacity: None,
+            threads: 0,
+            arena_compression: ArenaCompression::Auto,
+            interner_shards: 0,
+            interner_spill: false,
+            spill_limit: 0,
+            budget: Budget::UNLIMITED,
+        }
+    }
+}
+
+impl MarkingOptions {
+    /// Resolved per-arena resident-byte bound of the spill machinery:
+    /// `usize::MAX` (never spill) unless [`Self::interner_spill`] is set,
+    /// then [`Self::spill_limit`] or its environment default.
+    fn resolved_spill_limit(&self) -> usize {
+        if !self.interner_spill {
+            return usize::MAX;
+        }
+        if self.spill_limit > 0 {
+            return self.spill_limit;
+        }
+        static LIMIT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+        *LIMIT.get_or_init(|| {
+            std::env::var("REPSTREAM_SPILL_MIB")
+                .ok()
+                .and_then(|v| v.parse::<usize>().ok())
+                .filter(|&v| v > 0)
+                .unwrap_or(64)
+                << 20
+        })
+    }
+
+    /// Resolved shard count of the two-level interner (see
+    /// [`Self::interner_shards`]).
+    fn resolved_interner_shards(&self) -> usize {
+        if self.interner_shards > 0 {
+            return self
+                .interner_shards
+                .next_power_of_two()
+                .min(MAX_INTERNER_SHARDS);
+        }
+        static SHARDS: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
+        let env = *SHARDS.get_or_init(|| {
+            std::env::var("REPSTREAM_INTERNER_SHARDS")
+                .ok()
+                .and_then(|v| v.parse::<usize>().ok())
+                .filter(|&v| v > 0)
+        });
+        if let Some(n) = env {
+            return n.next_power_of_two().min(MAX_INTERNER_SHARDS);
+        }
+        if self.max_states >= (1 << 18) {
+            16
+        } else {
+            1
+        }
+    }
+}
+
+/// Upper bound on [`MarkingOptions::capacity`]: a place's token count is
+/// one arena byte.
+const MAX_CAPACITY: u32 = u8::MAX as u32;
+
+/// Upper bound on [`MarkingOptions::interner_shards`].  256 shards keep
+/// the per-shard budget ≥ 2^15 states even at the 2^31 id ceiling; more
+/// shards would only add top-bit collisions without spreading work.
+pub const MAX_INTERNER_SHARDS: usize = 256;
+
+/// Which spill-file operation failed (see [`SpillIoError`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpillOp {
+    /// A positioned read of spilled payload bytes.
+    Read,
+    /// A positioned write flushing resident payload bytes.
+    Write,
+}
+
+impl SpillOp {
+    fn label(self) -> &'static str {
+        match self {
+            SpillOp::Read => "read",
+            SpillOp::Write => "write",
+        }
+    }
+}
+
+/// A failed spill-file operation: what was attempted, at which payload
+/// byte offset, and the underlying I/O error (shared behind an `Arc`
+/// because `io::Error` is not `Clone`).
+#[derive(Debug, Clone)]
+pub struct SpillIoError {
+    /// The operation that failed.
+    pub op: SpillOp,
+    /// Byte offset into the spill payload at which it failed.
+    pub offset: u64,
+    /// The underlying I/O error.
+    pub source: std::sync::Arc<std::io::Error>,
+}
+
+impl PartialEq for SpillIoError {
+    fn eq(&self, other: &Self) -> bool {
+        // `io::Error` carries no equality; the kind is what callers
+        // match on.
+        self.op == other.op
+            && self.offset == other.offset
+            && self.source.kind() == other.source.kind()
+    }
+}
+
+impl Eq for SpillIoError {}
+
+/// Failure modes of the marking BFS.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MarkingError {
+    /// The reachable set exceeded `max_states`.
+    TooManyStates(usize),
+    /// A place exceeded one token while `capacity` was `None`.
+    NotSafe {
+        /// The offending place.
+        place: usize,
+    },
+    /// No transition is enabled in some reachable marking.
+    Deadlock,
+    /// The requested per-place capacity does not fit a marking byte
+    /// (rejected before the BFS starts).
+    CapacityTooLarge(u32),
+    /// A spill-file read or write failed.  The build aborts at the next
+    /// level boundary; no temp files are leaked (spill files are
+    /// unlinked at creation, or deleted on drop when that failed).
+    SpillIo(SpillIoError),
+    /// The resource governor fired (deadline, cancellation, memory cap
+    /// — see [`Interrupt`]).
+    Interrupted(Interrupt),
+}
+
+impl MarkingError {
+    /// The governor interrupt behind this error, when that is what it
+    /// is — callers that degrade to bounds match on this.
+    pub fn interrupt(&self) -> Option<Interrupt> {
+        match self {
+            MarkingError::Interrupted(i) => Some(*i),
+            _ => None,
+        }
+    }
+}
+
+impl From<Interrupt> for MarkingError {
+    fn from(i: Interrupt) -> Self {
+        MarkingError::Interrupted(i)
+    }
+}
+
+impl std::fmt::Display for MarkingError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MarkingError::TooManyStates(n) => write!(f, "marking graph exceeds {n} states"),
+            MarkingError::NotSafe { place } => {
+                write!(
+                    f,
+                    "net is not safe: place {place} exceeds one token (supply a capacity)"
+                )
+            }
+            MarkingError::Deadlock => write!(f, "reachable deadlock marking"),
+            MarkingError::CapacityTooLarge(c) => {
+                write!(
+                    f,
+                    "capacity {c} exceeds the supported {MAX_CAPACITY} tokens per place"
+                )
+            }
+            MarkingError::SpillIo(e) => {
+                write!(
+                    f,
+                    "spill {} failed at byte {}: {}",
+                    e.op.label(),
+                    e.offset,
+                    e.source
+                )
+            }
+            MarkingError::Interrupted(i) => write!(f, "{i}"),
+        }
+    }
+}
+
+impl std::error::Error for MarkingError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            MarkingError::SpillIo(e) => Some(e.source.as_ref()),
+            MarkingError::Interrupted(i) => Some(i),
+            _ => None,
+        }
+    }
+}
+
+/// Byte accounting of a build's marking storage, captured when the BFS
+/// finishes (arena and table only grow, so this is also the peak).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ArenaStats {
+    /// Canonical-key arena bytes (what the interner dedups against; the
+    /// plain BFS's keys *are* its markings).
+    pub keys_bytes: usize,
+    /// Representative arena bytes (quotient builds; `0` when the keys
+    /// double as the stored markings).
+    pub reps_bytes: usize,
+    /// Interner bytes: open-addressing slots summed over every shard.
+    pub interner_bytes: usize,
+    /// Payload bytes parked in spill files across both arenas
+    /// ([`MarkingOptions::interner_spill`]); these are *not* resident,
+    /// so they are excluded from [`Self::total`].
+    pub spill_bytes: usize,
+    /// Whether delta compression was active when the build finished.
+    pub compressed: bool,
+}
+
+impl ArenaStats {
+    /// Total **resident** bytes across both arenas and the interner
+    /// (spilled bytes are on disk; add [`Self::spill_bytes`] for the
+    /// total stored footprint).
+    pub fn total(&self) -> usize {
+        self.keys_bytes + self.reps_bytes + self.interner_bytes
+    }
+}
+
+/// Per-state enabled-transition sets in CSR form — state `s` owns
+/// `idx[ptr[s]..ptr[s+1]]`, ascending — and the stationary aggregations
+/// both graph types read off them.
+#[derive(Debug, Clone)]
+struct EnabledSets {
+    ptr: Vec<u32>,
+    idx: Vec<u32>,
+}
+
+impl EnabledSets {
+    fn new() -> Self {
+        EnabledSets {
+            ptr: vec![0],
+            idx: Vec::new(),
+        }
+    }
+
+    /// Close the current row; `Err(Deadlock)` when nothing was enabled.
+    #[inline]
+    fn end_row(&mut self) -> Result<(), MarkingError> {
+        let end = self.idx.len() as u32;
+        if self.ptr.last() == Some(&end) {
+            return Err(MarkingError::Deadlock);
+        }
+        self.ptr.push(end);
+        Ok(())
+    }
+
+    fn row(&self, s: usize) -> &[u32] {
+        &self.idx[self.ptr[s] as usize..self.ptr[s + 1] as usize]
+    }
+
+    /// `rate(t) = Σ_s π(s) λ_t [t enabled in s]`.
+    fn firing_rates(&self, trans_rates: &[f64], pi: &[f64]) -> Vec<f64> {
+        assert_eq!(pi.len() + 1, self.ptr.len());
+        let mut rates = vec![0.0f64; trans_rates.len()];
+        for (s, &p) in pi.iter().enumerate() {
+            for &t in self.row(s) {
+                rates[t as usize] += p * trans_rates[t as usize];
+            }
+        }
+        rates
+    }
+
+    /// Summed stationary firing rate of `transitions` under `pi`.
+    fn throughput(&self, trans_rates: &[f64], transitions: &[usize], pi: &[f64]) -> f64 {
+        let rates = self.firing_rates(trans_rates, pi);
+        transitions.iter().map(|&t| rates[t]).sum()
+    }
+}
+
+/// The read-outs both graph types offer, written once: the chain edges
+/// differ between the two formats, the state count, storage accounting
+/// and enabled sets (which the stationary aggregations run over) do not.
+macro_rules! shared_api {
+    ($graph:ident) => {
+        impl $graph {
+            /// Number of chain states: reachable markings, or orbits on a
+            /// [`QuotientGraph`].
+            pub fn n_states(&self) -> usize {
+                self.ctmc.n_states()
+            }
+
+            /// Transitions fireable in state `s` — in the representative
+            /// of orbit `s` on a [`QuotientGraph`] — ascending.
+            pub fn enabled(&self, s: usize) -> &[u32] {
+                self.enabled.row(s)
+            }
+
+            /// Byte accounting of the build's marking storage (the peak —
+            /// arenas and interner only grow during the BFS).
+            pub fn arena_stats(&self) -> ArenaStats {
+                self.arena_stats
+            }
+
+            /// Stationary firing rate of every transition from a bare
+            /// per-transition rate slice:
+            /// `rate(t) = Σ_s π(s) λ_t [t enabled in s]`.  On a
+            /// [`QuotientGraph`] `s` ranges over orbit representatives, so
+            /// entry `t` is **not** the full chain's per-transition rate
+            /// (mass concentrates on the representatives' transitions),
+            /// but the sum over any automorphism-closed transition set — a
+            /// whole TPN column, the last-column throughput set — equals
+            /// the full chain's sum exactly.
+            pub fn firing_rates_with(&self, trans_rates: &[f64], pi: &[f64]) -> Vec<f64> {
+                self.enabled.firing_rates(trans_rates, pi)
+            }
+
+            /// Convenience: stationary distribution, then summed firing
+            /// rate of a set of transitions (e.g. the TPN's last column →
+            /// throughput; automorphism-closed on a [`QuotientGraph`]).
+            pub fn throughput_of(&self, net: &EventNet, transitions: &[usize]) -> f64 {
+                self.throughput_with(&self.ctmc, &net.rates, transitions)
+            }
+
+            /// As [`Self::throughput_of`] for a re-rated chain sharing
+            /// this graph's structure (same op order as the owned-chain
+            /// path, so refilled and cold solves agree bit for bit).
+            pub fn throughput_with(
+                &self,
+                ctmc: &Ctmc,
+                trans_rates: &[f64],
+                transitions: &[usize],
+            ) -> f64 {
+                self.throughput_solve(ctmc, trans_rates, transitions, SolverChoice::Auto)
+                    .0
+            }
+
+            /// As [`Self::throughput_with`], solving the chain with an
+            /// explicit [`SolverChoice`] and returning the [`SolveReport`]
+            /// (which solver ran, its residual and iteration count)
+            /// alongside the throughput.  [`SolverChoice::Auto`]
+            /// reproduces [`Self::throughput_with`] bit for bit.
+            pub fn throughput_solve(
+                &self,
+                ctmc: &Ctmc,
+                trans_rates: &[f64],
+                transitions: &[usize],
+                choice: SolverChoice,
+            ) -> (f64, SolveReport) {
+                let report = ctmc.stationary_solve(choice);
+                let rho = self
+                    .enabled
+                    .throughput(trans_rates, transitions, &report.pi);
+                (rho, report)
+            }
+
+            /// [`Self::throughput_solve`] under a cooperative [`Budget`]:
+            /// the stationary solve checks the budget at its checkpoints
+            /// and surfaces an overrun as an [`Interrupt`].  Bitwise
+            /// identical to the ungoverned path when no limit fires.
+            pub fn throughput_solve_governed(
+                &self,
+                ctmc: &Ctmc,
+                trans_rates: &[f64],
+                transitions: &[usize],
+                choice: SolverChoice,
+                budget: &Budget,
+            ) -> Result<(f64, SolveReport), Interrupt> {
+                let report = ctmc.stationary_solve_governed(choice, budget)?;
+                let rho = self
+                    .enabled
+                    .throughput(trans_rates, transitions, &report.pi);
+                Ok((rho, report))
+            }
+        }
+    };
+}
+
+shared_api!(MarkingGraph);
+shared_api!(QuotientGraph);
+
+/// The reachability graph of an [`EventNet`] with exponential races.
+#[derive(Debug, Clone)]
+pub struct MarkingGraph {
+    /// All reachable markings (tokens per place), arena-interned.
+    pub states: MarkingStore,
+    /// The CTMC over those markings.
+    pub ctmc: Ctmc,
+    /// Transitions fireable in each state; one chain edge per entry, so
+    /// the index array doubles as the edge → transition map.
+    enabled: EnabledSets,
+    /// Storage accounting captured at the end of the build.
+    arena_stats: ArenaStats,
+}
+
+/// Row sink of [`MarkingGraph`]: one CSR edge per firing.
+struct GraphBuilder {
+    csr: CsrBuilder,
+    enabled: EnabledSets,
+}
+
+impl RowSink for GraphBuilder {
+    const PHASE: Phase = Phase::MarkingBfs;
+
+    #[inline]
+    fn fire(&mut self, _s: u32, t: usize, target: u32, rate: f64) {
+        self.csr.push(target as usize, rate);
+        self.enabled.idx.push(t as u32);
+    }
+
+    #[inline]
+    fn end_row(&mut self) -> Result<(), MarkingError> {
+        self.enabled.end_row()?;
+        self.csr.end_row();
+        Ok(())
+    }
+}
+
+impl MarkingGraph {
+    /// Explore the reachable markings of `net`.
+    pub fn build(net: &EventNet, opts: MarkingOptions) -> Result<Self, MarkingError> {
+        let nt = net.n_transitions();
+        let mut out = GraphBuilder {
+            csr: CsrBuilder::with_capacity(1024, 1024 * nt / 2),
+            enabled: EnabledSets::new(),
+        };
+        let found = bfs::explore(net, opts, &Identity, &mut out)?;
+        let arena_stats = found.stats();
+        Ok(MarkingGraph {
+            states: found.keys,
+            ctmc: out.csr.finish(),
+            enabled: out.enabled,
+            arena_stats,
+        })
+    }
+
+    /// Orbit seed partition of the reachable markings under a net
+    /// symmetry: state `s` maps to the state holding the place-permuted
+    /// marking, and the cycles of that state permutation become blocks.
+    ///
+    /// The caller should have validated `sym` with
+    /// [`EventNet::symmetry_valid`]; this method adds the *reachability*
+    /// check the net-level validation cannot do: a net automorphism that
+    /// does not fix the initial marking still induces a CTMC automorphism
+    /// **iff** the permuted markings are all reachable (the reachability
+    /// graph of these live event nets is strongly connected, so one
+    /// escaped image means the hint does not apply).  Returns `None` in
+    /// that case — callers fall back to the full chain.
+    ///
+    /// The resulting partition satisfies the automorphism-orbit contract
+    /// of [`crate::lump`], so
+    /// [`Ctmc::stationary_lumped`](crate::ctmc::Ctmc::stationary_lumped)
+    /// may lift per-state marginals from it.
+    pub fn orbit_partition(&self, sym: &NetSymmetry) -> Option<Partition> {
+        let n = self.n_states();
+        let width = self.states.width();
+        if sym.place_perm.len() != width {
+            return None;
+        }
+        // The induced state map σ is propagated *structurally* instead of
+        // hashing every permuted marking: once σ(s₀) is known, firing
+        // transition `t` from `s` corresponds to firing `trans_perm[t]`
+        // from σ(s) (that is what being a net automorphism means), and the
+        // marking BFS reaches every state from s₀ — so one marking lookup
+        // seeds a pure-integer BFS over the aligned `enabled`/CSR rows.
+        // Every propagation step doubles as a validity check: a missing
+        // permuted transition, a σ conflict, or a non-injective image
+        // proves the hint does not apply and returns `None`.
+        let image0: Option<Vec<u8>> = {
+            let mut buf = Vec::new();
+            let m0 = self.states.read_into(0, &mut buf);
+            let mut img = vec![0u8; width];
+            let mut ok = true;
+            for (p, &tokens) in m0.iter().enumerate() {
+                let dst = sym.place_perm[p];
+                if dst >= width {
+                    ok = false;
+                    break;
+                }
+                img[dst] = tokens;
+            }
+            ok.then_some(img)
+        };
+        let image0 = image0?;
+        let s0_img = (0..n).find(|&s| self.states.matches(s, &image0))? as u32;
+
+        let mut sigma = vec![u32::MAX; n];
+        let mut taken = vec![false; n];
+        sigma[0] = s0_img;
+        taken[s0_img as usize] = true;
+        let mut stack: Vec<u32> = vec![0];
+        let mut visited = 1usize;
+        while let Some(s) = stack.pop() {
+            let s = s as usize;
+            let si = sigma[s] as usize;
+            let en_s = self.enabled(s);
+            let en_si = self.enabled(si);
+            if en_s.len() != en_si.len() {
+                return None;
+            }
+            let row_s = self.ctmc.row_targets(s);
+            let row_si = self.ctmc.row_targets(si);
+            for (k, &t) in en_s.iter().enumerate() {
+                let tp = *sym.trans_perm.get(t as usize)? as u32;
+                // Enabled sets are ascending by construction.
+                let pos = en_si.binary_search(&tp).ok()?;
+                let target = row_s[k] as usize;
+                let target_img = row_si[pos];
+                if sigma[target] == u32::MAX {
+                    if taken[target_img as usize] {
+                        return None; // not injective: bogus hint
+                    }
+                    sigma[target] = target_img;
+                    taken[target_img as usize] = true;
+                    visited += 1;
+                    stack.push(target as u32);
+                } else if sigma[target] != target_img {
+                    return None; // inconsistent propagation: bogus hint
+                }
+            }
+        }
+        if visited != n {
+            return None;
+        }
+        Some(Partition::from_permutation_orbits(&sigma))
+    }
+
+    /// Transition fired by each CSR edge of the chain, in edge order (the
+    /// enabled-set arrays double as this map: the BFS appends one enabled
+    /// transition per chain edge, so `edge_transitions().len() ==
+    /// ctmc.nnz()` and edge `e` was produced by firing transition
+    /// `edge_transitions()[e]`).
+    ///
+    /// This is what makes the reachability structure reusable across rate
+    /// tables: the chain of a *different* rate assignment over the same
+    /// net structure is `ctmc.with_rates(edge rates looked up here)` — see
+    /// [`MarkingGraph::ctmc_with_trans_rates`].
+    pub fn edge_transitions(&self) -> &[u32] {
+        &self.enabled.idx
+    }
+
+    /// The chain re-rated from per-transition rates: edge `e` gets
+    /// `trans_rates[edge_transitions()[e]]`.  Bitwise identical to
+    /// rebuilding the marking graph of a net with those rates (the BFS
+    /// order depends only on structure), at `O(nnz)` instead of a full
+    /// BFS + interning pass.
+    ///
+    /// # Panics
+    /// Panics if `trans_rates` is shorter than the net's transition count
+    /// or contains a non-positive rate.
+    pub fn ctmc_with_trans_rates(&self, trans_rates: &[f64]) -> Ctmc {
+        let rate: Vec<f64> = self
+            .enabled
+            .idx
+            .iter()
+            .map(|&t| trans_rates[t as usize])
+            .collect();
+        self.ctmc.with_rates(rate)
+    }
+
+    /// Stationary firing rate of every transition:
+    /// `rate(t) = Σ_s π(s) λ_t [t enabled in s]`.
+    pub fn firing_rates(&self, net: &EventNet, pi: &[f64]) -> Vec<f64> {
+        self.firing_rates_with(&net.rates, pi)
+    }
+}
+
+/// The symmetry-reduced reachability graph of an [`EventNet`]: one state
+/// per orbit of the reachable markings under a rate-preserving
+/// automorphism, built **without materializing the full graph**.
+///
+/// # Why this equals full-then-lump bit for bit
+///
+/// The BFS interns every successor marking by its **canonical form** (the
+/// lexicographically smallest member of its orbit) but stores the
+/// **first-discovered** member as the orbit's representative, and it is
+/// that representative's row that is explored.  Three facts make the
+/// output coincide exactly with
+/// [`Ctmc::quotient`]`(`[`MarkingGraph::orbit_partition`]`)`:
+///
+/// 1. **Numbering.** In the full BFS, a non-first member `σᵃ(x)` of an
+///    orbit can never discover an orbit its first member `x` did not: its
+///    row is the `σᵃ`-image of `x`'s row, hitting the same orbits, and
+///    `x` is processed first.  So new orbits are first discovered only
+///    from first members, in ascending transition order of their rows —
+///    exactly the order this BFS visits (its representative *is* that
+///    first member, by induction along the discovery sequence).  Orbit
+///    ids here therefore equal the block ids of
+///    [`MarkingGraph::orbit_partition`] (first appearance by full state
+///    index).
+/// 2. **Rates.** [`Ctmc::quotient`] reads each block's row off its first
+///    member (every member agrees — that is lumpability), accumulating
+///    edge rates per target block in CSR row order, which for the full
+///    BFS is ascending enabled-transition order — the same scan order and
+///    the same `f64` additions performed here.
+/// 3. **Edges.** Both emit a block's targets in first-hit order of that
+///    scan and drop intra-orbit edges (the quotient's self-loops).
+///
+/// # What the quotient preserves
+///
+/// Per-state quantities are only available per orbit: [`Self::enabled`]
+/// lists the enabled transitions of the *representative*, and
+/// [`Self::firing_rates_with`] returns orbit-aggregated totals — sums
+/// over a transition set are the true full-chain sums **iff the set is
+/// closed under the automorphism** (e.g. a whole TPN column, like the
+/// last-column throughput set: the rotation permutes rows within a
+/// column).  Uniform per-state probabilities come from [`Self::lift`].
+#[derive(Debug, Clone)]
+pub struct QuotientGraph {
+    /// First-discovered member marking of every orbit (the block's
+    /// representative, whose enabled set [`Self::enabled`] reports).
+    pub reps: MarkingStore,
+    /// The quotient CTMC: orbit-aggregated rates, intra-orbit edges
+    /// dropped.
+    pub ctmc: Ctmc,
+    /// Transitions fireable in each representative.
+    enabled: EnabledSets,
+    /// Quotient edge `e` aggregates the representative-row transitions
+    /// `edge_trans[edge_ptr[e]..edge_ptr[e+1]]` (ascending within each
+    /// edge) — the refill map of [`Self::ctmc_with_trans_rates`].
+    edge_ptr: Vec<u32>,
+    edge_trans: Vec<u32>,
+    /// Orbit size (number of distinct markings) per quotient state.
+    orbit_size: Vec<u32>,
+    /// Storage accounting captured at the end of the build.
+    arena_stats: ArenaStats,
+}
+
+/// Rotation-buffer budget of the `RowRotation` canonicaliser (bytes):
+/// above this, `order · n_places` no longer fits a sane working set and
+/// `PerFiring` runs instead (state budgets rule such shapes out anyway —
+/// this guard only prevents a large up-front allocation before the budget
+/// can fire).
+const ROT_BUFFER_CAP: usize = 1 << 26;
+
+/// Row sink of [`QuotientGraph`]: aggregated CSR rows, enabled sets, the
+/// edge→transitions refill map, and the per-target scratch (all reused
+/// across rows, nothing allocated per firing).
+struct QuotientBuilder {
+    csr: CsrBuilder,
+    enabled: EnabledSets,
+    edge_ptr: Vec<u32>,
+    edge_trans: Vec<u32>,
+    /// Aggregated rate into each target orbit of the current row.
+    acc: Vec<f64>,
+    /// Targets of the current row, in first-hit order.
+    hit: Vec<u32>,
+    /// Contributing transitions per target of the current row (reused
+    /// allocations, drained at each row end).
+    tbucket: Vec<Vec<u32>>,
+}
+
+impl RowSink for QuotientBuilder {
+    const PHASE: Phase = Phase::QuotientBfs;
+
+    /// Record `t` as enabled in the current representative (every enabled
+    /// transition is, including intra-orbit firings) and aggregate its
+    /// firing into orbit `target`.  Intra-orbit firings emit no edge —
+    /// they are the quotient's self-loops.
+    #[inline]
+    fn fire(&mut self, s: u32, t: usize, target: u32, rate: f64) {
+        self.enabled.idx.push(t as u32);
+        if target == s {
+            return;
+        }
+        if self.acc.len() <= target as usize {
+            self.acc.resize(target as usize + 1, 0.0);
+            self.tbucket.resize_with(target as usize + 1, Vec::new);
+        }
+        if self.acc[target as usize] == 0.0 {
+            self.hit.push(target);
+        }
+        self.acc[target as usize] += rate;
+        self.tbucket[target as usize].push(t as u32);
+    }
+
+    /// Close the current row, emitting its aggregated edges in first-hit
+    /// order.
+    fn end_row(&mut self) -> Result<(), MarkingError> {
+        self.enabled.end_row()?;
+        for i in 0..self.hit.len() {
+            let c = self.hit[i] as usize;
+            self.csr.push(c, self.acc[c]);
+            self.acc[c] = 0.0;
+            self.edge_trans.append(&mut self.tbucket[c]);
+            self.edge_ptr.push(self.edge_trans.len() as u32);
+        }
+        self.hit.clear();
+        self.csr.end_row();
+        Ok(())
+    }
+}
+
+impl QuotientGraph {
+    /// Explore the reachable orbits of `net` under `sym` directly in the
+    /// quotient.  `opts.max_states` bounds the **interned
+    /// representatives** (the full chain is `Σ orbit sizes`, up to `m`
+    /// times larger), so shapes whose full chain busts the budget can
+    /// still be analysed.
+    ///
+    /// # Panics
+    /// Panics unless `sym` is a rate-preserving automorphism of `net`
+    /// ([`EventNet::symmetry_valid`]) — aggregated rates are only exact
+    /// under that contract, so callers must gate on it (heterogeneous
+    /// rate tables take the full-chain path instead).
+    pub fn build(
+        net: &EventNet,
+        sym: &NetSymmetry,
+        opts: MarkingOptions,
+    ) -> Result<Self, MarkingError> {
+        assert!(
+            net.symmetry_valid(sym),
+            "QuotientGraph::build needs a validated rate-preserving automorphism"
+        );
+        let Some(canon) = MarkingCanonicalizer::new(&sym.place_perm) else {
+            unreachable!("symmetry_valid guarantees a permutation");
+        };
+        let order = canon.order() as usize;
+        if order.saturating_mul(net.n_places()) <= ROT_BUFFER_CAP {
+            Self::explore(net, opts, &RowRotation::new(net, sym, order))
+        } else {
+            Self::explore(net, opts, &PerFiring(&canon))
+        }
+    }
+
+    /// [`Self::build`] with the canonicaliser chosen by the caller.
+    fn explore<C: Canonicalizer>(
+        net: &EventNet,
+        opts: MarkingOptions,
+        canon: &C,
+    ) -> Result<Self, MarkingError> {
+        let nt = net.n_transitions();
+        let mut out = QuotientBuilder {
+            csr: CsrBuilder::with_capacity(1024, 1024 * nt / 2),
+            enabled: EnabledSets::new(),
+            edge_ptr: vec![0],
+            edge_trans: Vec::new(),
+            acc: Vec::new(),
+            hit: Vec::new(),
+            tbucket: Vec::new(),
+        };
+        let found = bfs::explore(net, opts, canon, &mut out)?;
+        let arena_stats = found.stats();
+        let Some(reps) = found.reps else {
+            unreachable!("the quotient canonicalisers keep representatives");
+        };
+        Ok(QuotientGraph {
+            reps,
+            ctmc: out.csr.finish(),
+            enabled: out.enabled,
+            edge_ptr: out.edge_ptr,
+            edge_trans: out.edge_trans,
+            orbit_size: found.orbit_size,
+            arena_stats,
+        })
+    }
+
+    /// Number of full-chain states represented: `Σ orbit sizes`.  Equals
+    /// the full reachable count whenever the automorphism maps the
+    /// reachable set onto itself (always the case when the full-chain
+    /// [`MarkingGraph::orbit_partition`] accepts the same hint).
+    pub fn full_states(&self) -> usize {
+        self.orbit_size.iter().map(|&k| k as usize).sum()
+    }
+
+    /// Orbit size of every quotient state.
+    pub fn orbit_sizes(&self) -> &[u32] {
+        &self.orbit_size
+    }
+
+    /// The uniform lift of this quotient: block sizes only (per-block
+    /// member probability `π̂(B)/|B|`), no full-state map — see
+    /// [`Lift::from_block_sizes`].
+    pub fn lift(&self) -> Lift {
+        Lift::from_block_sizes(self.orbit_size.clone())
+    }
+
+    /// The quotient re-rated from per-transition rates: edge `e` gets
+    /// `Σ trans_rates[t]` over its contributing transitions, summed in
+    /// the order the BFS aggregated them — bitwise identical to building
+    /// the quotient of a net with those rates (which must themselves be
+    /// orbit-invariant, the caller's gate), at `O(nnz)`.
+    ///
+    /// # Panics
+    /// Panics if `trans_rates` is shorter than the net's transition count
+    /// or a summed edge rate is non-positive.
+    pub fn ctmc_with_trans_rates(&self, trans_rates: &[f64]) -> Ctmc {
+        let rate: Vec<f64> = (0..self.ctmc.nnz())
+            .map(|e| {
+                self.edge_trans[self.edge_ptr[e] as usize..self.edge_ptr[e + 1] as usize]
+                    .iter()
+                    .map(|&t| trans_rates[t as usize])
+                    .sum()
+            })
+            .collect();
+        self.ctmc.with_rates(rate)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::net::comm_pattern;
+    use repstream_petri::shape::{ExecModel, MappingShape, ResourceTable};
+    use repstream_petri::tpn::Tpn;
+
+    #[test]
+    fn single_transition_self_loop() {
+        // One transition with a marked self-loop: a Poisson clock.
+        let net = EventNet::new(vec![2.0], vec![(0, 0, 1)]);
+        let mg = MarkingGraph::build(&net, MarkingOptions::default()).unwrap();
+        assert_eq!(mg.n_states(), 1);
+        let rates = mg.firing_rates(&net, &[1.0]);
+        assert!((rates[0] - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn two_transition_cycle() {
+        // A ⇄ B with one token: alternating firings; each fires at rate
+        // 1/(1/λa + 1/λb).
+        let net = EventNet::new(vec![2.0, 3.0], vec![(0, 1, 1), (1, 0, 0)]);
+        let mg = MarkingGraph::build(&net, MarkingOptions::default()).unwrap();
+        assert_eq!(mg.n_states(), 2);
+        let pi = mg.ctmc.stationary();
+        let rates = mg.firing_rates(&net, &pi);
+        let expect = 1.0 / (1.0 / 2.0 + 1.0 / 3.0);
+        assert!((rates[0] - expect).abs() < 1e-10, "{rates:?}");
+        assert!((rates[1] - expect).abs() < 1e-10);
+    }
+
+    #[test]
+    fn pattern_1x1_is_poisson() {
+        let net = comm_pattern(1, 1, |_, _| 5.0);
+        let mg = MarkingGraph::build(&net, MarkingOptions::default()).unwrap();
+        assert_eq!(mg.n_states(), 1);
+        assert!((mg.throughput_of(&net, &[0]) - 5.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn unsafe_net_detected() {
+        // Producer feeding a place with no consumer constraint forming
+        // accumulation: t0 self-loop marked + place t0→t1, t1 needs also a
+        // token that never comes back… simplest: t0 (free-running) feeds
+        // t1 which is throttled by a slow self-loop — the middle place
+        // accumulates.
+        let net = EventNet::new(vec![1.0, 1.0], vec![(0, 0, 1), (0, 1, 0), (1, 1, 1)]);
+        let err = MarkingGraph::build(&net, MarkingOptions::default()).unwrap_err();
+        assert!(matches!(err, MarkingError::NotSafe { .. }), "{err}");
+        // With a capacity it converges.
+        let mg = MarkingGraph::build(
+            &net,
+            MarkingOptions {
+                capacity: Some(4),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert!(mg.n_states() > 2);
+        // Throughput of the sink transition is throttled by both clocks.
+        let rho = mg.throughput_of(&net, &[1]);
+        assert!(rho < 1.0 && rho > 0.4, "rho {rho}");
+    }
+
+    /// Monotone up to the largest capacity a marking byte holds; anything
+    /// above is refused up front instead of wrapping a token count (debug
+    /// builds used to panic there, release builds returned a throughput
+    /// *below* cap 255's).
+    #[test]
+    fn capacity_increases_throughput_monotonically() {
+        let net = EventNet::new(vec![1.0, 1.0], vec![(0, 0, 1), (0, 1, 0), (1, 1, 1)]);
+        let build = |capacity| {
+            let opts = MarkingOptions {
+                capacity: Some(capacity),
+                ..Default::default()
+            };
+            MarkingGraph::build(&net, opts)
+        };
+        let mut last = 0.0;
+        for cap in [1, 2, 4, 8, 16, 254, 255] {
+            let mg = build(cap).unwrap();
+            assert_eq!(mg.n_states(), cap as usize + 1);
+            let rho = mg.throughput_of(&net, &[1]);
+            assert!(rho >= last - 1e-12, "cap {cap}: {rho} < {last}");
+            // Tandem of two rate-1 exponential servers with infinite
+            // buffer saturates at 1; with cap 16 we should be close.
+            assert!(cap < 16 || (rho > 0.8 && rho < 1.0), "cap {cap}: {rho}");
+            last = rho;
+        }
+        for cap in [256, 300, 1000, u32::MAX] {
+            assert_eq!(build(cap).unwrap_err(), MarkingError::CapacityTooLarge(cap));
+        }
+    }
+
+    #[test]
+    fn state_budget_enforced() {
+        let net = comm_pattern(4, 5, |_, _| 1.0);
+        let err = MarkingGraph::build(
+            &net,
+            MarkingOptions {
+                max_states: 10,
+                capacity: None,
+                ..Default::default()
+            },
+        )
+        .unwrap_err();
+        assert!(matches!(err, MarkingError::TooManyStates(10)));
+    }
+
+    /// The 1×4 pattern (8 places) with its row shift: transition
+    /// `k ↦ k+1 mod 4` maps both one-port cycle families onto themselves
+    /// (sender cycle place `k`, receiver cycle place `4+k`).
+    fn pattern_1x4_with_shift() -> (EventNet, NetSymmetry) {
+        let n = 4usize;
+        let net = comm_pattern(1, n, |_, _| 1.5);
+        let sym = NetSymmetry {
+            trans_perm: (0..n).map(|k| (k + 1) % n).collect(),
+            place_perm: (0..2 * n)
+                .map(|p| {
+                    if p < n {
+                        (p + 1) % n
+                    } else {
+                        n + (p + 1 - n) % n
+                    }
+                })
+                .collect(),
+        };
+        (net, sym)
+    }
+
+    /// The homogeneous Strict 2×3 TPN (> 8 places) with its row rotation.
+    fn strict_2x3_with_rotation() -> (EventNet, NetSymmetry) {
+        let shape = MappingShape::new(vec![2, 3]);
+        let tpn = Tpn::build(&shape, ExecModel::Strict);
+        let rates = ResourceTable::from_fns(&shape, |_, _| 0.5, |_, _, _| 2.0);
+        let (net, sym) = EventNet::from_tpn_with_symmetry(&tpn, &rates);
+        (net, sym.expect("homogeneous rates keep the rotation"))
+    }
+
+    fn assert_same_chain(a: &Ctmc, b: &Ctmc, what: &str) {
+        assert_eq!(a.n_states(), b.n_states(), "{what}: states");
+        assert_eq!(a.nnz(), b.nnz(), "{what}: nnz");
+        for s in 0..a.n_states() {
+            assert_eq!(a.row_targets(s), b.row_targets(s), "{what}: row {s}");
+            for (x, y) in a.row_rates(s).iter().zip(b.row_rates(s)) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{what}: rates of row {s}");
+            }
+        }
+    }
+
+    /// `mg` against the flat, resident `reference`: same chain bits,
+    /// markings and enabled sets.
+    fn assert_same_graph(mg: &MarkingGraph, reference: &MarkingGraph, what: &str) {
+        assert_same_chain(&mg.ctmc, &reference.ctmc, what);
+        let mut buf = Vec::new();
+        for s in 0..reference.n_states() {
+            assert_eq!(
+                mg.states.read_into(s, &mut buf),
+                reference.states.get(s),
+                "{what}: marking {s}"
+            );
+            assert_eq!(mg.enabled(s), reference.enabled(s), "{what}: enabled {s}");
+        }
+    }
+
+    /// One kernel, every instantiation: canonicaliser × threads ×
+    /// compression × spill on a ≤ 8-place and a > 8-place net.  The
+    /// `Identity` build must equal the sequential flat resident one, and
+    /// both quotient canonicalisers must equal full-then-lump bit for bit
+    /// — chain, representatives, orbit sizes, enabled sets, refill map.
+    #[test]
+    fn kernel_instantiations_agree() {
+        for (label, (net, sym)) in [
+            ("pattern 1x4", pattern_1x4_with_shift()),
+            ("strict 2x3", strict_2x3_with_rotation()),
+        ] {
+            assert!(net.symmetry_valid(&sym), "{label}");
+            let canon = MarkingCanonicalizer::new(&sym.place_perm).unwrap();
+            let order = canon.order() as usize;
+
+            let plain = MarkingOptions {
+                threads: 1,
+                arena_compression: ArenaCompression::Off,
+                ..Default::default()
+            };
+            let full = MarkingGraph::build(&net, plain).unwrap();
+            let seed = full.orbit_partition(&sym).expect("orbit seed applies");
+            let (lumped, lift) = full.ctmc.quotient(&seed);
+            let firsts: Vec<usize> = (0..lumped.n_states())
+                .map(|b| {
+                    (0..full.n_states())
+                        .find(|&s| seed.block_of(s) == b)
+                        .unwrap()
+                })
+                .collect();
+            let refill = QuotientGraph::explore(&net, plain, &PerFiring(&canon)).unwrap();
+
+            let mut buf = Vec::new();
+            for threads in [1usize, 2, 4] {
+                for arena_compression in [ArenaCompression::Off, ArenaCompression::On] {
+                    for interner_spill in [false, true] {
+                        let opts = MarkingOptions {
+                            threads,
+                            arena_compression,
+                            interner_spill,
+                            spill_limit: 16,
+                            ..Default::default()
+                        };
+                        let what = format!(
+                            "{label} threads={threads} {arena_compression:?} spill={interner_spill}"
+                        );
+
+                        let mg = MarkingGraph::build(&net, opts).unwrap();
+                        assert_same_graph(&mg, &full, &what);
+                        assert_eq!(mg.arena_stats().spill_bytes > 0, interner_spill, "{what}");
+
+                        let rowrot = RowRotation::new(&net, &sym, order);
+                        for (name, qg) in [
+                            ("rowrot", QuotientGraph::explore(&net, opts, &rowrot)),
+                            (
+                                "perfiring",
+                                QuotientGraph::explore(&net, opts, &PerFiring(&canon)),
+                            ),
+                        ] {
+                            let what = format!("{what} {name}");
+                            let qg = qg.unwrap();
+                            assert_same_chain(&qg.ctmc, &lumped, &what);
+                            assert_eq!(qg.full_states(), full.n_states(), "{what}");
+                            assert_eq!(qg.edge_ptr, refill.edge_ptr, "{what}");
+                            assert_eq!(qg.edge_trans, refill.edge_trans, "{what}");
+                            for (b, &first) in firsts.iter().enumerate() {
+                                assert_eq!(qg.orbit_sizes()[b] as usize, lift.block_size(b));
+                                assert_eq!(qg.reps.read_into(b, &mut buf), full.states.get(first));
+                                assert_eq!(qg.enabled(b), full.enabled(first), "{what}: {b}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // The quotient preserves the Theorem 4 closed form u·v·λ/(u+v−1).
+        let (net, sym) = pattern_1x4_with_shift();
+        let rho = QuotientGraph::build(&net, &sym, MarkingOptions::default())
+            .unwrap()
+            .throughput_of(&net, &[0, 1, 2, 3]);
+        assert!((rho - 4.0 * 1.5 / 4.0).abs() < 1e-12, "rho {rho}");
+    }
+
+    /// A sharded + spilled + compressed build must be bitwise identical
+    /// to the default build: the same states, chain bits and enabled
+    /// sets — only the storage accounting differs.
+    #[test]
+    fn spilled_sharded_build_is_bitwise_identical() {
+        let net = comm_pattern(2, 3, |i, j| 1.0 + (i + 2 * j) as f64);
+        let reference = MarkingGraph::build(
+            &net,
+            MarkingOptions {
+                interner_shards: 1,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let spilled = MarkingGraph::build(
+            &net,
+            MarkingOptions {
+                arena_compression: ArenaCompression::On,
+                interner_shards: 16,
+                interner_spill: true,
+                spill_limit: 64,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert!(spilled.arena_stats().spill_bytes > 0, "never spilled");
+        assert_same_graph(&spilled, &reference, "sharded + spilled + compressed");
+    }
+
+    /// A forced-compressed plain build must be bitwise identical to the
+    /// flat build: same states, chain, enabled sets — only the storage
+    /// accounting differs.
+    #[test]
+    fn compressed_plain_build_is_bitwise_identical() {
+        let net = comm_pattern(2, 3, |i, j| 1.0 + (i + 2 * j) as f64);
+        let flat = MarkingGraph::build(
+            &net,
+            MarkingOptions {
+                arena_compression: ArenaCompression::Off,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let packed = MarkingGraph::build(
+            &net,
+            MarkingOptions {
+                arena_compression: ArenaCompression::On,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert!(!flat.states.is_compressed());
+        assert!(packed.states.is_compressed());
+        assert!(packed.arena_stats().compressed);
+        assert_same_graph(&packed, &flat, "compressed");
+    }
+
+    /// Safe pattern nets must reproduce the Theorem 3 state count.
+    #[test]
+    fn arena_pattern_states_match_closed_form() {
+        let net = comm_pattern(2, 3, |_, _| 1.0);
+        let mg = MarkingGraph::build(&net, MarkingOptions::default()).unwrap();
+        assert_eq!(mg.n_states(), 12); // S(2,3) = C(4,1)·3
+        assert_eq!(mg.states.width(), net.n_places());
+        // Every stored marking is 0/1 (safe net).
+        for m in mg.states.iter() {
+            assert!(m.iter().all(|&b| b <= 1));
+        }
+    }
+}

@@ -20,7 +20,7 @@ use repstream_markov::govern::{Budget, InterruptReason, Phase};
 use repstream_markov::marking::{
     ArenaCompression, MarkingError, MarkingGraph, MarkingOptions, QuotientGraph, SpillOp,
 };
-use repstream_markov::net::EventNet;
+use repstream_markov::net::{comm_pattern, EventNet};
 use repstream_petri::shape::{ExecModel, MappingShape, ResourceTable};
 use repstream_petri::tpn::Tpn;
 use std::sync::Mutex;
@@ -206,6 +206,25 @@ fn budget_fires_at_each_bfs_level() {
     }
     let done = completed_at.expect("some level count completes the 4x5 build");
     assert!(done > 3, "the 4x5 BFS has more than {done} levels");
+}
+
+/// A level fault past level 0 fires on a ≤ 8-place net too: small nets
+/// run the same level-structured kernel as every other build.
+#[test]
+fn budget_level_fault_fires_on_a_small_net() {
+    let _armed = Armed::install(FaultPlan {
+        budget_level: Some(1),
+        ..Default::default()
+    });
+    let net = comm_pattern(1, 4, |_, _| 1.0);
+    assert!(net.n_places() <= 8);
+    match MarkingGraph::build(&net, MarkingOptions::default()) {
+        Err(MarkingError::Interrupted(i)) => {
+            assert_eq!(i.progress.phase, Phase::MarkingBfs);
+            assert_eq!(i.progress.levels, 1);
+        }
+        other => panic!("expected a level-1 interrupt, got {other:?}"),
+    }
 }
 
 /// With no plan installed — or a plan whose trigger is never reached —

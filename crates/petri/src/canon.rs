@@ -12,13 +12,7 @@
 //! the lexicographically smallest member of its orbit — together with the
 //! orbit's size (the period of the marking under `σ`).  The canonical
 //! form is a pure *interning key*: consumers deduplicate orbits by it
-//! without ever materializing the other members.  A packed fast path
-//! handles nets of at most eight places, where a marking is one `u64`
-//! word (the layout of the marking-BFS fast path in `repstream-markov`):
-//! the permutation is applied by byte shifts and candidates compare via
-//! [`u64::swap_bytes`], which orders words exactly like the byte-wise
-//! lexicographic comparison of the generic path — both paths always
-//! elect the same representative.
+//! without ever materializing the other members.
 //!
 //! The canonicalization loop applies `σ` repeatedly and stops at the
 //! marking's period (the first `a > 0` with `σ^a(M) = M`), so the cost is
@@ -169,44 +163,6 @@ impl MarkingCanonicalizer {
         let CanonScratch { out, a, b } = scratch;
         self.canonicalize_marking(marking, out, a, b)
     }
-
-    /// Packed fast path of [`Self::canonicalize_marking`] for nets of at
-    /// most eight places: the marking is a little-endian `u64` word with
-    /// place `p` in byte `p`.  Returns `(canonical word, orbit period)`;
-    /// the canonical word unpacks to exactly the bytes the generic path
-    /// writes (candidates compare by [`u64::swap_bytes`], the numeric
-    /// image of byte-lexicographic order).
-    ///
-    /// # Panics
-    /// Panics if the permutation acts on more than eight places.
-    pub fn canonicalize_packed(&self, marking: u64) -> (u64, u32) {
-        let n = self.perm.len();
-        assert!(n <= 8, "packed canonicalization needs at most 8 places");
-        if self.order == 1 {
-            return (marking, 1);
-        }
-        let mut best = marking;
-        let mut best_key = marking.swap_bytes();
-        let mut cur = marking;
-        let mut period = self.order;
-        for a in 1..=self.order {
-            let mut next = 0u64;
-            for (p, &img) in self.perm.iter().enumerate() {
-                next |= ((cur >> (8 * p)) & 0xFF) << (8 * img as usize);
-            }
-            if next == marking {
-                period = a;
-                break;
-            }
-            let key = next.swap_bytes();
-            if key < best_key {
-                best = next;
-                best_key = key;
-            }
-            cur = next;
-        }
-        (best, period)
-    }
 }
 
 #[cfg(test)]
@@ -261,24 +217,6 @@ mod tests {
         assert_eq!(out, vec![0, 1, 0, 1]);
         // The fully symmetric marking is a fixed point.
         assert_eq!(canon_bytes(&c, &[1, 1, 1, 1]), (vec![1, 1, 1, 1], 1));
-    }
-
-    #[test]
-    fn packed_matches_generic_path() {
-        let c = MarkingCanonicalizer::new(&[2, 0, 3, 1]).unwrap();
-        for m in [
-            [0u8, 1, 2, 3],
-            [1, 0, 0, 0],
-            [5, 5, 5, 5],
-            [0, 0, 1, 1],
-            [9, 0, 0, 3],
-        ] {
-            let (bytes, p1) = canon_bytes(&c, &m);
-            let word = u64::from_le_bytes([m[0], m[1], m[2], m[3], 0, 0, 0, 0]);
-            let (packed, p2) = c.canonicalize_packed(word);
-            assert_eq!(p1, p2, "{m:?}");
-            assert_eq!(&packed.to_le_bytes()[..4], &bytes[..], "{m:?}");
-        }
     }
 
     #[test]

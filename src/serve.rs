@@ -414,9 +414,9 @@ fn classify_exp_error(e: &ExpError) -> ErrorResponse {
     match marking {
         MarkingError::TooManyStates(_) => ErrorResponse::over_budget(e.to_string()),
         MarkingError::Interrupted(_) => ErrorResponse::interrupted(e.to_string()),
-        MarkingError::NotSafe { .. } | MarkingError::Deadlock => {
-            ErrorResponse::config(e.to_string())
-        }
+        MarkingError::NotSafe { .. }
+        | MarkingError::Deadlock
+        | MarkingError::CapacityTooLarge(_) => ErrorResponse::config(e.to_string()),
         MarkingError::SpillIo(_) => ErrorResponse::internal(e.to_string()),
     }
 }
