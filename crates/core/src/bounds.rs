@@ -15,11 +15,12 @@
 //! columns (Theorem 4).
 
 use crate::deterministic;
-use crate::exponential::{self, ChainSolver, ExpError, ExpOptions};
+use crate::exponential::{self, ChainSolver, ExpError};
 use crate::model::SystemRef;
 use crate::simulate::{self, MonteCarloOptions, SimEngine};
 use crate::timing;
-use repstream_markov::cache::{ChainCache, StrictOptions};
+use repstream_markov::cache::ChainCache;
+use repstream_markov::govern::RunConfig;
 use repstream_petri::shape::ExecModel;
 use repstream_stochastic::law::LawFamily;
 
@@ -62,18 +63,20 @@ pub fn nbue_bounds<'a>(
     system: impl Into<SystemRef<'a>>,
     model: ExecModel,
 ) -> Result<NbueBounds, ExpError> {
-    nbue_bounds_cached(system, model, &mut ChainCache::new())
+    nbue_bounds_with(system, model, &mut ChainCache::new())
 }
 
 /// As [`nbue_bounds`], reusing chain structures from (and warming) a
-/// caller-supplied [`ChainCache`]: the exponential lower bound's pattern
+/// caller-supplied chain oracle: the exponential lower bound's pattern
 /// and Strict chains are refilled instead of rebuilt when the cache has
 /// already seen their shape — e.g. from an earlier decomposition of the
-/// same system in a report, or from sibling candidates in a search.
-/// Values are bitwise identical to [`nbue_bounds`] (the cache contract).
+/// same system in a report, or from sibling candidates in a search.  The
+/// serving layer passes `&mut &SharedChainCache` so concurrent requests
+/// share one set of chain structures.  Values are bitwise identical to
+/// [`nbue_bounds`] (the [`ChainSolver`] contract).
 ///
 /// ```
-/// use repstream_core::bounds::nbue_bounds_cached;
+/// use repstream_core::bounds::nbue_bounds_with;
 /// use repstream_core::model::{Application, Mapping, Platform, System};
 /// use repstream_markov::cache::ChainCache;
 /// use repstream_petri::shape::ExecModel;
@@ -86,65 +89,52 @@ pub fn nbue_bounds<'a>(
 /// // One cache across both models: the Strict call reuses whatever
 /// // pattern chains the Overlap decomposition already built.
 /// let mut cache = ChainCache::new();
-/// let overlap = nbue_bounds_cached(&system, ExecModel::Overlap, &mut cache).unwrap();
-/// let strict = nbue_bounds_cached(&system, ExecModel::Strict, &mut cache).unwrap();
+/// let overlap = nbue_bounds_with(&system, ExecModel::Overlap, &mut cache).unwrap();
+/// let strict = nbue_bounds_with(&system, ExecModel::Strict, &mut cache).unwrap();
 /// assert!(overlap.lower <= overlap.upper);
 /// assert!(strict.lower <= strict.upper);
 /// ```
-pub fn nbue_bounds_cached<'a>(
-    system: impl Into<SystemRef<'a>>,
-    model: ExecModel,
-    cache: &mut ChainCache,
-) -> Result<NbueBounds, ExpError> {
-    nbue_bounds_with(system, model, cache)
-}
-
-/// As [`nbue_bounds_cached`], generic over the chain oracle: the serving
-/// layer passes `&mut &SharedChainCache` so concurrent requests share one
-/// set of chain structures.  Values are bitwise identical to
-/// [`nbue_bounds`] (the [`ChainSolver`] contract).
 pub fn nbue_bounds_with<'a>(
     system: impl Into<SystemRef<'a>>,
     model: ExecModel,
     cache: &mut impl ChainSolver,
 ) -> Result<NbueBounds, ExpError> {
-    let system = system.into();
-    let upper = deterministic::analyze(system, model).throughput;
-    let (lower, method) = exponential_lower(system, model, cache)?;
-    Ok(NbueBounds {
-        lower,
-        upper,
-        method,
-    })
+    nbue_bounds_capped(system, model, RunConfig::default().max_states, cache)
 }
 
-fn exponential_lower(
-    system: SystemRef<'_>,
+/// As [`nbue_bounds_with`] under the caller's state cap: no chain of the
+/// sandwich is built beyond `max_states`.  A report passes its own
+/// [`RunConfig::max_states`], so a server-side cap bounds the sandwich's
+/// pattern chains like every other chain of the request.
+pub(crate) fn nbue_bounds_capped<'a>(
+    system: impl Into<SystemRef<'a>>,
     model: ExecModel,
+    max_states: usize,
     cache: &mut impl ChainSolver,
-) -> Result<(f64, LowerBoundMethod), ExpError> {
+) -> Result<NbueBounds, ExpError> {
+    let system = system.into();
+    let upper = deterministic::analyze(system, model).throughput;
     let shape = system.shape();
     let rates = timing::exponential_rates(system);
-    match model {
-        ExecModel::Overlap => exponential::throughput_overlap_with_solver(
-            &shape,
-            &rates,
-            ExpOptions::default(),
-            cache,
-        )
-        .map(|r| (r.throughput, LowerBoundMethod::Decomposition)),
+    // Ungoverned on purpose: the sandwich is what a report falls back to
+    // *after* its budget fired.
+    let run = RunConfig {
+        max_states,
+        ..Default::default()
+    };
+    let (lower, method) = match model {
+        ExecModel::Overlap => {
+            let rep = exponential::throughput_overlap_with_solver(&shape, &rates, run, cache)?;
+            (rep.throughput, LowerBoundMethod::Decomposition)
+        }
         ExecModel::Strict => {
-            match cache.strict_solve(
-                &shape,
-                &rates,
-                StrictOptions {
-                    max_states: 400_000,
-                    lumping: ExpOptions::default().lumping,
-                    threads: ExpOptions::default().threads,
-                    ..Default::default()
-                },
-            ) {
-                Ok(v) => Ok((v.throughput, LowerBoundMethod::MarkingChain)),
+            // Beyond 400k states the simulation below is the cheaper bound.
+            let run = RunConfig {
+                max_states: max_states.min(400_000),
+                ..run
+            };
+            match cache.strict_solve(&shape, &rates, run) {
+                Ok(v) => (v.throughput, LowerBoundMethod::MarkingChain),
                 Err(_) => {
                     // Chain too large: estimate by simulation (the one
                     // remaining owned-`System` consumer; this fallback is
@@ -163,11 +153,16 @@ fn exponential_lower(
                             total_rate_metric: false,
                         },
                     );
-                    Ok((v.mean, LowerBoundMethod::Simulation))
+                    (v.mean, LowerBoundMethod::Simulation)
                 }
             }
         }
-    }
+    };
+    Ok(NbueBounds {
+        lower,
+        upper,
+        method,
+    })
 }
 
 #[cfg(test)]

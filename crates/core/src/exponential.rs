@@ -23,12 +23,10 @@
 
 use crate::model::SystemRef;
 use crate::timing::exponential_rates;
-use repstream_markov::cache::{ChainCache, SharedChainCache, StrictOptions, StrictSolve};
-use repstream_markov::ctmc::{Precond, Solver, SolverChoice};
-use repstream_markov::govern::{Budget, Interrupt};
-use repstream_markov::marking::{
-    ArenaCompression, ArenaStats, MarkingError, MarkingGraph, MarkingOptions, QuotientGraph,
-};
+use repstream_markov::cache::{ChainCache, SharedChainCache, StrictSolve};
+use repstream_markov::ctmc::{Precond, Solver};
+use repstream_markov::govern::{Interrupt, RunConfig};
+use repstream_markov::marking::{ArenaStats, MarkingError, MarkingGraph, QuotientGraph};
 use repstream_markov::net::EventNet;
 use repstream_markov::pattern;
 use repstream_petri::shape::{gcd, ExecModel, MappingShape, Resource, ResourceTable};
@@ -66,17 +64,21 @@ impl std::fmt::Display for ExpError {
 impl std::error::Error for ExpError {}
 
 impl ExpError {
+    /// The marking-BFS error underneath, whichever chain family hit it —
+    /// what callers classify (over budget / interrupted / internal).
+    pub fn marking(&self) -> &MarkingError {
+        match self {
+            ExpError::PatternTooLarge { source, .. } | ExpError::MarkingGraph(source) => source,
+        }
+    }
+
     /// The cooperative-governor interrupt behind this error, when the
     /// analysis was cut short by a deadline / cancel / memory cap rather
     /// than failing outright.  Callers use this to pick the degradation
     /// path (fall back to bounds) instead of treating the overrun as a
     /// hard failure.
     pub fn interrupt(&self) -> Option<Interrupt> {
-        match self {
-            ExpError::PatternTooLarge { source, .. } | ExpError::MarkingGraph(source) => {
-                source.interrupt()
-            }
-        }
+        self.marking().interrupt()
     }
 }
 
@@ -121,81 +123,24 @@ pub struct ExpReport {
     pub candidates: Vec<Candidate>,
 }
 
-/// Options for the exponential analyses.
-#[derive(Debug, Clone, Copy)]
-pub struct ExpOptions {
-    /// State budget per pattern chain (Theorem 3 path).
-    pub max_pattern_states: usize,
-    /// State budget for the global marking chain (Theorem 2 path).
-    pub max_states: usize,
-    /// Lump-first mode for the Theorem 2 chain (default on): when the
-    /// TPN's row-rotation symmetry survives the rate table, solve the
-    /// symmetry-reduced quotient chain instead of the full one, falling
-    /// back to the full chain when the hint is refused or the refinement
-    /// degenerates.  The result is exact either way; this switch exists
-    /// for A/B validation and benchmarking.
-    pub lumping: bool,
-    /// Worker threads of the chunk-parallel marking BFS (`0` = auto: one
-    /// per core on levels large enough to amortize the spawns).  Any
-    /// value — including `1`, the forced-sequential scan — produces
-    /// bitwise-identical chains and throughputs; the knob only trades
-    /// wall-clock for cores.  Exposed on the CLI as `--threads`.
-    pub threads: usize,
-    /// Stationary solver for the Theorem 2 chain:
-    /// [`SolverChoice::Auto`] (default) runs the measured
-    /// [`SolverPlan`](repstream_markov::ctmc::SolverPlan) policy;
-    /// `Force` pins one method for A/B runs.  Exposed on the CLI as
-    /// `--solver`.  Pattern chains of the Theorem 3 path always use the
-    /// automatic policy (they are small; forcing there only adds noise).
-    pub solver: SolverChoice,
-    /// Delta-compression policy for the marking arenas of the Theorem 2
-    /// BFS (storage only — state ids, BFS order and the chain are
-    /// bitwise-unchanged).  The default [`ArenaCompression::Auto`]
-    /// compresses once an arena crosses the built-in byte threshold.
-    pub arena_compression: ArenaCompression,
-    /// Spill marking-arena payload bytes to an unlinked temp file once
-    /// they cross the spill limit (`REPSTREAM_SPILL_MIB`, default 64),
-    /// bounding peak RSS on 10M-state builds
-    /// ([`MarkingOptions::interner_spill`]).  Storage only — the chain
-    /// is bitwise-unchanged.  Exposed on the CLI as `--interner-spill`.
-    pub interner_spill: bool,
-    /// Cooperative resource budget (wall-clock deadline, arena-byte cap,
-    /// external cancel flag), checked once per BFS level of the Theorem 2
-    /// build and at the stationary solver's checkpoints.  An overrun
-    /// surfaces as a structured interrupt
-    /// ([`ExpError::interrupt`]); an un-fired budget never changes a
-    /// single output bit.  Exposed on the CLI as `--deadline`.
-    pub budget: Budget,
-}
+/// Options for the exponential analyses: the one [`RunConfig`] every
+/// layer holds.  The Theorem 2 chain is budgeted by
+/// [`RunConfig::max_states`], each Theorem 3 pattern chain by
+/// [`RunConfig::pattern_states`]; an interrupted
+/// [`RunConfig::budget`] surfaces through [`ExpError::interrupt`].
+pub type ExpOptions = RunConfig;
 
-impl Default for ExpOptions {
-    fn default() -> Self {
-        ExpOptions {
-            max_pattern_states: 2_000_000,
-            max_states: 4_000_000,
-            lumping: true,
-            threads: 0,
-            solver: SolverChoice::Auto,
-            arena_compression: ArenaCompression::Auto,
-            interner_spill: false,
-            budget: Budget::UNLIMITED,
-        }
-    }
-}
-
-/// Theorem 3/4: throughput of the Overlap model by column decomposition.
+/// Theorem 3/4: throughput of the Overlap model by column decomposition
+/// (default budgets, every pattern chain built cold).
 pub fn throughput_overlap<'a>(system: impl Into<SystemRef<'a>>) -> Result<ExpReport, ExpError> {
-    throughput_overlap_opts(system, ExpOptions::default())
-}
-
-/// As [`throughput_overlap`] with explicit budgets.
-pub fn throughput_overlap_opts<'a>(
-    system: impl Into<SystemRef<'a>>,
-    opts: ExpOptions,
-) -> Result<ExpReport, ExpError> {
     let system = system.into();
     let rates = exponential_rates(system);
-    throughput_overlap_with_rates(&system.shape(), &rates, opts)
+    throughput_overlap_with_solver(
+        &system.shape(),
+        &rates,
+        ExpOptions::default(),
+        &mut ColdPatternSolver,
+    )
 }
 
 /// Oracle for the heterogeneous pattern-chain solves of the Theorem 3
@@ -270,7 +215,7 @@ pub trait ChainSolver: PatternSolver {
         &mut self,
         shape: &MappingShape,
         rates: &ResourceTable<f64>,
-        opts: StrictOptions,
+        opts: RunConfig,
     ) -> Result<StrictSolve, MarkingError>;
 }
 
@@ -279,7 +224,7 @@ impl ChainSolver for ChainCache {
         &mut self,
         shape: &MappingShape,
         rates: &ResourceTable<f64>,
-        opts: StrictOptions,
+        opts: RunConfig,
     ) -> Result<StrictSolve, MarkingError> {
         self.strict_throughput(shape, rates, opts)
     }
@@ -290,24 +235,16 @@ impl ChainSolver for &SharedChainCache {
         &mut self,
         shape: &MappingShape,
         rates: &ResourceTable<f64>,
-        opts: StrictOptions,
+        opts: RunConfig,
     ) -> Result<StrictSolve, MarkingError> {
         SharedChainCache::strict_throughput(self, shape, rates, opts)
     }
 }
 
-/// Decomposition working directly on a shape and per-resource rates (used
-/// by benches that sweep synthetic columns without a full platform).
-pub fn throughput_overlap_with_rates(
-    shape: &MappingShape,
-    rates: &ResourceTable<f64>,
-    opts: ExpOptions,
-) -> Result<ExpReport, ExpError> {
-    throughput_overlap_with_solver(shape, rates, opts, &mut ColdPatternSolver)
-}
-
-/// As [`throughput_overlap_with_rates`] with a caller-supplied
-/// [`PatternSolver`] (see the trait docs for the bitwise contract).
+/// The decomposition itself, on a shape and per-resource rates (benches
+/// sweep synthetic columns without a full platform), with a
+/// caller-supplied [`PatternSolver`] (see the trait docs for the bitwise
+/// contract).
 pub fn throughput_overlap_with_solver(
     shape: &MappingShape,
     rates: &ResourceTable<f64>,
@@ -363,7 +300,7 @@ pub fn throughput_overlap_with_solver(
                     .map(|a| (0..vp).map(|b| rate_at(a, b)).collect())
                     .collect();
                 solver
-                    .pattern_throughput(&matrix, opts.max_pattern_states)
+                    .pattern_throughput(&matrix, opts.pattern_states())
                     .map_err(|source| ExpError::PatternTooLarge {
                         u: up,
                         v: vp,
@@ -427,7 +364,7 @@ pub struct StrictReport {
     /// How the solved chain was obtained.
     pub method: StrictMethod,
     /// The stationary method that actually ran (under
-    /// [`SolverChoice::Auto`] this is the plan's pick; under `Force` it
+    /// `SolverChoice::Auto` this is the plan's pick; under `Force` it
     /// echoes the forced method).
     pub solver: Solver,
     /// The diagonal scaling that method iterated under
@@ -500,15 +437,7 @@ pub fn throughput_strict_report<'a>(
     let tpn = Tpn::build(&shape, ExecModel::Strict);
     let rates = exponential_rates(system);
     let (net, sym) = EventNet::from_tpn_with_symmetry(&tpn, &rates);
-    let marking_opts = MarkingOptions {
-        max_states: opts.max_states,
-        capacity: None,
-        threads: opts.threads,
-        arena_compression: opts.arena_compression,
-        interner_spill: opts.interner_spill,
-        budget: opts.budget,
-        ..Default::default()
-    };
+    let marking_opts = opts.marking(None);
     let last = tpn.last_column();
 
     // Direct quotient: a validated rate-preserving rotation of order > 1.
@@ -592,19 +521,7 @@ pub fn throughput_strict_with_solver<'a>(
     let shape = system.shape();
     let rates = exponential_rates(system);
     let sol = solver
-        .strict_solve(
-            &shape,
-            &rates,
-            StrictOptions {
-                max_states: opts.max_states,
-                lumping: opts.lumping,
-                threads: opts.threads,
-                solver: opts.solver,
-                arena_compression: opts.arena_compression,
-                interner_spill: opts.interner_spill,
-                budget: opts.budget,
-            },
-        )
+        .strict_solve(&shape, &rates, opts)
         .map_err(ExpError::MarkingGraph)?;
     Ok(StrictReport {
         throughput: sol.throughput,
@@ -637,18 +554,8 @@ pub fn throughput_overlap_bounded<'a>(
     let tpn = Tpn::build(&shape, ExecModel::Overlap);
     let rates = exponential_rates(system);
     let net = EventNet::from_tpn(&tpn, &rates);
-    let mg = MarkingGraph::build(
-        &net,
-        MarkingOptions {
-            max_states: opts.max_states,
-            capacity: Some(capacity),
-            threads: opts.threads,
-            arena_compression: opts.arena_compression,
-            budget: opts.budget,
-            ..Default::default()
-        },
-    )
-    .map_err(ExpError::MarkingGraph)?;
+    let mg =
+        MarkingGraph::build(&net, opts.marking(Some(capacity))).map_err(ExpError::MarkingGraph)?;
     Ok(mg.throughput_of(&net, &tpn.last_column()))
 }
 

@@ -11,7 +11,8 @@
 //! [`ChainCache`]: the Theorem 7 sandwich refills the pattern chains the
 //! decomposition already built instead of re-running their marking BFS.
 //!
-//! Reports are **resource-governed**: [`ReportOptions::budget`] threads a
+//! Reports are **resource-governed**: the [`RunConfig::budget`] of
+//! [`ReportOptions::run`] threads a
 //! deadline / memory cap / cancel flag into the chain builds and solvers,
 //! and [`ReportOptions::degrade`] picks what happens when it fires — fail
 //! with a structured status, or fall back to the N.B.U.E. sandwich
@@ -24,17 +25,17 @@
 
 use crate::bounds;
 use crate::deterministic;
-use crate::exponential::{self, ChainSolver, ColumnRef, ExpError, ExpOptions};
+use crate::exponential::{self, ChainSolver, ColumnRef, ExpError};
 use crate::model::{JointMapping, ModelError, System, Workload};
 use crate::timing;
 use repstream_markov::cache::{ChainCache, SharedChainCache};
-use repstream_markov::ctmc::SolverChoice;
-use repstream_markov::govern::{Budget, InterruptReason};
+use repstream_markov::govern::{InterruptReason, RunConfig};
 use repstream_markov::marking::MarkingError;
 use repstream_petri::shape::ExecModel;
 use std::fmt::Write;
 
-/// What a governed report does when its [`Budget`] fires mid-analysis.
+/// What a governed report does when its [`RunConfig::budget`] fires
+/// mid-analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DegradeMode {
     /// Stop: the report carries the interrupt and the caller maps it to
@@ -69,7 +70,8 @@ pub enum ReportStatus {
     Internal,
 }
 
-/// Options for report generation.
+/// Options for report generation: what to render, how to run the exact
+/// analyses, and what to do when their budget fires.
 #[derive(Debug, Clone, Copy)]
 pub struct ReportOptions {
     /// Include the Strict model (needs the global TPN; skipped for shapes
@@ -78,32 +80,10 @@ pub struct ReportOptions {
     /// List every per-component throughput candidate of the exponential
     /// decomposition.
     pub list_candidates: bool,
-    /// Solve the Strict Theorem 2 chain on the symmetry-reduced quotient
-    /// when the mapping is homogeneous (maps to [`ExpOptions::lumping`];
-    /// turn off for A/B validation against the full chain).
-    pub lumping: bool,
-    /// Worker threads of the chain builds (maps to
-    /// [`ExpOptions::threads`]; `0` = auto, any value is bitwise
-    /// identical).  The CLI's `--threads`.
-    pub threads: usize,
-    /// Stationary solver of the Strict Theorem 2 chain (maps to
-    /// [`ExpOptions::solver`]; the CLI's `--solver`).  The report's
-    /// Strict section prints which method actually ran, the diagonal
-    /// scaling it iterated under, its iteration count and residual.
-    pub solver: SolverChoice,
-    /// State budget of the Strict Theorem 2 chain (maps to
-    /// [`ExpOptions::max_states`]; the CLI's `--max-states`).  The
-    /// 4M default covers quotients up to the 6×7 shape; 10M-class
-    /// shapes (7×8, 14.06M lumped states) need [`ReportOptions::interner_spill`].
-    pub max_states: usize,
-    /// Spill marking-arena payloads to an unlinked temp file during the
-    /// BFS (maps to [`ExpOptions::interner_spill`]; the CLI's
-    /// `--interner-spill`).  Bitwise-neutral; bounds peak RSS.
-    pub interner_spill: bool,
-    /// Cooperative resource budget of the exact chain analyses (maps to
-    /// [`ExpOptions::budget`]; the CLI's `--deadline`).  An un-fired
-    /// budget never changes a single output bit.
-    pub budget: Budget,
+    /// How every chain of the report is built and solved.  The Strict
+    /// section prints which solver actually ran, the diagonal scaling it
+    /// iterated under, its iteration count and residual.
+    pub run: RunConfig,
     /// What to do when the budget fires (the CLI's `--degrade`).
     pub degrade: DegradeMode,
 }
@@ -113,14 +93,18 @@ impl Default for ReportOptions {
         ReportOptions {
             max_rows_strict: 20_000,
             list_candidates: true,
-            lumping: true,
-            threads: 0,
-            solver: SolverChoice::Auto,
-            max_states: 4_000_000,
-            interner_spill: false,
-            budget: Budget::UNLIMITED,
+            run: RunConfig::default(),
             degrade: DegradeMode::Bounds,
         }
+    }
+}
+
+/// Run knobs read through the report options (`opts.max_states`,
+/// `opts.threads`, …) without a second declaration of any of them.
+impl std::ops::Deref for ReportOptions {
+    type Target = RunConfig;
+    fn deref(&self) -> &RunConfig {
+        &self.run
     }
 }
 
@@ -131,11 +115,9 @@ pub fn system_report(system: &System, opts: ReportOptions) -> String {
 
 /// Classify a hard (non-interrupt) analysis failure.
 fn hard_status(e: &ExpError) -> ReportStatus {
-    match e {
-        ExpError::PatternTooLarge { source, .. } | ExpError::MarkingGraph(source) => match source {
-            MarkingError::TooManyStates(_) => ReportStatus::OverBudget,
-            _ => ReportStatus::Internal,
-        },
+    match e.marking() {
+        MarkingError::TooManyStates(_) => ReportStatus::OverBudget,
+        _ => ReportStatus::Internal,
     }
 }
 
@@ -148,7 +130,7 @@ fn note(status: &mut ReportStatus, new: ReportStatus) {
 
 /// As [`system_report`], also returning the structured [`ReportStatus`]
 /// the CLI maps onto exit codes.  With an un-fired
-/// [`ReportOptions::budget`] the text is bitwise identical to
+/// [`RunConfig::budget`] the text is bitwise identical to
 /// [`system_report`]'s and the status is [`ReportStatus::Ok`].
 pub fn system_report_status(system: &System, opts: ReportOptions) -> (String, ReportStatus) {
     // One fresh chain cache serves every exponential analysis of the
@@ -238,19 +220,10 @@ pub fn system_report_with(
     }
 
     let rates = timing::exponential_rates(system);
-    let exp_opts = ExpOptions {
-        lumping: opts.lumping,
-        threads: opts.threads,
-        solver: opts.solver,
-        max_states: opts.max_states,
-        interner_spill: opts.interner_spill,
-        budget: opts.budget,
-        ..Default::default()
-    };
 
     // Exponential decomposition.
     writeln!(s, "\n[overlap/exponential — Theorems 3/4]").unwrap();
-    match exponential::throughput_overlap_with_solver(&shape, &rates, exp_opts, solver) {
+    match exponential::throughput_overlap_with_solver(&shape, &rates, opts.run, solver) {
         Ok(rep) => {
             writeln!(s, "  throughput = {:.6}", rep.throughput).unwrap();
             writeln!(s, "  bottleneck: {}", describe(rep.bottleneck.place)).unwrap();
@@ -281,7 +254,7 @@ pub fn system_report_with(
     // Strict Theorem 2 chain with full-vs-quotient state counts.
     if shape.n_paths() <= opts.max_rows_strict {
         writeln!(s, "\n[strict/exponential — Theorem 2]").unwrap();
-        match exponential::throughput_strict_with_solver(system, exp_opts, solver) {
+        match exponential::throughput_strict_with_solver(system, opts.run, solver) {
             Ok(rep) => {
                 writeln!(s, "  throughput = {:.6}", rep.throughput).unwrap();
                 match rep.lumped_states {
@@ -342,7 +315,12 @@ pub fn system_report_with(
                         i.progress.iterations
                     )
                     .unwrap();
-                    match bounds::nbue_bounds_with(system, ExecModel::Overlap, solver) {
+                    match bounds::nbue_bounds_capped(
+                        system,
+                        ExecModel::Overlap,
+                        opts.max_states,
+                        solver,
+                    ) {
                         Ok(b) => writeln!(
                             s,
                             "  N.B.U.E. fallback: throughput in [{:.6}, {:.6}] ({:?})",
@@ -366,7 +344,7 @@ pub fn system_report_with(
     }
 
     // Theorem 7 sandwich (reuses the pattern chains cached above).
-    if let Ok(b) = bounds::nbue_bounds_with(system, ExecModel::Overlap, solver) {
+    if let Ok(b) = bounds::nbue_bounds_capped(system, ExecModel::Overlap, opts.max_states, solver) {
         writeln!(s, "\n[N.B.U.E. sandwich — Theorem 7, overlap]").unwrap();
         writeln!(
             s,
@@ -449,13 +427,6 @@ pub fn workload_report(
     // Per-app contended throughputs; one chain cache for every app.
     let times = timing::contended_times(workload, joint);
     let mut cache = ChainCache::new();
-    let exp_opts = ExpOptions {
-        lumping: opts.lumping,
-        threads: opts.threads,
-        solver: opts.solver,
-        budget: opts.budget,
-        ..Default::default()
-    };
     writeln!(s, "\n[per-app contended throughput]").unwrap();
     writeln!(
         s,
@@ -468,7 +439,7 @@ pub fn workload_report(
         let det = deterministic::throughput_columnwise_shape(&shape, app_times);
         let rates = app_times.map(|_, &t| 1.0 / t);
         let exp_cell =
-            match exponential::throughput_overlap_with_solver(&shape, &rates, exp_opts, &mut cache)
+            match exponential::throughput_overlap_with_solver(&shape, &rates, opts.run, &mut cache)
             {
                 Ok(rep) => format!("{:>12.6}", rep.throughput),
                 Err(e) => format!("(unavailable: {e})"),
@@ -501,6 +472,7 @@ fn describe(place: ColumnRef) -> String {
 mod tests {
     use super::*;
     use crate::model::{Application, Mapping, Platform};
+    use crate::wire::WireOptions;
 
     fn system() -> System {
         let app = Application::uniform(2, 6.0, 12.0).unwrap();
@@ -544,7 +516,10 @@ mod tests {
         let full = system_report(
             &system(),
             ReportOptions {
-                lumping: false,
+                run: RunConfig {
+                    lumping: false,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
         );
@@ -559,6 +534,41 @@ mod tests {
                 .to_string()
         };
         assert_eq!(grab(&lumped), grab(&full), "A/B throughput must agree");
+    }
+
+    #[test]
+    fn a_state_cap_bounds_the_pattern_chains_too() {
+        // Teams 5 × 6 with one slow link: the decomposition needs one
+        // heterogeneous 1 260-state pattern chain (S(5,6) = C(10,4)·6).
+        let app = Application::uniform(2, 6.0, 12.0).unwrap();
+        let mut platform = Platform::complete(vec![100.0; 11], 1.0).unwrap();
+        platform.set_bandwidth(0, 5, 0.5).unwrap();
+        let teams = vec![(0..5).collect(), (5..11).collect()];
+        let sys = System::new(app, platform, Mapping::new(teams).unwrap()).unwrap();
+        // The 30-row Strict chain is not what this test is about.
+        let wire = WireOptions {
+            max_rows_strict: 1,
+            ..Default::default()
+        };
+
+        let default_cap = RunConfig::default().max_states;
+        let (text, status) = system_report_status(&sys, wire.report_options(None, default_cap));
+        assert_eq!(status, ReportStatus::Ok, "{text}");
+        assert!(
+            text.contains("Theorems 3/4]\n  throughput = 0.239344"),
+            "{text}"
+        );
+        assert!(text.contains("N.B.U.E. sandwich"), "{text}");
+
+        // Under a server cap of 100 states neither the decomposition nor
+        // the sandwich may build that chain.
+        let (text, status) = system_report_status(&sys, wire.report_options(None, 100));
+        assert_eq!(status, ReportStatus::OverBudget, "{text}");
+        assert!(
+            text.contains("Theorems 3/4]\n  unavailable: pattern 5×6"),
+            "{text}"
+        );
+        assert!(!text.contains("N.B.U.E. sandwich"), "{text}");
     }
 
     #[test]

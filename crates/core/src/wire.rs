@@ -35,7 +35,7 @@ use crate::model::{Application, Mapping, Platform, System};
 use crate::report::{DegradeMode, ReportOptions, ReportStatus};
 use repstream_markov::cache::CacheStats;
 use repstream_markov::ctmc::{Precond, SolveReport, Solver, SolverChoice};
-use repstream_markov::govern::{Budget, InterruptReason};
+use repstream_markov::govern::{Budget, InterruptReason, RunConfig};
 use repstream_markov::marking::ArenaStats;
 use std::io::{Read, Write};
 use std::time::Duration;
@@ -550,24 +550,26 @@ fn get_solve_report(c: &mut Cursor<'_>) -> Result<SolveReport, WireError> {
 // Requests.
 // ---------------------------------------------------------------------
 
-/// Serializable analysis options: [`ReportOptions`] minus its live
-/// [`Budget`] (deadlines travel as a **relative** `deadline_ms` instead;
-/// wall clocks and cancel flags never cross the wire).
+/// Serializable analysis options: the wire schema of [`ReportOptions`].
+/// It stays flat — these are the bytes `put_options` writes — and leaves
+/// out what cannot cross the wire: the live [`Budget`] (its deadline
+/// travels as a **relative** `deadline_ms`; wall clocks and cancel flags
+/// stay home) and the arena compression policy (the server's own).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WireOptions {
     /// [`ReportOptions::max_rows_strict`].
     pub max_rows_strict: usize,
     /// [`ReportOptions::list_candidates`].
     pub list_candidates: bool,
-    /// [`ReportOptions::lumping`].
+    /// [`RunConfig::lumping`].
     pub lumping: bool,
-    /// [`ReportOptions::threads`] (BFS workers; `0` = server auto).
+    /// [`RunConfig::threads`] (BFS workers; `0` = server auto).
     pub threads: usize,
-    /// [`ReportOptions::solver`].
+    /// [`RunConfig::solver`].
     pub solver: SolverChoice,
-    /// [`ReportOptions::max_states`] (the server may clamp it further).
+    /// [`RunConfig::max_states`] (the server may clamp it further).
     pub max_states: usize,
-    /// [`ReportOptions::interner_spill`].
+    /// [`RunConfig::interner_spill`].
     pub interner_spill: bool,
     /// [`ReportOptions::degrade`].
     pub degrade: DegradeMode,
@@ -578,22 +580,27 @@ pub struct WireOptions {
 
 impl Default for WireOptions {
     fn default() -> Self {
-        let d = ReportOptions::default();
-        WireOptions {
-            max_rows_strict: d.max_rows_strict,
-            list_candidates: d.list_candidates,
-            lumping: d.lumping,
-            threads: d.threads,
-            solver: d.solver,
-            max_states: d.max_states,
-            interner_spill: d.interner_spill,
-            degrade: d.degrade,
-            deadline_ms: None,
-        }
+        WireOptions::new(&ReportOptions::default(), None)
     }
 }
 
 impl WireOptions {
+    /// The wire form of `opts` with a relative `deadline_ms` in place of
+    /// its budget.
+    pub fn new(opts: &ReportOptions, deadline_ms: Option<u64>) -> WireOptions {
+        WireOptions {
+            max_rows_strict: opts.max_rows_strict,
+            list_candidates: opts.list_candidates,
+            lumping: opts.run.lumping,
+            threads: opts.run.threads,
+            solver: opts.run.solver,
+            max_states: opts.run.max_states,
+            interner_spill: opts.run.interner_spill,
+            degrade: opts.degrade,
+            deadline_ms,
+        }
+    }
+
     /// The effective relative deadline under a server-side cap: the
     /// smaller of the client's ask and the cap (either may be absent).
     pub fn effective_deadline(&self, cap: Option<Duration>) -> Option<Duration> {
@@ -606,21 +613,24 @@ impl WireOptions {
 
     /// Materialize server-side [`ReportOptions`]: the wire fields plus a
     /// [`Budget`] armed from [`Self::effective_deadline`] and a
-    /// `max_states` clamp.
+    /// `max_states` clamp — which, through
+    /// [`RunConfig::pattern_states`], bounds the pattern chains too.
     pub fn report_options(&self, cap: Option<Duration>, max_states_cap: usize) -> ReportOptions {
-        let budget = match self.effective_deadline(cap) {
-            Some(d) => Budget::deadline_in(d),
-            None => Budget::UNLIMITED,
-        };
         ReportOptions {
             max_rows_strict: self.max_rows_strict,
             list_candidates: self.list_candidates,
-            lumping: self.lumping,
-            threads: self.threads,
-            solver: self.solver,
-            max_states: self.max_states.min(max_states_cap),
-            interner_spill: self.interner_spill,
-            budget,
+            run: RunConfig {
+                max_states: self.max_states.min(max_states_cap),
+                lumping: self.lumping,
+                threads: self.threads,
+                solver: self.solver,
+                interner_spill: self.interner_spill,
+                budget: match self.effective_deadline(cap) {
+                    Some(d) => Budget::deadline_in(d),
+                    None => Budget::UNLIMITED,
+                },
+                ..Default::default()
+            },
             degrade: self.degrade,
         }
     }

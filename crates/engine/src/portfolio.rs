@@ -23,14 +23,14 @@
 use crate::batch::{self, BatchError};
 use crate::delta::{DeltaScorer, JointDeltaScorer};
 use crate::score::{ExpScoreError, ExpScorer, WorkloadDetScorer, WorkloadExpScorer};
-use repstream_core::exponential::ExpOptions;
+use repstream_core::exponential::ChainSolver;
 use repstream_core::mapping_opt::{self, OptError};
 use repstream_core::model::{
     App, Application, JointMapping, Mapping, ModelError, Platform, ProcId, WorkloadRef,
 };
 use repstream_markov::cache::{CacheStats, ChainCache};
-use repstream_markov::ctmc::SolverChoice;
-use repstream_markov::govern::{Budget, Interrupt, Phase, Progress};
+use repstream_markov::govern::{Interrupt, Phase, Progress, RunConfig};
+use repstream_markov::marking::MarkingError;
 use repstream_petri::shape::ExecModel;
 use repstream_workload::random::{random_joint_mappings, random_mappings};
 
@@ -57,6 +57,13 @@ impl EngineError {
             EngineError::Exp(e) => e.interrupt(),
             EngineError::Model(_) | EngineError::Opt(_) => None,
         }
+    }
+
+    /// `true` when a re-rank chain outgrew [`RunConfig::max_states`] — a
+    /// sizing problem (exit class 3), not a configuration error.
+    pub fn over_budget(&self) -> bool {
+        matches!(self, EngineError::Exp(ExpScoreError::Exp(e))
+            if matches!(e.marking(), MarkingError::TooManyStates(_)))
     }
 }
 
@@ -117,22 +124,11 @@ pub struct PortfolioOptions {
     pub finalists: usize,
     /// Re-rank finalists under exponential times (Theorem 7).
     pub exp_rerank: bool,
-    /// Solve Strict re-rank chains on the symmetry-reduced quotient when
-    /// a candidate is homogeneous (maps to `ExpOptions::lumping`; the
-    /// CLI's `--no-lump` turns it off for A/B runs).
-    pub lumping: bool,
-    /// Worker threads of the re-rank chain builds (maps to
-    /// `ExpOptions::threads`; `0` = auto, any value is bitwise
-    /// identical).  The CLI's `--threads`.
-    pub threads: usize,
-    /// Stationary solver of the re-rank chains (maps to
-    /// `ExpOptions::solver`; the CLI's `--solver`).
-    pub solver: SolverChoice,
-    /// Cooperative resource budget, checked per candidate sub-batch in
-    /// the random phase and per finalist in the re-rank phase (and
-    /// threaded into the re-rank chain builds/solves).  The default
-    /// [`Budget::UNLIMITED`] never fires and changes nothing.
-    pub budget: Budget,
+    /// How the re-rank chains are built and solved.  Its
+    /// [`RunConfig::budget`] also governs the search itself: checked per
+    /// candidate sub-batch in the random phase and per finalist in the
+    /// re-rank phase.
+    pub run: RunConfig,
 }
 
 impl Default for PortfolioOptions {
@@ -145,10 +141,7 @@ impl Default for PortfolioOptions {
             hill_climb_rounds: 32,
             finalists: 4,
             exp_rerank: true,
-            lumping: true,
-            threads: 0,
-            solver: SolverChoice::Auto,
-            budget: Budget::UNLIMITED,
+            run: RunConfig::default(),
         }
     }
 }
@@ -284,30 +277,35 @@ pub fn portfolio_search_cached(
     opts: PortfolioOptions,
     cache: ChainCache,
 ) -> (Result<PortfolioReport, EngineError>, ChainCache) {
-    let mut exp_scorer = ExpScorer::with_cache(
-        app,
-        platform,
-        opts.model,
-        ExpOptions {
-            lumping: opts.lumping,
-            threads: opts.threads,
-            solver: opts.solver,
-            budget: opts.budget,
-            ..Default::default()
-        },
-        cache,
-    );
+    let (result, cache) = portfolio_search_with(app, platform, opts, cache);
+    let result = result.map(|report| PortfolioReport {
+        exp_cache: cache.stats(),
+        ..report
+    });
+    (result, cache)
+}
+
+/// [`portfolio_search_cached`] over any chain oracle (the plumbing tests
+/// pass a recording fake); `exp_cache` is left for the caller that knows
+/// its oracle keeps counters.
+fn portfolio_search_with<S: ChainSolver>(
+    app: &Application,
+    platform: &Platform,
+    opts: PortfolioOptions,
+    solver: S,
+) -> (Result<PortfolioReport, EngineError>, S) {
+    let mut exp_scorer = ExpScorer::with_cache(app, platform, opts.model, opts.run, solver);
     let result = portfolio_phases(app, platform, opts, &mut exp_scorer);
     (result, exp_scorer.into_cache())
 }
 
 /// The four search phases, generic over an externally-owned scorer so
-/// [`portfolio_search_cached`] can recover the cache on every path.
-fn portfolio_phases<'a>(
+/// [`portfolio_search_with`] can recover the oracle on every path.
+fn portfolio_phases<'a, S: ChainSolver>(
     app: &'a Application,
     platform: &'a Platform,
     opts: PortfolioOptions,
-    exp_scorer: &mut ExpScorer<'a>,
+    exp_scorer: &mut ExpScorer<'a, S>,
 ) -> Result<PortfolioReport, EngineError> {
     let mut det_evaluations = 0usize;
     let mut delta_recomputes = 0usize;
@@ -328,7 +326,8 @@ fn portfolio_phases<'a>(
         opts.random_candidates,
         opts.seed,
     );
-    let scores = batch::score_batch_governed(app, platform, opts.model, &candidates, &opts.budget)?;
+    let scores =
+        batch::score_batch_governed(app, platform, opts.model, &candidates, &opts.run.budget)?;
     det_evaluations += scores.len();
     // Best-first candidate order (deterministic: total_cmp, then index).
     let mut order: Vec<usize> = (0..scores.len()).collect();
@@ -375,7 +374,7 @@ fn portfolio_phases<'a>(
     pool.truncate(opts.finalists.max(1));
     if opts.exp_rerank {
         for (idx, c) in pool.iter_mut().enumerate() {
-            opts.budget.check(Progress {
+            opts.run.budget.check(Progress {
                 phase: Phase::Search,
                 states: 0,
                 levels: 0,
@@ -396,7 +395,7 @@ fn portfolio_phases<'a>(
         det_evaluations,
         delta_recomputes,
         exp_evaluations: exp_scorer.evaluations(),
-        exp_cache: exp_scorer.cache_stats(),
+        exp_cache: CacheStats::default(),
     })
 }
 
@@ -404,10 +403,11 @@ fn portfolio_phases<'a>(
 ///
 /// The three objectives of the multi-app resource-allocation papers
 /// (PAPERS.md): egalitarian, utilitarian, and contractual.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Objective {
     /// Max-min fairness: maximize `min_k ρ_k / w_k` (weights stretch an
     /// app's fair share).
+    #[default]
     MaxMin,
     /// Weighted sum: maximize `Σ_k w_k · ρ_k`.
     Weighted,
@@ -471,54 +471,16 @@ impl Objective {
     }
 }
 
-/// Options of [`workload_search`].
-#[derive(Debug, Clone, Copy)]
+/// Options of [`workload_search`]: the four phases are
+/// [`portfolio_search`]'s, with the same knobs, run over joint candidates
+/// and ranked by one more.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct WorkloadSearchOptions {
-    /// Execution model to score under.
-    pub model: ExecModel,
     /// Scalarization of per-app throughputs.
     pub objective: Objective,
-    /// Seeded random joint candidates scored in the batch phase.
-    pub random_candidates: usize,
-    /// Master seed (the whole search is deterministic in it).
-    pub seed: u64,
-    /// Distinct best candidates used as hill-climb starting points.
-    pub hill_climb_starts: usize,
-    /// Hill-climb round cap per start.
-    pub hill_climb_rounds: usize,
-    /// Deterministic finalists re-ranked exponentially.
-    pub finalists: usize,
-    /// Re-rank finalists under exponential times (Theorem 7).
-    pub exp_rerank: bool,
-    /// Solve Strict re-rank chains on the symmetry-reduced quotient
-    /// (maps to `ExpOptions::lumping`).
-    pub lumping: bool,
-    /// Worker threads of the re-rank chain builds (`0` = auto; any value
-    /// is bitwise identical).
-    pub threads: usize,
-    /// Stationary solver of the re-rank chains.
-    pub solver: SolverChoice,
-    /// Cooperative resource budget; see [`PortfolioOptions::budget`].
-    pub budget: Budget,
-}
-
-impl Default for WorkloadSearchOptions {
-    fn default() -> Self {
-        WorkloadSearchOptions {
-            model: ExecModel::Overlap,
-            objective: Objective::MaxMin,
-            random_candidates: 512,
-            seed: 2010,
-            hill_climb_starts: 3,
-            hill_climb_rounds: 32,
-            finalists: 4,
-            exp_rerank: true,
-            lumping: true,
-            threads: 0,
-            solver: SolverChoice::Auto,
-            budget: Budget::UNLIMITED,
-        }
-    }
+    /// Model, batch size, seed, hill-climb and re-rank knobs, and the
+    /// [`RunConfig`] of the re-rank chains.
+    pub portfolio: PortfolioOptions,
 }
 
 /// One scored joint candidate of the workload search.
@@ -656,12 +618,12 @@ fn hill_climb_joint(
 /// climbing, and an exponential re-rank of the finalists through **one**
 /// `ChainCache` shared across apps.
 ///
-/// The whole run is deterministic in `opts.seed`, and for K = 1 with the
-/// same phases it explores the same single-app landscape as
+/// The whole run is deterministic in `opts.portfolio.seed`, and for K = 1
+/// with the same phases it explores the same single-app landscape as
 /// [`portfolio_search`].
 ///
 /// ```
-/// use repstream_engine::{workload_search, Objective, WorkloadSearchOptions};
+/// use repstream_engine::{workload_search, Objective, PortfolioOptions, WorkloadSearchOptions};
 /// use repstream_core::model::{App, Application, Platform, Workload};
 ///
 /// // Two tenants share six processors; the second pays double weight.
@@ -680,9 +642,11 @@ fn hill_climb_joint(
 ///     &workload,
 ///     WorkloadSearchOptions {
 ///         objective: Objective::MaxMin,
-///         random_candidates: 32,
-///         seed: 7,
-///         ..Default::default()
+///         portfolio: PortfolioOptions {
+///             random_candidates: 32,
+///             seed: 7,
+///             ..Default::default()
+///         },
 ///     },
 /// )
 /// .unwrap();
@@ -697,7 +661,25 @@ pub fn workload_search<'a>(
     workload: impl Into<WorkloadRef<'a>>,
     opts: WorkloadSearchOptions,
 ) -> Result<WorkloadSearchReport, EngineError> {
-    let workload = workload.into();
+    let (report, cache) = workload_search_with(workload.into(), opts, ChainCache::new())?;
+    Ok(WorkloadSearchReport {
+        exp_cache: cache.stats(),
+        ..report
+    })
+}
+
+/// [`workload_search`] over any chain oracle, handed back with the report
+/// (whose `exp_cache` is left for the caller; see
+/// [`portfolio_search_with`]).
+fn workload_search_with<S: ChainSolver>(
+    workload: WorkloadRef<'_>,
+    opts: WorkloadSearchOptions,
+    solver: S,
+) -> Result<(WorkloadSearchReport, S), EngineError> {
+    let WorkloadSearchOptions {
+        objective,
+        portfolio: opts,
+    } = opts;
     let apps = workload.apps();
     let platform = workload.platform();
     let mut det_evaluations = 0usize;
@@ -718,7 +700,7 @@ pub fn workload_search<'a>(
     let mut pool: Vec<WorkloadCandidate> = vec![WorkloadCandidate {
         origin: "greedy",
         per_app: buf.clone(),
-        objective: opts.objective.value(apps, &buf),
+        objective: objective.value(apps, &buf),
         joint: greedy_joint,
         exp_per_app: None,
         exp_objective: None,
@@ -733,11 +715,11 @@ pub fn workload_search<'a>(
         opts.seed,
     );
     let scores =
-        batch::score_joint_batch_governed(workload, opts.model, &candidates, &opts.budget)?;
+        batch::score_joint_batch_governed(workload, opts.model, &candidates, &opts.run.budget)?;
     det_evaluations += scores.len();
     let values: Vec<f64> = scores
         .iter()
-        .map(|per_app| opts.objective.value(apps, per_app))
+        .map(|per_app| objective.value(apps, per_app))
         .collect();
     // Best-first candidate order (deterministic: total_cmp, then index).
     let mut order: Vec<usize> = (0..values.len()).collect();
@@ -774,7 +756,7 @@ pub fn workload_search<'a>(
             let (joint, objective) = hill_climb_joint(
                 &mut scorer,
                 apps,
-                opts.objective,
+                objective,
                 opts.hill_climb_rounds,
                 &mut buf,
             )?;
@@ -805,20 +787,10 @@ pub fn workload_search<'a>(
         )
     });
     pool.truncate(opts.finalists.max(1));
-    let mut exp_scorer = WorkloadExpScorer::with_options(
-        workload,
-        opts.model,
-        ExpOptions {
-            lumping: opts.lumping,
-            threads: opts.threads,
-            solver: opts.solver,
-            budget: opts.budget,
-            ..Default::default()
-        },
-    );
+    let mut exp_scorer = WorkloadExpScorer::with_cache(workload, opts.model, opts.run, solver);
     if opts.exp_rerank {
         for (idx, c) in pool.iter_mut().enumerate() {
-            opts.budget.check(Progress {
+            opts.run.budget.check(Progress {
                 phase: Phase::Search,
                 states: 0,
                 levels: 0,
@@ -826,7 +798,7 @@ pub fn workload_search<'a>(
                 arena_bytes: 0,
             })?;
             let per = exp_scorer.score(&c.joint).map_err(EngineError::Exp)?;
-            c.exp_objective = Some(opts.objective.value(apps, &per));
+            c.exp_objective = Some(objective.value(apps, &per));
             c.exp_per_app = Some(per);
         }
         pool.sort_by(|a, b| {
@@ -839,22 +811,32 @@ pub fn workload_search<'a>(
     }
 
     let contention = contention_summary(&pool[0].joint, platform.n_processors());
-    Ok(WorkloadSearchReport {
+    let report = WorkloadSearchReport {
         best: pool[0].clone(),
         finalists: pool,
         det_evaluations,
         delta_recomputes,
         exp_evaluations: exp_scorer.evaluations(),
-        exp_cache: exp_scorer.cache_stats(),
+        exp_cache: CacheStats::default(),
         contention,
-    })
+    };
+    Ok((report, exp_scorer.into_cache()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use repstream_core::deterministic;
+    use repstream_core::exponential::PatternSolver;
     use repstream_core::model::System;
+    use repstream_core::report::{system_report_with, ReportOptions, ReportStatus};
+    use repstream_markov::cache::StrictSolve;
+    use repstream_markov::ctmc::{Precond, Solver, SolverChoice};
+    use repstream_markov::govern::Budget;
+    use repstream_markov::marking::{ArenaCompression, ArenaStats};
+    use repstream_petri::shape::{MappingShape, ResourceTable};
+    use std::sync::atomic::AtomicBool;
+    use std::time::Duration;
 
     fn instance() -> (Application, Platform) {
         repstream_workload::scenarios::mapping_search()
@@ -921,8 +903,11 @@ mod tests {
     fn workload_search_beats_its_own_random_phase() {
         let workload = shared_workload();
         let opts = WorkloadSearchOptions {
-            random_candidates: 96,
-            seed: 17,
+            portfolio: PortfolioOptions {
+                random_candidates: 96,
+                seed: 17,
+                ..Default::default()
+            },
             ..Default::default()
         };
         let report = workload_search(&workload, opts).unwrap();
@@ -950,8 +935,11 @@ mod tests {
     fn workload_search_is_deterministic_in_its_seed() {
         let workload = shared_workload();
         let opts = WorkloadSearchOptions {
-            random_candidates: 48,
-            seed: 5,
+            portfolio: PortfolioOptions {
+                random_candidates: 48,
+                seed: 5,
+                ..Default::default()
+            },
             ..Default::default()
         };
         let a = workload_search(&workload, opts).unwrap();
@@ -979,9 +967,12 @@ mod tests {
         let report = workload_search(
             &workload,
             WorkloadSearchOptions {
-                model: ExecModel::Strict,
-                random_candidates: 8,
-                finalists: 2,
+                portfolio: PortfolioOptions {
+                    model: ExecModel::Strict,
+                    random_candidates: 8,
+                    finalists: 2,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
         )
@@ -996,6 +987,125 @@ mod tests {
             stats.strict_hits >= 1,
             "no cross-app cache reuse: {stats:?}"
         );
+    }
+
+    /// A chain oracle that records the `RunConfig` every Strict solve
+    /// arrives with and answers a fixed throughput.
+    #[derive(Default)]
+    struct Recorder {
+        seen: Vec<RunConfig>,
+    }
+
+    impl PatternSolver for Recorder {
+        fn pattern_throughput(&mut self, _: &[Vec<f64>], _: usize) -> Result<f64, MarkingError> {
+            Ok(1.0)
+        }
+    }
+
+    impl ChainSolver for Recorder {
+        fn strict_solve(
+            &mut self,
+            _: &MappingShape,
+            _: &ResourceTable<f64>,
+            opts: RunConfig,
+        ) -> Result<StrictSolve, MarkingError> {
+            self.seen.push(opts);
+            Ok(StrictSolve {
+                throughput: 1.0,
+                full_states: 1,
+                lumped_states: None,
+                quotient_direct: false,
+                cache_hit: false,
+                solver: Solver::Gth,
+                precond: Precond::None,
+                residual: 0.0,
+                iterations: 0,
+                arena: ArenaStats::default(),
+            })
+        }
+    }
+
+    /// A `RunConfig` that differs from the default in every knob.
+    fn odd_run() -> RunConfig {
+        static CANCEL: AtomicBool = AtomicBool::new(false);
+        RunConfig {
+            max_states: 12_345,
+            lumping: false,
+            threads: 3,
+            solver: SolverChoice::Force(Solver::Power),
+            arena_compression: ArenaCompression::On,
+            interner_spill: true,
+            budget: Budget::deadline_in(Duration::from_secs(3600))
+                .cancelled_by(&CANCEL)
+                .arena_cap(1 << 30),
+        }
+    }
+
+    /// Every recorded solve got `sent`, field for field.
+    fn assert_arrived(rec: &Recorder, sent: RunConfig) {
+        assert!(!rec.seen.is_empty(), "no Strict solve reached the oracle");
+        for got in &rec.seen {
+            assert_eq!(got.max_states, sent.max_states);
+            assert_eq!(got.lumping, sent.lumping);
+            assert_eq!(got.threads, sent.threads);
+            assert_eq!(got.solver, sent.solver);
+            assert_eq!(got.arena_compression, sent.arena_compression);
+            assert_eq!(got.interner_spill, sent.interner_spill);
+            assert_eq!(got.budget.deadline, sent.budget.deadline);
+            assert_eq!(got.budget.max_arena_bytes, sent.budget.max_arena_bytes);
+            assert!(std::ptr::eq(
+                got.budget.cancel.expect("cancel flag"),
+                sent.budget.cancel.expect("cancel flag")
+            ));
+        }
+    }
+
+    // One plumbing test per holder of a `RunConfig`: each knob, set once
+    // at the top, is what `strict_solve` sees.
+
+    #[test]
+    fn report_options_run_reaches_the_chain_solver() {
+        let (app, platform) = instance();
+        let mapping = Mapping::new(vec![vec![0], vec![1, 2], vec![3], vec![4]]).unwrap();
+        let system = System::new(app, platform, mapping).unwrap();
+        let mut rec = Recorder::default();
+        let opts = ReportOptions {
+            run: odd_run(),
+            ..Default::default()
+        };
+        let (text, status) = system_report_with(&system, opts, &mut rec);
+        assert_eq!(status, ReportStatus::Ok, "{text}");
+        assert_arrived(&rec, opts.run);
+    }
+
+    #[test]
+    fn portfolio_options_run_reaches_the_chain_solver() {
+        let (app, platform) = instance();
+        let opts = PortfolioOptions {
+            model: ExecModel::Strict,
+            random_candidates: 8,
+            run: odd_run(),
+            ..Default::default()
+        };
+        let (result, rec) = portfolio_search_with(&app, &platform, opts, Recorder::default());
+        result.unwrap();
+        assert_arrived(&rec, opts.run);
+    }
+
+    #[test]
+    fn workload_search_options_run_reaches_the_chain_solver() {
+        let workload = shared_workload();
+        let opts = WorkloadSearchOptions {
+            portfolio: PortfolioOptions {
+                model: ExecModel::Strict,
+                random_candidates: 8,
+                run: odd_run(),
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let (_, rec) = workload_search_with(workload.as_ref(), opts, Recorder::default()).unwrap();
+        assert_arrived(&rec, opts.portfolio.run);
     }
 
     #[test]

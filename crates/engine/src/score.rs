@@ -20,15 +20,16 @@
 //! [`exponential::throughput_strict`]); the engine's property tests pin
 //! this.
 
-use repstream_core::exponential::{self, ExpError, ExpOptions, ExpReport};
+use repstream_core::exponential::{self, ChainSolver, ExpError};
 use repstream_core::model::{
     Application, JointMapping, Mapping, ModelError, Platform, SystemRef, WorkloadRef,
 };
 use repstream_core::timing::Contention;
 use repstream_core::{deterministic, timing};
-use repstream_markov::cache::{ChainCache, StrictOptions};
+use repstream_markov::cache::ChainCache;
 use repstream_markov::fxhash::FxHashMap;
-use repstream_petri::shape::{ExecModel, Resource, ResourceTable};
+use repstream_markov::govern::RunConfig;
+use repstream_petri::shape::{ExecModel, MappingShape, Resource, ResourceTable};
 
 /// Memo of deterministic pattern periods keyed by the **exact bits** of
 /// the pattern's weight vector (plus its dimensions), so a hit is
@@ -132,43 +133,50 @@ impl<'a> DetScorer<'a> {
     }
 }
 
-/// Exponential throughput scorer with structure-keyed chain reuse.
+/// Exponential throughput scorer with structure-keyed chain reuse
+/// (generic over the chain oracle so a test can substitute a recording
+/// fake; every production caller scores through a [`ChainCache`]).
 #[derive(Debug)]
-pub struct ExpScorer<'a> {
+pub struct ExpScorer<'a, S = ChainCache> {
     app: &'a Application,
     platform: &'a Platform,
     model: ExecModel,
-    opts: ExpOptions,
-    cache: ChainCache,
+    opts: RunConfig,
+    cache: S,
     evaluations: usize,
 }
 
 impl<'a> ExpScorer<'a> {
-    /// Scorer over one application/platform pair with default budgets.
+    /// Scorer over one application/platform pair with the default
+    /// [`RunConfig`] and a cold cache.
     pub fn new(app: &'a Application, platform: &'a Platform, model: ExecModel) -> ExpScorer<'a> {
-        ExpScorer::with_options(app, platform, model, ExpOptions::default())
+        Self::with_cache(
+            app,
+            platform,
+            model,
+            RunConfig::default(),
+            ChainCache::new(),
+        )
     }
 
-    /// As [`ExpScorer::new`] with explicit [`ExpOptions`].
-    pub fn with_options(
-        app: &'a Application,
-        platform: &'a Platform,
-        model: ExecModel,
-        opts: ExpOptions,
-    ) -> ExpScorer<'a> {
-        Self::with_cache(app, platform, model, opts, ChainCache::new())
+    /// Chain-cache hit/miss counters.
+    pub fn cache_stats(&self) -> repstream_markov::cache::CacheStats {
+        self.cache.stats()
     }
+}
 
-    /// As [`ExpScorer::with_options`], seeding the scorer with an
-    /// already-warm [`ChainCache`] (a served search hands a pooled cache
-    /// in so repeated shapes skip their BFS across requests).
+impl<'a, S: ChainSolver> ExpScorer<'a, S> {
+    /// As [`ExpScorer::new`] under an explicit [`RunConfig`], seeding the
+    /// scorer with an already-warm [`ChainCache`] (a served search hands
+    /// a pooled cache in so repeated shapes skip their BFS across
+    /// requests).
     pub fn with_cache(
         app: &'a Application,
         platform: &'a Platform,
         model: ExecModel,
-        opts: ExpOptions,
-        cache: ChainCache,
-    ) -> ExpScorer<'a> {
+        opts: RunConfig,
+        cache: S,
+    ) -> ExpScorer<'a, S> {
         ExpScorer {
             app,
             platform,
@@ -181,18 +189,13 @@ impl<'a> ExpScorer<'a> {
 
     /// Surrender the chain cache (warm entries included) to the caller —
     /// the inverse of [`ExpScorer::with_cache`].
-    pub fn into_cache(self) -> ChainCache {
+    pub fn into_cache(self) -> S {
         self.cache
     }
 
     /// Candidates scored so far.
     pub fn evaluations(&self) -> usize {
         self.evaluations
-    }
-
-    /// Chain-cache hit/miss counters.
-    pub fn cache_stats(&self) -> repstream_markov::cache::CacheStats {
-        self.cache.stats()
     }
 
     /// Exponential throughput of a candidate mapping — bitwise equal to
@@ -202,40 +205,39 @@ impl<'a> ExpScorer<'a> {
         let system =
             SystemRef::new(self.app, self.platform, mapping).map_err(ExpScoreError::Model)?;
         self.evaluations += 1;
-        let shape = system.shape();
         let rates = timing::exponential_rates(system);
-        match self.model {
-            ExecModel::Overlap => {
-                // `ChainCache` is itself a `PatternSolver` (impl in
-                // `repstream-core`): pattern chains refill from the cache.
-                exponential::throughput_overlap_with_solver(
-                    &shape,
-                    &rates,
-                    self.opts,
-                    &mut self.cache,
-                )
-                .map(|r: ExpReport| r.throughput)
-                .map_err(ExpScoreError::Exp)
-            }
-            ExecModel::Strict => self
-                .cache
-                .strict_throughput(
-                    &shape,
-                    &rates,
-                    StrictOptions {
-                        max_states: self.opts.max_states,
-                        lumping: self.opts.lumping,
-                        threads: self.opts.threads,
-                        solver: self.opts.solver,
-                        arena_compression: self.opts.arena_compression,
-                        interner_spill: self.opts.interner_spill,
-                        budget: self.opts.budget,
-                    },
-                )
-                .map(|s| s.throughput)
-                .map_err(|e| ExpScoreError::Exp(ExpError::MarkingGraph(e))),
-        }
+        exp_throughput(
+            self.model,
+            &system.shape(),
+            &rates,
+            self.opts,
+            &mut self.cache,
+        )
     }
+}
+
+/// Exponential throughput of one shape under per-resource `rates` — the
+/// Theorem 3/4 decomposition (Overlap) or the Theorem 2 chain (Strict),
+/// both through `solver`: the common kernel of [`ExpScorer`] and
+/// [`WorkloadExpScorer`].
+fn exp_throughput(
+    model: ExecModel,
+    shape: &MappingShape,
+    rates: &ResourceTable<f64>,
+    opts: RunConfig,
+    solver: &mut impl ChainSolver,
+) -> Result<f64, ExpScoreError> {
+    match model {
+        ExecModel::Overlap => {
+            exponential::throughput_overlap_with_solver(shape, rates, opts, solver)
+                .map(|r| r.throughput)
+        }
+        ExecModel::Strict => solver
+            .strict_solve(shape, rates, opts)
+            .map(|s| s.throughput)
+            .map_err(ExpError::MarkingGraph),
+    }
+    .map_err(ExpScoreError::Exp)
 }
 
 /// Columnwise throughput of one app's table with the shared pattern
@@ -387,43 +389,53 @@ impl<'a> WorkloadDetScorer<'a> {
 /// with the same replication shape (same `TpnSignature`) pay one
 /// marking-graph BFS, the designed stress-test for the cache.
 #[derive(Debug)]
-pub struct WorkloadExpScorer<'a> {
+pub struct WorkloadExpScorer<'a, S = ChainCache> {
     workload: WorkloadRef<'a>,
     model: ExecModel,
-    opts: ExpOptions,
-    cache: ChainCache,
+    opts: RunConfig,
+    cache: S,
     evaluations: usize,
 }
 
 impl<'a> WorkloadExpScorer<'a> {
-    /// Scorer over one workload with default budgets.
+    /// Scorer over one workload with the default [`RunConfig`] and a
+    /// cold cache.
     pub fn new(workload: WorkloadRef<'a>, model: ExecModel) -> WorkloadExpScorer<'a> {
-        WorkloadExpScorer::with_options(workload, model, ExpOptions::default())
-    }
-
-    /// As [`WorkloadExpScorer::new`] with explicit [`ExpOptions`].
-    pub fn with_options(
-        workload: WorkloadRef<'a>,
-        model: ExecModel,
-        opts: ExpOptions,
-    ) -> WorkloadExpScorer<'a> {
-        WorkloadExpScorer {
-            workload,
-            model,
-            opts,
-            cache: ChainCache::new(),
-            evaluations: 0,
-        }
-    }
-
-    /// Candidates scored so far.
-    pub fn evaluations(&self) -> usize {
-        self.evaluations
+        Self::with_cache(workload, model, RunConfig::default(), ChainCache::new())
     }
 
     /// Chain-cache hit/miss counters (shared across all apps).
     pub fn cache_stats(&self) -> repstream_markov::cache::CacheStats {
         self.cache.stats()
+    }
+}
+
+impl<'a, S: ChainSolver> WorkloadExpScorer<'a, S> {
+    /// As [`WorkloadExpScorer::new`] under an explicit [`RunConfig`],
+    /// scoring through a caller-supplied chain oracle.
+    pub fn with_cache(
+        workload: WorkloadRef<'a>,
+        model: ExecModel,
+        opts: RunConfig,
+        cache: S,
+    ) -> WorkloadExpScorer<'a, S> {
+        WorkloadExpScorer {
+            workload,
+            model,
+            opts,
+            cache,
+            evaluations: 0,
+        }
+    }
+
+    /// Surrender the chain oracle to the caller.
+    pub fn into_cache(self) -> S {
+        self.cache
+    }
+
+    /// Candidates scored so far.
+    pub fn evaluations(&self) -> usize {
+        self.evaluations
     }
 
     /// Contended per-app exponential throughputs of a joint candidate.
@@ -436,36 +448,14 @@ impl<'a> WorkloadExpScorer<'a> {
         let mut out = Vec::with_capacity(self.workload.n_apps());
         for k in 0..self.workload.n_apps() {
             let system = self.workload.system_of(k, joint);
-            let shape = system.shape();
             let rates = timing::contended_system_times(system, &contention).map(|_, &t| 1.0 / t);
-            let rho = match self.model {
-                ExecModel::Overlap => exponential::throughput_overlap_with_solver(
-                    &shape,
-                    &rates,
-                    self.opts,
-                    &mut self.cache,
-                )
-                .map(|r: ExpReport| r.throughput)
-                .map_err(ExpScoreError::Exp)?,
-                ExecModel::Strict => self
-                    .cache
-                    .strict_throughput(
-                        &shape,
-                        &rates,
-                        StrictOptions {
-                            max_states: self.opts.max_states,
-                            lumping: self.opts.lumping,
-                            threads: self.opts.threads,
-                            solver: self.opts.solver,
-                            arena_compression: self.opts.arena_compression,
-                            interner_spill: self.opts.interner_spill,
-                            budget: self.opts.budget,
-                        },
-                    )
-                    .map(|s| s.throughput)
-                    .map_err(|e| ExpScoreError::Exp(ExpError::MarkingGraph(e)))?,
-            };
-            out.push(rho);
+            out.push(exp_throughput(
+                self.model,
+                &system.shape(),
+                &rates,
+                self.opts,
+                &mut self.cache,
+            )?);
         }
         Ok(out)
     }
@@ -576,7 +566,7 @@ mod tests {
         ] {
             let m = Mapping::new(teams).unwrap();
             let sys = System::new(app.clone(), platform.clone(), m.clone()).unwrap();
-            let cold = exponential::throughput_strict(&sys, ExpOptions::default()).unwrap();
+            let cold = exponential::throughput_strict(&sys, RunConfig::default()).unwrap();
             let s = scorer.score(&m).unwrap();
             assert_eq!(cold.to_bits(), s.to_bits(), "{:?}", m.teams());
         }

@@ -23,17 +23,15 @@
 //! produce, and every solver is deterministic in its inputs.  The
 //! equivalence property tests of `repstream-engine` pin this contract.
 //!
-//! Budget semantics: `max_states` bounds the *structure build* on a miss.
-//! A hit reuses the cached structure without re-checking it against the
-//! (possibly smaller) budget of the current call — budgets are per
-//! deployment, not per candidate.
+//! Budget semantics: [`RunConfig::max_states`] bounds the *structure
+//! build* on a miss.  A hit reuses the cached structure without
+//! re-checking it against the (possibly smaller) budget of the current
+//! call — budgets are per deployment, not per candidate.
 
-use crate::ctmc::{Precond, Solver, SolverChoice};
+use crate::ctmc::{Precond, Solver};
 use crate::fxhash::{FxHashMap, FxHasher};
-use crate::govern::Budget;
-use crate::marking::{
-    ArenaCompression, ArenaStats, MarkingError, MarkingGraph, MarkingOptions, QuotientGraph,
-};
+use crate::govern::RunConfig;
+use crate::marking::{ArenaStats, MarkingError, MarkingGraph, MarkingOptions, QuotientGraph};
 use crate::net::{comm_pattern, rates_orbit_invariant, EventNet, NetSymmetry};
 use repstream_petri::shape::{gcd, ExecModel, MappingShape, ResourceTable};
 use repstream_petri::tpn::{Tpn, TpnSignature};
@@ -89,53 +87,6 @@ struct StrictEntry {
     full: Option<MarkingGraph>,
 }
 
-/// Options of a cached Strict-chain solve (the markov-level mirror of the
-/// consumer's `ExpOptions`).
-#[derive(Debug, Clone, Copy)]
-pub struct StrictOptions {
-    /// State budget for a cold marking-graph build.
-    pub max_states: usize,
-    /// Solve the symmetry-reduced quotient when the candidate's rates
-    /// keep the row-rotation symmetry (exact either way).
-    pub lumping: bool,
-    /// Worker threads of a cold BFS ([`MarkingOptions::threads`]; `0` =
-    /// auto).  Any value builds the bitwise-identical structure, so warm
-    /// hits never depend on it.
-    pub threads: usize,
-    /// Stationary solver ([`SolverChoice::Auto`] = the measured plan).
-    /// Applies to every solve, warm or cold — forcing a method changes
-    /// the result bits only within the solvers' agreement tolerance.
-    pub solver: SolverChoice,
-    /// Marking-arena compression of a cold BFS
-    /// ([`MarkingOptions::arena_compression`]).  Storage-only: any value
-    /// builds the bitwise-identical structure.
-    pub arena_compression: ArenaCompression,
-    /// Spill marking-arena payload bytes of a cold BFS to an unlinked
-    /// temp file ([`MarkingOptions::interner_spill`]).  Storage-only: any
-    /// value builds the bitwise-identical structure, so warm hits never
-    /// depend on it.
-    pub interner_spill: bool,
-    /// Cooperative resource budget, checked per BFS level of a cold build
-    /// and at the stationary solver's checkpoints.  The checks only
-    /// decide *whether* to abort — an un-fired budget never changes a
-    /// single output bit.
-    pub budget: Budget,
-}
-
-impl Default for StrictOptions {
-    fn default() -> Self {
-        StrictOptions {
-            max_states: 4_000_000,
-            lumping: true,
-            threads: 0,
-            solver: SolverChoice::Auto,
-            arena_compression: ArenaCompression::Auto,
-            interner_spill: false,
-            budget: Budget::UNLIMITED,
-        }
-    }
-}
-
 /// Result of a cached Strict-chain solve.
 #[derive(Debug, Clone)]
 pub struct StrictSolve {
@@ -153,7 +104,7 @@ pub struct StrictSolve {
     /// `true` when the structure came from the cache (no BFS ran).
     pub cache_hit: bool,
     /// The stationary method that actually ran (the plan's pick under
-    /// [`SolverChoice::Auto`]).
+    /// [`SolverChoice::Auto`](crate::ctmc::SolverChoice::Auto)).
     pub solver: Solver,
     /// The diagonal scaling that method iterated under
     /// ([`crate::ctmc::Precond::Jacobi`] only for GMRES).
@@ -178,11 +129,12 @@ pub struct StrictSolve {
 /// # Warm reuse
 ///
 /// ```
-/// use repstream_markov::cache::{ChainCache, StrictOptions};
+/// use repstream_markov::cache::ChainCache;
+/// use repstream_markov::govern::RunConfig;
 /// use repstream_petri::shape::{MappingShape, ResourceTable};
 ///
 /// let shape = MappingShape::new(vec![2, 3]);
-/// let opts = StrictOptions {
+/// let opts = RunConfig {
 ///     max_states: 1 << 20,
 ///     ..Default::default()
 /// };
@@ -281,7 +233,7 @@ impl ChainCache {
         &mut self,
         shape: &MappingShape,
         rates: &ResourceTable<f64>,
-        opts: StrictOptions,
+        opts: RunConfig,
     ) -> Result<StrictSolve, MarkingError> {
         let key = TpnSignature::of(shape, ExecModel::Strict);
         if !self.strict.contains_key(&key) {
@@ -319,15 +271,7 @@ impl ChainCache {
             .map(|t| *rates.get(t.resource))
             .collect();
         let last = entry.tpn.last_column();
-        let marking_opts = MarkingOptions {
-            max_states: opts.max_states,
-            capacity: None,
-            threads: opts.threads,
-            arena_compression: opts.arena_compression,
-            interner_spill: opts.interner_spill,
-            budget: opts.budget,
-            ..Default::default()
-        };
+        let marking_opts = opts.marking(None);
 
         // Direct-quotient path: the rotation is non-trivial and bitwise
         // rate-invariant.  (`m = 1` keeps the plain chain: the quotient
@@ -500,7 +444,7 @@ impl SharedChainCache {
         &self,
         shape: &MappingShape,
         rates: &ResourceTable<f64>,
-        opts: StrictOptions,
+        opts: RunConfig,
     ) -> Result<StrictSolve, MarkingError> {
         let key = TpnSignature::of(shape, ExecModel::Strict);
         self.shard_for(&key).strict_throughput(shape, rates, opts)
@@ -572,7 +516,7 @@ mod tests {
         // Homogeneous rates → the lumped path engages on both cold and
         // cached solves and must agree bit for bit.
         let shape = MappingShape::new(vec![2, 3]);
-        let opts = StrictOptions {
+        let opts = RunConfig {
             max_states: 1 << 20,
             ..Default::default()
         };
@@ -597,12 +541,12 @@ mod tests {
         // warm refill under the parallel path must agree bit for bit with
         // cold parallel *and* cold sequential solves.
         let shape = MappingShape::new(vec![2, 3]);
-        let par = StrictOptions {
+        let par = RunConfig {
             max_states: 1 << 20,
             threads: 4,
             ..Default::default()
         };
-        let seq = StrictOptions { threads: 1, ..par };
+        let seq = RunConfig { threads: 1, ..par };
         let mut warm = ChainCache::new();
         for lam in [0.5, 0.25, 2.0] {
             let rates = ResourceTable::from_fns(&shape, |_, _| lam, |_, _, _| 2.0 * lam);
@@ -632,7 +576,7 @@ mod tests {
     #[test]
     fn strict_heterogeneous_rates_fall_back_to_full_chain() {
         let shape = MappingShape::new(vec![2, 2]);
-        let opts = StrictOptions {
+        let opts = RunConfig {
             max_states: 1 << 20,
             ..Default::default()
         };

@@ -112,24 +112,10 @@ pub struct Ctmc {
 }
 
 /// States per thread below which the parallel sweep is not worth
-/// spawning (default; override with `REPSTREAM_PAR_MIN_ROWS`).
-const PAR_MIN_ROWS_DEFAULT: usize = 4096;
-
-/// States per thread below which the parallel sweep is not worth
-/// spawning.  Read once per process from `REPSTREAM_PAR_MIN_ROWS` so
-/// multi-core retuning needs no code change; the gate only shifts *when*
-/// chunked spawning kicks in, never the result bits (the per-entry
-/// reduction order is the CSR order for any thread count).
-pub(crate) fn par_min_rows() -> usize {
-    static GATE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *GATE.get_or_init(|| {
-        std::env::var("REPSTREAM_PAR_MIN_ROWS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&v| v > 0)
-            .unwrap_or(PAR_MIN_ROWS_DEFAULT)
-    })
-}
+/// spawning.  The gate only shifts *when* chunked spawning kicks in, never
+/// the result bits (the per-entry reduction order is the CSR order for any
+/// thread count).
+const PAR_MIN_ROWS: usize = 4096;
 
 /// Sweeps between renormalizations of the power iterate (FP drift guard).
 const NORM_PERIOD: usize = 32;
@@ -1286,7 +1272,7 @@ pub(crate) fn num_cores() -> usize {
 
 /// Threads the pull-sweep should use for an `n`-state chain.
 fn sweep_threads(n: usize) -> usize {
-    num_cores().min(n / par_min_rows()).max(1)
+    num_cores().min(n / PAR_MIN_ROWS).max(1)
 }
 
 #[cfg(test)]

@@ -16,6 +16,8 @@
 //! computation got — the degradation ladder in `repstream-core` turns
 //! that into a bounds-fallback report stamped with provenance.
 
+use crate::ctmc::SolverChoice;
+use crate::marking::{ArenaCompression, MarkingOptions};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -210,6 +212,102 @@ impl Budget {
             }
         }
         Ok(())
+    }
+}
+
+/// How to run one exact analysis: the seven knobs every evaluator above
+/// the marking BFS shares.  Declared here once; the report, search and
+/// serving layers *hold* a `RunConfig` (`ReportOptions::run`,
+/// `PortfolioOptions::run`, …) instead of re-declaring its fields, and it
+/// becomes the BFS's own [`MarkingOptions`] in exactly one place,
+/// [`RunConfig::marking`].
+///
+/// Only `max_states`, `lumping` and `solver` can change a result (an
+/// over-budget error, the chain that is solved, the method that solves
+/// it); `threads`, `arena_compression`, `interner_spill` and an un-fired
+/// `budget` are **bitwise-neutral**.
+#[derive(Debug, Clone, Copy)]
+pub struct RunConfig {
+    /// State budget of a cold chain build (the CLI's `--max-states`).
+    /// The Theorem 2 chain gets all of it; a Theorem 3 pattern chain gets
+    /// [`RunConfig::pattern_states`].  The 4M default covers quotients up
+    /// to the 6×7 shape; 10M-class shapes (7×8, 14.06M lumped states)
+    /// also want `interner_spill`.  A warm cache hit reuses the cached
+    /// structure without re-checking it.
+    pub max_states: usize,
+    /// Lump-first mode for the Theorem 2 chain (default on; the CLI's
+    /// `--no-lump` turns it off): when the TPN's row-rotation symmetry
+    /// survives the rate table, solve the symmetry-reduced quotient chain
+    /// instead of the full one.  The result is exact either way; the
+    /// switch exists for A/B validation and benchmarking.
+    pub lumping: bool,
+    /// Worker threads of the chunk-parallel marking BFS (the CLI's
+    /// `--threads`; `0` = auto: one per core on levels large enough to
+    /// amortize the spawns, `1` = the forced-sequential scan).
+    pub threads: usize,
+    /// Stationary solver of the Theorem 2 chain (the CLI's `--solver`):
+    /// [`SolverChoice::Auto`] runs the measured
+    /// [`SolverPlan`](crate::ctmc::SolverPlan) policy, `Force` pins one
+    /// method for A/B runs — warm or cold, within the solvers' agreement
+    /// tolerance.  Pattern chains always use the automatic policy (they
+    /// are small; forcing there only adds noise).
+    pub solver: SolverChoice,
+    /// Delta-compression policy of the marking arenas.  The default
+    /// [`ArenaCompression::Auto`] compresses once an arena crosses the
+    /// built-in byte threshold.
+    pub arena_compression: ArenaCompression,
+    /// Spill marking-arena payload bytes to an unlinked temp file once
+    /// they cross the spill limit, bounding peak RSS on 10M-state builds
+    /// (the CLI's `--interner-spill`).
+    pub interner_spill: bool,
+    /// Cooperative resource budget (the CLI's `--deadline`), checked once
+    /// per BFS level of a cold build, at the stationary solver's
+    /// checkpoints, and per candidate batch of a search.  An overrun
+    /// surfaces as a structured [`Interrupt`].
+    pub budget: Budget,
+}
+
+impl Default for RunConfig {
+    fn default() -> Self {
+        RunConfig {
+            max_states: 4_000_000,
+            lumping: true,
+            threads: 0,
+            solver: SolverChoice::Auto,
+            arena_compression: ArenaCompression::Auto,
+            interner_spill: false,
+            budget: Budget::UNLIMITED,
+        }
+    }
+}
+
+impl RunConfig {
+    /// Ceiling on [`RunConfig::pattern_states`]: `S(u,v) = C(u+v−1,u−1)·v`
+    /// grows exponentially, and a pattern chain is solved per candidate.
+    pub const MAX_PATTERN_STATES: usize = 2_000_000;
+
+    /// State budget of one Theorem 3 pattern chain: `max_states`, so a
+    /// caller's (or a server's) cap bounds every chain of the request,
+    /// but never more than [`Self::MAX_PATTERN_STATES`].
+    pub fn pattern_states(&self) -> usize {
+        self.max_states.min(Self::MAX_PATTERN_STATES)
+    }
+
+    /// The marking BFS's own options for a build under this
+    /// configuration (`capacity`: `None` for the safe Strict nets, a
+    /// per-place token bound for the capped Overlap validation chain).
+    /// The BFS-only knobs (`interner_shards`, `spill_limit`) keep their
+    /// built-in defaults.
+    pub fn marking(&self, capacity: Option<u32>) -> MarkingOptions {
+        MarkingOptions {
+            max_states: self.max_states,
+            capacity,
+            threads: self.threads,
+            arena_compression: self.arena_compression,
+            interner_spill: self.interner_spill,
+            budget: self.budget,
+            ..Default::default()
+        }
     }
 }
 

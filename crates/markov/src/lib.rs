@@ -80,6 +80,6 @@ pub mod transient;
 
 pub use cache::ChainCache;
 pub use ctmc::{Ctmc, SolveReport, Solver, SolverChoice};
-pub use govern::{Budget, Interrupt, InterruptReason, Phase, Progress};
+pub use govern::{Budget, Interrupt, InterruptReason, Phase, Progress, RunConfig};
 pub use marking::{ArenaCompression, MarkingGraph, MarkingOptions, QuotientGraph};
 pub use net::EventNet;

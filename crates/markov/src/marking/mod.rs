@@ -152,8 +152,7 @@ pub struct MarkingOptions {
     /// identical in every mode.
     pub arena_compression: ArenaCompression,
     /// Shard count of the two-level interner (rounded up to a power of
-    /// two, capped at [`MAX_INTERNER_SHARDS`]).  `0` (the default) reads
-    /// `REPSTREAM_INTERNER_SHARDS` from the environment, falling back to
+    /// two, capped at [`MAX_INTERNER_SHARDS`]).  `0` (the default) means
     /// 16 shards for budgets of 2^18 states and above and a single shard
     /// below.  Sharding reorganizes only the hash table — ids are still
     /// assigned in sequential scan/merge order and dedup is exact byte
@@ -169,9 +168,8 @@ pub struct MarkingOptions {
     pub interner_spill: bool,
     /// In-memory payload bytes each arena keeps resident before flushing
     /// to the spill file (only meaningful with
-    /// [`Self::interner_spill`]).  `0` (the default) reads
-    /// `REPSTREAM_SPILL_MIB` from the environment, falling back to
-    /// 64 MiB per arena.
+    /// [`Self::interner_spill`]).  `0` (the default) means
+    /// [`DEFAULT_SPILL_LIMIT`], 64 MiB per arena.
     pub spill_limit: usize,
     /// Cooperative resource limits ([`Budget`]), checked at every BFS
     /// level and chunk boundary and every 4096 states in between.  The
@@ -199,51 +197,30 @@ impl Default for MarkingOptions {
 impl MarkingOptions {
     /// Resolved per-arena resident-byte bound of the spill machinery:
     /// `usize::MAX` (never spill) unless [`Self::interner_spill`] is set,
-    /// then [`Self::spill_limit`] or its environment default.
+    /// then [`Self::spill_limit`] or [`DEFAULT_SPILL_LIMIT`].
     fn resolved_spill_limit(&self) -> usize {
-        if !self.interner_spill {
-            return usize::MAX;
+        match (self.interner_spill, self.spill_limit) {
+            (false, _) => usize::MAX,
+            (true, 0) => DEFAULT_SPILL_LIMIT,
+            (true, limit) => limit,
         }
-        if self.spill_limit > 0 {
-            return self.spill_limit;
-        }
-        static LIMIT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-        *LIMIT.get_or_init(|| {
-            std::env::var("REPSTREAM_SPILL_MIB")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&v| v > 0)
-                .unwrap_or(64)
-                << 20
-        })
     }
 
     /// Resolved shard count of the two-level interner (see
     /// [`Self::interner_shards`]).
     fn resolved_interner_shards(&self) -> usize {
-        if self.interner_shards > 0 {
-            return self
-                .interner_shards
-                .next_power_of_two()
-                .min(MAX_INTERNER_SHARDS);
-        }
-        static SHARDS: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-        let env = *SHARDS.get_or_init(|| {
-            std::env::var("REPSTREAM_INTERNER_SHARDS")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&v| v > 0)
-        });
-        if let Some(n) = env {
-            return n.next_power_of_two().min(MAX_INTERNER_SHARDS);
-        }
-        if self.max_states >= (1 << 18) {
-            16
-        } else {
-            1
+        match self.interner_shards {
+            0 if self.max_states >= (1 << 18) => 16,
+            0 => 1,
+            n => n.next_power_of_two().min(MAX_INTERNER_SHARDS),
         }
     }
 }
+
+/// Payload bytes each arena keeps resident under
+/// [`MarkingOptions::interner_spill`] when no
+/// [`MarkingOptions::spill_limit`] is given.
+pub const DEFAULT_SPILL_LIMIT: usize = 64 << 20;
 
 /// Upper bound on [`MarkingOptions::capacity`]: a place's token count is
 /// one arena byte.

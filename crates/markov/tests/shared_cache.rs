@@ -5,8 +5,8 @@
 //! mid-BFS by a governor interrupt must never leave a partial entry
 //! behind — the next caller rebuilds and gets the exact cold bits.
 
-use repstream_markov::cache::{ChainCache, SharedChainCache, StrictOptions};
-use repstream_markov::govern::Budget;
+use repstream_markov::cache::{ChainCache, SharedChainCache};
+use repstream_markov::govern::{Budget, RunConfig};
 use repstream_petri::shape::{MappingShape, ResourceTable};
 use std::sync::atomic::AtomicBool;
 
@@ -26,7 +26,7 @@ fn het_rates(shape: &MappingShape) -> ResourceTable<f64> {
 
 /// The cold sequential truth: a fresh single-threaded cache per call, so
 /// nothing is ever warm.
-fn cold_strict(shape: &MappingShape, rates: &ResourceTable<f64>, opts: StrictOptions) -> f64 {
+fn cold_strict(shape: &MappingShape, rates: &ResourceTable<f64>, opts: RunConfig) -> f64 {
     ChainCache::new()
         .strict_throughput(shape, rates, opts)
         .expect("cold build")
@@ -49,7 +49,7 @@ fn eight_threads_mixed_hot_cold_bitwise_equal_to_cold() {
         vec![1, 1, 2],
         vec![3, 2],
     ];
-    let opts = StrictOptions::default();
+    let opts = RunConfig::default();
 
     // Expected bits, cold and sequential, before any sharing happens.
     let expect = |teams: &[usize], hom: bool| -> u64 {
@@ -170,7 +170,7 @@ fn interrupted_build_leaves_no_partial_entry() {
 
     // A pre-cancelled budget interrupts the marking BFS at its first
     // governor checkpoint — mid-build, with the shard lock held.
-    let doomed = StrictOptions {
+    let doomed = RunConfig {
         budget: Budget::UNLIMITED.cancelled_by(&CANCELLED),
         ..Default::default()
     };
@@ -190,15 +190,15 @@ fn interrupted_build_leaves_no_partial_entry() {
     // The same signature, unlimited: a full rebuild, bitwise the cold
     // sequential answer — the poisoned attempts left nothing behind.
     let sol = cache
-        .strict_throughput(&shape, &rates, StrictOptions::default())
+        .strict_throughput(&shape, &rates, RunConfig::default())
         .expect("rebuild after interrupts");
-    let cold = cold_strict(&shape, &rates, StrictOptions::default());
+    let cold = cold_strict(&shape, &rates, RunConfig::default());
     assert_eq!(sol.throughput.to_bits(), cold.to_bits());
 
     // And now it is genuinely cached: a repeat is a warm hit with the
     // same bits.
     let again = cache
-        .strict_throughput(&shape, &rates, StrictOptions::default())
+        .strict_throughput(&shape, &rates, RunConfig::default())
         .expect("warm hit");
     assert_eq!(again.throughput.to_bits(), cold.to_bits());
     assert!(again.cache_hit, "second unlimited solve must be warm");
@@ -209,12 +209,12 @@ fn interrupted_build_leaves_no_partial_entry() {
 fn shard_counts_round_up_and_solve_identically() {
     let shape = MappingShape::new(vec![2, 1]);
     let rates = hom_rates(&shape);
-    let expected = cold_strict(&shape, &rates, StrictOptions::default()).to_bits();
+    let expected = cold_strict(&shape, &rates, RunConfig::default()).to_bits();
     for shards in [0, 1, 3, 16, 33] {
         let cache = SharedChainCache::with_shards(shards);
         assert!(cache.shards().is_power_of_two(), "shards={shards}");
         let sol = cache
-            .strict_throughput(&shape, &rates, StrictOptions::default())
+            .strict_throughput(&shape, &rates, RunConfig::default())
             .expect("solve");
         assert_eq!(sol.throughput.to_bits(), expected, "shards={shards}");
     }

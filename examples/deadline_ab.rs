@@ -14,7 +14,7 @@ use repstream::core::model::{Application, Mapping, Platform, System};
 use repstream::core::report::{
     system_report, system_report_status, DegradeMode, ReportOptions, ReportStatus,
 };
-use repstream::markov::govern::{Budget, InterruptReason};
+use repstream::markov::govern::{Budget, InterruptReason, RunConfig};
 use std::time::{Duration, Instant};
 
 /// A two-stage system whose Strict Theorem 2 chain has the given team
@@ -37,7 +37,10 @@ fn main() {
     let plain = system_report(&small, ReportOptions::default());
     let t_plain = t.elapsed();
     let governed_opts = ReportOptions {
-        budget: Budget::deadline_in(Duration::from_secs(3600)),
+        run: RunConfig {
+            budget: Budget::deadline_in(Duration::from_secs(3600)),
+            ..Default::default()
+        },
         degrade: DegradeMode::Bounds,
         ..Default::default()
     };
@@ -62,8 +65,11 @@ fn main() {
     const GRACE: Duration = Duration::from_secs(1);
     let big = system_for((7, 8));
     let opts = ReportOptions {
-        max_states: 1 << 25,
-        budget: Budget::deadline_in(DEADLINE),
+        run: RunConfig {
+            max_states: 1 << 25,
+            budget: Budget::deadline_in(DEADLINE),
+            ..Default::default()
+        },
         degrade: DegradeMode::Bounds,
         ..Default::default()
     };

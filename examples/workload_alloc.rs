@@ -20,7 +20,7 @@
 //! the weighted winner's — a weighted-sum objective is free to starve the
 //! slow app, max-min is not.
 
-use repstream::engine::{workload_search, Objective, WorkloadSearchOptions};
+use repstream::engine::{workload_search, Objective, PortfolioOptions, WorkloadSearchOptions};
 use repstream::workload::scenarios;
 
 fn main() {
@@ -37,9 +37,11 @@ fn main() {
             &workload,
             WorkloadSearchOptions {
                 objective,
-                random_candidates: 256,
-                seed: 2010,
-                ..Default::default()
+                portfolio: PortfolioOptions {
+                    random_candidates: 256,
+                    seed: 2010,
+                    ..Default::default()
+                },
             },
         )
         .expect("search");

@@ -11,9 +11,8 @@
 //! batch + delta-scored hill climbing + exponential re-rank) on a named
 //! `workload::scenarios` scenario (`mapping-search`, `example-a`) or on
 //! the application/platform of an `.rsys` file, and prints the scored
-//! finalists with the evaluation and cache counters.  Flags:
-//! `--model overlap|strict`, `--candidates N`, `--seed N`, `--no-exp`,
-//! `--no-lump`, `--threads N`, `--solver S`.
+//! finalists with the evaluation and cache counters.  Its own flags:
+//! `--model overlap|strict`, `--candidates N`, `--seed N`, `--no-exp`.
 //!
 //! `search --scenario workload` (equivalently `search workload`) runs
 //! the **multi-application** joint search instead: `--apps K` tenants of
@@ -23,50 +22,38 @@
 //! per-app throughput table (weight, SLA verdict) and a contention
 //! summary (shared processors/links, busiest processor).
 //!
-//! `--no-lump` (also accepted by `analyze`) turns the symmetry-reduced
-//! quotient solve of the Strict Theorem 2 chain off, for A/B runs against
-//! the full chain — both report the same throughput, the report shows
-//! full-vs-quotient state counts.
+//! ## Run flags
 //!
-//! `--threads N` (also accepted by `analyze`) sets the worker count of
-//! the chunk-parallel marking BFS behind the Theorem 2 chains: `0` (the
-//! default) auto-sizes to the machine, `1` forces the sequential scan.
-//! Every value produces **bitwise-identical** numbers — the flag only
-//! trades wall-clock for cores.
+//! `analyze`, `client analyze` and `search` share one set of flags, one
+//! per knob of the library's `RunConfig` — where each is documented, with
+//! the README's table — parsed in one place ([`RunFlags`]):
 //!
-//! `--solver auto|gth|gs|gmres|gmres-plain|sor|power` (also accepted by
-//! `analyze`) picks the stationary method of the Theorem 2 chains:
-//! `auto` (the default) runs the measured solver plan (GTH on
-//! small/dense chains, Gauss–Seidel in the mid range, adaptive SOR →
-//! Jacobi-scaled GMRES → power on ≥ 2²⁰-state quotients), anything else
-//! forces that one method (`gmres` is Jacobi-preconditioned,
-//! `gmres-plain` the unscaled baseline).  The report's Strict section
-//! prints the solver that actually ran, the preconditioner it iterated
-//! under, its iteration count, final residual, and the build's memory
-//! footprint (arena + interner resident bytes, spilled bytes).
-//!
-//! `analyze` also accepts `--max-states N` (state budget of the Strict
-//! Theorem 2 chain; the 4M default covers 6×7-class quotients, a 7×8
-//! has 14.06M lumped states) and `--interner-spill` (park marking-arena payload bytes
-//! in an unlinked temp file during the BFS — bitwise-neutral, bounds
-//! peak RSS; tune with `REPSTREAM_SPILL_MIB`, `REPSTREAM_SPILL_DIR`,
-//! and `REPSTREAM_INTERNER_SHARDS`).
-//!
-//! `--deadline DUR` (`2s`, `500ms`; `analyze` and `search`) arms the
-//! cooperative resource governor: the marking BFS checks it per level,
-//! the stationary solvers per restart/sweep checkpoint, the portfolio
-//! per candidate sub-batch.  What happens when it fires is
-//! `--degrade bounds|fail` (default `bounds`): `bounds` falls the Strict
-//! section back to the cached N.B.U.E. Theorem sandwich and stamps the
-//! report with `degraded=yes method=bounds-fallback reason=…` (exit 0);
-//! `fail` aborts with a structured one-line error (exit 4).  Without
-//! `--deadline` the governor never runs and the output is
-//! bitwise-identical to earlier releases.
+//! * `--no-lump` — solve the full Strict Theorem 2 chain instead of its
+//!   symmetry-reduced quotient (an A/B run: same throughput, the report
+//!   shows full-vs-quotient state counts);
+//! * `--threads N` — workers of the chunk-parallel marking BFS (`0` =
+//!   auto, `1` = sequential; every value is **bitwise-identical**);
+//! * `--solver auto|gth|gs|gmres|gmres-plain|sor|power` — stationary
+//!   method of the Theorem 2 chains (`auto` = the measured plan; the
+//!   report prints what actually ran, its iterations and residual);
+//! * `--max-states N` — state budget of every chain the command builds
+//!   (default 4M; a Theorem 3 pattern chain gets at most 2M of it);
+//! * `--interner-spill` — park marking-arena payload bytes in an unlinked
+//!   temp file under `REPSTREAM_SPILL_DIR` (bitwise-neutral, bounds peak
+//!   RSS);
+//! * `--deadline DUR` (`2s`, `500ms`) — arm the cooperative governor: the
+//!   BFS checks it per level, the solvers per checkpoint, the portfolio
+//!   per candidate sub-batch; un-fired, it changes no output bit;
+//! * `--degrade bounds|fail` (reports only; default `bounds`) — on
+//!   overrun, fall the Strict section back to the N.B.U.E. sandwich and
+//!   stamp the report `degraded=yes method=bounds-fallback reason=…`
+//!   (exit 0), or abort with a one-line error (exit 4).  An interrupted
+//!   `search` always exits 4.
 //!
 //! Exit codes: `0` success (including a degraded-to-bounds report),
 //! `2` configuration/usage error, `3` over the `--max-states` budget,
-//! `4` interrupted under `--degrade fail`, `5` internal error (e.g.
-//! spill I/O).
+//! `4` interrupted (a report under `--degrade fail`, any search), `5`
+//! internal error (e.g. spill I/O).
 //!
 //! The `.rsys` format is a small line-oriented description (see
 //! [`repstream::workload` docs] and `parse_system`):
@@ -94,17 +81,19 @@ use repstream::core::timing;
 use repstream::core::wire::{
     AnalyzeRequest, Request, Response, ScaleRequest, SearchRequest, WireOptions,
 };
+use repstream::engine::portfolio::EngineError;
 use repstream::engine::{
     portfolio_search, workload_search, Objective, PortfolioOptions, WorkloadSearchOptions,
 };
 use repstream::markov::ctmc::SolverChoice;
-use repstream::markov::govern::Budget;
+use repstream::markov::govern::{Budget, RunConfig};
 use repstream::petri::dot::to_dot;
 use repstream::petri::shape::ExecModel;
 use repstream::petri::tpn::Tpn;
 use repstream::serve::{response_exit_code, Client, ServeOptions, Server};
 use repstream::workload::examples::example_a;
 use repstream::workload::scenarios;
+use std::num::NonZeroUsize;
 use std::time::Duration;
 
 fn main() {
@@ -135,115 +124,149 @@ fn parse_deadline(s: &str) -> Option<Duration> {
     }
 }
 
-/// Map the report outcome to the documented exit taxonomy.
-fn exit_code(status: ReportStatus) -> i32 {
+/// Print a report — computed here or served — with the one-line
+/// diagnostic of a non-success status; returns its exit code in the
+/// documented taxonomy.
+fn print_report(text: &str, status: ReportStatus) -> i32 {
+    print!("{text}");
     match status {
         ReportStatus::Ok | ReportStatus::Degraded(_) => 0,
-        ReportStatus::OverBudget => 3,
-        ReportStatus::Interrupted(_) => 4,
-        ReportStatus::Internal => 5,
+        ReportStatus::OverBudget => {
+            eprintln!("error: over the --max-states budget (exit 3)");
+            3
+        }
+        ReportStatus::Interrupted(r) => {
+            eprintln!("error: interrupted ({}) (exit 4)", r.label());
+            4
+        }
+        ReportStatus::Internal => {
+            eprintln!("error: internal analysis failure (exit 5)");
+            5
+        }
     }
+}
+
+/// Print a configuration error the way every command does; exit code 2.
+fn fail(msg: impl std::fmt::Display) -> i32 {
+    eprintln!("error: {msg}");
+    2
+}
+
+/// Advance to the value of the flag at `args[*i]`.
+fn value<'a>(args: &'a [String], i: &mut usize) -> Option<&'a str> {
+    *i += 1;
+    args.get(*i).map(String::as_str)
+}
+
+/// That value parsed as a `T` (`NonZeroUsize` for the counts that must be
+/// positive), or the complaint `needs`.
+fn parsed<T: std::str::FromStr>(args: &[String], i: &mut usize, needs: &str) -> Result<T, String> {
+    value(args, i)
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| needs.to_string())
+}
+
+/// The run flags — `--no-lump --threads --solver --max-states
+/// --interner-spill --deadline --degrade` — parsed in this one place for
+/// `analyze`, `client analyze` and `search`: one spelling, one error text
+/// and one [`RunConfig`] per flag, whichever command it is given to.
+#[derive(Default)]
+struct RunFlags {
+    /// The knobs; `--deadline` has already armed `run.budget`.
+    run: RunConfig,
+    /// `--deadline` as given — the wire carries it relative, in place of
+    /// the budget.
+    deadline: Option<Duration>,
+    /// `--degrade`, when given (`search` has no report to degrade and
+    /// refuses it).
+    degrade: Option<DegradeMode>,
+}
+
+impl RunFlags {
+    /// Consume the flag at `args[*i]` (and its value) if it is a run
+    /// flag; `Ok(false)` leaves it to the calling command.
+    fn take(&mut self, args: &[String], i: &mut usize) -> Result<bool, String> {
+        match args[*i].as_str() {
+            "--no-lump" => self.run.lumping = false,
+            "--interner-spill" => self.run.interner_spill = true,
+            "--threads" => {
+                self.run.threads = parsed(args, i, "--threads needs a count (0 = auto)")?
+            }
+            "--solver" => {
+                self.run.solver = value(args, i)
+                    .and_then(SolverChoice::parse)
+                    .ok_or("--solver needs auto|gth|gs|gmres|gmres-plain|sor|power")?;
+            }
+            "--max-states" => {
+                self.run.max_states =
+                    parsed::<NonZeroUsize>(args, i, "--max-states needs a positive state budget")?
+                        .get();
+            }
+            "--deadline" => {
+                let d = value(args, i)
+                    .and_then(parse_deadline)
+                    .ok_or("--deadline needs a duration like 2s or 500ms")?;
+                self.run.budget = Budget::deadline_in(d);
+                self.deadline = Some(d);
+            }
+            "--degrade" => {
+                self.degrade = Some(match value(args, i) {
+                    Some("bounds") => DegradeMode::Bounds,
+                    Some("fail") => DegradeMode::Fail,
+                    _ => return Err("--degrade needs bounds|fail".into()),
+                });
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    fn report_options(&self) -> ReportOptions {
+        ReportOptions {
+            run: self.run,
+            degrade: self.degrade.unwrap_or_default(),
+            ..Default::default()
+        }
+    }
+}
+
+/// `[FILE] [run flags]`: the argument shape of `analyze` and
+/// `client analyze` (`cmd` names the command in the error text).
+fn file_and_run_flags(cmd: &str, args: &[String]) -> Result<(Option<String>, RunFlags), String> {
+    let mut path = None;
+    let mut flags = RunFlags::default();
+    let mut i = 0;
+    while i < args.len() {
+        if !flags.take(args, &mut i)? {
+            match args[i].as_str() {
+                other if path.is_none() && !other.starts_with('-') => path = Some(other.into()),
+                other => return Err(format!("unknown {cmd} argument {other}")),
+            }
+        }
+        i += 1;
+    }
+    Ok((path, flags))
+}
+
+/// Parse `analyze FILE [run flags]`.
+fn analyze_args(args: &[String]) -> Result<(Option<String>, ReportOptions), String> {
+    let (path, flags) = file_and_run_flags("analyze", args)?;
+    Ok((path, flags.report_options()))
 }
 
 fn run(args: &[String]) -> i32 {
     match args.first().map(String::as_str) {
-        Some("analyze") => {
-            let mut path = None;
-            let mut report_opts = ReportOptions::default();
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--no-lump" => report_opts.lumping = false,
-                    "--threads" => {
-                        i += 1;
-                        match args.get(i).and_then(|s| s.parse().ok()) {
-                            Some(n) => report_opts.threads = n,
-                            None => {
-                                eprintln!("error: --threads needs a count (0 = auto)");
-                                return 2;
-                            }
-                        }
-                    }
-                    "--solver" => {
-                        i += 1;
-                        match args.get(i).and_then(|s| SolverChoice::parse(s)) {
-                            Some(c) => report_opts.solver = c,
-                            None => {
-                                eprintln!(
-                                    "error: --solver needs auto|gth|gs|gmres|gmres-plain|sor|power"
-                                );
-                                return 2;
-                            }
-                        }
-                    }
-                    "--max-states" => {
-                        i += 1;
-                        match args.get(i).and_then(|s| s.parse().ok()) {
-                            Some(n) if n > 0 => report_opts.max_states = n,
-                            _ => {
-                                eprintln!("error: --max-states needs a positive state budget");
-                                return 2;
-                            }
-                        }
-                    }
-                    "--interner-spill" => report_opts.interner_spill = true,
-                    "--deadline" => {
-                        i += 1;
-                        match args.get(i).and_then(|s| parse_deadline(s)) {
-                            Some(d) => report_opts.budget = Budget::deadline_in(d),
-                            None => {
-                                eprintln!("error: --deadline needs a duration like 2s or 500ms");
-                                return 2;
-                            }
-                        }
-                    }
-                    "--degrade" => {
-                        i += 1;
-                        match args.get(i).map(String::as_str) {
-                            Some("bounds") => report_opts.degrade = DegradeMode::Bounds,
-                            Some("fail") => report_opts.degrade = DegradeMode::Fail,
-                            _ => {
-                                eprintln!("error: --degrade needs bounds|fail");
-                                return 2;
-                            }
-                        }
-                    }
-                    other if path.is_none() && !other.starts_with('-') => path = Some(other),
-                    other => {
-                        eprintln!("error: unknown analyze argument {other}");
-                        return 2;
-                    }
+        Some("analyze") => match analyze_args(&args[1..]) {
+            Ok((Some(path), report_opts)) => match load(&path) {
+                Ok(sys) => {
+                    let (report, status) = system_report_status(&sys, report_opts);
+                    print_report(&report, status)
                 }
-                i += 1;
-            }
-            match path {
-                Some(path) => match load(path) {
-                    Ok(sys) => {
-                        let (report, status) = system_report_status(&sys, report_opts);
-                        print!("{report}");
-                        let code = exit_code(status);
-                        match status {
-                            ReportStatus::OverBudget => {
-                                eprintln!("error: over the --max-states budget (exit {code})")
-                            }
-                            ReportStatus::Interrupted(r) => {
-                                eprintln!("error: interrupted ({}) (exit {code})", r.label())
-                            }
-                            ReportStatus::Internal => {
-                                eprintln!("error: internal analysis failure (exit {code})")
-                            }
-                            ReportStatus::Ok | ReportStatus::Degraded(_) => {}
-                        }
-                        code
-                    }
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        2
-                    }
-                },
-                None => usage(),
-            }
-        }
+                Err(e) => fail(e),
+            },
+            Ok((None, _)) => usage(),
+            Err(e) => fail(e),
+        },
         Some("dot") => {
             let (path, model) = match (args.get(1), args.get(2)) {
                 (Some(p), m) => (p, m.map(String::as_str).unwrap_or("overlap")),
@@ -252,10 +275,7 @@ fn run(args: &[String]) -> i32 {
             let model = match model {
                 "overlap" => ExecModel::Overlap,
                 "strict" => ExecModel::Strict,
-                other => {
-                    eprintln!("error: unknown model {other} (overlap|strict)");
-                    return 2;
-                }
+                other => return fail(format!("unknown model {other} (overlap|strict)")),
             };
             match load(path) {
                 Ok(sys) => {
@@ -263,10 +283,7 @@ fn run(args: &[String]) -> i32 {
                     print!("{}", to_dot(&tpn));
                     0
                 }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    2
-                }
+                Err(e) => fail(e),
             }
         }
         Some("example-a") => {
@@ -280,77 +297,50 @@ fn run(args: &[String]) -> i32 {
     }
 }
 
-/// `repstream serve [--addr A] [--workers N] [--deadline-cap DUR]
-/// [--max-states N] [--shards N]`: run the resident analyzer until a
-/// client sends a shutdown frame.
-fn run_serve(args: &[String]) -> i32 {
+/// Parse `serve [--addr A] [--workers N] [--deadline-cap DUR]
+/// [--max-states N] [--shards N]`.
+fn serve_args(args: &[String]) -> Result<ServeOptions, String> {
     let mut opts = ServeOptions::default();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--addr" => {
-                i += 1;
-                match args.get(i) {
-                    Some(a) => opts.addr = a.clone(),
-                    None => {
-                        eprintln!("error: --addr needs host:port");
-                        return 2;
-                    }
-                }
-            }
+            "--addr" => opts.addr = value(args, &mut i).ok_or("--addr needs host:port")?.into(),
             "--workers" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n >= 1 => opts.workers = n,
-                    _ => {
-                        eprintln!("error: --workers needs a count >= 1");
-                        return 2;
-                    }
-                }
+                opts.workers =
+                    parsed::<NonZeroUsize>(args, &mut i, "--workers needs a count >= 1")?.get();
             }
             "--deadline-cap" => {
-                i += 1;
-                match args.get(i).and_then(|s| parse_deadline(s)) {
-                    Some(d) => opts.deadline_cap = Some(d),
-                    None => {
-                        eprintln!("error: --deadline-cap needs a duration like 2s or 500ms");
-                        return 2;
-                    }
-                }
+                opts.deadline_cap = Some(
+                    value(args, &mut i)
+                        .and_then(parse_deadline)
+                        .ok_or("--deadline-cap needs a duration like 2s or 500ms")?,
+                );
             }
             "--max-states" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n > 0 => opts.max_states_cap = n,
-                    _ => {
-                        eprintln!("error: --max-states needs a positive state budget");
-                        return 2;
-                    }
-                }
+                let needs = "--max-states needs a positive state budget";
+                opts.max_states_cap = parsed::<NonZeroUsize>(args, &mut i, needs)?.get();
             }
             "--shards" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n >= 1 => opts.shards = n,
-                    _ => {
-                        eprintln!("error: --shards needs a count >= 1");
-                        return 2;
-                    }
-                }
+                opts.shards =
+                    parsed::<NonZeroUsize>(args, &mut i, "--shards needs a count >= 1")?.get();
             }
-            other => {
-                eprintln!("error: unknown serve argument {other}");
-                return 2;
-            }
+            other => return Err(format!("unknown serve argument {other}")),
         }
         i += 1;
     }
+    Ok(opts)
+}
+
+/// `repstream serve …` (see [`serve_args`]): run the resident analyzer
+/// until a client sends a shutdown frame.
+fn run_serve(args: &[String]) -> i32 {
+    let opts = match serve_args(args) {
+        Ok(opts) => opts,
+        Err(e) => return fail(e),
+    };
     let server = match Server::bind(opts) {
         Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: bind failed: {e}");
-            return 2;
-        }
+        Err(e) => return fail(format!("bind failed: {e}")),
     };
     match server.local_addr() {
         Ok(addr) => println!("listening on {addr}"),
@@ -377,13 +367,9 @@ fn run_client(args: &[String]) -> i32 {
     let mut i = 0;
     while i < args.len() {
         if args[i] == "--addr" {
-            i += 1;
-            match args.get(i) {
-                Some(a) => addr = a.clone(),
-                None => {
-                    eprintln!("error: --addr needs host:port");
-                    return 2;
-                }
+            match value(args, &mut i) {
+                Some(a) => addr = a.to_string(),
+                None => return fail("--addr needs host:port"),
             }
         } else {
             rest.push(args[i].clone());
@@ -392,17 +378,11 @@ fn run_client(args: &[String]) -> i32 {
     }
     let req = match build_client_request(&rest) {
         Ok(r) => r,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return 2;
-        }
+        Err(msg) => return fail(msg),
     };
     let mut client = match Client::connect(&addr) {
         Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: connect {addr}: {e}");
-            return 2;
-        }
+        Err(e) => return fail(format!("connect {addr}: {e}")),
     };
     let resp = match client.call(&req) {
         Ok(r) => r,
@@ -442,26 +422,16 @@ fn build_client_request(rest: &[String]) -> Result<Request, String> {
                 i += 1;
                 match rest[i].as_str() {
                     "--candidates" => {
-                        i += 1;
-                        req.random_candidates = rest
-                            .get(i)
-                            .and_then(|s| s.parse().ok())
-                            .ok_or("--candidates needs a count")?;
+                        req.random_candidates = parsed(rest, &mut i, "--candidates needs a count")?;
                     }
-                    "--seed" => {
-                        i += 1;
-                        req.seed = rest
-                            .get(i)
-                            .and_then(|s| s.parse().ok())
-                            .ok_or("--seed needs a u64")?;
-                    }
+                    "--seed" => req.seed = parsed(rest, &mut i, "--seed needs a u64")?,
                     "--no-exp" => req.exp_rerank = false,
+                    // The wire `SearchRequest` carries these two run
+                    // knobs only; the other run flags stay refused.
                     "--no-lump" => req.lumping = false,
                     "--deadline" => {
-                        i += 1;
-                        let d = rest
-                            .get(i)
-                            .and_then(|s| parse_deadline(s))
+                        let d = value(rest, &mut i)
+                            .and_then(parse_deadline)
                             .ok_or("--deadline needs a duration like 2s or 500ms")?;
                         req.deadline_ms = Some(d.as_millis() as u64);
                     }
@@ -484,9 +454,7 @@ fn build_client_request(rest: &[String]) -> Result<Request, String> {
                 i += 1;
                 match rest[i].as_str() {
                     "--procs" => {
-                        i += 1;
-                        counts = rest
-                            .get(i)
+                        counts = value(rest, &mut i)
                             .map(|s| s.split(',').map(|t| t.trim().parse()).collect())
                             .transpose()
                             .ok()
@@ -512,60 +480,15 @@ fn build_client_request(rest: &[String]) -> Result<Request, String> {
     }
 }
 
-/// Parse `client analyze` flags (the one-shot `analyze` surface, minus
-/// the local-only spill knob, plus the wire deadline).
+/// Parse `client analyze FILE [run flags]`: the one-shot `analyze`
+/// surface, with the deadline sent relative for the server to arm.
 fn client_analyze_args(args: &[String]) -> Result<(String, WireOptions), String> {
-    let mut path = None;
-    let mut o = WireOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--no-lump" => o.lumping = false,
-            "--interner-spill" => o.interner_spill = true,
-            "--threads" => {
-                i += 1;
-                o.threads = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--threads needs a count (0 = auto)")?;
-            }
-            "--solver" => {
-                i += 1;
-                o.solver = args
-                    .get(i)
-                    .and_then(|s| SolverChoice::parse(s))
-                    .ok_or("--solver needs auto|gth|gs|gmres|gmres-plain|sor|power")?;
-            }
-            "--max-states" => {
-                i += 1;
-                o.max_states = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n: &usize| n > 0)
-                    .ok_or("--max-states needs a positive state budget")?;
-            }
-            "--deadline" => {
-                i += 1;
-                let d = args
-                    .get(i)
-                    .and_then(|s| parse_deadline(s))
-                    .ok_or("--deadline needs a duration like 2s or 500ms")?;
-                o.deadline_ms = Some(d.as_millis() as u64);
-            }
-            "--degrade" => {
-                i += 1;
-                o.degrade = match args.get(i).map(String::as_str) {
-                    Some("bounds") => DegradeMode::Bounds,
-                    Some("fail") => DegradeMode::Fail,
-                    _ => return Err("--degrade needs bounds|fail".into()),
-                };
-            }
-            other if path.is_none() && !other.starts_with('-') => path = Some(other.to_string()),
-            other => return Err(format!("unknown client analyze argument {other}")),
-        }
-        i += 1;
-    }
-    Ok((path.ok_or("client analyze needs an .rsys file")?, o))
+    let (path, flags) = file_and_run_flags("client analyze", args)?;
+    let deadline_ms = flags.deadline.map(|d| d.as_millis() as u64);
+    Ok((
+        path.ok_or("client analyze needs an .rsys file")?,
+        WireOptions::new(&flags.report_options(), deadline_ms),
+    ))
 }
 
 /// Render a served response the way the one-shot commands print theirs.
@@ -573,15 +496,7 @@ fn print_client_response(resp: &Response) {
     match resp {
         Response::Pong => println!("pong"),
         Response::Analyze(a) => {
-            print!("{}", a.text);
-            match a.status {
-                ReportStatus::OverBudget => eprintln!("error: over the state budget (exit 3)"),
-                ReportStatus::Interrupted(r) => {
-                    eprintln!("error: interrupted ({}) (exit 4)", r.label())
-                }
-                ReportStatus::Internal => eprintln!("error: internal analysis failure (exit 5)"),
-                ReportStatus::Ok | ReportStatus::Degraded(_) => {}
-            }
+            print_report(&a.text, a.status);
         }
         Response::Report(r) => {
             println!("throughput {:.6}", r.throughput);
@@ -650,135 +565,109 @@ fn print_client_response(resp: &Response) {
     }
 }
 
-/// `repstream search [SCENARIO|FILE] [--scenario NAME] [--model M]
-/// [--candidates N] [--seed N] [--no-exp] [--no-lump] [--threads N]
-/// [--solver S] [--objective O] [--apps K]`.
-fn run_search(args: &[String]) -> i32 {
-    let mut scenario = "mapping-search".to_string();
+/// What `repstream search` was asked to do.
+struct SearchArgs {
+    scenario: String,
+    opts: PortfolioOptions,
+    /// `--objective`, when given (workload scenario only).
+    objective: Option<Objective>,
+    /// `--apps` (workload scenario only).
+    apps: usize,
+}
+
+/// Parse `search [SCENARIO|FILE] [--scenario NAME] [--model M]
+/// [--candidates N] [--seed N] [--no-exp] [--objective O] [--apps K]
+/// [run flags]`.
+fn search_args(args: &[String]) -> Result<SearchArgs, String> {
+    let mut scenario = None;
     let mut opts = PortfolioOptions::default();
-    let mut objective: Option<Objective> = None;
+    let mut objective = None;
     let mut apps = 2usize;
-    let mut scenario_set = false;
+    let mut flags = RunFlags::default();
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
-            "--scenario" => {
-                i += 1;
-                match args.get(i) {
-                    Some(name) => {
-                        scenario = name.clone();
-                        scenario_set = true;
-                    }
-                    None => {
-                        eprintln!("error: --scenario needs a name");
-                        return 2;
-                    }
+        if !flags.take(args, &mut i)? {
+            match args[i].as_str() {
+                "--scenario" => {
+                    scenario = Some(value(args, &mut i).ok_or("--scenario needs a name")?.into());
                 }
-            }
-            "--objective" => {
-                i += 1;
-                match args.get(i).and_then(|s| Objective::parse(s)) {
-                    Some(o) => objective = Some(o),
-                    None => {
-                        eprintln!("error: --objective needs maxmin|weighted|sla");
-                        return 2;
-                    }
+                "--objective" => {
+                    objective = Some(
+                        value(args, &mut i)
+                            .and_then(Objective::parse)
+                            .ok_or("--objective needs maxmin|weighted|sla")?,
+                    );
                 }
-            }
-            "--apps" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(k) if k >= 1 => apps = k,
-                    _ => {
-                        eprintln!("error: --apps needs a count >= 1");
-                        return 2;
-                    }
+                "--apps" => {
+                    apps = parsed::<NonZeroUsize>(args, &mut i, "--apps needs a count >= 1")?.get();
                 }
-            }
-            "--model" => {
-                i += 1;
-                opts.model = match args.get(i).map(String::as_str) {
-                    Some("overlap") => ExecModel::Overlap,
-                    Some("strict") => ExecModel::Strict,
-                    other => {
-                        eprintln!(
-                            "error: --model needs overlap|strict, got {}",
-                            other.unwrap_or("nothing")
-                        );
-                        return 2;
-                    }
-                };
-            }
-            "--candidates" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) => opts.random_candidates = n,
-                    None => {
-                        eprintln!("error: --candidates needs a count");
-                        return 2;
-                    }
+                "--model" => {
+                    opts.model = match value(args, &mut i) {
+                        Some("overlap") => ExecModel::Overlap,
+                        Some("strict") => ExecModel::Strict,
+                        other => {
+                            return Err(format!(
+                                "--model needs overlap|strict, got {}",
+                                other.unwrap_or("nothing")
+                            ))
+                        }
+                    };
                 }
-            }
-            "--seed" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) => opts.seed = n,
-                    None => {
-                        eprintln!("error: --seed needs a u64");
-                        return 2;
-                    }
+                "--candidates" => {
+                    opts.random_candidates = parsed(args, &mut i, "--candidates needs a count")?;
                 }
-            }
-            "--no-exp" => opts.exp_rerank = false,
-            "--no-lump" => opts.lumping = false,
-            "--threads" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) => opts.threads = n,
-                    None => {
-                        eprintln!("error: --threads needs a count (0 = auto)");
-                        return 2;
-                    }
+                "--seed" => opts.seed = parsed(args, &mut i, "--seed needs a u64")?,
+                "--no-exp" => opts.exp_rerank = false,
+                other if scenario.is_none() && !other.starts_with('-') => {
+                    scenario = Some(other.to_string());
                 }
-            }
-            "--solver" => {
-                i += 1;
-                match args.get(i).and_then(|s| SolverChoice::parse(s)) {
-                    Some(c) => opts.solver = c,
-                    None => {
-                        eprintln!("error: --solver needs auto|gth|gs|gmres|sor|power");
-                        return 2;
-                    }
-                }
-            }
-            "--deadline" => {
-                i += 1;
-                match args.get(i).and_then(|s| parse_deadline(s)) {
-                    Some(d) => opts.budget = Budget::deadline_in(d),
-                    None => {
-                        eprintln!("error: --deadline needs a duration like 2s or 500ms");
-                        return 2;
-                    }
-                }
-            }
-            other if !scenario_set && !other.starts_with('-') => {
-                scenario = other.to_string();
-                scenario_set = true;
-            }
-            other => {
-                eprintln!("error: unknown search argument {other}");
-                return 2;
+                other => return Err(format!("unknown search argument {other}")),
             }
         }
         i += 1;
     }
+    if flags.degrade.is_some() {
+        return Err("--degrade only applies to analyze (an interrupted search exits 4)".into());
+    }
+    opts.run = flags.run;
+    Ok(SearchArgs {
+        scenario: scenario.unwrap_or_else(|| "mapping-search".to_string()),
+        opts,
+        objective,
+        apps,
+    })
+}
+
+/// Report a failed search: exit 4 when interrupted, 3 when a re-rank
+/// chain outgrew `--max-states`, 2 otherwise.
+fn search_failed(e: &EngineError) -> i32 {
+    eprintln!("error: {e}");
+    if e.interrupt().is_some() {
+        4
+    } else if e.over_budget() {
+        3
+    } else {
+        2
+    }
+}
+
+/// `repstream search …` (see [`search_args`] for the flags).
+fn run_search(args: &[String]) -> i32 {
+    let SearchArgs {
+        scenario,
+        opts,
+        objective,
+        apps,
+    } = match search_args(args) {
+        Ok(parsed) => parsed,
+        Err(e) => return fail(e),
+    };
 
     if scenario == "workload" {
-        return run_workload_search(apps, objective.unwrap_or(Objective::MaxMin), &opts);
+        return run_workload_search(apps, objective.unwrap_or_default(), opts);
     }
     if objective.is_some() {
-        eprintln!("error: --objective only applies to the workload scenario");
-        return 2;
+        return fail("--objective only applies to the workload scenario");
     }
 
     let (app, platform) = match scenario.as_str() {
@@ -790,18 +679,16 @@ fn run_search(args: &[String]) -> i32 {
         path => match load(path) {
             Ok(sys) => (sys.app().clone(), sys.platform().clone()),
             Err(e) => {
-                eprintln!("error: {scenario} is neither a scenario (mapping-search, example-a) nor a readable .rsys file: {e}");
-                return 2;
+                return fail(format!(
+                    "{scenario} is neither a scenario (mapping-search, example-a) nor a readable .rsys file: {e}"
+                ))
             }
         },
     };
 
     let report = match portfolio_search(&app, &platform, opts) {
         Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return if e.interrupt().is_some() { 4 } else { 2 };
-        }
+        Err(e) => return search_failed(&e),
     };
     println!(
         "portfolio search on `{scenario}` ({}, {} random candidates, seed {})",
@@ -836,35 +723,24 @@ fn run_search(args: &[String]) -> i32 {
 
 /// `repstream search --scenario workload`: the K-app joint search on the
 /// shared 12-processor platform.
-fn run_workload_search(apps: usize, objective: Objective, portfolio: &PortfolioOptions) -> i32 {
+fn run_workload_search(apps: usize, objective: Objective, portfolio: PortfolioOptions) -> i32 {
     let workload = scenarios::shared_platform(apps);
     let opts = WorkloadSearchOptions {
-        model: portfolio.model,
         objective,
-        random_candidates: portfolio.random_candidates,
-        seed: portfolio.seed,
-        exp_rerank: portfolio.exp_rerank,
-        lumping: portfolio.lumping,
-        threads: portfolio.threads,
-        solver: portfolio.solver,
-        budget: portfolio.budget,
-        ..WorkloadSearchOptions::default()
+        portfolio,
     };
     let report = match workload_search(&workload, opts) {
         Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return if e.interrupt().is_some() { 4 } else { 2 };
-        }
+        Err(e) => return search_failed(&e),
     };
     println!(
         "workload search: {apps} apps on {} shared processors ({}, objective {}, \
          {} random candidates, seed {})",
         workload.platform().n_processors(),
-        opts.model.label(),
+        portfolio.model.label(),
         objective.label(),
-        opts.random_candidates,
-        opts.seed
+        portfolio.random_candidates,
+        portfolio.seed
     );
     println!("origin      det-objective   exp-objective");
     for c in &report.finalists {
@@ -1025,7 +901,8 @@ pub fn parse_system(text: &str) -> Result<System, String> {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_system;
+    use super::*;
+    use repstream::markov::ctmc::Solver;
 
     const EXAMPLE: &str = "
 # Example A-like instance
@@ -1042,6 +919,94 @@ team      1 2
 team      3 4 5
 team      6
 ";
+
+    /// One spelling, one error text and one `RunConfig` per run flag,
+    /// whichever of the three commands parses it.
+    #[test]
+    fn run_flags_parse_the_same_in_every_command() {
+        // max_states, lumping, threads, solver, interner_spill, deadline armed
+        type Knobs = (usize, bool, usize, SolverChoice, bool, bool);
+        fn knobs(r: &RunConfig) -> Knobs {
+            let armed = r.budget.deadline.is_some();
+            (
+                r.max_states,
+                r.lumping,
+                r.threads,
+                r.solver,
+                r.interner_spill,
+                armed,
+            )
+        }
+        let all: &[&str] = &[
+            "--no-lump",
+            "--threads",
+            "3",
+            "--solver",
+            "gmres-plain",
+            "--max-states",
+            "5000",
+            "--interner-spill",
+            "--deadline",
+            "1500ms",
+        ];
+        let gmres_plain = SolverChoice::Force(Solver::GmresPlain);
+        let table: &[(&[&str], Result<Knobs, &str>)] = &[
+            (&[], Ok(knobs(&RunConfig::default()))),
+            (all, Ok((5000, false, 3, gmres_plain, true, true))),
+            (&["--threads"], Err("--threads needs a count (0 = auto)")),
+            (
+                &["--threads", "x"],
+                Err("--threads needs a count (0 = auto)"),
+            ),
+            (
+                &["--solver", "simplex"],
+                Err("--solver needs auto|gth|gs|gmres|gmres-plain|sor|power"),
+            ),
+            (
+                &["--max-states", "0"],
+                Err("--max-states needs a positive state budget"),
+            ),
+            (
+                &["--deadline", "soon"],
+                Err("--deadline needs a duration like 2s or 500ms"),
+            ),
+            (&["--degrade", "maybe"], Err("--degrade needs bounds|fail")),
+        ];
+        let argv = |flags: &[&str]| -> Vec<String> {
+            std::iter::once("x.rsys")
+                .chain(flags.iter().copied())
+                .map(String::from)
+                .collect()
+        };
+        for (flags, want) in table {
+            let args = argv(flags);
+            let want = want.map_err(String::from);
+            let analyze = analyze_args(&args).map(|(_, o)| knobs(&o.run));
+            let client = client_analyze_args(&args)
+                .map(|(_, w)| knobs(&w.report_options(None, usize::MAX).run));
+            let search = search_args(&args).map(|a| knobs(&a.opts.run));
+            assert_eq!(analyze, want, "analyze {flags:?}");
+            assert_eq!(client, want, "client analyze {flags:?}");
+            assert_eq!(search, want, "search {flags:?}");
+        }
+
+        // The wire carries the deadline relative, for the server to arm.
+        let (_, wire) = client_analyze_args(&argv(all)).unwrap();
+        assert_eq!(wire.deadline_ms, Some(1500));
+
+        // `--degrade` picks what a *report* does when the budget fires;
+        // `search` has no report to degrade and says so.
+        let fail = argv(&["--degrade", "fail"]);
+        assert_eq!(analyze_args(&fail).unwrap().1.degrade, DegradeMode::Fail);
+        assert_eq!(
+            client_analyze_args(&fail).unwrap().1.degrade,
+            DegradeMode::Fail
+        );
+        assert!(search_args(&fail)
+            .err()
+            .unwrap()
+            .contains("only applies to analyze"));
+    }
 
     #[test]
     fn parses_the_documented_format() {

@@ -26,7 +26,7 @@
 //!
 //! ## Governance
 //!
-//! Every request arms its own [`Budget`]: the client's relative
+//! Every request arms its own `Budget`: the client's relative
 //! `deadline_ms` capped by the server's `--deadline-cap`, and
 //! `max_states` clamped by the server's cap.  The degradation ladder is
 //! exactly the CLI's: under `degrade=bounds` a deadline miss falls the
@@ -35,18 +35,19 @@
 //! interrupted class.  One slow request cannot take the server down —
 //! or even another connection's latency budget.
 
-use repstream_core::exponential::{ExpError, ExpOptions, StrictReport};
-use repstream_core::model::{Platform, System};
-use repstream_core::report::{system_report_shared, ReportStatus};
+use repstream_core::exponential::ExpError;
+use repstream_core::model::{Application, Platform, System};
+use repstream_core::report::{system_report_shared, ReportOptions, ReportStatus};
 use repstream_core::timing;
 use repstream_core::wire::{
     read_request, read_response, write_request, write_response, AnalyzeResponse, ErrorResponse,
     Request, Response, ScalePoint, ScaleResponse, SearchResponse, StatsResponse, WireCandidate,
     WireError, WireOptions,
 };
-use repstream_engine::{portfolio_search_cached, PortfolioOptions};
+use repstream_engine::portfolio::EngineError;
+use repstream_engine::{portfolio_search_cached, PortfolioOptions, PortfolioReport};
 use repstream_markov::cache::{ChainCache, SharedChainCache};
-use repstream_markov::govern::Budget;
+use repstream_markov::govern::RunConfig;
 use repstream_markov::marking::MarkingError;
 use std::collections::VecDeque;
 use std::io::{self, BufReader, BufWriter};
@@ -66,7 +67,8 @@ pub struct ServeOptions {
     /// Server-side relative deadline cap applied to every request
     /// (`None` = only client deadlines apply).
     pub deadline_cap: Option<Duration>,
-    /// Server-side clamp on any request's `max_states`.
+    /// Server-side clamp on any request's `max_states` — analyze, report
+    /// and search alike, Theorem 2 and pattern chains alike.
     pub max_states_cap: usize,
     /// Shards of the shared chain cache (rounded up to a power of two).
     pub shards: usize,
@@ -78,7 +80,7 @@ impl Default for ServeOptions {
             addr: "127.0.0.1:7533".to_string(),
             workers: 4,
             deadline_cap: None,
-            max_states_cap: repstream_core::report::ReportOptions::default().max_states,
+            max_states_cap: RunConfig::default().max_states,
             shards: SharedChainCache::DEFAULT_SHARDS,
         }
     }
@@ -261,12 +263,17 @@ impl Server {
         }
     }
 
+    /// A request's options under this server's deadline and state caps —
+    /// the one clamp `analyze`, `report` and `search` all go through.
+    fn governed(&self, options: WireOptions) -> ReportOptions {
+        options.report_options(self.opts.deadline_cap, self.opts.max_states_cap)
+    }
+
     fn analyze(&self, system: &System, options: WireOptions) -> Response {
         if let Err(e) = timing::validate_service_times(system) {
             return Response::Error(ErrorResponse::config(e));
         }
-        let report_opts = options.report_options(self.opts.deadline_cap, self.opts.max_states_cap);
-        let (text, status) = system_report_shared(system, report_opts, &self.cache);
+        let (text, status) = system_report_shared(system, self.governed(options), &self.cache);
         Response::Analyze(AnalyzeResponse { text, status })
     }
 
@@ -274,29 +281,19 @@ impl Server {
         if let Err(e) = timing::validate_service_times(system) {
             return Response::Error(ErrorResponse::config(e));
         }
-        let report_opts = options.report_options(self.opts.deadline_cap, self.opts.max_states_cap);
-        let exp_opts = ExpOptions {
-            max_states: report_opts.max_states,
-            lumping: report_opts.lumping,
-            threads: report_opts.threads,
-            solver: report_opts.solver,
-            interner_spill: report_opts.interner_spill,
-            budget: report_opts.budget,
-            ..Default::default()
-        };
+        let run = self.governed(options).run;
         let mut solver = &self.cache;
-        match repstream_core::exponential::throughput_strict_with_solver(
-            system,
-            exp_opts,
-            &mut solver,
-        ) {
+        match repstream_core::exponential::throughput_strict_with_solver(system, run, &mut solver) {
             Ok(report) => Response::Report(report),
             Err(e) => Response::Error(classify_exp_error(&e)),
         }
     }
 
     fn search(&self, r: &repstream_core::wire::SearchRequest) -> Response {
+        // The request's two run knobs go through the same deadline and
+        // `max_states` clamps as an analyze request's.
         let wire_opts = WireOptions {
+            lumping: r.lumping,
             deadline_ms: r.deadline_ms,
             ..Default::default()
         };
@@ -304,23 +301,10 @@ impl Server {
             random_candidates: r.random_candidates,
             seed: r.seed,
             exp_rerank: r.exp_rerank,
-            lumping: r.lumping,
-            budget: match wire_opts.effective_deadline(self.opts.deadline_cap) {
-                Some(d) => Budget::deadline_in(d),
-                None => Budget::UNLIMITED,
-            },
+            run: self.governed(wire_opts).run,
             ..Default::default()
         };
-        let cache = {
-            let mut pool = self.search_caches.lock().unwrap_or_else(|e| e.into_inner());
-            pool.pop().unwrap_or_default()
-        };
-        let (result, cache) = portfolio_search_cached(&r.app, &r.platform, opts, cache);
-        {
-            let mut pool = self.search_caches.lock().unwrap_or_else(|e| e.into_inner());
-            pool.push(cache);
-        }
-        match result {
+        match self.pooled_search(&r.app, &r.platform, opts) {
             Ok(report) => Response::Search(SearchResponse {
                 finalists: report
                     .finalists
@@ -340,10 +324,27 @@ impl Server {
             }),
             Err(e) => Response::Error(if e.interrupt().is_some() {
                 ErrorResponse::interrupted(e.to_string())
+            } else if e.over_budget() {
+                ErrorResponse::over_budget(e.to_string())
             } else {
                 ErrorResponse::config(e.to_string())
             }),
         }
+    }
+
+    /// One portfolio search on a chain cache checked out of the pool and
+    /// checked back in — warm — whether the search succeeds or not.
+    fn pooled_search(
+        &self,
+        app: &Application,
+        platform: &Platform,
+        opts: PortfolioOptions,
+    ) -> Result<PortfolioReport, EngineError> {
+        let pool = || self.search_caches.lock().unwrap_or_else(|e| e.into_inner());
+        let cache = pool().pop().unwrap_or_default();
+        let (result, cache) = portfolio_search_cached(app, platform, opts, cache);
+        pool().push(cache);
+        result
     }
 
     fn scale(&self, system: &System, processor_counts: &[usize]) -> Response {
@@ -383,16 +384,7 @@ impl Server {
                 exp_rerank: false,
                 ..Default::default()
             };
-            let cache = {
-                let mut pool = self.search_caches.lock().unwrap_or_else(|e| e.into_inner());
-                pool.pop().unwrap_or_default()
-            };
-            let (result, cache) = portfolio_search_cached(system.app(), &prefix, opts, cache);
-            {
-                let mut pool = self.search_caches.lock().unwrap_or_else(|e| e.into_inner());
-                pool.push(cache);
-            }
-            match result {
+            match self.pooled_search(system.app(), &prefix, opts) {
                 Ok(report) => points.push(ScalePoint {
                     processors: p,
                     det_throughput: report.best.det,
@@ -407,11 +399,7 @@ impl Server {
 
 /// Map a strict-solve failure onto the response error taxonomy.
 fn classify_exp_error(e: &ExpError) -> ErrorResponse {
-    let marking = match e {
-        ExpError::MarkingGraph(m) => m,
-        ExpError::PatternTooLarge { source, .. } => source,
-    };
-    match marking {
+    match e.marking() {
         MarkingError::TooManyStates(_) => ErrorResponse::over_budget(e.to_string()),
         MarkingError::Interrupted(_) => ErrorResponse::interrupted(e.to_string()),
         MarkingError::NotSafe { .. }
@@ -470,23 +458,51 @@ pub fn response_exit_code(resp: &Response) -> i32 {
     }
 }
 
-/// Convenience for tests and examples: a [`StrictReport`] fetched over
-/// the wire, or the error class that came back instead.
-pub fn fetch_report(
-    addr: impl ToSocketAddrs,
-    system: &System,
-    options: WireOptions,
-) -> Result<StrictReport, String> {
-    let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
-    match client
-        .call(&Request::Report(repstream_core::wire::ReportRequest {
-            system: system.clone(),
-            options,
-        }))
-        .map_err(|e| e.to_string())?
-    {
-        Response::Report(r) => Ok(r),
-        Response::Error(e) => Err(format!("class {}: {}", e.class, e.message)),
-        other => Err(format!("unexpected response {other:?}")),
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use repstream_core::wire::SearchRequest;
+
+    #[test]
+    fn the_state_cap_bounds_a_served_search() {
+        // A communication-bound 2-stage app on 11 fast processors whose
+        // links all differ: the best mappings split 5 × 6, and re-ranking
+        // one needs a heterogeneous 1 260-state pattern chain.
+        let bw = (0..11)
+            .map(|i| {
+                (0..11)
+                    .map(|j| 1.0 + ((3 * i + 7 * j) % 11) as f64 * 0.01)
+                    .collect()
+            })
+            .collect();
+        let req = SearchRequest {
+            app: Application::uniform(2, 0.06, 12.0).unwrap(),
+            platform: Platform::new(vec![100.0; 11], bw).unwrap(),
+            random_candidates: 64,
+            seed: 2010,
+            exp_rerank: true,
+            lumping: true,
+            deadline_ms: None,
+        };
+        let serve = |max_states_cap| {
+            let opts = ServeOptions {
+                addr: "127.0.0.1:0".to_string(),
+                max_states_cap,
+                ..Default::default()
+            };
+            Server::bind(opts).unwrap().search(&req)
+        };
+        match serve(ServeOptions::default().max_states_cap) {
+            Response::Search(s) => assert_eq!((s.cache_hits, s.cache_misses), (0, 1)),
+            other => panic!("{other:?}"),
+        }
+        match serve(100) {
+            Response::Error(e) => {
+                assert_eq!(e.class, 3, "{}", e.message);
+                assert!(e.message.contains("pattern 5×6"), "{}", e.message);
+                assert!(e.message.contains("exceeds 100 states"), "{}", e.message);
+            }
+            other => panic!("{other:?}"),
+        }
     }
 }
