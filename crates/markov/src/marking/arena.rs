@@ -55,6 +55,28 @@ fn read_varint(buf: &[u8], mut off: usize) -> (u32, usize) {
     }
 }
 
+/// `f(p, a[p])` for every position `p` where `a` and `b` (equal lengths)
+/// differ, ascending.  A marking differs from its level base in a handful
+/// of places, so rows are XORed eight bytes at a time and only the
+/// non-zero words are looked into.
+#[inline]
+fn for_each_diff(a: &[u8], b: &[u8], mut f: impl FnMut(usize, u8)) {
+    let ((a_words, a_tail), (b_words, b_tail)) = (a.as_chunks::<8>(), b.as_chunks::<8>());
+    for (i, (x, y)) in a_words.iter().zip(b_words).enumerate() {
+        let mut diff = u64::from_le_bytes(*x) ^ u64::from_le_bytes(*y);
+        while diff != 0 {
+            let k = diff.trailing_zeros() as usize / 8;
+            f(i * 8 + k, x[k]);
+            diff &= !(0xff << (k * 8));
+        }
+    }
+    for (k, (x, y)) in a_tail.iter().zip(b_tail).enumerate() {
+        if x != y {
+            f(a_words.len() * 8 + k, *x);
+        }
+    }
+}
+
 /// The marking arena: append-only storage of fixed-width byte markings,
 /// flat or **delta-compressed** — every marking a build interned, in
 /// state order (read-only outside this module).
@@ -335,25 +357,22 @@ impl MarkingStore {
             let mut ndiffs = 0u32;
             let mut cost = 0usize;
             let mut prev = 0usize;
-            for (p, &v) in m.iter().enumerate().take(self.width) {
-                if v != self.base_cache[p] {
-                    cost += varint_len((p - prev) as u32) + 1;
-                    prev = p;
-                    ndiffs += 1;
-                }
-            }
+            for_each_diff(m, &self.base_cache, |p, _| {
+                cost += varint_len((p - prev) as u32) + 1;
+                prev = p;
+                ndiffs += 1;
+            });
             cost += varint_len(ndiffs + 1);
             if cost < 1 + self.width / 2 {
                 self.base_of.push(self.cur_base);
                 push_varint(&mut self.enc, ndiffs + 1);
                 let mut prev = 0usize;
-                for (p, &v) in m.iter().enumerate().take(self.width) {
-                    if v != self.base_cache[p] {
-                        push_varint(&mut self.enc, (p - prev) as u32);
-                        self.enc.push(v);
-                        prev = p;
-                    }
-                }
+                let enc = &mut self.enc;
+                for_each_diff(m, &self.base_cache, |p, v| {
+                    push_varint(enc, (p - prev) as u32);
+                    enc.push(v);
+                    prev = p;
+                });
                 return;
             }
         }
@@ -746,19 +765,23 @@ impl MarkingStore {
 mod tests {
     use super::*;
 
+    /// The tests' deterministic generator.
+    fn xorshift(mut x: u64) -> impl FnMut() -> u64 {
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
+    }
+
     /// Push deterministic pseudo-random markings with level structure
     /// (xorshift from `seed`, level bases drifting by `drift`) into an
     /// arena of every compression mode with the given resident bound, and
     /// read each back through every accessor.
     fn roundtrip(seed: u64, drift: usize, spill_limit: usize) {
         let width = 24usize;
-        let mut x = seed;
-        let mut step = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
+        let mut step = xorshift(seed);
         let mut markings: Vec<Vec<u8>> = Vec::new();
         let mut level_starts = vec![0usize];
         let mut base = vec![0u8; width];
@@ -823,6 +846,32 @@ mod tests {
                 assert!(!arena.matches(s, &probe), "{compression:?} state {s}");
                 let mut scratch = Vec::new();
                 assert_eq!(arena.hash_entry(s, &mut scratch), hash_marking(m));
+            }
+        }
+    }
+
+    /// The word-wise differ visits exactly what a byte-by-byte walk does,
+    /// in the same order — on rows shorter than, equal to and straddling
+    /// the eight-byte words, differing nowhere, sparsely and everywhere.
+    #[test]
+    fn word_diff_agrees_with_byte_diff() {
+        let mut step = xorshift(0x853c49e6748fea9b);
+        for width in [1usize, 7, 8, 9, 63, 64, 65, 120, 168] {
+            for density in [0u64, 1, 8, 64] {
+                let base: Vec<u8> = (0..width).map(|_| (step() % 3) as u8).collect();
+                let mut m = base.clone();
+                for v in &mut m {
+                    if step() % 64 < density {
+                        *v = (step() % 256) as u8;
+                    }
+                }
+                let bytewise: Vec<(usize, u8)> = (0..width)
+                    .filter(|&p| m[p] != base[p])
+                    .map(|p| (p, m[p]))
+                    .collect();
+                let mut wordwise = Vec::new();
+                for_each_diff(&m, &base, |p, v| wordwise.push((p, v)));
+                assert_eq!(wordwise, bytewise, "width {width} density {density}/64");
             }
         }
     }

@@ -109,9 +109,10 @@ impl Canonicalizer for Identity {
     }
 }
 
-/// One full [`MarkingCanonicalizer::canonicalize_into`] per firing: the
-/// oracle [`RowRotation`] is tested against, and the only strategy once
-/// `order × n_places` exceeds the rotation-buffer cap.
+/// One full [`MarkingCanonicalizer::canonicalize_into`] per firing, on
+/// byte rows: the oracle [`RowRotation`] is tested against, and the
+/// strategy wherever bit rows cannot be used — a capacity-bounded
+/// quotient (token counts above one) or tables past [`ROT_BUFFER_CAP`].
 pub(super) struct PerFiring<'a>(pub &'a MarkingCanonicalizer);
 
 impl Canonicalizer for PerFiring<'_> {
@@ -149,112 +150,238 @@ impl Canonicalizer for PerFiring<'_> {
     }
 }
 
-/// One rotation buffer per **row** instead of a canonicalization per
-/// **firing**.
-///
-/// The m rotations `σᵃ(cur)` of the row's marking are materialized once;
-/// a successor's rotations then follow from the automorphism identity
-/// `σᵃ(cur − •t + t•) = σᵃ(cur) − •σᵃ(t) + σᵃ(t)•`, i.e. an
-/// `O(|•t| + |t•|)` delta per rotation (applied in place, undone after
-/// the firing) instead of an `O(n_places)` permutation — on the Theorem 2
-/// chains that cuts the canonicalization work ~`n_places / (|•t|+|t•|)`-
-/// fold.  The lexicographic minimum over the rotations (the same member
-/// [`MarkingCanonicalizer`] elects) is the interning key.
-pub(super) struct RowRotation<'a> {
-    place_perm: &'a [usize],
-    /// Powers of the transition permutation: `tp_pow[a·nt + t] = σᵃ(t)`.
-    tp_pow: Vec<u32>,
-    /// Order of σ (number of rotations held).
-    order: usize,
-    width: usize,
+/// Byte budget of [`RowRotation`]'s tables plus one thread's scratch:
+/// above it `PerFiring` runs instead.  State budgets rule such shapes out
+/// anyway — this guard only bounds what is allocated up front, before the
+/// budget can fire (the Theorem 2 ladder needs 59 KB at 5×6, 355 KB at
+/// 7×8).
+pub(super) const ROT_BUFFER_CAP: usize = 1 << 26;
+
+/// The bit of place `q` in its word `q / 64`: places are packed
+/// **big-endian** (place 0 is the top bit of word 0), so comparing packed
+/// rows word by word is comparing the 0/1 byte rows lexicographically.
+#[inline]
+fn place_bit(q: usize) -> u64 {
+    1 << (63 - q % 64)
 }
 
-impl<'a> RowRotation<'a> {
+/// Words per packed marking of `n_places` places (one even for none, so
+/// the rotations of an empty marking still compare — all equal).
+fn packed_words(n_places: usize) -> usize {
+    n_places.div_ceil(64).max(1)
+}
+
+/// The m rotations of a **row** packed once into bit rows, the election
+/// of every **firing** one XOR-and-compare pass over them.
+///
+/// A safe marking is one bit per place.  [`Self::load_row`] packs the
+/// rotations `σᵃ(cur)` of the row's marking into `⌈places/64⌉` words
+/// each; by the automorphism identity
+/// `σᵃ(cur − •t + t•) = σᵃ(cur) − •σᵃ(t) + σᵃ(t)•` a successor's rotation
+/// `a` is that row XOR a **flip mask** — the places of `•σᵃ(t)` and
+/// `σᵃ(t)•`, a self-loop place netting out — tabulated once per build.
+/// So a firing neither mutates nor undoes any rotation: [`Self::elect`]
+/// XORs, compares with the successor's rotation 0 (equal ⇒ `a` is the
+/// period, stop) and with the smallest so far, and unpacks only the
+/// winner into key bytes.  The big-endian packing ([`place_bit`]) makes
+/// the word order the byte-row order, so the member elected — and with it
+/// every key, id and chain bit — is the one [`MarkingCanonicalizer`]
+/// elects.
+///
+/// **Invariant: every marking packed here is 0/1.**  The initial marking
+/// is, because [`explore`] validates it under `capacity: None`; a
+/// successor is, because [`Scan::row`] raises `NotSafe` from the byte
+/// representative *before* a key reaches the interner (the key elected
+/// for an unsafe firing is garbage and is dropped); and a
+/// `capacity: Some(_)` quotient is never built with this canonicaliser
+/// ([`QuotientGraph::build`](super::QuotientGraph::build) routes it to
+/// [`PerFiring`]).
+pub(super) struct RowRotation {
+    /// Powers of the place permutation: `place_pow[p·order + a] = σᵃ(p)`.
+    place_pow: Vec<u32>,
+    /// Flip masks, `words` each: entry `t·order + a` is that of `σᵃ(t)`;
+    /// row `t = nt` is all zero — "nothing fired", what electing a
+    /// freshly loaded row needs.
+    flip: Vec<u64>,
+    /// Order of σ (number of rotations held).
+    order: usize,
+    /// Words per packed marking.
+    words: usize,
+    nt: usize,
+}
+
+/// Per-thread buffers of [`RowRotation`].
+pub(super) struct RotationScratch {
+    /// The row's marking as bytes — transiently its successor by `fired`.
+    marking: Vec<u8>,
+    /// `rot[a·words..][..words]`: `σᵃ` of the **row's** marking, packed.
+    rot: Vec<u64>,
+    /// The elected key, unpacked.
+    key: Vec<u8>,
+    /// The successor's rotations, XORed out — only past four words,
+    /// where [`elect_fused`] has no instance.
+    wide: Vec<u64>,
+    /// The transition fired into `marking`; `nt` for none.
+    fired: usize,
+}
+
+impl RowRotation {
     /// The rotation strategy for the validated automorphism `sym` of
     /// `net`, whose place permutation has the given `order`.
-    pub(super) fn new(net: &EventNet, sym: &'a NetSymmetry, order: usize) -> Self {
-        let nt = net.n_transitions();
-        let mut tp_pow = vec![0u32; order * nt];
-        for (t, slot) in tp_pow[..nt].iter_mut().enumerate() {
-            *slot = t as u32;
+    pub(super) fn new(net: &EventNet, sym: &NetSymmetry, order: usize) -> Self {
+        let (nt, np) = (net.n_transitions(), net.n_places());
+        let words = packed_words(np);
+        let mut place_pow = vec![0u32; np * order];
+        for (p, pow) in place_pow.chunks_exact_mut(order).enumerate() {
+            let mut q = p;
+            for slot in pow {
+                *slot = q as u32;
+                q = sym.place_perm[q];
+            }
         }
-        for a in 1..order {
-            for t in 0..nt {
-                tp_pow[a * nt + t] = sym.trans_perm[tp_pow[(a - 1) * nt + t] as usize] as u32;
+        let mut flip = vec![0u64; (nt + 1) * order * words];
+        for t in 0..nt {
+            let mut ta = t;
+            for mask in flip[t * order * words..][..order * words].chunks_exact_mut(words) {
+                for &p in net.inputs(ta).iter().chain(net.outputs(ta)) {
+                    mask[p / 64] ^= place_bit(p);
+                }
+                ta = sym.trans_perm[ta];
             }
         }
         RowRotation {
-            place_perm: &sym.place_perm,
-            tp_pow,
+            place_pow,
+            flip,
             order,
-            width: net.n_places(),
+            words,
+            nt,
         }
+    }
+
+    /// Bytes [`Self::new`] and one [`Canonicalizer::scratch`] allocate
+    /// (what [`ROT_BUFFER_CAP`] bounds).
+    pub(super) fn footprint(net: &EventNet, order: usize) -> usize {
+        let (nt, np) = (net.n_transitions(), net.n_places());
+        let row = packed_words(np) * std::mem::size_of::<u64>();
+        order.saturating_mul(np * std::mem::size_of::<u32>() + (nt + 2) * row)
     }
 }
 
-impl Canonicalizer for RowRotation<'_> {
-    /// `rot[a·width..][..width]` holds `σᵃ` of the marking.
-    type Scratch = Vec<u8>;
+/// The election over a marking's packed rotations, in rotation order:
+/// index of the smallest (ties keep the smallest index) and the period —
+/// the first `a > 0` whose row repeats rotation 0, where the scan stops
+/// because later rotations repeat.
+#[inline(always)]
+fn elect_min<T: Ord + Copy>(rows: impl IntoIterator<Item = T>) -> (usize, u32) {
+    let mut rows = rows.into_iter();
+    let Some(first) = rows.next() else {
+        unreachable!("a permutation's order is at least one");
+    };
+    let (mut best, mut min, mut a) = (0, first, 1);
+    for row in rows {
+        if row == first {
+            break;
+        }
+        if row < min {
+            (best, min) = (a, row);
+        }
+        a += 1;
+    }
+    (best, a as u32)
+}
+
+/// [`elect_min`] fused with the XOR that makes the rows: rotation `a` of
+/// the successor is `rot[a] ^ flip[a]`, `W` words held in registers.
+#[inline]
+fn elect_fused<const W: usize>(rot: &[u64], flip: &[u64]) -> (usize, u32) {
+    let (rot, flip) = (rot.as_chunks::<W>().0, flip.as_chunks::<W>().0);
+    elect_min(
+        rot.iter()
+            .zip(flip)
+            .map(|(r, f)| -> [u64; W] { std::array::from_fn(|k| r[k] ^ f[k]) }),
+    )
+}
+
+impl Canonicalizer for RowRotation {
+    type Scratch = RotationScratch;
     const KEEPS_REPS: bool = true;
 
-    fn scratch(&self, _net: &EventNet) -> Vec<u8> {
-        vec![0; self.order * self.width]
+    fn scratch(&self, net: &EventNet) -> RotationScratch {
+        RotationScratch {
+            marking: vec![0; net.n_places()],
+            rot: vec![0; self.order * self.words],
+            key: vec![0; net.n_places()],
+            wide: Vec::new(),
+            fired: self.nt,
+        }
     }
 
+    /// Pack the rotations of `cur` (0/1 — see the type's invariant): only
+    /// marked places are visited.
     #[inline]
-    fn load_row(&self, cur: &[u8], rot: &mut Vec<u8>) {
-        let width = self.width;
-        rot[..width].copy_from_slice(cur);
-        for a in 1..self.order {
-            let (prev, rest) = rot.split_at_mut(a * width);
-            let prev = &prev[(a - 1) * width..];
-            let dst = &mut rest[..width];
-            for (p, &img) in self.place_perm.iter().enumerate() {
-                dst[img] = prev[p];
+    fn load_row(&self, cur: &[u8], s: &mut RotationScratch) {
+        s.marking.copy_from_slice(cur);
+        s.fired = self.nt;
+        s.rot.fill(0);
+        for (pow, _) in self
+            .place_pow
+            .chunks_exact(self.order)
+            .zip(cur)
+            .filter(|(_, &tokens)| tokens != 0)
+        {
+            for (row, &q) in s.rot.chunks_exact_mut(self.words).zip(pow) {
+                row[q as usize / 64] |= place_bit(q as usize);
             }
         }
     }
 
-    /// `rot[a] := σᵃ(succ)`, by the per-rotation firing delta.
+    /// Only the byte row moves; the rotations stay those of the row.
     #[inline]
-    fn fire(&self, net: &EventNet, t: usize, rot: &mut Vec<u8>) {
-        let (nt, width) = (net.n_transitions(), self.width);
-        for a in 0..self.order {
-            let ta = self.tp_pow[a * nt + t] as usize;
-            fire(net, ta, &mut rot[a * width..(a + 1) * width]);
-        }
+    fn fire(&self, net: &EventNet, t: usize, s: &mut RotationScratch) {
+        fire(net, t, &mut s.marking);
+        s.fired = t;
     }
 
     #[inline]
-    fn unfire(&self, net: &EventNet, t: usize, rot: &mut Vec<u8>) {
-        let (nt, width) = (net.n_transitions(), self.width);
-        for a in 0..self.order {
-            let ta = self.tp_pow[a * nt + t] as usize;
-            unfire(net, ta, &mut rot[a * width..(a + 1) * width]);
-        }
+    fn unfire(&self, net: &EventNet, t: usize, s: &mut RotationScratch) {
+        unfire(net, t, &mut s.marking);
+        s.fired = self.nt;
     }
 
-    /// Lexicographic minimum over the rotations; the scan stops at the
-    /// marking's period — later rotations repeat — which is also the
-    /// orbit size.
     #[inline]
-    fn elect<'s>(&self, rot: &'s mut Vec<u8>) -> Successor<'s> {
-        let width = self.width;
-        let mut best = 0usize;
-        let mut period = self.order as u32;
-        for a in 1..self.order {
-            let c = &rot[a * width..(a + 1) * width];
-            if c == &rot[..width] {
-                period = a as u32;
-                break;
+    fn elect<'s>(&self, s: &'s mut RotationScratch) -> Successor<'s> {
+        let w = self.words;
+        let flip = &self.flip[s.fired * s.rot.len()..][..s.rot.len()];
+        let (best, period) = match w {
+            1 => elect_fused::<1>(&s.rot, flip),
+            2 => elect_fused::<2>(&s.rot, flip),
+            3 => elect_fused::<3>(&s.rot, flip),
+            4 => elect_fused::<4>(&s.rot, flip),
+            _ => {
+                s.wide.clear();
+                s.wide.extend(s.rot.iter().zip(flip).map(|(r, f)| r ^ f));
+                elect_min(s.wide.chunks_exact(w))
             }
-            if c < &rot[best * width..(best + 1) * width] {
-                best = a;
-            }
+        };
+        // Only the winner becomes bytes: eight places per step, each bit
+        // of a byte spread to the 0/1 byte of its place.
+        let spread = |word: u64, k: usize| {
+            let bits = (word >> (56 - 8 * (k % 8))) & 0xff;
+            let apart = (bits * 0x0101_0101_0101_0101) & 0x0102_0408_1020_4080;
+            (((apart + 0x7f7f_7f7f_7f7f_7f7f) >> 7) & 0x0101_0101_0101_0101).to_le_bytes()
+        };
+        let winner = |k: usize| s.rot[best * w + k / 8] ^ flip[best * w + k / 8];
+        let (eights, tail) = s.key.as_chunks_mut::<8>();
+        for (k, eight) in eights.iter_mut().enumerate() {
+            *eight = spread(winner(k), k);
+        }
+        if !tail.is_empty() {
+            let k = eights.len();
+            tail.copy_from_slice(&spread(winner(k), k)[..tail.len()]);
         }
         Successor {
-            key: &rot[best * width..(best + 1) * width],
-            rep: &rot[..width],
+            key: &s.key,
+            rep: &s.marking,
             period,
         }
     }
@@ -620,9 +747,21 @@ pub(super) fn explore<C: Canonicalizer, S: RowSink>(
         canon,
         capacity,
     };
+    // The initial marking obeys the same storage and safety contract as
+    // every marking fired into: one byte per place, and 0/1 without a
+    // capacity (which is also what lets `RowRotation` pack it).  Counts
+    // above a `Some(c)` bound are accepted: the place can only drain.
     let width = net.n_places();
-    let init = net.initial_marking();
-    assert_eq!(init.len(), width);
+    let mut init = Vec::with_capacity(width);
+    for (place, &(_, _, tokens)) in net.places.iter().enumerate() {
+        let Ok(byte) = u8::try_from(tokens) else {
+            return Err(MarkingError::CapacityTooLarge(tokens));
+        };
+        if capacity.is_none() && byte > 1 {
+            return Err(MarkingError::NotSafe { place });
+        }
+        init.push(byte);
+    }
 
     let mut scratch = canon.scratch(net);
     let mut store = Frontier::new(width, &opts, C::KEEPS_REPS);
@@ -701,5 +840,108 @@ pub(super) fn explore<C: Canonicalizer, S: RowSink>(
     match store.poison() {
         Some(e) => Err(e),
         None => Ok(store),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `RowRotation` against `petri::canon` at the election level, on
+    /// random safe markings of nets built around a random permutation:
+    /// `k` place cycles of one length `c` (so the order is `c`) plus
+    /// fixed places, one cycle of `c` transitions plus a fixed one.  Both
+    /// a freshly loaded row and a row with a transition fired into it
+    /// must elect the oracle's key bytes and period.  Rows of period
+    /// below the order are there by construction: every third row repeats
+    /// a pattern of a proper divisor's length along each cycle, and the
+    /// all-zero and all-one rows are fixed points.
+    #[test]
+    fn row_rotation_elects_what_the_canonicalizer_elects() {
+        let mut x = 0xda3e39cb94b95bdbu64;
+        let mut step = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for width in [1usize, 63, 64, 65, 127, 128, 129, 257] {
+            for c in [1usize, 2, 3, 4, 6, 12, 30]
+                .into_iter()
+                .filter(|&c| c <= width)
+            {
+                // cycles[j][i] is the place σⁱ maps cycles[j][0] to.
+                let mut shuffled: Vec<usize> = (0..width).collect();
+                for i in (1..width).rev() {
+                    shuffled.swap(i, step() as usize % (i + 1));
+                }
+                let cycles: Vec<&[usize]> = shuffled.chunks_exact(c).collect();
+                let mut place_perm: Vec<usize> = (0..width).collect();
+                // Place cycles[j][i] runs from transition i + from[j] to
+                // transition i + to[j] (mod c), which the shift respects;
+                // fixed places loop on the fixed transition c.
+                let mut places = vec![(c, c, 0u32); width];
+                for cycle in &cycles {
+                    let (from, to) = (step() as usize % c, step() as usize % c);
+                    for (i, &p) in cycle.iter().enumerate() {
+                        place_perm[p] = cycle[(i + 1) % c];
+                        places[p] = ((i + from) % c, (i + to) % c, 0);
+                    }
+                }
+                let net = EventNet::new(vec![1.0; c + 1], places);
+                let sym = NetSymmetry {
+                    trans_perm: (0..c).map(|t| (t + 1) % c).chain([c]).collect(),
+                    place_perm,
+                };
+                assert!(net.symmetry_valid(&sym), "width {width} cycles of {c}");
+                let oracle = MarkingCanonicalizer::new(&sym.place_perm).unwrap();
+                assert_eq!(oracle.order() as usize, c);
+                let rowrot = RowRotation::new(&net, &sym, c);
+                let mut scratch = rowrot.scratch(&net);
+                let mut expect = CanonScratch::new(width);
+
+                for sample in 0..40 {
+                    let mut row: Vec<u8> = (0..width).map(|_| (step() & 1) as u8).collect();
+                    match sample {
+                        0 => row.fill(0),
+                        1 => row.fill(1),
+                        s if s % 3 == 2 => {
+                            let d = (1..c).filter(|d| c % d == 0).nth(s / 3 % 3).unwrap_or(1);
+                            for cycle in &cycles {
+                                for i in d..c {
+                                    row[cycle[i]] = row[cycle[i - d]];
+                                }
+                            }
+                        }
+                        _ => {}
+                    }
+                    let mut check = |m: &[u8], succ: Successor<'_>, what: &str| {
+                        let period = oracle.canonicalize_into(m, &mut expect);
+                        let at = format!("width {width} cycles of {c} sample {sample} {what}");
+                        assert_eq!(succ.rep, m, "{at}");
+                        assert_eq!(succ.key, expect.key(), "{at}");
+                        assert_eq!(succ.period, period, "{at}");
+                    };
+                    rowrot.load_row(&row, &mut scratch);
+                    check(&row, rowrot.elect(&mut scratch), "loaded");
+
+                    // Enable t safely: inputs marked, pure outputs empty.
+                    let t = step() as usize % (c + 1);
+                    for &p in net.outputs(t) {
+                        row[p] = 0;
+                    }
+                    for &p in net.inputs(t) {
+                        row[p] = 1;
+                    }
+                    let mut fired = row.clone();
+                    fire(&net, t, &mut fired);
+                    rowrot.load_row(&row, &mut scratch);
+                    rowrot.fire(&net, t, &mut scratch);
+                    check(&fired, rowrot.elect(&mut scratch), "fired");
+                    rowrot.unfire(&net, t, &mut scratch);
+                    check(&row, rowrot.elect(&mut scratch), "unfired");
+                }
+            }
+        }
     }
 }

@@ -17,11 +17,20 @@
 //!
 //! * a **canonicaliser** turns a fired successor into its interning key —
 //!   `Identity` (key = marking: the full chain, which is the quotient's
-//!   `m = 1` degenerate made literal), `RowRotation` (one rotation buffer
-//!   per row, an `O(|•t| + |t•|)` delta per rotation and firing) and
-//!   `PerFiring` (a full [`MarkingCanonicalizer`] call per firing: the
-//!   oracle `RowRotation` is tested against, and the fallback when
-//!   `order × n_places` exceeds the rotation-buffer cap);
+//!   `m = 1` degenerate made literal), `RowRotation` (safe nets, so **bit
+//!   rows**: the m rotations of a row's marking are packed once per row,
+//!   one bit per place and big-endian, so that word order is byte-row
+//!   order and the elected member is unchanged; a firing is then one
+//!   fused pass that XORs each rotation with the tabulated flip mask of
+//!   the rotated transition and compares, and only the winner is
+//!   unpacked into key bytes) and `PerFiring` (a full
+//!   [`MarkingCanonicalizer`] call per firing on byte rows: the oracle
+//!   `RowRotation` is tested against, and what builds the quotients bits
+//!   cannot hold — a capacity bound above one token — or whose tables
+//!   would pass the 64 MiB cap).  Bit rows rest on every packed marking
+//!   being 0/1: the kernel validates the initial marking before the
+//!   search and raises `NotSafe` before an unsafe successor's key is
+//!   interned;
 //! * a **row sink** turns scanned rows into a public result type —
 //!   [`MarkingGraph`] (one CSR edge per firing, the enabled sets doubling
 //!   as the edge → transition map) or [`QuotientGraph`] (rates aggregated
@@ -100,7 +109,7 @@ use crate::ctmc::{CsrBuilder, Ctmc, SolveReport, SolverChoice};
 use crate::govern::{Budget, Interrupt, Phase};
 use crate::lump::{Lift, Partition};
 use crate::net::{EventNet, NetSymmetry};
-use bfs::{Canonicalizer, Identity, PerFiring, RowRotation, RowSink};
+use bfs::{Canonicalizer, Identity, PerFiring, RowRotation, RowSink, ROT_BUFFER_CAP};
 use repstream_petri::canon::MarkingCanonicalizer;
 
 /// When the delta-compressed marking arena engages (see the
@@ -137,7 +146,12 @@ pub struct MarkingOptions {
     /// Per-place token capacity, at most 255 (markings store one byte per
     /// place; more is [`MarkingError::CapacityTooLarge`]).  `None` requires
     /// the net to be safe: the builder fails if any place would exceed one
-    /// token.
+    /// token.  The initial marking is held to the same contract, before
+    /// the search starts: under `None` a place that starts with more than
+    /// one token is [`MarkingError::NotSafe`], and under any capacity a
+    /// start above 255 is [`MarkingError::CapacityTooLarge`]; a start
+    /// above a `Some(c)` bound (≤ 255) is accepted — the place can only
+    /// drain.
     pub capacity: Option<u32>,
     /// Worker threads of the chunk-parallel frontier BFS (see the module
     /// docs).  `0` (the default) auto-sizes to the machine's core count,
@@ -279,15 +293,17 @@ impl Eq for SpillIoError {}
 pub enum MarkingError {
     /// The reachable set exceeded `max_states`.
     TooManyStates(usize),
-    /// A place exceeded one token while `capacity` was `None`.
+    /// A place exceeded one token while `capacity` was `None` — in the
+    /// initial marking or by a firing.
     NotSafe {
         /// The offending place.
         place: usize,
     },
     /// No transition is enabled in some reachable marking.
     Deadlock,
-    /// The requested per-place capacity does not fit a marking byte
-    /// (rejected before the BFS starts).
+    /// The requested per-place capacity, or a place's initial token
+    /// count, does not fit a marking byte (rejected before the BFS
+    /// starts).
     CapacityTooLarge(u32),
     /// A spill-file read or write failed.  The build aborts at the next
     /// level boundary; no temp files are leaked (spill files are
@@ -329,7 +345,7 @@ impl std::fmt::Display for MarkingError {
             MarkingError::CapacityTooLarge(c) => {
                 write!(
                     f,
-                    "capacity {c} exceeds the supported {MAX_CAPACITY} tokens per place"
+                    "{c} tokens per place (capacity or initial marking) exceed the supported {MAX_CAPACITY}"
                 )
             }
             MarkingError::SpillIo(e) => {
@@ -784,13 +800,6 @@ pub struct QuotientGraph {
     arena_stats: ArenaStats,
 }
 
-/// Rotation-buffer budget of the `RowRotation` canonicaliser (bytes):
-/// above this, `order · n_places` no longer fits a sane working set and
-/// `PerFiring` runs instead (state budgets rule such shapes out anyway —
-/// this guard only prevents a large up-front allocation before the budget
-/// can fire).
-const ROT_BUFFER_CAP: usize = 1 << 26;
-
 /// Row sink of [`QuotientGraph`]: aggregated CSR rows, enabled sets, the
 /// edge→transitions refill map, and the per-target scratch (all reused
 /// across rows, nothing allocated per firing).
@@ -874,7 +883,8 @@ impl QuotientGraph {
             unreachable!("symmetry_valid guarantees a permutation");
         };
         let order = canon.order() as usize;
-        if order.saturating_mul(net.n_places()) <= ROT_BUFFER_CAP {
+        // Bit rows need a safe net; token counts above one stay on bytes.
+        if opts.capacity.is_none() && RowRotation::footprint(net, order) <= ROT_BUFFER_CAP {
             Self::explore(net, opts, &RowRotation::new(net, sym, order))
         } else {
             Self::explore(net, opts, &PerFiring(&canon))
@@ -1064,11 +1074,11 @@ mod tests {
         assert!(matches!(err, MarkingError::TooManyStates(10)));
     }
 
-    /// The 1×4 pattern (8 places) with its row shift: transition
-    /// `k ↦ k+1 mod 4` maps both one-port cycle families onto themselves
-    /// (sender cycle place `k`, receiver cycle place `4+k`).
-    fn pattern_1x4_with_shift() -> (EventNet, NetSymmetry) {
-        let n = 4usize;
+    /// The 1×n pattern (2n places) with its row shift: transition
+    /// `k ↦ k+1 mod n` maps both one-port cycle families onto themselves
+    /// (sender cycle place `k`, receiver cycle place `n+k`).  Its n
+    /// markings are one orbit.
+    fn pattern_1xn_with_shift(n: usize) -> (EventNet, NetSymmetry) {
         let net = comm_pattern(1, n, |_, _| 1.5);
         let sym = NetSymmetry {
             trans_perm: (0..n).map(|k| (k + 1) % n).collect(),
@@ -1092,6 +1102,33 @@ mod tests {
         let rates = ResourceTable::from_fns(&shape, |_, _| 0.5, |_, _, _| 2.0);
         let (net, sym) = EventNet::from_tpn_with_symmetry(&tpn, &rates);
         (net, sym.expect("homogeneous rates keep the rotation"))
+    }
+
+    /// [`strict_2x3_with_rotation`] re-indexed behind `pad` (even)
+    /// always-marked places — self-loops of one extra transition, swapped
+    /// in pairs by the symmetry, which keeps its order — so the same
+    /// many-orbit chain is elected on bits that sit `pad` places further
+    /// into the packed rows.
+    fn strict_2x3_padded(pad: usize) -> (EventNet, NetSymmetry) {
+        let (net, sym) = strict_2x3_with_rotation();
+        let extra = net.n_transitions();
+        let mut rates = net.rates.clone();
+        rates.push(1.0);
+        let places = (0..pad)
+            .map(|_| (extra, extra, 1))
+            .chain(net.places.iter().copied())
+            .collect();
+        let mut trans_perm = sym.trans_perm.clone();
+        trans_perm.push(extra);
+        let place_perm = (0..pad)
+            .map(|p| p ^ 1)
+            .chain(sym.place_perm.iter().map(|&p| pad + p))
+            .collect();
+        let sym = NetSymmetry {
+            trans_perm,
+            place_perm,
+        };
+        (EventNet::new(rates, places), sym)
     }
 
     fn assert_same_chain(a: &Ctmc, b: &Ctmc, what: &str) {
@@ -1125,11 +1162,22 @@ mod tests {
     /// `Identity` build must equal the sequential flat resident one, and
     /// both quotient canonicalisers must equal full-then-lump bit for bit
     /// — chain, representatives, orbit sizes, enabled sets, refill map.
+    ///
+    /// The nets also span `RowRotation`'s election widths: one word (1×4,
+    /// 2×3), two with the deciding bits in word 1 (2×3 behind 64 places),
+    /// three (1×70; 2×3 behind 128, deciding in word 2) and the slice
+    /// pass beyond four (1×130, five words).  The single-orbit counts
+    /// are what an election that depended on the rotation it starts from
+    /// could not produce.
     #[test]
     fn kernel_instantiations_agree() {
-        for (label, (net, sym)) in [
-            ("pattern 1x4", pattern_1x4_with_shift()),
-            ("strict 2x3", strict_2x3_with_rotation()),
+        for (label, (net, sym), orbits) in [
+            ("pattern 1x4", pattern_1xn_with_shift(4), 1),
+            ("strict 2x3", strict_2x3_with_rotation(), 64),
+            ("strict 2x3 behind 64", strict_2x3_padded(64), 64),
+            ("strict 2x3 behind 128", strict_2x3_padded(128), 64),
+            ("pattern 1x70", pattern_1xn_with_shift(70), 1),
+            ("pattern 1x130", pattern_1xn_with_shift(130), 1),
         ] {
             assert!(net.symmetry_valid(&sym), "{label}");
             let canon = MarkingCanonicalizer::new(&sym.place_perm).unwrap();
@@ -1143,6 +1191,7 @@ mod tests {
             let full = MarkingGraph::build(&net, plain).unwrap();
             let seed = full.orbit_partition(&sym).expect("orbit seed applies");
             let (lumped, lift) = full.ctmc.quotient(&seed);
+            assert_eq!(lumped.n_states(), orbits, "{label}");
             let firsts: Vec<usize> = (0..lumped.n_states())
                 .map(|b| {
                     (0..full.n_states())
@@ -1196,11 +1245,118 @@ mod tests {
             }
         }
         // The quotient preserves the Theorem 4 closed form u·v·λ/(u+v−1).
-        let (net, sym) = pattern_1x4_with_shift();
+        let (net, sym) = pattern_1xn_with_shift(4);
         let rho = QuotientGraph::build(&net, &sym, MarkingOptions::default())
             .unwrap()
             .throughput_of(&net, &[0, 1, 2, 3]);
         assert!((rho - 4.0 * 1.5 / 4.0).abs() < 1e-12, "rho {rho}");
+    }
+
+    /// Two copies of [`unsafe_net_detected`]'s producer/consumer pair,
+    /// swapped by the symmetry: unsafe (place 1 accumulates), finite under
+    /// a capacity, and a genuine order-2 automorphism either way.
+    fn unsafe_pair_with_swap() -> (EventNet, NetSymmetry) {
+        let copy = |t: usize| [(t, t, 1), (t, t + 1, 0), (t + 1, t + 1, 1)];
+        let net = EventNet::new(vec![1.0, 3.0, 1.0, 3.0], [copy(0), copy(2)].concat());
+        let sym = NetSymmetry {
+            trans_perm: vec![2, 3, 0, 1],
+            place_perm: vec![3, 4, 5, 0, 1, 2],
+        };
+        assert!(net.symmetry_valid(&sym));
+        (net, sym)
+    }
+
+    /// Which canonicaliser runs never shows in a failure: an unsafe net
+    /// is refused at the same place by `RowRotation` (whose key for the
+    /// unsafe successor is garbage, and must not be interned first) and
+    /// by `PerFiring`, at every thread count.
+    #[test]
+    fn unsafe_quotient_fails_alike_under_both_canonicalisers() {
+        let (net, sym) = unsafe_pair_with_swap();
+        let canon = MarkingCanonicalizer::new(&sym.place_perm).unwrap();
+        let rowrot = RowRotation::new(&net, &sym, canon.order() as usize);
+        for threads in [1usize, 2, 4] {
+            let opts = MarkingOptions {
+                threads,
+                ..Default::default()
+            };
+            for err in [
+                QuotientGraph::explore(&net, opts, &rowrot).unwrap_err(),
+                QuotientGraph::explore(&net, opts, &PerFiring(&canon)).unwrap_err(),
+                QuotientGraph::build(&net, &sym, opts).unwrap_err(),
+            ] {
+                assert_eq!(err, MarkingError::NotSafe { place: 1 }, "threads {threads}");
+            }
+        }
+    }
+
+    /// A capacity-bounded quotient holds token counts above one, so it
+    /// is built on byte rows (`PerFiring`) — and still equals
+    /// full-then-lump bit for bit.
+    #[test]
+    fn capacity_bounded_quotient_equals_full_then_lump() {
+        let (net, sym) = unsafe_pair_with_swap();
+        let opts = MarkingOptions {
+            capacity: Some(2),
+            ..Default::default()
+        };
+        let full = MarkingGraph::build(&net, opts).unwrap();
+        let seed = full.orbit_partition(&sym).expect("orbit seed applies");
+        let (lumped, lift) = full.ctmc.quotient(&seed);
+        let qg = QuotientGraph::build(&net, &sym, opts).unwrap();
+        assert!(qg.n_states() < full.n_states());
+        assert!(qg.reps.iter().any(|m| m.contains(&2)), "never above one");
+        assert_same_chain(&qg.ctmc, &lumped, "capacity 2");
+        assert_eq!(qg.full_states(), full.n_states());
+        for b in 0..qg.n_states() {
+            assert_eq!(qg.orbit_sizes()[b] as usize, lift.block_size(b), "{b}");
+        }
+    }
+
+    /// The contract on markings covers the first one: more than one
+    /// token under `capacity: None` is `NotSafe` before any state is
+    /// built, a count that does not fit a marking byte is
+    /// `CapacityTooLarge` under any capacity — an error, not a panic —
+    /// and a start above a `Some(c)` bound stays legal: the place drains.
+    /// Both builders, every thread count.
+    #[test]
+    fn initial_marking_is_validated_before_the_search() {
+        let cycle = |tokens| EventNet::new(vec![2.0, 3.0], vec![(0, 1, tokens), (1, 0, 0)]);
+        // The tandem of `unsafe_net_detected`, its buffer pre-filled.
+        let tandem = |tokens| {
+            let places = vec![(0, 0, 1), (0, 1, tokens), (1, 1, 1)];
+            EventNet::new(vec![1.0, 1.0], places)
+        };
+        let both = |net: &EventNet, capacity, threads| {
+            let identity = NetSymmetry {
+                trans_perm: (0..net.n_transitions()).collect(),
+                place_perm: (0..net.n_places()).collect(),
+            };
+            let opts = MarkingOptions {
+                capacity,
+                threads,
+                ..Default::default()
+            };
+            let full = MarkingGraph::build(net, opts).map(|g| g.n_states());
+            let quotient = QuotientGraph::build(net, &identity, opts).map(|g| g.n_states());
+            assert_eq!(full, quotient);
+            full
+        };
+        for threads in [0usize, 1, 2, 4] {
+            assert_eq!(
+                both(&cycle(2), None, threads),
+                Err(MarkingError::NotSafe { place: 0 })
+            );
+            for capacity in [None, Some(1), Some(255)] {
+                assert_eq!(
+                    both(&cycle(300), capacity, threads),
+                    Err(MarkingError::CapacityTooLarge(300))
+                );
+            }
+            // The buffer drains from 5 before the bound 2 ever gates it.
+            assert_eq!(both(&tandem(5), Some(2), threads), Ok(6));
+            assert_eq!(both(&tandem(255), Some(255), threads), Ok(256));
+        }
     }
 
     /// A sharded + spilled + compressed build must be bitwise identical

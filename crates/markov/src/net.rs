@@ -83,7 +83,9 @@ impl EventNet {
     /// The initial marking as a byte vector (tokens per place).
     ///
     /// # Panics
-    /// Panics if an initial marking exceeds 255 (never the case here).
+    /// Panics if a place starts with more than 255 tokens.  The marking
+    /// builders do not go through here: they validate the counts and
+    /// return [`crate::marking::MarkingError::CapacityTooLarge`].
     pub fn initial_marking(&self) -> Vec<u8> {
         self.places
             .iter()
