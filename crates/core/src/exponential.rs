@@ -24,7 +24,7 @@
 use crate::model::SystemRef;
 use crate::timing::exponential_rates;
 use repstream_markov::cache::{ChainCache, SharedChainCache, StrictSolve};
-use repstream_markov::ctmc::{Precond, Solver};
+use repstream_markov::ctmc::{Precond, Solver, SolverChoice};
 use repstream_markov::govern::{Interrupt, RunConfig};
 use repstream_markov::marking::{ArenaStats, MarkingError, MarkingGraph, QuotientGraph};
 use repstream_markov::net::EventNet;
@@ -472,7 +472,11 @@ pub fn throughput_strict_report<'a>(
     };
     if opts.lumping {
         if let Some(seed) = sym.as_ref().and_then(|s| mg.orbit_partition(s)) {
-            if let Some((sol, report)) = mg.ctmc.stationary_lumped_solve(&seed, opts.solver) {
+            let lumped = mg
+                .ctmc
+                .stationary_lumped_solve(&seed, opts.solver, &opts.budget)
+                .map_err(|i| ExpError::MarkingGraph(i.into()))?;
+            if let Some((sol, report)) = lumped {
                 return Ok(StrictReport {
                     throughput: throughput_from(&sol.pi),
                     full_states: sol.full_states,
@@ -556,7 +560,16 @@ pub fn throughput_overlap_bounded<'a>(
     let net = EventNet::from_tpn(&tpn, &rates);
     let mg =
         MarkingGraph::build(&net, opts.marking(Some(capacity))).map_err(ExpError::MarkingGraph)?;
-    Ok(mg.throughput_of(&net, &tpn.last_column()))
+    let (rho, _) = mg
+        .throughput_solve_governed(
+            &mg.ctmc,
+            &net.rates,
+            &tpn.last_column(),
+            SolverChoice::Auto,
+            &opts.budget,
+        )
+        .map_err(|i| ExpError::MarkingGraph(i.into()))?;
+    Ok(rho)
 }
 
 #[cfg(test)]

@@ -28,9 +28,9 @@
 //! re-checking it against the (possibly smaller) budget of the current
 //! call — budgets are per deployment, not per candidate.
 
-use crate::ctmc::{Precond, Solver};
+use crate::ctmc::{Precond, Solver, SolverChoice};
 use crate::fxhash::{FxHashMap, FxHasher};
-use crate::govern::RunConfig;
+use crate::govern::{Budget, RunConfig};
 use crate::marking::{ArenaStats, MarkingError, MarkingGraph, MarkingOptions, QuotientGraph};
 use crate::net::{comm_pattern, rates_orbit_invariant, EventNet, NetSymmetry};
 use repstream_petri::shape::{gcd, ExecModel, MappingShape, ResourceTable};
@@ -104,7 +104,7 @@ pub struct StrictSolve {
     /// `true` when the structure came from the cache (no BFS ran).
     pub cache_hit: bool,
     /// The stationary method that actually ran (the plan's pick under
-    /// [`SolverChoice::Auto`](crate::ctmc::SolverChoice::Auto)).
+    /// [`SolverChoice::Auto`]).
     pub solver: Solver,
     /// The diagonal scaling that method iterated under
     /// ([`crate::ctmc::Precond::Jacobi`] only for GMRES).
@@ -190,28 +190,33 @@ impl ChainCache {
         assert!(rate.iter().all(|r| r.len() == v), "ragged rate matrix");
         assert!(gcd(u, v) == 1, "pattern dimensions must be coprime");
         let n = u * v;
-        if let Some(entry) = self.patterns.get(&(u, v)) {
+        if self.patterns.contains_key(&(u, v)) {
             self.stats.pattern_hits += 1;
-            // Transition k is pattern row k: sender k mod u → receiver
-            // k mod v (the comm_pattern convention).
-            let trans_rates: Vec<f64> = (0..n).map(|k| rate[k % u][k % v]).collect();
-            let ctmc = entry.mg.ctmc_with_trans_rates(&trans_rates);
-            let all: Vec<usize> = (0..n).collect();
-            return Ok(entry.mg.throughput_with(&ctmc, &trans_rates, &all));
-        }
-        self.stats.pattern_misses += 1;
-        let net = comm_pattern(u, v, |a, b| rate[a][b]);
-        let mg = MarkingGraph::build(
-            &net,
-            MarkingOptions {
+        } else {
+            self.stats.pattern_misses += 1;
+            let net = comm_pattern(u, v, |a, b| rate[a][b]);
+            let opts = MarkingOptions {
                 max_states,
                 capacity: None,
                 ..Default::default()
-            },
+            };
+            let mg = MarkingGraph::build(&net, opts)?;
+            self.patterns.insert((u, v), PatternEntry { mg });
+        }
+        let mg = &self.patterns[&(u, v)].mg;
+        // Hit or miss, the solved chain is the cached structure refilled
+        // (as in `strict_throughput`).  Transition k is pattern row k:
+        // sender k mod u → receiver k mod v (the comm_pattern convention).
+        let trans_rates: Vec<f64> = (0..n).map(|k| rate[k % u][k % v]).collect();
+        let ctmc = mg.ctmc_with_trans_rates(&trans_rates);
+        let all: Vec<usize> = (0..n).collect();
+        let (rho, _) = mg.throughput_solve_governed(
+            &ctmc,
+            &trans_rates,
+            &all,
+            SolverChoice::Auto,
+            &Budget::UNLIMITED,
         )?;
-        let all: Vec<usize> = (0..net.n_transitions()).collect();
-        let rho = mg.throughput_of(&net, &all);
-        self.patterns.insert((u, v), PatternEntry { mg });
         Ok(rho)
     }
 

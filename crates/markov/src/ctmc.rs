@@ -90,6 +90,7 @@
 //! iteration count — the provenance the CLI reports print.
 
 use crate::govern::{Budget, Interrupt, Phase, Progress};
+use crate::krylov::{GMRES_MAX_MATVECS, GMRES_RESTART, SOR_OMEGA};
 
 /// A CTMC in flat compressed-sparse-row form.
 #[derive(Debug, Clone)]
@@ -166,11 +167,11 @@ const GS_RESIDUAL_TOL: f64 = 1e-10;
 /// the 1e-8 class; acceptance (and fallback) still uses the contract.
 const GMRES_TARGET_SAFETY: f64 = 1e-2;
 
-/// One cooperative checkpoint of the governed solvers: the
+/// One cooperative checkpoint of the iterative solvers: the
 /// `solver-stall` fault hook's firing point, then the budget check.
 /// Runs once per GMRES restart / SOR stall check / power check window /
-/// Gauss–Seidel checkpoint — far off the per-entry hot path, so
-/// governing a solve cannot perturb its output bits.
+/// Gauss–Seidel checkpoint — far off the per-entry hot path, and it only
+/// decides *whether* to continue, so no budget can perturb output bits.
 pub(crate) fn solver_checkpoint(
     budget: &Budget,
     states: usize,
@@ -193,12 +194,15 @@ pub(crate) fn solver_checkpoint(
     budget.check(progress)
 }
 
-/// Unwrap the result of an internal solver run that was given no budget
-/// — such a run has no checkpoint and therefore cannot be interrupted.
-pub(crate) fn ungoverned<T>(r: Result<T, Interrupt>) -> T {
-    match r {
+/// Run `solve` under [`Budget::UNLIMITED`] — the body of every infallible
+/// public name (`stationary*`, `throughput_of/with/solve`), kept for tests,
+/// examples and benchmarks.  No limit is set, so no check can fail; only
+/// an armed `solver-stall` fault reaches the panic, which is why code that
+/// can return an error calls [`Ctmc::stationary_solve_governed`] instead.
+pub(crate) fn unlimited<T>(solve: impl FnOnce(&Budget) -> Result<T, Interrupt>) -> T {
+    match solve(&Budget::UNLIMITED) {
         Ok(v) => v,
-        Err(i) => unreachable!("ungoverned solver cannot be interrupted: {i}"),
+        Err(i) => panic!("solve under Budget::UNLIMITED: {i}"),
     }
 }
 
@@ -699,26 +703,20 @@ impl Ctmc {
     pub fn stationary_power(&self, tol: f64, max_iters: usize) -> Vec<f64> {
         assert!(self.n > 0);
         let pi0 = vec![1.0 / self.n as f64; self.n];
-        self.stationary_power_from(pi0, tol, max_iters).0
+        unlimited(|b| self.power(pi0, tol, max_iters, b)).0
     }
 
-    /// [`Ctmc::stationary_power`] warm-started from `pi` (used by the
-    /// [`Ctmc::stationary_solve`] fallback so a near-converged relaxation
-    /// iterate is polished instead of thrown away).  Returns the iterate
-    /// and the number of sweeps spent.
-    fn stationary_power_from(&self, pi: Vec<f64>, tol: f64, max_iters: usize) -> (Vec<f64>, usize) {
-        ungoverned(self.power_budgeted(pi, tol, max_iters, None))
-    }
-
-    /// The power sweep loop; `budget` adds a cooperative checkpoint at
-    /// each 1-in-[`CHECK_PERIOD`] stopping check (`None` never checks,
-    /// hence never errors).
-    fn power_budgeted(
+    /// The power sweep loop, started from `pi` (the plan's fallback
+    /// passes the relaxation iterate, so a near-converged vector is
+    /// polished instead of thrown away).  Returns the iterate and the
+    /// sweeps spent; `budget` is checked at each 1-in-[`CHECK_PERIOD`]
+    /// stopping check.
+    fn power(
         &self,
         mut pi: Vec<f64>,
         tol: f64,
         max_iters: usize,
-        budget: Option<&Budget>,
+        budget: &Budget,
     ) -> Result<(Vec<f64>, usize), Interrupt> {
         let n = self.n;
         assert_eq!(pi.len(), n);
@@ -744,9 +742,7 @@ impl Ctmc {
             // decision independent of the thread count.
             let check = it % CHECK_PERIOD == CHECK_PERIOD - 1;
             if check {
-                if let Some(b) = budget {
-                    solver_checkpoint(b, n, sweeps)?;
-                }
+                solver_checkpoint(budget, n, sweeps)?;
             }
             let diff = if check {
                 pi.iter().zip(next.iter()).map(|(a, b)| (a - b).abs()).sum()
@@ -812,23 +808,16 @@ impl Ctmc {
     /// miss should check [`Ctmc::stationarity_residual`] and fall back —
     /// [`Ctmc::stationary`] does exactly that.
     pub fn stationary_gauss_seidel(&self, tol: f64, max_sweeps: usize) -> Vec<f64> {
-        self.gauss_seidel_counted(tol, max_sweeps).0
+        unlimited(|b| self.gauss_seidel(tol, max_sweeps, b)).0
     }
 
-    /// [`Ctmc::stationary_gauss_seidel`] plus the number of sweeps spent
-    /// (same arithmetic, same bits).
-    pub(crate) fn gauss_seidel_counted(&self, tol: f64, max_sweeps: usize) -> (Vec<f64>, usize) {
-        ungoverned(self.gauss_seidel_budgeted(tol, max_sweeps, None))
-    }
-
-    /// The Gauss–Seidel sweep loop; `budget` adds a cooperative
-    /// checkpoint every [`CHECK_PERIOD`] sweeps (`None` never checks,
-    /// hence never errors).
-    fn gauss_seidel_budgeted(
+    /// The Gauss–Seidel sweep loop: the iterate and the sweeps spent;
+    /// `budget` is checked every [`CHECK_PERIOD`] sweeps.
+    fn gauss_seidel(
         &self,
         tol: f64,
         max_sweeps: usize,
-        budget: Option<&Budget>,
+        budget: &Budget,
     ) -> Result<(Vec<f64>, usize), Interrupt> {
         let n = self.n;
         assert!(n > 0);
@@ -840,9 +829,7 @@ impl Ctmc {
         for it in 0..max_sweeps {
             sweeps = it + 1;
             if it % CHECK_PERIOD == CHECK_PERIOD - 1 {
-                if let Some(b) = budget {
-                    solver_checkpoint(b, n, sweeps)?;
-                }
+                solver_checkpoint(budget, n, sweeps)?;
             }
             let mut max_rel = 0.0f64;
             for j in 0..n {
@@ -911,9 +898,16 @@ impl Ctmc {
         self.stationary_solve(SolverChoice::Auto).pi
     }
 
+    /// [`Ctmc::stationary_solve_governed`] with no limit, for callers
+    /// that cannot return an [`Interrupt`].
+    pub fn stationary_solve(&self, choice: SolverChoice) -> SolveReport {
+        unlimited(|b| self.stationary_solve_governed(choice, b))
+    }
+
     /// Solve for the stationary distribution following `choice` and
     /// report which solver produced the result, its final max-norm
-    /// stationarity residual, and its iteration count.
+    /// stationarity residual, and its iteration count.  Every stationary
+    /// solve of this crate runs through here.
     ///
     /// With [`SolverChoice::Auto`] this executes [`Ctmc::solver_plan`]:
     /// the primary method runs first and each fallback only fires when
@@ -921,69 +915,41 @@ impl Ctmc {
     /// contract (or is non-finite).  With [`SolverChoice::Force`] exactly
     /// that solver runs, with its standard budget and no fallback — the
     /// reported residual is then the caller's only convergence signal.
-    pub fn stationary_solve(&self, choice: SolverChoice) -> SolveReport {
-        match choice {
-            SolverChoice::Force(s) => self.run_forced(s),
-            SolverChoice::Auto => self.run_plan(self.solver_plan()),
-        }
-    }
-
-    /// [`Ctmc::stationary_solve`] under a cooperative [`Budget`]: the
-    /// iterative solvers check the budget at their sweep/restart
-    /// checkpoints and surface overruns as an [`Interrupt`] instead of
-    /// running to completion.  When no limit fires the result is bitwise
-    /// identical to the ungoverned solve — the checks only decide
-    /// *whether* to abort, never what to compute.
+    ///
+    /// The iterative solvers check `budget` at their sweep/restart
+    /// checkpoints and surface an overrun as an [`Interrupt`] instead of
+    /// running to completion ([`Solver::Gth`] has no checkpoint).  A
+    /// check only decides *whether* to continue, never what to compute,
+    /// so the result bits do not depend on the budget;
+    /// [`Budget::UNLIMITED`] is the no-limit case.
     pub fn stationary_solve_governed(
         &self,
         choice: SolverChoice,
         budget: &Budget,
     ) -> Result<SolveReport, Interrupt> {
         match choice {
-            SolverChoice::Force(s) => self.run_forced_governed(s, Some(budget)),
-            SolverChoice::Auto => self.run_plan_governed(self.solver_plan(), Some(budget)),
+            SolverChoice::Force(s) => self.run_forced(s, budget),
+            SolverChoice::Auto => self.run_plan(self.solver_plan(), budget),
         }
     }
 
     /// Run one solver with its standard budget and report the outcome.
-    fn run_forced(&self, solver: Solver) -> SolveReport {
-        ungoverned(self.run_forced_governed(solver, None))
-    }
-
-    /// [`Ctmc::run_forced`] with optional governance.  `None` means no
-    /// checkpoints at all, so the `Err` arm is unreachable for that case.
-    fn run_forced_governed(
-        &self,
-        solver: Solver,
-        budget: Option<&Budget>,
-    ) -> Result<SolveReport, Interrupt> {
+    fn run_forced(&self, solver: Solver, budget: &Budget) -> Result<SolveReport, Interrupt> {
         let mut precond = Precond::None;
         let (pi, iterations) = match solver {
             Solver::Gth => (self.stationary_gth(), self.n),
-            Solver::GaussSeidel => self.gauss_seidel_budgeted(1e-14, 10_000, budget)?,
-            Solver::Gmres => {
-                precond = Precond::Jacobi;
+            Solver::GaussSeidel => self.gauss_seidel(1e-14, 10_000, budget)?,
+            Solver::Gmres | Solver::GmresPlain => {
+                if solver == Solver::Gmres {
+                    precond = Precond::Jacobi;
+                }
                 let scale = self.max_rate().max(1e-300);
                 let target = GS_RESIDUAL_TOL * GMRES_TARGET_SAFETY * scale;
-                match budget {
-                    Some(b) => self.gmres_counted_governed(target, precond, b)?,
-                    None => self.gmres_counted(target, precond),
-                }
+                self.gmres_restarted(GMRES_RESTART, target, GMRES_MAX_MATVECS, precond, budget)?
             }
-            Solver::GmresPlain => {
-                let scale = self.max_rate().max(1e-300);
-                let target = GS_RESIDUAL_TOL * GMRES_TARGET_SAFETY * scale;
-                match budget {
-                    Some(b) => self.gmres_counted_governed(target, Precond::None, b)?,
-                    None => self.gmres_counted(target, Precond::None),
-                }
-            }
-            Solver::Sor => match budget {
-                Some(b) => self.sor_counted_governed(crate::krylov::SOR_OMEGA, 1e-14, 10_000, b)?,
-                None => self.sor_counted(crate::krylov::SOR_OMEGA, 1e-14, 10_000),
-            },
+            Solver::Sor => self.sor(SOR_OMEGA, 1e-14, 10_000, budget)?,
             Solver::Power => {
-                self.power_budgeted(vec![1.0 / self.n as f64; self.n], 1e-13, 200_000, budget)?
+                self.power(vec![1.0 / self.n as f64; self.n], 1e-13, 200_000, budget)?
             }
         };
         let residual = self.stationarity_residual(&pi);
@@ -1002,54 +968,39 @@ impl Ctmc {
     /// `stationary()` bit for bit); the top-end SOR→GMRES→power chain
     /// keeps the best-balancing iterate if every method misses the
     /// contract.
-    fn run_plan(&self, plan: SolverPlan) -> SolveReport {
-        ungoverned(self.run_plan_governed(plan, None))
-    }
-
-    /// [`Ctmc::run_plan`] with optional governance; see
-    /// [`Ctmc::run_forced_governed`] for the `None` contract.
-    fn run_plan_governed(
-        &self,
-        plan: SolverPlan,
-        budget: Option<&Budget>,
-    ) -> Result<SolveReport, Interrupt> {
+    fn run_plan(&self, plan: SolverPlan, budget: &Budget) -> Result<SolveReport, Interrupt> {
         let n = self.n;
         let scale = self.max_rate().max(1e-300);
         let tol = GS_RESIDUAL_TOL * scale;
         match plan.primary {
-            Solver::Gth => self.run_forced_governed(Solver::Gth, budget),
+            Solver::Gth => self.run_forced(Solver::Gth, budget),
             Solver::GaussSeidel => {
-                let (pi, sweeps) = self.gauss_seidel_budgeted(1e-14, 10_000, budget)?;
+                let gs = self.run_forced(Solver::GaussSeidel, budget)?;
                 // Acceptance requires finiteness explicitly: a zero-exit
                 // state makes relaxation divide by zero, and `f64::max` in
                 // the residual ignores the resulting NaNs rather than
                 // propagating them.
-                let finite = pi.iter().all(|v| v.is_finite());
-                if finite {
-                    let residual = self.stationarity_residual(&pi);
-                    if residual <= tol {
-                        return Ok(SolveReport {
-                            pi,
-                            solver: Solver::GaussSeidel,
-                            residual,
-                            iterations: sweeps,
-                            precond: Precond::None,
-                        });
-                    }
+                let finite = gs.pi.iter().all(|v| v.is_finite());
+                if finite && gs.residual <= tol {
+                    return Ok(gs);
                 }
                 // Fallback: polish the (partially converged) Gauss–Seidel
                 // iterate with the unconditionally convergent power method
                 // rather than restarting from the uniform vector — unless
                 // relaxation produced non-finite entries, which would
                 // poison every later sweep.
-                let pi0 = if finite { pi } else { vec![1.0 / n as f64; n] };
-                let (pw, iters) = self.power_budgeted(pi0, 1e-13, 200_000, budget)?;
-                let residual = self.stationarity_residual(&pw);
+                let pi0 = if finite {
+                    gs.pi
+                } else {
+                    vec![1.0 / n as f64; n]
+                };
+                let (pi, iterations) = self.power(pi0, 1e-13, 200_000, budget)?;
+                let residual = self.stationarity_residual(&pi);
                 Ok(SolveReport {
-                    pi: pw,
+                    pi,
                     solver: Solver::Power,
                     residual,
-                    iterations: iters,
+                    iterations,
                     precond: Precond::None,
                 })
             }
@@ -1058,11 +1009,11 @@ impl Ctmc {
             // whichever iterate balances best.
             Solver::Sor | Solver::Gmres | Solver::GmresPlain | Solver::Power => {
                 if plan.fallbacks.is_empty() {
-                    return self.run_forced_governed(plan.primary, budget);
+                    return self.run_forced(plan.primary, budget);
                 }
                 let mut best: Option<SolveReport> = None;
                 for &solver in std::iter::once(&plan.primary).chain(plan.fallbacks) {
-                    let rep = self.run_forced_governed(solver, budget)?;
+                    let rep = self.run_forced(solver, budget)?;
                     let finite = rep.residual.is_finite() && rep.pi.iter().all(|v| v.is_finite());
                     if finite && rep.residual <= tol {
                         return Ok(rep);
@@ -1073,7 +1024,7 @@ impl Ctmc {
                 }
                 match best {
                     Some(rep) => Ok(rep),
-                    None => self.run_forced_governed(Solver::Power, budget),
+                    None => self.run_forced(Solver::Power, budget),
                 }
             }
         }
@@ -1247,7 +1198,7 @@ fn rre_extrapolate(xs: &[Vec<f64>]) -> Option<Vec<f64>> {
 }
 
 /// Normalize to unit sum (in place).
-fn normalize(pi: &mut [f64]) {
+pub(crate) fn normalize(pi: &mut [f64]) {
     let total: f64 = pi.iter().sum();
     if total > 0.0 && total.is_finite() {
         let inv = 1.0 / total;

@@ -28,7 +28,7 @@ pub struct FaultPlan {
     pub spill_write: Option<u64>,
     /// Fail the Nth spill-file read.
     pub spill_read: Option<u64>,
-    /// Report stagnation at the Nth governed-solver checkpoint.
+    /// Report stagnation at the Nth solver checkpoint.
     pub solver_stall: Option<u64>,
     /// Fail budget checks once a BFS build reaches level N.
     pub budget_level: Option<u64>,
@@ -134,8 +134,8 @@ pub(crate) fn spill_read_fault() -> Option<io::Error> {
     (k == n).then(|| io::Error::other("injected spill-read fault"))
 }
 
-/// Hook for governed-solver checkpoints: `true` when this checkpoint is
-/// the planned stall.
+/// Hook for solver checkpoints: `true` when this checkpoint is the
+/// planned stall.
 pub(crate) fn solver_stall_fault() -> bool {
     let mut g = state();
     let Some(st) = g.as_mut() else { return false };

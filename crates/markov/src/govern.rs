@@ -7,8 +7,8 @@
 //! restart/sweep checkpoint in the stationary solvers, once per candidate
 //! batch in the portfolio search — so the checks cost nothing measurable
 //! and, crucially, they only decide *whether to abort*, never what to
-//! emit: output bits are identical whether a computation runs governed or
-//! not, as long as no limit fires.
+//! emit: output bits do not depend on the budget as long as no limit
+//! fires.
 //!
 //! An overrun surfaces as a structured [`Interrupt`] carrying the
 //! [`InterruptReason`] and a [`Progress`] snapshot (phase, states,
@@ -117,8 +117,8 @@ impl std::error::Error for Interrupt {}
 
 /// Resource limits for one analysis, checked cooperatively (see the
 /// module docs).  `Copy` so it embeds in every options struct; the
-/// default is [`Budget::UNLIMITED`] — every check passes, and governed
-/// code paths are bitwise identical to ungoverned ones.
+/// default is [`Budget::UNLIMITED`] — every check passes; there is no
+/// separate ungoverned path, this *is* the no-limit case of the one path.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Budget {
     /// Absolute wall-clock instant past which checks fail.

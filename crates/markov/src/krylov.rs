@@ -77,7 +77,7 @@
 //! iterations, while GMRES pays O(restart · n) orthogonalization per
 //! matvec and serves as the robust residual-verified fallback.
 
-use crate::ctmc::{solver_checkpoint, ungoverned, Ctmc, Precond};
+use crate::ctmc::{normalize, solver_checkpoint, unlimited, Ctmc, Precond};
 use crate::govern::{Budget, Interrupt};
 
 /// Arnoldi depth per GMRES cycle.  Deep enough that the million-state
@@ -122,44 +122,20 @@ impl Ctmc {
     /// **unpreconditioned** max-norm residual to certify; the scaling
     /// only changes the operator iterated on, never the contract.
     pub fn stationary_gmres_pc(&self, precond: Precond, tol: f64, max_matvecs: usize) -> Vec<f64> {
-        ungoverned(self.gmres_restarted(GMRES_RESTART, tol, max_matvecs, precond, None)).0
-    }
-
-    /// [`Ctmc::stationary_gmres_pc`] with the standard budget, returning
-    /// the matvec count — what [`Ctmc::stationary_solve`] runs.
-    pub(crate) fn gmres_counted(&self, target: f64, precond: Precond) -> (Vec<f64>, usize) {
-        ungoverned(self.gmres_restarted(GMRES_RESTART, target, GMRES_MAX_MATVECS, precond, None))
-    }
-
-    /// [`Ctmc::gmres_counted`] under a [`Budget`], checked once per
-    /// restart (identical arithmetic — a check never changes the
-    /// iteration, only whether it continues).
-    pub(crate) fn gmres_counted_governed(
-        &self,
-        target: f64,
-        precond: Precond,
-        budget: &Budget,
-    ) -> Result<(Vec<f64>, usize), Interrupt> {
-        self.gmres_restarted(
-            GMRES_RESTART,
-            target,
-            GMRES_MAX_MATVECS,
-            precond,
-            Some(budget),
-        )
+        unlimited(|b| self.gmres_restarted(GMRES_RESTART, tol, max_matvecs, precond, b)).0
     }
 
     /// Restarted GMRES with explicit Arnoldi depth.  Returns the iterate
-    /// and the number of operator applications (matvecs) spent.  With a
-    /// budget, one cooperative checkpoint runs per restart cycle; `None`
-    /// never checks (and thus never errors).
-    fn gmres_restarted(
+    /// and the number of operator applications (matvecs) spent; `budget`
+    /// is checked once per restart cycle.  [`Ctmc::stationary_solve`]
+    /// runs it at [`GMRES_RESTART`] deep for [`GMRES_MAX_MATVECS`].
+    pub(crate) fn gmres_restarted(
         &self,
         restart: usize,
         tol: f64,
         max_matvecs: usize,
         precond: Precond,
-        budget: Option<&Budget>,
+        budget: &Budget,
     ) -> Result<(Vec<f64>, usize), Interrupt> {
         let n = self.n_states();
         assert!(n > 0);
@@ -199,9 +175,7 @@ impl Ctmc {
         let mut matvecs = 0usize;
 
         while matvecs < max_matvecs {
-            if let Some(b) = budget {
-                solver_checkpoint(b, n, matvecs)?;
-            }
+            solver_checkpoint(budget, n, matvecs)?;
             // r0 = −(xQ)D⁻¹ into the first basis slot (D = I when plain).
             {
                 let v0 = &mut v[..n];
@@ -367,34 +341,17 @@ impl Ctmc {
     /// [`Ctmc::stationarity_residual`] and fall back, as
     /// [`Ctmc::stationary_solve`] does.
     pub fn stationary_sor(&self, omega: f64, tol: f64, max_sweeps: usize) -> Vec<f64> {
-        self.sor_counted(omega, tol, max_sweeps).0
+        unlimited(|b| self.sor(omega, tol, max_sweeps, b)).0
     }
 
-    /// [`Ctmc::stationary_sor`] plus the number of sweeps spent.
-    pub(crate) fn sor_counted(&self, omega: f64, tol: f64, max_sweeps: usize) -> (Vec<f64>, usize) {
-        ungoverned(self.sor_budgeted(omega, tol, max_sweeps, None))
-    }
-
-    /// [`Ctmc::sor_counted`] under a [`Budget`], checked once per
-    /// [`SOR_ADAPT_PERIOD`] checkpoint.
-    pub(crate) fn sor_counted_governed(
+    /// The SOR sweep loop: the iterate and the sweeps spent; `budget` is
+    /// checked at each [`SOR_ADAPT_PERIOD`] stall check.
+    pub(crate) fn sor(
         &self,
         omega: f64,
         tol: f64,
         max_sweeps: usize,
         budget: &Budget,
-    ) -> Result<(Vec<f64>, usize), Interrupt> {
-        self.sor_budgeted(omega, tol, max_sweeps, Some(budget))
-    }
-
-    /// The SOR sweep loop; `budget` adds a cooperative checkpoint at
-    /// each stall check (`None` never checks, hence never errors).
-    fn sor_budgeted(
-        &self,
-        omega: f64,
-        tol: f64,
-        max_sweeps: usize,
-        budget: Option<&Budget>,
     ) -> Result<(Vec<f64>, usize), Interrupt> {
         let n = self.n_states();
         assert!(n > 0);
@@ -426,20 +383,12 @@ impl Ctmc {
             }
             // Renormalize every sweep, matching Gauss–Seidel (drift
             // guard; also what makes `tol` a relative criterion).
-            let total: f64 = pi.iter().sum();
-            if total > 0.0 && total.is_finite() {
-                let inv = 1.0 / total;
-                for v in pi.iter_mut() {
-                    *v *= inv;
-                }
-            }
+            normalize(&mut pi);
             if max_rel < tol {
                 break;
             }
             if sweeps.is_multiple_of(SOR_ADAPT_PERIOD) {
-                if let Some(b) = budget {
-                    solver_checkpoint(b, n, sweeps)?;
-                }
+                solver_checkpoint(budget, n, sweeps)?;
                 // Not contracting since the last checkpoint (oscillation
                 // or divergence from over-relaxation): damp toward 1.
                 // Slow-but-steady contraction is left alone — only a

@@ -45,9 +45,6 @@
 //!   [`TpnSignature`](repstream_petri::tpn::TpnSignature) / pattern shape,
 //!   with `O(nnz)` CSR rate refills on hits
 //!   ([`MarkingGraph::ctmc_with_trans_rates`](marking::MarkingGraph::ctmc_with_trans_rates));
-//! * [`transient`] — finite-horizon analysis by uniformization: `π(t)` and
-//!   the expected completions over `[0, t]` (the analytic counterpart of
-//!   the paper's throughput-vs-data-sets curves);
 //! * [`govern`] — the cooperative resource governor: a `Copy`
 //!   [`Budget`] (wall-clock deadline, arena-byte cap,
 //!   external cancel flag) checked once per BFS level / solver
@@ -76,7 +73,6 @@ pub mod lump;
 pub mod marking;
 pub mod net;
 pub mod pattern;
-pub mod transient;
 
 pub use cache::ChainCache;
 pub use ctmc::{Ctmc, SolveReport, Solver, SolverChoice};

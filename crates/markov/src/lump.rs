@@ -67,7 +67,8 @@
 //! cannot be pre-validated and the oracle the property tests compare
 //! against.
 
-use crate::ctmc::{CsrBuilder, Ctmc, SolveReport, SolverChoice};
+use crate::ctmc::{unlimited, CsrBuilder, Ctmc, SolveReport, SolverChoice};
+use crate::govern::{Budget, Interrupt};
 
 /// A partition of `0..n` states into contiguous-numbered blocks.
 ///
@@ -583,41 +584,47 @@ impl Ctmc {
     /// single block is vacuously lumpable) yields a quotient whose
     /// uniform lift is wrong unless the chain really is symmetric.
     pub fn stationary_lumped(&self, seed: &Partition) -> Option<LumpedStationary> {
-        self.stationary_lumped_solve(seed, SolverChoice::Auto)
+        unlimited(|b| self.stationary_lumped_solve(seed, SolverChoice::Auto, b))
             .map(|(lumped, _)| lumped)
     }
 
     /// As [`Ctmc::stationary_lumped`], but with an explicit
-    /// [`SolverChoice`] for the quotient solve and the quotient's
-    /// [`SolveReport`] returned alongside for provenance (which solver
-    /// ran, at what residual).  The report's `pi` is the *quotient*
-    /// stationary vector the lift was computed from, not the lifted one.
+    /// [`SolverChoice`] for the quotient solve — which checks `budget`
+    /// at its checkpoints — and the quotient's [`SolveReport`] returned
+    /// alongside for provenance (which solver ran, at what residual).
+    /// The report's `pi` is the *quotient* stationary vector the lift
+    /// was computed from, not the lifted one.
     ///
-    /// `stationary_lumped` delegates here with [`SolverChoice::Auto`],
-    /// so the two are bitwise identical on the lifted vector.
+    /// `stationary_lumped` delegates here with [`SolverChoice::Auto`]
+    /// and no limit, so the two are bitwise identical on the lifted
+    /// vector.
     pub fn stationary_lumped_solve(
         &self,
         seed: &Partition,
         choice: SolverChoice,
-    ) -> Option<(LumpedStationary, SolveReport)> {
+        budget: &Budget,
+    ) -> Result<Option<(LumpedStationary, SolveReport)>, Interrupt> {
         let refined = coarsest_refinement(self, seed);
         if refined.is_discrete() {
-            return None;
+            return Ok(None);
         }
         let (quotient, lift) = self.quotient(&refined);
-        let report = quotient.stationary_solve(choice);
+        let report = quotient.stationary_solve_governed(choice, budget)?;
         let lumped = LumpedStationary {
             pi: lift.lift(&report.pi),
             lumped_states: quotient.n_states(),
             full_states: self.n_states(),
         };
-        Some((lumped, report))
+        Ok(Some((lumped, report)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ctmc::Solver;
+    use crate::govern::{InterruptReason, Phase};
+    use std::sync::atomic::AtomicBool;
 
     /// Two mirrored copies of a 2-state gadget glued through a hub: the
     /// mirror symmetry is an automorphism, so the orbit seed lumps it.
@@ -718,6 +725,37 @@ mod tests {
         for &p in &sol.pi {
             assert!((p - 1.0 / n as f64).abs() < 1e-15);
         }
+    }
+
+    #[test]
+    fn lumped_solve_honours_the_budget() {
+        // A two-way ring of 80 states whose rates repeat with period 40:
+        // the half-turn is an automorphism and the quotient is a 40-state
+        // ring — past GTH's 32, so the plan relaxes it with Gauss–Seidel,
+        // which has checkpoints.
+        let (n, k) = (80usize, 40usize);
+        let rows = (0..n)
+            .map(|i| {
+                let r = (i % k) as f64;
+                vec![((i + 1) % n, 1.0 + r), ((i + n - 1) % n, 0.5 + 0.25 * r)]
+            })
+            .collect();
+        let c = Ctmc::new(rows);
+        let half_turn: Vec<u32> = (0..n).map(|i| ((i + k) % n) as u32).collect();
+        let seed = Partition::from_permutation_orbits(&half_turn);
+        let solve = |budget: &Budget| c.stationary_lumped_solve(&seed, SolverChoice::Auto, budget);
+
+        let (sol, report) = solve(&Budget::UNLIMITED)
+            .unwrap()
+            .expect("reduction exists");
+        assert_eq!(sol.lumped_states, k);
+        assert_eq!(report.solver, Solver::GaussSeidel);
+        assert!(report.iterations >= 8, "reaches the first checkpoint");
+
+        static RAISED: AtomicBool = AtomicBool::new(true);
+        let err = solve(&Budget::UNLIMITED.cancelled_by(&RAISED)).unwrap_err();
+        assert_eq!(err.reason, InterruptReason::Cancelled);
+        assert_eq!(err.progress.phase, Phase::Solve);
     }
 
     #[test]

@@ -105,7 +105,7 @@ mod interner;
 
 pub use arena::MarkingStore;
 
-use crate::ctmc::{CsrBuilder, Ctmc, SolveReport, SolverChoice};
+use crate::ctmc::{unlimited, CsrBuilder, Ctmc, SolveReport, SolverChoice};
 use crate::govern::{Budget, Interrupt, Phase};
 use crate::lump::{Lift, Partition};
 use crate::net::{EventNet, NetSymmetry};
@@ -509,11 +509,8 @@ macro_rules! shared_api {
                     .0
             }
 
-            /// As [`Self::throughput_with`], solving the chain with an
-            /// explicit [`SolverChoice`] and returning the [`SolveReport`]
-            /// (which solver ran, its residual and iteration count)
-            /// alongside the throughput.  [`SolverChoice::Auto`]
-            /// reproduces [`Self::throughput_with`] bit for bit.
+            /// [`Self::throughput_solve_governed`] with no limit, for
+            /// callers that cannot return an [`Interrupt`].
             pub fn throughput_solve(
                 &self,
                 ctmc: &Ctmc,
@@ -521,17 +518,18 @@ macro_rules! shared_api {
                 transitions: &[usize],
                 choice: SolverChoice,
             ) -> (f64, SolveReport) {
-                let report = ctmc.stationary_solve(choice);
-                let rho = self
-                    .enabled
-                    .throughput(trans_rates, transitions, &report.pi);
-                (rho, report)
+                unlimited(|b| {
+                    self.throughput_solve_governed(ctmc, trans_rates, transitions, choice, b)
+                })
             }
 
-            /// [`Self::throughput_solve`] under a cooperative [`Budget`]:
-            /// the stationary solve checks the budget at its checkpoints
-            /// and surfaces an overrun as an [`Interrupt`].  Bitwise
-            /// identical to the ungoverned path when no limit fires.
+            /// As [`Self::throughput_with`], solving the chain with an
+            /// explicit [`SolverChoice`] and returning the [`SolveReport`]
+            /// (which solver ran, its residual and iteration count)
+            /// alongside the throughput.  [`SolverChoice::Auto`]
+            /// reproduces [`Self::throughput_with`] bit for bit.  The
+            /// stationary solve checks `budget` at its checkpoints and
+            /// surfaces an overrun as an [`Interrupt`].
             pub fn throughput_solve_governed(
                 &self,
                 ctmc: &Ctmc,

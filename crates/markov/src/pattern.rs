@@ -16,6 +16,8 @@
 //! Theorem 4, `u·v·λ / (u+v−1)`; with heterogeneous rates we solve the
 //! chain numerically.
 
+use crate::ctmc::SolverChoice;
+use crate::govern::Budget;
 use crate::marking::{MarkingError, MarkingGraph, MarkingOptions};
 use crate::net::comm_pattern;
 use repstream_petri::shape::gcd;
@@ -55,7 +57,14 @@ pub fn pattern_throughput(rate: &[Vec<f64>], max_states: usize) -> Result<f64, M
         },
     )?;
     let all: Vec<usize> = (0..net.n_transitions()).collect();
-    Ok(mg.throughput_of(&net, &all))
+    let (rho, _) = mg.throughput_solve_governed(
+        &mg.ctmc,
+        &net.rates,
+        &all,
+        SolverChoice::Auto,
+        &Budget::UNLIMITED,
+    )?;
+    Ok(rho)
 }
 
 /// Enumerated state count (BFS ground truth for [`state_count`]).

@@ -21,6 +21,7 @@ use repstream_markov::marking::{
     ArenaCompression, MarkingError, MarkingGraph, MarkingOptions, QuotientGraph, SpillOp,
 };
 use repstream_markov::net::{comm_pattern, EventNet};
+use repstream_markov::pattern::pattern_throughput;
 use repstream_petri::shape::{ExecModel, MappingShape, ResourceTable};
 use repstream_petri::tpn::Tpn;
 use std::sync::Mutex;
@@ -284,4 +285,68 @@ fn env_install_parses_and_arms() {
     std::env::remove_var("REPSTREAM_FAULT");
     fault::clear();
     assert_eq!(fault::install_from_env(), Ok(false));
+}
+
+/// The stall matrix over every solver: each iterative method returns
+/// `Interrupt { reason: SolverStall }` from its first checkpoint under
+/// the one solve entry — and so does a production caller of it,
+/// `pattern_throughput`, as a structured `MarkingError` rather than a
+/// panic.  `Force(Gth)` completes: the direct elimination has no
+/// checkpoint (and no iteration to stall).
+#[test]
+fn solver_stall_fault_covers_every_solver() {
+    let _armed = Armed::clear();
+    let stall = FaultPlan {
+        solver_stall: Some(0),
+        ..Default::default()
+    };
+    let (net, sym) = net_for(&[3, 4]);
+    let qg = QuotientGraph::build(&net, &sym, MarkingOptions::default()).unwrap();
+    for solver in [
+        Solver::GaussSeidel,
+        Solver::Sor,
+        Solver::Gmres,
+        Solver::GmresPlain,
+        Solver::Power,
+    ] {
+        fault::install(stall);
+        let err = qg
+            .ctmc
+            .stationary_solve_governed(SolverChoice::Force(solver), &Budget::UNLIMITED)
+            .expect_err(solver.label());
+        assert_eq!(err.reason, InterruptReason::SolverStall, "{solver:?}");
+        assert_eq!(err.progress.phase, Phase::Solve, "{solver:?}");
+    }
+    fault::install(stall);
+    let gth = qg
+        .ctmc
+        .stationary_solve_governed(SolverChoice::Force(Solver::Gth), &Budget::UNLIMITED)
+        .expect("GTH has no checkpoint");
+    assert_eq!(gth.solver, Solver::Gth);
+
+    // A heterogeneous 4×5 pattern: 280 states, so the plan relaxes it
+    // with Gauss–Seidel, and rates skewed enough that the unfaulted solve
+    // sweeps past the first checkpoint.
+    fault::clear();
+    let rate: Vec<Vec<f64>> = (0..4)
+        .map(|a| (0..5).map(|b| 0.25 + (a * 5 + b) as f64).collect())
+        .collect();
+    let pattern = comm_pattern(4, 5, |a, b| rate[a][b]);
+    let mg = MarkingGraph::build(&pattern, MarkingOptions::default()).unwrap();
+    let unfaulted = mg
+        .ctmc
+        .stationary_solve_governed(SolverChoice::Auto, &Budget::UNLIMITED)
+        .unwrap();
+    assert_eq!(unfaulted.solver, Solver::GaussSeidel);
+    assert!(unfaulted.iterations >= 8, "{} sweeps", unfaulted.iterations);
+    assert!(pattern_throughput(&rate, 1 << 20).is_ok());
+
+    fault::install(stall);
+    match pattern_throughput(&rate, 1 << 20) {
+        Err(MarkingError::Interrupted(i)) => {
+            assert_eq!(i.reason, InterruptReason::SolverStall);
+            assert_eq!(i.progress.phase, Phase::Solve);
+        }
+        other => panic!("expected a solver-stall interrupt, got {other:?}"),
+    }
 }
