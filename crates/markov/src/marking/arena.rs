@@ -3,15 +3,6 @@
 //! file) and its read-only public face, [`MarkingStore`].
 
 use super::{ArenaCompression, MarkingError, SpillIoError, SpillOp, ARENA_COMPRESS_THRESHOLD};
-use std::hash::Hasher;
-
-/// Fx hash of a marking slice.
-#[inline]
-pub(super) fn hash_marking(m: &[u8]) -> u64 {
-    let mut h = crate::fxhash::FxHasher::default();
-    h.write(m);
-    h.finish()
-}
 
 /// LEB128-encode `v` (7 payload bits per byte, high bit = continue).
 #[inline]
@@ -141,8 +132,8 @@ pub struct MarkingStore {
     /// Lazily-created spill region (first flush).
     spill: Option<SpillFile>,
     /// First spill I/O failure.  The `&self` decode paths (`copy_to`,
-    /// `matches`, `hash_entry`) are shared immutably by the parallel
-    /// BFS workers and stay infallible: on a read error they record it
+    /// `matches`) are shared immutably by the parallel BFS workers and
+    /// stay infallible: on a read error they record it
     /// here and return deterministic zero-filled bytes; the BFS drivers
     /// drain the slot at level boundaries into
     /// [`MarkingError::SpillIo`], discarding the garbage level.
@@ -153,8 +144,8 @@ pub struct MarkingStore {
 /// of the active payload (flat or delta-encoded, whichever layout is
 /// live) sit in an **unlinked** temp file — space is reclaimed by the OS
 /// when the last handle drops — and the payload `Vec` holds only the
-/// tail.  Reads go through positioned I/O (`pread`), so level-frozen
-/// parallel workers can probe spilled markings concurrently.  Clones
+/// tail.  Reads go through positioned I/O (`pread`), so the parallel
+/// workers of a level can read spilled rows concurrently.  Clones
 /// share the file; that is sound because graphs are only cloned after
 /// their build finishes (the payload is append-only and frozen by then).
 #[derive(Debug, Clone)]
@@ -252,8 +243,8 @@ impl SpillFile {
 
 thread_local! {
     /// Scratch pair (entry bytes, base bytes) for reads that touch a
-    /// spilled payload — per thread so frozen-interner probes of the
-    /// parallel BFS workers stay allocation-free after warm-up.
+    /// spilled payload — per thread so the row reads of the parallel BFS
+    /// workers stay allocation-free after warm-up.
     static SPILL_SCRATCH: std::cell::RefCell<(Vec<u8>, Vec<u8>)> =
         const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
 }
@@ -731,18 +722,6 @@ impl MarkingStore {
         probe[seg..] == base[seg..]
     }
 
-    /// Fx hash of marking `s` (`scratch` decodes compressed or spilled
-    /// entries).
-    pub(super) fn hash_entry(&self, s: usize, scratch: &mut Vec<u8>) -> u64 {
-        if !self.compressed && self.spilled() == 0 {
-            hash_marking(&self.flat[s * self.width..(s + 1) * self.width])
-        } else {
-            scratch.resize(self.width, 0);
-            self.copy_to(s, scratch);
-            hash_marking(scratch)
-        }
-    }
-
     /// Resident payload bytes (either layout, including the compressed
     /// layout's per-entry offset/base bookkeeping; the spilled prefix is
     /// accounted by [`Self::spill_bytes`]).
@@ -844,8 +823,6 @@ mod tests {
                 let mut probe = m.clone();
                 probe[s % width] ^= 0x40;
                 assert!(!arena.matches(s, &probe), "{compression:?} state {s}");
-                let mut scratch = Vec::new();
-                assert_eq!(arena.hash_entry(s, &mut scratch), hash_marking(m));
             }
         }
     }
@@ -886,7 +863,7 @@ mod tests {
 
     /// Spilled-arena roundtrip: with the resident bound forced tiny,
     /// every pushed marking still reads back exactly, `matches` agrees
-    /// with equality, hashes are unchanged, and the payload really does
+    /// with equality, and the payload really does
     /// land in the spill file — in every compression mode, including an
     /// Auto conversion that has to read its flat payload back from disk.
     #[test]

@@ -5,8 +5,8 @@
 //! module docs state the contract.
 
 use super::arena::MarkingStore;
-use super::interner::{OffsetInterner, ShardedInterner, EMPTY};
-use super::{ArenaCompression, ArenaStats, MarkingError, MarkingOptions, MAX_CAPACITY};
+use super::interner::Interner;
+use super::{ArenaStats, MarkingError, MarkingOptions, MAX_CAPACITY};
 use crate::govern::{Phase, Progress};
 use crate::net::{EventNet, NetSymmetry};
 use repstream_petri::canon::{CanonScratch, MarkingCanonicalizer};
@@ -14,10 +14,11 @@ use repstream_petri::canon::{CanonScratch, MarkingCanonicalizer};
 /// A marking as its canonicaliser elected it (borrowed from the
 /// canonicaliser's scratch, or from a [`ChunkStage`] during the merge).
 pub(super) struct Successor<'a> {
-    /// Interning key: the canonical member of the marking's orbit.
-    key: &'a [u8],
-    /// The marking itself — stored as the orbit's representative when
-    /// the key is new.
+    /// Interning key: the canonical member of the marking's orbit,
+    /// packed into [`Canonicalizer::key_words`] words.
+    pub(super) key: &'a [u64],
+    /// The marking itself — stored as the orbit's representative (the
+    /// row the state is explored from) when the key is new.
     rep: &'a [u8],
     /// Number of distinct markings in the orbit.
     period: u32,
@@ -30,12 +31,12 @@ pub(super) struct Successor<'a> {
 pub(super) trait Canonicalizer: Sync {
     /// Per-thread working buffers.
     type Scratch;
-    /// Whether first-discovered representatives are stored beside the
-    /// keys (`false`: the key *is* the marking).
-    const KEEPS_REPS: bool;
 
     /// Fresh buffers for markings of `net`.
     fn scratch(&self, net: &EventNet) -> Self::Scratch;
+
+    /// Words per key of a marking of `net`.
+    fn key_words(&self, net: &EventNet) -> usize;
 
     /// Start the row of marking `cur`.
     fn load_row(&self, cur: &[u8], scratch: &mut Self::Scratch);
@@ -72,56 +73,42 @@ fn unfire(net: &EventNet, t: usize, m: &mut [u8]) {
     }
 }
 
-/// No symmetry: the key is the marking and no representative arena is
-/// kept — the plain [`MarkingGraph`](super::MarkingGraph) BFS.
-pub(super) struct Identity;
+/// Words per byte-row key: eight places each (one even for none, so the
+/// empty marking still has a key).
+fn byte_words(n_places: usize) -> usize {
+    n_places.div_ceil(8).max(1)
+}
 
-impl Canonicalizer for Identity {
-    type Scratch = Vec<u8>;
-    const KEEPS_REPS: bool = false;
-
-    fn scratch(&self, net: &EventNet) -> Vec<u8> {
-        vec![0; net.n_places()]
+/// Pack a byte row eight places per word; the last word is zero-padded.
+#[inline]
+fn pack_bytes(m: &[u8], key: &mut [u64]) {
+    let (eights, tail) = m.as_chunks::<8>();
+    for (word, eight) in key.iter_mut().zip(eights) {
+        *word = u64::from_le_bytes(*eight);
     }
-
-    #[inline]
-    fn load_row(&self, cur: &[u8], m: &mut Vec<u8>) {
-        m.copy_from_slice(cur);
-    }
-
-    #[inline]
-    fn fire(&self, net: &EventNet, t: usize, m: &mut Vec<u8>) {
-        fire(net, t, m);
-    }
-
-    #[inline]
-    fn unfire(&self, net: &EventNet, t: usize, m: &mut Vec<u8>) {
-        unfire(net, t, m);
-    }
-
-    #[inline]
-    fn elect<'s>(&self, m: &'s mut Vec<u8>) -> Successor<'s> {
-        Successor {
-            key: m,
-            rep: m,
-            period: 1,
-        }
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        key[eights.len()] = u64::from_le_bytes(last);
     }
 }
 
-/// One full [`MarkingCanonicalizer::canonicalize_into`] per firing, on
-/// byte rows: the oracle [`RowRotation`] is tested against, and the
-/// strategy wherever bit rows cannot be used — a capacity-bounded
-/// quotient (token counts above one) or tables past [`ROT_BUFFER_CAP`].
-pub(super) struct PerFiring<'a>(pub &'a MarkingCanonicalizer);
+/// No symmetry, byte rows: the key is the marking packed eight places per
+/// word — the [`MarkingGraph`](super::MarkingGraph) BFS of a
+/// capacity-bounded net, whose token counts bits cannot hold.
+pub(super) struct Identity;
 
-impl Canonicalizer for PerFiring<'_> {
-    /// The marking and the canonicalization buffers.
-    type Scratch = (Vec<u8>, CanonScratch);
-    const KEEPS_REPS: bool = true;
+impl Canonicalizer for Identity {
+    /// The marking and its packed key.
+    type Scratch = (Vec<u8>, Vec<u64>);
 
     fn scratch(&self, net: &EventNet) -> Self::Scratch {
-        (vec![0; net.n_places()], CanonScratch::new(net.n_places()))
+        let np = net.n_places();
+        (vec![0; np], vec![0; byte_words(np)])
+    }
+
+    fn key_words(&self, net: &EventNet) -> usize {
+        byte_words(net.n_places())
     }
 
     #[inline]
@@ -140,10 +127,56 @@ impl Canonicalizer for PerFiring<'_> {
     }
 
     #[inline]
-    fn elect<'s>(&self, (m, canon): &'s mut Self::Scratch) -> Successor<'s> {
-        let period = self.0.canonicalize_into(m, canon);
+    fn elect<'s>(&self, (m, key): &'s mut Self::Scratch) -> Successor<'s> {
+        pack_bytes(m, key);
         Successor {
-            key: canon.key(),
+            key,
+            rep: m,
+            period: 1,
+        }
+    }
+}
+
+/// One full [`MarkingCanonicalizer::canonicalize_into`] per firing, on
+/// byte rows: the oracle [`RowRotation`] is tested against, and the
+/// strategy wherever bit rows cannot be used — a capacity-bounded
+/// quotient (token counts above one) or tables past [`ROT_BUFFER_CAP`].
+pub(super) struct PerFiring<'a>(pub &'a MarkingCanonicalizer);
+
+impl Canonicalizer for PerFiring<'_> {
+    /// The marking, the canonicalization buffers and the packed key.
+    type Scratch = (Vec<u8>, CanonScratch, Vec<u64>);
+
+    fn scratch(&self, net: &EventNet) -> Self::Scratch {
+        let np = net.n_places();
+        (vec![0; np], CanonScratch::new(np), vec![0; byte_words(np)])
+    }
+
+    fn key_words(&self, net: &EventNet) -> usize {
+        byte_words(net.n_places())
+    }
+
+    #[inline]
+    fn load_row(&self, cur: &[u8], (m, ..): &mut Self::Scratch) {
+        m.copy_from_slice(cur);
+    }
+
+    #[inline]
+    fn fire(&self, net: &EventNet, t: usize, (m, ..): &mut Self::Scratch) {
+        fire(net, t, m);
+    }
+
+    #[inline]
+    fn unfire(&self, net: &EventNet, t: usize, (m, ..): &mut Self::Scratch) {
+        unfire(net, t, m);
+    }
+
+    #[inline]
+    fn elect<'s>(&self, (m, canon, key): &'s mut Self::Scratch) -> Successor<'s> {
+        let period = self.0.canonicalize_into(m, canon);
+        pack_bytes(canon.key(), key);
+        Successor {
+            key,
             rep: m,
             period,
         }
@@ -182,20 +215,20 @@ fn packed_words(n_places: usize) -> usize {
 /// `σᵃ(t)•`, a self-loop place netting out — tabulated once per build.
 /// So a firing neither mutates nor undoes any rotation: [`Self::elect`]
 /// XORs, compares with the successor's rotation 0 (equal ⇒ `a` is the
-/// period, stop) and with the smallest so far, and unpacks only the
-/// winner into key bytes.  The big-endian packing ([`place_bit`]) makes
+/// period, stop) and with the smallest so far, and hands the winner's
+/// words over as the key.  The big-endian packing ([`place_bit`]) makes
 /// the word order the byte-row order, so the member elected — and with it
-/// every key, id and chain bit — is the one [`MarkingCanonicalizer`]
-/// elects.
+/// every id and chain bit — is the one [`MarkingCanonicalizer`] elects.
+/// Of order 1 over the identity permutation ([`Self::identity`]) this is
+/// the safe full chain's canonicaliser: one rotation, the marking's bits.
 ///
 /// **Invariant: every marking packed here is 0/1.**  The initial marking
 /// is, because [`explore`] validates it under `capacity: None`; a
 /// successor is, because [`Scan::row`] raises `NotSafe` from the byte
 /// representative *before* a key reaches the interner (the key elected
 /// for an unsafe firing is garbage and is dropped); and a
-/// `capacity: Some(_)` quotient is never built with this canonicaliser
-/// ([`QuotientGraph::build`](super::QuotientGraph::build) routes it to
-/// [`PerFiring`]).
+/// `capacity: Some(_)` build never uses this canonicaliser (the graph
+/// builders route it to [`PerFiring`] or [`Identity`]).
 pub(super) struct RowRotation {
     /// Powers of the place permutation: `place_pow[p·order + a] = σᵃ(p)`.
     place_pow: Vec<u32>,
@@ -216,8 +249,8 @@ pub(super) struct RotationScratch {
     marking: Vec<u8>,
     /// `rot[a·words..][..words]`: `σᵃ` of the **row's** marking, packed.
     rot: Vec<u64>,
-    /// The elected key, unpacked.
-    key: Vec<u8>,
+    /// The elected key: the winning rotation's words.
+    key: Vec<u64>,
     /// The successor's rotations, XORed out — only past four words,
     /// where [`elect_fused`] has no instance.
     wide: Vec<u64>,
@@ -256,6 +289,15 @@ impl RowRotation {
             words,
             nt,
         }
+    }
+
+    /// Bit rows without a symmetry: order 1 over the identity permutation.
+    pub(super) fn identity(net: &EventNet) -> Self {
+        let sym = NetSymmetry {
+            trans_perm: (0..net.n_transitions()).collect(),
+            place_perm: (0..net.n_places()).collect(),
+        };
+        Self::new(net, &sym, 1)
     }
 
     /// Bytes [`Self::new`] and one [`Canonicalizer::scratch`] allocate
@@ -304,16 +346,19 @@ fn elect_fused<const W: usize>(rot: &[u64], flip: &[u64]) -> (usize, u32) {
 
 impl Canonicalizer for RowRotation {
     type Scratch = RotationScratch;
-    const KEEPS_REPS: bool = true;
 
     fn scratch(&self, net: &EventNet) -> RotationScratch {
         RotationScratch {
             marking: vec![0; net.n_places()],
             rot: vec![0; self.order * self.words],
-            key: vec![0; net.n_places()],
+            key: vec![0; self.words],
             wide: Vec::new(),
             fired: self.nt,
         }
+    }
+
+    fn key_words(&self, _: &EventNet) -> usize {
+        self.words
     }
 
     /// Pack the rotations of `cur` (0/1 — see the type's invariant): only
@@ -363,21 +408,9 @@ impl Canonicalizer for RowRotation {
                 elect_min(s.wide.chunks_exact(w))
             }
         };
-        // Only the winner becomes bytes: eight places per step, each bit
-        // of a byte spread to the 0/1 byte of its place.
-        let spread = |word: u64, k: usize| {
-            let bits = (word >> (56 - 8 * (k % 8))) & 0xff;
-            let apart = (bits * 0x0101_0101_0101_0101) & 0x0102_0408_1020_4080;
-            (((apart + 0x7f7f_7f7f_7f7f_7f7f) >> 7) & 0x0101_0101_0101_0101).to_le_bytes()
-        };
-        let winner = |k: usize| s.rot[best * w + k / 8] ^ flip[best * w + k / 8];
-        let (eights, tail) = s.key.as_chunks_mut::<8>();
-        for (k, eight) in eights.iter_mut().enumerate() {
-            *eight = spread(winner(k), k);
-        }
-        if !tail.is_empty() {
-            let k = eights.len();
-            tail.copy_from_slice(&spread(winner(k), k)[..tail.len()]);
+        let winner = s.rot[best * w..][..w].iter().zip(&flip[best * w..]);
+        for (key, (r, f)) in s.key.iter_mut().zip(winner) {
+            *key = r ^ f;
         }
         Successor {
             key: &s.key,
@@ -399,55 +432,41 @@ pub(super) trait RowSink {
     fn end_row(&mut self) -> Result<(), MarkingError>;
 }
 
-/// Everything the BFS has interned: canonical keys (what the interner
-/// dedups against), the first-discovered representative and orbit size of
-/// each (when the canonicaliser keeps them), and the interner itself.
-/// State `s`'s row marking is `reps[s]`, or `keys[s]` without `reps`.
+/// Everything the BFS has interned: the interner (which owns the keys),
+/// and per state the marking its row is scanned from — the first-found
+/// representative of the orbit, or the marking itself on a full chain —
+/// and its orbit size.
 pub(super) struct Frontier {
-    pub(super) keys: MarkingStore,
-    pub(super) reps: Option<MarkingStore>,
+    /// The row arena: what the graphs keep as `states` / `reps`.
+    pub(super) rows: MarkingStore,
     pub(super) orbit_size: Vec<u32>,
-    interner: ShardedInterner,
+    interner: Interner,
 }
 
 impl Frontier {
-    fn new(width: usize, opts: &MarkingOptions, keeps_reps: bool) -> Self {
-        let arena =
-            || MarkingStore::with_spill(width, opts.arena_compression, opts.resolved_spill_limit());
+    fn new(width: usize, words: usize, opts: &MarkingOptions) -> Self {
         Frontier {
-            keys: arena(),
-            reps: keeps_reps.then(arena),
+            rows: MarkingStore::with_spill(
+                width,
+                opts.arena_compression,
+                opts.resolved_spill_limit(),
+            ),
             orbit_size: Vec::new(),
-            interner: ShardedInterner::for_opts(opts),
+            interner: Interner::new(words, opts.resolved_interner_shards()),
         }
     }
 
     /// States interned so far.
     fn len(&self) -> usize {
-        self.keys.len()
+        self.rows.len()
     }
 
-    /// The arena row markings are read from.
-    fn rows(&self) -> &MarkingStore {
-        self.reps.as_ref().unwrap_or(&self.keys)
-    }
-
-    /// The first spill I/O failure of either arena.  A poisoned read
-    /// zero-fills its marking, which can cascade into bogus dedup misses
-    /// or dead rows — so wherever a build error is raised, this root
-    /// cause takes precedence over the symptom.
+    /// The first spill I/O failure of the row arena.  A poisoned read
+    /// zero-fills its marking, which can cascade into bogus successors or
+    /// dead rows — so wherever a build error is raised, this root cause
+    /// takes precedence over the symptom.
     fn poison(&self) -> Option<MarkingError> {
-        self.keys
-            .take_poison()
-            .or_else(|| self.reps.as_ref().and_then(MarkingStore::take_poison))
-    }
-
-    /// Mark a BFS level boundary in the arenas (a fresh delta base).
-    fn begin_level(&mut self) {
-        self.keys.begin_level();
-        if let Some(reps) = &mut self.reps {
-            reps.begin_level();
-        }
+        self.rows.take_poison()
     }
 
     /// Cooperative checkpoint: drain any spill failure, then one governor
@@ -472,42 +491,31 @@ impl Frontier {
         Ok(())
     }
 
-    /// Level-frozen read-only probe of the staged path.
-    #[inline]
-    fn find(&self, key: &[u8]) -> Option<u32> {
-        self.interner.find(&self.keys, key)
-    }
-
     /// `succ`'s state id, interning it (key, representative, orbit size)
     /// as the next id when its key is new.
     #[inline]
     fn intern(&mut self, succ: Successor<'_>, max_states: usize) -> Result<u32, MarkingError> {
-        let n = self.keys.len();
-        let (id, is_new) = self.interner.intern(&self.keys, succ.key, n as u32);
+        let (id, is_new) = self.interner.intern(succ.key);
         if is_new {
-            if n >= max_states {
+            if id as usize >= max_states {
                 return Err(self
                     .poison()
                     .unwrap_or(MarkingError::TooManyStates(max_states)));
             }
-            self.keys.push(succ.key);
-            if let Some(reps) = &mut self.reps {
-                reps.push(succ.rep);
-                self.orbit_size.push(succ.period);
-            }
+            self.rows.push(succ.rep);
+            self.orbit_size.push(succ.period);
         }
         Ok(id)
     }
 
     /// Byte accounting of the build so far.
     pub(super) fn stats(&self) -> ArenaStats {
-        let reps = self.reps.as_ref();
         ArenaStats {
-            keys_bytes: self.keys.heap_bytes(),
-            reps_bytes: reps.map_or(0, MarkingStore::heap_bytes),
+            keys_bytes: self.interner.keys_bytes(),
+            reps_bytes: self.rows.heap_bytes(),
             interner_bytes: self.interner.table_bytes(),
-            spill_bytes: self.keys.spill_bytes() + reps.map_or(0, MarkingStore::spill_bytes),
-            compressed: self.keys.is_compressed() || reps.is_some_and(MarkingStore::is_compressed),
+            spill_bytes: self.rows.spill_bytes(),
+            compressed: self.rows.is_compressed(),
         }
     }
 }
@@ -599,14 +607,11 @@ struct ChunkStage {
     firings: Vec<(u32, u32)>,
     /// Exclusive end in `firings` of each explored state's row.
     row_ends: Vec<u32>,
-    /// Chunk-local unique canonical keys, in first-appearance order (a
-    /// flat arena — its lifetime is one level, so it never compresses).
-    new_keys: MarkingStore,
-    /// First-discovered representative per new key
-    /// ([`Canonicalizer::KEEPS_REPS`] only — otherwise the keys *are*
-    /// the markings and both lists stay empty).
+    /// Chunk-local unique keys, in first-appearance order.
+    new_keys: Interner,
+    /// First-discovered representative per new key, `width` bytes each.
     new_reps: Vec<u8>,
-    /// Orbit period per new key (as `new_reps`).
+    /// Orbit period per new key.
     new_periods: Vec<u32>,
     /// Error that cut the scan short (the last staged row is then
     /// partial and the merge re-raises the error at that point).
@@ -615,20 +620,11 @@ struct ChunkStage {
 
 impl ChunkStage {
     /// The `li`-th chunk-local new state, as the worker elected it.
-    fn successor(&self, li: usize) -> Successor<'_> {
-        let key = self.new_keys.get(li);
-        let width = key.len();
-        match self.new_periods.get(li) {
-            Some(&period) => Successor {
-                key,
-                rep: &self.new_reps[li * width..(li + 1) * width],
-                period,
-            },
-            None => Successor {
-                key,
-                rep: key,
-                period: 1,
-            },
+    fn successor(&self, li: usize, width: usize) -> Successor<'_> {
+        Successor {
+            key: self.new_keys.key(li),
+            rep: &self.new_reps[li * width..][..width],
+            period: self.new_periods[li],
         }
     }
 }
@@ -641,32 +637,26 @@ fn explore_chunk<C: Canonicalizer>(
     store: &Frontier,
     states: std::ops::Range<usize>,
 ) -> ChunkStage {
-    let width = scan.net.n_places();
     let mut stage = ChunkStage {
         firings: Vec::new(),
         row_ends: Vec::new(),
-        new_keys: MarkingStore::with_spill(width, ArenaCompression::Off, usize::MAX),
+        new_keys: Interner::new(scan.canon.key_words(scan.net), 1),
         new_reps: Vec::new(),
         new_periods: Vec::new(),
         error: None,
     };
-    let mut local = OffsetInterner::with_capacity(64);
     let mut scratch = scan.canon.scratch(scan.net);
-    let mut curbuf = vec![0u8; width];
+    let mut curbuf = vec![0u8; scan.net.n_places()];
     for s in states {
-        let cur = store.rows().read_at(s, &mut curbuf);
+        let cur = store.rows.read_at(s, &mut curbuf);
         let scanned = scan.row(cur, &mut scratch, |t, succ| {
-            let code = match store.find(succ.key) {
+            let code = match store.interner.find(succ.key) {
                 Some(id) => id,
                 None => {
-                    let n_local = stage.new_keys.len() as u32;
-                    let (li, fresh) = local.intern(&stage.new_keys, succ.key, n_local);
+                    let (li, fresh) = stage.new_keys.intern(succ.key);
                     if fresh {
-                        stage.new_keys.push(succ.key);
-                        if C::KEEPS_REPS {
-                            stage.new_reps.extend_from_slice(succ.rep);
-                            stage.new_periods.push(succ.period);
-                        }
+                        stage.new_reps.extend_from_slice(succ.rep);
+                        stage.new_periods.push(succ.period);
                     }
                     NEW_BIT | li
                 }
@@ -695,7 +685,8 @@ fn merge_chunk<S: RowSink>(
     max_states: usize,
     sink: &mut S,
 ) -> Result<(), MarkingError> {
-    let mut local_ids = vec![EMPTY; stage.new_keys.len()];
+    const UNSEEN: u32 = u32::MAX;
+    let mut local_ids = vec![UNSEEN; stage.new_keys.len()];
     let mut f = 0usize;
     for (row, &end) in stage.row_ends.iter().enumerate() {
         for &(t, code) in &stage.firings[f..end as usize] {
@@ -703,8 +694,9 @@ fn merge_chunk<S: RowSink>(
                 code
             } else {
                 let li = (code & !NEW_BIT) as usize;
-                if local_ids[li] == EMPTY {
-                    local_ids[li] = store.intern(stage.successor(li), max_states)?;
+                if local_ids[li] == UNSEEN {
+                    let succ = stage.successor(li, net.n_places());
+                    local_ids[li] = store.intern(succ, max_states)?;
                 }
                 local_ids[li]
             };
@@ -764,7 +756,7 @@ pub(super) fn explore<C: Canonicalizer, S: RowSink>(
     }
 
     let mut scratch = canon.scratch(net);
-    let mut store = Frontier::new(width, &opts, C::KEEPS_REPS);
+    let mut store = Frontier::new(width, canon.key_words(net), &opts);
     // The initial marking is interned whatever the budget.
     canon.load_row(&init, &mut scratch);
     store.intern(canon.elect(&mut scratch), usize::MAX)?;
@@ -772,7 +764,7 @@ pub(super) fn explore<C: Canonicalizer, S: RowSink>(
     let mut cur = vec![0u8; width];
     let mut frontier = 0usize;
     // Exclusive end of the BFS level being explored: crossing it starts
-    // the next level (and a fresh delta base in the arenas).
+    // the next level (and a fresh delta base in the row arena).
     let mut level_end = 0usize;
     let mut levels = 0usize;
 
@@ -781,7 +773,7 @@ pub(super) fn explore<C: Canonicalizer, S: RowSink>(
             store.checkpoint(&opts, S::PHASE, levels)?;
             levels += 1;
             level_end = store.len();
-            store.begin_level();
+            store.rows.begin_level();
         }
         let threads = bfs_threads(opts.threads, store.len() - frontier);
         if threads > 1 {
@@ -826,7 +818,7 @@ pub(super) fn explore<C: Canonicalizer, S: RowSink>(
         if s & 0xfff == 0xfff {
             store.checkpoint(&opts, S::PHASE, levels)?;
         }
-        store.rows().copy_to(s, &mut cur);
+        store.rows.copy_to(s, &mut cur);
         scan.row(&cur, &mut scratch, |t, succ| {
             let id = store.intern(succ, opts.max_states)?;
             sink.fire(s as u32, t, id, net.rates[t]);
@@ -847,15 +839,24 @@ pub(super) fn explore<C: Canonicalizer, S: RowSink>(
 mod tests {
     use super::*;
 
+    /// A 0/1 byte row as big-endian bit words.
+    fn pack_bits(row: &[u8]) -> Vec<u64> {
+        let mut words = vec![0; packed_words(row.len())];
+        for (q, _) in row.iter().enumerate().filter(|(_, &tokens)| tokens != 0) {
+            words[q / 64] |= place_bit(q);
+        }
+        words
+    }
+
     /// `RowRotation` against `petri::canon` at the election level, on
     /// random safe markings of nets built around a random permutation:
     /// `k` place cycles of one length `c` (so the order is `c`) plus
     /// fixed places, one cycle of `c` transitions plus a fixed one.  Both
     /// a freshly loaded row and a row with a transition fired into it
-    /// must elect the oracle's key bytes and period.  Rows of period
-    /// below the order are there by construction: every third row repeats
-    /// a pattern of a proper divisor's length along each cycle, and the
-    /// all-zero and all-one rows are fixed points.
+    /// must elect the oracle's key (as bit words) and period.  Rows of
+    /// period below the order are there by construction: every third row
+    /// repeats a pattern of a proper divisor's length along each cycle,
+    /// and the all-zero and all-one rows are fixed points.
     #[test]
     fn row_rotation_elects_what_the_canonicalizer_elects() {
         let mut x = 0xda3e39cb94b95bdbu64;
@@ -919,7 +920,7 @@ mod tests {
                         let period = oracle.canonicalize_into(m, &mut expect);
                         let at = format!("width {width} cycles of {c} sample {sample} {what}");
                         assert_eq!(succ.rep, m, "{at}");
-                        assert_eq!(succ.key, expect.key(), "{at}");
+                        assert_eq!(succ.key, pack_bits(expect.key()), "{at}");
                         assert_eq!(succ.period, period, "{at}");
                     };
                     rowrot.load_row(&row, &mut scratch);

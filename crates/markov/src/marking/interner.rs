@@ -1,256 +1,265 @@
-//! Deduplication tables of the BFS kernel: the open-addressing
-//! [`OffsetInterner`] keyed by arena offsets and the two-level
-//! [`ShardedInterner`] built from it.
+//! Deduplication table of the BFS kernel: the [`Interner`] owns every
+//! interned key — `words` packed `u64`s at `id · words` — and finds one
+//! through `2^k` open-addressing shards of tagged slots.
 
-use super::arena::{hash_marking, MarkingStore};
-use super::{MarkingOptions, MAX_INTERNER_SHARDS};
+use super::MAX_INTERNER_SHARDS;
+use crate::fxhash::FxHasher;
+use std::hash::Hasher;
 
-/// Open-addressing interner whose keys are offsets into the marking
-/// arena — probing compares slices read back from the arena, so no owned
-/// key is ever allocated.
-pub(super) struct OffsetInterner {
-    /// State id per slot, or `EMPTY`.
-    table: Vec<u32>,
-    mask: usize,
+/// Vacant-slot marker (ids stay below 2^31, so no occupied slot is all
+/// ones).
+const EMPTY: u64 = u64::MAX;
+
+/// Slots a shard starts with; it doubles as states arrive.
+const INIT_SLOTS: usize = 64;
+
+/// Fx hash of a packed key, folded: Fx's low bits depend only on the low
+/// bits of the last word — zero padding on most bit rows — so the high
+/// half is XORed in before the low half becomes tag and slot position.
+#[inline]
+fn hash_key(key: &[u64]) -> u64 {
+    let mut h = FxHasher::default();
+    for &word in key {
+        h.write_u64(word);
+    }
+    let h = h.finish();
+    h ^ h >> 32
+}
+
+/// Append `slot` to the probe run of its tag (the caller knows its key
+/// is absent).
+#[inline]
+fn place(slots: &mut [u64], slot: u64) {
+    let mask = slots.len() - 1;
+    let mut i = (slot >> 32) as usize & mask;
+    while slots[i] != EMPTY {
+        i = (i + 1) & mask;
+    }
+    slots[i] = slot;
+}
+
+/// One open-addressing table: a slot is `tag << 32 | id` (the tag is the
+/// low half of the folded hash, whose low bits are also the home slot),
+/// or [`EMPTY`].
+struct Shard {
+    slots: Vec<u64>,
     len: usize,
 }
 
-/// Vacant-slot marker (state ids therefore stay below it).
-pub(super) const EMPTY: u32 = u32::MAX;
-
-impl OffsetInterner {
-    pub(super) fn with_capacity(states: usize) -> Self {
-        Self::with_slots((states.max(8) * 2).next_power_of_two())
-    }
-
-    /// A table of exactly `slots` slots (rounded up to a power of two).
-    fn with_slots(slots: usize) -> Self {
-        let cap = slots.max(16).next_power_of_two();
-        OffsetInterner {
-            table: vec![EMPTY; cap],
-            mask: cap - 1,
-            len: 0,
-        }
-    }
-
-    /// Find `probe`'s state id, or intern it as `new_id` (the caller must
-    /// then append `probe` to the arena to keep ids in sync).
+impl Shard {
+    /// The id under `tag` whose key words equal `key`, or `None` at the
+    /// first vacant slot.  Only a tag match reads key words.
     #[inline]
-    pub(super) fn intern(
-        &mut self,
-        arena: &MarkingStore,
-        probe: &[u8],
-        new_id: u32,
-    ) -> (u32, bool) {
-        self.intern_hashed(arena, hash_marking(probe), probe, new_id, 0)
-    }
-
-    /// [`Self::intern`] with the hash supplied by the caller (the sharded
-    /// interner hashes once to pick the shard).  `budget_slots` is the
-    /// first-growth jump target: a full table grows to
-    /// `max(2·slots, budget_slots)`, so a budget-presized shard pays at
-    /// most one cheap early rehash instead of a doubling storm (`0`
-    /// keeps plain doubling — the legacy growth schedule).
-    #[inline]
-    fn intern_hashed(
-        &mut self,
-        arena: &MarkingStore,
-        h: u64,
-        probe: &[u8],
-        new_id: u32,
-        budget_slots: usize,
-    ) -> (u32, bool) {
-        if (self.len + 1) * 8 > self.table.len() * 7 {
-            self.grow(arena, (self.table.len() * 2).max(budget_slots));
-        }
-        let mut slot = h as usize & self.mask;
+    fn find(&self, keys: &[u64], tag: u32, key: &[u64]) -> Option<u32> {
+        let w = key.len();
+        let mask = self.slots.len() - 1;
+        let mut i = tag as usize & mask;
         loop {
-            let id = self.table[slot];
-            if id == EMPTY {
-                self.table[slot] = new_id;
-                self.len += 1;
-                return (new_id, true);
-            }
-            if arena.matches(id as usize, probe) {
-                return (id, false);
-            }
-            slot = (slot + 1) & self.mask;
-        }
-    }
-
-    /// Read-only probe with the hash supplied by the caller: `probe`'s
-    /// state id if it is interned, else `None`.  This is the
-    /// **level-frozen** lookup of the parallel BFS workers — the table is
-    /// shared immutably across threads while a level is being explored,
-    /// so states discovered *within* the level miss here and are
-    /// deduplicated chunk-locally instead.
-    #[inline]
-    fn find_hashed(&self, arena: &MarkingStore, h: u64, probe: &[u8]) -> Option<u32> {
-        let mut slot = h as usize & self.mask;
-        loop {
-            let id = self.table[slot];
-            if id == EMPTY {
+            let slot = self.slots[i];
+            if slot == EMPTY {
                 return None;
             }
-            if arena.matches(id as usize, probe) {
+            let id = slot as u32;
+            if (slot >> 32) as u32 == tag && keys[id as usize * w..][..w] == *key {
                 return Some(id);
             }
-            slot = (slot + 1) & self.mask;
+            i = (i + 1) & mask;
         }
     }
 
-    #[cold]
-    fn grow(&mut self, arena: &MarkingStore, target_slots: usize) {
-        let cap = target_slots.max(self.table.len() * 2).next_power_of_two();
-        let mut table = vec![EMPTY; cap];
-        let mask = cap - 1;
-        let mut scratch = Vec::new();
-        for &id in self.table.iter().filter(|&&id| id != EMPTY) {
-            let mut slot = arena.hash_entry(id as usize, &mut scratch) as usize & mask;
-            while table[slot] != EMPTY {
-                slot = (slot + 1) & mask;
+    /// Record a new id under `tag`, doubling first past a 7/8 load: the
+    /// tagged slots move as they are, no key is read.
+    fn insert(&mut self, tag: u32, id: u32) {
+        if (self.len + 1) * 8 > self.slots.len() * 7 {
+            let mut slots = vec![EMPTY; self.slots.len() * 2];
+            for &slot in self.slots.iter().filter(|&&s| s != EMPTY) {
+                place(&mut slots, slot);
             }
-            table[slot] = id;
+            self.slots = slots;
         }
-        self.table = table;
-        self.mask = mask;
-    }
-
-    /// Bytes of the open-addressing slot table.
-    fn table_bytes(&self) -> usize {
-        self.table.len() * std::mem::size_of::<u32>()
+        place(&mut self.slots, u64::from(tag) << 32 | u64::from(id));
+        self.len += 1;
     }
 }
 
-/// Two-level interner of the arena BFS paths: `2^k` [`OffsetInterner`]
-/// shards keyed by the **top** `k` bits of the marking hash (slot
-/// probing uses the low bits, so the two levels are independent).
-///
-/// Sharding reorganizes only the hash table: ids are still assigned by
-/// the caller in sequential scan/merge order and deduplication is exact
-/// byte equality, so the chain is **bitwise identical for any shard
-/// count** — the same contract the chunk-parallel BFS honors.  What
-/// sharding buys at 10M+ states is allocation granularity: each shard's
-/// table grows (and rehashes) independently at ~1/2^k the size, and the
-/// first growth of a shard jumps straight to its slice of the
-/// `max_states` budget (`budget_slots`) — at most one cheap early rehash
-/// per shard instead of the ~13 full-table doubling rehashes a 6×7 build
-/// paid under the old fixed 1024-slot start.
-pub(super) struct ShardedInterner {
-    shards: Vec<OffsetInterner>,
+/// The kernel's key store and dedup table.  Ids are assigned in call
+/// order — the caller's scan/merge order, never the hash's — and a key is
+/// matched by exact word equality, so the ids are **identical for any
+/// shard count**.  Shards are picked by the top hash bits (slot positions
+/// use the low ones, so the two levels are independent) and grow
+/// independently from [`INIT_SLOTS`]: a table is sized from the states it
+/// has seen, never from the `max_states` budget.
+pub(super) struct Interner {
+    shards: Vec<Shard>,
     /// `hash >> shard_shift` picks the shard; `64` means a single shard.
     shard_shift: u32,
-    /// Per-shard first-growth target: slots holding `max_states / 2^k`
-    /// entries below the 7/8 load bound (`0` = plain doubling).
-    budget_slots: usize,
+    /// Words per key.
+    words: usize,
+    /// Key of state `id` at `id · words`.
+    keys: Vec<u64>,
 }
 
-impl ShardedInterner {
-    /// `n_shards` tables (rounded to a power of two) presized for a
-    /// `max_states` interning budget.  Shards start at ≤ 2048 slots so
-    /// the many small pattern-chain builds of the engine never pay a
-    /// budget-sized allocation; builds that do scale pay one early
-    /// rehash per shard when they jump to `budget_slots`.
-    fn new(n_shards: usize, max_states: usize) -> Self {
+impl Interner {
+    /// An empty interner of `words`-word keys over `n_shards` tables
+    /// (rounded to a power of two, capped at [`MAX_INTERNER_SHARDS`]).
+    pub(super) fn new(words: usize, n_shards: usize) -> Self {
         let n = n_shards.clamp(1, MAX_INTERNER_SHARDS).next_power_of_two();
-        let budget_slots = if max_states == 0 {
-            0
-        } else {
-            (max_states / n * 8 / 7 + 1).next_power_of_two()
-        };
-        let init = budget_slots.clamp(16, 2048);
-        ShardedInterner {
-            shards: (0..n).map(|_| OffsetInterner::with_slots(init)).collect(),
+        Interner {
+            shards: (0..n)
+                .map(|_| Shard {
+                    slots: vec![EMPTY; INIT_SLOTS],
+                    len: 0,
+                })
+                .collect(),
             shard_shift: 64 - n.trailing_zeros(),
-            budget_slots,
+            words,
+            keys: Vec::new(),
         }
     }
 
-    /// The [`MarkingOptions`]-resolved interner of the big build paths.
-    pub(super) fn for_opts(opts: &MarkingOptions) -> Self {
-        Self::new(opts.resolved_interner_shards(), opts.max_states)
+    /// Keys interned so far.
+    pub(super) fn len(&self) -> usize {
+        self.keys.len() / self.words
+    }
+
+    /// The key of state `id`.
+    pub(super) fn key(&self, id: usize) -> &[u64] {
+        &self.keys[id * self.words..][..self.words]
     }
 
     #[inline]
     fn shard_of(&self, h: u64) -> usize {
-        if self.shard_shift >= 64 {
-            0
-        } else {
-            (h >> self.shard_shift) as usize
-        }
+        h.checked_shr(self.shard_shift).unwrap_or(0) as usize
     }
 
-    /// Find `probe`'s state id, or intern it as `new_id` (see
-    /// [`OffsetInterner::intern`]).
+    /// `key`'s state id, interning it as the next id when it is new (the
+    /// flag).
     #[inline]
-    pub(super) fn intern(
-        &mut self,
-        arena: &MarkingStore,
-        probe: &[u8],
-        new_id: u32,
-    ) -> (u32, bool) {
-        let h = hash_marking(probe);
-        let budget = self.budget_slots;
+    pub(super) fn intern(&mut self, key: &[u64]) -> (u32, bool) {
+        self.intern_hashed(hash_key(key), key)
+    }
+
+    /// [`Self::intern`] with the folded hash supplied by the caller.
+    #[inline]
+    fn intern_hashed(&mut self, h: u64, key: &[u64]) -> (u32, bool) {
+        debug_assert_eq!(key.len(), self.words);
         let shard = self.shard_of(h);
-        self.shards[shard].intern_hashed(arena, h, probe, new_id, budget)
+        if let Some(id) = self.shards[shard].find(&self.keys, h as u32, key) {
+            return (id, false);
+        }
+        let id = self.len() as u32;
+        self.shards[shard].insert(h as u32, id);
+        self.keys.extend_from_slice(key);
+        (id, true)
     }
 
-    /// Level-frozen read-only probe (see [`OffsetInterner::find_hashed`]).
+    /// Read-only probe: `key`'s state id if it is interned.  This is the
+    /// **level-frozen** lookup of the parallel BFS workers — the interner
+    /// is shared immutably while a level is explored, so states found
+    /// *within* the level miss here and are deduplicated chunk-locally.
     #[inline]
-    pub(super) fn find(&self, arena: &MarkingStore, probe: &[u8]) -> Option<u32> {
-        let h = hash_marking(probe);
-        self.shards[self.shard_of(h)].find_hashed(arena, h, probe)
+    pub(super) fn find(&self, key: &[u64]) -> Option<u32> {
+        let h = hash_key(key);
+        self.shards[self.shard_of(h)].find(&self.keys, h as u32, key)
+    }
+
+    /// Bytes of the packed keys.
+    pub(super) fn keys_bytes(&self) -> usize {
+        self.keys.len() * std::mem::size_of::<u64>()
     }
 
     /// Bytes of the slot tables summed over every shard.
     pub(super) fn table_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.table_bytes()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.slots.len() * std::mem::size_of::<u64>())
+            .sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::marking::{ArenaCompression, MarkingGraph};
-    use crate::net::comm_pattern;
+    use crate::marking::bfs::{Canonicalizer, RowRotation};
+    use crate::marking::{MarkingOptions, QuotientGraph};
+    use crate::net::EventNet;
+    use repstream_petri::canon::MarkingCanonicalizer;
+    use repstream_petri::shape::{ExecModel, MappingShape, ResourceTable};
+    use repstream_petri::tpn::Tpn;
+    use std::collections::HashMap;
 
-    /// Chain-bit equality of the interning decisions across table
-    /// layouts: the budget-presized sharded interner and the legacy
-    /// fixed-1024-slot doubling table must return the identical
-    /// `(id, is_new)` sequence for the same probe sequence — the id
-    /// assignment is the caller's scan order, never the table's.
-    #[test]
-    fn sharded_interner_matches_legacy_growth_path() {
-        let net = comm_pattern(3, 4, |i, j| 1.0 + (i + 3 * j) as f64);
-        let mg = MarkingGraph::build(&net, MarkingOptions::default()).unwrap();
-        let width = mg.states.width();
-
-        // Replay every stored marking (plus every marking again, to get
-        // hit-paths) against three interner layouts over one arena.
-        let mut arena = MarkingStore::with_spill(width, ArenaCompression::Off, usize::MAX);
-        // Legacy: single shard, no budget jump (plain doubling from the
-        // historical 2048-slot start).
-        let mut legacy = OffsetInterner::with_capacity(1024);
-        let mut sharded = ShardedInterner::new(16, mg.n_states());
-        let mut single = ShardedInterner::new(1, 1 << 20);
-        let mut n = 0u32;
-        let mut probe = Vec::new();
-        for pass in 0..2 {
-            for s in 0..mg.n_states() {
-                probe.clear();
-                probe.extend_from_slice(mg.states.get(s));
-                let h = hash_marking(&probe);
-                let a = legacy.intern_hashed(&arena, h, &probe, n, 0);
-                let b = sharded.intern(&arena, &probe, n);
-                let c = single.intern(&arena, &probe, n);
-                assert_eq!(a, b, "pass {pass} state {s}");
-                assert_eq!(a, c, "pass {pass} state {s}");
-                if a.1 {
-                    arena.push(&probe);
-                    n += 1;
-                }
+    /// Mean slots a successful lookup inspects, over every interned key.
+    fn mean_probe_len(interner: &Interner) -> f64 {
+        let mut total = 0usize;
+        for id in 0..interner.len() {
+            let key = interner.key(id);
+            let h = hash_key(key);
+            let shard = &interner.shards[interner.shard_of(h)];
+            let mask = shard.slots.len() - 1;
+            let mut i = h as u32 as usize & mask;
+            total += 1;
+            while shard.slots[i] as u32 != id as u32 {
+                i = (i + 1) & mask;
+                total += 1;
             }
         }
-        assert_eq!(n as usize, mg.n_states());
+        total as f64 / interner.len() as f64
+    }
+
+    /// The interner against a `HashMap` oracle on every canonical key of
+    /// the hom(5×6) quotient (two-word bit rows, 120 places, eight
+    /// padding bits), fed twice, through 1 and 16 shards and every
+    /// doubling from 64 slots: the same `(id, is_new)` sequence.  Two
+    /// keys forced onto one hash still get distinct ids, and the mean
+    /// probe length stays under 2 — which the hash fold is what keeps.
+    #[test]
+    fn interner_matches_hashmap_oracle() {
+        let shape = MappingShape::new(vec![5, 6]);
+        let tpn = Tpn::build(&shape, ExecModel::Strict);
+        let rates = ResourceTable::from_fns(&shape, |_, _| 0.5, |_, _, _| 2.0);
+        let (net, sym) = EventNet::from_tpn_with_symmetry(&tpn, &rates);
+        let sym = sym.unwrap();
+        let qg = QuotientGraph::build(&net, &sym, MarkingOptions::default()).unwrap();
+        let order = MarkingCanonicalizer::new(&sym.place_perm).unwrap().order();
+        let rowrot = RowRotation::new(&net, &sym, order as usize);
+        let mut scratch = rowrot.scratch(&net);
+        let mut buf = Vec::new();
+        let keys: Vec<Vec<u64>> = (0..qg.n_states())
+            .map(|s| {
+                rowrot.load_row(qg.reps.read_into(s, &mut buf), &mut scratch);
+                rowrot.elect(&mut scratch).key.to_vec()
+            })
+            .collect();
+        let words = keys[0].len();
+        assert_eq!((net.n_places(), words, keys.len()), (120, 2, 86_016));
+
+        for n_shards in [1usize, 16] {
+            let mut oracle: HashMap<Vec<u64>, u32> = HashMap::new();
+            let mut interner = Interner::new(words, n_shards);
+            for pass in 0..2 {
+                for (id, key) in keys.iter().enumerate() {
+                    let next = oracle.len() as u32;
+                    let known = *oracle.entry(key.clone()).or_insert(next);
+                    let got = interner.intern(key);
+                    let at = format!("{n_shards} shards, pass {pass}, key {id}");
+                    assert_eq!(got, (known, known == next), "{at}");
+                }
+            }
+            assert_eq!(interner.len(), keys.len());
+            assert!(
+                interner.table_bytes() < 4 * keys.len() * 8,
+                "sized from the states seen"
+            );
+            let mean = mean_probe_len(&interner);
+            assert!(mean < 2.0, "{n_shards} shards: mean probe length {mean}");
+        }
+
+        // Distinct keys under one hash: the tag matches, the words do not.
+        let mut interner = Interner::new(words, 1);
+        let h = hash_key(&keys[0]);
+        for (id, key) in keys.iter().take(100).enumerate() {
+            assert_eq!(interner.intern_hashed(h, key), (id as u32, true));
+        }
+        assert_eq!(interner.intern_hashed(h, &keys[42]), (42, false));
     }
 }

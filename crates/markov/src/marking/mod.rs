@@ -15,22 +15,23 @@
 //! scanner, one staging/merge pair, one set of budget checkpoints and error
 //! points), monomorphised over two small traits:
 //!
-//! * a **canonicaliser** turns a fired successor into its interning key —
-//!   `Identity` (key = marking: the full chain, which is the quotient's
-//!   `m = 1` degenerate made literal), `RowRotation` (safe nets, so **bit
-//!   rows**: the m rotations of a row's marking are packed once per row,
-//!   one bit per place and big-endian, so that word order is byte-row
+//! * a **canonicaliser** turns a fired successor into its interning key,
+//!   a fixed number of packed `u64` words — `RowRotation` (safe nets, so
+//!   **bit rows**: the m rotations of a row's marking are packed once per
+//!   row, one bit per place and big-endian, so that word order is byte-row
 //!   order and the elected member is unchanged; a firing is then one
 //!   fused pass that XORs each rotation with the tabulated flip mask of
-//!   the rotated transition and compares, and only the winner is
-//!   unpacked into key bytes) and `PerFiring` (a full
-//!   [`MarkingCanonicalizer`] call per firing on byte rows: the oracle
-//!   `RowRotation` is tested against, and what builds the quotients bits
-//!   cannot hold — a capacity bound above one token — or whose tables
-//!   would pass the 64 MiB cap).  Bit rows rest on every packed marking
-//!   being 0/1: the kernel validates the initial marking before the
-//!   search and raises `NotSafe` before an unsafe successor's key is
-//!   interned;
+//!   the rotated transition and compares, and the winner's words are the
+//!   key — of order 1 over the identity permutation it is the safe full
+//!   chain's canonicaliser), and on byte rows, packed eight places per
+//!   word, `Identity` (key = marking: the capacity-bounded full chain)
+//!   and `PerFiring` (a full [`MarkingCanonicalizer`] call per firing:
+//!   the oracle `RowRotation` is tested against, and what builds the
+//!   quotients bits cannot hold — a capacity bound above one token — or
+//!   whose tables would pass the 64 MiB cap).  Bit rows rest on every
+//!   packed marking being 0/1: the kernel validates the initial marking
+//!   before the search and raises `NotSafe` before an unsafe successor's
+//!   key is interned;
 //! * a **row sink** turns scanned rows into a public result type —
 //!   [`MarkingGraph`] (one CSR edge per firing, the enabled sets doubling
 //!   as the edge → transition map) or [`QuotientGraph`] (rates aggregated
@@ -39,19 +40,24 @@
 //!
 //! The BFS allocates nothing per firing:
 //!
-//! * **marking arenas** (`arena.rs`) — interned markings live in
-//!   append-only byte arenas ([`MarkingStore`]), flat (state `s` at byte
-//!   offset `s · n_places`) or delta-compressed per BFS level
+//! * **row arena** (`arena.rs`) — the marking each state's row is scanned
+//!   from (the full chain's markings, the quotient's representatives)
+//!   lives in one append-only byte arena ([`MarkingStore`]), flat (state
+//!   `s` at byte offset `s · n_places`) or delta-compressed per BFS level
 //!   ([`ArenaCompression`]), optionally spilled to an unlinked temp file
-//!   ([`MarkingOptions::interner_spill`]);
-//! * **offset-keyed interner** (`interner.rs`) — deduplication probes
-//!   open-addressing tables of state ids whose keys *are* arena offsets
-//!   (slices are re-read from the arena on compare), so no owned key is
-//!   ever built; sharded by the top hash bits
-//!   ([`MarkingOptions::interner_shards`]);
+//!   ([`MarkingOptions::interner_spill`]); the BFS reads it once per
+//!   scanned row and never to deduplicate;
+//! * **word-keyed interner** (`interner.rs`) — the interner owns the
+//!   keys, `W` words per state at `id · W`, and finds them through
+//!   open-addressing tables of tagged slots (a 32-bit hash tag beside
+//!   each id, so a probe reads key words only on a tag match, and a
+//!   rehash moves slots without reading a key); sharded by the top hash
+//!   bits ([`MarkingOptions::interner_shards`]), each shard doubling from
+//!   64 slots as states arrive;
 //! * **scratch successor** — each firing writes the successor into the
-//!   canonicaliser's reused per-thread scratch; it is copied into the
-//!   arenas only when its key turns out to be new;
+//!   canonicaliser's reused per-thread scratch; its key and marking are
+//!   copied into the interner and the row arena only when the key turns
+//!   out to be new;
 //! * **flat CSR outputs** — both the chain (via
 //!   [`crate::ctmc::CsrBuilder`]) and the per-state enabled-transition
 //!   sets are built directly in compressed sparse row form.
@@ -66,10 +72,10 @@
 //! row-rotation in the homogeneous setting of Theorem 2),
 //! [`QuotientGraph::build`] explores the state space **directly in the
 //! quotient**: every successor marking is canonicalized under the
-//! automorphism's cyclic group before interning, so the arenas only ever
-//! hold one representative per orbit — the peak interned-state count is
-//! `full / m` on free orbits — and the CSR is emitted with
-//! orbit-aggregated rates.  The resulting chain (and its uniform
+//! automorphism's cyclic group before interning, so the interner and the
+//! row arena only ever hold one key and one representative per orbit —
+//! the peak interned-state count is `full / m` on free orbits — and the
+//! CSR is emitted with orbit-aggregated rates.  The resulting chain (and its uniform
 //! [`Lift`]) is **bitwise identical** to building the full chain and
 //! lumping it through [`MarkingGraph::orbit_partition`] +
 //! [`Ctmc::quotient`](crate::ctmc::Ctmc::quotient), without ever
@@ -131,11 +137,11 @@ pub enum ArenaCompression {
 }
 
 /// Flat-arena byte size above which [`ArenaCompression::Auto`] converts
-/// to the delta encoding.  8 MiB per arena: small enough that the
-/// million-state quotient builds (the 6×7-and-beyond class) compress
-/// long before the interner becomes the memory ceiling, large enough
-/// that the sub-100k-state chains of the interactive paths keep the
-/// zero-decode flat layout.
+/// to the delta encoding.  8 MiB: small enough that the million-state
+/// quotient builds (the 6×7-and-beyond class) compress long before the
+/// row arena becomes the memory ceiling, large enough that the
+/// sub-100k-state chains of the interactive paths keep the zero-decode
+/// flat layout.
 pub const ARENA_COMPRESS_THRESHOLD: usize = 8 << 20;
 
 /// Options for marking-graph construction.
@@ -160,30 +166,34 @@ pub struct MarkingOptions {
     /// pending states (`1` forces the sequential scan).  Every choice
     /// produces **bitwise-identical** output.
     pub threads: usize,
-    /// Delta compression of the marking arenas (keys and
-    /// representatives).  Compression changes only how markings are
+    /// Delta compression of the row arena (the full chain's markings, the
+    /// quotient's representatives).  Compression changes only how
+    /// markings are
     /// *stored* — BFS order, interned ids and all emitted chain bits are
     /// identical in every mode.
     pub arena_compression: ArenaCompression,
     /// Shard count of the two-level interner (rounded up to a power of
     /// two, capped at [`MAX_INTERNER_SHARDS`]).  `0` (the default) means
     /// 16 shards for budgets of 2^18 states and above and a single shard
-    /// below.  Sharding reorganizes only the hash table — ids are still
-    /// assigned in sequential scan/merge order and dedup is exact byte
-    /// equality, so output is **bitwise identical** for any shard count.
+    /// below.  Each shard starts at 64 slots and doubles as states
+    /// arrive; the `max_states` budget does not size it.  Sharding
+    /// reorganizes only the hash table — ids are still assigned in
+    /// sequential scan/merge order and dedup is exact key equality, so
+    /// output is **bitwise identical** for any shard count.
     pub interner_shards: usize,
-    /// Spill the marking arenas' byte payloads (not the slot tables) to
-    /// an unlinked temp file once they outgrow [`Self::spill_limit`], so
-    /// peak RSS stays bounded on 10M+-state builds.  Storage-only: every
-    /// read decodes through the same byte sequence, so chains are
-    /// bitwise identical with spill on or off.  Trades wall clock
-    /// (collision probes against spilled markings re-read from the file)
-    /// for memory; no-op on non-Unix targets.
+    /// Spill the row arena's byte payload to an unlinked temp file once
+    /// it outgrows [`Self::spill_limit`], so peak RSS stays bounded on
+    /// 10M+-state builds.  The interner's packed keys (`⌈places/64⌉`
+    /// words per state on a safe net) and slot tables stay resident:
+    /// deduplication never touches the disk, and only the read of each
+    /// scanned row does.  Storage-only: every read decodes through the
+    /// same byte sequence, so chains are bitwise identical with spill on
+    /// or off.  No-op on non-Unix targets.
     pub interner_spill: bool,
-    /// In-memory payload bytes each arena keeps resident before flushing
-    /// to the spill file (only meaningful with
+    /// In-memory payload bytes the row arena keeps resident before
+    /// flushing to the spill file (only meaningful with
     /// [`Self::interner_spill`]).  `0` (the default) means
-    /// [`DEFAULT_SPILL_LIMIT`], 64 MiB per arena.
+    /// [`DEFAULT_SPILL_LIMIT`], 64 MiB.
     pub spill_limit: usize,
     /// Cooperative resource limits ([`Budget`]), checked at every BFS
     /// level and chunk boundary and every 4096 states in between.  The
@@ -209,7 +219,7 @@ impl Default for MarkingOptions {
 }
 
 impl MarkingOptions {
-    /// Resolved per-arena resident-byte bound of the spill machinery:
+    /// Resolved resident-byte bound of the spill machinery:
     /// `usize::MAX` (never spill) unless [`Self::interner_spill`] is set,
     /// then [`Self::spill_limit`] or [`DEFAULT_SPILL_LIMIT`].
     fn resolved_spill_limit(&self) -> usize {
@@ -231,7 +241,7 @@ impl MarkingOptions {
     }
 }
 
-/// Payload bytes each arena keeps resident under
+/// Payload bytes the row arena keeps resident under
 /// [`MarkingOptions::interner_spill`] when no
 /// [`MarkingOptions::spill_limit`] is given.
 pub const DEFAULT_SPILL_LIMIT: usize = 64 << 20;
@@ -373,18 +383,18 @@ impl std::error::Error for MarkingError {
 }
 
 /// Byte accounting of a build's marking storage, captured when the BFS
-/// finishes (arena and table only grow, so this is also the peak).
+/// finishes (keys, arena and tables only grow, so this is also the peak).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArenaStats {
-    /// Canonical-key arena bytes (what the interner dedups against; the
-    /// plain BFS's keys *are* its markings).
+    /// Packed interning keys, on both graph types: `⌈places/64⌉` words
+    /// per state on bit rows, `⌈places/8⌉` on byte rows.
     pub keys_bytes: usize,
-    /// Representative arena bytes (quotient builds; `0` when the keys
-    /// double as the stored markings).
+    /// Resident row arena bytes: the markings of a [`MarkingGraph`], the
+    /// representatives of a [`QuotientGraph`].
     pub reps_bytes: usize,
     /// Interner bytes: open-addressing slots summed over every shard.
     pub interner_bytes: usize,
-    /// Payload bytes parked in spill files across both arenas
+    /// Row-arena payload bytes parked in the spill file
     /// ([`MarkingOptions::interner_spill`]); these are *not* resident,
     /// so they are excluded from [`Self::total`].
     pub spill_bytes: usize,
@@ -393,9 +403,9 @@ pub struct ArenaStats {
 }
 
 impl ArenaStats {
-    /// Total **resident** bytes across both arenas and the interner
-    /// (spilled bytes are on disk; add [`Self::spill_bytes`] for the
-    /// total stored footprint).
+    /// Total **resident** bytes: keys, row arena and slots (spilled
+    /// bytes are on disk; add [`Self::spill_bytes`] for the total stored
+    /// footprint).
     pub fn total(&self) -> usize {
         self.keys_bytes + self.reps_bytes + self.interner_bytes
     }
@@ -591,15 +601,30 @@ impl RowSink for GraphBuilder {
 impl MarkingGraph {
     /// Explore the reachable markings of `net`.
     pub fn build(net: &EventNet, opts: MarkingOptions) -> Result<Self, MarkingError> {
+        // A safe net's markings are bit rows; token counts above one stay
+        // on bytes.
+        if opts.capacity.is_none() && RowRotation::footprint(net, 1) <= ROT_BUFFER_CAP {
+            Self::explore(net, opts, &RowRotation::identity(net))
+        } else {
+            Self::explore(net, opts, &Identity)
+        }
+    }
+
+    /// [`Self::build`] with the canonicaliser chosen by the caller.
+    fn explore<C: Canonicalizer>(
+        net: &EventNet,
+        opts: MarkingOptions,
+        canon: &C,
+    ) -> Result<Self, MarkingError> {
         let nt = net.n_transitions();
         let mut out = GraphBuilder {
             csr: CsrBuilder::with_capacity(1024, 1024 * nt / 2),
             enabled: EnabledSets::new(),
         };
-        let found = bfs::explore(net, opts, &Identity, &mut out)?;
+        let found = bfs::explore(net, opts, canon, &mut out)?;
         let arena_stats = found.stats();
         Ok(MarkingGraph {
-            states: found.keys,
+            states: found.rows,
             ctmc: out.csr.finish(),
             enabled: out.enabled,
             arena_stats,
@@ -907,11 +932,8 @@ impl QuotientGraph {
         };
         let found = bfs::explore(net, opts, canon, &mut out)?;
         let arena_stats = found.stats();
-        let Some(reps) = found.reps else {
-            unreachable!("the quotient canonicalisers keep representatives");
-        };
         Ok(QuotientGraph {
-            reps,
+            reps: found.rows,
             ctmc: out.csr.finish(),
             enabled: out.enabled,
             edge_ptr: out.edge_ptr,
@@ -1156,10 +1178,11 @@ mod tests {
     }
 
     /// One kernel, every instantiation: canonicaliser × threads ×
-    /// compression × spill on a ≤ 8-place and a > 8-place net.  The
-    /// `Identity` build must equal the sequential flat resident one, and
-    /// both quotient canonicalisers must equal full-then-lump bit for bit
-    /// — chain, representatives, orbit sizes, enabled sets, refill map.
+    /// compression × spill on a ≤ 8-place and a > 8-place net.  The full
+    /// chain — on bit-row keys and on byte-key `Identity` — must equal
+    /// the sequential flat resident one, and both quotient canonicalisers
+    /// must equal full-then-lump bit for bit — chain, representatives,
+    /// orbit sizes, enabled sets, refill map.
     ///
     /// The nets also span `RowRotation`'s election widths: one word (1×4,
     /// 2×3), two with the deciding bits in word 1 (2×3 behind 64 places),
@@ -1217,6 +1240,16 @@ mod tests {
                         let mg = MarkingGraph::build(&net, opts).unwrap();
                         assert_same_graph(&mg, &full, &what);
                         assert_eq!(mg.arena_stats().spill_bytes > 0, interner_spill, "{what}");
+
+                        // The safe full chain is interned on bit rows;
+                        // byte-key `Identity` must build the same graph.
+                        let bytes = MarkingGraph::explore(&net, opts, &Identity).unwrap();
+                        assert_same_graph(&bytes, &full, &format!("{what} bytes"));
+                        let keys_per_state =
+                            |g: &MarkingGraph| g.arena_stats().keys_bytes / g.n_states() / 8;
+                        let places = net.n_places();
+                        assert_eq!(keys_per_state(&mg), places.div_ceil(64), "{what}");
+                        assert_eq!(keys_per_state(&bytes), places.div_ceil(8), "{what}");
 
                         let rowrot = RowRotation::new(&net, &sym, order);
                         for (name, qg) in [
