@@ -45,12 +45,7 @@
 //! forced solve's throughput asserted against the automatic plan's.
 //! This is the measured record behind the Krylov routing threshold.
 //!
-//! A seventh `"arena_memory"` section builds the same quotients with the
-//! marking arenas flat and delta-compressed, asserts the two chains
-//! bitwise identical (compression is storage-only), and records the peak
-//! arena+interner bytes and the reduction ratio.
-//!
-//! An eighth `"workload_search"` section records **joint multi-app**
+//! A seventh `"workload_search"` section records **joint multi-app**
 //! candidate scoring on the shared 12-processor platform
 //! (`shared_platform`, K = 2 and K = 3 tenants): the cold per-candidate
 //! contended rescore vs the engine's `WorkloadDetScorer` with its shared
@@ -66,7 +61,7 @@ use repstream_engine::batch::{score_batch, score_batch_with_threads};
 use repstream_engine::WorkloadDetScorer;
 use repstream_markov::ctmc::{Solver, SolverChoice};
 use repstream_markov::govern::Budget;
-use repstream_markov::marking::{ArenaCompression, MarkingGraph, MarkingOptions, QuotientGraph};
+use repstream_markov::marking::{MarkingGraph, MarkingOptions, QuotientGraph};
 use repstream_markov::net::{comm_pattern, EventNet};
 use repstream_petri::shape::{ExecModel, MappingShape, ResourceTable};
 use repstream_petri::tpn::Tpn;
@@ -616,127 +611,6 @@ fn main() {
         writeln!(json, "    }}{comma}").unwrap();
         println!("solver_scale {}: states {n}{summary}", label.join("x"));
     }
-    json.push_str("  ],\n  \"arena_memory\": [\n");
-
-    // Delta-compressed marking arenas vs flat storage on the same direct
-    // quotient builds: peak arena+interner bytes each way, with the
-    // storage-only contract enforced — both builds must agree bitwise on
-    // every representative and every chain rate before the numbers are
-    // recorded.
-    for (idx, &teams) in sshapes.iter().enumerate() {
-        let shape = MappingShape::new(teams.to_vec());
-        let tpn = Tpn::build(&shape, ExecModel::Strict);
-        let rates = ResourceTable::from_fns(&shape, |_, _| 0.5, |_, _, _| 2.0);
-        let (net, sym) = EventNet::from_tpn_with_symmetry(&tpn, &rates);
-        let sym = sym.expect("homogeneous table keeps the row rotation");
-        let mk = |c: ArenaCompression| MarkingOptions {
-            max_states: 1 << 22,
-            capacity: None,
-            arena_compression: c,
-            ..Default::default()
-        };
-        let t0 = Instant::now();
-        let flat = QuotientGraph::build(&net, &sym, mk(ArenaCompression::Off)).unwrap();
-        let t_flat = t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        let comp = QuotientGraph::build(&net, &sym, mk(ArenaCompression::On)).unwrap();
-        let t_comp = t0.elapsed().as_secs_f64();
-
-        assert_eq!(comp.n_states(), flat.n_states());
-        assert_eq!(comp.orbit_sizes(), flat.orbit_sizes());
-        let (mut buf_a, mut buf_b) = (Vec::new(), Vec::new());
-        for s in 0..flat.n_states() {
-            assert_eq!(
-                comp.reps.read_into(s, &mut buf_a),
-                flat.reps.read_into(s, &mut buf_b),
-                "state {s}"
-            );
-            assert_eq!(comp.ctmc.row_targets(s), flat.ctmc.row_targets(s));
-            for (a, b) in comp.ctmc.row_rates(s).iter().zip(flat.ctmc.row_rates(s)) {
-                assert_eq!(a.to_bits(), b.to_bits(), "state {s}");
-            }
-        }
-        let fs = flat.arena_stats();
-        let cs = comp.arena_stats();
-        let ratio = fs.total() as f64 / cs.total() as f64;
-
-        json.push_str("    {\n");
-        let ind = "      ";
-        let label: Vec<String> = teams.iter().map(|r| r.to_string()).collect();
-        field(
-            &mut json,
-            ind,
-            "teams",
-            format!("\"{}\"", label.join("x")),
-            false,
-        );
-        field(&mut json, ind, "quotient_states", flat.n_states(), false);
-        field(&mut json, ind, "flat_keys_bytes", fs.keys_bytes, false);
-        field(&mut json, ind, "flat_reps_bytes", fs.reps_bytes, false);
-        field(
-            &mut json,
-            ind,
-            "flat_interner_bytes",
-            fs.interner_bytes,
-            false,
-        );
-        field(&mut json, ind, "flat_total_bytes", fs.total(), false);
-        field(
-            &mut json,
-            ind,
-            "compressed_keys_bytes",
-            cs.keys_bytes,
-            false,
-        );
-        field(
-            &mut json,
-            ind,
-            "compressed_reps_bytes",
-            cs.reps_bytes,
-            false,
-        );
-        field(
-            &mut json,
-            ind,
-            "compressed_interner_bytes",
-            cs.interner_bytes,
-            false,
-        );
-        field(&mut json, ind, "compressed_total_bytes", cs.total(), false);
-        field(
-            &mut json,
-            ind,
-            "flat_build_s",
-            format!("{t_flat:.3e}"),
-            false,
-        );
-        field(
-            &mut json,
-            ind,
-            "compressed_build_s",
-            format!("{t_comp:.3e}"),
-            false,
-        );
-        field(
-            &mut json,
-            ind,
-            "reduction_ratio",
-            format!("{ratio:.2}"),
-            false,
-        );
-        field(&mut json, ind, "bitwise_equal", true, true);
-        let comma = if idx + 1 == sshapes.len() { "" } else { "," };
-        writeln!(json, "    }}{comma}").unwrap();
-        println!(
-            "arena_memory {}: states {} flat {} B compressed {} B ratio {ratio:.2} build {:.1}ms -> {:.1}ms",
-            label.join("x"),
-            flat.n_states(),
-            fs.total(),
-            cs.total(),
-            t_flat * 1e3,
-            t_comp * 1e3,
-        );
-    }
     json.push_str("  ],\n  \"mapping_search\": {\n");
 
     // Batch candidate scoring on the 12-processor mapping-search scenario.
@@ -1125,7 +999,6 @@ fn main() {
                 let mk = |spill: bool| MarkingOptions {
                     max_states: 1 << 24,
                     capacity: None,
-                    arena_compression: ArenaCompression::Auto,
                     interner_spill: spill,
                     ..Default::default()
                 };

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //!   u32 LE  body length              (0 < len ≤ 64 MiB)
-//!   u8      protocol version         (WIRE_VERSION = 1)
+//!   u8      protocol version         (WIRE_VERSION = 2)
 //!   u8      message tag              (Request: 0–6, Response: 128–135)
 //!   …       tag-specific payload
 //! ```
@@ -43,7 +43,7 @@ use std::time::Duration;
 use crate::exponential::{StrictMethod, StrictReport};
 
 /// Protocol version carried by every frame.
-pub const WIRE_VERSION: u8 = 1;
+pub const WIRE_VERSION: u8 = 2;
 
 /// Hard cap on a frame body (64 MiB): anything longer is rejected before
 /// allocation ([`WireError::Oversized`]).
@@ -478,7 +478,6 @@ fn put_arena(out: &mut Vec<u8>, a: &ArenaStats) {
     put_usize(out, a.reps_bytes);
     put_usize(out, a.interner_bytes);
     put_usize(out, a.spill_bytes);
-    put_bool(out, a.compressed);
 }
 
 fn get_arena(c: &mut Cursor<'_>) -> Result<ArenaStats, WireError> {
@@ -487,7 +486,6 @@ fn get_arena(c: &mut Cursor<'_>) -> Result<ArenaStats, WireError> {
         reps_bytes: c.usize()?,
         interner_bytes: c.usize()?,
         spill_bytes: c.usize()?,
-        compressed: c.bool()?,
     })
 }
 
@@ -554,7 +552,7 @@ fn get_solve_report(c: &mut Cursor<'_>) -> Result<SolveReport, WireError> {
 /// It stays flat — these are the bytes `put_options` writes — and leaves
 /// out what cannot cross the wire: the live [`Budget`] (its deadline
 /// travels as a **relative** `deadline_ms`; wall clocks and cancel flags
-/// stay home) and the arena compression policy (the server's own).
+/// stay home).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WireOptions {
     /// [`ReportOptions::max_rows_strict`].
@@ -629,7 +627,6 @@ impl WireOptions {
                     Some(d) => Budget::deadline_in(d),
                     None => Budget::UNLIMITED,
                 },
-                ..Default::default()
             },
             degrade: self.degrade,
         }
@@ -1231,6 +1228,12 @@ mod tests {
         assert!(matches!(
             Request::decode(&[9, TAG_PING]),
             Err(WireError::UnknownVersion(9))
+        ));
+        // A version-1 report carried one more arena byte: refused, not
+        // misparsed.
+        assert!(matches!(
+            Response::decode(&[1, TAG_REPORT_OK]),
+            Err(WireError::UnknownVersion(1))
         ));
         assert!(matches!(
             Request::decode(&[WIRE_VERSION, 77]),

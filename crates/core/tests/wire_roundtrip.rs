@@ -219,7 +219,6 @@ proptest! {
                 reps_bytes: (seed % 500_000) as usize,
                 interner_bytes: (seed % 250_000) as usize,
                 spill_bytes: (seed % 125_000) as usize,
-                compressed: seed & 4 == 0,
             },
         };
         let body = Response::Report(report.clone()).encode();

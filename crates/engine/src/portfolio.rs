@@ -833,7 +833,7 @@ mod tests {
     use repstream_markov::cache::StrictSolve;
     use repstream_markov::ctmc::{Precond, Solver, SolverChoice};
     use repstream_markov::govern::Budget;
-    use repstream_markov::marking::{ArenaCompression, ArenaStats};
+    use repstream_markov::marking::ArenaStats;
     use repstream_petri::shape::{MappingShape, ResourceTable};
     use std::sync::atomic::AtomicBool;
     use std::time::Duration;
@@ -1033,7 +1033,6 @@ mod tests {
             lumping: false,
             threads: 3,
             solver: SolverChoice::Force(Solver::Power),
-            arena_compression: ArenaCompression::On,
             interner_spill: true,
             budget: Budget::deadline_in(Duration::from_secs(3600))
                 .cancelled_by(&CANCEL)
@@ -1049,7 +1048,6 @@ mod tests {
             assert_eq!(got.lumping, sent.lumping);
             assert_eq!(got.threads, sent.threads);
             assert_eq!(got.solver, sent.solver);
-            assert_eq!(got.arena_compression, sent.arena_compression);
             assert_eq!(got.interner_spill, sent.interner_spill);
             assert_eq!(got.budget.deadline, sent.budget.deadline);
             assert_eq!(got.budget.max_arena_bytes, sent.budget.max_arena_bytes);

@@ -17,7 +17,7 @@
 //! that into a bounds-fallback report stamped with provenance.
 
 use crate::ctmc::SolverChoice;
-use crate::marking::{ArenaCompression, MarkingOptions};
+use crate::marking::MarkingOptions;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -215,7 +215,7 @@ impl Budget {
     }
 }
 
-/// How to run one exact analysis: the seven knobs every evaluator above
+/// How to run one exact analysis: the six knobs every evaluator above
 /// the marking BFS shares.  Declared here once; the report, search and
 /// serving layers *hold* a `RunConfig` (`ReportOptions::run`,
 /// `PortfolioOptions::run`, …) instead of re-declaring its fields, and it
@@ -224,8 +224,8 @@ impl Budget {
 ///
 /// Only `max_states`, `lumping` and `solver` can change a result (an
 /// over-budget error, the chain that is solved, the method that solves
-/// it); `threads`, `arena_compression`, `interner_spill` and an un-fired
-/// `budget` are **bitwise-neutral**.
+/// it); `threads`, `interner_spill` and an un-fired `budget` are
+/// **bitwise-neutral**.
 #[derive(Debug, Clone, Copy)]
 pub struct RunConfig {
     /// State budget of a cold chain build (the CLI's `--max-states`).
@@ -252,12 +252,8 @@ pub struct RunConfig {
     /// tolerance.  Pattern chains always use the automatic policy (they
     /// are small; forcing there only adds noise).
     pub solver: SolverChoice,
-    /// Delta-compression policy of the marking arenas.  The default
-    /// [`ArenaCompression::Auto`] compresses once an arena crosses the
-    /// built-in byte threshold.
-    pub arena_compression: ArenaCompression,
-    /// Spill marking-arena payload bytes to an unlinked temp file once
-    /// they cross the spill limit, bounding peak RSS on 10M-state builds
+    /// Spill the row arena's rows to an unlinked temp file once they
+    /// cross the spill limit, bounding peak RSS on 10M-state builds
     /// (the CLI's `--interner-spill`).
     pub interner_spill: bool,
     /// Cooperative resource budget (the CLI's `--deadline`), checked once
@@ -274,7 +270,6 @@ impl Default for RunConfig {
             lumping: true,
             threads: 0,
             solver: SolverChoice::Auto,
-            arena_compression: ArenaCompression::Auto,
             interner_spill: false,
             budget: Budget::UNLIMITED,
         }
@@ -303,7 +298,6 @@ impl RunConfig {
             max_states: self.max_states,
             capacity,
             threads: self.threads,
-            arena_compression: self.arena_compression,
             interner_spill: self.interner_spill,
             budget: self.budget,
             ..Default::default()

@@ -15,15 +15,13 @@
 //!   constructors: adapters from `repstream-petri` TPNs and the `u × v`
 //!   communication *pattern* of Theorem 3;
 //! * [`marking`] — reachable-marking enumeration (one frontier-BFS kernel
-//!   over byte arenas and an offset-keyed Fx interner, optional capacity
-//!   bound for non-safe nets) producing a [`ctmc::Ctmc`], and the same
-//!   kernel as the **direct quotient BFS** ([`marking::QuotientGraph`]): when a
+//!   over a fixed-width row arena and a word-keyed Fx interner, both
+//!   holding each state as packed `u64` words; optional capacity bound for
+//!   non-safe nets) producing a [`ctmc::Ctmc`], and the same kernel as the
+//!   **direct quotient BFS** ([`marking::QuotientGraph`]): when a
 //!   validated rate-preserving automorphism is known up front, the state
 //!   space is explored one canonical representative per orbit, emitting
-//!   the symmetry-reduced chain without ever materializing the full one,
-//!   with optionally delta-compressed marking arenas
-//!   ([`marking::ArenaCompression`] — storage-only, bitwise-identical
-//!   output) for the 10M+-state regime;
+//!   the symmetry-reduced chain without ever materializing the full one;
 //! * [`ctmc`] — stationary solvers: GTH elimination (subtraction-free,
 //!   exact up to rounding), Gauss–Seidel, and uniformized power iteration,
 //!   selected by an explicit measured [`SolverPlan`](ctmc::SolverPlan);
@@ -55,7 +53,7 @@
 //!   stagnation and budget exhaustion at chosen BFS levels, installable
 //!   from `REPSTREAM_FAULT`, so every error path is exercised by tests;
 //! * [`fxhash`] — a small Fx-style hasher for marking deduplication
-//!   (markings are short byte strings; SipHash is measurably slower and
+//!   (keys are a few packed words; SipHash is measurably slower and
 //!   HashDoS is irrelevant here).
 
 #![warn(missing_docs)]
@@ -77,5 +75,5 @@ pub mod pattern;
 pub use cache::ChainCache;
 pub use ctmc::{Ctmc, SolveReport, Solver, SolverChoice};
 pub use govern::{Budget, Interrupt, InterruptReason, Phase, Progress, RunConfig};
-pub use marking::{ArenaCompression, MarkingGraph, MarkingOptions, QuotientGraph};
+pub use marking::{MarkingGraph, MarkingOptions, QuotientGraph};
 pub use net::EventNet;

@@ -4,7 +4,7 @@
 //! where a successor is fired, canonicalised and interned.  The parent
 //! module docs state the contract.
 
-use super::arena::MarkingStore;
+use super::arena::{byte_words, pack_bytes, packed_words, place_bit, MarkingStore};
 use super::interner::Interner;
 use super::{ArenaStats, MarkingError, MarkingOptions, MAX_CAPACITY};
 use crate::govern::{Phase, Progress};
@@ -17,9 +17,10 @@ pub(super) struct Successor<'a> {
     /// Interning key: the canonical member of the marking's orbit,
     /// packed into [`Canonicalizer::key_words`] words.
     pub(super) key: &'a [u64],
-    /// The marking itself — stored as the orbit's representative (the
-    /// row the state is explored from) when the key is new.
-    rep: &'a [u8],
+    /// The marking itself, packed like the key — stored as the orbit's
+    /// representative (the row the state is explored from) when the key
+    /// is new.
+    rep: &'a [u64],
     /// Number of distinct markings in the orbit.
     period: u32,
 }
@@ -31,6 +32,10 @@ pub(super) struct Successor<'a> {
 pub(super) trait Canonicalizer: Sync {
     /// Per-thread working buffers.
     type Scratch;
+
+    /// Keys and representatives are bit rows (one bit per place, see
+    /// [`place_bit`]), not byte rows (eight places per word).
+    const BIT_ROWS: bool;
 
     /// Fresh buffers for markings of `net`.
     fn scratch(&self, net: &EventNet) -> Self::Scratch;
@@ -47,7 +52,8 @@ pub(super) trait Canonicalizer: Sync {
     /// …and back.
     fn unfire(&self, net: &EventNet, t: usize, scratch: &mut Self::Scratch);
 
-    /// Key, representative and orbit size of the marking in `scratch`.
+    /// Key, packed representative and orbit size of the marking in
+    /// `scratch`.
     fn elect<'s>(&self, scratch: &'s mut Self::Scratch) -> Successor<'s>;
 }
 
@@ -73,26 +79,6 @@ fn unfire(net: &EventNet, t: usize, m: &mut [u8]) {
     }
 }
 
-/// Words per byte-row key: eight places each (one even for none, so the
-/// empty marking still has a key).
-fn byte_words(n_places: usize) -> usize {
-    n_places.div_ceil(8).max(1)
-}
-
-/// Pack a byte row eight places per word; the last word is zero-padded.
-#[inline]
-fn pack_bytes(m: &[u8], key: &mut [u64]) {
-    let (eights, tail) = m.as_chunks::<8>();
-    for (word, eight) in key.iter_mut().zip(eights) {
-        *word = u64::from_le_bytes(*eight);
-    }
-    if !tail.is_empty() {
-        let mut last = [0u8; 8];
-        last[..tail.len()].copy_from_slice(tail);
-        key[eights.len()] = u64::from_le_bytes(last);
-    }
-}
-
 /// No symmetry, byte rows: the key is the marking packed eight places per
 /// word — the [`MarkingGraph`](super::MarkingGraph) BFS of a
 /// capacity-bounded net, whose token counts bits cannot hold.
@@ -101,6 +87,8 @@ pub(super) struct Identity;
 impl Canonicalizer for Identity {
     /// The marking and its packed key.
     type Scratch = (Vec<u8>, Vec<u64>);
+
+    const BIT_ROWS: bool = false;
 
     fn scratch(&self, net: &EventNet) -> Self::Scratch {
         let np = net.n_places();
@@ -129,9 +117,10 @@ impl Canonicalizer for Identity {
     #[inline]
     fn elect<'s>(&self, (m, key): &'s mut Self::Scratch) -> Successor<'s> {
         pack_bytes(m, key);
+        let key = &key[..];
         Successor {
             key,
-            rep: m,
+            rep: key,
             period: 1,
         }
     }
@@ -144,12 +133,21 @@ impl Canonicalizer for Identity {
 pub(super) struct PerFiring<'a>(pub &'a MarkingCanonicalizer);
 
 impl Canonicalizer for PerFiring<'_> {
-    /// The marking, the canonicalization buffers and the packed key.
-    type Scratch = (Vec<u8>, CanonScratch, Vec<u64>);
+    /// The marking, the canonicalization buffers, the packed key and the
+    /// packed marking.
+    type Scratch = (Vec<u8>, CanonScratch, Vec<u64>, Vec<u64>);
+
+    const BIT_ROWS: bool = false;
 
     fn scratch(&self, net: &EventNet) -> Self::Scratch {
         let np = net.n_places();
-        (vec![0; np], CanonScratch::new(np), vec![0; byte_words(np)])
+        let words = byte_words(np);
+        (
+            vec![0; np],
+            CanonScratch::new(np),
+            vec![0; words],
+            vec![0; words],
+        )
     }
 
     fn key_words(&self, net: &EventNet) -> usize {
@@ -172,14 +170,11 @@ impl Canonicalizer for PerFiring<'_> {
     }
 
     #[inline]
-    fn elect<'s>(&self, (m, canon, key): &'s mut Self::Scratch) -> Successor<'s> {
+    fn elect<'s>(&self, (m, canon, key, rep): &'s mut Self::Scratch) -> Successor<'s> {
         let period = self.0.canonicalize_into(m, canon);
         pack_bytes(canon.key(), key);
-        Successor {
-            key,
-            rep: m,
-            period,
-        }
+        pack_bytes(m, rep);
+        Successor { key, rep, period }
     }
 }
 
@@ -189,20 +184,6 @@ impl Canonicalizer for PerFiring<'_> {
 /// budget can fire (the Theorem 2 ladder needs 59 KB at 5×6, 355 KB at
 /// 7×8).
 pub(super) const ROT_BUFFER_CAP: usize = 1 << 26;
-
-/// The bit of place `q` in its word `q / 64`: places are packed
-/// **big-endian** (place 0 is the top bit of word 0), so comparing packed
-/// rows word by word is comparing the 0/1 byte rows lexicographically.
-#[inline]
-fn place_bit(q: usize) -> u64 {
-    1 << (63 - q % 64)
-}
-
-/// Words per packed marking of `n_places` places (one even for none, so
-/// the rotations of an empty marking still compare — all equal).
-fn packed_words(n_places: usize) -> usize {
-    n_places.div_ceil(64).max(1)
-}
 
 /// The m rotations of a **row** packed once into bit rows, the election
 /// of every **firing** one XOR-and-compare pass over them.
@@ -216,17 +197,17 @@ fn packed_words(n_places: usize) -> usize {
 /// So a firing neither mutates nor undoes any rotation: [`Self::elect`]
 /// XORs, compares with the successor's rotation 0 (equal ⇒ `a` is the
 /// period, stop) and with the smallest so far, and hands the winner's
-/// words over as the key.  The big-endian packing ([`place_bit`]) makes
-/// the word order the byte-row order, so the member elected — and with it
-/// every id and chain bit — is the one [`MarkingCanonicalizer`] elects.
+/// words over as the key and rotation 0's as the representative.  The
+/// big-endian packing ([`place_bit`]) makes the word order the byte-row
+/// order, so the member elected — and with it every id and chain bit — is
+/// the one [`MarkingCanonicalizer`] elects.
 /// Of order 1 over the identity permutation ([`Self::identity`]) this is
 /// the safe full chain's canonicaliser: one rotation, the marking's bits.
 ///
 /// **Invariant: every marking packed here is 0/1.**  The initial marking
 /// is, because [`explore`] validates it under `capacity: None`; a
-/// successor is, because [`Scan::row`] raises `NotSafe` from the byte
-/// representative *before* a key reaches the interner (the key elected
-/// for an unsafe firing is garbage and is dropped); and a
+/// successor is, because [`Scan::row`] raises `NotSafe` from the row's
+/// bytes *before* an unsafe transition is fired; and a
 /// `capacity: Some(_)` build never uses this canonicaliser (the graph
 /// builders route it to [`PerFiring`] or [`Identity`]).
 pub(super) struct RowRotation {
@@ -245,16 +226,16 @@ pub(super) struct RowRotation {
 
 /// Per-thread buffers of [`RowRotation`].
 pub(super) struct RotationScratch {
-    /// The row's marking as bytes — transiently its successor by `fired`.
-    marking: Vec<u8>,
     /// `rot[a·words..][..words]`: `σᵃ` of the **row's** marking, packed.
     rot: Vec<u64>,
     /// The elected key: the winning rotation's words.
     key: Vec<u64>,
+    /// The successor itself: its rotation 0.
+    rep: Vec<u64>,
     /// The successor's rotations, XORed out — only past four words,
     /// where [`elect_fused`] has no instance.
     wide: Vec<u64>,
-    /// The transition fired into `marking`; `nt` for none.
+    /// The transition fired into the row; `nt` for none.
     fired: usize,
 }
 
@@ -347,11 +328,13 @@ fn elect_fused<const W: usize>(rot: &[u64], flip: &[u64]) -> (usize, u32) {
 impl Canonicalizer for RowRotation {
     type Scratch = RotationScratch;
 
-    fn scratch(&self, net: &EventNet) -> RotationScratch {
+    const BIT_ROWS: bool = true;
+
+    fn scratch(&self, _: &EventNet) -> RotationScratch {
         RotationScratch {
-            marking: vec![0; net.n_places()],
             rot: vec![0; self.order * self.words],
             key: vec![0; self.words],
+            rep: vec![0; self.words],
             wide: Vec::new(),
             fired: self.nt,
         }
@@ -365,7 +348,6 @@ impl Canonicalizer for RowRotation {
     /// marked places are visited.
     #[inline]
     fn load_row(&self, cur: &[u8], s: &mut RotationScratch) {
-        s.marking.copy_from_slice(cur);
         s.fired = self.nt;
         s.rot.fill(0);
         for (pow, _) in self
@@ -380,16 +362,15 @@ impl Canonicalizer for RowRotation {
         }
     }
 
-    /// Only the byte row moves; the rotations stay those of the row.
+    /// Nothing moves: the rotations stay those of the row, and the
+    /// election XORs in `t`'s flip masks.
     #[inline]
-    fn fire(&self, net: &EventNet, t: usize, s: &mut RotationScratch) {
-        fire(net, t, &mut s.marking);
+    fn fire(&self, _: &EventNet, t: usize, s: &mut RotationScratch) {
         s.fired = t;
     }
 
     #[inline]
-    fn unfire(&self, net: &EventNet, t: usize, s: &mut RotationScratch) {
-        unfire(net, t, &mut s.marking);
+    fn unfire(&self, _: &EventNet, _: usize, s: &mut RotationScratch) {
         s.fired = self.nt;
     }
 
@@ -408,13 +389,16 @@ impl Canonicalizer for RowRotation {
                 elect_min(s.wide.chunks_exact(w))
             }
         };
-        let winner = s.rot[best * w..][..w].iter().zip(&flip[best * w..]);
-        for (key, (r, f)) in s.key.iter_mut().zip(winner) {
+        let rotation = |a: usize| s.rot[a * w..][..w].iter().zip(&flip[a * w..]);
+        for (key, (r, f)) in s.key.iter_mut().zip(rotation(best)) {
             *key = r ^ f;
+        }
+        for (rep, (r, f)) in s.rep.iter_mut().zip(rotation(0)) {
+            *rep = r ^ f;
         }
         Successor {
             key: &s.key,
-            rep: &s.marking,
+            rep: &s.rep,
             period,
         }
     }
@@ -444,13 +428,11 @@ pub(super) struct Frontier {
 }
 
 impl Frontier {
-    fn new(width: usize, words: usize, opts: &MarkingOptions) -> Self {
+    fn new<C: Canonicalizer>(net: &EventNet, canon: &C, opts: &MarkingOptions) -> Self {
+        let words = canon.key_words(net);
+        let spill_limit = opts.resolved_spill_limit();
         Frontier {
-            rows: MarkingStore::with_spill(
-                width,
-                opts.arena_compression,
-                opts.resolved_spill_limit(),
-            ),
+            rows: MarkingStore::new(net.n_places(), words, C::BIT_ROWS, spill_limit),
             orbit_size: Vec::new(),
             interner: Interner::new(words, opts.resolved_interner_shards()),
         }
@@ -515,7 +497,6 @@ impl Frontier {
             reps_bytes: self.rows.heap_bytes(),
             interner_bytes: self.interner.table_bytes(),
             spill_bytes: self.rows.spill_bytes(),
-            compressed: self.rows.is_compressed(),
         }
     }
 }
@@ -553,7 +534,7 @@ struct Scan<'a, C> {
 
 impl<C: Canonicalizer> Scan<'_, C> {
     /// Scan the row of marking `cur`: for every transition in ascending
-    /// order, enabledness → capacity gate → fire → safety check, handing
+    /// order, enabledness → capacity gate or safety check → fire, handing
     /// each successor to `resolve`.
     #[inline]
     fn row(
@@ -573,24 +554,21 @@ impl<C: Canonicalizer> Scan<'_, C> {
             }
             // …and, under a capacity bound, all outputs below it.
             // Self-loop places (input and output of t) net out to zero,
-            // so they never block.  Without a capacity, the firing is
-            // attempted and unsafety is reported as an error instead.
-            if let Some(cap) = self.capacity {
-                for &p in net.outputs(t) {
-                    let is_self = net.places[p].0 == net.places[p].1;
-                    if !is_self && cur[p] >= cap {
-                        continue 'trans;
-                    }
+            // so they never block.  Without a capacity, an output that
+            // is already marked would get a second token: unsafety is
+            // reported as an error instead.
+            for &p in net.outputs(t) {
+                if net.places[p].0 == net.places[p].1 {
+                    continue;
+                }
+                match self.capacity {
+                    Some(cap) if cur[p] >= cap => continue 'trans,
+                    None if cur[p] != 0 => return Err(MarkingError::NotSafe { place: p }),
+                    _ => {}
                 }
             }
             self.canon.fire(net, t, scratch);
-            let succ = self.canon.elect(scratch);
-            if self.capacity.is_none() {
-                if let Some(&place) = net.outputs(t).iter().find(|&&p| succ.rep[p] > 1) {
-                    return Err(MarkingError::NotSafe { place });
-                }
-            }
-            resolve(t, succ)?;
+            resolve(t, self.canon.elect(scratch))?;
             self.canon.unfire(net, t, scratch);
         }
         Ok(())
@@ -609,8 +587,9 @@ struct ChunkStage {
     row_ends: Vec<u32>,
     /// Chunk-local unique keys, in first-appearance order.
     new_keys: Interner,
-    /// First-discovered representative per new key, `width` bytes each.
-    new_reps: Vec<u8>,
+    /// First-discovered representative per new key, as many words each
+    /// as a key.
+    new_reps: Vec<u64>,
     /// Orbit period per new key.
     new_periods: Vec<u32>,
     /// Error that cut the scan short (the last staged row is then
@@ -620,10 +599,11 @@ struct ChunkStage {
 
 impl ChunkStage {
     /// The `li`-th chunk-local new state, as the worker elected it.
-    fn successor(&self, li: usize, width: usize) -> Successor<'_> {
+    fn successor(&self, li: usize) -> Successor<'_> {
+        let key = self.new_keys.key(li);
         Successor {
-            key: self.new_keys.key(li),
-            rep: &self.new_reps[li * width..][..width],
+            key,
+            rep: &self.new_reps[li * key.len()..][..key.len()],
             period: self.new_periods[li],
         }
     }
@@ -646,10 +626,10 @@ fn explore_chunk<C: Canonicalizer>(
         error: None,
     };
     let mut scratch = scan.canon.scratch(scan.net);
-    let mut curbuf = vec![0u8; scan.net.n_places()];
+    let mut cur = vec![0u8; scan.net.n_places()];
     for s in states {
-        let cur = store.rows.read_at(s, &mut curbuf);
-        let scanned = scan.row(cur, &mut scratch, |t, succ| {
+        store.rows.copy_to(s, &mut cur);
+        let scanned = scan.row(&cur, &mut scratch, |t, succ| {
             let code = match store.interner.find(succ.key) {
                 Some(id) => id,
                 None => {
@@ -695,7 +675,7 @@ fn merge_chunk<S: RowSink>(
             } else {
                 let li = (code & !NEW_BIT) as usize;
                 if local_ids[li] == UNSEEN {
-                    let succ = stage.successor(li, net.n_places());
+                    let succ = stage.successor(li);
                     local_ids[li] = store.intern(succ, max_states)?;
                 }
                 local_ids[li]
@@ -721,8 +701,8 @@ pub(super) fn explore<C: Canonicalizer, S: RowSink>(
     canon: &C,
     sink: &mut S,
 ) -> Result<Frontier, MarkingError> {
-    // Markings are stored one byte per place, so token counts must fit:
-    // the capacity bound (or the safeness bound 1) keeps them ≤ 255.
+    // Rows are scanned one byte per place, so token counts must fit: the
+    // capacity bound (or the safeness bound 1) keeps them ≤ 255.
     let capacity = match opts.capacity {
         Some(c) if c > MAX_CAPACITY => return Err(MarkingError::CapacityTooLarge(c)),
         c => c.map(|c| c.max(1) as u8),
@@ -741,8 +721,9 @@ pub(super) fn explore<C: Canonicalizer, S: RowSink>(
     };
     // The initial marking obeys the same storage and safety contract as
     // every marking fired into: one byte per place, and 0/1 without a
-    // capacity (which is also what lets `RowRotation` pack it).  Counts
-    // above a `Some(c)` bound are accepted: the place can only drain.
+    // capacity (which is what lets `RowRotation` pack it into bits).
+    // Counts above a `Some(c)` bound are accepted: the place can only
+    // drain.
     let width = net.n_places();
     let mut init = Vec::with_capacity(width);
     for (place, &(_, _, tokens)) in net.places.iter().enumerate() {
@@ -756,7 +737,7 @@ pub(super) fn explore<C: Canonicalizer, S: RowSink>(
     }
 
     let mut scratch = canon.scratch(net);
-    let mut store = Frontier::new(width, canon.key_words(net), &opts);
+    let mut store = Frontier::new(net, canon, &opts);
     // The initial marking is interned whatever the budget.
     canon.load_row(&init, &mut scratch);
     store.intern(canon.elect(&mut scratch), usize::MAX)?;
@@ -764,7 +745,7 @@ pub(super) fn explore<C: Canonicalizer, S: RowSink>(
     let mut cur = vec![0u8; width];
     let mut frontier = 0usize;
     // Exclusive end of the BFS level being explored: crossing it starts
-    // the next level (and a fresh delta base in the row arena).
+    // the next level.
     let mut level_end = 0usize;
     let mut levels = 0usize;
 
@@ -773,7 +754,6 @@ pub(super) fn explore<C: Canonicalizer, S: RowSink>(
             store.checkpoint(&opts, S::PHASE, levels)?;
             levels += 1;
             level_end = store.len();
-            store.rows.begin_level();
         }
         let threads = bfs_threads(opts.threads, store.len() - frontier);
         if threads > 1 {
@@ -919,7 +899,7 @@ mod tests {
                     let mut check = |m: &[u8], succ: Successor<'_>, what: &str| {
                         let period = oracle.canonicalize_into(m, &mut expect);
                         let at = format!("width {width} cycles of {c} sample {sample} {what}");
-                        assert_eq!(succ.rep, m, "{at}");
+                        assert_eq!(succ.rep, pack_bits(m), "{at}");
                         assert_eq!(succ.key, pack_bits(expect.key()), "{at}");
                         assert_eq!(succ.period, period, "{at}");
                     };

@@ -42,11 +42,13 @@
 //!
 //! * **row arena** (`arena.rs`) — the marking each state's row is scanned
 //!   from (the full chain's markings, the quotient's representatives)
-//!   lives in one append-only byte arena ([`MarkingStore`]), flat (state
-//!   `s` at byte offset `s · n_places`) or delta-compressed per BFS level
-//!   ([`ArenaCompression`]), optionally spilled to an unlinked temp file
-//!   ([`MarkingOptions::interner_spill`]); the BFS reads it once per
-//!   scanned row and never to deduplicate;
+//!   lives in one append-only store of fixed-width rows
+//!   ([`MarkingStore`]): state `s` is `W` words at `s · W`, packed the way
+//!   its canonicaliser packs keys (bit rows on every safe build, eight
+//!   places per word on the capacity-bounded ones), optionally spilled to
+//!   an unlinked temp file as fixed-width records
+//!   ([`MarkingOptions::interner_spill`]); the BFS decodes it once per
+//!   scanned row and never reads it to deduplicate;
 //! * **word-keyed interner** (`interner.rs`) — the interner owns the
 //!   keys, `W` words per state at `id · W`, and finds them through
 //!   open-addressing tables of tagged slots (a 32-bit hash tag beside
@@ -55,7 +57,7 @@
 //!   bits ([`MarkingOptions::interner_shards`]), each shard doubling from
 //!   64 slots as states arrive;
 //! * **scratch successor** — each firing writes the successor into the
-//!   canonicaliser's reused per-thread scratch; its key and marking are
+//!   canonicaliser's reused per-thread scratch; its key and packed row are
 //!   copied into the interner and the row arena only when the key turns
 //!   out to be new;
 //! * **flat CSR outputs** — both the chain (via
@@ -63,8 +65,7 @@
 //!   sets are built directly in compressed sparse row form.
 //!
 //! Storage and scheduling never reach the output: the chain is **bitwise
-//! identical** for every thread count, shard count, compression mode and
-//! spill setting.
+//! identical** for every thread count, shard count and spill setting.
 //!
 //! # Direct quotient construction
 //!
@@ -118,41 +119,17 @@ use crate::net::{EventNet, NetSymmetry};
 use bfs::{Canonicalizer, Identity, PerFiring, RowRotation, RowSink, ROT_BUFFER_CAP};
 use repstream_petri::canon::MarkingCanonicalizer;
 
-/// When the delta-compressed marking arena engages (see the
-/// [`MarkingStore`] encoding notes and the `arena_memory` section of
-/// `BENCH_ctmc.json` for measured ratios).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ArenaCompression {
-    /// Store verbatim until a flat arena would exceed
-    /// [`ARENA_COMPRESS_THRESHOLD`] bytes, then delta-encode (the
-    /// conversion re-encodes what is already stored; output bits are
-    /// unaffected either way).
-    #[default]
-    Auto,
-    /// Delta-encode from the first marking (what the bitwise A/B tests
-    /// force so small shapes exercise the compressed path).
-    On,
-    /// Never compress (the historical flat layout).
-    Off,
-}
-
-/// Flat-arena byte size above which [`ArenaCompression::Auto`] converts
-/// to the delta encoding.  8 MiB: small enough that the million-state
-/// quotient builds (the 6×7-and-beyond class) compress long before the
-/// row arena becomes the memory ceiling, large enough that the
-/// sub-100k-state chains of the interactive paths keep the zero-decode
-/// flat layout.
-pub const ARENA_COMPRESS_THRESHOLD: usize = 8 << 20;
-
 /// Options for marking-graph construction.
 #[derive(Debug, Clone, Copy)]
 pub struct MarkingOptions {
     /// Hard cap on the number of states (construction fails beyond it).
     pub max_states: usize,
-    /// Per-place token capacity, at most 255 (markings store one byte per
-    /// place; more is [`MarkingError::CapacityTooLarge`]).  `None` requires
-    /// the net to be safe: the builder fails if any place would exceed one
-    /// token.  The initial marking is held to the same contract, before
+    /// Per-place token capacity, at most 255 (a capacity-bounded build
+    /// stores one byte per place; more is
+    /// [`MarkingError::CapacityTooLarge`]).  `None` requires the net to be
+    /// safe — its rows are one bit per place: the builder fails if any
+    /// place would exceed one token.  The initial marking is held to the
+    /// same contract, before
     /// the search starts: under `None` a place that starts with more than
     /// one token is [`MarkingError::NotSafe`], and under any capacity a
     /// start above 255 is [`MarkingError::CapacityTooLarge`]; a start
@@ -166,12 +143,6 @@ pub struct MarkingOptions {
     /// pending states (`1` forces the sequential scan).  Every choice
     /// produces **bitwise-identical** output.
     pub threads: usize,
-    /// Delta compression of the row arena (the full chain's markings, the
-    /// quotient's representatives).  Compression changes only how
-    /// markings are
-    /// *stored* — BFS order, interned ids and all emitted chain bits are
-    /// identical in every mode.
-    pub arena_compression: ArenaCompression,
     /// Shard count of the two-level interner (rounded up to a power of
     /// two, capped at [`MAX_INTERNER_SHARDS`]).  `0` (the default) means
     /// 16 shards for budgets of 2^18 states and above and a single shard
@@ -181,17 +152,17 @@ pub struct MarkingOptions {
     /// sequential scan/merge order and dedup is exact key equality, so
     /// output is **bitwise identical** for any shard count.
     pub interner_shards: usize,
-    /// Spill the row arena's byte payload to an unlinked temp file once
-    /// it outgrows [`Self::spill_limit`], so peak RSS stays bounded on
+    /// Spill the row arena's rows to an unlinked temp file once they
+    /// outgrow [`Self::spill_limit`], so peak RSS stays bounded on
     /// 10M+-state builds.  The interner's packed keys (`⌈places/64⌉`
     /// words per state on a safe net) and slot tables stay resident:
     /// deduplication never touches the disk, and only the read of each
-    /// scanned row does.  Storage-only: every read decodes through the
-    /// same byte sequence, so chains are bitwise identical with spill on
-    /// or off.  No-op on non-Unix targets.
+    /// scanned row does.  Storage-only: a spilled row reads back the same
+    /// words, so chains are bitwise identical with spill on or off.
+    /// No-op on non-Unix targets.
     pub interner_spill: bool,
-    /// In-memory payload bytes the row arena keeps resident before
-    /// flushing to the spill file (only meaningful with
+    /// Row bytes the row arena keeps resident before flushing to the
+    /// spill file (only meaningful with
     /// [`Self::interner_spill`]).  `0` (the default) means
     /// [`DEFAULT_SPILL_LIMIT`], 64 MiB.
     pub spill_limit: usize,
@@ -209,7 +180,6 @@ impl Default for MarkingOptions {
             max_states: 1 << 20,
             capacity: None,
             threads: 0,
-            arena_compression: ArenaCompression::Auto,
             interner_shards: 0,
             interner_spill: false,
             spill_limit: 0,
@@ -241,13 +211,13 @@ impl MarkingOptions {
     }
 }
 
-/// Payload bytes the row arena keeps resident under
+/// Row bytes the row arena keeps resident under
 /// [`MarkingOptions::interner_spill`] when no
 /// [`MarkingOptions::spill_limit`] is given.
 pub const DEFAULT_SPILL_LIMIT: usize = 64 << 20;
 
 /// Upper bound on [`MarkingOptions::capacity`]: a place's token count is
-/// one arena byte.
+/// one byte of a byte row.
 const MAX_CAPACITY: u32 = u8::MAX as u32;
 
 /// Upper bound on [`MarkingOptions::interner_shards`].  256 shards keep
@@ -258,9 +228,9 @@ pub const MAX_INTERNER_SHARDS: usize = 256;
 /// Which spill-file operation failed (see [`SpillIoError`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpillOp {
-    /// A positioned read of spilled payload bytes.
+    /// A positioned read of a spilled row.
     Read,
-    /// A positioned write flushing resident payload bytes.
+    /// A positioned write flushing resident rows.
     Write,
 }
 
@@ -273,14 +243,14 @@ impl SpillOp {
     }
 }
 
-/// A failed spill-file operation: what was attempted, at which payload
+/// A failed spill-file operation: what was attempted, at which spill-file
 /// byte offset, and the underlying I/O error (shared behind an `Arc`
 /// because `io::Error` is not `Clone`).
 #[derive(Debug, Clone)]
 pub struct SpillIoError {
     /// The operation that failed.
     pub op: SpillOp,
-    /// Byte offset into the spill payload at which it failed.
+    /// Byte offset into the spill file at which it failed.
     pub offset: u64,
     /// The underlying I/O error.
     pub source: std::sync::Arc<std::io::Error>,
@@ -390,16 +360,15 @@ pub struct ArenaStats {
     /// per state on bit rows, `⌈places/8⌉` on byte rows.
     pub keys_bytes: usize,
     /// Resident row arena bytes: the markings of a [`MarkingGraph`], the
-    /// representatives of a [`QuotientGraph`].
+    /// representatives of a [`QuotientGraph`] — as many words per state
+    /// as a key.
     pub reps_bytes: usize,
     /// Interner bytes: open-addressing slots summed over every shard.
     pub interner_bytes: usize,
-    /// Row-arena payload bytes parked in the spill file
+    /// Row-arena bytes parked in the spill file
     /// ([`MarkingOptions::interner_spill`]); these are *not* resident,
     /// so they are excluded from [`Self::total`].
     pub spill_bytes: usize,
-    /// Whether delta compression was active when the build finished.
-    pub compressed: bool,
 }
 
 impl ArenaStats {
@@ -1162,8 +1131,8 @@ mod tests {
         }
     }
 
-    /// `mg` against the flat, resident `reference`: same chain bits,
-    /// markings and enabled sets.
+    /// `mg` against the resident `reference`: same chain bits, markings
+    /// and enabled sets.
     fn assert_same_graph(mg: &MarkingGraph, reference: &MarkingGraph, what: &str) {
         assert_same_chain(&mg.ctmc, &reference.ctmc, what);
         let mut buf = Vec::new();
@@ -1177,12 +1146,14 @@ mod tests {
         }
     }
 
-    /// One kernel, every instantiation: canonicaliser × threads ×
-    /// compression × spill on a ≤ 8-place and a > 8-place net.  The full
-    /// chain — on bit-row keys and on byte-key `Identity` — must equal
-    /// the sequential flat resident one, and both quotient canonicalisers
-    /// must equal full-then-lump bit for bit — chain, representatives,
-    /// orbit sizes, enabled sets, refill map.
+    /// One kernel, every instantiation: canonicaliser × threads × spill
+    /// on a ≤ 8-place and a > 8-place net.  The full chain — on bit rows
+    /// and on byte-row `Identity` — must equal the sequential resident
+    /// one, and both quotient canonicalisers must equal full-then-lump bit
+    /// for bit — chain, representatives, orbit sizes, enabled sets,
+    /// refill map.  Every build stores its rows as wide as its keys:
+    /// `⌈places/64⌉` words per state on bit rows, `⌈places/8⌉` on byte
+    /// rows, resident or spilled.
     ///
     /// The nets also span `RowRotation`'s election widths: one word (1×4,
     /// 2×3), two with the deciding bits in word 1 (2×3 behind 64 places),
@@ -1206,7 +1177,6 @@ mod tests {
 
             let plain = MarkingOptions {
                 threads: 1,
-                arena_compression: ArenaCompression::Off,
                 ..Default::default()
             };
             let full = MarkingGraph::build(&net, plain).unwrap();
@@ -1221,55 +1191,56 @@ mod tests {
                 })
                 .collect();
             let refill = QuotientGraph::explore(&net, plain, &PerFiring(&canon)).unwrap();
+            let places = net.n_places();
+            let assert_words = |stats: ArenaStats, n: usize, per_word: usize, what: &str| {
+                let bytes = n * places.div_ceil(per_word) * 8;
+                assert_eq!(stats.keys_bytes, bytes, "{what}: keys");
+                assert_eq!(stats.reps_bytes + stats.spill_bytes, bytes, "{what}: rows");
+            };
 
             let mut buf = Vec::new();
             for threads in [1usize, 2, 4] {
-                for arena_compression in [ArenaCompression::Off, ArenaCompression::On] {
-                    for interner_spill in [false, true] {
-                        let opts = MarkingOptions {
-                            threads,
-                            arena_compression,
-                            interner_spill,
-                            spill_limit: 16,
-                            ..Default::default()
-                        };
-                        let what = format!(
-                            "{label} threads={threads} {arena_compression:?} spill={interner_spill}"
-                        );
+                for interner_spill in [false, true] {
+                    let opts = MarkingOptions {
+                        threads,
+                        interner_spill,
+                        spill_limit: 16,
+                        ..Default::default()
+                    };
+                    let what = format!("{label} threads={threads} spill={interner_spill}");
 
-                        let mg = MarkingGraph::build(&net, opts).unwrap();
-                        assert_same_graph(&mg, &full, &what);
-                        assert_eq!(mg.arena_stats().spill_bytes > 0, interner_spill, "{what}");
+                    let mg = MarkingGraph::build(&net, opts).unwrap();
+                    assert_same_graph(&mg, &full, &what);
+                    assert_eq!(mg.arena_stats().spill_bytes > 0, interner_spill, "{what}");
+                    assert_words(mg.arena_stats(), mg.n_states(), 64, &what);
 
-                        // The safe full chain is interned on bit rows;
-                        // byte-key `Identity` must build the same graph.
-                        let bytes = MarkingGraph::explore(&net, opts, &Identity).unwrap();
-                        assert_same_graph(&bytes, &full, &format!("{what} bytes"));
-                        let keys_per_state =
-                            |g: &MarkingGraph| g.arena_stats().keys_bytes / g.n_states() / 8;
-                        let places = net.n_places();
-                        assert_eq!(keys_per_state(&mg), places.div_ceil(64), "{what}");
-                        assert_eq!(keys_per_state(&bytes), places.div_ceil(8), "{what}");
+                    // The safe full chain is built on bit rows; byte-row
+                    // `Identity` must build the same graph.
+                    let bytes = MarkingGraph::explore(&net, opts, &Identity).unwrap();
+                    let bytes_what = format!("{what} bytes");
+                    assert_same_graph(&bytes, &full, &bytes_what);
+                    assert_words(bytes.arena_stats(), bytes.n_states(), 8, &bytes_what);
 
-                        let rowrot = RowRotation::new(&net, &sym, order);
-                        for (name, qg) in [
-                            ("rowrot", QuotientGraph::explore(&net, opts, &rowrot)),
-                            (
-                                "perfiring",
-                                QuotientGraph::explore(&net, opts, &PerFiring(&canon)),
-                            ),
-                        ] {
-                            let what = format!("{what} {name}");
-                            let qg = qg.unwrap();
-                            assert_same_chain(&qg.ctmc, &lumped, &what);
-                            assert_eq!(qg.full_states(), full.n_states(), "{what}");
-                            assert_eq!(qg.edge_ptr, refill.edge_ptr, "{what}");
-                            assert_eq!(qg.edge_trans, refill.edge_trans, "{what}");
-                            for (b, &first) in firsts.iter().enumerate() {
-                                assert_eq!(qg.orbit_sizes()[b] as usize, lift.block_size(b));
-                                assert_eq!(qg.reps.read_into(b, &mut buf), full.states.get(first));
-                                assert_eq!(qg.enabled(b), full.enabled(first), "{what}: {b}");
-                            }
+                    let rowrot = RowRotation::new(&net, &sym, order);
+                    for (name, qg, per_word) in [
+                        ("rowrot", QuotientGraph::explore(&net, opts, &rowrot), 64),
+                        (
+                            "perfiring",
+                            QuotientGraph::explore(&net, opts, &PerFiring(&canon)),
+                            8,
+                        ),
+                    ] {
+                        let what = format!("{what} {name}");
+                        let qg = qg.unwrap();
+                        assert_same_chain(&qg.ctmc, &lumped, &what);
+                        assert_eq!(qg.full_states(), full.n_states(), "{what}");
+                        assert_eq!(qg.edge_ptr, refill.edge_ptr, "{what}");
+                        assert_eq!(qg.edge_trans, refill.edge_trans, "{what}");
+                        assert_words(qg.arena_stats(), qg.n_states(), per_word, &what);
+                        for (b, &first) in firsts.iter().enumerate() {
+                            assert_eq!(qg.orbit_sizes()[b] as usize, lift.block_size(b));
+                            assert_eq!(qg.reps.read_into(b, &mut buf), full.states.get(first));
+                            assert_eq!(qg.enabled(b), full.enabled(first), "{what}: {b}");
                         }
                     }
                 }
@@ -1390,9 +1361,9 @@ mod tests {
         }
     }
 
-    /// A sharded + spilled + compressed build must be bitwise identical
-    /// to the default build: the same states, chain bits and enabled
-    /// sets — only the storage accounting differs.
+    /// A sharded + spilled build must be bitwise identical to the default
+    /// build: the same states, chain bits and enabled sets — only the
+    /// storage accounting differs.
     #[test]
     fn spilled_sharded_build_is_bitwise_identical() {
         let net = comm_pattern(2, 3, |i, j| 1.0 + (i + 2 * j) as f64);
@@ -1407,7 +1378,6 @@ mod tests {
         let spilled = MarkingGraph::build(
             &net,
             MarkingOptions {
-                arena_compression: ArenaCompression::On,
                 interner_shards: 16,
                 interner_spill: true,
                 spill_limit: 64,
@@ -1416,35 +1386,7 @@ mod tests {
         )
         .unwrap();
         assert!(spilled.arena_stats().spill_bytes > 0, "never spilled");
-        assert_same_graph(&spilled, &reference, "sharded + spilled + compressed");
-    }
-
-    /// A forced-compressed plain build must be bitwise identical to the
-    /// flat build: same states, chain, enabled sets — only the storage
-    /// accounting differs.
-    #[test]
-    fn compressed_plain_build_is_bitwise_identical() {
-        let net = comm_pattern(2, 3, |i, j| 1.0 + (i + 2 * j) as f64);
-        let flat = MarkingGraph::build(
-            &net,
-            MarkingOptions {
-                arena_compression: ArenaCompression::Off,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let packed = MarkingGraph::build(
-            &net,
-            MarkingOptions {
-                arena_compression: ArenaCompression::On,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(!flat.states.is_compressed());
-        assert!(packed.states.is_compressed());
-        assert!(packed.arena_stats().compressed);
-        assert_same_graph(&packed, &flat, "compressed");
+        assert_same_graph(&spilled, &reference, "sharded + spilled");
     }
 
     /// Safe pattern nets must reproduce the Theorem 3 state count.

@@ -1,21 +1,20 @@
-//! Delta-compressed marking arenas are storage-only: for every thread
-//! count and compression mode, the full marking graph and the Theorem 2
-//! quotient must be bitwise identical to the sequential flat-arena
-//! reference — same states in the same BFS order, same representative
-//! bytes, same enabled sets, and the same chain bits both at build time
-//! and through a `ctmc_with_trans_rates` refill.
+//! The chunk-parallel BFS is scheduling-only: for every thread count,
+//! the full marking graph and the Theorem 2 quotient must be bitwise
+//! identical to the sequential reference — same states in the same BFS
+//! order, same representative markings, same enabled sets, and the same
+//! chain bits both at build time and through a `ctmc_with_trans_rates`
+//! refill.
 
-use repstream_markov::marking::{ArenaCompression, MarkingGraph, MarkingOptions, QuotientGraph};
+use repstream_markov::marking::{MarkingGraph, MarkingOptions, QuotientGraph};
 use repstream_markov::net::EventNet;
 use repstream_petri::shape::{ExecModel, MappingShape, ResourceTable};
 use repstream_petri::tpn::Tpn;
 
-fn opts(threads: usize, compression: ArenaCompression) -> MarkingOptions {
+fn opts(threads: usize) -> MarkingOptions {
     MarkingOptions {
         max_states: 1 << 22,
         capacity: None,
         threads,
-        arena_compression: compression,
         ..Default::default()
     }
 }
@@ -42,78 +41,61 @@ fn assert_rows_bitwise(
     }
 }
 
-/// Quotient builds across the {1, 2, 4} threads × {Off, On} compression
-/// matrix against the sequential flat reference.
+/// Quotient builds on {1, 2, 4} threads against the sequential reference.
 #[test]
 fn quotient_matrix_is_bitwise_deterministic() {
     let (net, sym) = net_for(&[3, 4]);
-    let reference = QuotientGraph::build(&net, &sym, opts(1, ArenaCompression::Off)).unwrap();
-    assert!(!reference.reps.is_compressed());
+    let reference = QuotientGraph::build(&net, &sym, opts(1)).unwrap();
     let (mut buf_a, mut buf_b) = (Vec::new(), Vec::new());
     for threads in [1usize, 2, 4] {
-        for compression in [ArenaCompression::Off, ArenaCompression::On] {
-            let what = format!("threads {threads} {compression:?}");
-            let qg = QuotientGraph::build(&net, &sym, opts(threads, compression)).unwrap();
+        let what = format!("threads {threads}");
+        let qg = QuotientGraph::build(&net, &sym, opts(threads)).unwrap();
+        assert_eq!(qg.n_states(), reference.n_states(), "{what}");
+        assert_eq!(qg.full_states(), reference.full_states(), "{what}");
+        assert_eq!(qg.orbit_sizes(), reference.orbit_sizes(), "{what}");
+        for s in 0..reference.n_states() {
             assert_eq!(
-                qg.reps.is_compressed(),
-                compression == ArenaCompression::On,
-                "{what}: forced mode must stick"
+                qg.reps.read_into(s, &mut buf_a),
+                reference.reps.read_into(s, &mut buf_b),
+                "{what}: representative {s}"
             );
-            assert_eq!(qg.n_states(), reference.n_states(), "{what}");
-            assert_eq!(qg.full_states(), reference.full_states(), "{what}");
-            assert_eq!(qg.orbit_sizes(), reference.orbit_sizes(), "{what}");
-            for s in 0..reference.n_states() {
-                assert_eq!(
-                    qg.reps.read_into(s, &mut buf_a),
-                    reference.reps.read_into(s, &mut buf_b),
-                    "{what}: representative {s}"
-                );
-                assert_eq!(qg.enabled(s), reference.enabled(s), "{what}: enabled {s}");
-            }
-            assert_rows_bitwise(&qg.ctmc, &reference.ctmc, &what);
-            // A refill with fresh per-transition rates must also match.
-            let doubled: Vec<f64> = net.rates.iter().map(|r| r * 2.0).collect();
-            assert_rows_bitwise(
-                &qg.ctmc_with_trans_rates(&doubled),
-                &reference.ctmc_with_trans_rates(&doubled),
-                &format!("{what} (refill)"),
-            );
+            assert_eq!(qg.enabled(s), reference.enabled(s), "{what}: enabled {s}");
         }
+        assert_rows_bitwise(&qg.ctmc, &reference.ctmc, &what);
+        // A refill with fresh per-transition rates must also match.
+        let doubled: Vec<f64> = net.rates.iter().map(|r| r * 2.0).collect();
+        assert_rows_bitwise(
+            &qg.ctmc_with_trans_rates(&doubled),
+            &reference.ctmc_with_trans_rates(&doubled),
+            &format!("{what} (refill)"),
+        );
     }
 }
 
-/// The plain (non-lumped) marking graph across the same matrix.
+/// The plain (non-lumped) marking graph across the same thread counts.
 #[test]
 fn full_graph_matrix_is_bitwise_deterministic() {
     let (net, _) = net_for(&[3, 4]);
-    let reference = MarkingGraph::build(&net, opts(1, ArenaCompression::Off)).unwrap();
-    assert!(!reference.states.is_compressed());
+    let reference = MarkingGraph::build(&net, opts(1)).unwrap();
     let (mut buf_a, mut buf_b) = (Vec::new(), Vec::new());
     for threads in [1usize, 2, 4] {
-        for compression in [ArenaCompression::Off, ArenaCompression::On] {
-            let what = format!("threads {threads} {compression:?}");
-            let mg = MarkingGraph::build(&net, opts(threads, compression)).unwrap();
+        let what = format!("threads {threads}");
+        let mg = MarkingGraph::build(&net, opts(threads)).unwrap();
+        assert_eq!(mg.n_states(), reference.n_states(), "{what}");
+        for s in 0..reference.n_states() {
             assert_eq!(
-                mg.states.is_compressed(),
-                compression == ArenaCompression::On,
-                "{what}: forced mode must stick"
+                mg.states.read_into(s, &mut buf_a),
+                reference.states.read_into(s, &mut buf_b),
+                "{what}: marking {s}"
             );
-            assert_eq!(mg.n_states(), reference.n_states(), "{what}");
-            for s in 0..reference.n_states() {
-                assert_eq!(
-                    mg.states.read_into(s, &mut buf_a),
-                    reference.states.read_into(s, &mut buf_b),
-                    "{what}: marking {s}"
-                );
-                assert_eq!(mg.enabled(s), reference.enabled(s), "{what}: enabled {s}");
-            }
-            assert_rows_bitwise(&mg.ctmc, &reference.ctmc, &what);
-            let doubled: Vec<f64> = net.rates.iter().map(|r| r * 2.0).collect();
-            assert_rows_bitwise(
-                &mg.ctmc_with_trans_rates(&doubled),
-                &reference.ctmc_with_trans_rates(&doubled),
-                &format!("{what} (refill)"),
-            );
+            assert_eq!(mg.enabled(s), reference.enabled(s), "{what}: enabled {s}");
         }
+        assert_rows_bitwise(&mg.ctmc, &reference.ctmc, &what);
+        let doubled: Vec<f64> = net.rates.iter().map(|r| r * 2.0).collect();
+        assert_rows_bitwise(
+            &mg.ctmc_with_trans_rates(&doubled),
+            &reference.ctmc_with_trans_rates(&doubled),
+            &format!("{what} (refill)"),
+        );
     }
 }

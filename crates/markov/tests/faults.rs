@@ -18,7 +18,7 @@ use repstream_markov::ctmc::{Solver, SolverChoice};
 use repstream_markov::fault::{self, FaultPlan};
 use repstream_markov::govern::{Budget, InterruptReason, Phase};
 use repstream_markov::marking::{
-    ArenaCompression, MarkingError, MarkingGraph, MarkingOptions, QuotientGraph, SpillOp,
+    MarkingError, MarkingGraph, MarkingOptions, QuotientGraph, SpillOp,
 };
 use repstream_markov::net::{comm_pattern, EventNet};
 use repstream_markov::pattern::pattern_throughput;
@@ -67,7 +67,6 @@ fn spill_opts() -> MarkingOptions {
     MarkingOptions {
         max_states: 1 << 22,
         capacity: None,
-        arena_compression: ArenaCompression::Auto,
         interner_spill: true,
         spill_limit: 64,
         ..Default::default()

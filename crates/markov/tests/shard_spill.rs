@@ -5,7 +5,7 @@
 //! BFS order, same representative bytes, same orbit sizes, same enabled
 //! sets, and the same chain bits through a rate refill.
 
-use repstream_markov::marking::{ArenaCompression, MarkingGraph, MarkingOptions, QuotientGraph};
+use repstream_markov::marking::{MarkingGraph, MarkingOptions, QuotientGraph};
 use repstream_markov::net::EventNet;
 use repstream_petri::shape::{ExecModel, MappingShape, ResourceTable};
 use repstream_petri::tpn::Tpn;
@@ -20,7 +20,6 @@ fn opts(threads: usize, shards: usize, spill: bool) -> MarkingOptions {
         max_states: 1 << 22,
         capacity: None,
         threads,
-        arena_compression: ArenaCompression::Auto,
         interner_shards: shards,
         interner_spill: spill,
         spill_limit: if spill { TINY_SPILL } else { 0 },

@@ -1,6 +1,6 @@
 //! Release A/B smoke of the sharded spill-capable interner (CI): the
 //! Theorem 2 direct quotient built with spill forced on (tiny limit, so
-//! payload bytes really go through the temp file) and the interner
+//! rows really go through the temp file) and the interner
 //! sharded must be **bitwise** identical to the resident single-shard
 //! reference — states, orbit sizes, representative bytes, enabled sets,
 //! chain bits, and the end-to-end throughput.
@@ -18,12 +18,12 @@
 
 use repstream::core::exponential::{throughput_strict_report, ExpOptions};
 use repstream::core::model::{Application, Mapping, Platform, System};
-use repstream::markov::marking::{ArenaCompression, MarkingError, MarkingOptions, QuotientGraph};
+use repstream::markov::marking::{MarkingError, MarkingOptions, QuotientGraph};
 use repstream::markov::net::EventNet;
 use repstream::petri::shape::{ExecModel, MappingShape, ResourceTable};
 use repstream::petri::tpn::Tpn;
 
-/// Spill limit small enough that every build parks bytes on disk.
+/// Spill limit small enough that every build parks rows on disk.
 const TINY_SPILL: usize = 4 << 10;
 
 fn quotient_for(teams: &[usize], opts: MarkingOptions) -> Result<QuotientGraph, MarkingError> {
@@ -40,7 +40,6 @@ fn opts(threads: usize, shards: usize, spill: bool, max_states: usize) -> Markin
         max_states,
         capacity: None,
         threads,
-        arena_compression: ArenaCompression::Auto,
         interner_shards: shards,
         interner_spill: spill,
         spill_limit: if spill { TINY_SPILL } else { 0 },

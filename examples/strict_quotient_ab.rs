@@ -10,10 +10,6 @@
 //! the parallel path is exercised and its bitwise-determinism contract
 //! checked even though 1-core runners see no speedup.
 //!
-//! A third leg re-runs the direct-quotient path with the delta-compressed
-//! marking arena forced on: compression is storage-only, so its
-//! throughput must be **bitwise** equal to the flat-arena run.
-//!
 //! ```sh
 //! cargo run --release --example strict_quotient_ab
 //! cargo run --release --example strict_quotient_ab -- --threads 2
@@ -21,7 +17,6 @@
 
 use repstream::core::exponential::{throughput_strict_report, ExpOptions, StrictMethod};
 use repstream::core::model::{Application, Mapping, Platform, System};
-use repstream::markov::marking::ArenaCompression;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -69,17 +64,6 @@ fn main() {
     )
     .expect("full path");
     let t_full = t.elapsed();
-    let t = std::time::Instant::now();
-    let compressed = throughput_strict_report(
-        &system,
-        ExpOptions {
-            threads,
-            arena_compression: ArenaCompression::On,
-            ..Default::default()
-        },
-    )
-    .expect("compressed-arena path");
-    let t_compressed = t.elapsed();
 
     println!("threads: {} (0 = auto)", threads);
     println!(
@@ -92,10 +76,6 @@ fn main() {
     println!(
         "full chain:      rho = {:.12}  ({} states, {:?})",
         full.throughput, full.full_states, t_full
-    );
-    println!(
-        "compressed:      rho = {:.12}  (delta arena, {:?})",
-        compressed.throughput, t_compressed
     );
 
     assert_eq!(direct.method, StrictMethod::DirectQuotient);
@@ -113,13 +93,5 @@ fn main() {
         direct.throughput,
         full.throughput
     );
-    assert_eq!(compressed.method, StrictMethod::DirectQuotient);
-    assert_eq!(
-        compressed.throughput.to_bits(),
-        direct.throughput.to_bits(),
-        "compressed arena must be storage-only: {} vs {}",
-        compressed.throughput,
-        direct.throughput
-    );
-    println!("OK: all paths agree (|direct - full| = {diff:.3e}, compressed bitwise)");
+    println!("OK: all paths agree (|direct - full| = {diff:.3e})");
 }

@@ -38,7 +38,7 @@
 //!   report prints what actually ran, its iterations and residual);
 //! * `--max-states N` — state budget of every chain the command builds
 //!   (default 4M; a Theorem 3 pattern chain gets at most 2M of it);
-//! * `--interner-spill` — park marking-arena payload bytes in an unlinked
+//! * `--interner-spill` — park the row arena's packed rows in an unlinked
 //!   temp file under `REPSTREAM_SPILL_DIR` (bitwise-neutral, bounds peak
 //!   RSS);
 //! * `--deadline DUR` (`2s`, `500ms`) — arm the cooperative governor: the
