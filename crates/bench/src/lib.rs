@@ -1,7 +1,9 @@
 //! # repstream-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper's
-//! evaluation (§7), plus Criterion micro-benchmarks of the core kernels.
+//! evaluation (§7).  Performance is measured by the `benchmark` binary
+//! (`src/bin/benchmark/`), which stands alone and does not use this
+//! library.
 //!
 //! Every binary prints a CSV-like table to stdout (and optionally to a
 //! file) so the series can be plotted directly.  All binaries accept:
@@ -23,6 +25,8 @@
 //! | `fig17`  | Laws outside the N.B.U.E. class |
 //! | `timing` | §7.7 — running time of every tool |
 //! | `ablation` | engine ablations (columnwise vs global, GTH vs power, …) |
+//! | `capacity` | finite-buffer truncation of the Overlap chain vs Theorem 3 |
+//! | `theorem8` | the associated case of §6.2 (Theorem 8) |
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

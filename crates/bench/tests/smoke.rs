@@ -49,26 +49,6 @@ smoke!(theorem8_smoke, "CARGO_BIN_EXE_theorem8", "associated");
 smoke!(capacity_smoke, "CARGO_BIN_EXE_capacity", "thm3_limit");
 
 #[test]
-fn perf_snapshot_writes_json() {
-    let dir = std::env::temp_dir().join("repstream_smoke_csv");
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join("BENCH_ctmc.json");
-    let out = Command::new(env!("CARGO_BIN_EXE_perf_snapshot"))
-        .args(["--smoke", "--out", path.to_str().unwrap()])
-        .output()
-        .expect("launch perf_snapshot");
-    assert!(
-        out.status.success(),
-        "perf_snapshot failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let json = std::fs::read_to_string(&path).expect("json written");
-    assert!(json.contains("\"benches\""));
-    assert!(json.contains("\"gauss_seidel_s\""));
-    assert!(json.contains("\"pattern\": \"2x3\""));
-}
-
-#[test]
 fn csv_output_written() {
     let dir = std::env::temp_dir().join("repstream_smoke_csv");
     let _ = std::fs::create_dir_all(&dir);

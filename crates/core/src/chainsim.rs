@@ -4,7 +4,8 @@
 //! resource reproduces the mapping semantics with `O(M)` memory and no
 //! event queue — the fastest engine in the repository and an independent
 //! cross-check of `egsim` and `platformsim` (three implementations, one
-//! semantics).  Used as the ablation baseline in the benches.
+//! semantics).  Used as the ablation baseline by `repstream-bench`'s
+//! `ablation` binary.
 
 use crate::model::SystemRef;
 use crate::timing::deterministic_times;

@@ -241,8 +241,8 @@ impl ChainSolver for &SharedChainCache {
     }
 }
 
-/// The decomposition itself, on a shape and per-resource rates (benches
-/// sweep synthetic columns without a full platform), with a
+/// The decomposition itself, on a shape and per-resource rates (callers
+/// may sweep synthetic columns without a full platform), with a
 /// caller-supplied [`PatternSolver`] (see the trait docs for the bitwise
 /// contract).
 pub fn throughput_overlap_with_solver(

@@ -2,13 +2,12 @@
 //!
 //! Thin orchestration over the three simulation engines
 //! (`repstream-petri::egsim`, `repstream-platformsim`, [`crate::chainsim`])
-//! plus a crossbeam-based fan-out for independent replications — the
+//! plus a scoped-thread fan-out for independent replications — the
 //! paper's Figure 11 runs 500 replications per point.
 
 use crate::chainsim::{self, ChainSimOptions};
 use crate::model::SystemRef;
 use crate::timing;
-use crossbeam::thread;
 use repstream_petri::egsim::{self, EgSimOptions};
 use repstream_petri::shape::{ExecModel, ResourceTable};
 use repstream_petri::tpn::Tpn;
@@ -149,11 +148,11 @@ pub fn monte_carlo<'a>(
         .map(|n| n.get())
         .unwrap_or(4)
         .min(reps);
-    let stats = thread::scope(|scope| {
+    let stats = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
             let laws = &*laws;
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 let mut acc = OnlineStats::new();
                 let mut i = w;
                 while i < reps {
@@ -173,8 +172,7 @@ pub fn monte_carlo<'a>(
             }
         }
         total
-    })
-    .unwrap_or_else(|p| std::panic::resume_unwind(p));
+    });
     stats.summary()
 }
 

@@ -62,8 +62,9 @@
 //!
 //! The automatic choice is an explicit, documented [`SolverPlan`]
 //! computed by [`Ctmc::solver_plan`] from the chain's size and density
-//! (measured crossovers; see `BENCH_ctmc.json` and the solver-inventory
-//! table in `ARCHITECTURE.md`):
+//! (crossovers measured when the CSR engine and the top-end solvers were
+//! introduced — see `CHANGES.md` and the solver-inventory table in
+//! `ARCHITECTURE.md`):
 //!
 //! * `n ≤ 32` — GTH: the dense elimination is at its fastest and exact to
 //!   rounding; the measured GTH↔Gauss–Seidel crossover sits near 30
@@ -133,9 +134,9 @@ pub const RRE_WINDOW: usize = 6;
 pub const RRE_PERIOD: usize = 24;
 
 /// GTH is used below this state count regardless of density.  Measured
-/// with `perf_snapshot` on pattern chains: GTH wins at 12 states
-/// (0.5 µs vs 0.8 µs Gauss–Seidel) and loses from 60 states up
-/// (7.2 µs vs 3.1 µs), so the crossover sits near 30.
+/// on pattern chains when the CSR engine landed (`CHANGES.md`): GTH wins
+/// at 12 states (0.5 µs vs 0.8 µs Gauss–Seidel) and loses from 60 states
+/// up (7.2 µs vs 3.1 µs), so the crossover sits near 30.
 const GTH_SMALL_N: usize = 32;
 
 /// GTH is used up to this state count when the chain is dense.
@@ -144,8 +145,9 @@ const GTH_DENSE_N: usize = 1500;
 /// Chains at or above this state count route to the top-end stack
 /// (adaptive SOR, then restarted GMRES, then power — each
 /// residual-verified).  Measured on the 1 081 344-state 6×7 quotient
-/// (`solver_scale` in `BENCH_ctmc.json`): SOR converges in ~10× fewer
-/// sweeps than power takes iterations (2.5 s vs 18.7 s), while GMRES —
+/// when the top-end solvers landed (`CHANGES.md`;
+/// `examples/solver_scale_ab.rs` re-measures it): SOR converges in ~10×
+/// fewer sweeps than power takes iterations (2.5 s vs 18.7 s), while GMRES —
 /// despite the fewest operator applications — pays O(restart · n)
 /// orthogonalization per matvec and lands slowest (30 s), so it serves
 /// as the robust fallback rather than the primary.  Routing by *size* —
@@ -855,8 +857,8 @@ impl Ctmc {
     }
 
     /// The explicit [`SolverPlan`] the automatic selection follows for
-    /// this chain — size/density crossovers measured with
-    /// `perf_snapshot` (see the module docs and `ARCHITECTURE.md`).
+    /// this chain — the measured size/density crossovers of the module
+    /// docs and `ARCHITECTURE.md`.
     pub fn solver_plan(&self) -> SolverPlan {
         let n = self.n;
         if n <= GTH_SMALL_N {

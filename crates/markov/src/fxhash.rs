@@ -1,10 +1,9 @@
 //! A minimal Fx-style hasher for marking deduplication.
 //!
 //! Reachability BFS hashes millions of short byte strings (markings);
-//! SipHash's HashDoS protection is pointless here and measurably slower
-//! (see the repository's `critical_cycle`/`marking` benches).  This is the
-//! classic `FxHasher` multiply-rotate scheme, self-contained so the
-//! workspace does not need an extra dependency.
+//! SipHash's HashDoS protection is pointless here and measurably slower.
+//! This is the classic `FxHasher` multiply-rotate scheme, self-contained
+//! so the workspace does not need an extra dependency.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -502,7 +502,7 @@ impl Lift {
 }
 
 /// Result of [`Ctmc::stationary_lumped`]: the lifted stationary vector
-/// plus the size bookkeeping the benches record.
+/// plus the size bookkeeping of the reduction.
 #[derive(Debug, Clone)]
 pub struct LumpedStationary {
     /// Stationary distribution lifted back to the full states.

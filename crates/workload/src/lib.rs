@@ -10,7 +10,7 @@
 //!   processors) ∈ {(10,20), (10,30), (20,30), (2,7), (3,7)} with
 //!   computation/communication times drawn from the paper's ranges), plus
 //!   seeded random-mapping candidate sets
-//!   ([`random::random_mappings`]) for the search benches and property
+//!   ([`random::random_mappings`]) for the search benchmark and property
 //!   tests;
 //! * [`scenarios`] — the parametric systems behind Figures 10–17 (the
 //!   seven-stage replicated pipeline, the repeated two-stage pattern, the

@@ -143,7 +143,7 @@ pub fn random_mapping_with<R: Rng>(stages: usize, processors: usize, rng: &mut R
 }
 
 /// `count` seeded random mappings (see [`random_mapping_with`]), the
-/// candidate sets of the search benches and property tests.  Candidate
+/// candidate sets of the search benchmark and property tests.  Candidate
 /// `i` depends only on `(seed, i)`, so sets are reproducible and
 /// extendable.
 pub fn random_mappings(stages: usize, processors: usize, count: usize, seed: u64) -> Vec<Mapping> {
@@ -178,8 +178,8 @@ pub fn random_joint_mapping_with<R: Rng>(
 }
 
 /// `count` seeded random joint mappings (see
-/// [`random_joint_mapping_with`]), the candidate sets of the joint-search
-/// benches and property tests.  Candidate `i` depends only on
+/// [`random_joint_mapping_with`]), the candidate sets of the joint search
+/// and its property tests.  Candidate `i` depends only on
 /// `(seed, i)`, so sets are reproducible and extendable — and for a
 /// single app, candidate `i`'s first mapping is exactly
 /// [`random_mappings`]' candidate `i` (same per-candidate stream).

@@ -100,7 +100,7 @@ pub fn single_comm_heterogeneous(u: usize, v: usize, seed: u64) -> System {
 /// them becomes a `u × v` pattern where deterministic and exponential
 /// throughputs genuinely differ (Theorem 4) — the instance the §8
 /// mapping-construction heuristics, the portfolio search driver, and the
-/// batch-scoring benches all run on.  Returned as `(application,
+/// benchmark's search workload all run on.  Returned as `(application,
 /// platform)`: the mapping is what the search is *for*.
 pub fn mapping_search() -> (Application, Platform) {
     let app = Application::new(vec![8.0, 30.0, 45.0, 12.0], vec![4.0, 6.0, 3.0])

@@ -1,10 +1,11 @@
 //! Top-end solver A/B on a ≥ 2²⁰-state Theorem 2 quotient: restarted
-//! GMRES against uniformized power iteration on the direct quotient of
-//! the homogeneous 6×7 Strict scenario (1 081 344 lumped states standing
-//! for 45.4M full ones).  Both solve the same chain to the same residual
-//! class, so the throughputs must agree to 1e-10 relative — CI runs this
-//! to pin the Krylov path at the scale it exists for, and the printed
-//! wall times record the top-end crossover the measured solver plan
+//! GMRES and the automatic solver plan (`Ctmc::stationary`, whose primary
+//! at this size is SOR) against uniformized power iteration on the direct
+//! quotient of the homogeneous 6×7 Strict scenario (1 081 344 lumped
+//! states standing for 45.4M full ones).  All three solve the same chain,
+//! so each throughput must agree with power's to 1e-10 relative — CI runs
+//! this to pin the Krylov path and the plan at the scale they exist for,
+//! and the printed wall times record the top-end crossover the plan
 //! encodes (where SOR, not GMRES, is the primary).
 //!
 //! `--teams a,b` swaps in a smaller shape (e.g. `--teams 4,5` for a
@@ -95,13 +96,27 @@ fn main() {
         qg.ctmc.stationarity_residual(&pi_power)
     );
 
-    let diff = (rho_gmres - rho_power).abs();
-    assert!(
-        diff <= 1e-10 * rho_power.abs(),
-        "solvers diverged: gmres {rho_gmres} vs power {rho_power}"
-    );
+    let t = std::time::Instant::now();
+    let pi_plan = qg.ctmc.stationary();
+    let t_plan = t.elapsed();
+    let rho_plan = rho_of(&pi_plan);
     println!(
-        "OK: gmres and power agree (|diff| = {diff:.3e}); gmres/power wall-time = {:.2}",
-        t_gmres.as_secs_f64() / t_power.as_secs_f64()
+        "plan  rho = {rho_plan:.12}  (residual {:.3e}, {t_plan:?}; primary {:?})",
+        qg.ctmc.stationarity_residual(&pi_plan),
+        qg.ctmc.solver_plan().primary
+    );
+
+    for (name, rho) in [("gmres", rho_gmres), ("plan", rho_plan)] {
+        let diff = (rho - rho_power).abs();
+        assert!(
+            diff <= 1e-10 * rho_power.abs(),
+            "solvers diverged: {name} {rho} vs power {rho_power}"
+        );
+        println!("OK: {name} and power agree (|diff| = {diff:.3e})");
+    }
+    println!(
+        "wall time relative to power: gmres {:.2}, plan {:.2}",
+        t_gmres.as_secs_f64() / t_power.as_secs_f64(),
+        t_plan.as_secs_f64() / t_power.as_secs_f64()
     );
 }

@@ -9,8 +9,9 @@
 //! under a deliberately small `max_states` budget: the spilled and the
 //! resident BFS must walk the identical prefix and refuse at the same
 //! budget, proving the spill path takes the big-shape route without
-//! perturbing the scan order.  (The full 7×8 build-and-solve is the
-//! `ten_million` section of `perf_snapshot` — minutes, not smoke.)
+//! perturbing the scan order.  (The full 7×8 build-and-solve takes
+//! minutes, not smoke; its spill-off/spill-on record is history in
+//! `CHANGES.md`.)
 //!
 //! ```sh
 //! cargo run --release --example spill_ab
