@@ -83,13 +83,14 @@ fn main() {
     let (u, v) = if args.smoke { (3, 4) } else { (4, 7) };
     let net = comm_pattern(u, v, |a, b| 0.5 + ((a * v + b) % 5) as f64 * 0.3);
     let mg = MarkingGraph::build(&net, MarkingOptions::default()).unwrap();
+    let ctmc = mg.ctmc_with_trans_rates(&net.rates);
     let all: Vec<usize> = (0..net.n_transitions()).collect();
-    let (pi_gth, t_gth) = timed(|| mg.ctmc.stationary_gth());
+    let (pi_gth, t_gth) = timed(|| ctmc.stationary_gth());
     let rho_gth: f64 = {
         let r = mg.firing_rates(&net, &pi_gth);
         all.iter().map(|&t| r[t]).sum()
     };
-    let (pi_pow, t_pow) = timed(|| mg.ctmc.stationary_power(1e-13, 500_000));
+    let (pi_pow, t_pow) = timed(|| ctmc.stationary_power(1e-13, 500_000));
     let rho_pow: f64 = {
         let r = mg.firing_rates(&net, &pi_pow);
         all.iter().map(|&t| r[t]).sum()

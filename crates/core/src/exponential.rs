@@ -445,8 +445,9 @@ pub fn throughput_strict_report<'a>(
         if let Some(sym) = &sym {
             let qg =
                 QuotientGraph::build(&net, sym, marking_opts).map_err(ExpError::MarkingGraph)?;
+            let ctmc = qg.ctmc_with_trans_rates(&net.rates);
             let (throughput, report) = qg
-                .throughput_solve_governed(&qg.ctmc, &net.rates, &last, opts.solver, &opts.budget)
+                .throughput_solve_governed(&ctmc, &net.rates, &last, opts.solver, &opts.budget)
                 .map_err(|i| ExpError::MarkingGraph(i.into()))?;
             return Ok(StrictReport {
                 throughput,
@@ -466,14 +467,14 @@ pub fn throughput_strict_report<'a>(
     // still applies (kept for hints that cannot be pre-validated; with
     // the gates above it is exercised by A/B runs with `lumping` off).
     let mg = MarkingGraph::build(&net, marking_opts).map_err(ExpError::MarkingGraph)?;
+    let ctmc = mg.ctmc_with_trans_rates(&net.rates);
     let throughput_from = |pi: &[f64]| -> f64 {
         let fired = mg.firing_rates(&net, pi);
         last.iter().map(|&t| fired[t]).sum()
     };
     if opts.lumping {
         if let Some(seed) = sym.as_ref().and_then(|s| mg.orbit_partition(s)) {
-            let lumped = mg
-                .ctmc
+            let lumped = ctmc
                 .stationary_lumped_solve(&seed, opts.solver, &opts.budget)
                 .map_err(|i| ExpError::MarkingGraph(i.into()))?;
             if let Some((sol, report)) = lumped {
@@ -491,8 +492,7 @@ pub fn throughput_strict_report<'a>(
             }
         }
     }
-    let report = mg
-        .ctmc
+    let report = ctmc
         .stationary_solve_governed(opts.solver, &opts.budget)
         .map_err(|i| ExpError::MarkingGraph(i.into()))?;
     Ok(StrictReport {
@@ -562,7 +562,7 @@ pub fn throughput_overlap_bounded<'a>(
         MarkingGraph::build(&net, opts.marking(Some(capacity))).map_err(ExpError::MarkingGraph)?;
     let (rho, _) = mg
         .throughput_solve_governed(
-            &mg.ctmc,
+            &mg.ctmc_with_trans_rates(&net.rates),
             &net.rates,
             &tpn.last_column(),
             SolverChoice::Auto,

@@ -19,9 +19,11 @@
 //!   uniformization, Gauss–Seidel and the residual check);
 //! * `lambda` — the uniformization constant `Λ = 1.1 · max_s exit[s]`;
 //! * an **incoming** CSR (the transpose: for each state, the sources and
-//!   rates of its in-transitions) with the uniformized probabilities
-//!   `rate / Λ` precomputed, so the power sweep is pure multiply-add with
-//!   no division on the hot path.
+//!   rates of its in-transitions), which the relaxations, the residual
+//!   check and the power sweep gather over.
+//!
+//! That is the whole chain, 24 bytes per edge and 16 per state
+//! ([`Ctmc::heap_bytes`]): the power sweep forms `rate · (1/Λ)` inline.
 //!
 //! The incoming layout turns the power sweep from a *scatter*
 //! (`next[target] += …`, which would need atomics or replication to
@@ -50,13 +52,14 @@
 //!   values in place.  On the sparse, shallow marking chains of this
 //!   repository it converges in tens of sweeps, so its `O(sweeps · nnz)`
 //!   beats GTH's `O(n³)` by orders of magnitude at a few hundred states;
+//! * [`Ctmc::stationary_sor`] — successive over-relaxation of the same
+//!   balance equations Gauss–Seidel sweeps, with adaptive damping,
+//!   implemented in [`crate::krylov`]: the top-end primary for the
+//!   ≥ 2²⁰-state quotients;
 //! * [`Ctmc::stationary_gmres`] — restarted GMRES (Arnoldi + Givens
 //!   least squares) on the singular system `πQ = 0` with renormalized
-//!   deflation of the trivial null direction, implemented in
-//!   [`crate::krylov`]: the top-end method for the ≥ 2²⁰-state quotients;
-//! * [`Ctmc::stationary_sor`] — successive over-relaxation of the same
-//!   balance equations Gauss–Seidel sweeps, also in [`crate::krylov`];
-//!   the verified fallback between GMRES and power at the top end.
+//!   deflation of the trivial null direction, also in [`crate::krylov`]:
+//!   the verified fallback between SOR and power at the top end.
 //!
 //! # Selection policy ([`Ctmc::stationary`])
 //!
@@ -72,11 +75,11 @@
 //! * dense chains (`nnz > n²/4`) up to 1 500 states — GTH: elimination
 //!   cost is amortized by the dense rows, and relaxation loses its
 //!   `nnz ≪ n²` advantage;
-//! * `n ≥ 2²⁰` — restarted GMRES, whose Krylov iteration count is far
-//!   below power's geometric mixing on the million-state quotients
-//!   (6×7-class shapes) and whose matvec is the same chunk-parallel
-//!   gather the power sweep uses.  Fallbacks, each residual-verified:
-//!   SOR, then the unconditionally convergent extrapolated power sweep.
+//! * `n ≥ 2²⁰` — adaptive SOR, which converges in far fewer sweeps than
+//!   power's geometric mixing on the million-state quotients (6×7-class
+//!   shapes).  Fallbacks, each residual-verified: Jacobi-scaled GMRES
+//!   (whose matvec is the same chunk-parallel gather the power sweep
+//!   uses), then the unconditionally convergent extrapolated power sweep.
 //!   The threshold is a state count, not a core count, so the solver
 //!   choice — and the result bits — stay machine-independent;
 //! * everything else — Gauss–Seidel, verified against the stationarity
@@ -109,8 +112,6 @@ pub struct Ctmc {
     in_ptr: Vec<u32>,
     in_src: Vec<u32>,
     in_rate: Vec<f64>,
-    /// `in_rate / Λ`, precomputed for the uniformized sweeps.
-    in_prob: Vec<f64>,
 }
 
 /// States per thread below which the parallel sweep is not worth
@@ -351,19 +352,14 @@ pub struct SolveReport {
     pub precond: Precond,
 }
 
-/// Incremental builder used by the marking BFS: rows are appended in
-/// state order straight into the flat arrays, no nested `Vec`s.
+/// Incremental builder of [`Ctmc::new`] and the lumped quotient: rows
+/// are appended in state order straight into the flat arrays, no nested
+/// `Vec`s.
 #[derive(Debug)]
 pub struct CsrBuilder {
     row_ptr: Vec<u32>,
     col: Vec<u32>,
     rate: Vec<f64>,
-}
-
-impl Default for CsrBuilder {
-    fn default() -> Self {
-        CsrBuilder::with_capacity(0, 0)
-    }
 }
 
 impl CsrBuilder {
@@ -393,11 +389,6 @@ impl CsrBuilder {
             panic!("nnz overflows u32")
         };
         self.row_ptr.push(nnz);
-    }
-
-    /// Number of complete rows so far.
-    pub fn n_rows(&self) -> usize {
-        self.row_ptr.len() - 1
     }
 
     /// Finish into a [`Ctmc`], validating targets against the final state
@@ -474,8 +465,6 @@ impl Ctmc {
                 in_rate[slot] = rate[e];
             }
         }
-        let inv_lambda = 1.0 / lambda;
-        let in_prob: Vec<f64> = in_rate.iter().map(|&r| r * inv_lambda).collect();
 
         Ctmc {
             n,
@@ -487,7 +476,6 @@ impl Ctmc {
             in_ptr,
             in_src,
             in_rate,
-            in_prob,
         }
     }
 
@@ -496,24 +484,18 @@ impl Ctmc {
         self.n
     }
 
-    /// The same sparsity structure with every edge's rate replaced:
-    /// `rate[e]` is the new rate of the `e`-th CSR entry (row-major edge
-    /// order, as produced by [`CsrBuilder`]).
-    ///
-    /// This is the **refill** operation of structure-keyed chain reuse:
-    /// when two chains share their reachability structure and differ only
-    /// in rates (candidate mappings over one shape), cloning the integer
-    /// arrays and re-deriving the cached products (exit rates, `Λ`,
-    /// transposed CSR, uniformized probabilities) costs `O(nnz)` — the
-    /// marking BFS and interner are skipped entirely.  The result is
-    /// **bitwise identical** to building the chain from scratch with the
-    /// same rates ([`Ctmc::from_csr`] is deterministic in its inputs).
-    ///
-    /// # Panics
-    /// Panics if `rate.len() != self.nnz()` or any rate is non-positive.
-    pub fn with_rates(&self, rate: Vec<f64>) -> Ctmc {
-        assert_eq!(rate.len(), self.nnz(), "one rate per CSR edge");
-        Ctmc::from_csr(self.row_ptr.clone(), self.col.clone(), rate)
+    /// Heap bytes of the chain's arrays, from their lengths (not their
+    /// capacities, so the figure is deterministic):
+    /// `24 · nnz + 16 · n + 8`.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(&self.row_ptr[..])
+            + size_of_val(&self.col[..])
+            + size_of_val(&self.rate[..])
+            + size_of_val(&self.exit[..])
+            + size_of_val(&self.in_ptr[..])
+            + size_of_val(&self.in_src[..])
+            + size_of_val(&self.in_rate[..])
     }
 
     /// Number of non-zero rate entries.
@@ -644,7 +626,7 @@ impl Ctmc {
     }
 
     /// One uniformized power sweep over the incoming CSR:
-    /// `next[j] = Σ_{i→j} pi[i]·(r/Λ) + pi[j]·stay[j]` — a gather, so
+    /// `next[j] = Σ_{i→j} pi[i]·(r·(1/Λ)) + pi[j]·stay[j]` — a gather, so
     /// disjoint chunks of `next` are independent.  Every entry of `next`
     /// is reduced in CSR order regardless of chunking, so the output is
     /// bitwise deterministic for any thread count (convergence is judged
@@ -678,6 +660,7 @@ impl Ctmc {
         // `in_src` entry is `< n`, and `pi`/`stay` have length `n`
         // (asserted by the callers); `start + out.len() ≤ n` holds for
         // every chunk `power_sweep` creates.
+        let inv_lambda = 1.0 / self.lambda;
         for (dj, v) in out.iter_mut().enumerate() {
             let j = start + dj;
             unsafe {
@@ -686,7 +669,7 @@ impl Ctmc {
                 let mut acc = *pi.get_unchecked(j) * *stay.get_unchecked(j);
                 for e in lo..hi {
                     let i = *self.in_src.get_unchecked(e) as usize;
-                    acc += *pi.get_unchecked(i) * *self.in_prob.get_unchecked(e);
+                    acc += *pi.get_unchecked(i) * (*self.in_rate.get_unchecked(e) * inv_lambda);
                 }
                 *v = acc;
             }
@@ -722,9 +705,9 @@ impl Ctmc {
     ) -> Result<(Vec<f64>, usize), Interrupt> {
         let n = self.n;
         assert_eq!(pi.len(), n);
-        // Hoisted out of the sweep: stay[j] = 1 − exit[j]/Λ and the
-        // incoming probabilities r/Λ (`in_prob`) are precomputed, so the
-        // inner loop is one fused multiply-add per nnz with no division.
+        // Hoisted out of the sweep: stay[j] = 1 − exit[j]/Λ.  The sweep
+        // forms each incoming probability as r·(1/Λ), a multiply, so the
+        // hot path has no division.
         let inv_lambda = 1.0 / self.lambda;
         let stay: Vec<f64> = self.exit.iter().map(|&e| 1.0 - e * inv_lambda).collect();
         let mut next = vec![0.0f64; n];
@@ -1370,6 +1353,96 @@ mod tests {
         let c = Ctmc::new(vec![Vec::new()]);
         assert_eq!(c.stationary(), vec![1.0]);
         assert_eq!(c.stationary_gauss_seidel(1e-12, 10), vec![1.0]);
+    }
+
+    /// FNV-1a over the bit patterns of a vector.
+    fn bits_digest(v: &[f64]) -> u64 {
+        v.iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+            (h ^ x.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The homogeneous Strict 2×3 quotient (64 orbits) and a seeded
+    /// 300-state sparse chain.
+    fn pinned_chains() -> [(&'static str, Ctmc); 2] {
+        use crate::marking::{MarkingOptions, QuotientGraph};
+        use crate::net::EventNet;
+        use repstream_petri::shape::{ExecModel, MappingShape, ResourceTable};
+        use repstream_petri::tpn::Tpn;
+
+        let shape = MappingShape::new(vec![2, 3]);
+        let tpn = Tpn::build(&shape, ExecModel::Strict);
+        let rates = ResourceTable::from_fns(&shape, |_, _| 0.5, |_, _, _| 2.0);
+        let (net, sym) = EventNet::from_tpn_with_symmetry(&tpn, &rates);
+        let qg = QuotientGraph::build(&net, &sym.unwrap(), MarkingOptions::default()).unwrap();
+
+        let n = 300;
+        let mut x = 0x5eed_u64;
+        let mut rnd = move || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            x >> 33
+        };
+        let rows = (0..n)
+            .map(|i| {
+                let mut row = vec![((i + 1) % n, 0.1 + (rnd() % 1000) as f64 / 250.0)];
+                for _ in 0..2 {
+                    let j = rnd() as usize % n;
+                    if j != i {
+                        row.push((j, 0.1 + (rnd() % 1000) as f64 / 250.0));
+                    }
+                }
+                row
+            })
+            .collect();
+        [
+            ("hom(2x3) quotient", qg.ctmc_with_trans_rates(&net.rates)),
+            ("seeded sparse", Ctmc::new(rows)),
+        ]
+    }
+
+    /// The power sweep's bits, pinned: a forced [`Solver::Power`] solve,
+    /// and the plan's Gauss–Seidel → power polish (the relaxation cut
+    /// short at three sweeps so the polish has work to do), on two
+    /// chains.  The digests were recorded when the sweep still read a
+    /// precomputed `rate / Λ` array; the inline `rate · (1/Λ)` must
+    /// reproduce them exactly.
+    #[test]
+    fn power_sweep_bits_are_pinned() {
+        let expected = [
+            (
+                "hom(2x3) quotient",
+                (0xd2d3_e881_c468_b195, 136),
+                (0x8bff_dcc1_d458_c657, 128),
+            ),
+            (
+                "seeded sparse",
+                (0xc19f_a282_5c01_84fb, 112),
+                (0x2e9b_be88_2e1d_255d, 104),
+            ),
+        ];
+        for ((label, c), (want_label, forced, polish)) in pinned_chains().into_iter().zip(expected)
+        {
+            assert_eq!(label, want_label);
+            let rep = c.stationary_solve(SolverChoice::Force(Solver::Power));
+            let got_forced = (bits_digest(&rep.pi), rep.iterations);
+            let (gs, _) = c.gauss_seidel(1e-14, 3, &Budget::UNLIMITED).unwrap();
+            let (pi, sweeps) = c.power(gs, 1e-13, 200_000, &Budget::UNLIMITED).unwrap();
+            let got_polish = (bits_digest(&pi), sweeps);
+            assert_eq!(got_forced, forced, "{label}: forced power");
+            assert_eq!(got_polish, polish, "{label}: GS -> power polish");
+        }
+    }
+
+    /// The chain's layout: 24 bytes per edge, 16 per state, 8 for the
+    /// two closing row pointers.
+    #[test]
+    fn heap_bytes_is_the_layout_formula() {
+        for (label, c) in pinned_chains() {
+            let want = 24 * c.nnz() + 16 * c.n_states() + 8;
+            assert_eq!(c.heap_bytes(), want, "{label}");
+        }
     }
 
     #[test]

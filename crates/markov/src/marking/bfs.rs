@@ -410,7 +410,7 @@ pub(super) trait RowSink {
     const PHASE: Phase;
 
     /// Transition `t`, enabled in state `s`, fires into state `target`.
-    fn fire(&mut self, s: u32, t: usize, target: u32, rate: f64);
+    fn fire(&mut self, s: u32, t: usize, target: u32);
 
     /// Close the current row; `Err(Deadlock)` when nothing was enabled.
     fn end_row(&mut self) -> Result<(), MarkingError>;
@@ -658,7 +658,6 @@ fn explore_chunk<C: Canonicalizer>(
 /// chunk-local key at its first use — the same intern sequence, row
 /// order and error points as the direct scan.
 fn merge_chunk<S: RowSink>(
-    net: &EventNet,
     stage: &ChunkStage,
     base: u32,
     store: &mut Frontier,
@@ -680,7 +679,7 @@ fn merge_chunk<S: RowSink>(
                 }
                 local_ids[li]
             };
-            sink.fire(base + row as u32, t as usize, id, net.rates[t as usize]);
+            sink.fire(base + row as u32, t as usize, id);
         }
         f = end as usize;
         if row + 1 == stage.row_ends.len() {
@@ -782,7 +781,7 @@ pub(super) fn explore<C: Canonicalizer, S: RowSink>(
                 // Chunk-boundary checkpoint: bounds the coast past a
                 // deadline to one chunk's replay on parallel levels.
                 store.checkpoint(&opts, S::PHASE, levels)?;
-                merge_chunk(net, stage, base, &mut store, opts.max_states, sink)?;
+                merge_chunk(stage, base, &mut store, opts.max_states, sink)?;
                 base += stage.row_ends.len() as u32;
             }
             frontier = hi;
@@ -801,7 +800,7 @@ pub(super) fn explore<C: Canonicalizer, S: RowSink>(
         store.rows.copy_to(s, &mut cur);
         scan.row(&cur, &mut scratch, |t, succ| {
             let id = store.intern(succ, opts.max_states)?;
-            sink.fire(s as u32, t, id, net.rates[t]);
+            sink.fire(s as u32, t, id);
             Ok(())
         })?;
         sink.end_row().map_err(|e| store.poison().unwrap_or(e))?;

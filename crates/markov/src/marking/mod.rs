@@ -34,9 +34,9 @@
 //!   key is interned;
 //! * a **row sink** turns scanned rows into a public result type —
 //!   [`MarkingGraph`] (one CSR edge per firing, the enabled sets doubling
-//!   as the edge → transition map) or [`QuotientGraph`] (rates aggregated
-//!   per target orbit, intra-orbit firings dropped, an edge → transitions
-//!   refill map).
+//!   as the row pointer and the edge → transition map) or
+//!   [`QuotientGraph`] (one edge per target orbit, intra-orbit firings
+//!   dropped, an edge → transitions refill map).
 //!
 //! The BFS allocates nothing per firing:
 //!
@@ -60,9 +60,9 @@
 //!   canonicaliser's reused per-thread scratch; its key and packed row are
 //!   copied into the interner and the row arena only when the key turns
 //!   out to be new;
-//! * **flat CSR outputs** — both the chain (via
-//!   [`crate::ctmc::CsrBuilder`]) and the per-state enabled-transition
-//!   sets are built directly in compressed sparse row form.
+//! * **flat CSR structure** — the chain's edges and the per-state
+//!   enabled-transition sets are built directly in compressed sparse row
+//!   form, with no rate: `ctmc_with_trans_rates` rates a chain per solve.
 //!
 //! Storage and scheduling never reach the output: the chain is **bitwise
 //! identical** for every thread count, shard count and spill setting.
@@ -76,7 +76,7 @@
 //! automorphism's cyclic group before interning, so the interner and the
 //! row arena only ever hold one key and one representative per orbit —
 //! the peak interned-state count is `full / m` on free orbits — and the
-//! CSR is emitted with orbit-aggregated rates.  The resulting chain (and its uniform
+//! CSR is emitted orbit-aggregated.  The rated chain (and its uniform
 //! [`Lift`]) is **bitwise identical** to building the full chain and
 //! lumping it through [`MarkingGraph::orbit_partition`] +
 //! [`Ctmc::quotient`](crate::ctmc::Ctmc::quotient), without ever
@@ -101,8 +101,8 @@
 //!   local key at its first use.
 //!
 //! The replay order is the direct scan order, so new states receive the
-//! same ids, rows come out in the same first-hit order, every `f64`
-//! addition of a sink happens in the same sequence, and `TooManyStates` /
+//! same ids, rows come out in the same first-hit order, every edge records
+//! its transitions in the same sequence, and `TooManyStates` /
 //! `NotSafe` / `Deadlock` surface at the same point — for every
 //! canonicaliser × sink pair, since there is only the one kernel.
 
@@ -112,7 +112,7 @@ mod interner;
 
 pub use arena::MarkingStore;
 
-use crate::ctmc::{unlimited, CsrBuilder, Ctmc, SolveReport, SolverChoice};
+use crate::ctmc::{unlimited, Ctmc, SolveReport, SolverChoice};
 use crate::govern::{Budget, Interrupt, Phase};
 use crate::lump::{Lift, Partition};
 use crate::net::{EventNet, NetSymmetry};
@@ -400,7 +400,9 @@ impl EnabledSets {
     /// Close the current row; `Err(Deadlock)` when nothing was enabled.
     #[inline]
     fn end_row(&mut self) -> Result<(), MarkingError> {
-        let end = self.idx.len() as u32;
+        let Ok(end) = u32::try_from(self.idx.len()) else {
+            panic!("nnz overflows u32")
+        };
         if self.ptr.last() == Some(&end) {
             return Err(MarkingError::Deadlock);
         }
@@ -440,7 +442,7 @@ macro_rules! shared_api {
             /// Number of chain states: reachable markings, or orbits on a
             /// [`QuotientGraph`].
             pub fn n_states(&self) -> usize {
-                self.ctmc.n_states()
+                self.enabled.ptr.len() - 1
             }
 
             /// Transitions fireable in state `s` — in the representative
@@ -468,16 +470,18 @@ macro_rules! shared_api {
                 self.enabled.firing_rates(trans_rates, pi)
             }
 
-            /// Convenience: stationary distribution, then summed firing
-            /// rate of a set of transitions (e.g. the TPN's last column →
-            /// throughput; automorphism-closed on a [`QuotientGraph`]).
+            /// Convenience: the chain rated at `net.rates`, its stationary
+            /// distribution, then the summed firing rate of a set of
+            /// transitions (e.g. the TPN's last column → throughput;
+            /// automorphism-closed on a [`QuotientGraph`]).
             pub fn throughput_of(&self, net: &EventNet, transitions: &[usize]) -> f64 {
-                self.throughput_with(&self.ctmc, &net.rates, transitions)
+                let ctmc = self.ctmc_with_trans_rates(&net.rates);
+                self.throughput_with(&ctmc, &net.rates, transitions)
             }
 
-            /// As [`Self::throughput_of`] for a re-rated chain sharing
-            /// this graph's structure (same op order as the owned-chain
-            /// path, so refilled and cold solves agree bit for bit).
+            /// As [`Self::throughput_of`] for a chain already rated from
+            /// this graph's structure (same op order, so every caller of
+            /// one rate table gets the same bits).
             pub fn throughput_with(
                 &self,
                 ctmc: &Ctmc,
@@ -535,35 +539,35 @@ shared_api!(QuotientGraph);
 pub struct MarkingGraph {
     /// All reachable markings (tokens per place), arena-interned.
     pub states: MarkingStore,
-    /// The CTMC over those markings.
-    pub ctmc: Ctmc,
     /// Transitions fireable in each state; one chain edge per entry, so
-    /// the index array doubles as the edge → transition map.
+    /// the row pointer is the chain's and the index array doubles as the
+    /// edge → transition map.
     enabled: EnabledSets,
+    /// Target state of every chain edge, parallel to the enabled index
+    /// array.
+    targets: Vec<u32>,
     /// Storage accounting captured at the end of the build.
     arena_stats: ArenaStats,
 }
 
 /// Row sink of [`MarkingGraph`]: one CSR edge per firing.
 struct GraphBuilder {
-    csr: CsrBuilder,
     enabled: EnabledSets,
+    targets: Vec<u32>,
 }
 
 impl RowSink for GraphBuilder {
     const PHASE: Phase = Phase::MarkingBfs;
 
     #[inline]
-    fn fire(&mut self, _s: u32, t: usize, target: u32, rate: f64) {
-        self.csr.push(target as usize, rate);
+    fn fire(&mut self, _s: u32, t: usize, target: u32) {
         self.enabled.idx.push(t as u32);
+        self.targets.push(target);
     }
 
     #[inline]
     fn end_row(&mut self) -> Result<(), MarkingError> {
-        self.enabled.end_row()?;
-        self.csr.end_row();
-        Ok(())
+        self.enabled.end_row()
     }
 }
 
@@ -585,17 +589,16 @@ impl MarkingGraph {
         opts: MarkingOptions,
         canon: &C,
     ) -> Result<Self, MarkingError> {
-        let nt = net.n_transitions();
         let mut out = GraphBuilder {
-            csr: CsrBuilder::with_capacity(1024, 1024 * nt / 2),
             enabled: EnabledSets::new(),
+            targets: Vec::new(),
         };
         let found = bfs::explore(net, opts, canon, &mut out)?;
         let arena_stats = found.stats();
         Ok(MarkingGraph {
             states: found.rows,
-            ctmc: out.csr.finish(),
             enabled: out.enabled,
+            targets: out.targets,
             arena_stats,
         })
     }
@@ -628,7 +631,7 @@ impl MarkingGraph {
         // transition `t` from `s` corresponds to firing `trans_perm[t]`
         // from σ(s) (that is what being a net automorphism means), and the
         // marking BFS reaches every state from s₀ — so one marking lookup
-        // seeds a pure-integer BFS over the aligned `enabled`/CSR rows.
+        // seeds a pure-integer BFS over the aligned `enabled`/target rows.
         // Every propagation step doubles as a validity check: a missing
         // permuted transition, a σ conflict, or a non-injective image
         // proves the hint does not apply and returns `None`.
@@ -650,6 +653,8 @@ impl MarkingGraph {
         let image0 = image0?;
         let s0_img = (0..n).find(|&s| self.states.matches(s, &image0))? as u32;
 
+        let ptr = &self.enabled.ptr;
+        let row_targets = |s: usize| &self.targets[ptr[s] as usize..ptr[s + 1] as usize];
         let mut sigma = vec![u32::MAX; n];
         let mut taken = vec![false; n];
         sigma[0] = s0_img;
@@ -664,8 +669,8 @@ impl MarkingGraph {
             if en_s.len() != en_si.len() {
                 return None;
             }
-            let row_s = self.ctmc.row_targets(s);
-            let row_si = self.ctmc.row_targets(si);
+            let row_s = row_targets(s);
+            let row_si = row_targets(si);
             for (k, &t) in en_s.iter().enumerate() {
                 let tp = *sym.trans_perm.get(t as usize)? as u32;
                 // Enabled sets are ascending by construction.
@@ -693,23 +698,22 @@ impl MarkingGraph {
 
     /// Transition fired by each CSR edge of the chain, in edge order (the
     /// enabled-set arrays double as this map: the BFS appends one enabled
-    /// transition per chain edge, so `edge_transitions().len() ==
-    /// ctmc.nnz()` and edge `e` was produced by firing transition
+    /// transition per chain edge, so `edge_transitions().len()` is the
+    /// chain's `nnz` and edge `e` was produced by firing transition
     /// `edge_transitions()[e]`).
     ///
     /// This is what makes the reachability structure reusable across rate
-    /// tables: the chain of a *different* rate assignment over the same
-    /// net structure is `ctmc.with_rates(edge rates looked up here)` — see
+    /// tables: edge `e` of any rate assignment over the same net
+    /// structure is rated `trans_rates[edge_transitions()[e]]` — see
     /// [`MarkingGraph::ctmc_with_trans_rates`].
     pub fn edge_transitions(&self) -> &[u32] {
         &self.enabled.idx
     }
 
-    /// The chain re-rated from per-transition rates: edge `e` gets
-    /// `trans_rates[edge_transitions()[e]]`.  Bitwise identical to
-    /// rebuilding the marking graph of a net with those rates (the BFS
-    /// order depends only on structure), at `O(nnz)` instead of a full
-    /// BFS + interning pass.
+    /// The chain rated from per-transition rates: edge `e` gets
+    /// `trans_rates[edge_transitions()[e]]`.  The graph stores no rate
+    /// (the BFS order depends only on structure), so this is how every
+    /// chain is made, at `O(nnz)` instead of a full BFS + interning pass.
     ///
     /// # Panics
     /// Panics if `trans_rates` is shorter than the net's transition count
@@ -721,7 +725,7 @@ impl MarkingGraph {
             .iter()
             .map(|&t| trans_rates[t as usize])
             .collect();
-        self.ctmc.with_rates(rate)
+        Ctmc::from_csr(self.enabled.ptr.clone(), self.targets.clone(), rate)
     }
 
     /// Stationary firing rate of every transition:
@@ -757,8 +761,9 @@ impl MarkingGraph {
 /// 2. **Rates.** [`Ctmc::quotient`] reads each block's row off its first
 ///    member (every member agrees — that is lumpability), accumulating
 ///    edge rates per target block in CSR row order, which for the full
-///    BFS is ascending enabled-transition order — the same scan order and
-///    the same `f64` additions performed here.
+///    BFS is ascending enabled-transition order — the scan order in which
+///    each edge records its transitions here, so
+///    [`Self::ctmc_with_trans_rates`] performs the same `f64` additions.
 /// 3. **Edges.** Both emit a block's targets in first-hit order of that
 ///    scan and drop intra-orbit edges (the quotient's self-loops).
 ///
@@ -776,14 +781,16 @@ pub struct QuotientGraph {
     /// First-discovered member marking of every orbit (the block's
     /// representative, whose enabled set [`Self::enabled`] reports).
     pub reps: MarkingStore,
-    /// The quotient CTMC: orbit-aggregated rates, intra-orbit edges
-    /// dropped.
-    pub ctmc: Ctmc,
     /// Transitions fireable in each representative.
     enabled: EnabledSets,
+    /// The quotient chain's structure: orbit `s`'s edges are
+    /// `col[row_ptr[s]..row_ptr[s+1]]`, one per target orbit in first-hit
+    /// order, intra-orbit firings dropped.
+    row_ptr: Vec<u32>,
+    col: Vec<u32>,
     /// Quotient edge `e` aggregates the representative-row transitions
     /// `edge_trans[edge_ptr[e]..edge_ptr[e+1]]` (ascending within each
-    /// edge) — the refill map of [`Self::ctmc_with_trans_rates`].
+    /// edge) — the rate map of [`Self::ctmc_with_trans_rates`].
     edge_ptr: Vec<u32>,
     edge_trans: Vec<u32>,
     /// Orbit size (number of distinct markings) per quotient state.
@@ -793,59 +800,46 @@ pub struct QuotientGraph {
 }
 
 /// Row sink of [`QuotientGraph`]: aggregated CSR rows, enabled sets, the
-/// edge→transitions refill map, and the per-target scratch (all reused
-/// across rows, nothing allocated per firing).
+/// edge → transitions map, and the current row's firings (reused across
+/// rows, nothing allocated per firing).
 struct QuotientBuilder {
-    csr: CsrBuilder,
     enabled: EnabledSets,
+    row_ptr: Vec<u32>,
+    col: Vec<u32>,
     edge_ptr: Vec<u32>,
     edge_trans: Vec<u32>,
-    /// Aggregated rate into each target orbit of the current row.
-    acc: Vec<f64>,
-    /// Targets of the current row, in first-hit order.
-    hit: Vec<u32>,
-    /// Contributing transitions per target of the current row (reused
-    /// allocations, drained at each row end).
-    tbucket: Vec<Vec<u32>>,
+    /// `(target, transition)` of the current row's inter-orbit firings,
+    /// in firing order.
+    row: Vec<(u32, u32)>,
 }
 
 impl RowSink for QuotientBuilder {
     const PHASE: Phase = Phase::QuotientBfs;
 
     /// Record `t` as enabled in the current representative (every enabled
-    /// transition is, including intra-orbit firings) and aggregate its
+    /// transition is, including intra-orbit firings) and buffer its
     /// firing into orbit `target`.  Intra-orbit firings emit no edge —
     /// they are the quotient's self-loops.
     #[inline]
-    fn fire(&mut self, s: u32, t: usize, target: u32, rate: f64) {
+    fn fire(&mut self, s: u32, t: usize, target: u32) {
         self.enabled.idx.push(t as u32);
-        if target == s {
-            return;
+        if target != s {
+            self.row.push((target, t as u32));
         }
-        if self.acc.len() <= target as usize {
-            self.acc.resize(target as usize + 1, 0.0);
-            self.tbucket.resize_with(target as usize + 1, Vec::new);
-        }
-        if self.acc[target as usize] == 0.0 {
-            self.hit.push(target);
-        }
-        self.acc[target as usize] += rate;
-        self.tbucket[target as usize].push(t as u32);
     }
 
-    /// Close the current row, emitting its aggregated edges in first-hit
-    /// order.
+    /// Close the current row: one edge per target orbit in first-hit
+    /// order, each listing its transitions in firing order.
     fn end_row(&mut self) -> Result<(), MarkingError> {
         self.enabled.end_row()?;
-        for i in 0..self.hit.len() {
-            let c = self.hit[i] as usize;
-            self.csr.push(c, self.acc[c]);
-            self.acc[c] = 0.0;
-            self.edge_trans.append(&mut self.tbucket[c]);
+        while let Some(&(c, _)) = self.row.first() {
+            let fired = self.row.iter().filter(|&&(target, _)| target == c);
+            self.edge_trans.extend(fired.map(|&(_, t)| t));
+            self.row.retain(|&(target, _)| target != c);
+            self.col.push(c);
             self.edge_ptr.push(self.edge_trans.len() as u32);
         }
-        self.hit.clear();
-        self.csr.end_row();
+        self.row_ptr.push(self.col.len() as u32);
         Ok(())
     }
 }
@@ -889,22 +883,21 @@ impl QuotientGraph {
         opts: MarkingOptions,
         canon: &C,
     ) -> Result<Self, MarkingError> {
-        let nt = net.n_transitions();
         let mut out = QuotientBuilder {
-            csr: CsrBuilder::with_capacity(1024, 1024 * nt / 2),
             enabled: EnabledSets::new(),
+            row_ptr: vec![0],
+            col: Vec::new(),
             edge_ptr: vec![0],
             edge_trans: Vec::new(),
-            acc: Vec::new(),
-            hit: Vec::new(),
-            tbucket: Vec::new(),
+            row: Vec::new(),
         };
         let found = bfs::explore(net, opts, canon, &mut out)?;
         let arena_stats = found.stats();
         Ok(QuotientGraph {
             reps: found.rows,
-            ctmc: out.csr.finish(),
             enabled: out.enabled,
+            row_ptr: out.row_ptr,
+            col: out.col,
             edge_ptr: out.edge_ptr,
             edge_trans: out.edge_trans,
             orbit_size: found.orbit_size,
@@ -932,25 +925,28 @@ impl QuotientGraph {
         Lift::from_block_sizes(self.orbit_size.clone())
     }
 
-    /// The quotient re-rated from per-transition rates: edge `e` gets
+    /// The quotient chain rated from per-transition rates: edge `e` gets
     /// `Σ trans_rates[t]` over its contributing transitions, summed in
-    /// the order the BFS aggregated them — bitwise identical to building
-    /// the quotient of a net with those rates (which must themselves be
-    /// orbit-invariant, the caller's gate), at `O(nnz)`.
+    /// the order the BFS fired them — bitwise identical to lumping the
+    /// full chain of a net with those rates (which must themselves be
+    /// orbit-invariant, the caller's gate), at `O(nnz)`.  The graph
+    /// stores no rate, so this is how every quotient chain is made.
     ///
     /// # Panics
     /// Panics if `trans_rates` is shorter than the net's transition count
     /// or a summed edge rate is non-positive.
     pub fn ctmc_with_trans_rates(&self, trans_rates: &[f64]) -> Ctmc {
-        let rate: Vec<f64> = (0..self.ctmc.nnz())
-            .map(|e| {
-                self.edge_trans[self.edge_ptr[e] as usize..self.edge_ptr[e + 1] as usize]
+        let rate: Vec<f64> = self
+            .edge_ptr
+            .windows(2)
+            .map(|w| {
+                self.edge_trans[w[0] as usize..w[1] as usize]
                     .iter()
                     .map(|&t| trans_rates[t as usize])
                     .sum()
             })
             .collect();
-        self.ctmc.with_rates(rate)
+        Ctmc::from_csr(self.row_ptr.clone(), self.col.clone(), rate)
     }
 }
 
@@ -978,7 +974,7 @@ mod tests {
         let net = EventNet::new(vec![2.0, 3.0], vec![(0, 1, 1), (1, 0, 0)]);
         let mg = MarkingGraph::build(&net, MarkingOptions::default()).unwrap();
         assert_eq!(mg.n_states(), 2);
-        let pi = mg.ctmc.stationary();
+        let pi = mg.ctmc_with_trans_rates(&net.rates).stationary();
         let rates = mg.firing_rates(&net, &pi);
         let expect = 1.0 / (1.0 / 2.0 + 1.0 / 3.0);
         assert!((rates[0] - expect).abs() < 1e-10, "{rates:?}");
@@ -1133,8 +1129,12 @@ mod tests {
 
     /// `mg` against the resident `reference`: same chain bits, markings
     /// and enabled sets.
-    fn assert_same_graph(mg: &MarkingGraph, reference: &MarkingGraph, what: &str) {
-        assert_same_chain(&mg.ctmc, &reference.ctmc, what);
+    fn assert_same_graph(mg: &MarkingGraph, reference: &MarkingGraph, net: &EventNet, what: &str) {
+        assert_same_chain(
+            &mg.ctmc_with_trans_rates(&net.rates),
+            &reference.ctmc_with_trans_rates(&net.rates),
+            what,
+        );
         let mut buf = Vec::new();
         for s in 0..reference.n_states() {
             assert_eq!(
@@ -1181,7 +1181,7 @@ mod tests {
             };
             let full = MarkingGraph::build(&net, plain).unwrap();
             let seed = full.orbit_partition(&sym).expect("orbit seed applies");
-            let (lumped, lift) = full.ctmc.quotient(&seed);
+            let (lumped, lift) = full.ctmc_with_trans_rates(&net.rates).quotient(&seed);
             assert_eq!(lumped.n_states(), orbits, "{label}");
             let firsts: Vec<usize> = (0..lumped.n_states())
                 .map(|b| {
@@ -1210,7 +1210,7 @@ mod tests {
                     let what = format!("{label} threads={threads} spill={interner_spill}");
 
                     let mg = MarkingGraph::build(&net, opts).unwrap();
-                    assert_same_graph(&mg, &full, &what);
+                    assert_same_graph(&mg, &full, &net, &what);
                     assert_eq!(mg.arena_stats().spill_bytes > 0, interner_spill, "{what}");
                     assert_words(mg.arena_stats(), mg.n_states(), 64, &what);
 
@@ -1218,7 +1218,7 @@ mod tests {
                     // `Identity` must build the same graph.
                     let bytes = MarkingGraph::explore(&net, opts, &Identity).unwrap();
                     let bytes_what = format!("{what} bytes");
-                    assert_same_graph(&bytes, &full, &bytes_what);
+                    assert_same_graph(&bytes, &full, &net, &bytes_what);
                     assert_words(bytes.arena_stats(), bytes.n_states(), 8, &bytes_what);
 
                     let rowrot = RowRotation::new(&net, &sym, order);
@@ -1232,7 +1232,7 @@ mod tests {
                     ] {
                         let what = format!("{what} {name}");
                         let qg = qg.unwrap();
-                        assert_same_chain(&qg.ctmc, &lumped, &what);
+                        assert_same_chain(&qg.ctmc_with_trans_rates(&net.rates), &lumped, &what);
                         assert_eq!(qg.full_states(), full.n_states(), "{what}");
                         assert_eq!(qg.edge_ptr, refill.edge_ptr, "{what}");
                         assert_eq!(qg.edge_trans, refill.edge_trans, "{what}");
@@ -1304,11 +1304,11 @@ mod tests {
         };
         let full = MarkingGraph::build(&net, opts).unwrap();
         let seed = full.orbit_partition(&sym).expect("orbit seed applies");
-        let (lumped, lift) = full.ctmc.quotient(&seed);
+        let (lumped, lift) = full.ctmc_with_trans_rates(&net.rates).quotient(&seed);
         let qg = QuotientGraph::build(&net, &sym, opts).unwrap();
         assert!(qg.n_states() < full.n_states());
         assert!(qg.reps.iter().any(|m| m.contains(&2)), "never above one");
-        assert_same_chain(&qg.ctmc, &lumped, "capacity 2");
+        assert_same_chain(&qg.ctmc_with_trans_rates(&net.rates), &lumped, "capacity 2");
         assert_eq!(qg.full_states(), full.n_states());
         for b in 0..qg.n_states() {
             assert_eq!(qg.orbit_sizes()[b] as usize, lift.block_size(b), "{b}");
@@ -1386,7 +1386,7 @@ mod tests {
         )
         .unwrap();
         assert!(spilled.arena_stats().spill_bytes > 0, "never spilled");
-        assert_same_graph(&spilled, &reference, "sharded + spilled");
+        assert_same_graph(&spilled, &reference, &net, "sharded + spilled");
     }
 
     /// Safe pattern nets must reproduce the Theorem 3 state count.

@@ -58,7 +58,7 @@ pub fn pattern_throughput(rate: &[Vec<f64>], max_states: usize) -> Result<f64, M
     )?;
     let all: Vec<usize> = (0..net.n_transitions()).collect();
     let (rho, _) = mg.throughput_solve_governed(
-        &mg.ctmc,
+        &mg.ctmc_with_trans_rates(&net.rates),
         &net.rates,
         &all,
         SolverChoice::Auto,
@@ -122,7 +122,7 @@ mod tests {
         // successors and all rates are equal, so π is uniform.
         let net = comm_pattern(3, 4, |_, _| 2.0);
         let mg = MarkingGraph::build(&net, MarkingOptions::default()).unwrap();
-        let pi = mg.ctmc.stationary();
+        let pi = mg.ctmc_with_trans_rates(&net.rates).stationary();
         let expect = 1.0 / mg.states.len() as f64;
         for (s, &p) in pi.iter().enumerate() {
             assert!((p - expect).abs() < 1e-10, "state {s}: {p} vs {expect}");

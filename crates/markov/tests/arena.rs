@@ -61,7 +61,11 @@ fn quotient_matrix_is_bitwise_deterministic() {
             );
             assert_eq!(qg.enabled(s), reference.enabled(s), "{what}: enabled {s}");
         }
-        assert_rows_bitwise(&qg.ctmc, &reference.ctmc, &what);
+        assert_rows_bitwise(
+            &qg.ctmc_with_trans_rates(&net.rates),
+            &reference.ctmc_with_trans_rates(&net.rates),
+            &what,
+        );
         // A refill with fresh per-transition rates must also match.
         let doubled: Vec<f64> = net.rates.iter().map(|r| r * 2.0).collect();
         assert_rows_bitwise(
@@ -90,7 +94,11 @@ fn full_graph_matrix_is_bitwise_deterministic() {
             );
             assert_eq!(mg.enabled(s), reference.enabled(s), "{what}: enabled {s}");
         }
-        assert_rows_bitwise(&mg.ctmc, &reference.ctmc, &what);
+        assert_rows_bitwise(
+            &mg.ctmc_with_trans_rates(&net.rates),
+            &reference.ctmc_with_trans_rates(&net.rates),
+            &what,
+        );
         let doubled: Vec<f64> = net.rates.iter().map(|r| r * 2.0).collect();
         assert_rows_bitwise(
             &mg.ctmc_with_trans_rates(&doubled),

@@ -172,7 +172,7 @@ fn solver_stall_fault_interrupts_the_solve() {
         ..Default::default()
     });
     let err = qg
-        .ctmc
+        .ctmc_with_trans_rates(&net.rates)
         .stationary_solve_governed(SolverChoice::Force(Solver::GaussSeidel), &Budget::UNLIMITED)
         .unwrap_err();
     assert_eq!(err.reason, InterruptReason::SolverStall);
@@ -235,7 +235,8 @@ fn no_fault_run_is_bitwise_identical() {
     let _armed = Armed::clear();
     let (net, sym) = net_for(&[4, 5]);
     let reference = QuotientGraph::build(&net, &sym, spill_opts()).unwrap();
-    let pi_ref = reference.ctmc.stationary();
+    let reference_ctmc = reference.ctmc_with_trans_rates(&net.rates);
+    let pi_ref = reference_ctmc.stationary();
 
     fault::install(FaultPlan {
         spill_write: Some(u64::MAX),
@@ -245,6 +246,7 @@ fn no_fault_run_is_bitwise_identical() {
     });
     let armed_run = QuotientGraph::build(&net, &sym, spill_opts()).unwrap();
     assert_eq!(armed_run.n_states(), reference.n_states());
+    let armed_ctmc = armed_run.ctmc_with_trans_rates(&net.rates);
     let (mut a, mut b) = (Vec::new(), Vec::new());
     for s in 0..reference.n_states() {
         assert_eq!(
@@ -252,16 +254,15 @@ fn no_fault_run_is_bitwise_identical() {
             reference.reps.read_into(s, &mut b),
             "representative {s}"
         );
-        for (x, y) in armed_run
-            .ctmc
+        for (x, y) in armed_ctmc
             .row_rates(s)
             .iter()
-            .zip(reference.ctmc.row_rates(s))
+            .zip(reference_ctmc.row_rates(s))
         {
             assert_eq!(x.to_bits(), y.to_bits(), "rate bits of {s}");
         }
     }
-    let pi_armed = armed_run.ctmc.stationary();
+    let pi_armed = armed_ctmc.stationary();
     for (i, (x, y)) in pi_armed.iter().zip(pi_ref.iter()).enumerate() {
         assert_eq!(x.to_bits(), y.to_bits(), "pi[{i}]");
     }
@@ -310,7 +311,7 @@ fn solver_stall_fault_covers_every_solver() {
     ] {
         fault::install(stall);
         let err = qg
-            .ctmc
+            .ctmc_with_trans_rates(&net.rates)
             .stationary_solve_governed(SolverChoice::Force(solver), &Budget::UNLIMITED)
             .expect_err(solver.label());
         assert_eq!(err.reason, InterruptReason::SolverStall, "{solver:?}");
@@ -318,7 +319,7 @@ fn solver_stall_fault_covers_every_solver() {
     }
     fault::install(stall);
     let gth = qg
-        .ctmc
+        .ctmc_with_trans_rates(&net.rates)
         .stationary_solve_governed(SolverChoice::Force(Solver::Gth), &Budget::UNLIMITED)
         .expect("GTH has no checkpoint");
     assert_eq!(gth.solver, Solver::Gth);
@@ -333,7 +334,7 @@ fn solver_stall_fault_covers_every_solver() {
     let pattern = comm_pattern(4, 5, |a, b| rate[a][b]);
     let mg = MarkingGraph::build(&pattern, MarkingOptions::default()).unwrap();
     let unfaulted = mg
-        .ctmc
+        .ctmc_with_trans_rates(&pattern.rates)
         .stationary_solve_governed(SolverChoice::Auto, &Budget::UNLIMITED)
         .unwrap();
     assert_eq!(unfaulted.solver, Solver::GaussSeidel);

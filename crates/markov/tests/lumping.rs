@@ -146,14 +146,17 @@ fn homogeneous_pattern_chain_lumps() {
         let seed = mg
             .orbit_partition(&sym)
             .expect("rotated markings stay reachable");
-        let sol = mg.ctmc.stationary_lumped(&seed).expect("pattern lumps");
+        let sol = mg
+            .ctmc_with_trans_rates(&net.rates)
+            .stationary_lumped(&seed)
+            .expect("pattern lumps");
         assert!(
             sol.lumped_states < sol.full_states,
             "{u}x{v}: no reduction ({} vs {})",
             sol.lumped_states,
             sol.full_states
         );
-        let full = mg.ctmc.stationary_gth();
+        let full = mg.ctmc_with_trans_rates(&net.rates).stationary_gth();
         for (s, (&a, &b)) in sol.pi.iter().zip(full.iter()).enumerate() {
             assert!((a - b).abs() < 1e-8, "{u}x{v} state {s}: {a} vs {b}");
         }
@@ -189,14 +192,17 @@ fn strict_tpn_lcm12_lumps_measurably() {
     let sym = sym.expect("homogeneous table keeps the rotation");
     let mg = MarkingGraph::build(&net, MarkingOptions::default()).unwrap();
     let seed = mg.orbit_partition(&sym).expect("orbit seed applies");
-    let sol = mg.ctmc.stationary_lumped(&seed).expect("m = 12 lumps");
+    let sol = mg
+        .ctmc_with_trans_rates(&net.rates)
+        .stationary_lumped(&seed)
+        .expect("m = 12 lumps");
     assert!(
         sol.lumped_states * 2 <= sol.full_states,
         "expected ≥ 2× reduction, got {} of {}",
         sol.lumped_states,
         sol.full_states
     );
-    let full = mg.ctmc.stationary_gth();
+    let full = mg.ctmc_with_trans_rates(&net.rates).stationary_gth();
     for (s, (&a, &b)) in sol.pi.iter().zip(full.iter()).enumerate() {
         assert!((a - b).abs() < 1e-8, "state {s}: {a} vs {b}");
     }
@@ -228,9 +234,12 @@ fn all_teams_of_one_degenerates() {
         .orbit_partition(&sym)
         .expect("identity maps states to themselves");
     assert!(seed.is_discrete());
-    assert!(mg.ctmc.stationary_lumped(&seed).is_none());
+    assert!(mg
+        .ctmc_with_trans_rates(&net.rates)
+        .stationary_lumped(&seed)
+        .is_none());
     // The full path still solves the chain.
-    let pi = mg.ctmc.stationary();
+    let pi = mg.ctmc_with_trans_rates(&net.rates).stationary();
     assert!((pi.iter().sum::<f64>() - 1.0).abs() < 1e-12);
 }
 

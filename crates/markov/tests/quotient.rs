@@ -57,13 +57,13 @@ fn direct_quotient_equals_full_then_lump_bitwise() {
         // Full-then-lump: full BFS, orbit propagation, quotient.
         let mg = MarkingGraph::build(&net, opts).expect("Strict TPN is safe");
         let seed = mg.orbit_partition(&sym).expect("orbit seed applies");
-        let (lumped, lift) = mg.ctmc.quotient(&seed);
+        let (lumped, lift) = mg.ctmc_with_trans_rates(&net.rates).quotient(&seed);
 
         // Direct: canonical-marking BFS, no full graph.
         let qg = QuotientGraph::build(&net, &sym, opts).expect("same net");
 
         let ctx = format!("teams {teams:?}");
-        assert_chains_identical(&qg.ctmc, &lumped, &ctx);
+        assert_chains_identical(&qg.ctmc_with_trans_rates(&net.rates), &lumped, &ctx);
 
         // Orbit bookkeeping matches the full partition's block sizes, and
         // every stored representative is the block's first full state.
@@ -94,14 +94,14 @@ fn direct_quotient_stationary_agrees_with_full_solve() {
         let opts = MarkingOptions::default();
 
         let mg = MarkingGraph::build(&net, opts).unwrap();
-        let pi_full = mg.ctmc.stationary();
+        let pi_full = mg.ctmc_with_trans_rates(&net.rates).stationary();
 
         let qg = QuotientGraph::build(&net, &sym, opts).unwrap();
-        let pi_q = qg.ctmc.stationary();
+        let pi_q = qg.ctmc_with_trans_rates(&net.rates).stationary();
 
         // Per-state agreement through the full partition's lift.
         let seed = mg.orbit_partition(&sym).unwrap();
-        let (_, lift) = mg.ctmc.quotient(&seed);
+        let (_, lift) = mg.ctmc_with_trans_rates(&net.rates).quotient(&seed);
         let lifted = lift.lift(&pi_q);
         for (s, (&a, &b)) in lifted.iter().zip(pi_full.iter()).enumerate() {
             assert!(
@@ -145,7 +145,11 @@ fn m1_degenerates_to_the_plain_bfs_bitwise() {
     let opts = MarkingOptions::default();
     let mg = MarkingGraph::build(&net, opts).unwrap();
     let qg = QuotientGraph::build(&net, &sym, opts).unwrap();
-    assert_chains_identical(&qg.ctmc, &mg.ctmc, "teams [1,1,1]");
+    assert_chains_identical(
+        &qg.ctmc_with_trans_rates(&net.rates),
+        &mg.ctmc_with_trans_rates(&net.rates),
+        "teams [1,1,1]",
+    );
     assert_eq!(qg.full_states(), mg.n_states());
     assert!(qg.orbit_sizes().iter().all(|&k| k == 1));
     for s in 0..mg.n_states() {
@@ -207,7 +211,11 @@ fn quotient_refill_is_bitwise_cold() {
         let (net, sym) = EventNet::from_tpn_with_symmetry(&tpn, &rates);
         let cold = QuotientGraph::build(&net, &sym.unwrap(), opts).unwrap();
         let refilled = warm.ctmc_with_trans_rates(&net.rates);
-        assert_chains_identical(&refilled, &cold.ctmc, &format!("λ ({comp},{comm})"));
+        assert_chains_identical(
+            &refilled,
+            &cold.ctmc_with_trans_rates(&net.rates),
+            &format!("λ ({comp},{comm})"),
+        );
         let last = tpn.last_column();
         let a = warm.throughput_with(&refilled, &net.rates, &last);
         let b = cold.throughput_of(&net, &last);
@@ -245,7 +253,11 @@ fn parallel_quotient_build_is_bitwise_sequential() {
             )
             .unwrap();
             let ctx = format!("teams {teams:?} threads {threads}");
-            assert_chains_identical(&par.ctmc, &seq.ctmc, &ctx);
+            assert_chains_identical(
+                &par.ctmc_with_trans_rates(&net.rates),
+                &seq.ctmc_with_trans_rates(&net.rates),
+                &ctx,
+            );
             assert_eq!(par.orbit_sizes(), seq.orbit_sizes(), "{ctx}");
             assert_eq!(par.full_states(), seq.full_states(), "{ctx}");
             for s in 0..seq.n_states() {
@@ -294,7 +306,11 @@ fn parallel_plain_bfs_is_bitwise_sequential() {
             )
             .unwrap();
             let ctx = format!("teams {teams:?} threads {threads}");
-            assert_chains_identical(&par.ctmc, &seq.ctmc, &ctx);
+            assert_chains_identical(
+                &par.ctmc_with_trans_rates(&net.rates),
+                &seq.ctmc_with_trans_rates(&net.rates),
+                &ctx,
+            );
             assert_eq!(par.n_states(), seq.n_states(), "{ctx}");
             for s in 0..seq.n_states() {
                 assert_eq!(par.states.get(s), seq.states.get(s), "{ctx}: state {s}");

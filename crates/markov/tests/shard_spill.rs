@@ -35,7 +35,7 @@ fn net_for(teams: &[usize]) -> (EventNet, repstream_markov::net::NetSymmetry) {
     (net, sym.expect("homogeneous table keeps the row rotation"))
 }
 
-fn assert_quotients_bitwise(a: &QuotientGraph, b: &QuotientGraph, what: &str) {
+fn assert_quotients_bitwise(a: &QuotientGraph, b: &QuotientGraph, net: &EventNet, what: &str) {
     assert_eq!(a.n_states(), b.n_states(), "{what}: state count");
     assert_eq!(a.full_states(), b.full_states(), "{what}: full states");
     assert_eq!(a.orbit_sizes(), b.orbit_sizes(), "{what}: orbit sizes");
@@ -48,14 +48,18 @@ fn assert_quotients_bitwise(a: &QuotientGraph, b: &QuotientGraph, what: &str) {
         );
         assert_eq!(a.enabled(s), b.enabled(s), "{what}: enabled {s}");
     }
-    assert_eq!(a.ctmc.n_states(), b.ctmc.n_states(), "{what}: ctmc states");
-    for s in 0..b.ctmc.n_states() {
+    let (a_ctmc, b_ctmc) = (
+        a.ctmc_with_trans_rates(&net.rates),
+        b.ctmc_with_trans_rates(&net.rates),
+    );
+    assert_eq!(a_ctmc.n_states(), b_ctmc.n_states(), "{what}: ctmc states");
+    for s in 0..b_ctmc.n_states() {
         assert_eq!(
-            a.ctmc.row_targets(s),
-            b.ctmc.row_targets(s),
+            a_ctmc.row_targets(s),
+            b_ctmc.row_targets(s),
             "{what}: targets of {s}"
         );
-        for (x, y) in a.ctmc.row_rates(s).iter().zip(b.ctmc.row_rates(s)) {
+        for (x, y) in a_ctmc.row_rates(s).iter().zip(b_ctmc.row_rates(s)) {
             assert_eq!(x.to_bits(), y.to_bits(), "{what}: rate bits of {s}");
         }
     }
@@ -78,7 +82,7 @@ fn quotient_shard_spill_matrix_4x5_is_bitwise_identical() {
                         "{what}: a {TINY_SPILL}-byte limit must actually spill"
                     );
                 }
-                assert_quotients_bitwise(&qg, &reference, &what);
+                assert_quotients_bitwise(&qg, &reference, &net, &what);
                 let doubled: Vec<f64> = net.rates.iter().map(|r| r * 2.0).collect();
                 let (ra, rb) = (
                     qg.ctmc_with_trans_rates(&doubled),
@@ -107,7 +111,7 @@ fn quotient_shard_spill_5x6_is_bitwise_identical() {
         if spill {
             assert!(qg.arena_stats().spill_bytes > 0, "{what}: must spill");
         }
-        assert_quotients_bitwise(&qg, &reference, &what);
+        assert_quotients_bitwise(&qg, &reference, &net, &what);
     }
 }
 
@@ -116,6 +120,7 @@ fn quotient_shard_spill_5x6_is_bitwise_identical() {
 fn full_graph_shard_spill_is_bitwise_identical() {
     let (net, _) = net_for(&[4, 5]);
     let reference = MarkingGraph::build(&net, opts(1, 1, false)).unwrap();
+    let reference_ctmc = reference.ctmc_with_trans_rates(&net.rates);
     let (mut buf_a, mut buf_b) = (Vec::new(), Vec::new());
     for shards in [4usize, 16] {
         for spill in [false, true] {
@@ -134,13 +139,14 @@ fn full_graph_shard_spill_is_bitwise_identical() {
                     );
                     assert_eq!(mg.enabled(s), reference.enabled(s), "{what}: enabled {s}");
                 }
-                for s in 0..reference.ctmc.n_states() {
+                let ctmc = mg.ctmc_with_trans_rates(&net.rates);
+                for s in 0..reference_ctmc.n_states() {
                     assert_eq!(
-                        mg.ctmc.row_targets(s),
-                        reference.ctmc.row_targets(s),
+                        ctmc.row_targets(s),
+                        reference_ctmc.row_targets(s),
                         "{what}: targets of {s}"
                     );
-                    for (x, y) in mg.ctmc.row_rates(s).iter().zip(reference.ctmc.row_rates(s)) {
+                    for (x, y) in ctmc.row_rates(s).iter().zip(reference_ctmc.row_rates(s)) {
                         assert_eq!(x.to_bits(), y.to_bits(), "{what}: rate bits of {s}");
                     }
                 }

@@ -133,7 +133,7 @@ fn krylov_agrees_on_real_quotient_chains() {
             },
         )
         .unwrap();
-        let c = &qg.ctmc;
+        let c = &qg.ctmc_with_trans_rates(&net.rates);
         let n = c.n_states();
         let last = tpn.last_column();
         let (rho_auto, auto) = qg.throughput_solve(c, &net.rates, &last, SolverChoice::Auto);
@@ -202,7 +202,7 @@ fn jacobi_gmres_pins_plain_and_power_on_quotient_chain() {
         },
     )
     .unwrap();
-    let c = &qg.ctmc;
+    let c = &qg.ctmc_with_trans_rates(&net.rates);
     let pc = c.stationary_solve(SolverChoice::Force(Solver::Gmres));
     let plain = c.stationary_solve(SolverChoice::Force(Solver::GmresPlain));
     let power = c.stationary_solve(SolverChoice::Force(Solver::Power));

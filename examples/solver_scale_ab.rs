@@ -8,6 +8,12 @@
 //! and the printed wall times record the top-end crossover the plan
 //! encodes (where SOR, not GMRES, is the primary).
 //!
+//! It also pins the chain's layout: the rated chain's `heap_bytes()` must
+//! equal `24 · nnz + 16 · n + 8` (forward and incoming CSR, exit rates,
+//! no third copy of the rates).  The figure is printed beside the
+//! process's peak resident set (`VmHWM`, Linux only), which is reported,
+//! not asserted.
+//!
 //! `--teams a,b` swaps in a smaller shape (e.g. `--teams 4,5` for a
 //! quick local run).
 //!
@@ -70,6 +76,19 @@ fn main() {
         qg.n_states(),
         qg.full_states()
     );
+    let ctmc = qg.ctmc_with_trans_rates(&net.rates);
+    let layout = 24 * ctmc.nnz() + 16 * ctmc.n_states() + 8;
+    assert_eq!(
+        ctmc.heap_bytes(),
+        layout,
+        "chain layout: 24 B/nnz + 16 B/state + 8"
+    );
+    println!(
+        "chain: {} nnz, heap {:.1} MiB (24 B/nnz + 16 B/state + 8); peak RSS {}",
+        ctmc.nnz(),
+        ctmc.heap_bytes() as f64 / (1 << 20) as f64,
+        peak_rss().unwrap_or_else(|| "n/a".into())
+    );
 
     // Both solvers run to an explicit residual well below the forced
     // budgets — residual-to-throughput amplification grows with the
@@ -80,30 +99,30 @@ fn main() {
         last.iter().map(|&t| rates[t]).sum()
     };
     let t = std::time::Instant::now();
-    let pi_gmres = qg.ctmc.stationary_gmres(1e-14, 200_000);
+    let pi_gmres = ctmc.stationary_gmres(1e-14, 200_000);
     let t_gmres = t.elapsed();
     let rho_gmres = rho_of(&pi_gmres);
     println!(
         "gmres rho = {rho_gmres:.12}  (residual {:.3e}, {t_gmres:?})",
-        qg.ctmc.stationarity_residual(&pi_gmres)
+        ctmc.stationarity_residual(&pi_gmres)
     );
     let t = std::time::Instant::now();
-    let pi_power = qg.ctmc.stationary_power(1e-13, 500_000);
+    let pi_power = ctmc.stationary_power(1e-13, 500_000);
     let t_power = t.elapsed();
     let rho_power = rho_of(&pi_power);
     println!(
         "power rho = {rho_power:.12}  (residual {:.3e}, {t_power:?})",
-        qg.ctmc.stationarity_residual(&pi_power)
+        ctmc.stationarity_residual(&pi_power)
     );
 
     let t = std::time::Instant::now();
-    let pi_plan = qg.ctmc.stationary();
+    let pi_plan = ctmc.stationary();
     let t_plan = t.elapsed();
     let rho_plan = rho_of(&pi_plan);
     println!(
         "plan  rho = {rho_plan:.12}  (residual {:.3e}, {t_plan:?}; primary {:?})",
-        qg.ctmc.stationarity_residual(&pi_plan),
-        qg.ctmc.solver_plan().primary
+        ctmc.stationarity_residual(&pi_plan),
+        ctmc.solver_plan().primary
     );
 
     for (name, rho) in [("gmres", rho_gmres), ("plan", rho_plan)] {
@@ -119,4 +138,12 @@ fn main() {
         t_gmres.as_secs_f64() / t_power.as_secs_f64(),
         t_plan.as_secs_f64() / t_power.as_secs_f64()
     );
+}
+
+/// The `VmHWM` line of `/proc/self/status` (the process's peak resident
+/// set), where that file exists.
+fn peak_rss() -> Option<String> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    Some(line["VmHWM:".len()..].trim().to_string())
 }
