@@ -24,7 +24,7 @@
 use crate::model::SystemRef;
 use crate::timing::exponential_rates;
 use repstream_markov::cache::{ChainCache, SharedChainCache, StrictSolve};
-use repstream_markov::ctmc::{Precond, Solver, SolverChoice};
+use repstream_markov::ctmc::{Solver, SolverChoice};
 use repstream_markov::govern::{Interrupt, RunConfig};
 use repstream_markov::marking::{ArenaStats, MarkingError, MarkingGraph, QuotientGraph};
 use repstream_markov::net::EventNet;
@@ -367,11 +367,8 @@ pub struct StrictReport {
     /// `SolverChoice::Auto` this is the plan's pick; under `Force` it
     /// echoes the forced method).
     pub solver: Solver,
-    /// The diagonal scaling that method iterated under
-    /// ([`Precond::Jacobi`] only when GMRES produced the vector).
-    pub precond: Precond,
-    /// Iterations the winning solver spent (sweeps for the relaxations
-    /// and power, matvecs for GMRES, `n` for GTH's eliminations).
+    /// Iterations the winning solver spent (sweeps for Gauss–Seidel and
+    /// power, `n` for GTH's eliminations).
     pub iterations: usize,
     /// Max-norm stationarity residual `‖πQ‖∞` of the solved chain's
     /// vector, measured by the solver layer after the solve (for every
@@ -455,7 +452,6 @@ pub fn throughput_strict_report<'a>(
                 lumped_states: Some(qg.n_states()),
                 method: StrictMethod::DirectQuotient,
                 solver: report.solver,
-                precond: report.precond,
                 iterations: report.iterations,
                 residual: report.residual,
                 arena: qg.arena_stats(),
@@ -484,7 +480,6 @@ pub fn throughput_strict_report<'a>(
                     lumped_states: Some(sol.lumped_states),
                     method: StrictMethod::FullThenLump,
                     solver: report.solver,
-                    precond: report.precond,
                     iterations: report.iterations,
                     residual: report.residual,
                     arena: mg.arena_stats(),
@@ -501,7 +496,6 @@ pub fn throughput_strict_report<'a>(
         lumped_states: None,
         method: StrictMethod::Full,
         solver: report.solver,
-        precond: report.precond,
         iterations: report.iterations,
         residual: report.residual,
         arena: mg.arena_stats(),
@@ -537,7 +531,6 @@ pub fn throughput_strict_with_solver<'a>(
             StrictMethod::Full
         },
         solver: sol.solver,
-        precond: sol.precond,
         iterations: sol.iterations,
         residual: sol.residual,
         arena: sol.arena,

@@ -277,9 +277,8 @@ pub fn system_report_with(
                 }
                 writeln!(
                     s,
-                    "  solver={} precond={} iterations={} residual={:.3e}",
+                    "  solver={} iterations={} residual={:.3e}",
                     rep.solver.label(),
-                    rep.precond.label(),
                     rep.iterations,
                     rep.residual
                 )
@@ -496,7 +495,6 @@ mod tests {
             "[strict/exponential — Theorem 2]",
             "direct-quotient",
             "solver=",
-            "precond=",
             "iterations=",
             "residual=",
             "memory: arena",

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //!   u32 LE  body length              (0 < len ≤ 64 MiB)
-//!   u8      protocol version         (WIRE_VERSION = 2)
+//!   u8      protocol version         (WIRE_VERSION = 3)
 //!   u8      message tag              (Request: 0–6, Response: 128–135)
 //!   …       tag-specific payload
 //! ```
@@ -34,7 +34,7 @@
 use crate::model::{Application, Mapping, Platform, System};
 use crate::report::{DegradeMode, ReportOptions, ReportStatus};
 use repstream_markov::cache::CacheStats;
-use repstream_markov::ctmc::{Precond, SolveReport, Solver, SolverChoice};
+use repstream_markov::ctmc::{SolveReport, Solver, SolverChoice};
 use repstream_markov::govern::{Budget, InterruptReason, RunConfig};
 use repstream_markov::marking::ArenaStats;
 use std::io::{Read, Write};
@@ -43,7 +43,7 @@ use std::time::Duration;
 use crate::exponential::{StrictMethod, StrictReport};
 
 /// Protocol version carried by every frame.
-pub const WIRE_VERSION: u8 = 2;
+pub const WIRE_VERSION: u8 = 3;
 
 /// Hard cap on a frame body (64 MiB): anything longer is rejected before
 /// allocation ([`WireError::Oversized`]).
@@ -371,10 +371,7 @@ fn put_solver(out: &mut Vec<u8>, s: Solver) {
     out.push(match s {
         Solver::Gth => 0,
         Solver::GaussSeidel => 1,
-        Solver::Gmres => 2,
-        Solver::GmresPlain => 3,
-        Solver::Sor => 4,
-        Solver::Power => 5,
+        Solver::Power => 2,
     });
 }
 
@@ -382,10 +379,7 @@ fn get_solver(c: &mut Cursor<'_>) -> Result<Solver, WireError> {
     Ok(match c.u8()? {
         0 => Solver::Gth,
         1 => Solver::GaussSeidel,
-        2 => Solver::Gmres,
-        3 => Solver::GmresPlain,
-        4 => Solver::Sor,
-        5 => Solver::Power,
+        2 => Solver::Power,
         b => return Err(WireError::Invalid(format!("solver byte {b}"))),
     })
 }
@@ -405,21 +399,6 @@ fn get_solver_choice(c: &mut Cursor<'_>) -> Result<SolverChoice, WireError> {
         0 => SolverChoice::Auto,
         1 => SolverChoice::Force(get_solver(c)?),
         b => return Err(WireError::Invalid(format!("solver-choice byte {b}"))),
-    })
-}
-
-fn put_precond(out: &mut Vec<u8>, p: Precond) {
-    out.push(match p {
-        Precond::None => 0,
-        Precond::Jacobi => 1,
-    });
-}
-
-fn get_precond(c: &mut Cursor<'_>) -> Result<Precond, WireError> {
-    Ok(match c.u8()? {
-        0 => Precond::None,
-        1 => Precond::Jacobi,
-        b => return Err(WireError::Invalid(format!("precond byte {b}"))),
     })
 }
 
@@ -500,7 +479,6 @@ pub fn put_strict_report(out: &mut Vec<u8>, r: &StrictReport) {
         StrictMethod::Full => 2,
     });
     put_solver(out, r.solver);
-    put_precond(out, r.precond);
     put_usize(out, r.iterations);
     put_f64(out, r.residual);
     put_arena(out, &r.arena);
@@ -519,7 +497,6 @@ pub fn get_strict_report(c: &mut Cursor<'_>) -> Result<StrictReport, WireError> 
             b => return Err(WireError::Invalid(format!("strict-method byte {b}"))),
         },
         solver: get_solver(c)?,
-        precond: get_precond(c)?,
         iterations: c.usize()?,
         residual: c.f64()?,
         arena: get_arena(c)?,
@@ -529,7 +506,6 @@ pub fn get_strict_report(c: &mut Cursor<'_>) -> Result<StrictReport, WireError> 
 fn put_solve_report(out: &mut Vec<u8>, r: &SolveReport) {
     put_f64s(out, &r.pi);
     put_solver(out, r.solver);
-    put_precond(out, r.precond);
     put_usize(out, r.iterations);
     put_f64(out, r.residual);
 }
@@ -538,7 +514,6 @@ fn get_solve_report(c: &mut Cursor<'_>) -> Result<SolveReport, WireError> {
     Ok(SolveReport {
         pi: c.f64s()?,
         solver: get_solver(c)?,
-        precond: get_precond(c)?,
         iterations: c.usize()?,
         residual: c.f64()?,
     })

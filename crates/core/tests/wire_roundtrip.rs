@@ -14,7 +14,7 @@ use repstream_core::wire::{
     StatsResponse, WireCandidate, WireError, WireOptions, MAX_FRAME, WIRE_VERSION,
 };
 use repstream_markov::cache::CacheStats;
-use repstream_markov::ctmc::{Precond, SolveReport, Solver, SolverChoice};
+use repstream_markov::ctmc::{SolveReport, Solver, SolverChoice};
 use repstream_markov::govern::InterruptReason;
 use repstream_markov::marking::ArenaStats;
 
@@ -81,9 +81,6 @@ fn arb_options(seed: u64) -> WireOptions {
         SolverChoice::Auto,
         SolverChoice::Force(Solver::Gth),
         SolverChoice::Force(Solver::GaussSeidel),
-        SolverChoice::Force(Solver::Gmres),
-        SolverChoice::Force(Solver::GmresPlain),
-        SolverChoice::Force(Solver::Sor),
         SolverChoice::Force(Solver::Power),
     ];
     WireOptions {
@@ -91,7 +88,7 @@ fn arb_options(seed: u64) -> WireOptions {
         list_candidates: seed & 1 == 0,
         lumping: seed & 2 == 0,
         threads: (seed % 9) as usize,
-        solver: solvers[(seed % 7) as usize],
+        solver: solvers[(seed % 4) as usize],
         max_states: 1 + (seed % 4_000_000) as usize,
         interner_spill: seed & 4 == 0,
         degrade: if seed & 8 == 0 {
@@ -198,7 +195,7 @@ proptest! {
     #[test]
     fn responses_round_trip(seed in 0u64..u64::MAX, states in 1usize..5_000_000) {
         let methods = [StrictMethod::DirectQuotient, StrictMethod::FullThenLump, StrictMethod::Full];
-        let solvers = [Solver::Gth, Solver::GaussSeidel, Solver::Gmres, Solver::GmresPlain, Solver::Sor, Solver::Power];
+        let solvers = [Solver::Gth, Solver::GaussSeidel, Solver::Power];
         let reasons = [
             InterruptReason::Deadline,
             InterruptReason::Cancelled,
@@ -210,8 +207,7 @@ proptest! {
             full_states: states,
             lumped_states: (seed & 1 == 0).then_some(states / 2),
             method: methods[(seed % 3) as usize],
-            solver: solvers[(seed % 6) as usize],
-            precond: if seed & 2 == 0 { Precond::None } else { Precond::Jacobi },
+            solver: solvers[(seed % 3) as usize],
             iterations: (seed % 100_000) as usize,
             residual: f64::from_bits(seed.rotate_left(17)),
             arena: ArenaStats {
@@ -230,7 +226,6 @@ proptest! {
                 assert_eq!(r.lumped_states, report.lumped_states);
                 assert_eq!(r.method.label(), report.method.label());
                 assert_eq!(r.solver, report.solver);
-                assert_eq!(r.precond, report.precond);
                 assert_eq!(r.iterations, report.iterations);
                 assert_eq!(r.arena, report.arena);
             }
@@ -239,10 +234,9 @@ proptest! {
 
         let solve = SolveReport {
             pi: (0..(seed % 17) as usize).map(|i| f64::from_bits(seed.rotate_left(i as u32))).collect(),
-            solver: solvers[(seed % 6) as usize],
+            solver: solvers[(seed % 3) as usize],
             residual: f64::from_bits(!seed),
             iterations: (seed % 9_999) as usize,
-            precond: if seed & 1 == 0 { Precond::None } else { Precond::Jacobi },
         };
         let body = Response::Solve(solve.clone()).encode();
         match Response::decode(&body).unwrap() {
@@ -404,6 +398,20 @@ fn unknown_version_and_tag_reject() {
         Request::decode(&[0, 0]),
         Err(WireError::UnknownVersion(0))
     ));
+    // A version-2 report carried a preconditioner byte after the solver:
+    // refused on its version byte, before any field is read.
+    let mut body = Response::Solve(SolveReport {
+        pi: vec![0.25, 0.75],
+        solver: Solver::GaussSeidel,
+        residual: 1e-18,
+        iterations: 64,
+    })
+    .encode();
+    body[0] = 2;
+    assert!(matches!(
+        Response::decode(&body),
+        Err(WireError::UnknownVersion(2))
+    ));
     assert!(matches!(
         Request::decode(&[WIRE_VERSION, 99]),
         Err(WireError::UnknownTag(99))
@@ -412,6 +420,36 @@ fn unknown_version_and_tag_reject() {
         Response::decode(&[WIRE_VERSION, 3]),
         Err(WireError::UnknownTag(3))
     ));
+}
+
+/// The solver byte has three assigned values (`Gth 0`, `GaussSeidel 1`,
+/// `Power 2`); every other value — the retired SOR/GMRES tags included
+/// — is a structured `Invalid`, not a misparse.
+#[test]
+fn unassigned_solver_byte_is_invalid() {
+    let encode = |solver| {
+        Response::Solve(SolveReport {
+            pi: vec![1.0],
+            solver,
+            residual: 0.0,
+            iterations: 1,
+        })
+        .encode()
+    };
+    let (gth, power) = (encode(Solver::Gth), encode(Solver::Power));
+    assert_eq!(gth.len(), power.len());
+    let differ: Vec<usize> = (0..gth.len()).filter(|&i| gth[i] != power[i]).collect();
+    assert_eq!(differ.len(), 1, "the solver is one byte");
+    let at = differ[0];
+    assert_eq!((gth[at], power[at]), (0, 2));
+    for byte in [3u8, 4, 5, 0xff] {
+        let mut body = gth.clone();
+        body[at] = byte;
+        assert!(
+            matches!(Response::decode(&body), Err(WireError::Invalid(_))),
+            "solver byte {byte}"
+        );
+    }
 }
 
 #[test]

@@ -831,7 +831,7 @@ mod tests {
     use repstream_core::model::System;
     use repstream_core::report::{system_report_with, ReportOptions, ReportStatus};
     use repstream_markov::cache::StrictSolve;
-    use repstream_markov::ctmc::{Precond, Solver, SolverChoice};
+    use repstream_markov::ctmc::{Solver, SolverChoice};
     use repstream_markov::govern::Budget;
     use repstream_markov::marking::ArenaStats;
     use repstream_petri::shape::{MappingShape, ResourceTable};
@@ -1017,7 +1017,6 @@ mod tests {
                 quotient_direct: false,
                 cache_hit: false,
                 solver: Solver::Gth,
-                precond: Precond::None,
                 residual: 0.0,
                 iterations: 0,
                 arena: ArenaStats::default(),

@@ -28,7 +28,7 @@
 //! re-checking it against the (possibly smaller) budget of the current
 //! call — budgets are per deployment, not per candidate.
 
-use crate::ctmc::{Precond, Solver, SolverChoice};
+use crate::ctmc::{Solver, SolverChoice};
 use crate::fxhash::{FxHashMap, FxHasher};
 use crate::govern::{Budget, RunConfig};
 use crate::marking::{ArenaStats, MarkingError, MarkingGraph, MarkingOptions, QuotientGraph};
@@ -106,13 +106,10 @@ pub struct StrictSolve {
     /// The stationary method that actually ran (the plan's pick under
     /// [`SolverChoice::Auto`]).
     pub solver: Solver,
-    /// The diagonal scaling that method iterated under
-    /// ([`crate::ctmc::Precond::Jacobi`] only for GMRES).
-    pub precond: Precond,
     /// Final max-norm stationarity residual of the solved vector.
     pub residual: f64,
-    /// Iterations the winning solver spent (sweeps for relaxations and
-    /// power, matvecs for GMRES, `n` for GTH).
+    /// Iterations the winning solver spent (sweeps for Gauss–Seidel and
+    /// power, `n` for GTH).
     pub iterations: usize,
     /// Storage accounting of the structure that served this solve.  On a
     /// warm hit these are the bytes of the **cached** build (the arenas
@@ -314,7 +311,6 @@ impl ChainCache {
                 quotient_direct: true,
                 cache_hit,
                 solver: report.solver,
-                precond: report.precond,
                 residual: report.residual,
                 iterations: report.iterations,
                 arena: qg.arena_stats(),
@@ -343,7 +339,6 @@ impl ChainCache {
             quotient_direct: false,
             cache_hit,
             solver: report.solver,
-            precond: report.precond,
             residual: report.residual,
             iterations: report.iterations,
             arena: mg.arena_stats(),

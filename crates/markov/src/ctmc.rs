@@ -19,7 +19,7 @@
 //!   uniformization, Gauss–Seidel and the residual check);
 //! * `lambda` — the uniformization constant `Λ = 1.1 · max_s exit[s]`;
 //! * an **incoming** CSR (the transpose: for each state, the sources and
-//!   rates of its in-transitions), which the relaxations, the residual
+//!   rates of its in-transitions), which the relaxation, the residual
 //!   check and the power sweep gather over.
 //!
 //! That is the whole chain, 24 bytes per edge and 16 per state
@@ -50,24 +50,17 @@
 //! * [`Ctmc::stationary_gauss_seidel`] — Gauss–Seidel relaxation of the
 //!   balance equations `π_j · exit_j = Σ_{i→j} π_i r_ij` using the latest
 //!   values in place.  On the sparse, shallow marking chains of this
-//!   repository it converges in tens of sweeps, so its `O(sweeps · nnz)`
-//!   beats GTH's `O(n³)` by orders of magnitude at a few hundred states;
-//! * [`Ctmc::stationary_sor`] — successive over-relaxation of the same
-//!   balance equations Gauss–Seidel sweeps, with adaptive damping,
-//!   implemented in [`crate::krylov`]: the top-end primary for the
-//!   ≥ 2²⁰-state quotients;
-//! * [`Ctmc::stationary_gmres`] — restarted GMRES (Arnoldi + Givens
-//!   least squares) on the singular system `πQ = 0` with renormalized
-//!   deflation of the trivial null direction, also in [`crate::krylov`]:
-//!   the verified fallback between SOR and power at the top end.
+//!   repository it converges in tens of sweeps at every size measured
+//!   (40–90 from 4×5 to the 1 081 344-state 6×7 quotient, stiff rate
+//!   tables included), so its `O(sweeps · nnz)` beats GTH's `O(n³)` by
+//!   orders of magnitude from a few hundred states up.
 //!
 //! # Selection policy ([`Ctmc::stationary`])
 //!
 //! The automatic choice is an explicit, documented [`SolverPlan`]
 //! computed by [`Ctmc::solver_plan`] from the chain's size and density
-//! (crossovers measured when the CSR engine and the top-end solvers were
-//! introduced — see `CHANGES.md` and the solver-inventory table in
-//! `ARCHITECTURE.md`):
+//! (crossovers measured when the CSR engine was introduced — see
+//! `CHANGES.md` and the solver-inventory table in `ARCHITECTURE.md`):
 //!
 //! * `n ≤ 32` — GTH: the dense elimination is at its fastest and exact to
 //!   rounding; the measured GTH↔Gauss–Seidel crossover sits near 30
@@ -75,18 +68,12 @@
 //! * dense chains (`nnz > n²/4`) up to 1 500 states — GTH: elimination
 //!   cost is amortized by the dense rows, and relaxation loses its
 //!   `nnz ≪ n²` advantage;
-//! * `n ≥ 2²⁰` — adaptive SOR, which converges in far fewer sweeps than
-//!   power's geometric mixing on the million-state quotients (6×7-class
-//!   shapes).  Fallbacks, each residual-verified: Jacobi-scaled GMRES
-//!   (whose matvec is the same chunk-parallel gather the power sweep
-//!   uses), then the unconditionally convergent extrapolated power sweep.
-//!   The threshold is a state count, not a core count, so the solver
-//!   choice — and the result bits — stay machine-independent;
-//! * everything else — Gauss–Seidel, verified against the stationarity
-//!   residual; if it has not converged to `GS_RESIDUAL_TOL` the solver
-//!   falls back to the (slower, unconditionally convergent) power
-//!   iteration.  This replaces the seed's hard-coded `n ≤ 1500` GTH/power
-//!   split.
+//! * everything else, at every size — Gauss–Seidel, verified against the
+//!   stationarity residual; if it has not converged to `GS_RESIDUAL_TOL`
+//!   the solver falls back to the (slower, unconditionally convergent)
+//!   power iteration, polishing the relaxation iterate.  The plan depends
+//!   on the chain alone, never on the machine's core count, so the solver
+//!   choice — and the result bits — stay machine-independent.
 //!
 //! [`Ctmc::stationary_solve`] runs the plan (or a forced
 //! [`SolverChoice`]) and returns a [`SolveReport`] recording which solver
@@ -94,7 +81,6 @@
 //! iteration count — the provenance the CLI reports print.
 
 use crate::govern::{Budget, Interrupt, Phase, Progress};
-use crate::krylov::{GMRES_MAX_MATVECS, GMRES_RESTART, SOR_OMEGA};
 
 /// A CTMC in flat compressed-sparse-row form.
 #[derive(Debug, Clone)]
@@ -143,38 +129,15 @@ const GTH_SMALL_N: usize = 32;
 /// GTH is used up to this state count when the chain is dense.
 const GTH_DENSE_N: usize = 1500;
 
-/// Chains at or above this state count route to the top-end stack
-/// (adaptive SOR, then restarted GMRES, then power — each
-/// residual-verified).  Measured on the 1 081 344-state 6×7 quotient
-/// when the top-end solvers landed (`CHANGES.md`;
-/// `examples/solver_scale_ab.rs` re-measures it): SOR converges in ~10×
-/// fewer sweeps than power takes iterations (2.5 s vs 18.7 s), while GMRES —
-/// despite the fewest operator applications — pays O(restart · n)
-/// orthogonalization per matvec and lands slowest (30 s), so it serves
-/// as the robust fallback rather than the primary.  Routing by *size* —
-/// not by the machine's core count — keeps the solver choice, and hence
-/// the result bits, machine-independent.
-const KRYLOV_ROUTE_MIN_STATES: usize = 1 << 20;
-
 /// Residual (max-norm, rate-relative) an iterative solver must reach
 /// before its result is trusted by [`Ctmc::stationary_solve`].
 const GS_RESIDUAL_TOL: f64 = 1e-10;
 
-/// GMRES *aims* two decades below the acceptance contract.  Residual →
-/// stationary-vector error amplification grows with the chain's mixing
-/// time (measured ~500× on the 1M-state 6×7 quotient), so a solver that
-/// stops exactly at [`GS_RESIDUAL_TOL`] would carry ~1e-7-class
-/// throughput error while the sweep solvers (which overshoot their
-/// change-based `tol` by many decades) sit at ~1e-12.  Aiming tighter
-/// costs GMRES a few extra restarts and keeps cross-solver agreement in
-/// the 1e-8 class; acceptance (and fallback) still uses the contract.
-const GMRES_TARGET_SAFETY: f64 = 1e-2;
-
 /// One cooperative checkpoint of the iterative solvers: the
 /// `solver-stall` fault hook's firing point, then the budget check.
-/// Runs once per GMRES restart / SOR stall check / power check window /
-/// Gauss–Seidel checkpoint — far off the per-entry hot path, and it only
-/// decides *whether* to continue, so no budget can perturb output bits.
+/// Runs once every [`CHECK_PERIOD`] Gauss–Seidel or power sweeps — far
+/// off the per-entry hot path, and it only decides *whether* to
+/// continue, so no budget can perturb output bits.
 pub(crate) fn solver_checkpoint(
     budget: &Budget,
     states: usize,
@@ -217,64 +180,18 @@ pub enum Solver {
     Gth,
     /// Gauss–Seidel relaxation of the balance equations.
     GaussSeidel,
-    /// Restarted GMRES on `πQ = 0` with renormalized deflation and
-    /// Jacobi exit-rate scaling ([`crate::krylov`]).
-    Gmres,
-    /// Restarted GMRES without preconditioning — the historical
-    /// baseline, kept forceable for A/B runs (`--solver gmres-plain`).
-    GmresPlain,
-    /// Successive over-relaxation of the balance equations
-    /// ([`crate::krylov`]).
-    Sor,
     /// Uniformized power iteration with safeguarded RRE extrapolation.
     Power,
 }
 
 impl Solver {
     /// Short lowercase name, as printed by reports and accepted by the
-    /// CLI (`gth`, `gs`, `gmres`, `gmres-plain`, `sor`, `power`).
+    /// CLI (`gth`, `gs`, `power`).
     pub fn label(self) -> &'static str {
         match self {
             Solver::Gth => "gth",
             Solver::GaussSeidel => "gs",
-            Solver::Gmres => "gmres",
-            Solver::GmresPlain => "gmres-plain",
-            Solver::Sor => "sor",
             Solver::Power => "power",
-        }
-    }
-}
-
-/// The diagonal scaling applied inside a GMRES solve of `πQ = 0` — part
-/// of the [`SolveReport`] provenance, so a report always names both the
-/// method *and* the operator it actually iterated on.
-///
-/// Stiff rate tables (fast replicas next to slow stages) spread the
-/// generator's column scales over the full rate dynamic range, and GMRES
-/// convergence tracks that spread.  Jacobi right-scaling by inverse exit
-/// rates (`A′ = Q·D⁻¹`, `D = diag(exit)`) equalizes the column norms at
-/// the cost of one extra multiply per matvec entry; the solution is
-/// untransformed (`x(QD⁻¹) = 0 ⇔ xQ = 0`), so acceptance still verifies
-/// the *unpreconditioned* residual contract.  ILU(0) is the documented
-/// next rung (it needs a triangular solve per matvec and a determinism
-/// story for its fill ordering) and is intentionally not implemented.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Precond {
-    /// Iterate on `Q` directly (every non-GMRES solver, and
-    /// [`Solver::GmresPlain`]).
-    #[default]
-    None,
-    /// Jacobi right-scaling by inverse exit rates (absorbing states keep
-    /// scale 1, matching GMRES's division-free handling of them).
-    Jacobi,
-}
-
-impl Precond {
-    /// Short lowercase name, as printed by reports (`none`, `jacobi`).
-    pub fn label(self) -> &'static str {
-        match self {
-            Precond::None => "none",
-            Precond::Jacobi => "jacobi",
         }
     }
 }
@@ -295,16 +212,12 @@ pub enum SolverChoice {
 
 impl SolverChoice {
     /// Parse a CLI spelling: `auto`, `gth`, `gs` (or `gauss-seidel`),
-    /// `gmres`, `gmres-plain`, `sor`, `power`.  Returns `None` for
-    /// anything else.
+    /// `power`.  Returns `None` for anything else.
     pub fn parse(s: &str) -> Option<SolverChoice> {
         Some(match s {
             "auto" => SolverChoice::Auto,
             "gth" => SolverChoice::Force(Solver::Gth),
             "gs" | "gauss-seidel" => SolverChoice::Force(Solver::GaussSeidel),
-            "gmres" => SolverChoice::Force(Solver::Gmres),
-            "gmres-plain" => SolverChoice::Force(Solver::GmresPlain),
-            "sor" => SolverChoice::Force(Solver::Sor),
             "power" => SolverChoice::Force(Solver::Power),
             _ => return None,
         })
@@ -320,14 +233,16 @@ impl SolverChoice {
 }
 
 /// The explicit outcome of the automatic solver selection for one chain:
-/// which method runs first, which residual-verified fallbacks follow,
+/// which method runs first, which residual-verified fallback follows,
 /// and why — the policy [`Ctmc::stationary`] used to bury in its body.
+/// There are two plans: GTH alone, or Gauss–Seidel with a power fallback.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolverPlan {
     /// The method tried first.
     pub primary: Solver,
     /// Fallbacks tried in order when the previous method misses the
-    /// rate-relative `1e-10` residual contract.
+    /// rate-relative `1e-10` residual contract (`[Power]` after
+    /// Gauss–Seidel, none after GTH).
     pub fallbacks: &'static [Solver],
     /// One-line rationale (the measured crossover that fired).
     pub reason: &'static str,
@@ -335,8 +250,8 @@ pub struct SolverPlan {
 
 /// A solved stationary system plus the provenance reports print:
 /// which solver actually produced `pi`, the final max-norm stationarity
-/// residual, and how many iterations (sweeps for the relaxations and
-/// power, matvecs for GMRES, `n` for GTH's eliminations) it took.
+/// residual, and how many iterations (sweeps for Gauss–Seidel and
+/// power, `n` for GTH's eliminations) it took.
 #[derive(Debug, Clone)]
 pub struct SolveReport {
     /// The stationary distribution (unit sum).
@@ -347,9 +262,6 @@ pub struct SolveReport {
     pub residual: f64,
     /// Iterations the winning solver spent.
     pub iterations: usize,
-    /// The diagonal scaling the winning solver iterated under —
-    /// [`Precond::Jacobi`] only when [`Solver::Gmres`] produced `pi`.
-    pub precond: Precond,
 }
 
 /// Incremental builder of [`Ctmc::new`] and the lumped quotient: rows
@@ -859,20 +771,10 @@ impl Ctmc {
                 reason: "dense (nnz > n^2/4) and n <= 1500: elimination beats relaxation",
             };
         }
-        if n >= KRYLOV_ROUTE_MIN_STATES {
-            return SolverPlan {
-                primary: Solver::Sor,
-                fallbacks: &[Solver::Gmres, Solver::Power],
-                reason: "n >= 2^20: adaptive SOR converges in ~10x fewer sweeps \
-                         than power iterations; Jacobi-scaled GMRES is the robust \
-                         fallback (fewest matvecs but O(restart*n) \
-                         orthogonalization each)",
-            };
-        }
         SolverPlan {
             primary: Solver::GaussSeidel,
             fallbacks: &[Solver::Power],
-            reason: "sparse mid-range: Gauss-Seidel converges in tens of sweeps",
+            reason: "sparse: Gauss-Seidel converges in tens of sweeps at every size",
         }
     }
 
@@ -901,7 +803,7 @@ impl Ctmc {
     /// that solver runs, with its standard budget and no fallback — the
     /// reported residual is then the caller's only convergence signal.
     ///
-    /// The iterative solvers check `budget` at their sweep/restart
+    /// The iterative solvers check `budget` at their sweep
     /// checkpoints and surface an overrun as an [`Interrupt`] instead of
     /// running to completion ([`Solver::Gth`] has no checkpoint).  A
     /// check only decides *whether* to continue, never what to compute,
@@ -920,19 +822,9 @@ impl Ctmc {
 
     /// Run one solver with its standard budget and report the outcome.
     fn run_forced(&self, solver: Solver, budget: &Budget) -> Result<SolveReport, Interrupt> {
-        let mut precond = Precond::None;
         let (pi, iterations) = match solver {
             Solver::Gth => (self.stationary_gth(), self.n),
             Solver::GaussSeidel => self.gauss_seidel(1e-14, 10_000, budget)?,
-            Solver::Gmres | Solver::GmresPlain => {
-                if solver == Solver::Gmres {
-                    precond = Precond::Jacobi;
-                }
-                let scale = self.max_rate().max(1e-300);
-                let target = GS_RESIDUAL_TOL * GMRES_TARGET_SAFETY * scale;
-                self.gmres_restarted(GMRES_RESTART, target, GMRES_MAX_MATVECS, precond, budget)?
-            }
-            Solver::Sor => self.sor(SOR_OMEGA, 1e-14, 10_000, budget)?,
             Solver::Power => {
                 self.power(vec![1.0 / self.n as f64; self.n], 1e-13, 200_000, budget)?
             }
@@ -943,134 +835,49 @@ impl Ctmc {
             solver,
             residual,
             iterations,
-            precond,
         })
     }
 
-    /// Execute a [`SolverPlan`]: primary first, then residual-verified
-    /// fallbacks.  The mid-range Gauss–Seidel→power chain warm-starts the
-    /// power polish from the relaxation iterate (matching the historical
-    /// `stationary()` bit for bit); the top-end SOR→GMRES→power chain
-    /// keeps the best-balancing iterate if every method misses the
-    /// contract.
+    /// Execute a [`SolverPlan`]: GTH runs alone; Gauss–Seidel is
+    /// residual-verified and, when it misses the contract, its iterate is
+    /// polished by the power fallback (matching the historical
+    /// `stationary()` bit for bit).
     fn run_plan(&self, plan: SolverPlan, budget: &Budget) -> Result<SolveReport, Interrupt> {
-        let n = self.n;
-        let scale = self.max_rate().max(1e-300);
-        let tol = GS_RESIDUAL_TOL * scale;
-        match plan.primary {
-            Solver::Gth => self.run_forced(Solver::Gth, budget),
-            Solver::GaussSeidel => {
-                let gs = self.run_forced(Solver::GaussSeidel, budget)?;
-                // Acceptance requires finiteness explicitly: a zero-exit
-                // state makes relaxation divide by zero, and `f64::max` in
-                // the residual ignores the resulting NaNs rather than
-                // propagating them.
-                let finite = gs.pi.iter().all(|v| v.is_finite());
-                if finite && gs.residual <= tol {
-                    return Ok(gs);
-                }
-                // Fallback: polish the (partially converged) Gauss–Seidel
-                // iterate with the unconditionally convergent power method
-                // rather than restarting from the uniform vector — unless
-                // relaxation produced non-finite entries, which would
-                // poison every later sweep.
-                let pi0 = if finite {
-                    gs.pi
-                } else {
-                    vec![1.0 / n as f64; n]
-                };
-                let (pi, iterations) = self.power(pi0, 1e-13, 200_000, budget)?;
-                let residual = self.stationarity_residual(&pi);
-                Ok(SolveReport {
-                    pi,
-                    solver: Solver::Power,
-                    residual,
-                    iterations,
-                    precond: Precond::None,
-                })
-            }
-            // Top end (n >= 2^20): SOR, then GMRES, then power, each
-            // residual-verified; if everything misses the contract, keep
-            // whichever iterate balances best.
-            Solver::Sor | Solver::Gmres | Solver::GmresPlain | Solver::Power => {
-                if plan.fallbacks.is_empty() {
-                    return self.run_forced(plan.primary, budget);
-                }
-                let mut best: Option<SolveReport> = None;
-                for &solver in std::iter::once(&plan.primary).chain(plan.fallbacks) {
-                    let rep = self.run_forced(solver, budget)?;
-                    let finite = rep.residual.is_finite() && rep.pi.iter().all(|v| v.is_finite());
-                    if finite && rep.residual <= tol {
-                        return Ok(rep);
-                    }
-                    if finite && best.as_ref().is_none_or(|b| rep.residual < b.residual) {
-                        best = Some(rep);
-                    }
-                }
-                match best {
-                    Some(rep) => Ok(rep),
-                    None => self.run_forced(Solver::Power, budget),
-                }
-            }
+        if plan.primary != Solver::GaussSeidel {
+            return self.run_forced(plan.primary, budget);
         }
+        let n = self.n;
+        let tol = GS_RESIDUAL_TOL * self.max_rate().max(1e-300);
+        let gs = self.run_forced(Solver::GaussSeidel, budget)?;
+        // Acceptance requires finiteness explicitly: a zero-exit state
+        // makes relaxation divide by zero, and `f64::max` in the residual
+        // ignores the resulting NaNs rather than propagating them.
+        let finite = gs.pi.iter().all(|v| v.is_finite());
+        if finite && gs.residual <= tol {
+            return Ok(gs);
+        }
+        // Fallback: polish the (partially converged) Gauss–Seidel iterate
+        // with the unconditionally convergent power method rather than
+        // restarting from the uniform vector — unless relaxation produced
+        // non-finite entries, which would poison every later sweep.
+        let pi0 = if finite {
+            gs.pi
+        } else {
+            vec![1.0 / n as f64; n]
+        };
+        let (pi, iterations) = self.power(pi0, 1e-13, 200_000, budget)?;
+        let residual = self.stationarity_residual(&pi);
+        Ok(SolveReport {
+            pi,
+            solver: Solver::Power,
+            residual,
+            iterations,
+        })
     }
 
     /// Largest single transition rate (residual scale).
-    pub(crate) fn max_rate(&self) -> f64 {
+    fn max_rate(&self) -> f64 {
         self.rate.iter().fold(0.0f64, |m, &r| m.max(r))
-    }
-
-    /// The gather product `out = x Q` (row vector times generator):
-    /// `out[j] = Σ_{i→j} x_i r_ij − x_j exit_j`.  Chunk-parallel over the
-    /// incoming CSR exactly like the power sweep, so it is bitwise
-    /// deterministic for any thread count.  This is the GMRES matvec.
-    pub(crate) fn apply_q(&self, x: &[f64], out: &mut [f64]) {
-        assert_eq!(x.len(), self.n);
-        assert_eq!(out.len(), self.n);
-        let threads = sweep_threads(self.n);
-        if threads <= 1 {
-            self.apply_q_range(x, out, 0);
-            return;
-        }
-        let chunk = self.n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (c, o) in out.chunks_mut(chunk).enumerate() {
-                let start = c * chunk;
-                scope.spawn(move || {
-                    self.apply_q_range(x, o, start);
-                });
-            }
-        });
-    }
-
-    /// Sequential kernel of [`Ctmc::apply_q`] for rows
-    /// `start..start + out.len()`.
-    #[inline]
-    fn apply_q_range(&self, x: &[f64], out: &mut [f64], start: usize) {
-        // SAFETY: same invariants as `power_sweep_range` — `from_csr`
-        // validated the incoming CSR, `x` has length `n` (asserted by
-        // `apply_q`), and every chunk satisfies `start + out.len() <= n`.
-        for (dj, v) in out.iter_mut().enumerate() {
-            let j = start + dj;
-            unsafe {
-                let lo = *self.in_ptr.get_unchecked(j) as usize;
-                let hi = *self.in_ptr.get_unchecked(j + 1) as usize;
-                let mut acc = -*x.get_unchecked(j) * *self.exit.get_unchecked(j);
-                for e in lo..hi {
-                    let i = *self.in_src.get_unchecked(e) as usize;
-                    acc += *x.get_unchecked(i) * *self.in_rate.get_unchecked(e);
-                }
-                *v = acc;
-            }
-        }
-    }
-
-    /// Incoming CSR row of state `j` as `(sources, rates)` slices — the
-    /// zero-overhead view the SOR sweep in [`crate::krylov`] iterates.
-    #[inline]
-    pub(crate) fn in_row(&self, j: usize) -> (&[u32], &[f64]) {
-        let (lo, hi) = (self.in_ptr[j] as usize, self.in_ptr[j + 1] as usize);
-        (&self.in_src[lo..hi], &self.in_rate[lo..hi])
     }
 
     /// Verify `π Q = 0` (stationarity residual, max-norm) — used by tests

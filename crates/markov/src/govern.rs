@@ -29,7 +29,7 @@ pub enum Phase {
     MarkingBfs,
     /// Direct-quotient BFS (orbit representatives).
     QuotientBfs,
-    /// Stationary solve (power/SOR/GMRES iterations).
+    /// Stationary solve (Gauss–Seidel and power sweeps).
     Solve,
     /// Candidate scoring in the portfolio / workload search.
     Search,

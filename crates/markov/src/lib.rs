@@ -24,10 +24,9 @@
 //!   the symmetry-reduced chain without ever materializing the full one;
 //! * [`ctmc`] — stationary solvers: GTH elimination (subtraction-free,
 //!   exact up to rounding), Gauss–Seidel, and uniformized power iteration,
-//!   selected by an explicit measured [`SolverPlan`](ctmc::SolverPlan);
-//! * [`krylov`] — the top-end solvers of that plan: restarted GMRES on
-//!   `πQ = 0` (Arnoldi + Givens least squares with renormalized
-//!   deflation) and SOR, for the ≥ 2²⁰-state quotient chains;
+//!   selected by an explicit measured [`SolverPlan`](ctmc::SolverPlan):
+//!   GTH for small or dense chains, Gauss–Seidel with a power fallback at
+//!   every other size;
 //! * [`pattern`] — the Young-diagram pattern chain of Theorem 3: the state
 //!   count `S(u,v) = C(u+v−1, u−1) · v`, its stationary throughput under
 //!   arbitrary per-link rates, and the homogeneous closed form
@@ -66,7 +65,6 @@ pub mod ctmc;
 pub mod fault;
 pub mod fxhash;
 pub mod govern;
-pub mod krylov;
 pub mod lump;
 pub mod marking;
 pub mod net;

@@ -302,13 +302,7 @@ fn solver_stall_fault_covers_every_solver() {
     };
     let (net, sym) = net_for(&[3, 4]);
     let qg = QuotientGraph::build(&net, &sym, MarkingOptions::default()).unwrap();
-    for solver in [
-        Solver::GaussSeidel,
-        Solver::Sor,
-        Solver::Gmres,
-        Solver::GmresPlain,
-        Solver::Power,
-    ] {
+    for solver in [Solver::GaussSeidel, Solver::Power] {
         fault::install(stall);
         let err = qg
             .ctmc_with_trans_rates(&net.rates)

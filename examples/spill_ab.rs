@@ -128,10 +128,9 @@ fn main() {
     );
     println!(
         "5x6 end-to-end: rho = {:.12} (resident and spilled bitwise equal, \
-         solver={} precond={} iters={})",
+         solver={} iters={})",
         spilled.throughput,
         spilled.solver.label(),
-        spilled.precond.label(),
         spilled.iterations
     );
 

@@ -33,7 +33,7 @@
 //!   shows full-vs-quotient state counts);
 //! * `--threads N` — workers of the chunk-parallel marking BFS (`0` =
 //!   auto, `1` = sequential; every value is **bitwise-identical**);
-//! * `--solver auto|gth|gs|gmres|gmres-plain|sor|power` — stationary
+//! * `--solver auto|gth|gs|power` — stationary
 //!   method of the Theorem 2 chains (`auto` = the measured plan; the
 //!   report prints what actually ran, its iterations and residual);
 //! * `--max-states N` — state budget of every chain the command builds
@@ -195,7 +195,7 @@ impl RunFlags {
             "--solver" => {
                 self.run.solver = value(args, i)
                     .and_then(SolverChoice::parse)
-                    .ok_or("--solver needs auto|gth|gs|gmres|gmres-plain|sor|power")?;
+                    .ok_or("--solver needs auto|gth|gs|power")?;
             }
             "--max-states" => {
                 self.run.max_states =
@@ -808,7 +808,7 @@ fn usage() -> i32 {
          client [--addr A] (ping | stats | shutdown | analyze FILE [flags] | \
          search FILE [--candidates N] [--seed N] [--no-exp] [--no-lump] [--deadline DUR] | \
          scale FILE --procs 2,4,6)>  \
-         (S: auto|gth|gs|gmres|gmres-plain|sor|power; DUR: 2s, 500ms; \
+         (S: auto|gth|gs|power; DUR: 2s, 500ms; \
          exit codes: 0 ok/degraded, 2 config, 3 over-budget, 4 interrupted, 5 internal)"
     );
     2
@@ -942,17 +942,17 @@ team      6
             "--threads",
             "3",
             "--solver",
-            "gmres-plain",
+            "power",
             "--max-states",
             "5000",
             "--interner-spill",
             "--deadline",
             "1500ms",
         ];
-        let gmres_plain = SolverChoice::Force(Solver::GmresPlain);
+        let power = SolverChoice::Force(Solver::Power);
         let table: &[(&[&str], Result<Knobs, &str>)] = &[
             (&[], Ok(knobs(&RunConfig::default()))),
-            (all, Ok((5000, false, 3, gmres_plain, true, true))),
+            (all, Ok((5000, false, 3, power, true, true))),
             (&["--threads"], Err("--threads needs a count (0 = auto)")),
             (
                 &["--threads", "x"],
@@ -960,7 +960,15 @@ team      6
             ),
             (
                 &["--solver", "simplex"],
-                Err("--solver needs auto|gth|gs|gmres|gmres-plain|sor|power"),
+                Err("--solver needs auto|gth|gs|power"),
+            ),
+            (
+                &["--solver", "sor"],
+                Err("--solver needs auto|gth|gs|power"),
+            ),
+            (
+                &["--solver", "gmres"],
+                Err("--solver needs auto|gth|gs|power"),
             ),
             (
                 &["--max-states", "0"],
@@ -988,6 +996,13 @@ team      6
             assert_eq!(analyze, want, "analyze {flags:?}");
             assert_eq!(client, want, "client analyze {flags:?}");
             assert_eq!(search, want, "search {flags:?}");
+        }
+
+        // A refused flag is a configuration error: exit 2, before any
+        // file is read.
+        for retired in ["sor", "gmres", "gmres-plain"] {
+            let cmd = ["analyze", "x.rsys", "--solver", retired].map(String::from);
+            assert_eq!(run(&cmd), 2, "--solver {retired}");
         }
 
         // The wire carries the deadline relative, for the server to arm.
