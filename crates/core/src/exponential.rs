@@ -26,7 +26,7 @@ use crate::timing::exponential_rates;
 use repstream_markov::cache::{ChainCache, SharedChainCache, StrictSolve};
 use repstream_markov::ctmc::{Solver, SolverChoice};
 use repstream_markov::govern::{Interrupt, RunConfig};
-use repstream_markov::marking::{ArenaStats, MarkingError, MarkingGraph, QuotientGraph};
+use repstream_markov::marking::{ArenaStats, MarkingError, MarkingGraph};
 use repstream_markov::net::EventNet;
 use repstream_markov::pattern;
 use repstream_petri::shape::{gcd, ExecModel, MappingShape, Resource, ResourceTable};
@@ -209,8 +209,8 @@ impl PatternSolver for &SharedChainCache {
 /// `report::system_report_with` are generic over this trait so the
 /// one-shot and served paths render byte-for-byte the same report.
 pub trait ChainSolver: PatternSolver {
-    /// Strict Theorem 2 solve of `shape` under per-resource `rates` (the
-    /// caching equivalent of [`throughput_strict_report`]'s core).
+    /// Strict Theorem 2 solve of `shape` under per-resource `rates` (what
+    /// [`throughput_strict_report`] runs through a fresh [`ChainCache`]).
     fn strict_solve(
         &mut self,
         shape: &MappingShape,
@@ -330,27 +330,22 @@ pub enum StrictMethod {
     /// The symmetry-reduced chain was built **directly** by the
     /// canonical-marking BFS — the full chain was never materialized.
     DirectQuotient,
-    /// The full chain was built, then lumped through the orbit partition
-    /// before solving.
-    FullThenLump,
-    /// Full-chain solve (heterogeneous rates, `m = 1`, or lumping off).
+    /// Full-chain solve (heterogeneous rates, or `m = 1`).
     Full,
 }
 
 impl StrictMethod {
-    /// Short label for reports ("direct-quotient" / "full-then-lump" /
-    /// "full").
+    /// Short label for reports ("direct-quotient" / "full").
     pub fn label(self) -> &'static str {
         match self {
             StrictMethod::DirectQuotient => "direct-quotient",
-            StrictMethod::FullThenLump => "full-then-lump",
             StrictMethod::Full => "full",
         }
     }
 }
 
-/// Result of the Theorem 2 analysis, recording whether the lump-first
-/// path was taken and how much it reduced the chain.
+/// Result of the Theorem 2 analysis, recording whether the direct
+/// quotient was solved and how much it reduced the chain.
 #[derive(Debug, Clone)]
 pub struct StrictReport {
     /// System throughput (data sets per time unit).
@@ -359,7 +354,7 @@ pub struct StrictReport {
     /// is the orbit-size total — the full chain itself was never built).
     pub full_states: usize,
     /// States of the symmetry-reduced chain actually solved, when the
-    /// lumped path applied (`None` ⇒ full-chain solve).
+    /// direct quotient applied (`None` ⇒ full-chain solve).
     pub lumped_states: Option<usize>,
     /// How the solved chain was obtained.
     pub method: StrictMethod,
@@ -382,9 +377,9 @@ pub struct StrictReport {
 /// Theorem 2: exact throughput of the **Strict** model through the global
 /// marking-graph CTMC (the Strict TPN is safe).
 ///
-/// With [`ExpOptions::lumping`] on (the default) and a homogeneous
-/// mapping, the stationary solve runs on the row-rotation quotient chain
-/// — see [`throughput_strict_report`] for the reduction bookkeeping.
+/// On a homogeneous mapping the stationary solve runs on the row-rotation
+/// quotient chain — see [`throughput_strict_report`] for the reduction
+/// bookkeeping.
 ///
 /// ```
 /// use repstream_core::exponential::{throughput_strict, ExpOptions};
@@ -415,101 +410,30 @@ pub fn throughput_strict<'a>(
 /// As [`throughput_strict`], also reporting full-vs-quotient state counts
 /// and the construction method.
 ///
-/// Lump-first mode: when each stage's team and its links are homogeneous
-/// (the exponential setting of Theorem 2), the TPN row-rotation
-/// automorphism survives into the rate table and the symmetry-reduced
-/// chain is **constructed directly** — the canonical-marking BFS of
-/// [`QuotientGraph`] interns one representative per rotation orbit, so
-/// the full chain (larger by `m = lcm(R_i)`) is never materialized and
+/// A one-shot [`throughput_strict_with_solver`] through a fresh
+/// [`ChainCache`], so a cold solve and a cached one take the same
+/// decision in the same place: when each stage's team and its links are
+/// homogeneous (the exponential setting of Theorem 2), the TPN
+/// row-rotation automorphism survives into the rate table and the
+/// symmetry-reduced chain is **constructed directly** — the
+/// canonical-marking BFS interns one representative per rotation orbit,
+/// so the full chain (larger by `m = lcm(R_i)`) is never materialized and
 /// [`ExpOptions::max_states`] only has to cover the quotient.  When the
-/// hint is refused — heterogeneous rates, or the degenerate `m = 1` —
-/// the analysis falls back to the full-then-lump pipeline (which itself
-/// degrades to a plain full-chain solve when no exact lumping exists).
+/// rotation does not survive — heterogeneous rates, or the degenerate
+/// `m = 1` — the full chain is solved.
 pub fn throughput_strict_report<'a>(
     system: impl Into<SystemRef<'a>>,
     opts: ExpOptions,
 ) -> Result<StrictReport, ExpError> {
-    let system = system.into();
-    let shape = system.shape();
-    let tpn = Tpn::build(&shape, ExecModel::Strict);
-    let rates = exponential_rates(system);
-    let (net, sym) = EventNet::from_tpn_with_symmetry(&tpn, &rates);
-    let marking_opts = opts.marking(None);
-    let last = tpn.last_column();
-
-    // Direct quotient: a validated rate-preserving rotation of order > 1.
-    if opts.lumping && tpn.rows() > 1 {
-        if let Some(sym) = &sym {
-            let qg =
-                QuotientGraph::build(&net, sym, marking_opts).map_err(ExpError::MarkingGraph)?;
-            let ctmc = qg.ctmc_with_trans_rates(&net.rates);
-            let (throughput, report) = qg
-                .throughput_solve_governed(&ctmc, &net.rates, &last, opts.solver, &opts.budget)
-                .map_err(|i| ExpError::MarkingGraph(i.into()))?;
-            return Ok(StrictReport {
-                throughput,
-                full_states: qg.full_states(),
-                lumped_states: Some(qg.n_states()),
-                method: StrictMethod::DirectQuotient,
-                solver: report.solver,
-                iterations: report.iterations,
-                residual: report.residual,
-                arena: qg.arena_stats(),
-            });
-        }
-    }
-
-    // Fallback: full chain, lumped after the fact when an orbit seed
-    // still applies (kept for hints that cannot be pre-validated; with
-    // the gates above it is exercised by A/B runs with `lumping` off).
-    let mg = MarkingGraph::build(&net, marking_opts).map_err(ExpError::MarkingGraph)?;
-    let ctmc = mg.ctmc_with_trans_rates(&net.rates);
-    let throughput_from = |pi: &[f64]| -> f64 {
-        let fired = mg.firing_rates(&net, pi);
-        last.iter().map(|&t| fired[t]).sum()
-    };
-    if opts.lumping {
-        if let Some(seed) = sym.as_ref().and_then(|s| mg.orbit_partition(s)) {
-            let lumped = ctmc
-                .stationary_lumped_solve(&seed, opts.solver, &opts.budget)
-                .map_err(|i| ExpError::MarkingGraph(i.into()))?;
-            if let Some((sol, report)) = lumped {
-                return Ok(StrictReport {
-                    throughput: throughput_from(&sol.pi),
-                    full_states: sol.full_states,
-                    lumped_states: Some(sol.lumped_states),
-                    method: StrictMethod::FullThenLump,
-                    solver: report.solver,
-                    iterations: report.iterations,
-                    residual: report.residual,
-                    arena: mg.arena_stats(),
-                });
-            }
-        }
-    }
-    let report = ctmc
-        .stationary_solve_governed(opts.solver, &opts.budget)
-        .map_err(|i| ExpError::MarkingGraph(i.into()))?;
-    Ok(StrictReport {
-        throughput: throughput_from(&report.pi),
-        full_states: mg.n_states(),
-        lumped_states: None,
-        method: StrictMethod::Full,
-        solver: report.solver,
-        iterations: report.iterations,
-        residual: report.residual,
-        arena: mg.arena_stats(),
-    })
+    throughput_strict_with_solver(system, opts, &mut ChainCache::new())
 }
 
 /// As [`throughput_strict_report`], solving through a caller-supplied
 /// [`ChainSolver`]: a warm cache refills the chain's CSR in `O(nnz)`
-/// instead of re-running the marking BFS.  Bitwise identical to the cold
-/// path — including the method label: a validated rate-preserving
-/// rotation yields [`StrictMethod::DirectQuotient`], everything else
-/// [`StrictMethod::Full`] ([`StrictMethod::FullThenLump`] only exists
-/// for externally-injected hints, which the cache pre-validates away —
-/// exactly as [`throughput_strict_report`]'s own gates do).
+/// instead of re-running the marking BFS, bitwise identical to the cold
+/// solve.  A validated rate-preserving rotation yields
+/// [`StrictMethod::DirectQuotient`], everything else
+/// [`StrictMethod::Full`].
 pub fn throughput_strict_with_solver<'a>(
     system: impl Into<SystemRef<'a>>,
     opts: ExpOptions,
@@ -668,29 +592,27 @@ mod tests {
         // the chain measurably, and agree with the full-chain solve.
         let sys = system(vec![vec![0, 1, 2], vec![3, 4, 5, 6]], vec![2.0; 7], 1.0);
         let lumped = throughput_strict_report(&sys, ExpOptions::default()).unwrap();
-        let full = throughput_strict_report(
-            &sys,
-            ExpOptions {
-                lumping: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let tpn = Tpn::build(&sys.shape(), ExecModel::Strict);
+        let net = EventNet::from_tpn(&tpn, &exponential_rates(&sys));
+        let mg = MarkingGraph::build(&net, ExpOptions::default().marking(None)).unwrap();
+        let (full, _) = mg.throughput_solve(
+            &mg.ctmc_with_trans_rates(&net.rates),
+            &net.rates,
+            &tpn.last_column(),
+            SolverChoice::Auto,
+        );
         let reduced = lumped.lumped_states.expect("homogeneous system lumps");
         assert_eq!(lumped.method, StrictMethod::DirectQuotient);
-        assert!(full.lumped_states.is_none());
-        assert_eq!(full.method, StrictMethod::Full);
-        assert_eq!(lumped.full_states, full.full_states);
+        assert_eq!(lumped.full_states, mg.n_states());
         assert!(
             reduced * 2 <= lumped.full_states,
             "expected ≥ 2× reduction: {reduced} of {}",
             lumped.full_states
         );
         assert!(
-            (lumped.throughput - full.throughput).abs() < 1e-8 * full.throughput,
-            "lumped {} vs full {}",
-            lumped.throughput,
-            full.throughput
+            (lumped.throughput - full).abs() < 1e-8 * full,
+            "lumped {} vs full {full}",
+            lumped.throughput
         );
     }
 

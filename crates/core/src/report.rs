@@ -506,35 +506,6 @@ mod tests {
     }
 
     #[test]
-    fn no_lump_reports_the_full_chain() {
-        // `lumping: false` is the A/B switch: the Strict section must
-        // solve (and label) the full chain, with the same throughput the
-        // quotient path prints.
-        let lumped = system_report(&system(), ReportOptions::default());
-        let full = system_report(
-            &system(),
-            ReportOptions {
-                run: RunConfig {
-                    lumping: false,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        );
-        assert!(full.contains("states (full)"), "{full}");
-        assert!(!full.contains("direct-quotient"), "{full}");
-        let grab = |r: &str| -> String {
-            r.lines()
-                .skip_while(|l| !l.contains("Theorem 2"))
-                .nth(1)
-                .expect("throughput line")
-                .trim()
-                .to_string()
-        };
-        assert_eq!(grab(&lumped), grab(&full), "A/B throughput must agree");
-    }
-
-    #[test]
     fn a_state_cap_bounds_the_pattern_chains_too() {
         // Teams 5 × 6 with one slow link: the decomposition needs one
         // heterogeneous 1 260-state pattern chain (S(5,6) = C(10,4)·6).

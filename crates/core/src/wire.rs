@@ -4,7 +4,7 @@
 //!
 //! ```text
 //!   u32 LE  body length              (0 < len ≤ 64 MiB)
-//!   u8      protocol version         (WIRE_VERSION = 3)
+//!   u8      protocol version         (WIRE_VERSION = 4)
 //!   u8      message tag              (Request: 0–6, Response: 128–135)
 //!   …       tag-specific payload
 //! ```
@@ -43,7 +43,7 @@ use std::time::Duration;
 use crate::exponential::{StrictMethod, StrictReport};
 
 /// Protocol version carried by every frame.
-pub const WIRE_VERSION: u8 = 3;
+pub const WIRE_VERSION: u8 = 4;
 
 /// Hard cap on a frame body (64 MiB): anything longer is rejected before
 /// allocation ([`WireError::Oversized`]).
@@ -473,9 +473,10 @@ pub fn put_strict_report(out: &mut Vec<u8>, r: &StrictReport) {
     put_f64(out, r.throughput);
     put_usize(out, r.full_states);
     put_opt_varint(out, r.lumped_states.map(|x| x as u64));
+    // Byte 1 named the full-then-lump method of wire version 3; it is
+    // not reused.
     out.push(match r.method {
         StrictMethod::DirectQuotient => 0,
-        StrictMethod::FullThenLump => 1,
         StrictMethod::Full => 2,
     });
     put_solver(out, r.solver);
@@ -492,7 +493,6 @@ pub fn get_strict_report(c: &mut Cursor<'_>) -> Result<StrictReport, WireError> 
         lumped_states: get_opt_varint(c)?.map(|x| x as usize),
         method: match c.u8()? {
             0 => StrictMethod::DirectQuotient,
-            1 => StrictMethod::FullThenLump,
             2 => StrictMethod::Full,
             b => return Err(WireError::Invalid(format!("strict-method byte {b}"))),
         },
@@ -534,8 +534,6 @@ pub struct WireOptions {
     pub max_rows_strict: usize,
     /// [`ReportOptions::list_candidates`].
     pub list_candidates: bool,
-    /// [`RunConfig::lumping`].
-    pub lumping: bool,
     /// [`RunConfig::threads`] (BFS workers; `0` = server auto).
     pub threads: usize,
     /// [`RunConfig::solver`].
@@ -564,7 +562,6 @@ impl WireOptions {
         WireOptions {
             max_rows_strict: opts.max_rows_strict,
             list_candidates: opts.list_candidates,
-            lumping: opts.run.lumping,
             threads: opts.run.threads,
             solver: opts.run.solver,
             max_states: opts.run.max_states,
@@ -594,7 +591,6 @@ impl WireOptions {
             list_candidates: self.list_candidates,
             run: RunConfig {
                 max_states: self.max_states.min(max_states_cap),
-                lumping: self.lumping,
                 threads: self.threads,
                 solver: self.solver,
                 interner_spill: self.interner_spill,
@@ -611,7 +607,6 @@ impl WireOptions {
 fn put_options(out: &mut Vec<u8>, o: &WireOptions) {
     put_usize(out, o.max_rows_strict);
     put_bool(out, o.list_candidates);
-    put_bool(out, o.lumping);
     put_usize(out, o.threads);
     put_solver_choice(out, o.solver);
     put_usize(out, o.max_states);
@@ -624,7 +619,6 @@ fn get_options(c: &mut Cursor<'_>) -> Result<WireOptions, WireError> {
     Ok(WireOptions {
         max_rows_strict: c.usize()?,
         list_candidates: c.bool()?,
-        lumping: c.bool()?,
         threads: c.usize()?,
         solver: get_solver_choice(c)?,
         max_states: c.usize()?,
@@ -671,8 +665,6 @@ pub struct SearchRequest {
     pub seed: u64,
     /// Re-rank the finalists by exponential throughput.
     pub exp_rerank: bool,
-    /// Quotient lumping of the Strict/exponential evaluations.
-    pub lumping: bool,
     /// Relative deadline in milliseconds (as [`WireOptions::deadline_ms`]).
     pub deadline_ms: Option<u64>,
 }
@@ -739,7 +731,6 @@ impl Request {
                 put_usize(&mut out, r.random_candidates);
                 put_varint(&mut out, r.seed);
                 put_bool(&mut out, r.exp_rerank);
-                put_bool(&mut out, r.lumping);
                 put_opt_varint(&mut out, r.deadline_ms);
             }
             Request::Scale(r) => {
@@ -777,7 +768,6 @@ impl Request {
                 random_candidates: c.usize()?,
                 seed: c.varint()?,
                 exp_rerank: c.bool()?,
-                lumping: c.bool()?,
                 deadline_ms: get_opt_varint(&mut c)?,
             }),
             TAG_SCALE => Request::Scale(ScaleRequest {

@@ -86,7 +86,6 @@ fn arb_options(seed: u64) -> WireOptions {
     WireOptions {
         max_rows_strict: (seed % 50_000) as usize,
         list_candidates: seed & 1 == 0,
-        lumping: seed & 2 == 0,
         threads: (seed % 9) as usize,
         solver: solvers[(seed % 4) as usize],
         max_states: 1 + (seed % 4_000_000) as usize,
@@ -158,7 +157,6 @@ proptest! {
             random_candidates: candidates,
             seed,
             exp_rerank: seed & 1 == 0,
-            lumping: seed & 2 == 0,
             deadline_ms: (seed & 4 == 0).then_some(seed % 60_000),
         };
         let body = Request::Search(req.clone()).encode();
@@ -167,7 +165,6 @@ proptest! {
                 assert_eq!(s.random_candidates, candidates);
                 assert_eq!(s.seed, seed);
                 assert_eq!(s.exp_rerank, req.exp_rerank);
-                assert_eq!(s.lumping, req.lumping);
                 assert_eq!(s.deadline_ms, req.deadline_ms);
                 for i in 0..s.app.n_stages() {
                     assert_eq!(s.app.work(i).to_bits(), system.app().work(i).to_bits());
@@ -194,7 +191,7 @@ proptest! {
     /// including throughputs that are arbitrary f64 bit patterns.
     #[test]
     fn responses_round_trip(seed in 0u64..u64::MAX, states in 1usize..5_000_000) {
-        let methods = [StrictMethod::DirectQuotient, StrictMethod::FullThenLump, StrictMethod::Full];
+        let methods = [StrictMethod::DirectQuotient, StrictMethod::Full];
         let solvers = [Solver::Gth, Solver::GaussSeidel, Solver::Power];
         let reasons = [
             InterruptReason::Deadline,
@@ -206,7 +203,7 @@ proptest! {
             throughput: f64::from_bits(seed),
             full_states: states,
             lumped_states: (seed & 1 == 0).then_some(states / 2),
-            method: methods[(seed % 3) as usize],
+            method: methods[(seed % 2) as usize],
             solver: solvers[(seed % 3) as usize],
             iterations: (seed % 100_000) as usize,
             residual: f64::from_bits(seed.rotate_left(17)),
@@ -412,6 +409,18 @@ fn unknown_version_and_tag_reject() {
         Response::decode(&body),
         Err(WireError::UnknownVersion(2))
     ));
+    // A version-3 request carried a lumping byte in its options: refused
+    // on its version byte too.
+    let mut body = Request::Analyze(AnalyzeRequest {
+        system: arb_system(2, 1, 3),
+        options: WireOptions::default(),
+    })
+    .encode();
+    body[0] = 3;
+    assert!(matches!(
+        Request::decode(&body),
+        Err(WireError::UnknownVersion(3))
+    ));
     assert!(matches!(
         Request::decode(&[WIRE_VERSION, 99]),
         Err(WireError::UnknownTag(99))
@@ -450,6 +459,95 @@ fn unassigned_solver_byte_is_invalid() {
             "solver byte {byte}"
         );
     }
+}
+
+/// The strict-method byte has two assigned values (`DirectQuotient 0`,
+/// `Full 2`); `1`, the retired full-then-lump method, and every other
+/// value are a structured `Invalid`.
+#[test]
+fn unassigned_strict_method_byte_is_invalid() {
+    let encode = |method| {
+        Response::Report(StrictReport {
+            throughput: 0.5,
+            full_states: 10,
+            lumped_states: None,
+            method,
+            solver: Solver::Gth,
+            iterations: 10,
+            residual: 0.0,
+            arena: ArenaStats::default(),
+        })
+        .encode()
+    };
+    let (direct, full) = (
+        encode(StrictMethod::DirectQuotient),
+        encode(StrictMethod::Full),
+    );
+    assert_eq!(direct.len(), full.len());
+    let differ: Vec<usize> = (0..direct.len())
+        .filter(|&i| direct[i] != full[i])
+        .collect();
+    assert_eq!(differ.len(), 1, "the method is one byte");
+    let at = differ[0];
+    assert_eq!((direct[at], full[at]), (0, 2));
+    for byte in [1u8, 3, 0xff] {
+        let mut body = direct.clone();
+        body[at] = byte;
+        assert!(
+            matches!(Response::decode(&body), Err(WireError::Invalid(_))),
+            "strict-method byte {byte}"
+        );
+    }
+}
+
+/// Wire version 4 options and search requests carry no lumping byte: the
+/// options are exactly their eight fields, and a search request ends
+/// `candidates, seed, exp_rerank, deadline` with nothing in between.
+#[test]
+fn options_and_search_carry_no_lumping_byte() {
+    let system = arb_system(2, 1, 5);
+    let options = WireOptions {
+        max_rows_strict: 5,
+        list_candidates: true,
+        threads: 3,
+        solver: SolverChoice::Auto,
+        max_states: 100,
+        interner_spill: true,
+        degrade: DegradeMode::Bounds,
+        deadline_ms: None,
+    };
+    let analyze = Request::Analyze(AnalyzeRequest {
+        system: system.clone(),
+        options,
+    })
+    .encode();
+    // A scale request with no counts is the same header and system plus
+    // one length byte.
+    let scale = Request::Scale(ScaleRequest {
+        system: system.clone(),
+        processor_counts: vec![],
+    })
+    .encode();
+    assert_eq!(&analyze[scale.len() - 1..], &[5, 1, 3, 0, 100, 1, 1, 0]);
+    match Request::decode(&analyze).unwrap() {
+        Request::Analyze(a) => assert_eq!(a.options, options),
+        other => panic!("wrong tag: {other:?}"),
+    }
+
+    let search = Request::Search(SearchRequest {
+        app: system.app().clone(),
+        platform: system.platform().clone(),
+        random_candidates: 5,
+        seed: 7,
+        exp_rerank: true,
+        deadline_ms: None,
+    })
+    .encode();
+    assert!(search.ends_with(&[5, 7, 1, 0]), "{search:?}");
+    assert!(matches!(
+        Request::decode(&search),
+        Ok(Request::Search(s)) if s.random_candidates == 5 && s.seed == 7 && s.exp_rerank
+    ));
 }
 
 #[test]

@@ -1029,7 +1029,6 @@ mod tests {
         static CANCEL: AtomicBool = AtomicBool::new(false);
         RunConfig {
             max_states: 12_345,
-            lumping: false,
             threads: 3,
             solver: SolverChoice::Force(Solver::Power),
             interner_spill: true,
@@ -1044,7 +1043,6 @@ mod tests {
         assert!(!rec.seen.is_empty(), "no Strict solve reached the oracle");
         for got in &rec.seen {
             assert_eq!(got.max_states, sent.max_states);
-            assert_eq!(got.lumping, sent.lumping);
             assert_eq!(got.threads, sent.threads);
             assert_eq!(got.solver, sent.solver);
             assert_eq!(got.interner_spill, sent.interner_spill);

@@ -16,11 +16,12 @@
 //! built lazily by the first candidate that needs it: the direct
 //! symmetry-reduced quotient ([`QuotientGraph`], served to every
 //! orbit-invariant candidate — the full graph is never materialized for
-//! those) and the full marking graph (heterogeneous candidates, `m = 1`,
-//! or lumping off).  Cached results are **bitwise identical** to cold
-//! solves:
-//! the refilled chain has byte-for-byte the arrays a fresh build would
-//! produce, and every solver is deterministic in its inputs.  The
+//! those) and the full marking graph (heterogeneous candidates, or
+//! `m = 1`).  This is the one place the quotient-or-full choice of
+//! Theorem 2 is made: a cold solve is a fresh cache's first miss.  Cached
+//! results are **bitwise identical** to cold solves: the refilled chain
+//! has byte-for-byte the arrays a fresh build would produce, and every
+//! solver is deterministic in its inputs.  The
 //! equivalence property tests of `repstream-engine` pin this contract.
 //!
 //! Budget semantics: [`RunConfig::max_states`] bounds the *structure
@@ -217,18 +218,18 @@ impl ChainCache {
         Ok(rho)
     }
 
-    /// Exact Strict-model throughput through the global marking chain —
-    /// the cached equivalent of the Theorem 2 evaluation, bitwise
-    /// identical to a cold solve
-    /// (`repstream-core`'s `throughput_strict`) with the same rate table.
+    /// Exact Strict-model throughput through the global marking chain:
+    /// the Theorem 2 evaluation.  `repstream-core`'s `throughput_strict`
+    /// is this method on a fresh cache, so a warm hit is bitwise
+    /// identical to a cold solve with the same rate table.
     ///
     /// On a miss the TPN and its structural row-rotation symmetry are
     /// built and stored under the shape's [`TpnSignature`]; the
     /// reachability structure itself is built lazily by the first
     /// candidate that needs it.  Candidates whose rates keep the
-    /// symmetry (and `opts.lumping`) run on the **direct quotient**
-    /// ([`QuotientGraph`]) — the full chain is never materialized for
-    /// them — every other candidate on the full marking graph.  On a hit
+    /// symmetry run on the **direct quotient** ([`QuotientGraph`]) — the
+    /// full chain is never materialized for them — every other candidate
+    /// on the full marking graph.  On a hit
     /// only the per-candidate work runs: the orbit-invariance check, an
     /// `O(nnz)` CSR refill, and the stationary solve.
     pub fn strict_throughput(
@@ -279,8 +280,7 @@ impl ChainCache {
         // rate-invariant.  (`m = 1` keeps the plain chain: the quotient
         // would be the identical graph with canonicalization overhead.)
         let direct_sym = entry.sym.as_ref().filter(|s| {
-            opts.lumping
-                && entry.tpn.rows() > 1
+            entry.tpn.rows() > 1
                 && s.trans_perm.len() == trans_rates.len()
                 && rates_orbit_invariant(&trans_rates, &s.trans_perm)
         });
@@ -317,7 +317,7 @@ impl ChainCache {
             });
         }
 
-        // Full-chain path (heterogeneous rates, m = 1, or lumping off).
+        // Full-chain path (heterogeneous rates, or m = 1).
         let cache_hit = entry.full.is_some();
         if cache_hit {
             self.stats.strict_hits += 1;

@@ -437,20 +437,6 @@ impl Ctmc {
             .map(|(&j, &r)| (j as usize, r))
     }
 
-    /// Incoming transitions of state `j` as `(source, rate)` pairs
-    /// (the transpose view cached at construction; sources ascend).
-    /// Used by the Gauss–Seidel sweep internally and by the lumping
-    /// refinement of [`crate::lump`], which needs the predecessors of a
-    /// splitter block.
-    #[inline]
-    pub fn in_edges(&self, j: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        let (lo, hi) = (self.in_ptr[j] as usize, self.in_ptr[j + 1] as usize);
-        self.in_src[lo..hi]
-            .iter()
-            .zip(&self.in_rate[lo..hi])
-            .map(|(&i, &r)| (i as usize, r))
-    }
-
     /// Total exit rate of state `s` (cached at construction).
     #[inline]
     pub fn exit_rate(&self, s: usize) -> f64 {

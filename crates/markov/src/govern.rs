@@ -215,17 +215,18 @@ impl Budget {
     }
 }
 
-/// How to run one exact analysis: the six knobs every evaluator above
+/// How to run one exact analysis: the five knobs every evaluator above
 /// the marking BFS shares.  Declared here once; the report, search and
 /// serving layers *hold* a `RunConfig` (`ReportOptions::run`,
 /// `PortfolioOptions::run`, …) instead of re-declaring its fields, and it
 /// becomes the BFS's own [`MarkingOptions`] in exactly one place,
 /// [`RunConfig::marking`].
 ///
-/// Only `max_states`, `lumping` and `solver` can change a result (an
-/// over-budget error, the chain that is solved, the method that solves
-/// it); `threads`, `interner_spill` and an un-fired `budget` are
-/// **bitwise-neutral**.
+/// Only `max_states` and `solver` can change a result (an over-budget
+/// error, the method that solves the chain); `threads`,
+/// `interner_spill` and an un-fired `budget` are **bitwise-neutral**.
+/// Which chain is solved is not a knob: the Theorem 2 chain is the
+/// row-rotation quotient whenever the rotation survives the rates.
 #[derive(Debug, Clone, Copy)]
 pub struct RunConfig {
     /// State budget of a cold chain build (the CLI's `--max-states`).
@@ -235,12 +236,6 @@ pub struct RunConfig {
     /// also want `interner_spill`.  A warm cache hit reuses the cached
     /// structure without re-checking it.
     pub max_states: usize,
-    /// Lump-first mode for the Theorem 2 chain (default on; the CLI's
-    /// `--no-lump` turns it off): when the TPN's row-rotation symmetry
-    /// survives the rate table, solve the symmetry-reduced quotient chain
-    /// instead of the full one.  The result is exact either way; the
-    /// switch exists for A/B validation and benchmarking.
-    pub lumping: bool,
     /// Worker threads of the chunk-parallel marking BFS (the CLI's
     /// `--threads`; `0` = auto: one per core on levels large enough to
     /// amortize the spawns, `1` = the forced-sequential scan).
@@ -267,7 +262,6 @@ impl Default for RunConfig {
     fn default() -> Self {
         RunConfig {
             max_states: 4_000_000,
-            lumping: true,
             threads: 0,
             solver: SolverChoice::Auto,
             interner_spill: false,

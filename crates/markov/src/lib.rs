@@ -31,12 +31,11 @@
 //!   count `S(u,v) = C(u+v−1, u−1) · v`, its stationary throughput under
 //!   arbitrary per-link rates, and the homogeneous closed form
 //!   `u·v·λ/(u+v−1)` of Theorem 4;
-//! * [`lump`] — exact ordinary lumping (symmetry reduction): splitter-based
-//!   partition refinement, [`Ctmc::quotient`](ctmc::Ctmc::quotient) with a
-//!   lift back to full-state marginals, and the lump-first solve
-//!   [`Ctmc::stationary_lumped`](ctmc::Ctmc::stationary_lumped) seeded from
-//!   the TPN row-rotation orbits via
-//!   [`marking::MarkingGraph::orbit_partition`];
+//! * [`lump`] — exact ordinary lumping, kept as the test oracle of the
+//!   direct quotient: orbit partitions (from the TPN row-rotation via
+//!   [`marking::MarkingGraph::orbit_partition`]),
+//!   [`Ctmc::quotient`](ctmc::Ctmc::quotient) with a lift back to
+//!   full-state marginals, and a lumpability check;
 //! * [`cache`] — structure-keyed chain reuse for batch evaluation:
 //!   marking graphs (and their symmetry orbit seeds) cached per
 //!   [`TpnSignature`](repstream_petri::tpn::TpnSignature) / pattern shape,

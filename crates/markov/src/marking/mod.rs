@@ -79,8 +79,8 @@
 //! CSR is emitted orbit-aggregated.  The rated chain (and its uniform
 //! [`Lift`]) is **bitwise identical** to building the full chain and
 //! lumping it through [`MarkingGraph::orbit_partition`] +
-//! [`Ctmc::quotient`](crate::ctmc::Ctmc::quotient), without ever
-//! materializing the full graph or running the orbit/refinement passes.
+//! [`Ctmc::quotient`](crate::ctmc::Ctmc::quotient) (the test oracle),
+//! without ever materializing the full graph or running the orbit pass.
 //! See the [`QuotientGraph`] docs for why the state numbering and rate
 //! arithmetic coincide exactly.
 //!
@@ -617,9 +617,9 @@ impl MarkingGraph {
     /// that case — callers fall back to the full chain.
     ///
     /// The resulting partition satisfies the automorphism-orbit contract
-    /// of [`crate::lump`], so
-    /// [`Ctmc::stationary_lumped`](crate::ctmc::Ctmc::stationary_lumped)
-    /// may lift per-state marginals from it.
+    /// of [`crate::lump`], so [`Ctmc::quotient`](crate::ctmc::Ctmc::quotient)
+    /// and [`Lift::lift`] recover per-state marginals from it — the
+    /// reference the direct [`QuotientGraph`] is tested against.
     pub fn orbit_partition(&self, sym: &NetSymmetry) -> Option<Partition> {
         let n = self.n_states();
         let width = self.states.width();

@@ -134,8 +134,8 @@ impl EventNet {
     /// net: the structural conditions of
     /// [`EventNet::symmetry_structural`] plus rates that are **bitwise
     /// equal** along each transition orbit (the homogeneous tables of
-    /// Theorem 2 produce identical `f64`s; anything looser would risk
-    /// lumping states that are not exactly exchangeable).
+    /// Theorem 2 produce identical `f64`s; anything looser would let the
+    /// quotient merge states that are not exactly exchangeable).
     pub fn symmetry_valid(&self, sym: &NetSymmetry) -> bool {
         self.symmetry_structural(sym) && rates_orbit_invariant(&self.rates, &sym.trans_perm)
     }

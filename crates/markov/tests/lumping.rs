@@ -1,11 +1,12 @@
-//! Lumping layer: property tests (lumped and full stationary vectors
-//! agree to 1e-8, reusing the PR 1 cross-solver harness style) plus the
-//! boundary shapes — `m = 1`, single-state chains, and symmetric marking
-//! graphs of homogeneous TPNs and patterns.
+//! The lumping oracle: an orbit seed's quotient chain, solved and lifted
+//! back uniformly, must match the full GTH stationary vector to 1e-8 — on
+//! random replicated chains, on the boundary shapes (`m = 1`, single-state
+//! chains) and on the symmetric marking graphs of homogeneous TPNs and
+//! patterns.
 
 use proptest::prelude::*;
 use repstream_markov::ctmc::Ctmc;
-use repstream_markov::lump::{coarsest_refinement, is_ordinarily_lumpable, Partition};
+use repstream_markov::lump::{is_ordinarily_lumpable, Partition};
 use repstream_markov::marking::{MarkingGraph, MarkingOptions};
 use repstream_markov::net::{comm_pattern, EventNet, NetSymmetry};
 use repstream_petri::shape::{ExecModel, MappingShape, ResourceTable};
@@ -63,12 +64,19 @@ fn replicated_chain(copy_states: usize, copies: usize, seed: u64) -> (Ctmc, Vec<
     (Ctmc::new(rows), perm)
 }
 
+/// Solve the quotient of `c` by the orbit seed `seed` and lift the
+/// result back to the full states (uniform within each orbit).
+fn lumped_stationary(c: &Ctmc, seed: &Partition) -> (Vec<f64>, usize) {
+    let (q, lift) = c.quotient(seed);
+    (lift.lift(&q.stationary()), q.n_states())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Orbit-seeded lumping of a replicated chain: the refined partition
-    /// is ordinarily lumpable, the quotient is `copies`-fold smaller, and
-    /// the lifted stationary vector matches the full GTH solution to 1e-8.
+    /// Orbit-seeded lumping of a replicated chain: the orbit seed is
+    /// ordinarily lumpable, the quotient is `copies`-fold smaller, and the
+    /// lifted stationary vector matches the full GTH solution to 1e-8.
     #[test]
     fn lumped_matches_full_on_replicated_chains(
         copy_states in 3usize..20,
@@ -77,45 +85,15 @@ proptest! {
     ) {
         let (c, perm) = replicated_chain(copy_states, copies, seed);
         let seed_part = Partition::from_permutation_orbits(&perm);
-        let refined = coarsest_refinement(&c, &seed_part);
-        prop_assert!(refined.refines(&seed_part));
-        prop_assert!(is_ordinarily_lumpable(&c, &refined, 1e-9));
-        let sol = c.stationary_lumped(&seed_part).expect("symmetric chain lumps");
-        prop_assert_eq!(sol.full_states, c.n_states());
-        prop_assert_eq!(sol.lumped_states, copy_states);
+        prop_assert!(is_ordinarily_lumpable(&c, &seed_part, 1e-9));
+        let (pi, lumped_states) = lumped_stationary(&c, &seed_part);
+        prop_assert_eq!(pi.len(), c.n_states());
+        prop_assert_eq!(lumped_states, copy_states);
         let full = c.stationary_gth();
-        for (s, (&a, &b)) in sol.pi.iter().zip(full.iter()).enumerate() {
+        for (s, (&a, &b)) in pi.iter().zip(full.iter()).enumerate() {
             prop_assert!(
                 (a - b).abs() < 1e-8,
                 "state {}: lumped {} vs full {}", s, a, b
-            );
-        }
-    }
-
-    /// Aggregation consistency on *arbitrary* (non-orbit) seeds: the
-    /// refinement must always land on an ordinarily lumpable partition
-    /// whose quotient stationary vector equals the block sums of the full
-    /// one (per-state lifting is not claimed here — that needs orbits).
-    #[test]
-    fn refinement_is_lumpable_and_aggregates(
-        n in 4usize..60,
-        extra in 1usize..3,
-        blocks in 1u32..5,
-        seed in 0u64..1_000_000,
-    ) {
-        let c = random_irreducible(n, extra, seed);
-        let labels: Vec<u32> = (0..n as u32).map(|s| s % blocks).collect();
-        let seed_part = Partition::from_labels(&labels);
-        let refined = coarsest_refinement(&c, &seed_part);
-        prop_assert!(refined.refines(&seed_part));
-        prop_assert!(is_ordinarily_lumpable(&c, &refined, 1e-9));
-        let (q, lift) = c.quotient(&refined);
-        let pi_q = q.stationary();
-        let agg = lift.aggregate(&c.stationary_gth());
-        for b in 0..q.n_states() {
-            prop_assert!(
-                (pi_q[b] - agg[b]).abs() < 1e-8,
-                "block {}: quotient {} vs aggregated {}", b, pi_q[b], agg[b]
             );
         }
     }
@@ -146,24 +124,21 @@ fn homogeneous_pattern_chain_lumps() {
         let seed = mg
             .orbit_partition(&sym)
             .expect("rotated markings stay reachable");
-        let sol = mg
-            .ctmc_with_trans_rates(&net.rates)
-            .stationary_lumped(&seed)
-            .expect("pattern lumps");
+        let c = mg.ctmc_with_trans_rates(&net.rates);
+        let (pi, lumped_states) = lumped_stationary(&c, &seed);
         assert!(
-            sol.lumped_states < sol.full_states,
-            "{u}x{v}: no reduction ({} vs {})",
-            sol.lumped_states,
-            sol.full_states
+            lumped_states < c.n_states(),
+            "{u}x{v}: no reduction ({lumped_states} vs {})",
+            c.n_states()
         );
-        let full = mg.ctmc_with_trans_rates(&net.rates).stationary_gth();
-        for (s, (&a, &b)) in sol.pi.iter().zip(full.iter()).enumerate() {
+        let full = c.stationary_gth();
+        for (s, (&a, &b)) in pi.iter().zip(full.iter()).enumerate() {
             assert!((a - b).abs() < 1e-8, "{u}x{v} state {s}: {a} vs {b}");
         }
         // Throughput through the lifted vector matches the full chain.
         let all: Vec<usize> = (0..net.n_transitions()).collect();
         let lumped_rho: f64 = {
-            let rates = mg.firing_rates(&net, &sol.pi);
+            let rates = mg.firing_rates(&net, &pi);
             all.iter().map(|&t| rates[t]).sum()
         };
         let full_rho = mg.throughput_of(&net, &all);
@@ -192,18 +167,15 @@ fn strict_tpn_lcm12_lumps_measurably() {
     let sym = sym.expect("homogeneous table keeps the rotation");
     let mg = MarkingGraph::build(&net, MarkingOptions::default()).unwrap();
     let seed = mg.orbit_partition(&sym).expect("orbit seed applies");
-    let sol = mg
-        .ctmc_with_trans_rates(&net.rates)
-        .stationary_lumped(&seed)
-        .expect("m = 12 lumps");
+    let c = mg.ctmc_with_trans_rates(&net.rates);
+    let (pi, lumped_states) = lumped_stationary(&c, &seed);
     assert!(
-        sol.lumped_states * 2 <= sol.full_states,
-        "expected ≥ 2× reduction, got {} of {}",
-        sol.lumped_states,
-        sol.full_states
+        lumped_states * 2 <= c.n_states(),
+        "expected ≥ 2× reduction, got {lumped_states} of {}",
+        c.n_states()
     );
-    let full = mg.ctmc_with_trans_rates(&net.rates).stationary_gth();
-    for (s, (&a, &b)) in sol.pi.iter().zip(full.iter()).enumerate() {
+    let full = c.stationary_gth();
+    for (s, (&a, &b)) in pi.iter().zip(full.iter()).enumerate() {
         assert!((a - b).abs() < 1e-8, "state {s}: {a} vs {b}");
     }
 }
@@ -220,8 +192,8 @@ fn strict_tpn_heterogeneous_hint_refused() {
 }
 
 /// `R_i = 1` everywhere ⇒ `m = 1` ⇒ the rotation is the identity and the
-/// orbit seed is discrete: the lump-first solve degenerates (returns
-/// `None`) and callers take the full-chain path.
+/// orbit seed is discrete: its quotient is no smaller than the full
+/// chain, which is solved as it is.
 #[test]
 fn all_teams_of_one_degenerates() {
     let shape = MappingShape::new(vec![1, 1, 1]);
@@ -234,16 +206,14 @@ fn all_teams_of_one_degenerates() {
         .orbit_partition(&sym)
         .expect("identity maps states to themselves");
     assert!(seed.is_discrete());
-    assert!(mg
-        .ctmc_with_trans_rates(&net.rates)
-        .stationary_lumped(&seed)
-        .is_none());
+    let c = mg.ctmc_with_trans_rates(&net.rates);
+    assert_eq!(c.quotient(&seed).0.n_states(), c.n_states());
     // The full path still solves the chain.
-    let pi = mg.ctmc_with_trans_rates(&net.rates).stationary();
+    let pi = c.stationary();
     assert!((pi.iter().sum::<f64>() - 1.0).abs() < 1e-12);
 }
 
-/// A single-state chain must survive every solver and the lumping layer.
+/// A single-state chain must survive every solver and the quotient.
 #[test]
 fn single_state_chain_every_solver() {
     let c = Ctmc::new(vec![Vec::new()]);
@@ -252,10 +222,10 @@ fn single_state_chain_every_solver() {
     assert_eq!(c.stationary_gauss_seidel(1e-12, 100), vec![1.0]);
     let pw = c.stationary_power(1e-12, 100);
     assert!((pw[0] - 1.0).abs() < 1e-12);
-    let p = Partition::trivial(1);
+    let p = Partition::from_permutation_orbits(&[0]);
+    assert!(p.is_discrete(), "no reduction on 1 state");
     let (q, lift) = c.quotient(&p);
     assert_eq!(q.n_states(), 1);
     assert_eq!(q.stationary(), vec![1.0]);
     assert_eq!(lift.lift(&[1.0]), vec![1.0]);
-    assert!(c.stationary_lumped(&p).is_none(), "no reduction on 1 state");
 }

@@ -402,8 +402,8 @@ impl Tpn {
     /// future construction variants.
     ///
     /// The rotation generates a cyclic group of order `m`; its orbits on
-    /// the reachable markings seed the exact lumping of the Theorem 2
-    /// chain (see `repstream-markov`'s `lump` module).  It is a *rate*
+    /// the reachable markings are the states of the Theorem 2 quotient
+    /// chain (see `repstream-markov`'s `QuotientGraph`).  It is a *rate*
     /// automorphism only when each stage's team and its links are
     /// homogeneous — consumers must check that against their rate table.
     pub fn row_rotation(&self) -> Option<TpnAutomorphism> {

@@ -1,9 +1,9 @@
 //! A/B smoke of the Theorem 2 paths on the homogeneous 4×5 Strict
-//! scenario: the direct canonical-marking quotient (`lumping: true`, the
-//! default) against the full-chain solve (`lumping: false`, the CLI's
-//! `--no-lump`).  Both are exact, so the throughputs must agree to
-//! rounding — CI runs this to pin the equivalence end to end through the
-//! public `throughput_strict_report` API.
+//! scenario: the direct canonical-marking quotient that
+//! `throughput_strict_report` solves against the full chain built by
+//! `MarkingGraph::build` and solved as it is.  Both are exact, so the
+//! throughputs must agree to rounding — CI runs this to pin the
+//! equivalence end to end through the public API.
 //!
 //! `--threads N` forces the worker count of the chunk-parallel
 //! quotient-frontier BFS (0 = auto) — CI runs this smoke at 2 threads so
@@ -17,6 +17,11 @@
 
 use repstream::core::exponential::{throughput_strict_report, ExpOptions, StrictMethod};
 use repstream::core::model::{Application, Mapping, Platform, System};
+use repstream::core::timing::exponential_rates;
+use repstream::markov::marking::MarkingGraph;
+use repstream::markov::net::EventNet;
+use repstream::petri::shape::ExecModel;
+use repstream::petri::tpn::Tpn;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -43,26 +48,23 @@ fn main() {
     let mapping = Mapping::new(vec![(0..4).collect(), (4..9).collect()]).expect("valid mapping");
     let system = System::new(app, platform, mapping).expect("valid system");
 
+    let opts = ExpOptions {
+        threads,
+        ..Default::default()
+    };
     let t = std::time::Instant::now();
-    let direct = throughput_strict_report(
-        &system,
-        ExpOptions {
-            threads,
-            ..Default::default()
-        },
-    )
-    .expect("direct path");
+    let direct = throughput_strict_report(&system, opts).expect("direct path");
     let t_direct = t.elapsed();
     let t = std::time::Instant::now();
-    let full = throughput_strict_report(
-        &system,
-        ExpOptions {
-            lumping: false,
-            threads,
-            ..Default::default()
-        },
-    )
-    .expect("full path");
+    let tpn = Tpn::build(&system.shape(), ExecModel::Strict);
+    let net = EventNet::from_tpn(&tpn, &exponential_rates(&system));
+    let mg = MarkingGraph::build(&net, opts.marking(None)).expect("full path");
+    let (full_rho, _) = mg.throughput_solve(
+        &mg.ctmc_with_trans_rates(&net.rates),
+        &net.rates,
+        &tpn.last_column(),
+        opts.solver,
+    );
     let t_full = t.elapsed();
 
     println!("threads: {} (0 = auto)", threads);
@@ -75,23 +77,23 @@ fn main() {
     );
     println!(
         "full chain:      rho = {:.12}  ({} states, {:?})",
-        full.throughput, full.full_states, t_full
+        full_rho,
+        mg.n_states(),
+        t_full
     );
 
     assert_eq!(direct.method, StrictMethod::DirectQuotient);
-    assert_eq!(full.method, StrictMethod::Full);
-    assert_eq!(direct.full_states, full.full_states, "state accounting");
+    assert_eq!(direct.full_states, mg.n_states(), "state accounting");
     assert_eq!(
         direct.full_states,
         direct.lumped_states.unwrap() * 20,
         "reduction is exactly m-fold"
     );
-    let diff = (direct.throughput - full.throughput).abs();
+    let diff = (direct.throughput - full_rho).abs();
     assert!(
-        diff <= 1e-12 * full.throughput,
-        "paths diverged: {} vs {}",
-        direct.throughput,
-        full.throughput
+        diff <= 1e-12 * full_rho,
+        "paths diverged: {} vs {full_rho}",
+        direct.throughput
     );
     println!("OK: all paths agree (|direct - full| = {diff:.3e})");
 }

@@ -28,9 +28,6 @@
 //! per knob of the library's `RunConfig` — where each is documented, with
 //! the README's table — parsed in one place ([`RunFlags`]):
 //!
-//! * `--no-lump` — solve the full Strict Theorem 2 chain instead of its
-//!   symmetry-reduced quotient (an A/B run: same throughput, the report
-//!   shows full-vs-quotient state counts);
 //! * `--threads N` — workers of the chunk-parallel marking BFS (`0` =
 //!   auto, `1` = sequential; every value is **bitwise-identical**);
 //! * `--solver auto|gth|gs|power` — stationary
@@ -166,8 +163,8 @@ fn parsed<T: std::str::FromStr>(args: &[String], i: &mut usize, needs: &str) -> 
         .ok_or_else(|| needs.to_string())
 }
 
-/// The run flags — `--no-lump --threads --solver --max-states
-/// --interner-spill --deadline --degrade` — parsed in this one place for
+/// The run flags — `--threads --solver --max-states --interner-spill
+/// --deadline --degrade` — parsed in this one place for
 /// `analyze`, `client analyze` and `search`: one spelling, one error text
 /// and one [`RunConfig`] per flag, whichever command it is given to.
 #[derive(Default)]
@@ -187,7 +184,6 @@ impl RunFlags {
     /// flag; `Ok(false)` leaves it to the calling command.
     fn take(&mut self, args: &[String], i: &mut usize) -> Result<bool, String> {
         match args[*i].as_str() {
-            "--no-lump" => self.run.lumping = false,
             "--interner-spill" => self.run.interner_spill = true,
             "--threads" => {
                 self.run.threads = parsed(args, i, "--threads needs a count (0 = auto)")?
@@ -414,7 +410,6 @@ fn build_client_request(rest: &[String]) -> Result<Request, String> {
                 random_candidates: 512,
                 seed: 2010,
                 exp_rerank: true,
-                lumping: true,
                 deadline_ms: None,
             };
             let mut i = 0;
@@ -426,9 +421,8 @@ fn build_client_request(rest: &[String]) -> Result<Request, String> {
                     }
                     "--seed" => req.seed = parsed(rest, &mut i, "--seed needs a u64")?,
                     "--no-exp" => req.exp_rerank = false,
-                    // The wire `SearchRequest` carries these two run
-                    // knobs only; the other run flags stay refused.
-                    "--no-lump" => req.lumping = false,
+                    // The wire `SearchRequest` carries this one run knob
+                    // only; the other run flags stay refused.
                     "--deadline" => {
                         let d = value(rest, &mut i)
                             .and_then(parse_deadline)
@@ -798,15 +792,15 @@ fn run_workload_search(apps: usize, objective: Objective, portfolio: PortfolioOp
 
 fn usage() -> i32 {
     eprintln!(
-        "usage: repstream <analyze FILE [--no-lump] [--threads N] [--solver S] \
+        "usage: repstream <analyze FILE [--threads N] [--solver S] \
          [--max-states N] [--interner-spill] [--deadline DUR] [--degrade bounds|fail] | \
          dot FILE [overlap|strict] | \
          example-a | search [SCENARIO|FILE] [--model overlap|strict] [--candidates N] [--seed N] \
-         [--no-exp] [--no-lump] [--threads N] [--solver S] [--deadline DUR] \
+         [--no-exp] [--threads N] [--solver S] [--deadline DUR] \
          [--scenario workload --apps K --objective maxmin|weighted|sla] | \
          serve [--addr A] [--workers N] [--deadline-cap DUR] [--max-states N] [--shards N] | \
          client [--addr A] (ping | stats | shutdown | analyze FILE [flags] | \
-         search FILE [--candidates N] [--seed N] [--no-exp] [--no-lump] [--deadline DUR] | \
+         search FILE [--candidates N] [--seed N] [--no-exp] [--deadline DUR] | \
          scale FILE --procs 2,4,6)>  \
          (S: auto|gth|gs|power; DUR: 2s, 500ms; \
          exit codes: 0 ok/degraded, 2 config, 3 over-budget, 4 interrupted, 5 internal)"
@@ -924,21 +918,13 @@ team      6
     /// whichever of the three commands parses it.
     #[test]
     fn run_flags_parse_the_same_in_every_command() {
-        // max_states, lumping, threads, solver, interner_spill, deadline armed
-        type Knobs = (usize, bool, usize, SolverChoice, bool, bool);
+        // max_states, threads, solver, interner_spill, deadline armed
+        type Knobs = (usize, usize, SolverChoice, bool, bool);
         fn knobs(r: &RunConfig) -> Knobs {
             let armed = r.budget.deadline.is_some();
-            (
-                r.max_states,
-                r.lumping,
-                r.threads,
-                r.solver,
-                r.interner_spill,
-                armed,
-            )
+            (r.max_states, r.threads, r.solver, r.interner_spill, armed)
         }
         let all: &[&str] = &[
-            "--no-lump",
             "--threads",
             "3",
             "--solver",
@@ -952,7 +938,7 @@ team      6
         let power = SolverChoice::Force(Solver::Power);
         let table: &[(&[&str], Result<Knobs, &str>)] = &[
             (&[], Ok(knobs(&RunConfig::default()))),
-            (all, Ok((5000, false, 3, power, true, true))),
+            (all, Ok((5000, 3, power, true, true))),
             (&["--threads"], Err("--threads needs a count (0 = auto)")),
             (
                 &["--threads", "x"],
@@ -1003,6 +989,25 @@ team      6
         for retired in ["sor", "gmres", "gmres-plain"] {
             let cmd = ["analyze", "x.rsys", "--solver", retired].map(String::from);
             assert_eq!(run(&cmd), 2, "--solver {retired}");
+        }
+        // `--no-lump` is no flag: an unknown argument, exit 2, before any
+        // file is read or any server is dialled.
+        let no_lump = argv(&["--no-lump"]);
+        assert_eq!(
+            analyze_args(&no_lump).err().as_deref(),
+            Some("unknown analyze argument --no-lump")
+        );
+        let search = ["search", "x.rsys", "--no-lump"].map(String::from);
+        assert_eq!(
+            build_client_request(&search).err().as_deref(),
+            Some("unknown client search argument --no-lump")
+        );
+        for cmd in [
+            &["analyze", "x.rsys", "--no-lump"][..],
+            &["client", "search", "x.rsys", "--no-lump"][..],
+        ] {
+            let cmd: Vec<String> = cmd.iter().copied().map(String::from).collect();
+            assert_eq!(run(&cmd), 2, "{cmd:?}");
         }
 
         // The wire carries the deadline relative, for the server to arm.

@@ -290,10 +290,9 @@ impl Server {
     }
 
     fn search(&self, r: &repstream_core::wire::SearchRequest) -> Response {
-        // The request's two run knobs go through the same deadline and
+        // The request's one run knob goes through the same deadline and
         // `max_states` clamps as an analyze request's.
         let wire_opts = WireOptions {
-            lumping: r.lumping,
             deadline_ms: r.deadline_ms,
             ..Default::default()
         };
@@ -481,7 +480,6 @@ mod tests {
             random_candidates: 64,
             seed: 2010,
             exp_rerank: true,
-            lumping: true,
             deadline_ms: None,
         };
         let serve = |max_states_cap| {
