@@ -429,9 +429,9 @@ pub fn throughput_strict_report<'a>(
 }
 
 /// As [`throughput_strict_report`], solving through a caller-supplied
-/// [`ChainSolver`]: a warm cache refills the chain's CSR in `O(nnz)`
-/// instead of re-running the marking BFS, bitwise identical to the cold
-/// solve.  A validated rate-preserving rotation yields
+/// [`ChainSolver`]: a warm cache re-rates the chain's shared structure —
+/// a rate per transition label and the `O(n)` exit rates — instead of
+/// re-running the marking BFS, bitwise identical to the cold solve.  A validated rate-preserving rotation yields
 /// [`StrictMethod::DirectQuotient`], everything else
 /// [`StrictMethod::Full`].
 pub fn throughput_strict_with_solver<'a>(

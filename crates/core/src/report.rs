@@ -141,8 +141,8 @@ pub fn system_report_status(system: &System, opts: ReportOptions) -> (String, Re
 
 /// As [`system_report_status`] against the serving layer's shared
 /// sharded cache: chain structures warmed by *any* earlier request —
-/// this connection's or another's — refill in `O(nnz)` instead of
-/// re-running their marking BFS.  The rendered text is **bitwise
+/// this connection's or another's — are re-rated by label, with no
+/// per-edge copy, instead of re-running their marking BFS.  The rendered text is **bitwise
 /// identical** to [`system_report_status`]'s for the same system and
 /// options (the [`ChainSolver`] contract); only the wall-clock differs.
 pub fn system_report_shared(

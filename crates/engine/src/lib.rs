@@ -15,8 +15,8 @@
 //! * **structure + value reuse** — [`score::DetScorer`] memoizes
 //!   deterministic pattern periods by their exact weight vectors, and
 //!   [`score::ExpScorer`] reuses marking-graph structures through
-//!   [`ChainCache`](repstream_markov::cache::ChainCache) with `O(nnz)`
-//!   CSR rate refills.  Both are **bitwise identical** to the cold
+//!   [`ChainCache`](repstream_markov::cache::ChainCache), re-rating the
+//!   shared edge structure by label (no per-edge copy).  Both are **bitwise identical** to the cold
 //!   `repstream-core` evaluators (pinned by property tests);
 //! * **delta scoring** — [`delta::DeltaScorer`] maintains
 //!   per-column minima of the columnwise Overlap score, so a

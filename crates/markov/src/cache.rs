@@ -10,9 +10,10 @@
 //!
 //! [`ChainCache`] keys those structures canonically — [`TpnSignature`]
 //! for the global Strict chain, the coprime `(u′, v′)` dimensions for
-//! Theorem 3 pattern chains — and **refills** the cached CSR on a hit
-//! ([`MarkingGraph::ctmc_with_trans_rates`], `O(nnz)`), skipping the BFS
-//! entirely.  Strict chains cache **two** structures per signature, each
+//! Theorem 3 pattern chains — and **refills** the cached structure on a
+//! hit ([`MarkingGraph::ctmc_with_trans_rates`]: one rate per transition
+//! label and the `O(n)` exit rates over the shared edge structure, no
+//! allocation per edge), skipping the BFS entirely.  Strict chains cache **two** structures per signature, each
 //! built lazily by the first candidate that needs it: the direct
 //! symmetry-reduced quotient ([`QuotientGraph`], served to every
 //! orbit-invariant candidate — the full graph is never materialized for
@@ -20,7 +21,7 @@
 //! `m = 1`).  This is the one place the quotient-or-full choice of
 //! Theorem 2 is made: a cold solve is a fresh cache's first miss.  Cached
 //! results are **bitwise identical** to cold solves: the refilled chain
-//! has byte-for-byte the arrays a fresh build would produce, and every
+//! has byte-for-byte the rates a fresh build would produce, and every
 //! solver is deterministic in its inputs.  The
 //! equivalence property tests of `repstream-engine` pin this contract.
 //!
@@ -143,8 +144,9 @@ pub struct StrictSolve {
 /// let cold = cache.strict_throughput(&shape, &rates, opts).unwrap();
 /// assert!(!cold.cache_hit);
 ///
-/// // …every later candidate over the same shape refills the cached CSR
-/// // in O(nnz) — and gets bitwise the value a cold solve would produce.
+/// // …every later candidate over the same shape re-rates the cached
+/// // structure — no BFS, no per-edge copy — and gets bitwise the value a
+/// // cold solve would produce.
 /// let faster = ResourceTable::from_fns(&shape, |_, _| 1.0, |_, _, _| 4.0);
 /// let warm = cache.strict_throughput(&shape, &faster, opts).unwrap();
 /// assert!(warm.cache_hit);
@@ -230,8 +232,9 @@ impl ChainCache {
     /// symmetry run on the **direct quotient** ([`QuotientGraph`]) — the
     /// full chain is never materialized for them — every other candidate
     /// on the full marking graph.  On a hit
-    /// only the per-candidate work runs: the orbit-invariance check, an
-    /// `O(nnz)` CSR refill, and the stationary solve.
+    /// only the per-candidate work runs: the orbit-invariance check, a
+    /// refill (a rate per label and the `O(n)` exit rates over the shared
+    /// structure), and the stationary solve.
     pub fn strict_throughput(
         &mut self,
         shape: &MappingShape,

@@ -1,29 +1,42 @@
 //! Continuous-time Markov chains and stationary solvers.
 //!
-//! # Storage: flat CSR
+//! # Storage: a shared labelled CSR and a rate per label
 //!
-//! A [`Ctmc`] holds its generator in **compressed sparse row** form — three
-//! flat arrays instead of one heap allocation per state:
+//! A [`Ctmc`] is two parts.  The **structure** ([`ChainStructure`],
+//! behind an `Arc`) is the chain's edges in **compressed sparse row**
+//! form, each edge carrying a `u32` *label* instead of a rate:
 //!
 //! ```text
-//!   row_ptr : [u32; n+1]   row s occupies entries row_ptr[s]..row_ptr[s+1]
-//!   col     : [u32; nnz]   transition targets
-//!   rate    : [f64; nnz]   transition rates (no self-loops; the diagonal
-//!                          of the generator is implied)
+//!   row_ptr  : [u32; n+1]   row s occupies entries row_ptr[s]..row_ptr[s+1]
+//!   col      : [u32; nnz]   transition targets (no self-loops; the
+//!                           diagonal of the generator is implied)
+//!   label    : [u32; nnz]   which rate the edge fires at
+//!   in_ptr   : [u32; n+1]   the transpose: for each state, the sources
+//!   in_src   : [u32; nnz]   and labels of its in-transitions, which the
+//!   in_label : [u32; nnz]   relaxation, residual and power sweep gather
 //! ```
 //!
-//! Construction also caches everything every solver would otherwise
-//! recompute per call:
+//! The **rates** are a small table, `label_rate[l]`, one entry per label.
+//! On a Theorem 2 marking chain a label is the transition (or list of
+//! transitions) an edge fires, so a rate table of a few dozen entries
+//! rates millions of edges, and one structure — built once, at the end of
+//! the marking BFS — serves every rate table of its shape: re-rating a
+//! chain allocates nothing per edge.
 //!
-//! * `exit[s]` — total exit rate of each state (one pass, reused by
-//!   uniformization, Gauss–Seidel and the residual check);
+//! Construction caches, per rate table, what every solver would
+//! otherwise recompute per call:
+//!
+//! * `exit[s]` — total exit rate of each state, summed along the forward
+//!   row (one pass, reused by uniformization, Gauss–Seidel and the
+//!   residual check);
 //! * `lambda` — the uniformization constant `Λ = 1.1 · max_s exit[s]`;
-//! * an **incoming** CSR (the transpose: for each state, the sources and
-//!   rates of its in-transitions), which the relaxation, the residual
-//!   check and the power sweep gather over.
+//! * `max_rate` — the largest rate of a label that occurs (the residual
+//!   contract's scale).
 //!
-//! That is the whole chain, 24 bytes per edge and 16 per state
-//! ([`Ctmc::heap_bytes`]): the power sweep forms `rate · (1/Λ)` inline.
+//! That is the whole chain: 16 bytes per edge, 16 per state and the label
+//! table ([`Ctmc::heap_bytes`]).  The hot loops read `label_rate[in_label[e]]`
+//! — an L1-resident table — where a rated CSR would read an `f64` per
+//! edge; labels are validated against the table once, at construction.
 //!
 //! The incoming layout turns the power sweep from a *scatter*
 //! (`next[target] += …`, which would need atomics or replication to
@@ -80,24 +93,161 @@
 //! actually produced the result, its final stationarity residual and its
 //! iteration count — the provenance the CLI reports print.
 
+use crate::fxhash::FxHashMap;
 use crate::govern::{Budget, Interrupt, Phase, Progress};
+use std::sync::Arc;
 
-/// A CTMC in flat compressed-sparse-row form.
-#[derive(Debug, Clone)]
-pub struct Ctmc {
-    n: usize,
-    /// Outgoing CSR: row `s` is `col/rate[row_ptr[s]..row_ptr[s+1]]`.
+/// The edges of a chain, rate-free: a forward and an incoming CSR whose
+/// edges carry `u32` labels (see the module docs).  Built once — by the
+/// marking BFS, or by [`Ctmc::from_csr`] — and shared behind an `Arc` by
+/// every [`Ctmc`] rated over it.
+#[derive(Debug)]
+pub struct ChainStructure {
+    /// Forward CSR: row `s` is `col/label[row_ptr[s]..row_ptr[s+1]]`.
     row_ptr: Vec<u32>,
     col: Vec<u32>,
-    rate: Vec<f64>,
+    label: Vec<u32>,
+    /// Incoming CSR (the stable transpose): the sources of column `j`
+    /// ascending, each with its edge's label.
+    in_ptr: Vec<u32>,
+    in_src: Vec<u32>,
+    in_label: Vec<u32>,
+    /// The labels that occur, ascending.
+    used: Vec<u32>,
+}
+
+impl ChainStructure {
+    /// Validate a forward CSR and build its transpose.
+    ///
+    /// # Panics
+    /// Panics on a malformed `row_ptr`, a dangling target, or a `label`
+    /// array of the wrong length.
+    pub(crate) fn new(row_ptr: Vec<u32>, col: Vec<u32>, label: Vec<u32>) -> Self {
+        assert!(!row_ptr.is_empty(), "row_ptr needs a leading 0");
+        assert_eq!(row_ptr[0], 0, "row_ptr must start at 0");
+        let n = row_ptr.len() - 1;
+        let nnz = col.len();
+        assert_eq!(label.len(), nnz, "one label per edge");
+        assert_eq!(row_ptr[n] as usize, nnz, "row_ptr must end at nnz");
+        assert!(n < u32::MAX as usize, "state count overflows u32");
+        for w in row_ptr.windows(2) {
+            assert!(w[0] <= w[1], "row_ptr must be non-decreasing");
+        }
+        let mut occurs: Vec<bool> = Vec::new();
+        for (&j, &l) in col.iter().zip(&label) {
+            assert!((j as usize) < n, "dangling transition target");
+            let l = l as usize;
+            if l >= occurs.len() {
+                occurs.resize(l + 1, false);
+            }
+            occurs[l] = true;
+        }
+        let used = (0..occurs.len() as u32)
+            .filter(|&l| occurs[l as usize])
+            .collect();
+
+        // Incoming CSR by counting sort over targets (stable: sources
+        // appear in ascending order within each row of the transpose).
+        let mut in_ptr = vec![0u32; n + 1];
+        for &j in &col {
+            in_ptr[j as usize + 1] += 1;
+        }
+        for j in 0..n {
+            in_ptr[j + 1] += in_ptr[j];
+        }
+        let mut next = in_ptr.clone();
+        let mut in_src = vec![0u32; nnz];
+        let mut in_label = vec![0u32; nnz];
+        for s in 0..n {
+            let (lo, hi) = (row_ptr[s] as usize, row_ptr[s + 1] as usize);
+            for e in lo..hi {
+                let j = col[e] as usize;
+                let slot = next[j] as usize;
+                next[j] += 1;
+                in_src[slot] = s as u32;
+                in_label[slot] = label[e];
+            }
+        }
+        ChainStructure {
+            row_ptr,
+            col,
+            label,
+            in_ptr,
+            in_src,
+            in_label,
+            used,
+        }
+    }
+
+    /// Number of states.
+    pub fn n_states(&self) -> usize {
+        self.row_ptr.len() - 1
+    }
+
+    /// Number of edges.
+    pub fn nnz(&self) -> usize {
+        self.col.len()
+    }
+
+    /// The labels some edge carries, ascending.
+    pub fn labels_used(&self) -> &[u32] {
+        &self.used
+    }
+
+    /// Heap bytes of the structure's arrays, from their lengths:
+    /// `16 · nnz + 8 · n + 8 + 4 · labels_used().len()`.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(&self.row_ptr[..])
+            + size_of_val(&self.col[..])
+            + size_of_val(&self.label[..])
+            + size_of_val(&self.in_ptr[..])
+            + size_of_val(&self.in_src[..])
+            + size_of_val(&self.in_label[..])
+            + size_of_val(&self.used[..])
+    }
+
+    /// The forward row pointer (`n + 1` entries).
+    pub(crate) fn row_ptr(&self) -> &[u32] {
+        &self.row_ptr
+    }
+
+    /// Every edge's target, in forward order.
+    pub(crate) fn targets(&self) -> &[u32] {
+        &self.col
+    }
+
+    /// Every edge's label, in forward order.
+    pub(crate) fn labels(&self) -> &[u32] {
+        &self.label
+    }
+
+    /// Forward edge range of row `s`.
+    #[inline]
+    fn row_range(&self, s: usize) -> std::ops::Range<usize> {
+        self.row_ptr[s] as usize..self.row_ptr[s + 1] as usize
+    }
+
+    /// Incoming edge range of column `j`.
+    #[inline]
+    fn in_range(&self, j: usize) -> std::ops::Range<usize> {
+        self.in_ptr[j] as usize..self.in_ptr[j + 1] as usize
+    }
+}
+
+/// A CTMC: a shared [`ChainStructure`] rated by a table with one rate per
+/// label.  Nothing in it is per edge.
+#[derive(Debug, Clone)]
+pub struct Ctmc {
+    chain: Arc<ChainStructure>,
+    /// Rate of every label; only the labels that occur are validated.
+    label_rate: Vec<f64>,
     /// Cached per-state exit rates (sum of outgoing rates).
     exit: Vec<f64>,
     /// Uniformization constant `Λ` (max exit rate, padded 10%).
     lambda: f64,
-    /// Incoming CSR (transpose): entries of column `j` gathered per row.
-    in_ptr: Vec<u32>,
-    in_src: Vec<u32>,
-    in_rate: Vec<f64>,
+    /// Largest rate of a label that occurs.
+    max_rate: f64,
 }
 
 /// States per thread below which the parallel sweep is not worth
@@ -326,106 +476,114 @@ impl Ctmc {
         b.finish()
     }
 
-    /// Build from raw CSR arrays (`row_ptr.len() == n + 1`).
+    /// Build from raw CSR arrays (`row_ptr.len() == n + 1`).  Edges are
+    /// labelled by distinct rate bits, in order of first appearance.
     ///
     /// # Panics
     /// Panics on malformed `row_ptr`, dangling targets, or non-positive
     /// rates.
     pub fn from_csr(row_ptr: Vec<u32>, col: Vec<u32>, rate: Vec<f64>) -> Self {
-        assert!(!row_ptr.is_empty(), "row_ptr needs a leading 0");
-        assert_eq!(row_ptr[0], 0, "row_ptr must start at 0");
-        let n = row_ptr.len() - 1;
-        let nnz = col.len();
-        assert_eq!(rate.len(), nnz);
-        assert_eq!(row_ptr[n] as usize, nnz, "row_ptr must end at nnz");
-        assert!(n < u32::MAX as usize, "state count overflows u32");
-        for w in row_ptr.windows(2) {
-            assert!(w[0] <= w[1], "row_ptr must be non-decreasing");
-        }
-        for (&j, &r) in col.iter().zip(rate.iter()) {
-            assert!((j as usize) < n, "dangling transition target");
+        assert_eq!(rate.len(), col.len());
+        let mut ids: FxHashMap<u64, u32> = FxHashMap::default();
+        let mut label_rate = Vec::new();
+        let label = rate
+            .iter()
+            .map(|&r| {
+                *ids.entry(r.to_bits()).or_insert_with(|| {
+                    label_rate.push(r);
+                    (label_rate.len() - 1) as u32
+                })
+            })
+            .collect();
+        drop(rate);
+        Ctmc::with_label_rates(
+            Arc::new(ChainStructure::new(row_ptr, col, label)),
+            label_rate,
+        )
+    }
+
+    /// Rate a shared structure: edge `e` fires at `label_rate[label[e]]`.
+    /// Labels are checked against the table here, once, so the solvers
+    /// can read it unchecked; labels that occur on no edge may carry any
+    /// value and never reach `exit`, `Λ` or the residual scale.
+    ///
+    /// # Panics
+    /// Panics if a label that occurs is outside `label_rate` or rated
+    /// non-positive (or non-finite).
+    pub(crate) fn with_label_rates(chain: Arc<ChainStructure>, label_rate: Vec<f64>) -> Self {
+        let mut max_rate = 0.0f64;
+        for &l in &chain.used {
+            let Some(&r) = label_rate.get(l as usize) else {
+                panic!("label {l} outside the rate table ({})", label_rate.len())
+            };
             assert!(r > 0.0 && r.is_finite(), "rates must be positive");
+            max_rate = max_rate.max(r);
         }
-
-        // Cached exit rates and uniformization constant: one pass.
-        let mut exit = vec![0.0f64; n];
-        for s in 0..n {
-            let (lo, hi) = (row_ptr[s] as usize, row_ptr[s + 1] as usize);
-            exit[s] = rate[lo..hi].iter().sum();
-        }
+        // Cached exit rates and uniformization constant: one pass, each
+        // row summed in forward order.
+        let exit: Vec<f64> = (0..chain.n_states())
+            .map(|s| {
+                chain.label[chain.row_range(s)]
+                    .iter()
+                    .map(|&l| label_rate[l as usize])
+                    .sum()
+            })
+            .collect();
         let lambda = (exit.iter().fold(0.0f64, |m, &e| m.max(e)) * 1.1).max(1e-300);
-
-        // Incoming CSR by counting sort over targets (stable: sources
-        // appear in ascending order within each row of the transpose).
-        let mut in_ptr = vec![0u32; n + 1];
-        for &j in &col {
-            in_ptr[j as usize + 1] += 1;
-        }
-        for j in 0..n {
-            in_ptr[j + 1] += in_ptr[j];
-        }
-        let mut next = in_ptr.clone();
-        let mut in_src = vec![0u32; nnz];
-        let mut in_rate = vec![0.0f64; nnz];
-        for s in 0..n {
-            let (lo, hi) = (row_ptr[s] as usize, row_ptr[s + 1] as usize);
-            for e in lo..hi {
-                let j = col[e] as usize;
-                let slot = next[j] as usize;
-                next[j] += 1;
-                in_src[slot] = s as u32;
-                in_rate[slot] = rate[e];
-            }
-        }
-
         Ctmc {
-            n,
-            row_ptr,
-            col,
-            rate,
+            chain,
+            label_rate,
             exit,
             lambda,
-            in_ptr,
-            in_src,
-            in_rate,
+            max_rate,
         }
     }
 
     /// Number of states.
     pub fn n_states(&self) -> usize {
-        self.n
+        self.exit.len()
     }
 
-    /// Heap bytes of the chain's arrays, from their lengths (not their
-    /// capacities, so the figure is deterministic):
-    /// `24 · nnz + 16 · n + 8`.
+    /// Heap bytes the solvers read, from the arrays' lengths (not their
+    /// capacities, so the figure is deterministic): the shared
+    /// [`ChainStructure`] — both CSRs and the used labels — plus the label
+    /// table and the exit rates,
+    /// `16 · nnz + 16 · n + 8 + 8 · label_rates().len() + 4 · labels_used`.
+    /// The structure is counted in full although every chain rated over
+    /// it shares it.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of_val;
-        size_of_val(&self.row_ptr[..])
-            + size_of_val(&self.col[..])
-            + size_of_val(&self.rate[..])
-            + size_of_val(&self.exit[..])
-            + size_of_val(&self.in_ptr[..])
-            + size_of_val(&self.in_src[..])
-            + size_of_val(&self.in_rate[..])
+        self.chain.heap_bytes() + size_of_val(&self.label_rate[..]) + size_of_val(&self.exit[..])
     }
 
     /// Number of non-zero rate entries.
     pub fn nnz(&self) -> usize {
-        self.col.len()
+        self.chain.nnz()
+    }
+
+    /// The shared edge structure this chain is rated over.
+    pub fn structure(&self) -> &Arc<ChainStructure> {
+        &self.chain
+    }
+
+    /// The rate of every label (index = label).
+    pub fn label_rates(&self) -> &[f64] {
+        &self.label_rate
     }
 
     /// Targets of the outgoing transitions of state `s`.
     #[inline]
     pub fn row_targets(&self, s: usize) -> &[u32] {
-        &self.col[self.row_ptr[s] as usize..self.row_ptr[s + 1] as usize]
+        &self.chain.col[self.chain.row_range(s)]
     }
 
     /// Rates of the outgoing transitions of state `s` (same order as
     /// [`Ctmc::row_targets`]).
     #[inline]
-    pub fn row_rates(&self, s: usize) -> &[f64] {
-        &self.rate[self.row_ptr[s] as usize..self.row_ptr[s + 1] as usize]
+    pub fn row_rates(&self, s: usize) -> impl Iterator<Item = f64> + '_ {
+        self.chain.label[self.chain.row_range(s)]
+            .iter()
+            .map(|&l| self.label_rate[l as usize])
     }
 
     /// Outgoing transitions of state `s` as `(target, rate)` pairs.
@@ -434,7 +592,21 @@ impl Ctmc {
         self.row_targets(s)
             .iter()
             .zip(self.row_rates(s))
-            .map(|(&j, &r)| (j as usize, r))
+            .map(|(&j, r)| (j as usize, r))
+    }
+
+    /// Incoming transitions of state `j` as `(source, rate)` pairs,
+    /// sources ascending — the gather of Gauss–Seidel and the residual,
+    /// in the order they sum it.
+    #[inline]
+    pub fn incoming(&self, j: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let range = self.chain.in_range(j);
+        self.chain.in_src[range.clone()]
+            .iter()
+            .zip(&self.chain.in_label[range])
+            // SAFETY: every `in_label` entry occurs in the structure, and
+            // `with_label_rates` checked each against the table.
+            .map(|(&i, &l)| (i as usize, unsafe { *self.rate_of(l) }))
     }
 
     /// Total exit rate of state `s` (cached at construction).
@@ -461,7 +633,7 @@ impl Ctmc {
     /// (`s_inv`) rather than into each of the `k` column entries, and the
     /// back-substitution applies the same factor symbolically.
     pub fn stationary_gth(&self) -> Vec<f64> {
-        let n = self.n;
+        let n = self.n_states();
         assert!(n > 0);
         if n == 1 {
             return vec![1.0];
@@ -471,8 +643,8 @@ impl Ctmc {
         let mut p = vec![0.0f64; n * n];
         for s in 0..n {
             let row = &mut p[s * n..(s + 1) * n];
-            for (j, r) in self.row_targets(s).iter().zip(self.row_rates(s)) {
-                row[*j as usize] += r * inv_lambda;
+            for (j, r) in self.row(s) {
+                row[j] += r * inv_lambda;
             }
             row[s] += 1.0 - self.exit[s] * inv_lambda;
         }
@@ -532,12 +704,12 @@ impl Ctmc {
     /// a chunk-grouped partial sum would make the stopping scalar depend
     /// on the core count).
     fn power_sweep(&self, pi: &[f64], next: &mut [f64], stay: &[f64]) {
-        let threads = sweep_threads(self.n);
+        let threads = sweep_threads(self.n_states());
         if threads <= 1 {
             self.power_sweep_range(pi, next, stay, 0);
             return;
         }
-        let chunk = self.n.div_ceil(threads);
+        let chunk = self.n_states().div_ceil(threads);
         std::thread::scope(|scope| {
             for (c, out) in next.chunks_mut(chunk).enumerate() {
                 let start = c * chunk;
@@ -553,21 +725,24 @@ impl Ctmc {
     /// order is the CSR order, independent of chunking).
     #[inline]
     fn power_sweep_range(&self, pi: &[f64], out: &mut [f64], stay: &[f64], start: usize) {
-        // SAFETY of the `get_unchecked` below: `from_csr` validated that
-        // `in_ptr` is non-decreasing with `in_ptr[n] == nnz`, every
-        // `in_src` entry is `< n`, and `pi`/`stay` have length `n`
-        // (asserted by the callers); `start + out.len() ≤ n` holds for
-        // every chunk `power_sweep` creates.
+        // SAFETY of the `get_unchecked` below: `ChainStructure::new`
+        // validated that `in_ptr` is non-decreasing with `in_ptr[n] ==
+        // nnz` and every `in_src` entry is `< n`; `with_label_rates`
+        // checked every label that occurs against `label_rate`; `pi`/`stay`
+        // have length `n` (asserted by the callers); `start + out.len() ≤
+        // n` holds for every chunk `power_sweep` creates.
         let inv_lambda = 1.0 / self.lambda;
+        let c = &*self.chain;
         for (dj, v) in out.iter_mut().enumerate() {
             let j = start + dj;
             unsafe {
-                let lo = *self.in_ptr.get_unchecked(j) as usize;
-                let hi = *self.in_ptr.get_unchecked(j + 1) as usize;
+                let lo = *c.in_ptr.get_unchecked(j) as usize;
+                let hi = *c.in_ptr.get_unchecked(j + 1) as usize;
                 let mut acc = *pi.get_unchecked(j) * *stay.get_unchecked(j);
                 for e in lo..hi {
-                    let i = *self.in_src.get_unchecked(e) as usize;
-                    acc += *pi.get_unchecked(i) * (*self.in_rate.get_unchecked(e) * inv_lambda);
+                    let i = *c.in_src.get_unchecked(e) as usize;
+                    let r = *self.rate_of(*c.in_label.get_unchecked(e));
+                    acc += *pi.get_unchecked(i) * (r * inv_lambda);
                 }
                 *v = acc;
             }
@@ -584,8 +759,8 @@ impl Ctmc {
     /// [`RRE_WINDOW`]-iterate burst is attempted, kept only when it does
     /// not degrade the stationarity residual.
     pub fn stationary_power(&self, tol: f64, max_iters: usize) -> Vec<f64> {
-        assert!(self.n > 0);
-        let pi0 = vec![1.0 / self.n as f64; self.n];
+        assert!(self.n_states() > 0);
+        let pi0 = vec![1.0 / self.n_states() as f64; self.n_states()];
         unlimited(|b| self.power(pi0, tol, max_iters, b)).0
     }
 
@@ -601,7 +776,7 @@ impl Ctmc {
         max_iters: usize,
         budget: &Budget,
     ) -> Result<(Vec<f64>, usize), Interrupt> {
-        let n = self.n;
+        let n = self.n_states();
         assert_eq!(pi.len(), n);
         // Hoisted out of the sweep: stay[j] = 1 − exit[j]/Λ.  The sweep
         // forms each incoming probability as r·(1/Λ), a multiply, so the
@@ -702,11 +877,13 @@ impl Ctmc {
         max_sweeps: usize,
         budget: &Budget,
     ) -> Result<(Vec<f64>, usize), Interrupt> {
-        let n = self.n;
+        let n = self.n_states();
         assert!(n > 0);
         if n == 1 {
             return Ok((vec![1.0], 0));
         }
+        let c = &*self.chain;
+        let (in_ptr, in_src, in_label) = (&c.in_ptr[..], &c.in_src[..], &c.in_label[..]);
         let mut pi = vec![1.0 / n as f64; n];
         let mut sweeps = 0usize;
         for it in 0..max_sweeps {
@@ -716,10 +893,13 @@ impl Ctmc {
             }
             let mut max_rel = 0.0f64;
             for j in 0..n {
-                let (lo, hi) = (self.in_ptr[j] as usize, self.in_ptr[j + 1] as usize);
+                let (lo, hi) = (in_ptr[j] as usize, in_ptr[j + 1] as usize);
                 let mut acc = 0.0;
-                for (&i, &r) in self.in_src[lo..hi].iter().zip(&self.in_rate[lo..hi]) {
-                    acc += pi[i as usize] * r;
+                for (&i, &l) in in_src[lo..hi].iter().zip(&in_label[lo..hi]) {
+                    // SAFETY: every `in_label` entry occurs in the
+                    // structure, and `with_label_rates` checked each
+                    // against the table.
+                    acc += pi[i as usize] * unsafe { *self.rate_of(l) };
                 }
                 let new = acc / self.exit[j];
                 let old = pi[j];
@@ -741,7 +921,7 @@ impl Ctmc {
     /// this chain — the measured size/density crossovers of the module
     /// docs and `ARCHITECTURE.md`.
     pub fn solver_plan(&self) -> SolverPlan {
-        let n = self.n;
+        let n = self.n_states();
         if n <= GTH_SMALL_N {
             return SolverPlan {
                 primary: Solver::Gth,
@@ -809,11 +989,14 @@ impl Ctmc {
     /// Run one solver with its standard budget and report the outcome.
     fn run_forced(&self, solver: Solver, budget: &Budget) -> Result<SolveReport, Interrupt> {
         let (pi, iterations) = match solver {
-            Solver::Gth => (self.stationary_gth(), self.n),
+            Solver::Gth => (self.stationary_gth(), self.n_states()),
             Solver::GaussSeidel => self.gauss_seidel(1e-14, 10_000, budget)?,
-            Solver::Power => {
-                self.power(vec![1.0 / self.n as f64; self.n], 1e-13, 200_000, budget)?
-            }
+            Solver::Power => self.power(
+                vec![1.0 / self.n_states() as f64; self.n_states()],
+                1e-13,
+                200_000,
+                budget,
+            )?,
         };
         let residual = self.stationarity_residual(&pi);
         Ok(SolveReport {
@@ -832,7 +1015,7 @@ impl Ctmc {
         if plan.primary != Solver::GaussSeidel {
             return self.run_forced(plan.primary, budget);
         }
-        let n = self.n;
+        let n = self.n_states();
         let tol = GS_RESIDUAL_TOL * self.max_rate().max(1e-300);
         let gs = self.run_forced(Solver::GaussSeidel, budget)?;
         // Acceptance requires finiteness explicitly: a zero-exit state
@@ -861,21 +1044,33 @@ impl Ctmc {
         })
     }
 
-    /// Largest single transition rate (residual scale).
-    fn max_rate(&self) -> f64 {
-        self.rate.iter().fold(0.0f64, |m, &r| m.max(r))
+    /// Largest single transition rate — the residual contract's scale.
+    /// Taken over the labels that occur only, so a rate-table entry no
+    /// edge carries never loosens the acceptance.
+    pub fn max_rate(&self) -> f64 {
+        self.max_rate
+    }
+
+    /// The rate of label `l`, unchecked.
+    ///
+    /// # Safety
+    /// `l` must be a label of this chain's structure:
+    /// [`Ctmc::with_label_rates`] checked every one against the table.
+    #[inline(always)]
+    unsafe fn rate_of(&self, l: u32) -> &f64 {
+        debug_assert!((l as usize) < self.label_rate.len());
+        self.label_rate.get_unchecked(l as usize)
     }
 
     /// Verify `π Q = 0` (stationarity residual, max-norm) — used by tests
     /// and by the Gauss–Seidel acceptance check.
     pub fn stationarity_residual(&self, pi: &[f64]) -> f64 {
-        let n = self.n;
+        let n = self.n_states();
         let mut worst = 0.0f64;
         for j in 0..n {
-            let (lo, hi) = (self.in_ptr[j] as usize, self.in_ptr[j + 1] as usize);
             let mut acc = -pi[j] * self.exit[j];
-            for (&i, &r) in self.in_src[lo..hi].iter().zip(&self.in_rate[lo..hi]) {
-                acc += pi[i as usize] * r;
+            for (i, r) in self.incoming(j) {
+                acc += pi[i] * r;
             }
             worst = worst.max(acc.abs());
         }
@@ -1058,7 +1253,7 @@ mod tests {
         assert_eq!(c.n_states(), 3);
         assert_eq!(c.nnz(), 4);
         assert_eq!(c.row_targets(0), &[1, 2]);
-        assert_eq!(c.row_rates(0), &[2.0, 1.0]);
+        assert_eq!(c.row_rates(0).collect::<Vec<_>>(), vec![2.0, 1.0]);
         assert_eq!(c.row(1).collect::<Vec<_>>(), vec![(2, 3.0)]);
         assert!((c.exit_rate(0) - 3.0).abs() < 1e-15);
         assert!((c.exit_rate(2) - 0.5).abs() < 1e-15);
@@ -1077,7 +1272,7 @@ mod tests {
         b.end_row();
         let b = b.finish();
         assert_eq!(a.row_targets(1), b.row_targets(1));
-        assert_eq!(a.row_rates(1), b.row_rates(1));
+        assert!(a.row_rates(1).eq(b.row_rates(1)));
     }
 
     #[test]
@@ -1228,13 +1423,19 @@ mod tests {
         }
     }
 
-    /// The chain's layout: 24 bytes per edge, 16 per state, 8 for the
-    /// two closing row pointers.
+    /// The chain's layout: 16 bytes per edge (a target or source and a
+    /// label in each CSR), 16 per state (the exit rate and two row
+    /// pointers), 8 for the two closing row pointers, and the label
+    /// table — 8 bytes per rate, 4 per label that occurs.  No array is
+    /// per edge *and* per rate table: a refill shares the structure.
     #[test]
     fn heap_bytes_is_the_layout_formula() {
         for (label, c) in pinned_chains() {
-            let want = 24 * c.nnz() + 16 * c.n_states() + 8;
+            let table = 8 * c.label_rates().len() + 4 * c.structure().labels_used().len();
+            let want = 16 * c.nnz() + 16 * c.n_states() + 8 + table;
             assert_eq!(c.heap_bytes(), want, "{label}");
+            assert_eq!(c.structure().nnz(), c.nnz(), "{label}");
+            assert_eq!(c.structure().n_states(), c.n_states(), "{label}");
         }
     }
 

@@ -39,7 +39,8 @@
 //! * [`cache`] — structure-keyed chain reuse for batch evaluation:
 //!   marking graphs (and their symmetry orbit seeds) cached per
 //!   [`TpnSignature`](repstream_petri::tpn::TpnSignature) / pattern shape,
-//!   with `O(nnz)` CSR rate refills on hits
+//!   re-rated on hits by label — one rate per transition over the shared
+//!   edge structure, no allocation per edge
 //!   ([`MarkingGraph::ctmc_with_trans_rates`](marking::MarkingGraph::ctmc_with_trans_rates));
 //! * [`govern`] — the cooperative resource governor: a `Copy`
 //!   [`Budget`] (wall-clock deadline, arena-byte cap,

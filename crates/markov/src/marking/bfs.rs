@@ -491,7 +491,15 @@ impl Frontier {
     }
 
     /// Byte accounting of the build so far.
-    pub(super) fn stats(&self) -> ArenaStats {
+    /// The row arena, orbit sizes and storage accounting of a finished
+    /// build; the interner (keys and slots) is freed here, before the
+    /// graph builds its chain structure.
+    pub(super) fn finish(self) -> (MarkingStore, Vec<u32>, ArenaStats) {
+        let stats = self.stats();
+        (self.rows, self.orbit_size, stats)
+    }
+
+    fn stats(&self) -> ArenaStats {
         ArenaStats {
             keys_bytes: self.interner.keys_bytes(),
             reps_bytes: self.rows.heap_bytes(),

@@ -33,10 +33,11 @@
 //!   before the search and raises `NotSafe` before an unsafe successor's
 //!   key is interned;
 //! * a **row sink** turns scanned rows into a public result type —
-//!   [`MarkingGraph`] (one CSR edge per firing, the enabled sets doubling
-//!   as the row pointer and the edge → transition map) or
-//!   [`QuotientGraph`] (one edge per target orbit, intra-orbit firings
-//!   dropped, an edge → transitions refill map).
+//!   [`MarkingGraph`] (one CSR edge per firing, labelled by the fired
+//!   transition, so the enabled sets *are* the chain's row pointer and
+//!   labels) or [`QuotientGraph`] (one edge per target orbit, intra-orbit
+//!   firings dropped, labelled by its transition — or, when it merges
+//!   several, by an interned list of them).
 //!
 //! The BFS allocates nothing per firing:
 //!
@@ -62,7 +63,11 @@
 //!   out to be new;
 //! * **flat CSR structure** — the chain's edges and the per-state
 //!   enabled-transition sets are built directly in compressed sparse row
-//!   form, with no rate: `ctmc_with_trans_rates` rates a chain per solve.
+//!   form, with a label and no rate per edge.  Once the interner is freed
+//!   at the end of the BFS, the edges become a shared
+//!   [`ChainStructure`] (forward and incoming CSR); `ctmc_with_trans_rates`
+//!   then rates a chain per solve from a table of one rate per label,
+//!   allocating nothing per edge.
 //!
 //! Storage and scheduling never reach the output: the chain is **bitwise
 //! identical** for every thread count, shard count and spill setting.
@@ -112,12 +117,14 @@ mod interner;
 
 pub use arena::MarkingStore;
 
-use crate::ctmc::{unlimited, Ctmc, SolveReport, SolverChoice};
+use crate::ctmc::{unlimited, ChainStructure, Ctmc, SolveReport, SolverChoice};
+use crate::fxhash::FxHashMap;
 use crate::govern::{Budget, Interrupt, Phase};
 use crate::lump::{Lift, Partition};
 use crate::net::{EventNet, NetSymmetry};
 use bfs::{Canonicalizer, Identity, PerFiring, RowRotation, RowSink, ROT_BUFFER_CAP};
 use repstream_petri::canon::MarkingCanonicalizer;
+use std::sync::Arc;
 
 /// Options for marking-graph construction.
 #[derive(Debug, Clone, Copy)]
@@ -381,8 +388,7 @@ impl ArenaStats {
 }
 
 /// Per-state enabled-transition sets in CSR form — state `s` owns
-/// `idx[ptr[s]..ptr[s+1]]`, ascending — and the stationary aggregations
-/// both graph types read off them.
+/// `idx[ptr[s]..ptr[s+1]]`, ascending — as a build appends them.
 #[derive(Debug, Clone)]
 struct EnabledSets {
     ptr: Vec<u32>,
@@ -410,7 +416,25 @@ impl EnabledSets {
         Ok(())
     }
 
-    fn row(&self, s: usize) -> &[u32] {
+    fn view(&self) -> Enabled<'_> {
+        Enabled {
+            ptr: &self.ptr,
+            idx: &self.idx,
+        }
+    }
+}
+
+/// A borrowed [`EnabledSets`] — the quotient's own, or the full chain's
+/// forward row pointer and labels — and the stationary aggregations both
+/// graph types read off it.
+#[derive(Clone, Copy)]
+struct Enabled<'a> {
+    ptr: &'a [u32],
+    idx: &'a [u32],
+}
+
+impl<'a> Enabled<'a> {
+    fn row(&self, s: usize) -> &'a [u32] {
         &self.idx[self.ptr[s] as usize..self.ptr[s + 1] as usize]
     }
 
@@ -442,13 +466,13 @@ macro_rules! shared_api {
             /// Number of chain states: reachable markings, or orbits on a
             /// [`QuotientGraph`].
             pub fn n_states(&self) -> usize {
-                self.enabled.ptr.len() - 1
+                self.enabled_sets().ptr.len() - 1
             }
 
             /// Transitions fireable in state `s` — in the representative
             /// of orbit `s` on a [`QuotientGraph`] — ascending.
             pub fn enabled(&self, s: usize) -> &[u32] {
-                self.enabled.row(s)
+                self.enabled_sets().row(s)
             }
 
             /// Byte accounting of the build's marking storage (the peak —
@@ -467,7 +491,7 @@ macro_rules! shared_api {
             /// whole TPN column, the last-column throughput set — equals
             /// the full chain's sum exactly.
             pub fn firing_rates_with(&self, trans_rates: &[f64], pi: &[f64]) -> Vec<f64> {
-                self.enabled.firing_rates(trans_rates, pi)
+                self.enabled_sets().firing_rates(trans_rates, pi)
             }
 
             /// Convenience: the chain rated at `net.rates`, its stationary
@@ -523,7 +547,7 @@ macro_rules! shared_api {
             ) -> Result<(f64, SolveReport), Interrupt> {
                 let report = ctmc.stationary_solve_governed(choice, budget)?;
                 let rho = self
-                    .enabled
+                    .enabled_sets()
                     .throughput(trans_rates, transitions, &report.pi);
                 Ok((rho, report))
             }
@@ -539,13 +563,10 @@ shared_api!(QuotientGraph);
 pub struct MarkingGraph {
     /// All reachable markings (tokens per place), arena-interned.
     pub states: MarkingStore,
-    /// Transitions fireable in each state; one chain edge per entry, so
-    /// the row pointer is the chain's and the index array doubles as the
-    /// edge → transition map.
-    enabled: EnabledSets,
-    /// Target state of every chain edge, parallel to the enabled index
-    /// array.
-    targets: Vec<u32>,
+    /// The chain's edges, one per firing, labelled by the fired
+    /// transition: its forward row pointer and labels *are* the enabled
+    /// sets, stored once.
+    chain: Arc<ChainStructure>,
     /// Storage accounting captured at the end of the build.
     arena_stats: ArenaStats,
 }
@@ -593,14 +614,21 @@ impl MarkingGraph {
             enabled: EnabledSets::new(),
             targets: Vec::new(),
         };
-        let found = bfs::explore(net, opts, canon, &mut out)?;
-        let arena_stats = found.stats();
+        let (states, _, arena_stats) = bfs::explore(net, opts, canon, &mut out)?.finish();
+        let chain = ChainStructure::new(out.enabled.ptr, out.targets, out.enabled.idx);
         Ok(MarkingGraph {
-            states: found.rows,
-            enabled: out.enabled,
-            targets: out.targets,
+            states,
+            chain: Arc::new(chain),
             arena_stats,
         })
+    }
+
+    /// The enabled sets: the chain's forward rows, labelled by transition.
+    fn enabled_sets(&self) -> Enabled<'_> {
+        Enabled {
+            ptr: self.chain.row_ptr(),
+            idx: self.chain.labels(),
+        }
     }
 
     /// Orbit seed partition of the reachable markings under a net
@@ -653,8 +681,8 @@ impl MarkingGraph {
         let image0 = image0?;
         let s0_img = (0..n).find(|&s| self.states.matches(s, &image0))? as u32;
 
-        let ptr = &self.enabled.ptr;
-        let row_targets = |s: usize| &self.targets[ptr[s] as usize..ptr[s + 1] as usize];
+        let ptr = self.chain.row_ptr();
+        let row_targets = |s: usize| &self.chain.targets()[ptr[s] as usize..ptr[s + 1] as usize];
         let mut sigma = vec![u32::MAX; n];
         let mut taken = vec![false; n];
         sigma[0] = s0_img;
@@ -696,36 +724,32 @@ impl MarkingGraph {
         Some(Partition::from_permutation_orbits(&sigma))
     }
 
-    /// Transition fired by each CSR edge of the chain, in edge order (the
-    /// enabled-set arrays double as this map: the BFS appends one enabled
-    /// transition per chain edge, so `edge_transitions().len()` is the
-    /// chain's `nnz` and edge `e` was produced by firing transition
-    /// `edge_transitions()[e]`).
+    /// Transition fired by each CSR edge of the chain, in edge order —
+    /// the chain's edge labels, which double as the enabled sets: the BFS
+    /// appends one enabled transition per chain edge, so
+    /// `edge_transitions().len()` is the chain's `nnz` and edge `e` was
+    /// produced by firing transition `edge_transitions()[e]`.
     ///
     /// This is what makes the reachability structure reusable across rate
     /// tables: edge `e` of any rate assignment over the same net
     /// structure is rated `trans_rates[edge_transitions()[e]]` — see
     /// [`MarkingGraph::ctmc_with_trans_rates`].
     pub fn edge_transitions(&self) -> &[u32] {
-        &self.enabled.idx
+        self.chain.labels()
     }
 
     /// The chain rated from per-transition rates: edge `e` gets
     /// `trans_rates[edge_transitions()[e]]`.  The graph stores no rate
-    /// (the BFS order depends only on structure), so this is how every
-    /// chain is made, at `O(nnz)` instead of a full BFS + interning pass.
+    /// (the BFS order depends only on structure); the chain shares the
+    /// graph's edge structure and carries `trans_rates` as its label
+    /// table, so this is how every chain is made, with no allocation per
+    /// edge — only the `O(n)` exit rates are computed.
     ///
     /// # Panics
-    /// Panics if `trans_rates` is shorter than the net's transition count
-    /// or contains a non-positive rate.
+    /// Panics if a transition some edge fires is outside `trans_rates`
+    /// or rated non-positive.
     pub fn ctmc_with_trans_rates(&self, trans_rates: &[f64]) -> Ctmc {
-        let rate: Vec<f64> = self
-            .enabled
-            .idx
-            .iter()
-            .map(|&t| trans_rates[t as usize])
-            .collect();
-        Ctmc::from_csr(self.enabled.ptr.clone(), self.targets.clone(), rate)
+        Ctmc::with_label_rates(Arc::clone(&self.chain), trans_rates.to_vec())
     }
 
     /// Stationary firing rate of every transition:
@@ -762,8 +786,9 @@ impl MarkingGraph {
 ///    member (every member agrees — that is lumpability), accumulating
 ///    edge rates per target block in CSR row order, which for the full
 ///    BFS is ascending enabled-transition order — the scan order in which
-///    each edge records its transitions here, so
-///    [`Self::ctmc_with_trans_rates`] performs the same `f64` additions.
+///    each edge records its transitions here (as one transition label or
+///    an interned list of them), so [`Self::ctmc_with_trans_rates`]
+///    performs the same `f64` additions, once per label.
 /// 3. **Edges.** Both emit a block's targets in first-hit order of that
 ///    scan and drop intra-orbit edges (the quotient's self-loops).
 ///
@@ -783,34 +808,62 @@ pub struct QuotientGraph {
     pub reps: MarkingStore,
     /// Transitions fireable in each representative.
     enabled: EnabledSets,
-    /// The quotient chain's structure: orbit `s`'s edges are
-    /// `col[row_ptr[s]..row_ptr[s+1]]`, one per target orbit in first-hit
-    /// order, intra-orbit firings dropped.
-    row_ptr: Vec<u32>,
-    col: Vec<u32>,
-    /// Quotient edge `e` aggregates the representative-row transitions
-    /// `edge_trans[edge_ptr[e]..edge_ptr[e+1]]` (ascending within each
-    /// edge) — the rate map of [`Self::ctmc_with_trans_rates`].
-    edge_ptr: Vec<u32>,
-    edge_trans: Vec<u32>,
+    /// The quotient chain's edges: one per target orbit in first-hit
+    /// order, intra-orbit firings dropped, each labelled by the
+    /// transitions it aggregates (see [`LabelLists`]).
+    chain: Arc<ChainStructure>,
+    /// What the labels `≥ n_transitions` stand for.
+    lists: LabelLists,
     /// Orbit size (number of distinct markings) per quotient state.
     orbit_size: Vec<u32>,
     /// Storage accounting captured at the end of the build.
     arena_stats: ArenaStats,
 }
 
-/// Row sink of [`QuotientGraph`]: aggregated CSR rows, enabled sets, the
-/// edge → transitions map, and the current row's firings (reused across
+/// The label table of a [`QuotientGraph`]: an edge fired by one
+/// transition `t` is labelled `t`; an edge that merges several
+/// transitions is labelled `n_trans + k`, list `k` holding them in firing
+/// order.  No benchmark shape merges, so the lists are usually empty.
+#[derive(Debug, Clone)]
+struct LabelLists {
+    n_trans: usize,
+    ptr: Vec<u32>,
+    trans: Vec<u32>,
+}
+
+impl LabelLists {
+    /// The rate of every label: `trans_rates` itself for the singletons,
+    /// then each list summed in firing order — the additions a per-edge
+    /// sum over the same transitions performs.
+    fn rates(&self, trans_rates: &[f64]) -> Vec<f64> {
+        let mut rates = trans_rates[..self.n_trans].to_vec();
+        rates.extend(self.ptr.windows(2).map(|w| {
+            self.trans[w[0] as usize..w[1] as usize]
+                .iter()
+                .map(|&t| trans_rates[t as usize])
+                .sum::<f64>()
+        }));
+        rates
+    }
+}
+
+/// Row sink of [`QuotientGraph`]: aggregated, labelled CSR rows, enabled
+/// sets, the label table, and the current row's firings (reused across
 /// rows, nothing allocated per firing).
 struct QuotientBuilder {
     enabled: EnabledSets,
     row_ptr: Vec<u32>,
     col: Vec<u32>,
-    edge_ptr: Vec<u32>,
-    edge_trans: Vec<u32>,
+    label: Vec<u32>,
+    lists: LabelLists,
+    /// Label of every list in `lists`, consulted only for edges that
+    /// merge firings.
+    list_ids: FxHashMap<Vec<u32>, u32>,
     /// `(target, transition)` of the current row's inter-orbit firings,
     /// in firing order.
     row: Vec<(u32, u32)>,
+    /// The transitions of one merged edge.
+    merged: Vec<u32>,
 }
 
 impl RowSink for QuotientBuilder {
@@ -829,18 +882,43 @@ impl RowSink for QuotientBuilder {
     }
 
     /// Close the current row: one edge per target orbit in first-hit
-    /// order, each listing its transitions in firing order.
+    /// order, labelled by its transition — or, when it merges several, by
+    /// the interned list of them in firing order.
     fn end_row(&mut self) -> Result<(), MarkingError> {
         self.enabled.end_row()?;
-        while let Some(&(c, _)) = self.row.first() {
-            let fired = self.row.iter().filter(|&&(target, _)| target == c);
-            self.edge_trans.extend(fired.map(|&(_, t)| t));
+        while let Some(&(c, t)) = self.row.first() {
+            let label = if self.row[1..].iter().any(|&(target, _)| target == c) {
+                self.merged.clear();
+                let fired = self.row.iter().filter(|&&(target, _)| target == c);
+                self.merged.extend(fired.map(|&(_, t)| t));
+                self.intern_merged()
+            } else {
+                t
+            };
             self.row.retain(|&(target, _)| target != c);
             self.col.push(c);
-            self.edge_ptr.push(self.edge_trans.len() as u32);
+            self.label.push(label);
         }
         self.row_ptr.push(self.col.len() as u32);
         Ok(())
+    }
+}
+
+impl QuotientBuilder {
+    /// The label of the list in `merged`, appended to the table on first
+    /// sight.
+    fn intern_merged(&mut self) -> u32 {
+        if let Some(&label) = self.list_ids.get(&self.merged) {
+            return label;
+        }
+        let lists = &mut self.lists;
+        let Ok(label) = u32::try_from(lists.n_trans + lists.ptr.len() - 1) else {
+            panic!("label count overflows u32")
+        };
+        lists.trans.extend_from_slice(&self.merged);
+        lists.ptr.push(lists.trans.len() as u32);
+        self.list_ids.insert(self.merged.clone(), label);
+        label
     }
 }
 
@@ -887,22 +965,31 @@ impl QuotientGraph {
             enabled: EnabledSets::new(),
             row_ptr: vec![0],
             col: Vec::new(),
-            edge_ptr: vec![0],
-            edge_trans: Vec::new(),
+            label: Vec::new(),
+            lists: LabelLists {
+                n_trans: net.n_transitions(),
+                ptr: vec![0],
+                trans: Vec::new(),
+            },
+            list_ids: FxHashMap::default(),
             row: Vec::new(),
+            merged: Vec::new(),
         };
-        let found = bfs::explore(net, opts, canon, &mut out)?;
-        let arena_stats = found.stats();
+        let (reps, orbit_size, arena_stats) = bfs::explore(net, opts, canon, &mut out)?.finish();
+        let chain = ChainStructure::new(out.row_ptr, out.col, out.label);
         Ok(QuotientGraph {
-            reps: found.rows,
+            reps,
             enabled: out.enabled,
-            row_ptr: out.row_ptr,
-            col: out.col,
-            edge_ptr: out.edge_ptr,
-            edge_trans: out.edge_trans,
-            orbit_size: found.orbit_size,
+            chain: Arc::new(chain),
+            lists: out.lists,
+            orbit_size,
             arena_stats,
         })
+    }
+
+    /// The enabled sets of the representatives.
+    fn enabled_sets(&self) -> Enabled<'_> {
+        self.enabled.view()
     }
 
     /// Number of full-chain states represented: `Σ orbit sizes`.  Equals
@@ -925,28 +1012,35 @@ impl QuotientGraph {
         Lift::from_block_sizes(self.orbit_size.clone())
     }
 
+    /// The transitions quotient edge `e` aggregates, in the order the
+    /// BFS fired them — one on every benchmark shape; several where
+    /// firings of different transitions reach the same orbit.  Edge `e`
+    /// is rated `Σ trans_rates[t]` over them, summed in this order.
+    pub fn edge_transitions(&self, e: usize) -> &[u32] {
+        let label = &self.chain.labels()[e];
+        match (*label as usize).checked_sub(self.lists.n_trans) {
+            None => std::slice::from_ref(label),
+            Some(k) => {
+                let (lo, hi) = (self.lists.ptr[k] as usize, self.lists.ptr[k + 1] as usize);
+                &self.lists.trans[lo..hi]
+            }
+        }
+    }
+
     /// The quotient chain rated from per-transition rates: edge `e` gets
     /// `Σ trans_rates[t]` over its contributing transitions, summed in
     /// the order the BFS fired them — bitwise identical to lumping the
     /// full chain of a net with those rates (which must themselves be
-    /// orbit-invariant, the caller's gate), at `O(nnz)`.  The graph
-    /// stores no rate, so this is how every quotient chain is made.
+    /// orbit-invariant, the caller's gate).  The graph stores no rate:
+    /// the chain shares the graph's edge structure and rates it by label,
+    /// one sum per label, so this is how every quotient chain is made,
+    /// with no allocation per edge.
     ///
     /// # Panics
     /// Panics if `trans_rates` is shorter than the net's transition count
-    /// or a summed edge rate is non-positive.
+    /// or a label some edge carries sums to a non-positive rate.
     pub fn ctmc_with_trans_rates(&self, trans_rates: &[f64]) -> Ctmc {
-        let rate: Vec<f64> = self
-            .edge_ptr
-            .windows(2)
-            .map(|w| {
-                self.edge_trans[w[0] as usize..w[1] as usize]
-                    .iter()
-                    .map(|&t| trans_rates[t as usize])
-                    .sum()
-            })
-            .collect();
-        Ctmc::from_csr(self.row_ptr.clone(), self.col.clone(), rate)
+        Ctmc::with_label_rates(Arc::clone(&self.chain), self.lists.rates(trans_rates))
     }
 }
 
@@ -1121,7 +1215,7 @@ mod tests {
         assert_eq!(a.nnz(), b.nnz(), "{what}: nnz");
         for s in 0..a.n_states() {
             assert_eq!(a.row_targets(s), b.row_targets(s), "{what}: row {s}");
-            for (x, y) in a.row_rates(s).iter().zip(b.row_rates(s)) {
+            for (x, y) in a.row_rates(s).zip(b.row_rates(s)) {
                 assert_eq!(x.to_bits(), y.to_bits(), "{what}: rates of row {s}");
             }
         }
@@ -1234,8 +1328,9 @@ mod tests {
                         let qg = qg.unwrap();
                         assert_same_chain(&qg.ctmc_with_trans_rates(&net.rates), &lumped, &what);
                         assert_eq!(qg.full_states(), full.n_states(), "{what}");
-                        assert_eq!(qg.edge_ptr, refill.edge_ptr, "{what}");
-                        assert_eq!(qg.edge_trans, refill.edge_trans, "{what}");
+                        assert_eq!(qg.chain.labels(), refill.chain.labels(), "{what}");
+                        assert_eq!(qg.lists.ptr, refill.lists.ptr, "{what}");
+                        assert_eq!(qg.lists.trans, refill.lists.trans, "{what}");
                         assert_words(qg.arena_stats(), qg.n_states(), per_word, &what);
                         for (b, &first) in firsts.iter().enumerate() {
                             assert_eq!(qg.orbit_sizes()[b] as usize, lift.block_size(b));

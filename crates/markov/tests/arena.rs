@@ -35,7 +35,7 @@ fn assert_rows_bitwise(
     assert_eq!(a.n_states(), b.n_states(), "{what}: state count");
     for s in 0..a.n_states() {
         assert_eq!(a.row_targets(s), b.row_targets(s), "{what}: targets of {s}");
-        for (x, y) in a.row_rates(s).iter().zip(b.row_rates(s)) {
+        for (x, y) in a.row_rates(s).zip(b.row_rates(s)) {
             assert_eq!(x.to_bits(), y.to_bits(), "{what}: rate bits of {s}");
         }
     }

@@ -254,11 +254,7 @@ fn no_fault_run_is_bitwise_identical() {
             reference.reps.read_into(s, &mut b),
             "representative {s}"
         );
-        for (x, y) in armed_ctmc
-            .row_rates(s)
-            .iter()
-            .zip(reference_ctmc.row_rates(s))
-        {
+        for (x, y) in armed_ctmc.row_rates(s).zip(reference_ctmc.row_rates(s)) {
             assert_eq!(x.to_bits(), y.to_bits(), "rate bits of {s}");
         }
     }

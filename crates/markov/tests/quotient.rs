@@ -4,10 +4,12 @@
 //! chain and lumping it through `orbit_partition` + `Ctmc::quotient`
 //! produces, while never materializing the full graph.
 
+use repstream_markov::ctmc::{Ctmc, Solver, SolverChoice};
 use repstream_markov::marking::{MarkingGraph, MarkingOptions, QuotientGraph};
 use repstream_markov::net::{EventNet, NetSymmetry};
 use repstream_petri::shape::{ExecModel, MappingShape, ResourceTable};
 use repstream_petri::tpn::Tpn;
+use std::sync::Arc;
 
 fn homogeneous(shape: &MappingShape, comp: f64, comm: f64) -> ResourceTable<f64> {
     ResourceTable::from_fns(shape, |_, _| comp, |_, _, _| comm)
@@ -22,13 +24,13 @@ fn strict_net(teams: &[usize], comp: f64, comm: f64) -> (Tpn, EventNet, Option<N
 }
 
 /// Assert two chains are bitwise identical (structure and rates).
-fn assert_chains_identical(a: &repstream_markov::Ctmc, b: &repstream_markov::Ctmc, context: &str) {
+fn assert_chains_identical(a: &Ctmc, b: &Ctmc, context: &str) {
     assert_eq!(a.n_states(), b.n_states(), "{context}: state counts");
     assert_eq!(a.nnz(), b.nnz(), "{context}: edge counts");
     for s in 0..a.n_states() {
         assert_eq!(a.row_targets(s), b.row_targets(s), "{context}: row {s}");
         let (ra, rb) = (a.row_rates(s), b.row_rates(s));
-        for (e, (x, y)) in ra.iter().zip(rb.iter()).enumerate() {
+        for (e, (x, y)) in ra.zip(rb).enumerate() {
             assert_eq!(
                 x.to_bits(),
                 y.to_bits(),
@@ -221,6 +223,243 @@ fn quotient_refill_is_bitwise_cold() {
         let b = cold.throughput_of(&net, &last);
         assert_eq!(a.to_bits(), b.to_bits(), "λ ({comp},{comm})");
     }
+}
+
+/// Rebuild `chain` the way every chain was built before edges carried
+/// labels: one `f64` per edge, `edge_rate(e)` for edge `e` in forward
+/// order, through [`Ctmc::from_csr`].
+fn rated_csr(chain: &Ctmc, edge_rate: impl Fn(usize) -> f64) -> Ctmc {
+    let (mut row_ptr, mut col, mut rate) = (vec![0u32], Vec::new(), Vec::new());
+    for s in 0..chain.n_states() {
+        for &j in chain.row_targets(s) {
+            rate.push(edge_rate(col.len()));
+            col.push(j);
+        }
+        row_ptr.push(col.len() as u32);
+    }
+    Ctmc::from_csr(row_ptr, col, rate)
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// `labelled` and `rated` are one chain, bit for bit: forward and
+/// incoming rows, exit rates, Λ, the residual scale, and every solver's
+/// π, residual and iteration count — GTH only where it is cheap.
+fn assert_same_solves(labelled: &Ctmc, rated: &Ctmc, ctx: &str) {
+    assert_chains_identical(labelled, rated, ctx);
+    let incoming = |c: &Ctmc, j| -> Vec<(usize, u64)> {
+        c.incoming(j).map(|(i, r)| (i, r.to_bits())).collect()
+    };
+    for j in 0..labelled.n_states() {
+        assert_eq!(
+            incoming(labelled, j),
+            incoming(rated, j),
+            "{ctx}: incoming {j}"
+        );
+        assert_eq!(
+            labelled.exit_rate(j).to_bits(),
+            rated.exit_rate(j).to_bits(),
+            "{ctx}: exit {j}"
+        );
+    }
+    assert_eq!(
+        labelled.uniformization().to_bits(),
+        rated.uniformization().to_bits(),
+        "{ctx}: Λ"
+    );
+    assert_eq!(
+        labelled.max_rate().to_bits(),
+        rated.max_rate().to_bits(),
+        "{ctx}"
+    );
+    let mut choices = vec![
+        SolverChoice::Auto,
+        SolverChoice::Force(Solver::GaussSeidel),
+        SolverChoice::Force(Solver::Power),
+    ];
+    if labelled.n_states() <= 600 {
+        choices.push(SolverChoice::Force(Solver::Gth));
+    }
+    for choice in choices {
+        let (a, b) = (
+            labelled.stationary_solve(choice),
+            rated.stationary_solve(choice),
+        );
+        let what = format!("{ctx}: {}", choice.label());
+        assert_eq!(bits(&a.pi), bits(&b.pi), "{what}: π");
+        assert_eq!(
+            a.residual.to_bits(),
+            b.residual.to_bits(),
+            "{what}: residual"
+        );
+        assert_eq!(
+            labelled.stationarity_residual(&b.pi).to_bits(),
+            rated.stationarity_residual(&a.pi).to_bits(),
+            "{what}: residual of the other's π"
+        );
+        assert_eq!((a.solver, a.iterations), (b.solver, b.iterations), "{what}");
+    }
+}
+
+/// A chain rated by label — the graph's shared structure plus one rate
+/// per transition, or per merged list of them — is the chain a rate per
+/// edge gives, summed in firing order, bit for bit: the full chain of
+/// het(2×3) and het(3×4), the quotients of hom(2×3) and hom(4×5), and a
+/// quotient whose edges merge transitions.  A refill shares the
+/// structure instead of copying it.
+#[test]
+fn labelled_chain_is_the_rated_csr_bitwise() {
+    for teams in [vec![2usize, 3], vec![3, 4]] {
+        let shape = MappingShape::new(teams.clone());
+        let tpn = Tpn::build(&shape, ExecModel::Strict);
+        let het = ResourceTable::from_fns(
+            &shape,
+            |c, s| 0.3 + 0.7 * c as f64 + 0.1 * s as f64,
+            |f, a, b| 1.1 + 0.2 * f as f64 + 0.3 * (a + 2 * b) as f64,
+        );
+        let net = EventNet::from_tpn(&tpn, &het);
+        let mg = MarkingGraph::build(&net, MarkingOptions::default()).unwrap();
+        let labelled = mg.ctmc_with_trans_rates(&net.rates);
+        let fired = mg.edge_transitions();
+        let rated = rated_csr(&labelled, |e| net.rates[fired[e] as usize]);
+        let ctx = format!("het {teams:?} full");
+        assert_same_solves(&labelled, &rated, &ctx);
+        let again = mg.ctmc_with_trans_rates(&net.rates);
+        assert!(
+            Arc::ptr_eq(labelled.structure(), again.structure()),
+            "{ctx}"
+        );
+    }
+    let hom = |teams: &[usize], comp, comm| {
+        let (_, net, sym) = strict_net(teams, comp, comm);
+        (net, sym.expect("homogeneous rates keep the rotation"))
+    };
+    let (_, merging, merging_sym) = three_cycles_with_rotation();
+    for (ctx, (net, sym)) in [
+        ("hom [2, 3] quotient", hom(&[2, 3], 0.5, 2.0)),
+        ("hom [4, 5] quotient", hom(&[4, 5], 0.3, 1.7)),
+        ("merging quotient", (merging, merging_sym)),
+    ] {
+        let qg = QuotientGraph::build(&net, &sym, MarkingOptions::default()).unwrap();
+        let labelled = qg.ctmc_with_trans_rates(&net.rates);
+        let rated = rated_csr(&labelled, |e| {
+            qg.edge_transitions(e)
+                .iter()
+                .map(|&t| net.rates[t as usize])
+                .sum()
+        });
+        assert_same_solves(&labelled, &rated, ctx);
+        let again = qg.ctmc_with_trans_rates(&net.rates);
+        assert!(
+            Arc::ptr_eq(labelled.structure(), again.structure()),
+            "{ctx}"
+        );
+    }
+}
+
+/// The label table's two rules.  A transition that fires on no edge may
+/// carry any rate: a huge one (or zero) moves neither `max_rate` — and
+/// with it the residual contract the plan accepts Gauss–Seidel by — nor
+/// any solve bit.
+#[test]
+fn unused_label_rates_stay_out_of_the_chain() {
+    let (_, net, sym) = strict_net(&[4, 5], 0.5, 2.0);
+    let qg = QuotientGraph::build(&net, &sym.unwrap(), MarkingOptions::default()).unwrap();
+    let reference = qg.ctmc_with_trans_rates(&net.rates);
+    let fired: std::collections::HashSet<u32> = (0..reference.nnz())
+        .flat_map(|e| qg.edge_transitions(e).iter().copied())
+        .collect();
+    let idle = (0..net.n_transitions())
+        .find(|&t| !fired.contains(&(t as u32)))
+        .expect("some transition labels no quotient edge");
+    let want = reference.stationary_solve(SolverChoice::Auto);
+    for huge in [1e300, 0.0] {
+        let mut rates = net.rates.clone();
+        rates[idle] = huge;
+        let chain = qg.ctmc_with_trans_rates(&rates);
+        assert_eq!(
+            chain.max_rate().to_bits(),
+            reference.max_rate().to_bits(),
+            "{huge}"
+        );
+        let got = chain.stationary_solve(SolverChoice::Auto);
+        assert_eq!(bits(&got.pi), bits(&want.pi), "{huge}");
+        assert_eq!(got.residual.to_bits(), want.residual.to_bits(), "{huge}");
+        assert_eq!((got.solver, got.iterations), (want.solver, want.iterations));
+    }
+}
+
+/// …and a transition that does fire must still be rated positive.
+#[test]
+#[should_panic(expected = "rates must be positive")]
+fn non_positive_rate_on_a_used_label_panics() {
+    let (_, net, sym) = strict_net(&[2, 3], 0.5, 2.0);
+    let qg = QuotientGraph::build(&net, &sym.unwrap(), MarkingOptions::default()).unwrap();
+    let mut rates = net.rates.clone();
+    rates[qg.edge_transitions(0)[0] as usize] = 0.0;
+    qg.ctmc_with_trans_rates(&rates);
+}
+
+/// Three copies of a two-transition cycle (`a_k ⇄ b_k`, one token each),
+/// rotated copy `k → k + 1` by the symmetry.  From `XXX` the three `b`s
+/// all reach the one-moved orbit, from its representative two of them
+/// reach the two-moved orbit, and so on: unlike the benchmark's TPN
+/// shapes, nearly every edge of its quotient merges several
+/// transitions.
+fn three_cycles_with_rotation() -> (Vec<usize>, EventNet, NetSymmetry) {
+    let rates = [0.1, 0.7].repeat(3);
+    let places = (0..3)
+        .flat_map(|k| [(2 * k, 2 * k + 1, 1), (2 * k + 1, 2 * k, 0)])
+        .collect();
+    let next = |x: usize| (x + 2) % 6;
+    let sym = NetSymmetry {
+        trans_perm: (0..6).map(next).collect(),
+        place_perm: (0..6).map(next).collect(),
+    };
+    let net = EventNet::new(rates, places);
+    assert!(net.symmetry_valid(&sym));
+    // The `a` transitions: their summed rate is rotation-closed.
+    (vec![0, 2, 4], net, sym)
+}
+
+/// The list-table path against the oracle: a quotient whose edges merge
+/// transitions is `Ctmc::quotient(orbit_partition)` + `Lift` bit for bit.
+#[test]
+fn merged_transition_labels_equal_full_then_lump() {
+    let (closed, net, sym) = three_cycles_with_rotation();
+    let opts = MarkingOptions::default();
+    let mg = MarkingGraph::build(&net, opts).unwrap();
+    let seed = mg.orbit_partition(&sym).expect("orbit seed applies");
+    let (lumped, lift) = mg.ctmc_with_trans_rates(&net.rates).quotient(&seed);
+    let qg = QuotientGraph::build(&net, &sym, opts).unwrap();
+    let chain = qg.ctmc_with_trans_rates(&net.rates);
+    assert_eq!((mg.n_states(), qg.n_states()), (8, 4));
+    let merged: Vec<&[u32]> = (0..chain.nnz())
+        .map(|e| qg.edge_transitions(e))
+        .filter(|ts| ts.len() > 1)
+        .collect();
+    assert_eq!(merged, [&[1, 3, 5][..], &[3, 5], &[0, 2], &[0, 2, 4]]);
+    let nt = net.n_transitions() as u32;
+    let lists = chain.structure().labels_used().iter().filter(|&&l| l >= nt);
+    assert_eq!(lists.count(), 4);
+
+    assert_chains_identical(&chain, &lumped, "merging quotient");
+    assert_eq!(qg.full_states(), lift.n_states());
+    let (pi_q, pi_lumped) = (chain.stationary(), lumped.stationary());
+    assert_eq!(bits(&pi_q), bits(&pi_lumped));
+    let pi_full = mg.ctmc_with_trans_rates(&net.rates).stationary();
+    for b in 0..qg.n_states() {
+        assert_eq!(qg.orbit_sizes()[b] as usize, lift.block_size(b), "{b}");
+    }
+    for (s, (&a, &b)) in lift.lift(&pi_q).iter().zip(&pi_full).enumerate() {
+        assert!((a - b).abs() < 1e-12, "state {s}: lifted {a} vs full {b}");
+    }
+    // Throughput of the rotation-closed `a` set, both ways.
+    let direct = qg.throughput_of(&net, &closed);
+    let full = mg.throughput_of(&net, &closed);
+    assert!((direct - full).abs() <= 1e-12 * full, "{direct} vs {full}");
 }
 
 /// The chunk-parallel frontier BFS of the quotient build is **bitwise

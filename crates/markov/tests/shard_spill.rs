@@ -59,7 +59,7 @@ fn assert_quotients_bitwise(a: &QuotientGraph, b: &QuotientGraph, net: &EventNet
             b_ctmc.row_targets(s),
             "{what}: targets of {s}"
         );
-        for (x, y) in a_ctmc.row_rates(s).iter().zip(b_ctmc.row_rates(s)) {
+        for (x, y) in a_ctmc.row_rates(s).zip(b_ctmc.row_rates(s)) {
             assert_eq!(x.to_bits(), y.to_bits(), "{what}: rate bits of {s}");
         }
     }
@@ -89,7 +89,7 @@ fn quotient_shard_spill_matrix_4x5_is_bitwise_identical() {
                     reference.ctmc_with_trans_rates(&doubled),
                 );
                 for s in 0..rb.n_states() {
-                    for (x, y) in ra.row_rates(s).iter().zip(rb.row_rates(s)) {
+                    for (x, y) in ra.row_rates(s).zip(rb.row_rates(s)) {
                         assert_eq!(x.to_bits(), y.to_bits(), "{what} (refill): rate bits");
                     }
                 }
@@ -146,7 +146,7 @@ fn full_graph_shard_spill_is_bitwise_identical() {
                         reference_ctmc.row_targets(s),
                         "{what}: targets of {s}"
                     );
-                    for (x, y) in ctmc.row_rates(s).iter().zip(reference_ctmc.row_rates(s)) {
+                    for (x, y) in ctmc.row_rates(s).zip(reference_ctmc.row_rates(s)) {
                         assert_eq!(x.to_bits(), y.to_bits(), "{what}: rate bits of {s}");
                     }
                 }

@@ -15,17 +15,23 @@
 //! no stiff 6×7 leg: power alone takes minutes there.
 //!
 //! It also pins the chain's layout: the 6×7 chain's `heap_bytes()` must
-//! equal `24 · nnz + 16 · n + 8` (forward and incoming CSR, exit rates,
-//! no third copy of the rates).  The figure is printed beside the
-//! process's peak resident set (`VmHWM`, Linux only), which is reported,
-//! not asserted.
+//! equal `16 · nnz + 16 · n + 8` plus its label table (8 bytes per label
+//! rate, 4 per label that occurs) — a forward and an incoming CSR of
+//! targets or sources and `u32` labels, shared with the graph, and exit
+//! rates; no rate per edge.  The figure is printed beside the process's
+//! resident set after the build, the refill and the solve (`VmRSS`) and
+//! its peak (`VmHWM`), Linux only; those are reported, not asserted.
 //!
-//! `--teams a,b` swaps in a smaller shape for the balanced leg (e.g.
-//! `--teams 4,5` for a quick local run).
+//! `--teams a,b` swaps in another shape for the balanced leg (e.g.
+//! `--teams 4,5` for a quick local run).  `--plan-only` runs the balanced
+//! leg's plan and layout pin alone — no forced-power leg, no stiff legs —
+//! which is how the 14M-state hom(7×8) rung is recorded (minutes and
+//! gigabytes; kept out of CI):
 //!
 //! ```sh
 //! cargo run --release --example solver_scale_ab
 //! cargo run --release --example solver_scale_ab -- --teams 5,6
+//! cargo run --release --example solver_scale_ab -- --teams 7,8 --plan-only
 //! ```
 
 use repstream::markov::ctmc::{Solver, SolverChoice};
@@ -38,6 +44,7 @@ use std::time::Instant;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut teams = vec![6usize, 7];
+    let mut plan_only = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -52,24 +59,31 @@ fn main() {
                     })
                     .expect("--teams needs a,b[,c]");
             }
-            other => panic!("unknown argument {other} (only --teams a,b is accepted)"),
+            "--plan-only" => plan_only = true,
+            other => panic!("unknown argument {other} (only --teams a,b and --plan-only)"),
         }
         i += 1;
     }
 
     let t = Instant::now();
-    leg(&teams, 0.5, 2.0, true);
-    leg(&[5, 6], 0.04, 6.0, false);
-    leg(&[5, 6], 3.0, 0.03, false);
+    if plan_only {
+        leg(&teams, 0.5, 2.0, true, false);
+        println!("plan leg done in {:?}", t.elapsed());
+        return;
+    }
+    leg(&teams, 0.5, 2.0, true, true);
+    leg(&[5, 6], 0.04, 6.0, false, true);
+    leg(&[5, 6], 3.0, 0.03, false, true);
     println!("all legs agree in {:?}", t.elapsed());
 }
 
 /// One A/B leg: build the homogeneous Strict quotient of `teams` at
 /// compute rate `compute` and link rate `link`, solve it with the plan
-/// and with forced power, and assert the plan ran Gauss–Seidel and
-/// matches power to 1e-10 relative.  `pin_layout` also asserts the
-/// chain's `heap_bytes()` formula.
-fn leg(teams: &[usize], compute: f64, link: f64, pin_layout: bool) {
+/// and assert it ran Gauss–Seidel; with `against_power`, also solve with
+/// forced power and assert the two match to 1e-10 relative.
+/// `pin_layout` also asserts the chain's `heap_bytes()` formula and
+/// prints the resident set after each phase.
+fn leg(teams: &[usize], compute: f64, link: f64, pin_layout: bool, against_power: bool) {
     // Uniform rates keep the row rotation, so the Theorem 2 chain lumps
     // m-fold onto the canonical-marking quotient the solvers run on.
     let shape = MappingShape::new(teams.to_vec());
@@ -84,7 +98,7 @@ fn leg(teams: &[usize], compute: f64, link: f64, pin_layout: bool) {
         &net,
         &sym,
         MarkingOptions {
-            max_states: 1 << 22,
+            max_states: 1 << 24,
             capacity: None,
             ..Default::default()
         },
@@ -97,19 +111,25 @@ fn leg(teams: &[usize], compute: f64, link: f64, pin_layout: bool) {
         qg.full_states(),
         t.elapsed()
     );
+    let after_build = format!("{} (peak {})", status("VmRSS"), status("VmHWM"));
+    let t = Instant::now();
     let ctmc = qg.ctmc_with_trans_rates(&net.rates);
+    let t_refill = t.elapsed();
+    let after_refill = status("VmRSS");
     if pin_layout {
-        let layout = 24 * ctmc.nnz() + 16 * ctmc.n_states() + 8;
+        let table = 8 * ctmc.label_rates().len() + 4 * ctmc.structure().labels_used().len();
+        let layout = 16 * ctmc.nnz() + 16 * ctmc.n_states() + 8 + table;
         assert_eq!(
             ctmc.heap_bytes(),
             layout,
-            "chain layout: 24 B/nnz + 16 B/state + 8"
+            "chain layout: 16 B/nnz + 16 B/state + 8 + label table"
         );
         println!(
-            "chain: {} nnz, heap {:.1} MiB (24 B/nnz + 16 B/state + 8); peak RSS {}",
+            "chain: {} nnz, {} labels, heap {:.1} MiB (16 B/nnz + 16 B/state + 8 + {table} B \
+             of label table), refilled in {t_refill:?}",
             ctmc.nnz(),
+            ctmc.label_rates().len(),
             ctmc.heap_bytes() as f64 / (1 << 20) as f64,
-            peak_rss().unwrap_or_else(|| "n/a".into())
         );
     }
 
@@ -132,6 +152,17 @@ fn leg(teams: &[usize], compute: f64, link: f64, pin_layout: bool) {
         Solver::GaussSeidel,
         "the plan fell back to power on {teams:?} at {compute}/{link}"
     );
+    if pin_layout {
+        println!(
+            "  resident: {after_build} after build, {after_refill} after refill, {} after \
+             solve; peak {}",
+            status("VmRSS"),
+            status("VmHWM")
+        );
+    }
+    if !against_power {
+        return;
+    }
 
     // Power runs to an explicit change tolerance well below the residual
     // contract: residual-to-throughput amplification grows with the
@@ -157,10 +188,13 @@ fn leg(teams: &[usize], compute: f64, link: f64, pin_layout: bool) {
     );
 }
 
-/// The `VmHWM` line of `/proc/self/status` (the process's peak resident
-/// set), where that file exists.
-fn peak_rss() -> Option<String> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    Some(line["VmHWM:".len()..].trim().to_string())
+/// The `field` line of `/proc/self/status` (`VmRSS`: resident set now,
+/// `VmHWM`: its peak), or `n/a` where that file does not exist.
+fn status(field: &str) -> String {
+    let read = || {
+        let status = std::fs::read_to_string("/proc/self/status").ok()?;
+        let line = status.lines().find(|l| l.starts_with(field))?;
+        Some(line[field.len() + 1..].trim().to_string())
+    };
+    read().unwrap_or_else(|| "n/a".into())
 }

@@ -92,7 +92,7 @@ fn main() {
                     reference_ctmc.row_targets(s),
                     "{what}: targets {s}"
                 );
-                for (x, y) in ctmc.row_rates(s).iter().zip(reference_ctmc.row_rates(s)) {
+                for (x, y) in ctmc.row_rates(s).zip(reference_ctmc.row_rates(s)) {
                     assert_eq!(x.to_bits(), y.to_bits(), "{what}: rate bits of {s}");
                 }
             }
