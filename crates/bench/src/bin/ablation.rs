@@ -87,12 +87,12 @@ fn main() {
     let all: Vec<usize> = (0..net.n_transitions()).collect();
     let (pi_gth, t_gth) = timed(|| ctmc.stationary_gth());
     let rho_gth: f64 = {
-        let r = mg.firing_rates(&net, &pi_gth);
+        let r = mg.firing_rates_with(&net.rates, &pi_gth);
         all.iter().map(|&t| r[t]).sum()
     };
     let (pi_pow, t_pow) = timed(|| ctmc.stationary_power(1e-13, 500_000));
     let rho_pow: f64 = {
-        let r = mg.firing_rates(&net, &pi_pow);
+        let r = mg.firing_rates_with(&net.rates, &pi_pow);
         all.iter().map(|&t| r[t]).sum()
     };
     table.row(vec![

@@ -131,7 +131,8 @@ pub struct ExpReport {
 pub type ExpOptions = RunConfig;
 
 /// Theorem 3/4: throughput of the Overlap model by column decomposition
-/// (default budgets, every pattern chain built cold).
+/// (default budgets, every pattern chain solved through a fresh
+/// [`ChainCache`]).
 pub fn throughput_overlap<'a>(system: impl Into<SystemRef<'a>>) -> Result<ExpReport, ExpError> {
     let system = system.into();
     let rates = exponential_rates(system);
@@ -139,15 +140,14 @@ pub fn throughput_overlap<'a>(system: impl Into<SystemRef<'a>>) -> Result<ExpRep
         &system.shape(),
         &rates,
         ExpOptions::default(),
-        &mut ColdPatternSolver,
+        &mut ChainCache::new(),
     )
 }
 
 /// Oracle for the heterogeneous pattern-chain solves of the Theorem 3
-/// decomposition.  The default ([`ColdPatternSolver`]) builds and solves
-/// every chain from scratch; batch evaluators substitute a caching solver
-/// (structure-keyed marking-graph reuse in `repstream-markov`) that must
-/// return **bitwise-identical** values for identical rate matrices.
+/// decomposition: a [`ChainCache`] (structure-keyed marking-graph reuse
+/// in `repstream-markov`), whose every value is **bitwise identical** to
+/// a fresh cache's cold solve of the same rate matrix.
 pub trait PatternSolver {
     /// Inner throughput of the `u′ × v′` pattern with per-link rates
     /// `rate[a][b]` (coprime dimensions), or the marking error of a chain
@@ -157,21 +157,6 @@ pub trait PatternSolver {
         rate: &[Vec<f64>],
         max_states: usize,
     ) -> Result<f64, MarkingError>;
-}
-
-/// The default pattern oracle: one fresh marking-graph build and solve per
-/// call ([`pattern::pattern_throughput`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ColdPatternSolver;
-
-impl PatternSolver for ColdPatternSolver {
-    fn pattern_throughput(
-        &mut self,
-        rate: &[Vec<f64>],
-        max_states: usize,
-    ) -> Result<f64, MarkingError> {
-        pattern::pattern_throughput(rate, max_states)
-    }
 }
 
 /// A [`ChainCache`] is a pattern oracle (structure-keyed reuse, bitwise

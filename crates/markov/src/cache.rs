@@ -11,18 +11,20 @@
 //! [`ChainCache`] keys those structures canonically — [`TpnSignature`]
 //! for the global Strict chain, the coprime `(u′, v′)` dimensions for
 //! Theorem 3 pattern chains — and **refills** the cached structure on a
-//! hit ([`MarkingGraph::ctmc_with_trans_rates`]: one rate per transition
-//! label and the `O(n)` exit rates over the shared edge structure, no
-//! allocation per edge), skipping the BFS entirely.  Strict chains cache **two** structures per signature, each
-//! built lazily by the first candidate that needs it: the direct
-//! symmetry-reduced quotient ([`QuotientGraph`], served to every
-//! orbit-invariant candidate — the full graph is never materialized for
-//! those) and the full marking graph (heterogeneous candidates, or
-//! `m = 1`).  This is the one place the quotient-or-full choice of
-//! Theorem 2 is made: a cold solve is a fresh cache's first miss.  Cached
-//! results are **bitwise identical** to cold solves: the refilled chain
-//! has byte-for-byte the rates a fresh build would produce, and every
-//! solver is deterministic in its inputs.  The
+//! hit ([`Graph::ctmc_with_trans_rates`]: one rate per transition label
+//! and the `O(n)` exit rates over the shared edge structure, no
+//! allocation per edge), skipping the BFS entirely.  Strict chains cache
+//! **two** structures per signature, both a [`Graph`], each built lazily
+//! by the first candidate that needs it: the direct symmetry-reduced
+//! quotient ([`QuotientGraph`], served to every orbit-invariant candidate
+//! — the full graph is never materialized for those) and the full
+//! marking graph ([`MarkingGraph`]: heterogeneous candidates, or
+//! `m = 1`); one solve tail serves both.  This is the one place the
+//! quotient-or-full choice of Theorem 2 is made, and the one place a
+//! Theorem 2 or Theorem 3 chain is solved: a cold solve is a fresh
+//! cache's first miss.  Cached results are **bitwise identical** to cold
+//! solves: the refilled chain has byte-for-byte the rates a fresh build
+//! would produce, and every solver is deterministic in its inputs.  The
 //! equivalence property tests of `repstream-engine` pin this contract.
 //!
 //! Budget semantics: [`RunConfig::max_states`] bounds the *structure
@@ -33,7 +35,9 @@
 use crate::ctmc::{Solver, SolverChoice};
 use crate::fxhash::{FxHashMap, FxHasher};
 use crate::govern::{Budget, RunConfig};
-use crate::marking::{ArenaStats, MarkingError, MarkingGraph, MarkingOptions, QuotientGraph};
+use crate::marking::{
+    ArenaStats, Graph, MarkingError, MarkingGraph, MarkingOptions, QuotientGraph,
+};
 use crate::net::{comm_pattern, rates_orbit_invariant, EventNet, NetSymmetry};
 use repstream_petri::shape::{gcd, ExecModel, MappingShape, ResourceTable};
 use repstream_petri::tpn::{Tpn, TpnSignature};
@@ -175,8 +179,11 @@ impl ChainCache {
     }
 
     /// Exact inner throughput of a pattern with per-link exponential
-    /// rates `rate[a][b]` — the cached equivalent of
-    /// [`crate::pattern::pattern_throughput`], bitwise identical to it.
+    /// rates `rate[a][b]` (sender `a` → receiver `b`), by solving the
+    /// pattern CTMC of [`crate::pattern`].  A fresh cache's miss is the
+    /// cold solve; a hit re-rates the cached structure, bitwise identical
+    /// to it.  Cost grows with `S(u,v)`; errors out
+    /// (`MarkingError::TooManyStates`) beyond `max_states`.
     ///
     /// # Panics
     /// Panics on a ragged rate matrix or non-coprime dimensions.
@@ -287,64 +294,74 @@ impl ChainCache {
                 && s.trans_perm.len() == trans_rates.len()
                 && rates_orbit_invariant(&trans_rates, &s.trans_perm)
         });
-        if let Some(sym) = direct_sym {
-            let cache_hit = entry.quotient.is_some();
-            if cache_hit {
-                self.stats.strict_hits += 1;
-            } else {
-                self.stats.strict_misses += 1;
-                let net = EventNet::from_tpn(&entry.tpn, rates);
-                entry.quotient = Some(QuotientGraph::build(&net, sym, marking_opts)?);
-            }
-            let Some(qg) = entry.quotient.as_ref() else {
-                unreachable!("quotient built above when absent")
-            };
-            let ctmc = qg.ctmc_with_trans_rates(&trans_rates);
-            let (throughput, report) = qg.throughput_solve_governed(
-                &ctmc,
-                &trans_rates,
-                &last,
-                opts.solver,
-                &opts.budget,
-            )?;
-            return Ok(StrictSolve {
-                throughput,
-                full_states: qg.full_states(),
-                lumped_states: Some(qg.n_states()),
-                quotient_direct: true,
-                cache_hit,
-                solver: report.solver,
-                residual: report.residual,
-                iterations: report.iterations,
-                arena: qg.arena_stats(),
-            });
-        }
-
-        // Full-chain path (heterogeneous rates, or m = 1).
-        let cache_hit = entry.full.is_some();
-        if cache_hit {
-            self.stats.strict_hits += 1;
-        } else {
-            self.stats.strict_misses += 1;
-            let net = EventNet::from_tpn(&entry.tpn, rates);
-            entry.full = Some(MarkingGraph::build(&net, marking_opts)?);
-        }
-        let Some(mg) = entry.full.as_ref() else {
-            unreachable!("full graph built above when absent")
+        let tail = Tail {
+            stats: &mut self.stats,
+            trans_rates: &trans_rates,
+            last: &last,
+            opts: &opts,
         };
-        let ctmc = mg.ctmc_with_trans_rates(&trans_rates);
-        let (throughput, report) =
-            mg.throughput_solve_governed(&ctmc, &trans_rates, &last, opts.solver, &opts.budget)?;
+        let net = || EventNet::from_tpn(&entry.tpn, rates);
+        match direct_sym {
+            Some(sym) => tail.solve(&mut entry.quotient, true, || {
+                QuotientGraph::build(&net(), sym, marking_opts)
+            }),
+            // Full-chain path (heterogeneous rates, or m = 1).
+            None => tail.solve(&mut entry.full, false, || {
+                MarkingGraph::build(&net(), marking_opts)
+            }),
+        }
+    }
+}
+
+/// The per-candidate tail of a Strict solve, shared by both cached
+/// structures.
+struct Tail<'a> {
+    stats: &'a mut CacheStats,
+    trans_rates: &'a [f64],
+    last: &'a [usize],
+    opts: &'a RunConfig,
+}
+
+impl Tail<'_> {
+    /// Solve on the structure in `slot` — a direct quotient when
+    /// `quotient` — calling `build` on a miss: refill it from the
+    /// candidate's rates, solve, and read the last column's throughput
+    /// off the stationary vector.
+    fn solve<K>(
+        self,
+        slot: &mut Option<Graph<K>>,
+        quotient: bool,
+        build: impl FnOnce() -> Result<Graph<K>, MarkingError>,
+    ) -> Result<StrictSolve, MarkingError> {
+        let cache_hit = slot.is_some();
+        let graph = match slot {
+            Some(graph) => {
+                self.stats.strict_hits += 1;
+                graph
+            }
+            None => {
+                self.stats.strict_misses += 1;
+                slot.insert(build()?)
+            }
+        };
+        let ctmc = graph.ctmc_with_trans_rates(self.trans_rates);
+        let (throughput, report) = graph.throughput_solve_governed(
+            &ctmc,
+            self.trans_rates,
+            self.last,
+            self.opts.solver,
+            &self.opts.budget,
+        )?;
         Ok(StrictSolve {
             throughput,
-            full_states: mg.n_states(),
-            lumped_states: None,
-            quotient_direct: false,
+            full_states: graph.full_states(),
+            lumped_states: quotient.then(|| graph.n_states()),
+            quotient_direct: quotient,
             cache_hit,
             solver: report.solver,
             residual: report.residual,
             iterations: report.iterations,
-            arena: mg.arena_stats(),
+            arena: graph.arena_stats(),
         })
     }
 }
@@ -473,7 +490,6 @@ impl SharedChainCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pattern;
 
     fn het_matrix(u: usize, v: usize, bump: f64) -> Vec<Vec<f64>> {
         (0..u)
@@ -490,7 +506,7 @@ mod tests {
         let mut cache = ChainCache::new();
         for bump in [0.25, 0.125, 0.5] {
             let m = het_matrix(3, 4, bump);
-            let cold = pattern::pattern_throughput(&m, 1 << 20).unwrap();
+            let cold = ChainCache::new().pattern_throughput(&m, 1 << 20).unwrap();
             let cached = cache.pattern_throughput(&m, 1 << 20).unwrap();
             assert_eq!(cold.to_bits(), cached.to_bits(), "bump {bump}");
         }

@@ -120,8 +120,8 @@ impl ChainStructure {
     /// Validate a forward CSR and build its transpose.
     ///
     /// # Panics
-    /// Panics on a malformed `row_ptr`, a dangling target, or a `label`
-    /// array of the wrong length.
+    /// Panics on a malformed `row_ptr`, a dangling target, a diagonal
+    /// edge (a self-loop), or a `label` array of the wrong length.
     pub(crate) fn new(row_ptr: Vec<u32>, col: Vec<u32>, label: Vec<u32>) -> Self {
         assert!(!row_ptr.is_empty(), "row_ptr needs a leading 0");
         assert_eq!(row_ptr[0], 0, "row_ptr must start at 0");
@@ -162,6 +162,7 @@ impl ChainStructure {
             let (lo, hi) = (row_ptr[s] as usize, row_ptr[s + 1] as usize);
             for e in lo..hi {
                 let j = col[e] as usize;
+                assert!(j != s, "self-loop at state {s}");
                 let slot = next[j] as usize;
                 next[j] += 1;
                 in_src[slot] = s as u32;
@@ -436,10 +437,14 @@ impl CsrBuilder {
         }
     }
 
-    /// Append one transition to the row currently being built.
+    /// Append one transition to the row currently being built; a
+    /// self-rate (`target` is that row) is dropped.
     #[inline]
     pub fn push(&mut self, target: usize, rate: f64) {
         debug_assert!(rate > 0.0 && rate.is_finite(), "rates must be positive");
+        if target == self.row_ptr.len() - 1 {
+            return;
+        }
         self.col.push(target as u32);
         self.rate.push(rate);
     }
@@ -461,8 +466,10 @@ impl CsrBuilder {
 }
 
 impl Ctmc {
-    /// Build from sparse rows.  Self-rates are ignored (a CTMC has no
-    /// self-transitions; diagonal entries of the generator are implied).
+    /// Build from sparse rows.  Self-rates are dropped (a CTMC has no
+    /// self-transitions; diagonal entries of the generator are implied),
+    /// so they reach neither the exit rates, `Λ` nor the residual scale:
+    /// the chain is the one built from the same rows without them.
     pub fn new(trans: Vec<Vec<(usize, f64)>>) -> Self {
         let n = trans.len();
         let nnz: usize = trans.iter().map(Vec::len).sum();
@@ -480,8 +487,8 @@ impl Ctmc {
     /// labelled by distinct rate bits, in order of first appearance.
     ///
     /// # Panics
-    /// Panics on malformed `row_ptr`, dangling targets, or non-positive
-    /// rates.
+    /// Panics on malformed `row_ptr`, dangling targets, a self-loop, or
+    /// non-positive rates.
     pub fn from_csr(row_ptr: Vec<u32>, col: Vec<u32>, rate: Vec<f64>) -> Self {
         assert_eq!(rate.len(), col.len());
         let mut ids: FxHashMap<u64, u32> = FxHashMap::default();
@@ -1273,6 +1280,58 @@ mod tests {
         let b = b.finish();
         assert_eq!(a.row_targets(1), b.row_targets(1));
         assert!(a.row_rates(1).eq(b.row_rates(1)));
+    }
+
+    /// A self-rate is no transition: given one on every state — each the
+    /// largest rate of its chain — `Ctmc::new` builds, bit for bit, the
+    /// chain of the same rows without them: edges, exit rates, `Λ`, the
+    /// residual scale, and the π, residual and iterations of the plan
+    /// (Gauss–Seidel at 60 states), forced Gauss–Seidel and GTH.
+    #[test]
+    fn self_rates_are_dropped() {
+        let n = 60;
+        let rate = |i: usize| 0.1 + (i * 37 % 101) as f64 / 25.0;
+        let rows: Vec<Vec<(usize, f64)>> = (0..n)
+            .map(|i| vec![((i + 1) % n, rate(i)), ((i * 7 + 3) % n, rate(i + n))])
+            .collect();
+        let looped: Vec<Vec<(usize, f64)>> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, row)| vec![row[0], (i, 9.5), row[1]])
+            .collect();
+        let (plain, looped) = (Ctmc::new(rows), Ctmc::new(looped));
+        assert_eq!(looped.nnz(), plain.nnz());
+        for s in 0..n {
+            assert_eq!(looped.row_targets(s), plain.row_targets(s), "row {s}");
+            let exit = (looped.exit_rate(s).to_bits(), plain.exit_rate(s).to_bits());
+            assert_eq!(exit.0, exit.1, "exit {s}");
+        }
+        let bits = |x: f64| x.to_bits();
+        assert_eq!(bits(looped.uniformization()), bits(plain.uniformization()));
+        assert_eq!(bits(looped.max_rate()), bits(plain.max_rate()));
+        for choice in [
+            SolverChoice::Auto,
+            SolverChoice::Force(Solver::GaussSeidel),
+            SolverChoice::Force(Solver::Gth),
+        ] {
+            let (a, b) = (
+                looped.stationary_solve(choice),
+                plain.stationary_solve(choice),
+            );
+            let what = choice.label();
+            let pi = |r: &SolveReport| r.pi.iter().map(|&p| bits(p)).collect::<Vec<_>>();
+            assert_eq!(pi(&a), pi(&b), "{what}: π");
+            assert_eq!(bits(a.residual), bits(b.residual), "{what}");
+            assert_eq!((a.solver, a.iterations), (b.solver, b.iterations), "{what}");
+        }
+    }
+
+    /// A structure has no diagonal: a raw CSR with a self-loop is
+    /// refused, as a dangling target is.
+    #[test]
+    #[should_panic(expected = "self-loop at state 1")]
+    fn from_csr_refuses_a_self_loop() {
+        Ctmc::from_csr(vec![0, 1, 3], vec![1, 0, 1], vec![1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -14,23 +14,26 @@
 //! * [`net`] — a minimal event-net representation ([`net::EventNet`]) and
 //!   constructors: adapters from `repstream-petri` TPNs and the `u × v`
 //!   communication *pattern* of Theorem 3;
-//! * [`marking`] — reachable-marking enumeration (one frontier-BFS kernel
+//! * [`marking`] — reachable-marking enumeration: one frontier-BFS kernel
 //!   over a fixed-width row arena and a word-keyed Fx interner, both
-//!   holding each state as packed `u64` words; optional capacity bound for
-//!   non-safe nets) producing a [`ctmc::Ctmc`], and the same kernel as the
-//!   **direct quotient BFS** ([`marking::QuotientGraph`]): when a
-//!   validated rate-preserving automorphism is known up front, the state
+//!   holding each state as packed `u64` words (optional capacity bound
+//!   for non-safe nets), and one row sink producing one graph type,
+//!   [`marking::Graph`], rated into a [`ctmc::Ctmc`].  When a validated
+//!   rate-preserving automorphism is known up front, the same kernel is
+//!   the **direct quotient BFS** ([`marking::QuotientGraph`]): the state
 //!   space is explored one canonical representative per orbit, emitting
 //!   the symmetry-reduced chain without ever materializing the full one;
+//!   the full chain ([`marking::MarkingGraph`]) is the quotient under the
+//!   identity;
 //! * [`ctmc`] — stationary solvers: GTH elimination (subtraction-free,
 //!   exact up to rounding), Gauss–Seidel, and uniformized power iteration,
 //!   selected by an explicit measured [`SolverPlan`](ctmc::SolverPlan):
 //!   GTH for small or dense chains, Gauss–Seidel with a power fallback at
 //!   every other size;
 //! * [`pattern`] — the Young-diagram pattern chain of Theorem 3: the state
-//!   count `S(u,v) = C(u+v−1, u−1) · v`, its stationary throughput under
-//!   arbitrary per-link rates, and the homogeneous closed form
-//!   `u·v·λ/(u+v−1)` of Theorem 4;
+//!   count `S(u,v) = C(u+v−1, u−1) · v` and the homogeneous closed form
+//!   `u·v·λ/(u+v−1)` of Theorem 4 (its stationary throughput under
+//!   arbitrary per-link rates is [`cache::ChainCache::pattern_throughput`]);
 //! * [`lump`] — exact ordinary lumping, kept as the test oracle of the
 //!   direct quotient: orbit partitions (from the TPN row-rotation via
 //!   [`marking::MarkingGraph::orbit_partition`]),
@@ -41,7 +44,8 @@
 //!   [`TpnSignature`](repstream_petri::tpn::TpnSignature) / pattern shape,
 //!   re-rated on hits by label — one rate per transition over the shared
 //!   edge structure, no allocation per edge
-//!   ([`MarkingGraph::ctmc_with_trans_rates`](marking::MarkingGraph::ctmc_with_trans_rates));
+//!   ([`Graph::ctmc_with_trans_rates`](marking::Graph::ctmc_with_trans_rates))
+//!   — and the one place a Theorem 2 or Theorem 3 chain is solved;
 //! * [`govern`] — the cooperative resource governor: a `Copy`
 //!   [`Budget`] (wall-clock deadline, arena-byte cap,
 //!   external cancel flag) checked once per BFS level / solver

@@ -404,7 +404,7 @@ impl Canonicalizer for RowRotation {
     }
 }
 
-/// What a scanned row is emitted as — the two public graph formats.
+/// What a scanned row is emitted as — the [`Graph`](super::Graph) sink.
 pub(super) trait RowSink {
     /// The governor phase builds into this sink report.
     const PHASE: Phase;
@@ -421,7 +421,7 @@ pub(super) trait RowSink {
 /// representative of the orbit, or the marking itself on a full chain —
 /// and its orbit size.
 pub(super) struct Frontier {
-    /// The row arena: what the graphs keep as `states` / `reps`.
+    /// The row arena: what the graph keeps as `states`.
     pub(super) rows: MarkingStore,
     pub(super) orbit_size: Vec<u32>,
     interner: Interner,

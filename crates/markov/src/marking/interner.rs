@@ -226,7 +226,7 @@ mod tests {
         let mut buf = Vec::new();
         let keys: Vec<Vec<u64>> = (0..qg.n_states())
             .map(|s| {
-                rowrot.load_row(qg.reps.read_into(s, &mut buf), &mut scratch);
+                rowrot.load_row(qg.states.read_into(s, &mut buf), &mut scratch);
                 rowrot.elect(&mut scratch).key.to_vec()
             })
             .collect();

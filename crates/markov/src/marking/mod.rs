@@ -9,35 +9,38 @@
 //! throughput under-estimates the infinite-buffer value and increases to it
 //! as the capacity grows — the validation experiments sweep the capacity.
 //!
-//! # One kernel × {canonicaliser, sink}
+//! # One kernel, one sink, one graph type
 //!
 //! Every build is the same frontier BFS (`bfs.rs`: one level loop, one row
 //! scanner, one staging/merge pair, one set of budget checkpoints and error
-//! points), monomorphised over two small traits:
+//! points), monomorphised over a **canonicaliser**, which turns a fired
+//! successor into its interning key, a fixed number of packed `u64`
+//! words: `RowRotation` (safe nets, so **bit rows**: the m rotations of a
+//! row's marking are packed once per row, one bit per place and
+//! big-endian, so that word order is byte-row order and the elected member
+//! is unchanged; a firing is then one fused pass that XORs each rotation
+//! with the tabulated flip mask of the rotated transition and compares,
+//! and the winner's words are the key — of order 1 over the identity
+//! permutation it is the safe full chain's canonicaliser), and on byte
+//! rows, packed eight places per word, `Identity` (key = marking: the
+//! capacity-bounded full chain) and `PerFiring` (a full
+//! [`MarkingCanonicalizer`] call per firing: the oracle `RowRotation` is
+//! tested against, and what builds the quotients bits cannot hold — a
+//! capacity bound above one token — or whose tables would pass the 64 MiB
+//! cap).  Bit rows rest on every packed marking being 0/1: the kernel
+//! validates the initial marking before the search and raises `NotSafe`
+//! before an unsafe successor's key is interned.
 //!
-//! * a **canonicaliser** turns a fired successor into its interning key,
-//!   a fixed number of packed `u64` words — `RowRotation` (safe nets, so
-//!   **bit rows**: the m rotations of a row's marking are packed once per
-//!   row, one bit per place and big-endian, so that word order is byte-row
-//!   order and the elected member is unchanged; a firing is then one
-//!   fused pass that XORs each rotation with the tabulated flip mask of
-//!   the rotated transition and compares, and the winner's words are the
-//!   key — of order 1 over the identity permutation it is the safe full
-//!   chain's canonicaliser), and on byte rows, packed eight places per
-//!   word, `Identity` (key = marking: the capacity-bounded full chain)
-//!   and `PerFiring` (a full [`MarkingCanonicalizer`] call per firing:
-//!   the oracle `RowRotation` is tested against, and what builds the
-//!   quotients bits cannot hold — a capacity bound above one token — or
-//!   whose tables would pass the 64 MiB cap).  Bit rows rest on every
-//!   packed marking being 0/1: the kernel validates the initial marking
-//!   before the search and raises `NotSafe` before an unsafe successor's
-//!   key is interned;
-//! * a **row sink** turns scanned rows into a public result type —
-//!   [`MarkingGraph`] (one CSR edge per firing, labelled by the fired
-//!   transition, so the enabled sets *are* the chain's row pointer and
-//!   labels) or [`QuotientGraph`] (one edge per target orbit, intra-orbit
-//!   firings dropped, labelled by its transition — or, when it merges
-//!   several, by an interned list of them).
+//! The scanned rows go into **one row sink**, and out comes one type,
+//! [`Graph`]: the full chain is the quotient under the identity (order
+//! 1), so [`MarkingGraph`] and [`QuotientGraph`] are its two aliases,
+//! differing only in their `build` and in the governor phase they report.
+//! The sink writes one edge per firing, labelled by the fired transition;
+//! a firing into its own state takes no edge (an intra-orbit firing — at
+//! order 1, a self-loop), and firings into one target merge into one edge
+//! labelled by an interned list of their transitions.  Until a row drops
+//! or merges a firing, the enabled sets *are* the chain's forward row
+//! pointer and labels; no `Tpn::build` net ever drops or merges one.
 //!
 //! The BFS allocates nothing per firing:
 //!
@@ -61,10 +64,11 @@
 //!   canonicaliser's reused per-thread scratch; its key and packed row are
 //!   copied into the interner and the row arena only when the key turns
 //!   out to be new;
-//! * **flat CSR structure** — the chain's edges and the per-state
-//!   enabled-transition sets are built directly in compressed sparse row
-//!   form, with a label and no rate per edge.  Once the interner is freed
-//!   at the end of the BFS, the edges become a shared
+//! * **flat CSR structure** — the chain's edges are built directly in
+//!   compressed sparse row form, with a label and no rate per edge, and
+//!   double as the per-state enabled-transition sets (a separate table is
+//!   kept only from the first dropped or merged firing on).  Once the
+//!   interner is freed at the end of the BFS, the edges become a shared
 //!   [`ChainStructure`] (forward and incoming CSR); `ctmc_with_trans_rates`
 //!   then rates a chain per solve from a table of one rate per label,
 //!   allocating nothing per edge.
@@ -83,10 +87,10 @@
 //! the peak interned-state count is `full / m` on free orbits — and the
 //! CSR is emitted orbit-aggregated.  The rated chain (and its uniform
 //! [`Lift`]) is **bitwise identical** to building the full chain and
-//! lumping it through [`MarkingGraph::orbit_partition`] +
+//! lumping it through [`Graph::orbit_partition`] +
 //! [`Ctmc::quotient`](crate::ctmc::Ctmc::quotient) (the test oracle),
 //! without ever materializing the full graph or running the orbit pass.
-//! See the [`QuotientGraph`] docs for why the state numbering and rate
+//! See the [`Graph`] docs for why the state numbering and rate
 //! arithmetic coincide exactly.
 //!
 //! # Chunk-parallel levels
@@ -109,7 +113,7 @@
 //! same ids, rows come out in the same first-hit order, every edge records
 //! its transitions in the same sequence, and `TooManyStates` /
 //! `NotSafe` / `Deadlock` surface at the same point — for every
-//! canonicaliser × sink pair, since there is only the one kernel.
+//! canonicaliser, since there is only the one kernel.
 
 mod arena;
 mod bfs;
@@ -124,6 +128,7 @@ use crate::lump::{Lift, Partition};
 use crate::net::{EventNet, NetSymmetry};
 use bfs::{Canonicalizer, Identity, PerFiring, RowRotation, RowSink, ROT_BUFFER_CAP};
 use repstream_petri::canon::MarkingCanonicalizer;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 /// Options for marking-graph construction.
@@ -363,7 +368,7 @@ impl std::error::Error for MarkingError {
 /// finishes (keys, arena and tables only grow, so this is also the peak).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArenaStats {
-    /// Packed interning keys, on both graph types: `⌈places/64⌉` words
+    /// Packed interning keys, on every build: `⌈places/64⌉` words
     /// per state on bit rows, `⌈places/8⌉` on byte rows.
     pub keys_bytes: usize,
     /// Resident row arena bytes: the markings of a [`MarkingGraph`], the
@@ -396,13 +401,6 @@ struct EnabledSets {
 }
 
 impl EnabledSets {
-    fn new() -> Self {
-        EnabledSets {
-            ptr: vec![0],
-            idx: Vec::new(),
-        }
-    }
-
     /// Close the current row; `Err(Deadlock)` when nothing was enabled.
     #[inline]
     fn end_row(&mut self) -> Result<(), MarkingError> {
@@ -415,355 +413,54 @@ impl EnabledSets {
         self.ptr.push(end);
         Ok(())
     }
-
-    fn view(&self) -> Enabled<'_> {
-        Enabled {
-            ptr: &self.ptr,
-            idx: &self.idx,
-        }
-    }
 }
 
-/// A borrowed [`EnabledSets`] — the quotient's own, or the full chain's
-/// forward row pointer and labels — and the stationary aggregations both
-/// graph types read off it.
-#[derive(Clone, Copy)]
-struct Enabled<'a> {
-    ptr: &'a [u32],
-    idx: &'a [u32],
+/// What a [`Graph`] is a graph of — its BFS differs only in the
+/// governor [`Phase`] it reports.
+pub trait Kind {
+    /// The phase a build of this kind reports to its [`Budget`].
+    const PHASE: Phase;
 }
 
-impl<'a> Enabled<'a> {
-    fn row(&self, s: usize) -> &'a [u32] {
-        &self.idx[self.ptr[s] as usize..self.ptr[s + 1] as usize]
-    }
+/// Every reachable marking is a state ([`MarkingGraph`]).
+#[derive(Debug, Clone, Copy)]
+pub enum Full {}
 
-    /// `rate(t) = Σ_s π(s) λ_t [t enabled in s]`.
-    fn firing_rates(&self, trans_rates: &[f64], pi: &[f64]) -> Vec<f64> {
-        assert_eq!(pi.len() + 1, self.ptr.len());
-        let mut rates = vec![0.0f64; trans_rates.len()];
-        for (s, &p) in pi.iter().enumerate() {
-            for &t in self.row(s) {
-                rates[t as usize] += p * trans_rates[t as usize];
-            }
-        }
-        rates
-    }
+/// Every orbit of reachable markings under a net symmetry is a state
+/// ([`QuotientGraph`]).
+#[derive(Debug, Clone, Copy)]
+pub enum Orbits {}
 
-    /// Summed stationary firing rate of `transitions` under `pi`.
-    fn throughput(&self, trans_rates: &[f64], transitions: &[usize], pi: &[f64]) -> f64 {
-        let rates = self.firing_rates(trans_rates, pi);
-        transitions.iter().map(|&t| rates[t]).sum()
-    }
+impl Kind for Full {
+    const PHASE: Phase = Phase::MarkingBfs;
 }
 
-/// The read-outs both graph types offer, written once: the chain edges
-/// differ between the two formats, the state count, storage accounting
-/// and enabled sets (which the stationary aggregations run over) do not.
-macro_rules! shared_api {
-    ($graph:ident) => {
-        impl $graph {
-            /// Number of chain states: reachable markings, or orbits on a
-            /// [`QuotientGraph`].
-            pub fn n_states(&self) -> usize {
-                self.enabled_sets().ptr.len() - 1
-            }
-
-            /// Transitions fireable in state `s` — in the representative
-            /// of orbit `s` on a [`QuotientGraph`] — ascending.
-            pub fn enabled(&self, s: usize) -> &[u32] {
-                self.enabled_sets().row(s)
-            }
-
-            /// Byte accounting of the build's marking storage (the peak —
-            /// arenas and interner only grow during the BFS).
-            pub fn arena_stats(&self) -> ArenaStats {
-                self.arena_stats
-            }
-
-            /// Stationary firing rate of every transition from a bare
-            /// per-transition rate slice:
-            /// `rate(t) = Σ_s π(s) λ_t [t enabled in s]`.  On a
-            /// [`QuotientGraph`] `s` ranges over orbit representatives, so
-            /// entry `t` is **not** the full chain's per-transition rate
-            /// (mass concentrates on the representatives' transitions),
-            /// but the sum over any automorphism-closed transition set — a
-            /// whole TPN column, the last-column throughput set — equals
-            /// the full chain's sum exactly.
-            pub fn firing_rates_with(&self, trans_rates: &[f64], pi: &[f64]) -> Vec<f64> {
-                self.enabled_sets().firing_rates(trans_rates, pi)
-            }
-
-            /// Convenience: the chain rated at `net.rates`, its stationary
-            /// distribution, then the summed firing rate of a set of
-            /// transitions (e.g. the TPN's last column → throughput;
-            /// automorphism-closed on a [`QuotientGraph`]).
-            pub fn throughput_of(&self, net: &EventNet, transitions: &[usize]) -> f64 {
-                let ctmc = self.ctmc_with_trans_rates(&net.rates);
-                self.throughput_with(&ctmc, &net.rates, transitions)
-            }
-
-            /// As [`Self::throughput_of`] for a chain already rated from
-            /// this graph's structure (same op order, so every caller of
-            /// one rate table gets the same bits).
-            pub fn throughput_with(
-                &self,
-                ctmc: &Ctmc,
-                trans_rates: &[f64],
-                transitions: &[usize],
-            ) -> f64 {
-                self.throughput_solve(ctmc, trans_rates, transitions, SolverChoice::Auto)
-                    .0
-            }
-
-            /// [`Self::throughput_solve_governed`] with no limit, for
-            /// callers that cannot return an [`Interrupt`].
-            pub fn throughput_solve(
-                &self,
-                ctmc: &Ctmc,
-                trans_rates: &[f64],
-                transitions: &[usize],
-                choice: SolverChoice,
-            ) -> (f64, SolveReport) {
-                unlimited(|b| {
-                    self.throughput_solve_governed(ctmc, trans_rates, transitions, choice, b)
-                })
-            }
-
-            /// As [`Self::throughput_with`], solving the chain with an
-            /// explicit [`SolverChoice`] and returning the [`SolveReport`]
-            /// (which solver ran, its residual and iteration count)
-            /// alongside the throughput.  [`SolverChoice::Auto`]
-            /// reproduces [`Self::throughput_with`] bit for bit.  The
-            /// stationary solve checks `budget` at its checkpoints and
-            /// surfaces an overrun as an [`Interrupt`].
-            pub fn throughput_solve_governed(
-                &self,
-                ctmc: &Ctmc,
-                trans_rates: &[f64],
-                transitions: &[usize],
-                choice: SolverChoice,
-                budget: &Budget,
-            ) -> Result<(f64, SolveReport), Interrupt> {
-                let report = ctmc.stationary_solve_governed(choice, budget)?;
-                let rho = self
-                    .enabled_sets()
-                    .throughput(trans_rates, transitions, &report.pi);
-                Ok((rho, report))
-            }
-        }
-    };
+impl Kind for Orbits {
+    const PHASE: Phase = Phase::QuotientBfs;
 }
-
-shared_api!(MarkingGraph);
-shared_api!(QuotientGraph);
 
 /// The reachability graph of an [`EventNet`] with exponential races.
-#[derive(Debug, Clone)]
-pub struct MarkingGraph {
-    /// All reachable markings (tokens per place), arena-interned.
-    pub states: MarkingStore,
-    /// The chain's edges, one per firing, labelled by the fired
-    /// transition: its forward row pointer and labels *are* the enabled
-    /// sets, stored once.
-    chain: Arc<ChainStructure>,
-    /// Storage accounting captured at the end of the build.
-    arena_stats: ArenaStats,
-}
-
-/// Row sink of [`MarkingGraph`]: one CSR edge per firing.
-struct GraphBuilder {
-    enabled: EnabledSets,
-    targets: Vec<u32>,
-}
-
-impl RowSink for GraphBuilder {
-    const PHASE: Phase = Phase::MarkingBfs;
-
-    #[inline]
-    fn fire(&mut self, _s: u32, t: usize, target: u32) {
-        self.enabled.idx.push(t as u32);
-        self.targets.push(target);
-    }
-
-    #[inline]
-    fn end_row(&mut self) -> Result<(), MarkingError> {
-        self.enabled.end_row()
-    }
-}
-
-impl MarkingGraph {
-    /// Explore the reachable markings of `net`.
-    pub fn build(net: &EventNet, opts: MarkingOptions) -> Result<Self, MarkingError> {
-        // A safe net's markings are bit rows; token counts above one stay
-        // on bytes.
-        if opts.capacity.is_none() && RowRotation::footprint(net, 1) <= ROT_BUFFER_CAP {
-            Self::explore(net, opts, &RowRotation::identity(net))
-        } else {
-            Self::explore(net, opts, &Identity)
-        }
-    }
-
-    /// [`Self::build`] with the canonicaliser chosen by the caller.
-    fn explore<C: Canonicalizer>(
-        net: &EventNet,
-        opts: MarkingOptions,
-        canon: &C,
-    ) -> Result<Self, MarkingError> {
-        let mut out = GraphBuilder {
-            enabled: EnabledSets::new(),
-            targets: Vec::new(),
-        };
-        let (states, _, arena_stats) = bfs::explore(net, opts, canon, &mut out)?.finish();
-        let chain = ChainStructure::new(out.enabled.ptr, out.targets, out.enabled.idx);
-        Ok(MarkingGraph {
-            states,
-            chain: Arc::new(chain),
-            arena_stats,
-        })
-    }
-
-    /// The enabled sets: the chain's forward rows, labelled by transition.
-    fn enabled_sets(&self) -> Enabled<'_> {
-        Enabled {
-            ptr: self.chain.row_ptr(),
-            idx: self.chain.labels(),
-        }
-    }
-
-    /// Orbit seed partition of the reachable markings under a net
-    /// symmetry: state `s` maps to the state holding the place-permuted
-    /// marking, and the cycles of that state permutation become blocks.
-    ///
-    /// The caller should have validated `sym` with
-    /// [`EventNet::symmetry_valid`]; this method adds the *reachability*
-    /// check the net-level validation cannot do: a net automorphism that
-    /// does not fix the initial marking still induces a CTMC automorphism
-    /// **iff** the permuted markings are all reachable (the reachability
-    /// graph of these live event nets is strongly connected, so one
-    /// escaped image means the hint does not apply).  Returns `None` in
-    /// that case — callers fall back to the full chain.
-    ///
-    /// The resulting partition satisfies the automorphism-orbit contract
-    /// of [`crate::lump`], so [`Ctmc::quotient`](crate::ctmc::Ctmc::quotient)
-    /// and [`Lift::lift`] recover per-state marginals from it — the
-    /// reference the direct [`QuotientGraph`] is tested against.
-    pub fn orbit_partition(&self, sym: &NetSymmetry) -> Option<Partition> {
-        let n = self.n_states();
-        let width = self.states.width();
-        if sym.place_perm.len() != width {
-            return None;
-        }
-        // The induced state map σ is propagated *structurally* instead of
-        // hashing every permuted marking: once σ(s₀) is known, firing
-        // transition `t` from `s` corresponds to firing `trans_perm[t]`
-        // from σ(s) (that is what being a net automorphism means), and the
-        // marking BFS reaches every state from s₀ — so one marking lookup
-        // seeds a pure-integer BFS over the aligned `enabled`/target rows.
-        // Every propagation step doubles as a validity check: a missing
-        // permuted transition, a σ conflict, or a non-injective image
-        // proves the hint does not apply and returns `None`.
-        let image0: Option<Vec<u8>> = {
-            let mut buf = Vec::new();
-            let m0 = self.states.read_into(0, &mut buf);
-            let mut img = vec![0u8; width];
-            let mut ok = true;
-            for (p, &tokens) in m0.iter().enumerate() {
-                let dst = sym.place_perm[p];
-                if dst >= width {
-                    ok = false;
-                    break;
-                }
-                img[dst] = tokens;
-            }
-            ok.then_some(img)
-        };
-        let image0 = image0?;
-        let s0_img = (0..n).find(|&s| self.states.matches(s, &image0))? as u32;
-
-        let ptr = self.chain.row_ptr();
-        let row_targets = |s: usize| &self.chain.targets()[ptr[s] as usize..ptr[s + 1] as usize];
-        let mut sigma = vec![u32::MAX; n];
-        let mut taken = vec![false; n];
-        sigma[0] = s0_img;
-        taken[s0_img as usize] = true;
-        let mut stack: Vec<u32> = vec![0];
-        let mut visited = 1usize;
-        while let Some(s) = stack.pop() {
-            let s = s as usize;
-            let si = sigma[s] as usize;
-            let en_s = self.enabled(s);
-            let en_si = self.enabled(si);
-            if en_s.len() != en_si.len() {
-                return None;
-            }
-            let row_s = row_targets(s);
-            let row_si = row_targets(si);
-            for (k, &t) in en_s.iter().enumerate() {
-                let tp = *sym.trans_perm.get(t as usize)? as u32;
-                // Enabled sets are ascending by construction.
-                let pos = en_si.binary_search(&tp).ok()?;
-                let target = row_s[k] as usize;
-                let target_img = row_si[pos];
-                if sigma[target] == u32::MAX {
-                    if taken[target_img as usize] {
-                        return None; // not injective: bogus hint
-                    }
-                    sigma[target] = target_img;
-                    taken[target_img as usize] = true;
-                    visited += 1;
-                    stack.push(target as u32);
-                } else if sigma[target] != target_img {
-                    return None; // inconsistent propagation: bogus hint
-                }
-            }
-        }
-        if visited != n {
-            return None;
-        }
-        Some(Partition::from_permutation_orbits(&sigma))
-    }
-
-    /// Transition fired by each CSR edge of the chain, in edge order —
-    /// the chain's edge labels, which double as the enabled sets: the BFS
-    /// appends one enabled transition per chain edge, so
-    /// `edge_transitions().len()` is the chain's `nnz` and edge `e` was
-    /// produced by firing transition `edge_transitions()[e]`.
-    ///
-    /// This is what makes the reachability structure reusable across rate
-    /// tables: edge `e` of any rate assignment over the same net
-    /// structure is rated `trans_rates[edge_transitions()[e]]` — see
-    /// [`MarkingGraph::ctmc_with_trans_rates`].
-    pub fn edge_transitions(&self) -> &[u32] {
-        self.chain.labels()
-    }
-
-    /// The chain rated from per-transition rates: edge `e` gets
-    /// `trans_rates[edge_transitions()[e]]`.  The graph stores no rate
-    /// (the BFS order depends only on structure); the chain shares the
-    /// graph's edge structure and carries `trans_rates` as its label
-    /// table, so this is how every chain is made, with no allocation per
-    /// edge — only the `O(n)` exit rates are computed.
-    ///
-    /// # Panics
-    /// Panics if a transition some edge fires is outside `trans_rates`
-    /// or rated non-positive.
-    pub fn ctmc_with_trans_rates(&self, trans_rates: &[f64]) -> Ctmc {
-        Ctmc::with_label_rates(Arc::clone(&self.chain), trans_rates.to_vec())
-    }
-
-    /// Stationary firing rate of every transition:
-    /// `rate(t) = Σ_s π(s) λ_t [t enabled in s]`.
-    pub fn firing_rates(&self, net: &EventNet, pi: &[f64]) -> Vec<f64> {
-        self.firing_rates_with(&net.rates, pi)
-    }
-}
+pub type MarkingGraph = Graph<Full>;
 
 /// The symmetry-reduced reachability graph of an [`EventNet`]: one state
 /// per orbit of the reachable markings under a rate-preserving
 /// automorphism, built **without materializing the full graph**.
+pub type QuotientGraph = Graph<Orbits>;
+
+/// A reachability graph: one state per orbit of the reachable markings
+/// under a net symmetry — the full graph ([`MarkingGraph`]) being the
+/// quotient under the identity, whose orbits are single markings.
 ///
-/// # Why this equals full-then-lump bit for bit
+/// The chain has one edge per target state in first-hit order.  A firing
+/// into its own state changes no state and emits no edge (the quotient's
+/// intra-orbit firings; a self-loop at order 1), and firings of several
+/// transitions into one target merge into one edge.  Each edge is
+/// labelled by its transition — or, when it merges several, by an
+/// interned list of them ([`Self::edge_transitions`]).  While no firing
+/// was dropped or merged, the chain's forward rows *are* the enabled
+/// sets and are stored once; no `Tpn::build` net drops or merges one.
+///
+/// # Why the quotient equals full-then-lump bit for bit
 ///
 /// The BFS interns every successor marking by its **canonical form** (the
 /// lexicographically smallest member of its orbit) but stores the
@@ -786,9 +483,9 @@ impl MarkingGraph {
 ///    member (every member agrees — that is lumpability), accumulating
 ///    edge rates per target block in CSR row order, which for the full
 ///    BFS is ascending enabled-transition order — the scan order in which
-///    each edge records its transitions here (as one transition label or
-///    an interned list of them), so [`Self::ctmc_with_trans_rates`]
-///    performs the same `f64` additions, once per label.
+///    each edge records its transitions here, so
+///    [`Self::ctmc_with_trans_rates`] performs the same `f64` additions,
+///    once per label.
 /// 3. **Edges.** Both emit a block's targets in first-hit order of that
 ///    scan and drop intra-orbit edges (the quotient's self-loops).
 ///
@@ -800,30 +497,33 @@ impl MarkingGraph {
 /// over a transition set are the true full-chain sums **iff the set is
 /// closed under the automorphism** (e.g. a whole TPN column, like the
 /// last-column throughput set: the rotation permutes rows within a
-/// column).  Uniform per-state probabilities come from [`Self::lift`].
+/// column).  Uniform per-state probabilities come from
+/// [`QuotientGraph::lift`].
 #[derive(Debug, Clone)]
-pub struct QuotientGraph {
-    /// First-discovered member marking of every orbit (the block's
-    /// representative, whose enabled set [`Self::enabled`] reports).
-    pub reps: MarkingStore,
-    /// Transitions fireable in each representative.
-    enabled: EnabledSets,
-    /// The quotient chain's edges: one per target orbit in first-hit
-    /// order, intra-orbit firings dropped, each labelled by the
-    /// transitions it aggregates (see [`LabelLists`]).
+pub struct Graph<K> {
+    /// The marking each state's row was scanned from: every reachable
+    /// marking of a [`MarkingGraph`], the first-discovered member of each
+    /// orbit of a [`QuotientGraph`] (whose enabled set [`Self::enabled`]
+    /// reports).
+    pub states: MarkingStore,
+    /// The chain's edges (see the type docs).
     chain: Arc<ChainStructure>,
+    /// The enabled sets when they are not the chain's forward rows.
+    enabled: Option<EnabledSets>,
     /// What the labels `≥ n_transitions` stand for.
     lists: LabelLists,
-    /// Orbit size (number of distinct markings) per quotient state.
+    /// Orbit size (number of distinct markings) per state; empty on a
+    /// [`MarkingGraph`], whose orbits are single markings.
     orbit_size: Vec<u32>,
     /// Storage accounting captured at the end of the build.
     arena_stats: ArenaStats,
+    kind: PhantomData<K>,
 }
 
-/// The label table of a [`QuotientGraph`]: an edge fired by one
-/// transition `t` is labelled `t`; an edge that merges several
-/// transitions is labelled `n_trans + k`, list `k` holding them in firing
-/// order.  No benchmark shape merges, so the lists are usually empty.
+/// The label table of a [`Graph`]: an edge fired by one transition `t`
+/// is labelled `t`; an edge that merges several transitions is labelled
+/// `n_trans + k`, list `k` holding them in firing order.  No benchmark
+/// shape merges, so the lists are usually empty.
 #[derive(Debug, Clone)]
 struct LabelLists {
     n_trans: usize,
@@ -847,64 +547,101 @@ impl LabelLists {
     }
 }
 
-/// Row sink of [`QuotientGraph`]: aggregated, labelled CSR rows, enabled
-/// sets, the label table, and the current row's firings (reused across
-/// rows, nothing allocated per firing).
-struct QuotientBuilder {
-    enabled: EnabledSets,
+/// The row sink of every build: the chain's forward CSR, written edge by
+/// edge as the BFS fires, and the label table.
+struct Sink<K> {
     row_ptr: Vec<u32>,
     col: Vec<u32>,
     label: Vec<u32>,
+    /// The enabled sets, from the first row that drops or merges a
+    /// firing on; until then they are `row_ptr` and `label`.
+    enabled: Option<EnabledSets>,
     lists: LabelLists,
     /// Label of every list in `lists`, consulted only for edges that
     /// merge firings.
     list_ids: FxHashMap<Vec<u32>, u32>,
-    /// `(target, transition)` of the current row's inter-orbit firings,
-    /// in firing order.
-    row: Vec<(u32, u32)>,
     /// The transitions of one merged edge.
     merged: Vec<u32>,
+    kind: PhantomData<K>,
 }
 
-impl RowSink for QuotientBuilder {
-    const PHASE: Phase = Phase::QuotientBfs;
+impl<K: Kind> RowSink for Sink<K> {
+    const PHASE: Phase = K::PHASE;
 
-    /// Record `t` as enabled in the current representative (every enabled
-    /// transition is, including intra-orbit firings) and buffer its
-    /// firing into orbit `target`.  Intra-orbit firings emit no edge —
-    /// they are the quotient's self-loops.
+    /// Emit the firing of `t` into `target` as an edge labelled `t` —
+    /// unless it stays in state `s`, which takes no edge — and record `t`
+    /// as enabled.
     #[inline]
     fn fire(&mut self, s: u32, t: usize, target: u32) {
-        self.enabled.idx.push(t as u32);
-        if target != s {
-            self.row.push((target, t as u32));
+        if target == s {
+            self.split_enabled();
+        } else {
+            self.col.push(target);
+            self.label.push(t as u32);
+        }
+        if let Some(enabled) = &mut self.enabled {
+            enabled.idx.push(t as u32);
         }
     }
 
-    /// Close the current row: one edge per target orbit in first-hit
-    /// order, labelled by its transition — or, when it merges several, by
-    /// the interned list of them in firing order.
+    /// Close the current row, first merging its edges into one per
+    /// target when some target repeats.
     fn end_row(&mut self) -> Result<(), MarkingError> {
-        self.enabled.end_row()?;
-        while let Some(&(c, t)) = self.row.first() {
-            let label = if self.row[1..].iter().any(|&(target, _)| target == c) {
+        let lo = self.row_ptr[self.row_ptr.len() - 1] as usize;
+        let row = &self.col[lo..];
+        if (1..row.len()).any(|i| row[..i].contains(&row[i])) {
+            self.merge_row(lo);
+        }
+        match &mut self.enabled {
+            Some(enabled) => enabled.end_row()?,
+            None if self.col.len() == lo => return Err(MarkingError::Deadlock),
+            None => {}
+        }
+        let Ok(end) = u32::try_from(self.col.len()) else {
+            panic!("nnz overflows u32")
+        };
+        self.row_ptr.push(end);
+        Ok(())
+    }
+}
+
+impl<K> Sink<K> {
+    /// Stop sharing the forward rows as the enabled sets: copy the rows
+    /// so far, the current one's edges included, into a table of their
+    /// own.  Every edge is then still one firing labelled by its
+    /// transition.
+    fn split_enabled(&mut self) {
+        if self.enabled.is_none() {
+            self.enabled = Some(EnabledSets {
+                ptr: self.row_ptr.clone(),
+                idx: self.label.clone(),
+            });
+        }
+    }
+
+    /// Rewrite the current row, edges `lo..`: one edge per target in
+    /// first-hit order, labelled by its transition — or, when it merges
+    /// several, by the interned list of them in firing order.
+    fn merge_row(&mut self, lo: usize) {
+        self.split_enabled();
+        let row: Vec<(u32, u32)> = self.col.drain(lo..).zip(self.label.drain(lo..)).collect();
+        for (i, &(c, t)) in row.iter().enumerate() {
+            if row[..i].iter().any(|&(d, _)| d == c) {
+                continue;
+            }
+            let label = if row[i + 1..].iter().any(|&(d, _)| d == c) {
                 self.merged.clear();
-                let fired = self.row.iter().filter(|&&(target, _)| target == c);
+                let fired = row[i..].iter().filter(|&&(d, _)| d == c);
                 self.merged.extend(fired.map(|&(_, t)| t));
                 self.intern_merged()
             } else {
                 t
             };
-            self.row.retain(|&(target, _)| target != c);
             self.col.push(c);
             self.label.push(label);
         }
-        self.row_ptr.push(self.col.len() as u32);
-        Ok(())
     }
-}
 
-impl QuotientBuilder {
     /// The label of the list in `merged`, appended to the table on first
     /// sight.
     fn intern_merged(&mut self) -> u32 {
@@ -919,6 +656,286 @@ impl QuotientBuilder {
         lists.ptr.push(lists.trans.len() as u32);
         self.list_ids.insert(self.merged.clone(), label);
         label
+    }
+}
+
+impl<K: Kind> Graph<K> {
+    /// Explore `net` with the canonicaliser chosen by the caller.
+    fn explore<C: Canonicalizer>(
+        net: &EventNet,
+        opts: MarkingOptions,
+        canon: &C,
+    ) -> Result<Self, MarkingError> {
+        let mut out = Sink::<K> {
+            row_ptr: vec![0],
+            col: Vec::new(),
+            label: Vec::new(),
+            enabled: None,
+            lists: LabelLists {
+                n_trans: net.n_transitions(),
+                ptr: vec![0],
+                trans: Vec::new(),
+            },
+            list_ids: FxHashMap::default(),
+            merged: Vec::new(),
+            kind: PhantomData,
+        };
+        let (states, orbit_size, arena_stats) = bfs::explore(net, opts, canon, &mut out)?.finish();
+        let chain = ChainStructure::new(out.row_ptr, out.col, out.label);
+        Ok(Graph {
+            states,
+            chain: Arc::new(chain),
+            enabled: out.enabled,
+            lists: out.lists,
+            orbit_size,
+            arena_stats,
+            kind: PhantomData,
+        })
+    }
+}
+
+impl<K> Graph<K> {
+    /// Number of chain states: reachable markings, or orbits on a
+    /// [`QuotientGraph`].
+    pub fn n_states(&self) -> usize {
+        self.chain.n_states()
+    }
+
+    /// Number of full-chain states represented: `Σ orbit sizes` on a
+    /// [`QuotientGraph`] — the full reachable count whenever the
+    /// automorphism maps the reachable set onto itself (always the case
+    /// when [`MarkingGraph::orbit_partition`] accepts the same hint) —
+    /// and [`Self::n_states`] on a [`MarkingGraph`].
+    pub fn full_states(&self) -> usize {
+        if self.orbit_size.is_empty() {
+            self.n_states()
+        } else {
+            self.orbit_size.iter().map(|&k| k as usize).sum()
+        }
+    }
+
+    /// Transitions fireable in state `s` — in the representative of
+    /// orbit `s` on a [`QuotientGraph`] — ascending.
+    pub fn enabled(&self, s: usize) -> &[u32] {
+        let (ptr, idx) = match &self.enabled {
+            Some(enabled) => (&enabled.ptr[..], &enabled.idx[..]),
+            None => (self.chain.row_ptr(), self.chain.labels()),
+        };
+        &idx[ptr[s] as usize..ptr[s + 1] as usize]
+    }
+
+    /// Byte accounting of the build's marking storage (the peak — arenas
+    /// and interner only grow during the BFS).
+    pub fn arena_stats(&self) -> ArenaStats {
+        self.arena_stats
+    }
+
+    /// The transitions chain edge `e` aggregates, in the order the BFS
+    /// fired them — one on every benchmark shape; several where firings
+    /// of different transitions reach the same state.  Edge `e` is rated
+    /// `Σ trans_rates[t]` over them, summed in this order.
+    pub fn edge_transitions(&self, e: usize) -> &[u32] {
+        let label = &self.chain.labels()[e];
+        match (*label as usize).checked_sub(self.lists.n_trans) {
+            None => std::slice::from_ref(label),
+            Some(k) => {
+                let (lo, hi) = (self.lists.ptr[k] as usize, self.lists.ptr[k + 1] as usize);
+                &self.lists.trans[lo..hi]
+            }
+        }
+    }
+
+    /// The chain rated from per-transition rates: edge `e` gets
+    /// `Σ trans_rates[t]` over [`Self::edge_transitions`]`(e)`, summed in
+    /// the order the BFS fired them — on a [`QuotientGraph`], bitwise
+    /// identical to lumping the full chain of a net with those rates
+    /// (which must themselves be orbit-invariant, the caller's gate).
+    /// The graph stores no rate: the chain shares the graph's edge
+    /// structure and rates it by label, one sum per label, so this is
+    /// how every chain is made, with no allocation per edge — only the
+    /// `O(n)` exit rates are computed.
+    ///
+    /// # Panics
+    /// Panics if `trans_rates` is shorter than the net's transition count
+    /// or a label some edge carries sums to a non-positive rate.
+    pub fn ctmc_with_trans_rates(&self, trans_rates: &[f64]) -> Ctmc {
+        Ctmc::with_label_rates(Arc::clone(&self.chain), self.lists.rates(trans_rates))
+    }
+
+    /// Stationary firing rate of every transition from a bare
+    /// per-transition rate slice: `rate(t) = Σ_s π(s) λ_t [t enabled in
+    /// s]`.  On a [`QuotientGraph`] `s` ranges over orbit
+    /// representatives, so entry `t` is **not** the full chain's
+    /// per-transition rate (mass concentrates on the representatives'
+    /// transitions), but the sum over any automorphism-closed transition
+    /// set — a whole TPN column, the last-column throughput set — equals
+    /// the full chain's sum exactly.
+    pub fn firing_rates_with(&self, trans_rates: &[f64], pi: &[f64]) -> Vec<f64> {
+        assert_eq!(pi.len(), self.n_states());
+        let mut rates = vec![0.0f64; trans_rates.len()];
+        for (s, &p) in pi.iter().enumerate() {
+            for &t in self.enabled(s) {
+                rates[t as usize] += p * trans_rates[t as usize];
+            }
+        }
+        rates
+    }
+
+    /// Convenience: the chain rated at `net.rates`, its stationary
+    /// distribution, then the summed firing rate of a set of transitions
+    /// (e.g. the TPN's last column → throughput; automorphism-closed on a
+    /// [`QuotientGraph`]).
+    pub fn throughput_of(&self, net: &EventNet, transitions: &[usize]) -> f64 {
+        let ctmc = self.ctmc_with_trans_rates(&net.rates);
+        self.throughput_solve(&ctmc, &net.rates, transitions, SolverChoice::Auto)
+            .0
+    }
+
+    /// [`Self::throughput_solve_governed`] with no limit, for callers
+    /// that cannot return an [`Interrupt`].
+    pub fn throughput_solve(
+        &self,
+        ctmc: &Ctmc,
+        trans_rates: &[f64],
+        transitions: &[usize],
+        choice: SolverChoice,
+    ) -> (f64, SolveReport) {
+        unlimited(|b| self.throughput_solve_governed(ctmc, trans_rates, transitions, choice, b))
+    }
+
+    /// Solve a chain rated from this graph's structure with an explicit
+    /// [`SolverChoice`], and return the summed stationary firing rate of
+    /// `transitions` with the [`SolveReport`] (which solver ran, its
+    /// residual and iteration count).  Every caller of one rate table
+    /// gets the same bits.  The stationary solve checks `budget` at its
+    /// checkpoints and surfaces an overrun as an [`Interrupt`].
+    pub fn throughput_solve_governed(
+        &self,
+        ctmc: &Ctmc,
+        trans_rates: &[f64],
+        transitions: &[usize],
+        choice: SolverChoice,
+        budget: &Budget,
+    ) -> Result<(f64, SolveReport), Interrupt> {
+        let report = ctmc.stationary_solve_governed(choice, budget)?;
+        let rates = self.firing_rates_with(trans_rates, &report.pi);
+        Ok((transitions.iter().map(|&t| rates[t]).sum(), report))
+    }
+}
+
+impl MarkingGraph {
+    /// Explore the reachable markings of `net`: the quotient under the
+    /// identity.
+    pub fn build(net: &EventNet, opts: MarkingOptions) -> Result<Self, MarkingError> {
+        // A safe net's markings are bit rows; token counts above one stay
+        // on bytes.
+        let graph = if opts.capacity.is_none() && RowRotation::footprint(net, 1) <= ROT_BUFFER_CAP {
+            Self::explore(net, opts, &RowRotation::identity(net))
+        } else {
+            Self::explore(net, opts, &Identity)
+        }?;
+        Ok(Graph {
+            orbit_size: Vec::new(),
+            ..graph
+        })
+    }
+
+    /// Orbit seed partition of the reachable markings under a net
+    /// symmetry: state `s` maps to the state holding the place-permuted
+    /// marking, and the cycles of that state permutation become blocks.
+    ///
+    /// The caller should have validated `sym` with
+    /// [`EventNet::symmetry_valid`]; this method adds the *reachability*
+    /// check the net-level validation cannot do: a net automorphism that
+    /// does not fix the initial marking still induces a CTMC automorphism
+    /// **iff** the permuted markings are all reachable (the reachability
+    /// graph of these live event nets is strongly connected, so one
+    /// escaped image means the hint does not apply).  Returns `None` in
+    /// that case — callers fall back to the full chain — and on a chain
+    /// with merged edges.
+    ///
+    /// The resulting partition satisfies the automorphism-orbit contract
+    /// of [`crate::lump`], so [`Ctmc::quotient`](crate::ctmc::Ctmc::quotient)
+    /// and [`Lift::lift`] recover per-state marginals from it — the
+    /// reference the direct [`QuotientGraph`] is tested against.
+    pub fn orbit_partition(&self, sym: &NetSymmetry) -> Option<Partition> {
+        let n = self.n_states();
+        let width = self.states.width();
+        if sym.place_perm.len() != width {
+            return None;
+        }
+        // The induced state map σ is propagated *structurally* instead of
+        // hashing every permuted marking: once σ(s₀) is known, firing
+        // transition `t` from `s` corresponds to firing `trans_perm[t]`
+        // from σ(s) (that is what being a net automorphism means), and the
+        // marking BFS reaches every state from s₀ — so one marking lookup
+        // seeds a pure-integer BFS over the chain's rows, whose labels
+        // are the fired transitions, ascending.  Every propagation step
+        // doubles as a validity check: a missing permuted transition (a
+        // merged label names none), a σ conflict, or a non-injective
+        // image proves the hint does not apply and returns `None`.
+        let image0: Option<Vec<u8>> = {
+            let mut buf = Vec::new();
+            let m0 = self.states.read_into(0, &mut buf);
+            let mut img = vec![0u8; width];
+            let mut ok = true;
+            for (p, &tokens) in m0.iter().enumerate() {
+                let dst = sym.place_perm[p];
+                if dst >= width {
+                    ok = false;
+                    break;
+                }
+                img[dst] = tokens;
+            }
+            ok.then_some(img)
+        };
+        let image0 = image0?;
+        let s0_img = (0..n).find(|&s| self.states.matches(s, &image0))? as u32;
+
+        let ptr = self.chain.row_ptr();
+        let row = |s: usize| {
+            let edges = ptr[s] as usize..ptr[s + 1] as usize;
+            (
+                &self.chain.labels()[edges.clone()],
+                &self.chain.targets()[edges],
+            )
+        };
+        let mut sigma = vec![u32::MAX; n];
+        let mut taken = vec![false; n];
+        sigma[0] = s0_img;
+        taken[s0_img as usize] = true;
+        let mut stack: Vec<u32> = vec![0];
+        let mut visited = 1usize;
+        while let Some(s) = stack.pop() {
+            let s = s as usize;
+            let si = sigma[s] as usize;
+            let (fired_s, row_s) = row(s);
+            let (fired_si, row_si) = row(si);
+            if fired_s.len() != fired_si.len() {
+                return None;
+            }
+            for (k, &t) in fired_s.iter().enumerate() {
+                let tp = *sym.trans_perm.get(t as usize)? as u32;
+                let pos = fired_si.binary_search(&tp).ok()?;
+                let target = row_s[k] as usize;
+                let target_img = row_si[pos];
+                if sigma[target] == u32::MAX {
+                    if taken[target_img as usize] {
+                        return None; // not injective: bogus hint
+                    }
+                    sigma[target] = target_img;
+                    taken[target_img as usize] = true;
+                    visited += 1;
+                    stack.push(target as u32);
+                } else if sigma[target] != target_img {
+                    return None; // inconsistent propagation: bogus hint
+                }
+            }
+        }
+        if visited != n {
+            return None;
+        }
+        Some(Partition::from_permutation_orbits(&sigma))
     }
 }
 
@@ -955,51 +972,6 @@ impl QuotientGraph {
         }
     }
 
-    /// [`Self::build`] with the canonicaliser chosen by the caller.
-    fn explore<C: Canonicalizer>(
-        net: &EventNet,
-        opts: MarkingOptions,
-        canon: &C,
-    ) -> Result<Self, MarkingError> {
-        let mut out = QuotientBuilder {
-            enabled: EnabledSets::new(),
-            row_ptr: vec![0],
-            col: Vec::new(),
-            label: Vec::new(),
-            lists: LabelLists {
-                n_trans: net.n_transitions(),
-                ptr: vec![0],
-                trans: Vec::new(),
-            },
-            list_ids: FxHashMap::default(),
-            row: Vec::new(),
-            merged: Vec::new(),
-        };
-        let (reps, orbit_size, arena_stats) = bfs::explore(net, opts, canon, &mut out)?.finish();
-        let chain = ChainStructure::new(out.row_ptr, out.col, out.label);
-        Ok(QuotientGraph {
-            reps,
-            enabled: out.enabled,
-            chain: Arc::new(chain),
-            lists: out.lists,
-            orbit_size,
-            arena_stats,
-        })
-    }
-
-    /// The enabled sets of the representatives.
-    fn enabled_sets(&self) -> Enabled<'_> {
-        self.enabled.view()
-    }
-
-    /// Number of full-chain states represented: `Σ orbit sizes`.  Equals
-    /// the full reachable count whenever the automorphism maps the
-    /// reachable set onto itself (always the case when the full-chain
-    /// [`MarkingGraph::orbit_partition`] accepts the same hint).
-    pub fn full_states(&self) -> usize {
-        self.orbit_size.iter().map(|&k| k as usize).sum()
-    }
-
     /// Orbit size of every quotient state.
     pub fn orbit_sizes(&self) -> &[u32] {
         &self.orbit_size
@@ -1010,37 +982,6 @@ impl QuotientGraph {
     /// [`Lift::from_block_sizes`].
     pub fn lift(&self) -> Lift {
         Lift::from_block_sizes(self.orbit_size.clone())
-    }
-
-    /// The transitions quotient edge `e` aggregates, in the order the
-    /// BFS fired them — one on every benchmark shape; several where
-    /// firings of different transitions reach the same orbit.  Edge `e`
-    /// is rated `Σ trans_rates[t]` over them, summed in this order.
-    pub fn edge_transitions(&self, e: usize) -> &[u32] {
-        let label = &self.chain.labels()[e];
-        match (*label as usize).checked_sub(self.lists.n_trans) {
-            None => std::slice::from_ref(label),
-            Some(k) => {
-                let (lo, hi) = (self.lists.ptr[k] as usize, self.lists.ptr[k + 1] as usize);
-                &self.lists.trans[lo..hi]
-            }
-        }
-    }
-
-    /// The quotient chain rated from per-transition rates: edge `e` gets
-    /// `Σ trans_rates[t]` over its contributing transitions, summed in
-    /// the order the BFS fired them — bitwise identical to lumping the
-    /// full chain of a net with those rates (which must themselves be
-    /// orbit-invariant, the caller's gate).  The graph stores no rate:
-    /// the chain shares the graph's edge structure and rates it by label,
-    /// one sum per label, so this is how every quotient chain is made,
-    /// with no allocation per edge.
-    ///
-    /// # Panics
-    /// Panics if `trans_rates` is shorter than the net's transition count
-    /// or a label some edge carries sums to a non-positive rate.
-    pub fn ctmc_with_trans_rates(&self, trans_rates: &[f64]) -> Ctmc {
-        Ctmc::with_label_rates(Arc::clone(&self.chain), self.lists.rates(trans_rates))
     }
 }
 
@@ -1057,7 +998,10 @@ mod tests {
         let net = EventNet::new(vec![2.0], vec![(0, 0, 1)]);
         let mg = MarkingGraph::build(&net, MarkingOptions::default()).unwrap();
         assert_eq!(mg.n_states(), 1);
-        let rates = mg.firing_rates(&net, &[1.0]);
+        // The firing changes no state: enabled, but no chain edge.
+        assert_eq!(mg.ctmc_with_trans_rates(&net.rates).nnz(), 0);
+        assert_eq!(mg.enabled(0), [0]);
+        let rates = mg.firing_rates_with(&net.rates, &[1.0]);
         assert!((rates[0] - 2.0).abs() < 1e-12);
     }
 
@@ -1069,7 +1013,7 @@ mod tests {
         let mg = MarkingGraph::build(&net, MarkingOptions::default()).unwrap();
         assert_eq!(mg.n_states(), 2);
         let pi = mg.ctmc_with_trans_rates(&net.rates).stationary();
-        let rates = mg.firing_rates(&net, &pi);
+        let rates = mg.firing_rates_with(&net.rates, &pi);
         let expect = 1.0 / (1.0 / 2.0 + 1.0 / 3.0);
         assert!((rates[0] - expect).abs() < 1e-10, "{rates:?}");
         assert!((rates[1] - expect).abs() < 1e-10);
@@ -1334,7 +1278,7 @@ mod tests {
                         assert_words(qg.arena_stats(), qg.n_states(), per_word, &what);
                         for (b, &first) in firsts.iter().enumerate() {
                             assert_eq!(qg.orbit_sizes()[b] as usize, lift.block_size(b));
-                            assert_eq!(qg.reps.read_into(b, &mut buf), full.states.get(first));
+                            assert_eq!(qg.states.read_into(b, &mut buf), full.states.get(first));
                             assert_eq!(qg.enabled(b), full.enabled(first), "{what}: {b}");
                         }
                     }
@@ -1347,6 +1291,74 @@ mod tests {
             .unwrap()
             .throughput_of(&net, &[0, 1, 2, 3]);
         assert!((rho - 4.0 * 1.5 / 4.0).abs() < 1e-12, "rho {rho}");
+    }
+
+    /// The padded 2×3 net's extra transition is enabled in every marking
+    /// and moves no token.  Each of its firings stays in its state and
+    /// takes no edge, so the full chain is the unpadded one — its `nnz`
+    /// and its π bits — and the extra transition still fires at its
+    /// rate.
+    #[test]
+    fn self_loop_firings_take_no_edge() {
+        let (plain, _) = strict_2x3_with_rotation();
+        let (padded, _) = strict_2x3_padded(64);
+        let opts = MarkingOptions::default();
+        let (a, b) = (
+            MarkingGraph::build(&plain, opts).unwrap(),
+            MarkingGraph::build(&padded, opts).unwrap(),
+        );
+        let (ca, cb) = (
+            a.ctmc_with_trans_rates(&plain.rates),
+            b.ctmc_with_trans_rates(&padded.rates),
+        );
+        assert_eq!(cb.nnz(), ca.nnz());
+        let bits = |pi: &[f64]| pi.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        let pi = cb.stationary();
+        assert_eq!(bits(&pi), bits(&ca.stationary()));
+        let extra = plain.n_transitions();
+        for s in 0..b.n_states() {
+            assert_eq!(b.enabled(s).last(), Some(&(extra as u32)), "{s}");
+        }
+        let fired = b.firing_rates_with(&padded.rates, &pi)[extra];
+        assert!((fired - padded.rates[extra]).abs() < 1e-12, "{fired}");
+    }
+
+    /// No `Tpn::build` net drops or merges a firing, so on each the
+    /// enabled sets are the chain's forward rows, stored once, and the
+    /// chain has one edge per firing: Strict hom and het 2×3, 3×4 and
+    /// 4×5 under both aliases (the quotient where the rotation survives),
+    /// and an Overlap net under a capacity of 2.
+    #[test]
+    fn tpn_graphs_keep_no_separate_enabled_table() {
+        fn assert_shared<K>(g: &Graph<K>, what: &str) {
+            assert!(g.enabled.is_none(), "{what}: separate enabled table");
+            let firings: usize = (0..g.n_states()).map(|s| g.enabled(s).len()).sum();
+            assert_eq!(g.chain.nnz(), firings, "{what}: nnz");
+        }
+        let check = |teams: &[usize], model, capacity| {
+            let shape = MappingShape::new(teams.to_vec());
+            let tpn = Tpn::build(&shape, model);
+            let opts = MarkingOptions {
+                capacity,
+                ..Default::default()
+            };
+            let hom = ResourceTable::from_fns(&shape, |_, _| 0.5, |_, _, _| 2.0);
+            let het = ResourceTable::from_fns(&shape, |_, s| 0.5 + s as f64, |_, _, _| 2.0);
+            let (net, sym) = EventNet::from_tpn_with_symmetry(&tpn, &hom);
+            let what = format!("{model:?} {teams:?}");
+            let sym = sym.expect("homogeneous rates keep the rotation");
+            let qg = QuotientGraph::build(&net, &sym, opts).unwrap();
+            assert_shared(&qg, &format!("{what} hom quotient"));
+            let net = EventNet::from_tpn(&tpn, &het);
+            assert_shared(
+                &MarkingGraph::build(&net, opts).unwrap(),
+                &format!("{what} het full"),
+            );
+        };
+        for teams in [[2usize, 3], [3, 4], [4, 5]] {
+            check(&teams, ExecModel::Strict, None);
+        }
+        check(&[2, 3], ExecModel::Overlap, Some(2));
     }
 
     /// Two copies of [`unsafe_net_detected`]'s producer/consumer pair,
@@ -1402,7 +1414,7 @@ mod tests {
         let (lumped, lift) = full.ctmc_with_trans_rates(&net.rates).quotient(&seed);
         let qg = QuotientGraph::build(&net, &sym, opts).unwrap();
         assert!(qg.n_states() < full.n_states());
-        assert!(qg.reps.iter().any(|m| m.contains(&2)), "never above one");
+        assert!(qg.states.iter().any(|m| m.contains(&2)), "never above one");
         assert_same_chain(&qg.ctmc_with_trans_rates(&net.rates), &lumped, "capacity 2");
         assert_eq!(qg.full_states(), full.n_states());
         for b in 0..qg.n_states() {

@@ -13,11 +13,9 @@
 //!
 //! (proof of Theorem 3).  With homogeneous link rates `λ` the stationary
 //! law is uniform and the pattern throughput has the closed form of
-//! Theorem 4, `u·v·λ / (u+v−1)`; with heterogeneous rates we solve the
-//! chain numerically.
+//! Theorem 4, `u·v·λ / (u+v−1)`; with heterogeneous rates the chain is
+//! solved numerically ([`ChainCache::pattern_throughput`](crate::cache::ChainCache::pattern_throughput)).
 
-use crate::ctmc::SolverChoice;
-use crate::govern::Budget;
 use crate::marking::{MarkingError, MarkingGraph, MarkingOptions};
 use crate::net::comm_pattern;
 use repstream_petri::shape::gcd;
@@ -37,36 +35,6 @@ pub fn homogeneous_throughput(u: usize, v: usize, lambda: f64) -> f64 {
     (u * v) as f64 * lambda / (u + v - 1) as f64
 }
 
-/// Exact inner throughput of a pattern with per-link exponential rates
-/// `rate[a][b]` (sender `a` → receiver `b`), by solving the pattern CTMC.
-///
-/// Cost grows with `S(u,v)`; errors out (`MarkingError::TooManyStates`)
-/// beyond `max_states`.
-pub fn pattern_throughput(rate: &[Vec<f64>], max_states: usize) -> Result<f64, MarkingError> {
-    let u = rate.len();
-    let v = rate[0].len();
-    assert!(rate.iter().all(|r| r.len() == v), "ragged rate matrix");
-    assert!(gcd(u, v) == 1, "pattern dimensions must be coprime");
-    let net = comm_pattern(u, v, |a, b| rate[a][b]);
-    let mg = MarkingGraph::build(
-        &net,
-        MarkingOptions {
-            max_states,
-            capacity: None,
-            ..Default::default()
-        },
-    )?;
-    let all: Vec<usize> = (0..net.n_transitions()).collect();
-    let (rho, _) = mg.throughput_solve_governed(
-        &mg.ctmc_with_trans_rates(&net.rates),
-        &net.rates,
-        &all,
-        SolverChoice::Auto,
-        &Budget::UNLIMITED,
-    )?;
-    Ok(rho)
-}
-
 /// Enumerated state count (BFS ground truth for [`state_count`]).
 pub fn enumerated_state_count(u: usize, v: usize) -> Result<usize, MarkingError> {
     let net = comm_pattern(u, v, |_, _| 1.0);
@@ -84,6 +52,7 @@ pub fn enumerated_state_count(u: usize, v: usize) -> Result<usize, MarkingError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::ChainCache;
 
     #[test]
     fn state_count_formula_matches_enumeration() {
@@ -134,7 +103,9 @@ mod tests {
         for (u, v) in [(1, 1), (1, 3), (2, 3), (3, 4), (2, 5), (4, 5)] {
             for lambda in [0.5, 1.0, 3.0] {
                 let rate = vec![vec![lambda; v]; u];
-                let solved = pattern_throughput(&rate, 1 << 20).unwrap();
+                let solved = ChainCache::new()
+                    .pattern_throughput(&rate, 1 << 20)
+                    .unwrap();
                 let closed = homogeneous_throughput(u, v, lambda);
                 assert!(
                     (solved - closed).abs() < 1e-9 * closed,
@@ -151,8 +122,10 @@ mod tests {
         let t: Vec<Vec<f64>> = (0..3)
             .map(|b| (0..2).map(|a| rate[a][b]).collect())
             .collect();
-        let a = pattern_throughput(&rate, 1 << 20).unwrap();
-        let b = pattern_throughput(&t, 1 << 20).unwrap();
+        let a = ChainCache::new()
+            .pattern_throughput(&rate, 1 << 20)
+            .unwrap();
+        let b = ChainCache::new().pattern_throughput(&t, 1 << 20).unwrap();
         assert!((a - b).abs() < 1e-9, "{a} vs {b}");
     }
 
@@ -161,7 +134,9 @@ mod tests {
         // Slower links can only hurt: throughput(rate matrix) ≤ closed
         // form at the maximum rate, ≥ at the minimum rate.
         let rate = vec![vec![1.0, 3.0], vec![2.0, 1.0], vec![1.5, 2.0]];
-        let rho = pattern_throughput(&rate, 1 << 20).unwrap();
+        let rho = ChainCache::new()
+            .pattern_throughput(&rate, 1 << 20)
+            .unwrap();
         let hi = homogeneous_throughput(3, 2, 3.0);
         let lo = homogeneous_throughput(3, 2, 1.0);
         assert!(

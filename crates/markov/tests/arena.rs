@@ -5,7 +5,7 @@
 //! chain bits both at build time and through a `ctmc_with_trans_rates`
 //! refill.
 
-use repstream_markov::marking::{MarkingGraph, MarkingOptions, QuotientGraph};
+use repstream_markov::marking::{Graph, MarkingGraph, MarkingOptions, QuotientGraph};
 use repstream_markov::net::EventNet;
 use repstream_petri::shape::{ExecModel, MappingShape, ResourceTable};
 use repstream_petri::tpn::Tpn;
@@ -41,38 +41,45 @@ fn assert_rows_bitwise(
     }
 }
 
+/// `g` against the sequential `reference`, either graph kind: states,
+/// full-chain states, markings, enabled sets, and the chain bits at the
+/// net's rates and through a refill with fresh ones.
+fn assert_graphs_bitwise<K>(g: &Graph<K>, reference: &Graph<K>, net: &EventNet, what: &str) {
+    assert_eq!(g.n_states(), reference.n_states(), "{what}");
+    assert_eq!(g.full_states(), reference.full_states(), "{what}");
+    let (mut buf_a, mut buf_b) = (Vec::new(), Vec::new());
+    for s in 0..reference.n_states() {
+        assert_eq!(
+            g.states.read_into(s, &mut buf_a),
+            reference.states.read_into(s, &mut buf_b),
+            "{what}: marking {s}"
+        );
+        assert_eq!(g.enabled(s), reference.enabled(s), "{what}: enabled {s}");
+    }
+    assert_rows_bitwise(
+        &g.ctmc_with_trans_rates(&net.rates),
+        &reference.ctmc_with_trans_rates(&net.rates),
+        what,
+    );
+    // A refill with fresh per-transition rates must also match.
+    let doubled: Vec<f64> = net.rates.iter().map(|r| r * 2.0).collect();
+    assert_rows_bitwise(
+        &g.ctmc_with_trans_rates(&doubled),
+        &reference.ctmc_with_trans_rates(&doubled),
+        &format!("{what} (refill)"),
+    );
+}
+
 /// Quotient builds on {1, 2, 4} threads against the sequential reference.
 #[test]
 fn quotient_matrix_is_bitwise_deterministic() {
     let (net, sym) = net_for(&[3, 4]);
     let reference = QuotientGraph::build(&net, &sym, opts(1)).unwrap();
-    let (mut buf_a, mut buf_b) = (Vec::new(), Vec::new());
     for threads in [1usize, 2, 4] {
         let what = format!("threads {threads}");
         let qg = QuotientGraph::build(&net, &sym, opts(threads)).unwrap();
-        assert_eq!(qg.n_states(), reference.n_states(), "{what}");
-        assert_eq!(qg.full_states(), reference.full_states(), "{what}");
+        assert_graphs_bitwise(&qg, &reference, &net, &what);
         assert_eq!(qg.orbit_sizes(), reference.orbit_sizes(), "{what}");
-        for s in 0..reference.n_states() {
-            assert_eq!(
-                qg.reps.read_into(s, &mut buf_a),
-                reference.reps.read_into(s, &mut buf_b),
-                "{what}: representative {s}"
-            );
-            assert_eq!(qg.enabled(s), reference.enabled(s), "{what}: enabled {s}");
-        }
-        assert_rows_bitwise(
-            &qg.ctmc_with_trans_rates(&net.rates),
-            &reference.ctmc_with_trans_rates(&net.rates),
-            &what,
-        );
-        // A refill with fresh per-transition rates must also match.
-        let doubled: Vec<f64> = net.rates.iter().map(|r| r * 2.0).collect();
-        assert_rows_bitwise(
-            &qg.ctmc_with_trans_rates(&doubled),
-            &reference.ctmc_with_trans_rates(&doubled),
-            &format!("{what} (refill)"),
-        );
     }
 }
 
@@ -81,29 +88,9 @@ fn quotient_matrix_is_bitwise_deterministic() {
 fn full_graph_matrix_is_bitwise_deterministic() {
     let (net, _) = net_for(&[3, 4]);
     let reference = MarkingGraph::build(&net, opts(1)).unwrap();
-    let (mut buf_a, mut buf_b) = (Vec::new(), Vec::new());
     for threads in [1usize, 2, 4] {
         let what = format!("threads {threads}");
         let mg = MarkingGraph::build(&net, opts(threads)).unwrap();
-        assert_eq!(mg.n_states(), reference.n_states(), "{what}");
-        for s in 0..reference.n_states() {
-            assert_eq!(
-                mg.states.read_into(s, &mut buf_a),
-                reference.states.read_into(s, &mut buf_b),
-                "{what}: marking {s}"
-            );
-            assert_eq!(mg.enabled(s), reference.enabled(s), "{what}: enabled {s}");
-        }
-        assert_rows_bitwise(
-            &mg.ctmc_with_trans_rates(&net.rates),
-            &reference.ctmc_with_trans_rates(&net.rates),
-            &what,
-        );
-        let doubled: Vec<f64> = net.rates.iter().map(|r| r * 2.0).collect();
-        assert_rows_bitwise(
-            &mg.ctmc_with_trans_rates(&doubled),
-            &reference.ctmc_with_trans_rates(&doubled),
-            &format!("{what} (refill)"),
-        );
+        assert_graphs_bitwise(&mg, &reference, &net, &what);
     }
 }

@@ -14,6 +14,7 @@
 
 #![cfg(feature = "fault-inject")]
 
+use repstream_markov::cache::ChainCache;
 use repstream_markov::ctmc::{Solver, SolverChoice};
 use repstream_markov::fault::{self, FaultPlan};
 use repstream_markov::govern::{Budget, InterruptReason, Phase};
@@ -21,7 +22,6 @@ use repstream_markov::marking::{
     MarkingError, MarkingGraph, MarkingOptions, QuotientGraph, SpillOp,
 };
 use repstream_markov::net::{comm_pattern, EventNet};
-use repstream_markov::pattern::pattern_throughput;
 use repstream_petri::shape::{ExecModel, MappingShape, ResourceTable};
 use repstream_petri::tpn::Tpn;
 use std::sync::Mutex;
@@ -250,8 +250,8 @@ fn no_fault_run_is_bitwise_identical() {
     let (mut a, mut b) = (Vec::new(), Vec::new());
     for s in 0..reference.n_states() {
         assert_eq!(
-            armed_run.reps.read_into(s, &mut a),
-            reference.reps.read_into(s, &mut b),
+            armed_run.states.read_into(s, &mut a),
+            reference.states.read_into(s, &mut b),
             "representative {s}"
         );
         for (x, y) in armed_ctmc.row_rates(s).zip(reference_ctmc.row_rates(s)) {
@@ -286,8 +286,8 @@ fn env_install_parses_and_arms() {
 /// The stall matrix over every solver: each iterative method returns
 /// `Interrupt { reason: SolverStall }` from its first checkpoint under
 /// the one solve entry — and so does a production caller of it,
-/// `pattern_throughput`, as a structured `MarkingError` rather than a
-/// panic.  `Force(Gth)` completes: the direct elimination has no
+/// `ChainCache::pattern_throughput`, as a structured `MarkingError`
+/// rather than a panic.  `Force(Gth)` completes: the direct elimination has no
 /// checkpoint (and no iteration to stall).
 #[test]
 fn solver_stall_fault_covers_every_solver() {
@@ -329,10 +329,10 @@ fn solver_stall_fault_covers_every_solver() {
         .unwrap();
     assert_eq!(unfaulted.solver, Solver::GaussSeidel);
     assert!(unfaulted.iterations >= 8, "{} sweeps", unfaulted.iterations);
-    assert!(pattern_throughput(&rate, 1 << 20).is_ok());
+    assert!(ChainCache::new().pattern_throughput(&rate, 1 << 20).is_ok());
 
     fault::install(stall);
-    match pattern_throughput(&rate, 1 << 20) {
+    match ChainCache::new().pattern_throughput(&rate, 1 << 20) {
         Err(MarkingError::Interrupted(i)) => {
             assert_eq!(i.reason, InterruptReason::SolverStall);
             assert_eq!(i.progress.phase, Phase::Solve);

@@ -138,7 +138,7 @@ fn homogeneous_pattern_chain_lumps() {
         // Throughput through the lifted vector matches the full chain.
         let all: Vec<usize> = (0..net.n_transitions()).collect();
         let lumped_rho: f64 = {
-            let rates = mg.firing_rates(&net, &pi);
+            let rates = mg.firing_rates_with(&net.rates, &pi);
             all.iter().map(|&t| rates[t]).sum()
         };
         let full_rho = mg.throughput_of(&net, &all);

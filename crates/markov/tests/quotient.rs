@@ -5,7 +5,7 @@
 //! produces, while never materializing the full graph.
 
 use repstream_markov::ctmc::{Ctmc, Solver, SolverChoice};
-use repstream_markov::marking::{MarkingGraph, MarkingOptions, QuotientGraph};
+use repstream_markov::marking::{Graph, MarkingGraph, MarkingOptions, QuotientGraph};
 use repstream_markov::net::{EventNet, NetSymmetry};
 use repstream_petri::shape::{ExecModel, MappingShape, ResourceTable};
 use repstream_petri::tpn::Tpn;
@@ -76,7 +76,7 @@ fn direct_quotient_equals_full_then_lump_bitwise() {
                 .find(|&s| seed.block_of(s) == b)
                 .expect("non-empty block");
             assert_eq!(
-                qg.reps.get(b),
+                qg.states.get(b),
                 mg.states.get(first),
                 "{ctx}: representative of block {b}"
             );
@@ -155,7 +155,7 @@ fn m1_degenerates_to_the_plain_bfs_bitwise() {
     assert_eq!(qg.full_states(), mg.n_states());
     assert!(qg.orbit_sizes().iter().all(|&k| k == 1));
     for s in 0..mg.n_states() {
-        assert_eq!(qg.reps.get(s), mg.states.get(s), "state {s}");
+        assert_eq!(qg.states.get(s), mg.states.get(s), "state {s}");
         assert_eq!(qg.enabled(s), mg.enabled(s), "state {s}");
     }
 }
@@ -219,7 +219,7 @@ fn quotient_refill_is_bitwise_cold() {
             &format!("λ ({comp},{comm})"),
         );
         let last = tpn.last_column();
-        let a = warm.throughput_with(&refilled, &net.rates, &last);
+        let (a, _) = warm.throughput_solve(&refilled, &net.rates, &last, SolverChoice::Auto);
         let b = cold.throughput_of(&net, &last);
         assert_eq!(a.to_bits(), b.to_bits(), "λ ({comp},{comm})");
     }
@@ -322,8 +322,7 @@ fn labelled_chain_is_the_rated_csr_bitwise() {
         let net = EventNet::from_tpn(&tpn, &het);
         let mg = MarkingGraph::build(&net, MarkingOptions::default()).unwrap();
         let labelled = mg.ctmc_with_trans_rates(&net.rates);
-        let fired = mg.edge_transitions();
-        let rated = rated_csr(&labelled, |e| net.rates[fired[e] as usize]);
+        let rated = rated_csr(&labelled, |e| net.rates[mg.edge_transitions(e)[0] as usize]);
         let ctx = format!("het {teams:?} full");
         assert_same_solves(&labelled, &rated, &ctx);
         let again = mg.ctmc_with_trans_rates(&net.rates);
@@ -462,6 +461,43 @@ fn merged_transition_labels_equal_full_then_lump() {
     assert!((direct - full).abs() <= 1e-12 * full, "{direct} vs {full}");
 }
 
+/// `par` against the sequential `seq`, either graph kind: chain (targets
+/// and rate bits, at the net's rates and refilled from a scaled table),
+/// state counts, markings, enabled sets and the solved throughput of
+/// `last`.
+fn assert_parallel_is_sequential<K>(
+    par: &Graph<K>,
+    seq: &Graph<K>,
+    net: &EventNet,
+    last: &[usize],
+    ctx: &str,
+) {
+    assert_chains_identical(
+        &par.ctmc_with_trans_rates(&net.rates),
+        &seq.ctmc_with_trans_rates(&net.rates),
+        ctx,
+    );
+    assert_eq!(par.n_states(), seq.n_states(), "{ctx}");
+    assert_eq!(par.full_states(), seq.full_states(), "{ctx}");
+    for s in 0..seq.n_states() {
+        assert_eq!(par.states.get(s), seq.states.get(s), "{ctx}: state {s}");
+        assert_eq!(par.enabled(s), seq.enabled(s), "{ctx}: enabled {s}");
+    }
+    // The edge→transitions refill maps coincide: re-rating both graphs
+    // from a scaled table gives identical chains.
+    let doubled: Vec<f64> = net.rates.iter().map(|r| r * 2.0).collect();
+    assert_chains_identical(
+        &par.ctmc_with_trans_rates(&doubled),
+        &seq.ctmc_with_trans_rates(&doubled),
+        &format!("{ctx} (refilled)"),
+    );
+    assert_eq!(
+        par.throughput_of(net, last).to_bits(),
+        seq.throughput_of(net, last).to_bits(),
+        "{ctx}"
+    );
+}
+
 /// The chunk-parallel frontier BFS of the quotient build is **bitwise
 /// identical** to the sequential scan for every thread count: chain
 /// (targets and rate bits), representatives, enabled sets, orbit sizes,
@@ -471,51 +507,19 @@ fn parallel_quotient_build_is_bitwise_sequential() {
     for teams in [vec![2usize, 3], vec![3, 4], vec![2, 3, 4]] {
         let (tpn, net, sym) = strict_net(&teams, 0.5, 2.0);
         let sym = sym.expect("homogeneous rates keep the rotation");
-        let seq = QuotientGraph::build(
-            &net,
-            &sym,
-            MarkingOptions {
-                threads: 1,
+        let build = |threads| {
+            let opts = MarkingOptions {
+                threads,
                 ..Default::default()
-            },
-        )
-        .unwrap();
-        let last = tpn.last_column();
+            };
+            QuotientGraph::build(&net, &sym, opts).unwrap()
+        };
+        let seq = build(1);
         for threads in [2usize, 4, 8] {
-            let par = QuotientGraph::build(
-                &net,
-                &sym,
-                MarkingOptions {
-                    threads,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+            let par = build(threads);
             let ctx = format!("teams {teams:?} threads {threads}");
-            assert_chains_identical(
-                &par.ctmc_with_trans_rates(&net.rates),
-                &seq.ctmc_with_trans_rates(&net.rates),
-                &ctx,
-            );
+            assert_parallel_is_sequential(&par, &seq, &net, &tpn.last_column(), &ctx);
             assert_eq!(par.orbit_sizes(), seq.orbit_sizes(), "{ctx}");
-            assert_eq!(par.full_states(), seq.full_states(), "{ctx}");
-            for s in 0..seq.n_states() {
-                assert_eq!(par.reps.get(s), seq.reps.get(s), "{ctx}: rep {s}");
-                assert_eq!(par.enabled(s), seq.enabled(s), "{ctx}: enabled {s}");
-            }
-            // The edge→transitions refill maps coincide: re-rating both
-            // graphs from a scaled table gives identical chains.
-            let doubled: Vec<f64> = net.rates.iter().map(|r| r * 2.0).collect();
-            assert_chains_identical(
-                &par.ctmc_with_trans_rates(&doubled),
-                &seq.ctmc_with_trans_rates(&doubled),
-                &format!("{ctx} (refilled)"),
-            );
-            assert_eq!(
-                par.throughput_of(&net, &last).to_bits(),
-                seq.throughput_of(&net, &last).to_bits(),
-                "{ctx}"
-            );
         }
     }
 }
@@ -526,35 +530,19 @@ fn parallel_quotient_build_is_bitwise_sequential() {
 #[test]
 fn parallel_plain_bfs_is_bitwise_sequential() {
     for teams in [vec![2usize, 3], vec![1, 2, 2]] {
-        let (_, net, _) = strict_net(&teams, 0.5, 2.0);
-        let seq = MarkingGraph::build(
-            &net,
-            MarkingOptions {
-                threads: 1,
+        let (tpn, net, _) = strict_net(&teams, 0.5, 2.0);
+        let build = |threads| {
+            let opts = MarkingOptions {
+                threads,
                 ..Default::default()
-            },
-        )
-        .unwrap();
+            };
+            MarkingGraph::build(&net, opts).unwrap()
+        };
+        let seq = build(1);
         for threads in [2usize, 4, 8] {
-            let par = MarkingGraph::build(
-                &net,
-                MarkingOptions {
-                    threads,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+            let par = build(threads);
             let ctx = format!("teams {teams:?} threads {threads}");
-            assert_chains_identical(
-                &par.ctmc_with_trans_rates(&net.rates),
-                &seq.ctmc_with_trans_rates(&net.rates),
-                &ctx,
-            );
-            assert_eq!(par.n_states(), seq.n_states(), "{ctx}");
-            for s in 0..seq.n_states() {
-                assert_eq!(par.states.get(s), seq.states.get(s), "{ctx}: state {s}");
-                assert_eq!(par.enabled(s), seq.enabled(s), "{ctx}: enabled {s}");
-            }
+            assert_parallel_is_sequential(&par, &seq, &net, &tpn.last_column(), &ctx);
             // A budget below the reachable count errors identically.
             let tight = MarkingOptions {
                 max_states: seq.n_states() - 1,

@@ -5,7 +5,7 @@
 //! BFS order, same representative bytes, same orbit sizes, same enabled
 //! sets, and the same chain bits through a rate refill.
 
-use repstream_markov::marking::{MarkingGraph, MarkingOptions, QuotientGraph};
+use repstream_markov::marking::{Graph, MarkingGraph, MarkingOptions, QuotientGraph};
 use repstream_markov::net::EventNet;
 use repstream_petri::shape::{ExecModel, MappingShape, ResourceTable};
 use repstream_petri::tpn::Tpn;
@@ -35,16 +35,17 @@ fn net_for(teams: &[usize]) -> (EventNet, repstream_markov::net::NetSymmetry) {
     (net, sym.expect("homogeneous table keeps the row rotation"))
 }
 
-fn assert_quotients_bitwise(a: &QuotientGraph, b: &QuotientGraph, net: &EventNet, what: &str) {
+/// `a` against the reference `b`, either graph kind: states, full-chain
+/// states, markings, enabled sets and the chain bits.
+fn assert_graphs_bitwise<K>(a: &Graph<K>, b: &Graph<K>, net: &EventNet, what: &str) {
     assert_eq!(a.n_states(), b.n_states(), "{what}: state count");
     assert_eq!(a.full_states(), b.full_states(), "{what}: full states");
-    assert_eq!(a.orbit_sizes(), b.orbit_sizes(), "{what}: orbit sizes");
     let (mut buf_a, mut buf_b) = (Vec::new(), Vec::new());
     for s in 0..b.n_states() {
         assert_eq!(
-            a.reps.read_into(s, &mut buf_a),
-            b.reps.read_into(s, &mut buf_b),
-            "{what}: representative {s}"
+            a.states.read_into(s, &mut buf_a),
+            b.states.read_into(s, &mut buf_b),
+            "{what}: marking {s}"
         );
         assert_eq!(a.enabled(s), b.enabled(s), "{what}: enabled {s}");
     }
@@ -82,7 +83,8 @@ fn quotient_shard_spill_matrix_4x5_is_bitwise_identical() {
                         "{what}: a {TINY_SPILL}-byte limit must actually spill"
                     );
                 }
-                assert_quotients_bitwise(&qg, &reference, &net, &what);
+                assert_graphs_bitwise(&qg, &reference, &net, &what);
+                assert_eq!(qg.orbit_sizes(), reference.orbit_sizes(), "{what}");
                 let doubled: Vec<f64> = net.rates.iter().map(|r| r * 2.0).collect();
                 let (ra, rb) = (
                     qg.ctmc_with_trans_rates(&doubled),
@@ -111,7 +113,8 @@ fn quotient_shard_spill_5x6_is_bitwise_identical() {
         if spill {
             assert!(qg.arena_stats().spill_bytes > 0, "{what}: must spill");
         }
-        assert_quotients_bitwise(&qg, &reference, &net, &what);
+        assert_graphs_bitwise(&qg, &reference, &net, &what);
+        assert_eq!(qg.orbit_sizes(), reference.orbit_sizes(), "{what}");
     }
 }
 
@@ -120,8 +123,6 @@ fn quotient_shard_spill_5x6_is_bitwise_identical() {
 fn full_graph_shard_spill_is_bitwise_identical() {
     let (net, _) = net_for(&[4, 5]);
     let reference = MarkingGraph::build(&net, opts(1, 1, false)).unwrap();
-    let reference_ctmc = reference.ctmc_with_trans_rates(&net.rates);
-    let (mut buf_a, mut buf_b) = (Vec::new(), Vec::new());
     for shards in [4usize, 16] {
         for spill in [false, true] {
             for threads in [1usize, 4] {
@@ -130,26 +131,7 @@ fn full_graph_shard_spill_is_bitwise_identical() {
                 if spill {
                     assert!(mg.arena_stats().spill_bytes > 0, "{what}: must spill");
                 }
-                assert_eq!(mg.n_states(), reference.n_states(), "{what}");
-                for s in 0..reference.n_states() {
-                    assert_eq!(
-                        mg.states.read_into(s, &mut buf_a),
-                        reference.states.read_into(s, &mut buf_b),
-                        "{what}: marking {s}"
-                    );
-                    assert_eq!(mg.enabled(s), reference.enabled(s), "{what}: enabled {s}");
-                }
-                let ctmc = mg.ctmc_with_trans_rates(&net.rates);
-                for s in 0..reference_ctmc.n_states() {
-                    assert_eq!(
-                        ctmc.row_targets(s),
-                        reference_ctmc.row_targets(s),
-                        "{what}: targets of {s}"
-                    );
-                    for (x, y) in ctmc.row_rates(s).zip(reference_ctmc.row_rates(s)) {
-                        assert_eq!(x.to_bits(), y.to_bits(), "{what}: rate bits of {s}");
-                    }
-                }
+                assert_graphs_bitwise(&mg, &reference, &net, &what);
             }
         }
     }

@@ -82,8 +82,8 @@ fn main() {
             assert_eq!(qg.orbit_sizes(), reference.orbit_sizes(), "{what}: orbits");
             for s in 0..reference.n_states() {
                 assert_eq!(
-                    qg.reps.read_into(s, &mut buf_a),
-                    reference.reps.read_into(s, &mut buf_b),
+                    qg.states.read_into(s, &mut buf_a),
+                    reference.states.read_into(s, &mut buf_b),
                     "{what}: representative {s}"
                 );
                 assert_eq!(qg.enabled(s), reference.enabled(s), "{what}: enabled {s}");
