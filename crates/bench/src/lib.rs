@@ -1,18 +1,20 @@
 //! # repstream-bench
 //!
-//! The experiment harness: one binary per table/figure of the paper's
-//! evaluation (§7).  Performance is measured by the `benchmark` binary
+//! The experiment harness: one function per table/figure of the paper's
+//! evaluation (§7) in [`figures`], run by the `figures` binary.
+//! Performance is measured by the `benchmark` binary
 //! (`src/bin/benchmark/`), which stands alone and does not use this
 //! library.
 //!
-//! Every binary prints a CSV-like table to stdout (and optionally to a
-//! file) so the series can be plotted directly.  All binaries accept:
+//! `figures NAME [--smoke] [--seed <u64>] [--out <path>]` prints the
+//! figure's table aligned to stdout (and as CSV to `--out`) so the series
+//! can be plotted directly:
 //!
 //! * `--smoke` — tiny parameters, used by the integration tests;
 //! * `--seed <u64>` — master seed (default 2010, the paper's year);
 //! * `--out <path>` — also write the CSV to a file.
 //!
-//! | Binary   | Reproduces |
+//! | `NAME`   | Reproduces |
 //! |----------|------------|
 //! | `table1` | Table 1 — experiments without critical resources |
 //! | `fig10`  | Throughput vs number of processed data sets |
@@ -31,66 +33,10 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use std::io::Write;
+pub mod figures;
 
-/// Common command-line arguments of the figure binaries.
-#[derive(Debug, Clone)]
-pub struct Args {
-    /// Tiny parameters for integration tests.
-    pub smoke: bool,
-    /// Master seed.
-    pub seed: u64,
-    /// Optional CSV output path.
-    pub out: Option<String>,
-}
-
-impl Args {
-    /// Parse from `std::env::args`.  Unknown flags abort with usage help.
-    pub fn parse() -> Args {
-        let mut args = Args {
-            smoke: false,
-            seed: 2010,
-            out: None,
-        };
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < argv.len() {
-            match argv[i].as_str() {
-                "--smoke" => args.smoke = true,
-                "--seed" => {
-                    i += 1;
-                    args.seed = argv
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage("--seed needs a u64"));
-                }
-                "--out" => {
-                    i += 1;
-                    args.out = Some(
-                        argv.get(i)
-                            .cloned()
-                            .unwrap_or_else(|| usage("--out needs a path")),
-                    );
-                }
-                "--help" | "-h" => usage(""),
-                other => usage(&format!("unknown flag {other}")),
-            }
-            i += 1;
-        }
-        args
-    }
-}
-
-fn usage(msg: &str) -> ! {
-    if !msg.is_empty() {
-        eprintln!("error: {msg}");
-    }
-    eprintln!("usage: <binary> [--smoke] [--seed <u64>] [--out <path>]");
-    std::process::exit(if msg.is_empty() { 0 } else { 2 });
-}
-
-/// A simple column-oriented results table that prints aligned text and
-/// writes CSV.
+/// A simple column-oriented results table that renders aligned text and
+/// CSV.
 #[derive(Debug, Clone)]
 pub struct Table {
     headers: Vec<String>,
@@ -99,9 +45,9 @@ pub struct Table {
 
 impl Table {
     /// New table with the given column headers.
-    pub fn new(headers: &[&str]) -> Table {
+    pub fn new<S: AsRef<str>>(headers: &[S]) -> Table {
         Table {
-            headers: headers.iter().map(|s| s.to_string()).collect(),
+            headers: headers.iter().map(|s| s.as_ref().to_string()).collect(),
             rows: Vec::new(),
         }
     }
@@ -110,6 +56,16 @@ impl Table {
     pub fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.headers.len(), "row arity");
         self.rows.push(cells);
+    }
+
+    /// The column headers.
+    pub fn headers(&self) -> &[String] {
+        &self.headers
+    }
+
+    /// The rows, in insertion order.
+    pub fn rows(&self) -> &[Vec<String>] {
+        &self.rows
     }
 
     /// Format a float with 6 significant digits (compact, plot-friendly).
@@ -123,53 +79,42 @@ impl Table {
         }
     }
 
-    /// Print aligned to stdout and, if requested, CSV to `out`.
-    pub fn emit(&self, out: Option<&str>) {
-        let widths: Vec<usize> = self
-            .headers
-            .iter()
-            .enumerate()
-            .map(|(c, h)| {
+    /// Right-aligned text: the headers, a dash rule, then the rows.
+    pub fn render(&self) -> String {
+        let widths: Vec<usize> = (0..self.headers.len())
+            .map(|c| {
                 self.rows
                     .iter()
                     .map(|r| r[c].len())
-                    .chain(std::iter::once(h.len()))
+                    .chain(std::iter::once(self.headers[c].len()))
                     .max()
                     .unwrap_or(0)
             })
             .collect();
-        let stdout = std::io::stdout();
-        let mut lock = stdout.lock();
-        let fmt_row = |cells: &[String]| -> String {
-            cells
-                .iter()
-                .enumerate()
-                .map(|(c, s)| format!("{:>w$}", s, w = widths[c]))
-                .collect::<Vec<_>>()
-                .join("  ")
+        let line = |cells: Vec<String>| cells.join("  ") + "\n";
+        let aligned = |cells: &[String]| {
+            line(
+                cells
+                    .iter()
+                    .zip(&widths)
+                    .map(|(s, &w)| format!("{s:>w$}"))
+                    .collect(),
+            )
         };
-        writeln!(lock, "{}", fmt_row(&self.headers)).unwrap();
-        writeln!(
-            lock,
-            "{}",
-            widths
-                .iter()
-                .map(|w| "-".repeat(*w))
-                .collect::<Vec<_>>()
-                .join("  ")
-        )
-        .unwrap();
+        let mut text = aligned(&self.headers);
+        text += &line(widths.iter().map(|&w| "-".repeat(w)).collect());
         for r in &self.rows {
-            writeln!(lock, "{}", fmt_row(r)).unwrap();
+            text += &aligned(r);
         }
-        if let Some(path) = out {
-            let mut f =
-                std::io::BufWriter::new(std::fs::File::create(path).expect("create output file"));
-            writeln!(f, "{}", self.headers.join(",")).unwrap();
-            for r in &self.rows {
-                writeln!(f, "{}", r.join(",")).unwrap();
-            }
-        }
+        text
+    }
+
+    /// Comma-separated values: the header line, then the rows.
+    pub fn csv(&self) -> String {
+        std::iter::once(&self.headers)
+            .chain(&self.rows)
+            .map(|r| r.join(",") + "\n")
+            .collect()
     }
 }
 
@@ -189,7 +134,11 @@ mod tests {
         let mut t = Table::new(&["a", "bb"]);
         t.row(vec!["1".into(), Table::num(0.5)]);
         t.row(vec!["22".into(), Table::num(1234567.0)]);
-        assert_eq!(t.rows.len(), 2);
+        assert_eq!(
+            t.render(),
+            " a        bb\n--  --------\n 1  0.500000\n22  1.2346e6\n"
+        );
+        assert_eq!(t.csv(), "a,bb\n1,0.500000\n22,1.2346e6\n");
         assert_eq!(Table::num(0.0), "0");
         assert!(Table::num(1e-7).contains('e'));
     }

@@ -144,11 +144,17 @@ pub fn throughput_overlap<'a>(system: impl Into<SystemRef<'a>>) -> Result<ExpRep
     )
 }
 
-/// Oracle for the heterogeneous pattern-chain solves of the Theorem 3
-/// decomposition: a [`ChainCache`] (structure-keyed marking-graph reuse
-/// in `repstream-markov`), whose every value is **bitwise identical** to
-/// a fresh cache's cold solve of the same rate matrix.
-pub trait PatternSolver {
+/// Oracle for **both** chain families an analysis needs: the pattern
+/// chains of the Theorem 3 decomposition and the Strict Theorem 2 chain.
+/// Implemented by [`ChainCache`] (one owner — the one-shot CLI, a search
+/// thread, `bounds`, `report`, the engine's batch scorers) and by
+/// `&SharedChainCache` (the serving layer's sharded concurrent cache;
+/// each solve locks one shard for its duration).  Every value of both is
+/// **bitwise identical** to a fresh cache's cold solve, so
+/// [`throughput_strict_with_solver`] and `report::system_report_with`,
+/// generic over this trait, render the one-shot and served reports
+/// byte-for-byte the same.
+pub trait ChainSolver {
     /// Inner throughput of the `u′ × v′` pattern with per-link rates
     /// `rate[a][b]` (coprime dimensions), or the marking error of a chain
     /// that exceeds `max_states`.
@@ -157,43 +163,7 @@ pub trait PatternSolver {
         rate: &[Vec<f64>],
         max_states: usize,
     ) -> Result<f64, MarkingError>;
-}
 
-/// A [`ChainCache`] is a pattern oracle (structure-keyed reuse, bitwise
-/// identical to cold solves): consumers that hold one cache — `bounds`,
-/// `report`, the engine's batch scorers — pass it anywhere a
-/// [`PatternSolver`] is expected.
-impl PatternSolver for ChainCache {
-    fn pattern_throughput(
-        &mut self,
-        rate: &[Vec<f64>],
-        max_states: usize,
-    ) -> Result<f64, MarkingError> {
-        ChainCache::pattern_throughput(self, rate, max_states)
-    }
-}
-
-/// A shared reference to the serving layer's sharded cache is a pattern
-/// oracle too: each solve locks one shard for its duration.
-impl PatternSolver for &SharedChainCache {
-    fn pattern_throughput(
-        &mut self,
-        rate: &[Vec<f64>],
-        max_states: usize,
-    ) -> Result<f64, MarkingError> {
-        SharedChainCache::pattern_throughput(self, rate, max_states)
-    }
-}
-
-/// Oracle for **both** chain families a governed report needs: the
-/// pattern chains of the Theorem 3 decomposition ([`PatternSolver`])
-/// plus the Strict Theorem 2 chain.  Implemented by [`ChainCache`] (one
-/// owner — the one-shot CLI, a search thread) and by `&SharedChainCache`
-/// (the serving layer's sharded concurrent cache).  Both are bitwise
-/// identical to cold solves; [`throughput_strict_with_solver`] and
-/// `report::system_report_with` are generic over this trait so the
-/// one-shot and served paths render byte-for-byte the same report.
-pub trait ChainSolver: PatternSolver {
     /// Strict Theorem 2 solve of `shape` under per-resource `rates` (what
     /// [`throughput_strict_report`] runs through a fresh [`ChainCache`]).
     fn strict_solve(
@@ -205,6 +175,14 @@ pub trait ChainSolver: PatternSolver {
 }
 
 impl ChainSolver for ChainCache {
+    fn pattern_throughput(
+        &mut self,
+        rate: &[Vec<f64>],
+        max_states: usize,
+    ) -> Result<f64, MarkingError> {
+        ChainCache::pattern_throughput(self, rate, max_states)
+    }
+
     fn strict_solve(
         &mut self,
         shape: &MappingShape,
@@ -216,6 +194,14 @@ impl ChainSolver for ChainCache {
 }
 
 impl ChainSolver for &SharedChainCache {
+    fn pattern_throughput(
+        &mut self,
+        rate: &[Vec<f64>],
+        max_states: usize,
+    ) -> Result<f64, MarkingError> {
+        SharedChainCache::pattern_throughput(self, rate, max_states)
+    }
+
     fn strict_solve(
         &mut self,
         shape: &MappingShape,
@@ -228,13 +214,13 @@ impl ChainSolver for &SharedChainCache {
 
 /// The decomposition itself, on a shape and per-resource rates (callers
 /// may sweep synthetic columns without a full platform), with a
-/// caller-supplied [`PatternSolver`] (see the trait docs for the bitwise
+/// caller-supplied [`ChainSolver`] (see the trait docs for the bitwise
 /// contract).
 pub fn throughput_overlap_with_solver(
     shape: &MappingShape,
     rates: &ResourceTable<f64>,
     opts: ExpOptions,
-    solver: &mut impl PatternSolver,
+    solver: &mut impl ChainSolver,
 ) -> Result<ExpReport, ExpError> {
     let n = shape.n_stages();
     let mut candidates = Vec::new();
@@ -449,12 +435,13 @@ pub fn throughput_strict_with_solver<'a>(
 /// Validation variant: global CTMC of the **Overlap** TPN with a finite
 /// per-place capacity.  Under-estimates the infinite-buffer throughput and
 /// increases towards it with the capacity (at most 255 tokens per place;
-/// more is refused as `MarkingError::CapacityTooLarge`).
+/// more is refused as `MarkingError::CapacityTooLarge`).  Returns the
+/// throughput and the bounded chain's state count.
 pub fn throughput_overlap_bounded<'a>(
     system: impl Into<SystemRef<'a>>,
     capacity: u32,
     opts: ExpOptions,
-) -> Result<f64, ExpError> {
+) -> Result<(f64, usize), ExpError> {
     let system = system.into();
     let shape = system.shape();
     let tpn = Tpn::build(&shape, ExecModel::Overlap);
@@ -471,7 +458,7 @@ pub fn throughput_overlap_bounded<'a>(
             &opts.budget,
         )
         .map_err(|i| ExpError::MarkingGraph(i.into()))?;
-    Ok(rho)
+    Ok((rho, mg.n_states()))
 }
 
 #[cfg(test)]
@@ -628,7 +615,7 @@ mod tests {
         let sys = system(vec![vec![0], vec![1]], vec![1.0, 2.0], 4.0);
         let mut last = 0.0;
         for cap in [1, 2, 4] {
-            let rho = throughput_overlap_bounded(&sys, cap, ExpOptions::default()).unwrap();
+            let (rho, _) = throughput_overlap_bounded(&sys, cap, ExpOptions::default()).unwrap();
             assert!(rho >= last - 1e-12);
             last = rho;
         }

@@ -62,7 +62,7 @@
 //!   and the platform DES, with parallel replications;
 //! * [`chainsim`] — a third, minimal recurrence simulator (ablation
 //!   baseline);
-//! * [`mapping_opt`] — mapping construction heuristics scored by the
+//! * [`mapping_opt`] — greedy mapping construction scored by the
 //!   analytic evaluators (the paper's "future work" §8);
 //! * [`report`] — one-call human-readable reports combining all analyses.
 

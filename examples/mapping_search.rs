@@ -5,14 +5,13 @@
 //! cargo run --release --example mapping_search
 //! ```
 //!
-//! On the 12-processor heterogeneous `mapping_search` scenario, compare
-//! the three classic heuristics — greedy, random search, hill-climbing
-//! from one-to-one — then run the engine's **portfolio driver** (greedy +
-//! parallel random batch + delta-scored hill climbing + exponential
-//! re-rank), which composes all of them over the batch evaluation engine.
+//! On the 12-processor heterogeneous `mapping_search` scenario, score the
+//! greedy construction, then run the engine's **portfolio driver**
+//! (greedy + parallel random batch + delta-scored hill climbing +
+//! exponential re-rank) over the batch evaluation engine.
 
-use repstream::core::mapping_opt::{greedy, local_search, random_search};
-use repstream::core::model::{Mapping, SystemRef};
+use repstream::core::mapping_opt::greedy;
+use repstream::core::model::SystemRef;
 use repstream::core::{deterministic, exponential};
 use repstream::engine::{portfolio_search, PortfolioOptions};
 use repstream::petri::shape::ExecModel;
@@ -26,35 +25,25 @@ fn main() {
     let model = ExecModel::Overlap;
 
     let g = greedy(&app, &platform, model).expect("greedy");
-    let r = random_search(&app, &platform, model, 200, 17).expect("random");
-    let start = Mapping::new(vec![vec![0], vec![1], vec![2], vec![3]]).expect("start");
-    let l = local_search(&app, &platform, &start, model, 50).expect("local");
+    println!(
+        "greedy  det-throughput {:.5}  {:?}",
+        g.throughput,
+        g.mapping.teams()
+    );
 
-    println!("strategy        det-throughput  teams");
-    for (name, sm) in [("greedy", &g), ("random(200)", &r), ("local-search", &l)] {
-        println!(
-            "{name:<15} {:>14.5}  {:?}",
-            sm.throughput,
-            sm.mapping.teams()
-        );
-    }
+    // Under exponential variability the greedy mapping loses throughput
+    // (Theorem 7: variability punishes replicated columns).
+    let sys = SystemRef::new(&app, &platform, &g.mapping).expect("valid candidate");
+    let exp = exponential::throughput_overlap(sys).expect("exp");
+    let det = deterministic::analyze(sys, ExecModel::Overlap).throughput;
+    println!(
+        "greedy  exp {:.5} (det {:.5}, robustness {:.1}%)",
+        exp.throughput,
+        det,
+        100.0 * exp.throughput / det
+    );
 
-    // Re-rank the candidates under exponential variability: robustness can
-    // reorder them (Theorem 7: variability punishes replicated columns).
-    println!("\nunder exponential times:");
-    for (name, sm) in [("greedy", &g), ("random(200)", &r), ("local-search", &l)] {
-        let sys = SystemRef::new(&app, &platform, &sm.mapping).expect("valid candidate");
-        let exp = exponential::throughput_overlap(sys).expect("exp");
-        let det = deterministic::analyze(sys, ExecModel::Overlap).throughput;
-        println!(
-            "{name:<15} exp {:.5} (det {:.5}, robustness {:.1}%)",
-            exp.throughput,
-            det,
-            100.0 * exp.throughput / det
-        );
-    }
-
-    // The portfolio driver runs all of the above on the batch engine:
+    // The portfolio driver starts from greedy on the batch engine:
     // zero-clone scoring, memoized pattern periods, chunk-parallel random
     // batches, O(affected) hill-climb rescoring, chain-cached re-rank.
     let report = portfolio_search(

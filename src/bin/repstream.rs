@@ -549,13 +549,6 @@ fn print_client_response(resp: &Response) {
         }
         Response::ShuttingDown => println!("server shutting down"),
         Response::Error(e) => eprintln!("error (class {}): {}", e.class, e.message),
-        Response::Solve(r) => println!(
-            "solve: {} states, solver {}, {} iterations, residual {:.3e}",
-            r.pi.len(),
-            r.solver.label(),
-            r.iterations,
-            r.residual
-        ),
     }
 }
 
