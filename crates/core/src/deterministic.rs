@@ -117,47 +117,35 @@ pub fn throughput_columnwise<'a>(system: impl Into<SystemRef<'a>>) -> f64 {
 
 /// As [`throughput_columnwise`], working on a shape and time table.
 pub fn throughput_columnwise_shape(shape: &MappingShape, times: &ResourceTable<f64>) -> f64 {
-    throughput_columnwise_with_periods(shape, times, &mut |file, comp, g, up, vp| {
-        pattern_period(up, vp, |a, b| {
-            *times.get(Resource::Link {
-                file,
-                src: comp + g * a,
-                dst: comp + g * b,
-            })
-        })
-    })
-}
-
-/// Columnwise throughput with a caller-supplied pattern-period oracle.
-///
-/// `period(file, component, g, u′, v′)` must return exactly what
-/// [`pattern_period`] would compute for that component's link times — this
-/// hook exists so batch evaluators (the `repstream-engine` crate) can
-/// memoize the (comparatively expensive) critical-cycle solves while
-/// staying **bitwise identical** to [`throughput_columnwise`]: every fold
-/// and candidate value other than the period lookup happens here, in one
-/// shared implementation.
-pub fn throughput_columnwise_with_periods(
-    shape: &MappingShape,
-    times: &ResourceTable<f64>,
-    period: &mut impl FnMut(usize, usize, usize, usize, usize) -> f64,
-) -> f64 {
     throughput_columnwise_with_fns(
         shape.teams(),
         &mut |stage, slot| *times.get(Resource::Proc { stage, slot }),
-        period,
+        &mut |file, comp, g, up, vp| {
+            pattern_period(up, vp, |a, b| {
+                *times.get(Resource::Link {
+                    file,
+                    src: comp + g * a,
+                    dst: comp + g * b,
+                })
+            })
+        },
     )
 }
 
-/// As [`throughput_columnwise_with_periods`] with the stage times also
-/// supplied by a closure, so batch evaluators can fold per-resource
-/// service times (e.g. contention shares) on the fly instead of
-/// materializing a [`ResourceTable`] per candidate.  Takes the raw team
-/// sizes (`shape.teams()`) so hot paths need not allocate a
-/// [`MappingShape`] either.  Every fold and candidate value happens
-/// here, in the one shared implementation — a caller whose closures
-/// return the table's values is **bitwise**
-/// [`throughput_columnwise_shape`].
+/// Columnwise throughput with the stage times and the pattern periods
+/// supplied by closures, so batch evaluators (the `repstream-engine`
+/// crate) can fold per-resource service times (e.g. contention shares)
+/// on the fly instead of materializing a [`ResourceTable`] per
+/// candidate, and memoize the (comparatively expensive) critical-cycle
+/// solves.  Takes the raw team sizes (`shape.teams()`) so hot paths need
+/// not allocate a [`MappingShape`] either.
+///
+/// `stage_time(stage, slot)` is the processor's service time;
+/// `period(file, component, g, u′, v′)` must return exactly what
+/// [`pattern_period`] would compute for that component's link times.
+/// Every fold and candidate value happens here, in the one shared
+/// implementation — a caller whose closures return the table's values is
+/// **bitwise** [`throughput_columnwise_shape`].
 pub fn throughput_columnwise_with_fns(
     teams: &[usize],
     stage_time: &mut impl FnMut(usize, usize) -> f64,

@@ -632,29 +632,30 @@ impl<'a> WorkloadRef<'a> {
         self.platform
     }
 
-    /// Validate a joint mapping against this workload: one mapping per
-    /// app, stage counts matching, only existing processors — the same
-    /// checks [`SystemRef::new`] runs, per app.
-    pub fn validate(&self, joint: &JointMapping) -> Result<(), ModelError> {
-        if joint.n_apps() != self.apps.len() {
+    /// Validate per-app mappings (a [`JointMapping::mappings`], or one
+    /// [`Mapping`] for a one-app workload) against this workload: one
+    /// mapping per app, stage counts matching, only existing processors —
+    /// the same checks [`SystemRef::new`] runs, per app.
+    pub fn validate(&self, mappings: &[Mapping]) -> Result<(), ModelError> {
+        if mappings.len() != self.apps.len() {
             return Err(ModelError::AppCountMismatch {
                 apps: self.apps.len(),
-                mappings: joint.n_apps(),
+                mappings: mappings.len(),
             });
         }
-        for (app, mapping) in self.apps.iter().zip(joint.mappings()) {
+        for (app, mapping) in self.apps.iter().zip(mappings) {
             validate_triple(app.application(), self.platform, mapping)?;
         }
         Ok(())
     }
 
-    /// Borrowed single-app view of tenant `k` under `joint` (validity
-    /// inherited from [`WorkloadRef::validate`], no re-check).
-    pub fn system_of(&self, k: usize, joint: &'a JointMapping) -> SystemRef<'a> {
+    /// Borrowed single-app view of tenant `k` under per-app `mappings`
+    /// (validity inherited from [`WorkloadRef::validate`], no re-check).
+    pub fn system_of(&self, k: usize, mappings: &'a [Mapping]) -> SystemRef<'a> {
         SystemRef {
             app: self.apps[k].application(),
             platform: self.platform,
-            mapping: joint.mapping(k),
+            mapping: &mappings[k],
         }
     }
 }
@@ -804,7 +805,7 @@ mod tests {
         // Wrong app count.
         let one: JointMapping = Mapping::one_to_one(2).into();
         assert!(matches!(
-            r.validate(&one).unwrap_err(),
+            r.validate(one.mappings()).unwrap_err(),
             ModelError::AppCountMismatch {
                 apps: 2,
                 mappings: 1
@@ -817,19 +818,19 @@ mod tests {
             Mapping::new(vec![vec![0], vec![3]]).unwrap(),
         ])
         .unwrap();
-        assert!(r.validate(&shared).is_ok());
+        assert!(r.validate(shared.mappings()).is_ok());
         let bad = JointMapping::new(vec![
             Mapping::one_to_one(2),
             Mapping::new(vec![vec![0], vec![9]]).unwrap(),
         ])
         .unwrap();
         assert!(matches!(
-            r.validate(&bad).unwrap_err(),
+            r.validate(bad.mappings()).unwrap_err(),
             ModelError::UnknownProcessor { proc: 9 }
         ));
 
         // Per-app borrowed view matches the plain SystemRef.
-        let view = r.system_of(1, &shared);
+        let view = r.system_of(1, shared.mappings());
         assert_eq!(view.proc_at(1, 0), 3);
         assert_eq!(view.app(), w.app(1).application());
     }

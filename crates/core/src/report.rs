@@ -368,7 +368,7 @@ pub fn workload_report(
     joint: &JointMapping,
     opts: ReportOptions,
 ) -> Result<String, ModelError> {
-    workload.as_ref().validate(joint)?;
+    workload.as_ref().validate(joint.mappings())?;
     let mut s = String::new();
     let m = workload.platform().n_processors();
     writeln!(

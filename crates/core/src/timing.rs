@@ -43,32 +43,17 @@ impl Contention {
     /// Build from a joint mapping.
     pub fn from_joint(joint: &JointMapping, n_procs: usize) -> Self {
         let mut c = Contention::empty(joint.n_apps(), n_procs);
-        for (k, mapping) in joint.mappings().iter().enumerate() {
-            for (stage, team) in mapping.teams().iter().enumerate() {
-                for &p in team {
-                    c.stage_of[k][p] = stage as i32;
-                }
-            }
-        }
+        c.refill_from_joint(joint.mappings());
         c
     }
 
-    fn from_single(mapping: &Mapping, n_procs: usize) -> Self {
-        let mut c = Contention::empty(1, n_procs);
-        for (stage, team) in mapping.teams().iter().enumerate() {
-            for &p in team {
-                c.stage_of[0][p] = stage as i32;
-            }
-        }
-        c
-    }
-
-    /// Refill from a joint mapping without reallocating — the per-
-    /// candidate reset of batch scorers.  The joint mapping must have
-    /// the same app count this bookkeeping was built with.
-    pub fn refill_from_joint(&mut self, joint: &JointMapping) {
-        assert_eq!(self.stage_of.len(), joint.n_apps(), "app count changed");
-        for (k, mapping) in joint.mappings().iter().enumerate() {
+    /// Refill from per-app mappings (a [`JointMapping::mappings`], or one
+    /// [`Mapping`] for a single app) without reallocating — the per-
+    /// candidate reset of batch scorers.  There must be as many mappings
+    /// as this bookkeeping was built with apps.
+    pub fn refill_from_joint(&mut self, mappings: &[Mapping]) {
+        assert_eq!(self.stage_of.len(), mappings.len(), "app count changed");
+        for (k, mapping) in mappings.iter().enumerate() {
             self.stage_of[k].fill(-1);
             for (stage, team) in mapping.teams().iter().enumerate() {
                 for &p in team {
@@ -152,7 +137,7 @@ pub fn contended_times<'a>(
     let workload = workload.into();
     let contention = Contention::from_joint(joint, workload.platform().n_processors());
     (0..workload.n_apps())
-        .map(|k| contended_system_times(workload.system_of(k, joint), &contention))
+        .map(|k| contended_system_times(workload.system_of(k, joint.mappings()), &contention))
         .collect()
 }
 
@@ -173,7 +158,8 @@ pub fn contended_rates<'a>(
 /// co-tenants, every contention share is 1, and `x / 1.0 == x` bitwise.
 pub fn deterministic_times<'a>(system: impl Into<SystemRef<'a>>) -> ResourceTable<f64> {
     let system = system.into();
-    let contention = Contention::from_single(system.mapping(), system.platform().n_processors());
+    let mut contention = Contention::empty(1, system.platform().n_processors());
+    contention.refill_from_joint(std::slice::from_ref(system.mapping()));
     contended_system_times(system, &contention)
 }
 

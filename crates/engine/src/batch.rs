@@ -2,28 +2,38 @@
 //!
 //! Candidate scores are mutually independent, so a batch is split into
 //! contiguous chunks, one `std::thread::scope` thread per chunk, each
-//! thread owning a private [`DetScorer`] (memo and scratch included) and
-//! a disjoint slice of the output.  No result ever crosses a thread
-//! boundary mid-computation, so the output is **bitwise identical for
-//! any thread count** — the same pattern as the CTMC power sweep (see
-//! `repstream-markov`), and pinned by the engine's property tests.
+//! thread owning a private [`WorkloadDetScorer`] (memo and scratch
+//! included) and a disjoint slice of the output.  No result ever crosses
+//! a thread boundary mid-computation, so the output is **bitwise
+//! identical for any thread count** — the same pattern as the CTMC power
+//! sweep (see `repstream-markov`), and pinned by the engine's property
+//! tests.
+//!
+//! There is one batch, [`score_joint_batch_with_threads`], over any
+//! [`Candidate`]: a [`JointMapping`] of a K-app workload, or a single
+//! [`Mapping`] of a one-app workload, scored as the slice of its one
+//! mapping (no per-candidate `JointMapping` is built).  Its scores are
+//! flat, `K` per candidate, so a one-app batch is exactly the list of
+//! throughputs.  [`score_batch`] and [`score_joint_batch`] are its
+//! unbudgeted views.
 
-use crate::score::{DetScorer, WorkloadDetScorer};
+use crate::score::WorkloadDetScorer;
 use repstream_core::model::{
-    Application, JointMapping, Mapping, ModelError, Platform, WorkloadRef,
+    App, Application, JointMapping, Mapping, ModelError, Platform, WorkloadRef,
 };
 use repstream_markov::govern::{Budget, Interrupt, Phase, Progress};
 use repstream_petri::shape::ExecModel;
 
-/// Candidates per thread below which spawning is not worth it.
+/// Candidates per thread below which spawning is not worth it; also how
+/// often each thread checks the budget.
 const PAR_MIN_CANDIDATES: usize = 64;
 
-/// Errors of the governed batch scorers.
+/// Errors of the batch scorer.
 #[derive(Debug)]
 pub enum BatchError {
     /// A candidate failed validation.
     Model(ModelError),
-    /// The budget fired between candidate sub-batches.
+    /// The budget fired between candidates.
     Interrupted(Interrupt),
 }
 
@@ -38,66 +48,27 @@ impl std::fmt::Display for BatchError {
 
 impl std::error::Error for BatchError {}
 
-/// As [`score_batch`] under a cooperative [`Budget`], checked once per
-/// sub-batch of `PAR_MIN_CANDIDATES` candidates — the same granularity
-/// the parallel splitter uses.  Scores are bitwise identical to
-/// [`score_batch`]'s (each sub-batch goes through the same chunk-parallel
-/// path); the checks only decide whether the batch aborts early.
-pub fn score_batch_governed(
-    app: &Application,
-    platform: &Platform,
-    model: ExecModel,
-    candidates: &[Mapping],
-    budget: &Budget,
-) -> Result<Vec<f64>, BatchError> {
-    if budget.is_unlimited() {
-        return score_batch(app, platform, model, candidates).map_err(BatchError::Model);
-    }
-    let mut out = Vec::with_capacity(candidates.len());
-    for sub in candidates.chunks(PAR_MIN_CANDIDATES) {
-        budget
-            .check(Progress {
-                phase: Phase::Search,
-                states: 0,
-                levels: 0,
-                iterations: out.len(),
-                arena_bytes: 0,
-            })
-            .map_err(BatchError::Interrupted)?;
-        out.extend(score_batch(app, platform, model, sub).map_err(BatchError::Model)?);
-    }
-    Ok(out)
+/// A candidate of a batch: the per-app mappings it assigns.
+pub trait Candidate: Sync {
+    /// The per-app mappings (one for a single application).
+    fn per_app(&self) -> &[Mapping];
 }
 
-/// As [`score_joint_batch`] under a cooperative [`Budget`]; see
-/// [`score_batch_governed`] for the sub-batch check granularity and the
-/// bitwise contract.
-pub fn score_joint_batch_governed(
-    workload: WorkloadRef<'_>,
-    model: ExecModel,
-    candidates: &[JointMapping],
-    budget: &Budget,
-) -> Result<Vec<Vec<f64>>, BatchError> {
-    if budget.is_unlimited() {
-        return score_joint_batch(workload, model, candidates).map_err(BatchError::Model);
+/// A single application's candidate, scored on a one-app workload.
+impl Candidate for Mapping {
+    fn per_app(&self) -> &[Mapping] {
+        std::slice::from_ref(self)
     }
-    let mut out = Vec::with_capacity(candidates.len());
-    for sub in candidates.chunks(PAR_MIN_CANDIDATES) {
-        budget
-            .check(Progress {
-                phase: Phase::Search,
-                states: 0,
-                levels: 0,
-                iterations: out.len(),
-                arena_bytes: 0,
-            })
-            .map_err(BatchError::Interrupted)?;
-        out.extend(score_joint_batch(workload, model, sub).map_err(BatchError::Model)?);
-    }
-    Ok(out)
 }
 
-/// Deterministic throughput of every candidate, in input order.
+impl Candidate for JointMapping {
+    fn per_app(&self) -> &[Mapping] {
+        self.mappings()
+    }
+}
+
+/// Deterministic throughput of every candidate of one application, in
+/// input order — the one batch on the one-app workload.
 ///
 /// Thread count is `available_parallelism` capped so each thread scores
 /// at least `PAR_MIN_CANDIDATES` (64); the result does not depend on it.
@@ -109,143 +80,165 @@ pub fn score_batch(
     model: ExecModel,
     candidates: &[Mapping],
 ) -> Result<Vec<f64>, ModelError> {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let threads = cores.min(candidates.len() / PAR_MIN_CANDIDATES).max(1);
-    score_batch_with_threads(app, platform, model, candidates, threads)
-}
-
-/// As [`score_batch`] with an explicit thread count (≥ 1).  Exposed so
-/// the equivalence tests can compare thread counts; the scores are
-/// bitwise identical for every choice.
-pub fn score_batch_with_threads(
-    app: &Application,
-    platform: &Platform,
-    model: ExecModel,
-    candidates: &[Mapping],
-    threads: usize,
-) -> Result<Vec<f64>, ModelError> {
-    let threads = threads.max(1);
-    let mut out = vec![0.0f64; candidates.len()];
-    if threads == 1 || candidates.len() <= 1 {
-        let mut scorer = DetScorer::new(app, platform, model);
-        for (m, slot) in candidates.iter().zip(out.iter_mut()) {
-            *slot = scorer.score(m)?;
-        }
-        return Ok(out);
-    }
-    let chunk = candidates.len().div_ceil(threads);
-    // One Result per chunk, joined in chunk order so the reported error
-    // is the first failing candidate's regardless of thread scheduling.
-    let results: Vec<Result<(), ModelError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = out
-            .chunks_mut(chunk)
-            .zip(candidates.chunks(chunk))
-            .map(|(slots, chunk_candidates)| {
-                scope.spawn(move || {
-                    let mut scorer = DetScorer::new(app, platform, model);
-                    for (m, slot) in chunk_candidates.iter().zip(slots.iter_mut()) {
-                        *slot = scorer.score(m)?;
-                    }
-                    Ok(())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("batch scorer thread panicked"))
-            .collect()
-    });
-    for r in results {
-        r?;
-    }
-    Ok(out)
+    let apps = [App::new(app.clone())];
+    let workload = WorkloadRef::new(&apps, platform)?;
+    unbudgeted(score_joint_batch_with_threads(
+        workload,
+        model,
+        candidates,
+        &Budget::UNLIMITED,
+        0,
+    ))
 }
 
 /// Contended per-app deterministic throughputs of every joint candidate,
-/// in input order — the K-app counterpart of [`score_batch`].
-///
-/// Thread count is `available_parallelism` capped so each thread scores
-/// at least `PAR_MIN_CANDIDATES` (64); the result does not depend on it.
-/// The first invalid candidate (in input order) aborts the batch with its
-/// validation error.
+/// in input order; threads and errors as in [`score_batch`].
 pub fn score_joint_batch(
     workload: WorkloadRef<'_>,
     model: ExecModel,
     candidates: &[JointMapping],
 ) -> Result<Vec<Vec<f64>>, ModelError> {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let threads = cores.min(candidates.len() / PAR_MIN_CANDIDATES).max(1);
-    score_joint_batch_with_threads(workload, model, candidates, threads)
+    let flat = unbudgeted(score_joint_batch_with_threads(
+        workload,
+        model,
+        candidates,
+        &Budget::UNLIMITED,
+        0,
+    ))?;
+    Ok(flat
+        .chunks(workload.n_apps())
+        .map(<[f64]>::to_vec)
+        .collect())
 }
 
-/// As [`score_joint_batch`] with an explicit thread count (≥ 1); the
-/// scores are bitwise identical for every choice (each thread owns a
-/// private [`WorkloadDetScorer`] and a disjoint output slice).
-pub fn score_joint_batch_with_threads(
+fn unbudgeted<T>(result: Result<T, BatchError>) -> Result<T, ModelError> {
+    result.map_err(|e| match e {
+        BatchError::Model(e) => e,
+        BatchError::Interrupted(_) => unreachable!("an unlimited budget never fires"),
+    })
+}
+
+/// The one batch: the contended per-app deterministic throughputs of
+/// every candidate, flat and in input order (candidate `i`'s `K` scores
+/// at `i·K..(i+1)·K`), on `threads` threads (0 = `available_parallelism`,
+/// capped so each thread scores at least `PAR_MIN_CANDIDATES`) under a
+/// cooperative [`Budget`].
+///
+/// Each thread checks the budget before every `PAR_MIN_CANDIDATES`
+/// candidates of its own chunk; the checks only decide whether the batch
+/// aborts, never a score, so the scores are bitwise identical for every
+/// thread count and budget that does not fire.  The first failing chunk
+/// (in chunk order) reports: its first invalid candidate's validation
+/// error, or the interrupt.
+pub fn score_joint_batch_with_threads<C: Candidate>(
     workload: WorkloadRef<'_>,
     model: ExecModel,
-    candidates: &[JointMapping],
+    candidates: &[C],
+    budget: &Budget,
     threads: usize,
-) -> Result<Vec<Vec<f64>>, ModelError> {
-    let threads = threads.max(1);
-    let mut out = vec![Vec::new(); candidates.len()];
-    if threads == 1 || candidates.len() <= 1 {
+) -> Result<Vec<f64>, BatchError> {
+    let threads = match threads {
+        0 => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .min(candidates.len() / PAR_MIN_CANDIDATES),
+        n => n,
+    }
+    .max(1);
+    let chunk = candidates.len().div_ceil(threads).max(1);
+    let k = workload.n_apps();
+    let mut out = vec![0.0f64; candidates.len() * k];
+    let score_chunk = |(i, (slots, chunk_candidates)): (usize, (&mut [f64], &[C]))| {
         let mut scorer = WorkloadDetScorer::new(workload, model);
-        for (m, slot) in candidates.iter().zip(out.iter_mut()) {
-            scorer.score_into(m, slot)?;
+        let mut per_app = Vec::with_capacity(k);
+        for (j, (c, slot)) in chunk_candidates.iter().zip(slots.chunks_mut(k)).enumerate() {
+            if j % PAR_MIN_CANDIDATES == 0 {
+                budget
+                    .check(Progress {
+                        phase: Phase::Search,
+                        states: 0,
+                        levels: 0,
+                        iterations: i * chunk + j,
+                        arena_bytes: 0,
+                    })
+                    .map_err(BatchError::Interrupted)?;
+            }
+            scorer
+                .score_into(c.per_app(), &mut per_app)
+                .map_err(BatchError::Model)?;
+            slot.copy_from_slice(&per_app);
         }
-        return Ok(out);
-    }
-    let chunk = candidates.len().div_ceil(threads);
-    let results: Vec<Result<(), ModelError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = out
-            .chunks_mut(chunk)
-            .zip(candidates.chunks(chunk))
-            .map(|(slots, chunk_candidates)| {
-                scope.spawn(move || {
-                    let mut scorer = WorkloadDetScorer::new(workload, model);
-                    for (m, slot) in chunk_candidates.iter().zip(slots.iter_mut()) {
-                        scorer.score_into(m, slot)?;
-                    }
-                    Ok(())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("joint batch scorer thread panicked"))
-            .collect()
-    });
-    for r in results {
-        r?;
-    }
+        Ok(())
+    };
+    let parts = out
+        .chunks_mut(chunk * k)
+        .zip(candidates.chunks(chunk))
+        .enumerate();
+    // One Result per chunk, in chunk order, so the reported error is the
+    // first failing chunk's regardless of thread scheduling.
+    let results: Vec<Result<(), BatchError>> = if threads == 1 {
+        parts.map(score_chunk).collect()
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = parts
+                .map(|part| scope.spawn(move || score_chunk(part)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("batch scorer thread panicked"))
+                .collect()
+        })
+    };
+    results.into_iter().collect::<Result<(), _>>()?;
     Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use repstream_core::model::{App, Workload};
+    use repstream_core::model::Workload;
+    use repstream_markov::govern::InterruptReason;
     use repstream_workload::random::{random_joint_mappings, random_mappings};
+    use std::sync::atomic::AtomicBool;
+    use std::time::Duration;
 
     fn instance() -> (Application, Platform) {
         repstream_workload::scenarios::mapping_search()
     }
 
+    /// The scenario as a one-app workload.
+    fn one_app() -> Workload {
+        let (app, platform) = instance();
+        Workload::new(vec![App::new(app)], platform).unwrap()
+    }
+
+    fn two_apps() -> Workload {
+        let (app, platform) = instance();
+        Workload::new(vec![App::new(app.clone()), App::new(app)], platform).unwrap()
+    }
+
+    fn with_threads<C: Candidate>(
+        workload: &Workload,
+        candidates: &[C],
+        budget: &Budget,
+        threads: usize,
+    ) -> Result<Vec<f64>, BatchError> {
+        score_joint_batch_with_threads(
+            workload.as_ref(),
+            ExecModel::Overlap,
+            candidates,
+            budget,
+            threads,
+        )
+    }
+
     #[test]
     fn thread_counts_agree_bitwise() {
-        let (app, platform) = instance();
-        let candidates = random_mappings(4, platform.n_processors(), 96, 11);
-        let seq =
-            score_batch_with_threads(&app, &platform, ExecModel::Overlap, &candidates, 1).unwrap();
+        let workload = one_app();
+        let candidates = random_mappings(4, workload.platform().n_processors(), 96, 11);
+        let seq = with_threads(&workload, &candidates, &Budget::UNLIMITED, 1).unwrap();
         for threads in [2, 3, 8] {
-            let par =
-                score_batch_with_threads(&app, &platform, ExecModel::Overlap, &candidates, threads)
-                    .unwrap();
+            let par = with_threads(&workload, &candidates, &Budget::UNLIMITED, threads).unwrap();
             assert_eq!(seq.len(), par.len());
             for (i, (a, b)) in seq.iter().zip(par.iter()).enumerate() {
                 assert_eq!(
@@ -259,15 +252,17 @@ mod tests {
 
     #[test]
     fn invalid_candidate_aborts_with_first_error() {
-        let (app, platform) = instance();
-        let mut candidates = random_mappings(4, platform.n_processors(), 8, 3);
+        let workload = one_app();
+        let mut candidates = random_mappings(4, workload.platform().n_processors(), 8, 3);
         candidates.insert(
             2,
             Mapping::new(vec![vec![0], vec![1], vec![2], vec![99]]).unwrap(),
         );
-        let err = score_batch_with_threads(&app, &platform, ExecModel::Overlap, &candidates, 4)
-            .unwrap_err();
-        assert!(matches!(err, ModelError::UnknownProcessor { proc: 99 }));
+        let err = with_threads(&workload, &candidates, &Budget::UNLIMITED, 4).unwrap_err();
+        assert!(matches!(
+            err,
+            BatchError::Model(ModelError::UnknownProcessor { proc: 99 })
+        ));
     }
 
     #[test]
@@ -275,45 +270,34 @@ mod tests {
         let (app, platform) = instance();
         let candidates = random_mappings(4, platform.n_processors(), 5, 7);
         let auto = score_batch(&app, &platform, ExecModel::Overlap, &candidates).unwrap();
-        let seq =
-            score_batch_with_threads(&app, &platform, ExecModel::Overlap, &candidates, 1).unwrap();
+        let seq = with_threads(&one_app(), &candidates, &Budget::UNLIMITED, 1).unwrap();
         assert_eq!(auto, seq);
     }
 
     #[test]
     fn joint_thread_counts_agree_bitwise() {
-        let (app, platform) = instance();
-        let workload = Workload::new(vec![App::new(app.clone()), App::new(app)], platform).unwrap();
+        let workload = two_apps();
         let candidates = random_joint_mappings(&[4, 4], workload.platform().n_processors(), 96, 13);
-        let seq =
-            score_joint_batch_with_threads(workload.as_ref(), ExecModel::Overlap, &candidates, 1)
-                .unwrap();
+        let seq = with_threads(&workload, &candidates, &Budget::UNLIMITED, 1).unwrap();
         for threads in [2, 3, 8] {
-            let par = score_joint_batch_with_threads(
-                workload.as_ref(),
-                ExecModel::Overlap,
-                &candidates,
-                threads,
-            )
-            .unwrap();
+            let par = with_threads(&workload, &candidates, &Budget::UNLIMITED, threads).unwrap();
+            assert_eq!(seq.len(), 2 * candidates.len());
             assert_eq!(seq.len(), par.len());
-            for (i, (a, b)) in seq.iter().zip(par.iter()).enumerate() {
-                assert_eq!(a.len(), b.len());
-                for (k, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "candidate {i} app {k} at {threads} threads"
-                    );
-                }
+            for (i, (x, y)) in seq.iter().zip(par.iter()).enumerate() {
+                assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "candidate {} app {} at {threads} threads",
+                    i / 2,
+                    i % 2
+                );
             }
         }
     }
 
     #[test]
     fn joint_invalid_candidate_aborts_with_first_error() {
-        let (app, platform) = instance();
-        let workload = Workload::new(vec![App::new(app.clone()), App::new(app)], platform).unwrap();
+        let workload = two_apps();
         let mut candidates =
             random_joint_mappings(&[4, 4], workload.platform().n_processors(), 8, 3);
         candidates.insert(
@@ -324,9 +308,47 @@ mod tests {
             ])
             .unwrap(),
         );
-        let err =
-            score_joint_batch_with_threads(workload.as_ref(), ExecModel::Overlap, &candidates, 4)
-                .unwrap_err();
-        assert!(matches!(err, ModelError::UnknownProcessor { proc: 99 }));
+        let err = with_threads(&workload, &candidates, &Budget::UNLIMITED, 4).unwrap_err();
+        assert!(matches!(
+            err,
+            BatchError::Model(ModelError::UnknownProcessor { proc: 99 })
+        ));
+    }
+
+    #[test]
+    fn a_budget_that_never_fires_changes_no_score() {
+        let workload = one_app();
+        let candidates = random_mappings(4, workload.platform().n_processors(), 300, 19);
+        let far = Budget::deadline_in(Duration::from_secs(3600));
+        let unbudgeted = with_threads(&workload, &candidates, &Budget::UNLIMITED, 1).unwrap();
+        for threads in [1, 4] {
+            let budgeted = with_threads(&workload, &candidates, &far, threads).unwrap();
+            assert_eq!(unbudgeted.len(), budgeted.len());
+            for (i, (a, b)) in unbudgeted.iter().zip(budgeted.iter()).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "candidate {i} at {threads} threads"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_raised_cancel_flag_interrupts_the_batch() {
+        static CANCEL: AtomicBool = AtomicBool::new(true);
+        let workload = one_app();
+        let candidates = random_mappings(4, workload.platform().n_processors(), 300, 23);
+        let cancelled = Budget::UNLIMITED.cancelled_by(&CANCEL);
+        for threads in [1, 4] {
+            match with_threads(&workload, &candidates, &cancelled, threads) {
+                Err(BatchError::Interrupted(i)) => {
+                    assert_eq!(i.reason, InterruptReason::Cancelled);
+                    // The first chunk reports, at its first candidate.
+                    assert_eq!(i.progress.iterations, 0);
+                }
+                other => panic!("{threads} threads: expected an interrupt, got {other:?}"),
+            }
+        }
     }
 }

@@ -5,32 +5,30 @@
 //! communication component.  Moving one processor between teams only
 //! touches the two affected stage columns and their adjacent transfer
 //! patterns, so a hill-climbing rescore needs `O(affected)` column
-//! re-evaluations, not `O(N)` — [`DeltaScorer`] maintains the per-column
-//! minima and recomputes exactly the touched ones.
+//! re-evaluations, not `O(N)` — [`JointDeltaScorer`] maintains the
+//! per-column minima and recomputes exactly the touched ones.
 //!
-//! [`JointDeltaScorer`] is the K-app generalization: every column value
-//! uses the **contended** service times (`timing::Contention` shares),
-//! and a move of processor `p` in app `k` additionally refreshes, for
-//! every *co-located* app `l ≠ k` that uses `p`, the columns around the
-//! stage `p` serves in `l` — those are exactly the columns whose user
-//! counts can change, because only links with endpoint `p` gain or lose
-//! users.  [`DeltaScorer`] is the K = 1 wrapper (no co-tenants, every
-//! share is 1, values bitwise what they were before the workload
-//! refactor).
+//! Over a K-app workload every column value uses the **contended**
+//! service times (`timing::Contention` shares), and a move of processor
+//! `p` in app `k` additionally refreshes, for every *co-located* app
+//! `l ≠ k` that uses `p`, the columns around the stage `p` serves in `l`
+//! — those are exactly the columns whose user counts can change, because
+//! only links with endpoint `p` gain or lose users.  A single
+//! application is the one-app workload: no co-tenants, every share is 1.
 //!
 //! Exactness: every column value is computed by the same formulas (and
 //! the same memoized pattern-period solver) as the full columnwise
 //! evaluation over [`timing::contended_times`], and `min` over the
-//! per-column minima equals the flat fold of [`throughput_columnwise`]
+//! per-column minima equals the flat fold of [`throughput_columnwise_shape`]
 //! bit for bit — the engine's property tests compare randomly walked
 //! scorers against full rescoring to 0 ulp.
 //!
-//! [`throughput_columnwise`]: repstream_core::deterministic::throughput_columnwise
+//! [`throughput_columnwise_shape`]: repstream_core::deterministic::throughput_columnwise_shape
 //! [`timing::contended_times`]: repstream_core::timing::contended_times
 
 use crate::score::PatternMemo;
 use repstream_core::model::{
-    Application, JointMapping, Mapping, ModelError, Platform, ProcId, SystemRef, WorkloadRef,
+    Application, JointMapping, Mapping, ModelError, Platform, ProcId, WorkloadRef,
 };
 use repstream_core::timing::Contention;
 use repstream_petri::shape::gcd;
@@ -60,40 +58,15 @@ impl<'a> JointDeltaScorer<'a> {
         workload: WorkloadRef<'a>,
         start: &JointMapping,
     ) -> Result<JointDeltaScorer<'a>, ModelError> {
-        workload.validate(start)?;
-        let apps = workload
-            .apps()
-            .iter()
-            .map(|a| a.application())
-            .collect::<Vec<_>>();
+        workload.validate(start.mappings())?;
+        let apps: Vec<&Application> = workload.apps().iter().map(|a| a.application()).collect();
+        let platform = workload.platform();
+        let contention = Contention::from_joint(start, platform.n_processors());
         let teams = start
             .mappings()
             .iter()
             .map(|m| m.teams().to_vec())
-            .collect::<Vec<_>>();
-        Ok(JointDeltaScorer::from_parts(
-            apps,
-            workload.platform(),
-            teams,
-        ))
-    }
-
-    /// Internal constructor over pre-validated parts (shared with the
-    /// single-app [`DeltaScorer`] wrapper, which has no `App` metadata).
-    fn from_parts(
-        apps: Vec<&'a Application>,
-        platform: &'a Platform,
-        teams: Vec<Vec<Vec<ProcId>>>,
-    ) -> JointDeltaScorer<'a> {
-        let n_procs = platform.n_processors();
-        let mut contention = Contention::empty(apps.len(), n_procs);
-        for (k, app_teams) in teams.iter().enumerate() {
-            for (stage, team) in app_teams.iter().enumerate() {
-                for &p in team {
-                    contention.assign(k, p, stage);
-                }
-            }
-        }
+            .collect();
         let mut s = JointDeltaScorer {
             stage_min: apps
                 .iter()
@@ -119,7 +92,7 @@ impl<'a> JointDeltaScorer<'a> {
                 s.recompute_comm(k, file);
             }
         }
-        s
+        Ok(s)
     }
 
     /// Number of applications `K`.
@@ -284,76 +257,6 @@ impl<'a> JointDeltaScorer<'a> {
     }
 }
 
-/// Incremental columnwise Overlap scorer over a mutable single-app team
-/// assignment — the K = 1 view of [`JointDeltaScorer`] (no co-tenants,
-/// every contention share is 1, values bitwise unchanged).
-#[derive(Debug)]
-pub struct DeltaScorer<'a> {
-    inner: JointDeltaScorer<'a>,
-}
-
-impl<'a> DeltaScorer<'a> {
-    /// Build from a starting mapping (validated against the platform).
-    pub fn new(
-        app: &'a Application,
-        platform: &'a Platform,
-        start: &Mapping,
-    ) -> Result<DeltaScorer<'a>, ModelError> {
-        SystemRef::new(app, platform, start)?;
-        Ok(DeltaScorer {
-            inner: JointDeltaScorer::from_parts(vec![app], platform, vec![start.teams().to_vec()]),
-        })
-    }
-
-    /// The current team assignment.
-    pub fn teams(&self) -> &[Vec<ProcId>] {
-        self.inner.teams_of(0)
-    }
-
-    /// The current assignment as a validated [`Mapping`].
-    pub fn mapping(&self) -> Result<Mapping, ModelError> {
-        self.inner.mapping_of(0)
-    }
-
-    /// Column re-evaluations performed so far.
-    pub fn recomputes(&self) -> usize {
-        self.inner.recomputes()
-    }
-
-    /// Current columnwise throughput — bitwise equal to
-    /// [`throughput_columnwise`] on the current teams.
-    ///
-    /// [`throughput_columnwise`]: repstream_core::deterministic::throughput_columnwise
-    pub fn score(&self) -> f64 {
-        self.inner.score_of(0)
-    }
-
-    /// Remove the processor at `(stage, pos)` and return it, re-scoring
-    /// the affected columns.  The inverse of [`DeltaScorer::insert`].
-    ///
-    /// The team may transiently become empty (an invalid mapping); the
-    /// caller must re-insert a processor before trusting
-    /// [`DeltaScorer::score`] — empty columns report the neutral `+∞`
-    /// candidate, which makes the transient state *look* faster than any
-    /// valid one.
-    ///
-    /// # Panics
-    /// Panics if `(stage, pos)` is out of range.
-    pub fn remove(&mut self, stage: usize, pos: usize) -> ProcId {
-        self.inner.remove(0, stage, pos)
-    }
-
-    /// Insert processor `p` at `(stage, pos)`, re-scoring the affected
-    /// columns.  The inverse of [`DeltaScorer::remove`].
-    ///
-    /// # Panics
-    /// Panics if `stage` or `pos` is out of range, or `p` is not a
-    /// platform processor.
-    pub fn insert(&mut self, stage: usize, pos: usize, p: ProcId) {
-        self.inner.insert(0, stage, pos, p)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,48 +278,64 @@ mod tests {
         deterministic::throughput_columnwise(&sys)
     }
 
+    /// The scenario as a one-app workload.
+    fn workload1() -> (Application, Platform, Workload) {
+        let (app, platform) = instance();
+        let workload = Workload::new(vec![App::new(app.clone())], platform.clone()).unwrap();
+        (app, platform, workload)
+    }
+
+    fn one_app_scorer<'a>(workload: &'a Workload, teams: Vec<Vec<ProcId>>) -> JointDeltaScorer<'a> {
+        let start = Mapping::new(teams).unwrap().into();
+        JointDeltaScorer::new(workload.as_ref(), &start).unwrap()
+    }
+
     #[test]
     fn initial_score_matches_full_bitwise() {
-        let (app, platform) = instance();
-        let start = Mapping::new(vec![vec![0, 1], vec![2, 3], vec![4, 5, 6], vec![7]]).unwrap();
-        let d = DeltaScorer::new(&app, &platform, &start).unwrap();
-        let full = full_score(&app, &platform, d.teams());
-        assert_eq!(d.score().to_bits(), full.to_bits());
+        let (app, platform, workload) = workload1();
+        let d = one_app_scorer(
+            &workload,
+            vec![vec![0, 1], vec![2, 3], vec![4, 5, 6], vec![7]],
+        );
+        let full = full_score(&app, &platform, d.teams_of(0));
+        assert_eq!(d.score_of(0).to_bits(), full.to_bits());
     }
 
     #[test]
     fn moves_track_full_rescoring_bitwise() {
-        let (app, platform) = instance();
-        let start = Mapping::new(vec![vec![0, 1], vec![2, 3], vec![4, 5, 6], vec![7]]).unwrap();
-        let mut d = DeltaScorer::new(&app, &platform, &start).unwrap();
+        let (app, platform, workload) = workload1();
+        let start = vec![vec![0, 1], vec![2, 3], vec![4, 5, 6], vec![7]];
+        let mut d = one_app_scorer(&workload, start.clone());
         // A processor tour (never emptying a team): 1 → stage 2,
         // 2 → stage 3, 5 → stage 0, then back.
         let moves = [(0usize, 1usize, 2usize), (1, 0, 3), (2, 1, 0)];
         for &(from, pos, to) in &moves {
-            let p = d.remove(from, pos);
-            let at = d.teams()[to].len();
-            d.insert(to, at, p);
-            let full = full_score(&app, &platform, d.teams());
-            assert_eq!(d.score().to_bits(), full.to_bits(), "move {from}->{to}");
+            let p = d.remove(0, from, pos);
+            let at = d.teams_of(0)[to].len();
+            d.insert(0, to, at, p);
+            let full = full_score(&app, &platform, d.teams_of(0));
+            assert_eq!(d.score_of(0).to_bits(), full.to_bits(), "move {from}->{to}");
         }
         // Reverse the tour: the scorer must land exactly where it started.
         for &(from, pos, to) in moves.iter().rev() {
-            let p = d.remove(to, d.teams()[to].len() - 1);
-            d.insert(from, pos, p);
-            let full = full_score(&app, &platform, d.teams());
-            assert_eq!(d.score().to_bits(), full.to_bits());
+            let p = d.remove(0, to, d.teams_of(0)[to].len() - 1);
+            d.insert(0, from, pos, p);
+            let full = full_score(&app, &platform, d.teams_of(0));
+            assert_eq!(d.score_of(0).to_bits(), full.to_bits());
         }
-        assert_eq!(d.teams(), start.teams());
+        assert_eq!(d.teams_of(0), start.as_slice());
     }
 
     #[test]
     fn recompute_count_is_local() {
-        let (app, platform) = instance();
-        let start = Mapping::new(vec![vec![0, 1], vec![2, 3], vec![4, 5, 6], vec![7]]).unwrap();
-        let mut d = DeltaScorer::new(&app, &platform, &start).unwrap();
+        let (_, _, workload) = workload1();
+        let mut d = one_app_scorer(
+            &workload,
+            vec![vec![0, 1], vec![2, 3], vec![4, 5, 6], vec![7]],
+        );
         let base = d.recomputes();
-        let p = d.remove(0, 0);
-        d.insert(1, 0, p);
+        let p = d.remove(0, 0, 0);
+        d.insert(0, 1, 0, p);
         // Stage 0 touch: its compute column + comm 0; stage 1 touch: its
         // compute column + comms 0 and 1 — 5 column evaluations, not the
         // 7 (4 compute + 3 comm) of a full rescore.
@@ -425,16 +344,15 @@ mod tests {
 
     #[test]
     fn drop_and_readd_roundtrips() {
-        let (app, platform) = instance();
-        let start = Mapping::new(vec![vec![0, 1], vec![2], vec![3, 4], vec![5]]).unwrap();
-        let mut d = DeltaScorer::new(&app, &platform, &start).unwrap();
-        let before = d.score();
-        let p = d.remove(0, 1);
+        let (app, platform, workload) = workload1();
+        let mut d = one_app_scorer(&workload, vec![vec![0, 1], vec![2], vec![3, 4], vec![5]]);
+        let before = d.score_of(0);
+        let p = d.remove(0, 0, 1);
         // Dropped entirely (smaller mapping is still valid).
-        let dropped = full_score(&app, &platform, d.teams());
-        assert_eq!(d.score().to_bits(), dropped.to_bits());
-        d.insert(0, 1, p);
-        assert_eq!(d.score().to_bits(), before.to_bits());
+        let dropped = full_score(&app, &platform, d.teams_of(0));
+        assert_eq!(d.score_of(0).to_bits(), dropped.to_bits());
+        d.insert(0, 0, 1, p);
+        assert_eq!(d.score_of(0).to_bits(), before.to_bits());
     }
 
     fn workload2() -> (Workload, JointMapping) {

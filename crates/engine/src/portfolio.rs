@@ -8,21 +8,29 @@
 //! variability punishes replicated columns, so the deterministic winner
 //! is not always the robust one.
 //!
+//! There is one driver, [`workload_search`], over the joint mappings of
+//! a K-app workload, ranked by an [`Objective`].  A single application is
+//! its K = 1 case: [`portfolio_search`] runs it on the one-app workload
+//! under [`Objective::MaxMin`] (weight 1, so the objective *is* the
+//! throughput, `ρ / 1.0 == ρ` bit for bit) and reads app 0 off each
+//! candidate.
+//!
 //! Pipeline (all deterministic given the seed):
 //!
-//! 1. **greedy** ([`mapping_opt::greedy`]) — one candidate;
-//! 2. **random batch** — `random_candidates` seeded mappings scored
-//!    chunk-parallel by [`crate::batch::score_batch`];
-//! 3. **hill climb** — from the best `hill_climb_starts` distinct
-//!    candidates, first-improvement single-processor moves scored
-//!    `O(affected)` by [`DeltaScorer`];
-//! 4. **re-rank** — the top `finalists` by deterministic score are
-//!    re-scored by [`ExpScorer`] (chain-cache backed) and the best
-//!    exponential candidate wins.
+//! 1. **greedy** ([`mapping_opt::greedy`]) — one candidate, each app
+//!    mapped as if it were alone;
+//! 2. **random batch** — `random_candidates` seeded joint mappings scored
+//!    chunk-parallel by [`crate::batch::score_joint_batch_with_threads`];
+//! 3. **hill climb** — from the best three distinct candidates,
+//!    first-improvement single-processor moves scored `O(affected)` by
+//!    [`JointDeltaScorer`] (Overlap only);
+//! 4. **re-rank** — the top `finalists` by deterministic objective are
+//!    re-scored by [`WorkloadExpScorer`] (one chain cache across apps and
+//!    finalists) and the best exponential objective wins.
 
 use crate::batch::{self, BatchError};
-use crate::delta::{DeltaScorer, JointDeltaScorer};
-use crate::score::{ExpScoreError, ExpScorer, WorkloadDetScorer, WorkloadExpScorer};
+use crate::delta::JointDeltaScorer;
+use crate::score::{ExpScoreError, WorkloadDetScorer, WorkloadExpScorer};
 use repstream_core::exponential::ChainSolver;
 use repstream_core::mapping_opt::{self, OptError};
 use repstream_core::model::{
@@ -32,7 +40,12 @@ use repstream_markov::cache::{CacheStats, ChainCache};
 use repstream_markov::govern::{Interrupt, Phase, Progress, RunConfig};
 use repstream_markov::marking::MarkingError;
 use repstream_petri::shape::ExecModel;
-use repstream_workload::random::{random_joint_mappings, random_mappings};
+use repstream_workload::random::random_joint_mappings;
+
+/// Distinct best candidates used as hill-climb starting points.
+const HILL_CLIMB_STARTS: usize = 3;
+/// Hill-climb round cap per start.
+const HILL_CLIMB_ROUNDS: usize = 32;
 
 /// Errors of the portfolio driver.
 #[derive(Debug)]
@@ -116,18 +129,14 @@ pub struct PortfolioOptions {
     pub random_candidates: usize,
     /// Master seed (the whole search is deterministic in it).
     pub seed: u64,
-    /// Distinct best candidates used as hill-climb starting points.
-    pub hill_climb_starts: usize,
-    /// Hill-climb round cap per start.
-    pub hill_climb_rounds: usize,
     /// Deterministic finalists re-ranked exponentially.
     pub finalists: usize,
     /// Re-rank finalists under exponential times (Theorem 7).
     pub exp_rerank: bool,
     /// How the re-rank chains are built and solved.  Its
-    /// [`RunConfig::budget`] also governs the search itself: checked per
-    /// candidate sub-batch in the random phase and per finalist in the
-    /// re-rank phase.
+    /// [`RunConfig::budget`] also governs the search itself: checked every
+    /// 64 candidates of each batch thread in the random phase and per
+    /// finalist in the re-rank phase.
     pub run: RunConfig,
 }
 
@@ -137,8 +146,6 @@ impl Default for PortfolioOptions {
             model: ExecModel::Overlap,
             random_candidates: 512,
             seed: 2010,
-            hill_climb_starts: 3,
-            hill_climb_rounds: 32,
             finalists: 4,
             exp_rerank: true,
             run: RunConfig::default(),
@@ -168,8 +175,8 @@ pub struct PortfolioReport {
     /// All finalists, sorted best-first by the ranking score.
     pub finalists: Vec<PortfolioCandidate>,
     /// Full deterministic candidate evaluations of the batch phase
-    /// (greedy internals are not counted; the hill climbers' work shows
-    /// up as [`PortfolioReport::delta_recomputes`]).
+    /// (always `random_candidates`; see
+    /// [`WorkloadSearchReport::det_evaluations`]).
     pub det_evaluations: usize,
     /// `O(affected)` column re-evaluations spent by the hill climbers.
     pub delta_recomputes: usize,
@@ -179,55 +186,8 @@ pub struct PortfolioReport {
     pub exp_cache: CacheStats,
 }
 
-/// Hill-climb `start` by first-improvement single-processor moves
-/// (including drops), re-scoring `O(affected)` columns per probe.  A
-/// processor moves from a team of two or more to any other team, or is
-/// dropped; singleton teams stay.
-fn hill_climb(
-    scorer: &mut DeltaScorer<'_>,
-    max_rounds: usize,
-) -> Result<(Mapping, f64), ModelError> {
-    let n = scorer.teams().len();
-    let mut best = scorer.score();
-    for _ in 0..max_rounds {
-        let mut improved = false;
-        'moves: for from in 0..n {
-            for pos in 0..scorer.teams()[from].len() {
-                if scorer.teams()[from].len() == 1 {
-                    continue; // teams must stay non-empty
-                }
-                let p = scorer.remove(from, pos);
-                // Every destination, plus dropping the processor.
-                for to in (0..n).chain(std::iter::once(usize::MAX)) {
-                    if to == from {
-                        continue;
-                    }
-                    let s = if to == usize::MAX {
-                        scorer.score()
-                    } else {
-                        scorer.insert(to, scorer.teams()[to].len(), p);
-                        scorer.score()
-                    };
-                    if s > best + 1e-12 {
-                        best = s;
-                        improved = true;
-                        continue 'moves;
-                    }
-                    if to != usize::MAX {
-                        scorer.remove(to, scorer.teams()[to].len() - 1);
-                    }
-                }
-                scorer.insert(from, pos, p); // undo
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    Ok((scorer.mapping()?, best))
-}
-
-/// Run the portfolio (see the module docs).
+/// Search the mappings of one application: [`workload_search`] on its
+/// one-app workload, read at app 0 (see the module docs).
 ///
 /// ```
 /// use repstream_engine::{portfolio_search, PortfolioOptions};
@@ -278,7 +238,7 @@ pub fn portfolio_search_cached(
     opts: PortfolioOptions,
     cache: ChainCache,
 ) -> (Result<PortfolioReport, EngineError>, ChainCache) {
-    let (result, cache) = portfolio_search_with(app, platform, opts, cache);
+    let (result, cache) = one_app_search(app, platform, opts, cache);
     let result = result.map(|report| PortfolioReport {
         exp_cache: cache.stats(),
         ..report
@@ -286,118 +246,36 @@ pub fn portfolio_search_cached(
     (result, cache)
 }
 
-/// [`portfolio_search_cached`] over any chain oracle (the plumbing tests
-/// pass a recording fake); `exp_cache` is left for the caller that knows
-/// its oracle keeps counters.
-fn portfolio_search_with<S: ChainSolver>(
+/// The K = 1 projection of [`workload_search_with`]: the one-app
+/// workload under [`Objective::MaxMin`], app 0 of every candidate.
+fn one_app_search<S: ChainSolver>(
     app: &Application,
     platform: &Platform,
     opts: PortfolioOptions,
     solver: S,
 ) -> (Result<PortfolioReport, EngineError>, S) {
-    let mut exp_scorer = ExpScorer::with_cache(app, platform, opts.model, opts.run, solver);
-    let result = portfolio_phases(app, platform, opts, &mut exp_scorer);
-    (result, exp_scorer.into_cache())
-}
-
-/// The four search phases, generic over an externally-owned scorer so
-/// [`portfolio_search_with`] can recover the oracle on every path.
-fn portfolio_phases<'a, S: ChainSolver>(
-    app: &'a Application,
-    platform: &'a Platform,
-    opts: PortfolioOptions,
-    exp_scorer: &mut ExpScorer<'a, S>,
-) -> Result<PortfolioReport, EngineError> {
-    let mut det_evaluations = 0usize;
-    let mut delta_recomputes = 0usize;
-
-    // Phase 1: greedy seeding.
-    let greedy = mapping_opt::greedy(app, platform, opts.model)?;
-    let mut pool: Vec<PortfolioCandidate> = vec![PortfolioCandidate {
-        origin: "greedy",
-        mapping: greedy.mapping,
-        det: greedy.throughput,
-        exp: None,
-    }];
-
-    // Phase 2: parallel random batch.
-    let candidates = random_mappings(
-        app.n_stages(),
-        platform.n_processors(),
-        opts.random_candidates,
-        opts.seed,
-    );
-    let scores =
-        batch::score_batch_governed(app, platform, opts.model, &candidates, &opts.run.budget)?;
-    det_evaluations += scores.len();
-    // Best-first candidate order (deterministic: total_cmp, then index).
-    let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
-    if let Some(&i) = order.first() {
-        pool.push(PortfolioCandidate {
-            origin: "random",
-            mapping: candidates[i].clone(),
-            det: scores[i],
-            exp: None,
-        });
-    }
-
-    // Phase 3: hill climbs from the best distinct candidates (greedy
-    // included).  Delta scoring only covers the columnwise Overlap
-    // evaluation; Strict searches skip this phase.
-    if opts.model == ExecModel::Overlap && opts.hill_climb_starts > 0 {
-        let mut starts: Vec<Mapping> = vec![pool[0].mapping.clone()];
-        for &i in order.iter() {
-            if starts.len() >= opts.hill_climb_starts {
-                break;
-            }
-            if starts.iter().all(|m| m.teams() != candidates[i].teams()) {
-                starts.push(candidates[i].clone());
-            }
-        }
-        for start in starts {
-            let mut scorer = DeltaScorer::new(app, platform, &start)?;
-            let (mapping, det) = hill_climb(&mut scorer, opts.hill_climb_rounds)?;
-            delta_recomputes += scorer.recomputes();
-            pool.push(PortfolioCandidate {
-                origin: "hill-climb",
-                mapping,
-                det,
-                exp: None,
-            });
-        }
-    }
-
-    // Phase 4: finalists + optional exponential re-rank.
-    pool.sort_by(|a, b| b.det.total_cmp(&a.det));
-    let mut seen = std::collections::HashSet::new();
-    pool.retain(|c| seen.insert(c.mapping.teams().to_vec()));
-    pool.truncate(opts.finalists.max(1));
-    if opts.exp_rerank {
-        for (idx, c) in pool.iter_mut().enumerate() {
-            opts.run.budget.check(Progress {
-                phase: Phase::Search,
-                states: 0,
-                levels: 0,
-                iterations: idx,
-                arena_bytes: 0,
-            })?;
-            c.exp = Some(exp_scorer.score(&c.mapping).map_err(EngineError::Exp)?);
-        }
-        pool.sort_by(|a, b| {
-            let (ea, eb) = (a.exp.unwrap_or(a.det), b.exp.unwrap_or(b.det));
-            eb.total_cmp(&ea).then(b.det.total_cmp(&a.det))
-        });
-    }
-
-    Ok(PortfolioReport {
-        best: pool[0].clone(),
-        finalists: pool,
-        det_evaluations,
-        delta_recomputes,
-        exp_evaluations: exp_scorer.evaluations(),
-        exp_cache: CacheStats::default(),
-    })
+    let apps = [App::new(app.clone())];
+    let workload = WorkloadRef::new(&apps, platform).expect("one app");
+    let opts = WorkloadSearchOptions {
+        objective: Objective::MaxMin,
+        portfolio: opts,
+    };
+    let (result, solver) = workload_search_with(workload, opts, solver);
+    let one = |c: WorkloadCandidate| PortfolioCandidate {
+        origin: c.origin,
+        mapping: c.joint.mapping(0).clone(),
+        det: c.per_app[0],
+        exp: c.exp_per_app.map(|e| e[0]),
+    };
+    let result = result.map(|r| PortfolioReport {
+        best: one(r.best),
+        finalists: r.finalists.into_iter().map(one).collect(),
+        det_evaluations: r.det_evaluations,
+        delta_recomputes: r.delta_recomputes,
+        exp_evaluations: r.exp_evaluations,
+        exp_cache: r.exp_cache,
+    });
+    (result, solver)
 }
 
 /// Scalarization of per-app throughputs into one joint-search objective.
@@ -472,15 +350,14 @@ impl Objective {
     }
 }
 
-/// Options of [`workload_search`]: the four phases are
-/// [`portfolio_search`]'s, with the same knobs, run over joint candidates
-/// and ranked by one more.
+/// Options of [`workload_search`]: the portfolio's knobs, run over joint
+/// candidates and ranked by one more.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WorkloadSearchOptions {
     /// Scalarization of per-app throughputs.
     pub objective: Objective,
-    /// Model, batch size, seed, hill-climb and re-rank knobs, and the
-    /// [`RunConfig`] of the re-rank chains.
+    /// Model, batch size, seed and re-rank knobs, and the [`RunConfig`]
+    /// of the re-rank chains.
     pub portfolio: PortfolioOptions,
 }
 
@@ -547,7 +424,8 @@ pub struct WorkloadSearchReport {
     pub best: WorkloadCandidate,
     /// All finalists, sorted best-first by the ranking objective.
     pub finalists: Vec<WorkloadCandidate>,
-    /// Full deterministic joint-candidate evaluations.
+    /// Full deterministic joint-candidate evaluations of the batch phase
+    /// — `random_candidates`; the greedy seed's score is not counted.
     pub det_evaluations: usize,
     /// `O(affected)` column re-evaluations spent by the hill climbers.
     pub delta_recomputes: usize,
@@ -563,7 +441,11 @@ pub struct WorkloadSearchReport {
 
 /// Hill-climb the joint mapping by first-improvement single-processor
 /// moves within each app (including drops), re-scoring `O(affected)`
-/// columns per probe — co-located apps' contention terms included.
+/// columns per probe — co-located apps' contention terms included.  A
+/// processor moves from a team of two or more to any other team of its
+/// app, or is dropped; singleton teams stay.  Each round scans every
+/// app's stages in turn; an accepted move ends the scan of its source
+/// stage, and the round goes on with the next stage.
 fn hill_climb_joint(
     scorer: &mut JointDeltaScorer<'_>,
     apps: &[App],
@@ -575,9 +457,9 @@ fn hill_climb_joint(
     let mut best = objective.value(apps, buf);
     for _ in 0..max_rounds {
         let mut improved = false;
-        'moves: for k in 0..scorer.n_apps() {
+        for k in 0..scorer.n_apps() {
             let n = scorer.teams_of(k).len();
-            for from in 0..n {
+            'stages: for from in 0..n {
                 for pos in 0..scorer.teams_of(k)[from].len() {
                     if scorer.teams_of(k)[from].len() == 1 {
                         continue; // teams must stay non-empty
@@ -596,7 +478,7 @@ fn hill_climb_joint(
                         if s > best + 1e-12 {
                             best = s;
                             improved = true;
-                            continue 'moves;
+                            continue 'stages;
                         }
                         if to != usize::MAX {
                             scorer.remove(k, to, scorer.teams_of(k)[to].len() - 1);
@@ -619,9 +501,8 @@ fn hill_climb_joint(
 /// climbing, and an exponential re-rank of the finalists through **one**
 /// `ChainCache` shared across apps.
 ///
-/// The whole run is deterministic in `opts.portfolio.seed`, and for K = 1
-/// with the same phases it explores the same single-app landscape as
-/// [`portfolio_search`].
+/// The whole run is deterministic in `opts.portfolio.seed`; for K = 1
+/// under [`Objective::MaxMin`] it *is* [`portfolio_search`].
 ///
 /// ```
 /// use repstream_engine::{workload_search, Objective, PortfolioOptions, WorkloadSearchOptions};
@@ -662,30 +543,40 @@ pub fn workload_search<'a>(
     workload: impl Into<WorkloadRef<'a>>,
     opts: WorkloadSearchOptions,
 ) -> Result<WorkloadSearchReport, EngineError> {
-    let (report, cache) = workload_search_with(workload.into(), opts, ChainCache::new())?;
-    Ok(WorkloadSearchReport {
+    let (result, cache) = workload_search_with(workload.into(), opts, ChainCache::new());
+    result.map(|report| WorkloadSearchReport {
         exp_cache: cache.stats(),
         ..report
     })
 }
 
-/// [`workload_search`] over any chain oracle, handed back with the report
-/// (whose `exp_cache` is left for the caller; see
-/// [`portfolio_search_with`]).
+/// [`workload_search`] over any chain oracle, handed back on every path
+/// (the report's `exp_cache` is left for the caller that knows its
+/// oracle keeps counters).
 fn workload_search_with<S: ChainSolver>(
     workload: WorkloadRef<'_>,
     opts: WorkloadSearchOptions,
     solver: S,
-) -> Result<(WorkloadSearchReport, S), EngineError> {
+) -> (Result<WorkloadSearchReport, EngineError>, S) {
+    let run = opts.portfolio.run;
+    let mut exp_scorer = WorkloadExpScorer::with_cache(workload, opts.portfolio.model, run, solver);
+    let result = search_phases(workload, opts, &mut exp_scorer);
+    (result, exp_scorer.into_cache())
+}
+
+/// The four phases of [`workload_search_with`] (see the module docs).
+fn search_phases<S: ChainSolver>(
+    workload: WorkloadRef<'_>,
+    opts: WorkloadSearchOptions,
+    exp_scorer: &mut WorkloadExpScorer<'_, S>,
+) -> Result<WorkloadSearchReport, EngineError> {
     let WorkloadSearchOptions {
         objective,
         portfolio: opts,
     } = opts;
     let apps = workload.apps();
     let platform = workload.platform();
-    let mut det_evaluations = 0usize;
     let mut delta_recomputes = 0usize;
-    let mut det_scorer = WorkloadDetScorer::new(workload, opts.model);
     let mut buf = Vec::new();
 
     // Phase 1: selfish greedy seeding — each app greedily maps as if it
@@ -696,8 +587,7 @@ fn workload_search_with<S: ChainSolver>(
             .collect::<Result<_, _>>()?,
     )
     .expect("a workload has at least one app");
-    det_scorer.score_into(&greedy_joint, &mut buf)?;
-    det_evaluations += 1;
+    WorkloadDetScorer::new(workload, opts.model).score_into(greedy_joint.mappings(), &mut buf)?;
     let mut pool: Vec<WorkloadCandidate> = vec![WorkloadCandidate {
         origin: "greedy",
         per_app: buf.clone(),
@@ -715,12 +605,16 @@ fn workload_search_with<S: ChainSolver>(
         opts.random_candidates,
         opts.seed,
     );
-    let scores =
-        batch::score_joint_batch_governed(workload, opts.model, &candidates, &opts.run.budget)?;
-    det_evaluations += scores.len();
-    let values: Vec<f64> = scores
-        .iter()
-        .map(|per_app| objective.value(apps, per_app))
+    let scores = batch::score_joint_batch_with_threads(
+        workload,
+        opts.model,
+        &candidates,
+        &opts.run.budget,
+        0,
+    )?;
+    let per_app = |i: usize| &scores[i * apps.len()..(i + 1) * apps.len()];
+    let values: Vec<f64> = (0..candidates.len())
+        .map(|i| objective.value(apps, per_app(i)))
         .collect();
     // Best-first candidate order (deterministic: total_cmp, then index).
     let mut order: Vec<usize> = (0..values.len()).collect();
@@ -729,7 +623,7 @@ fn workload_search_with<S: ChainSolver>(
         pool.push(WorkloadCandidate {
             origin: "random",
             joint: candidates[i].clone(),
-            per_app: scores[i].clone(),
+            per_app: per_app(i).to_vec(),
             objective: values[i],
             exp_per_app: None,
             exp_objective: None,
@@ -739,10 +633,10 @@ fn workload_search_with<S: ChainSolver>(
     // Phase 3: hill climbs from the best distinct candidates (greedy
     // included).  Delta scoring only covers the columnwise Overlap
     // evaluation; Strict searches skip this phase.
-    if opts.model == ExecModel::Overlap && opts.hill_climb_starts > 0 {
+    if opts.model == ExecModel::Overlap {
         let mut starts: Vec<JointMapping> = vec![pool[0].joint.clone()];
         for &i in order.iter() {
-            if starts.len() >= opts.hill_climb_starts {
+            if starts.len() >= HILL_CLIMB_STARTS {
                 break;
             }
             if starts
@@ -754,13 +648,8 @@ fn workload_search_with<S: ChainSolver>(
         }
         for start in starts {
             let mut scorer = JointDeltaScorer::new(workload, &start)?;
-            let (joint, objective) = hill_climb_joint(
-                &mut scorer,
-                apps,
-                objective,
-                opts.hill_climb_rounds,
-                &mut buf,
-            )?;
+            let (joint, objective) =
+                hill_climb_joint(&mut scorer, apps, objective, HILL_CLIMB_ROUNDS, &mut buf)?;
             delta_recomputes += scorer.recomputes();
             scorer.scores_into(&mut buf);
             pool.push(WorkloadCandidate {
@@ -788,7 +677,6 @@ fn workload_search_with<S: ChainSolver>(
         )
     });
     pool.truncate(opts.finalists.max(1));
-    let mut exp_scorer = WorkloadExpScorer::with_cache(workload, opts.model, opts.run, solver);
     if opts.exp_rerank {
         for (idx, c) in pool.iter_mut().enumerate() {
             opts.run.budget.check(Progress {
@@ -798,7 +686,9 @@ fn workload_search_with<S: ChainSolver>(
                 iterations: idx,
                 arena_bytes: 0,
             })?;
-            let per = exp_scorer.score(&c.joint).map_err(EngineError::Exp)?;
+            let per = exp_scorer
+                .score(c.joint.mappings())
+                .map_err(EngineError::Exp)?;
             c.exp_objective = Some(objective.value(apps, &per));
             c.exp_per_app = Some(per);
         }
@@ -811,17 +701,15 @@ fn workload_search_with<S: ChainSolver>(
         });
     }
 
-    let contention = contention_summary(&pool[0].joint, platform.n_processors());
-    let report = WorkloadSearchReport {
+    Ok(WorkloadSearchReport {
+        contention: contention_summary(&pool[0].joint, platform.n_processors()),
         best: pool[0].clone(),
         finalists: pool,
-        det_evaluations,
+        det_evaluations: candidates.len(),
         delta_recomputes,
         exp_evaluations: exp_scorer.evaluations(),
         exp_cache: CacheStats::default(),
-        contention,
-    };
-    Ok((report, exp_scorer.into_cache()))
+    })
 }
 
 #[cfg(test)]
@@ -835,6 +723,7 @@ mod tests {
     use repstream_markov::govern::Budget;
     use repstream_markov::marking::ArenaStats;
     use repstream_petri::shape::{MappingShape, ResourceTable};
+    use repstream_workload::random::random_mappings;
     use std::sync::atomic::AtomicBool;
     use std::time::Duration;
 
@@ -903,6 +792,76 @@ mod tests {
         assert_eq!(a.best.exp.unwrap().to_bits(), b.best.exp.unwrap().to_bits());
     }
 
+    /// The single-application search is the K = 1 workload search read at
+    /// app 0: same finalists (origin, teams, det and exp bits), same
+    /// counts, same cache traffic — and the batch count is the batch.
+    #[test]
+    fn portfolio_is_the_one_app_workload_search() {
+        // Strict re-ranks build Theorem 2 chains: a small instance.
+        let small = (
+            Application::uniform(2, 6.0, 12.0).unwrap(),
+            Platform::complete(vec![1.0, 2.0, 1.0, 2.0, 1.0], 2.0).unwrap(),
+        );
+        for (model, (app, platform), random_candidates) in [
+            (ExecModel::Overlap, instance(), 400),
+            (ExecModel::Strict, small, 16),
+        ] {
+            let workload =
+                repstream_core::model::Workload::new(vec![App::new(app.clone())], platform.clone())
+                    .unwrap();
+            for seed in 0..3 {
+                let opts = PortfolioOptions {
+                    model,
+                    random_candidates,
+                    seed,
+                    ..Default::default()
+                };
+                let p = portfolio_search(&app, &platform, opts).unwrap();
+                let w = workload_search(
+                    &workload,
+                    WorkloadSearchOptions {
+                        objective: Objective::MaxMin,
+                        portfolio: opts,
+                    },
+                )
+                .unwrap();
+                let single: Vec<_> = p
+                    .finalists
+                    .iter()
+                    .map(|c| {
+                        let teams = c.mapping.teams().to_vec();
+                        (c.origin, teams, c.det.to_bits(), c.exp.map(f64::to_bits))
+                    })
+                    .collect();
+                let joint: Vec<_> = w
+                    .finalists
+                    .iter()
+                    .map(|c| {
+                        let teams = c.joint.mapping(0).teams().to_vec();
+                        let exp = c.exp_per_app.as_ref().map(|e| e[0].to_bits());
+                        (c.origin, teams, c.per_app[0].to_bits(), exp)
+                    })
+                    .collect();
+                assert_eq!(single, joint, "{model:?} seed {seed}");
+                assert_eq!(p.best.mapping.teams(), w.best.joint.mapping(0).teams());
+                assert_eq!(p.det_evaluations, random_candidates);
+                assert_eq!(w.det_evaluations, random_candidates);
+                assert_eq!(p.delta_recomputes, w.delta_recomputes);
+                assert_eq!(p.exp_evaluations, w.exp_evaluations);
+                assert_eq!(p.exp_cache, w.exp_cache);
+                // Every finalist's det is the cold single-app score.
+                for c in &p.finalists {
+                    let sys = SystemRef::new(&app, &platform, &c.mapping).unwrap();
+                    let cold = match model {
+                        ExecModel::Overlap => deterministic::throughput_columnwise(sys),
+                        ExecModel::Strict => deterministic::analyze(sys, model).throughput,
+                    };
+                    assert_eq!(cold.to_bits(), c.det.to_bits(), "{model:?} {}", c.origin);
+                }
+            }
+        }
+    }
+
     fn shared_workload() -> repstream_core::model::Workload {
         let (app, platform) = instance();
         repstream_core::model::Workload::new(
@@ -934,7 +893,7 @@ mod tests {
         // Reported objective values are genuine re-evaluations.
         let mut scorer = WorkloadDetScorer::new(workload.as_ref(), ExecModel::Overlap);
         for c in &report.finalists {
-            let fresh = scorer.score(&c.joint).unwrap();
+            let fresh = scorer.score(c.joint.mappings()).unwrap();
             for (k, (a, b)) in fresh.iter().zip(c.per_app.iter()).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "{} app {k}", c.origin);
             }
@@ -1096,7 +1055,7 @@ mod tests {
             run: odd_run(),
             ..Default::default()
         };
-        let (result, rec) = portfolio_search_with(&app, &platform, opts, Recorder::default());
+        let (result, rec) = one_app_search(&app, &platform, opts, Recorder::default());
         result.unwrap();
         assert_arrived(&rec, opts.run);
     }
@@ -1113,7 +1072,8 @@ mod tests {
             },
             ..Default::default()
         };
-        let (_, rec) = workload_search_with(workload.as_ref(), opts, Recorder::default()).unwrap();
+        let (result, rec) = workload_search_with(workload.as_ref(), opts, Recorder::default());
+        result.unwrap();
         assert_arrived(&rec, opts.portfolio.run);
     }
 

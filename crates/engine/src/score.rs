@@ -1,10 +1,13 @@
-//! Single-candidate scorers with cross-candidate reuse.
+//! Per-app scorers of candidate mappings with cross-candidate reuse.
 //!
-//! [`DetScorer`] evaluates the deterministic (columnwise, Theorem 1)
-//! throughput of a candidate mapping; [`ExpScorer`] the exponential one
-//! (Theorem 3/4 decomposition for Overlap, the Theorem 2 chain for
-//! Strict).  Both borrow the application and platform once and reuse
-//! work across candidates:
+//! [`WorkloadDetScorer`] evaluates the contended deterministic
+//! (columnwise, Theorem 1) throughput of every app of a candidate;
+//! [`WorkloadExpScorer`] the exponential one (Theorem 3/4 decomposition
+//! for Overlap, the Theorem 2 chain for Strict).  A candidate is its
+//! per-app mappings — a [`JointMapping::mappings`], or one [`Mapping`]
+//! (`std::slice::from_ref`) on a one-app workload, where every contention
+//! share is 1 and the scores are the single-application ones.  Both
+//! scorers borrow the workload once and reuse work across candidates:
 //!
 //! * the deterministic pattern-period solves (critical cycles of `u′×v′`
 //!   patterns) are memoized by `(u′, v′, exact weight bits)` — on
@@ -17,19 +20,20 @@
 //! numbers as the cold `repstream-core` entry points
 //! ([`deterministic::throughput_columnwise`],
 //! [`exponential::throughput_overlap`] /
-//! [`exponential::throughput_strict`]); the engine's property tests pin
+//! [`exponential::throughput_strict`] on one app, the same over
+//! [`timing::contended_times`] on K); the engine's property tests pin
 //! this.
+//!
+//! [`JointMapping::mappings`]: repstream_core::model::JointMapping::mappings
 
 use repstream_core::exponential::{self, ChainSolver, ExpError};
-use repstream_core::model::{
-    Application, JointMapping, Mapping, ModelError, Platform, SystemRef, WorkloadRef,
-};
+use repstream_core::model::{Mapping, ModelError, WorkloadRef};
 use repstream_core::timing::Contention;
 use repstream_core::{deterministic, timing};
 use repstream_markov::cache::ChainCache;
 use repstream_markov::fxhash::FxHashMap;
 use repstream_markov::govern::RunConfig;
-use repstream_petri::shape::{ExecModel, MappingShape, Resource, ResourceTable};
+use repstream_petri::shape::ExecModel;
 
 /// Memo of deterministic pattern periods keyed by the **exact bits** of
 /// the pattern's weight vector (plus its dimensions), so a hit is
@@ -72,210 +76,13 @@ impl PatternMemo {
     }
 }
 
-/// Deterministic throughput scorer with pattern-period memoization.
-#[derive(Debug)]
-pub struct DetScorer<'a> {
-    app: &'a Application,
-    platform: &'a Platform,
-    model: ExecModel,
-    memo: PatternMemo,
-    /// Reused weight buffer for memo keys.
-    scratch: Vec<f64>,
-    evaluations: usize,
-}
-
-impl<'a> DetScorer<'a> {
-    /// Scorer over one application/platform pair.
-    pub fn new(app: &'a Application, platform: &'a Platform, model: ExecModel) -> DetScorer<'a> {
-        DetScorer {
-            app,
-            platform,
-            model,
-            memo: PatternMemo::default(),
-            scratch: Vec::new(),
-            evaluations: 0,
-        }
-    }
-
-    /// The execution model being scored.
-    pub fn model(&self) -> ExecModel {
-        self.model
-    }
-
-    /// Candidates scored so far.
-    pub fn evaluations(&self) -> usize {
-        self.evaluations
-    }
-
-    /// Pattern-period memo `(hits, misses)`.
-    pub fn memo_stats(&self) -> (usize, usize) {
-        self.memo.stats()
-    }
-
-    /// Deterministic throughput of a candidate mapping — bitwise equal to
-    /// [`deterministic::throughput_columnwise`] (Overlap) or
-    /// [`deterministic::analyze`] (Strict) on the same triple.
-    pub fn score(&mut self, mapping: &Mapping) -> Result<f64, ModelError> {
-        let system = SystemRef::new(self.app, self.platform, mapping)?;
-        self.evaluations += 1;
-        match self.model {
-            ExecModel::Overlap => {
-                let times = timing::deterministic_times(system);
-                Ok(columnwise_with_memo(
-                    system,
-                    &times,
-                    &mut self.memo,
-                    &mut self.scratch,
-                ))
-            }
-            ExecModel::Strict => Ok(deterministic::analyze(system, self.model).throughput),
-        }
-    }
-}
-
-/// Exponential throughput scorer with structure-keyed chain reuse
-/// (generic over the chain oracle so a test can substitute a recording
-/// fake; every production caller scores through a [`ChainCache`]).
-#[derive(Debug)]
-pub struct ExpScorer<'a, S = ChainCache> {
-    app: &'a Application,
-    platform: &'a Platform,
-    model: ExecModel,
-    opts: RunConfig,
-    cache: S,
-    evaluations: usize,
-}
-
-impl<'a> ExpScorer<'a> {
-    /// Scorer over one application/platform pair with the default
-    /// [`RunConfig`] and a cold cache.
-    pub fn new(app: &'a Application, platform: &'a Platform, model: ExecModel) -> ExpScorer<'a> {
-        Self::with_cache(
-            app,
-            platform,
-            model,
-            RunConfig::default(),
-            ChainCache::new(),
-        )
-    }
-
-    /// Chain-cache hit/miss counters.
-    pub fn cache_stats(&self) -> repstream_markov::cache::CacheStats {
-        self.cache.stats()
-    }
-}
-
-impl<'a, S: ChainSolver> ExpScorer<'a, S> {
-    /// As [`ExpScorer::new`] under an explicit [`RunConfig`], seeding the
-    /// scorer with an already-warm [`ChainCache`] (a served search hands
-    /// a pooled cache in so repeated shapes skip their BFS across
-    /// requests).
-    pub fn with_cache(
-        app: &'a Application,
-        platform: &'a Platform,
-        model: ExecModel,
-        opts: RunConfig,
-        cache: S,
-    ) -> ExpScorer<'a, S> {
-        ExpScorer {
-            app,
-            platform,
-            model,
-            opts,
-            cache,
-            evaluations: 0,
-        }
-    }
-
-    /// Surrender the chain cache (warm entries included) to the caller —
-    /// the inverse of [`ExpScorer::with_cache`].
-    pub fn into_cache(self) -> S {
-        self.cache
-    }
-
-    /// Candidates scored so far.
-    pub fn evaluations(&self) -> usize {
-        self.evaluations
-    }
-
-    /// Exponential throughput of a candidate mapping — bitwise equal to
-    /// [`exponential::throughput_overlap`] (Overlap) or
-    /// [`exponential::throughput_strict`] (Strict) on the same triple.
-    pub fn score(&mut self, mapping: &Mapping) -> Result<f64, ExpScoreError> {
-        let system =
-            SystemRef::new(self.app, self.platform, mapping).map_err(ExpScoreError::Model)?;
-        self.evaluations += 1;
-        let rates = timing::exponential_rates(system);
-        exp_throughput(
-            self.model,
-            &system.shape(),
-            &rates,
-            self.opts,
-            &mut self.cache,
-        )
-    }
-}
-
-/// Exponential throughput of one shape under per-resource `rates` — the
-/// Theorem 3/4 decomposition (Overlap) or the Theorem 2 chain (Strict),
-/// both through `solver`: the common kernel of [`ExpScorer`] and
-/// [`WorkloadExpScorer`].
-fn exp_throughput(
-    model: ExecModel,
-    shape: &MappingShape,
-    rates: &ResourceTable<f64>,
-    opts: RunConfig,
-    solver: &mut impl ChainSolver,
-) -> Result<f64, ExpScoreError> {
-    match model {
-        ExecModel::Overlap => {
-            exponential::throughput_overlap_with_solver(shape, rates, opts, solver)
-                .map(|r| r.throughput)
-        }
-        ExecModel::Strict => solver
-            .strict_solve(shape, rates, opts)
-            .map(|s| s.throughput)
-            .map_err(ExpError::MarkingGraph),
-    }
-    .map_err(ExpScoreError::Exp)
-}
-
-/// Columnwise throughput of one app's table with the shared pattern
-/// memo — the common kernel of [`DetScorer`] and [`WorkloadDetScorer`].
-fn columnwise_with_memo(
-    system: SystemRef<'_>,
-    times: &ResourceTable<f64>,
-    memo: &mut PatternMemo,
-    scratch: &mut Vec<f64>,
-) -> f64 {
-    let shape = system.shape();
-    deterministic::throughput_columnwise_with_periods(
-        &shape,
-        times,
-        &mut |file, comp, g, up, vp| {
-            // Same weight layout as `pattern_period`: row k is the link
-            // (k mod u′) → (k mod v′) of the component.
-            scratch.clear();
-            scratch.extend((0..up * vp).map(|k| {
-                *times.get(Resource::Link {
-                    file,
-                    src: comp + g * (k % up),
-                    dst: comp + g * (k % vp),
-                })
-            }));
-            memo.period(up, vp, scratch)
-        },
-    )
-}
-
-/// Deterministic **per-app** throughput scorer for joint candidates of a
+/// Deterministic **per-app** throughput scorer for the candidates of a
 /// K-app workload, with one [`PatternMemo`] shared across apps and
 /// candidates.
 ///
-/// Each score builds the contended time tables
-/// ([`timing::contended_times`]) and evaluates every app's columnwise
-/// throughput against them — bitwise what the cold path computes, and
-/// for K = 1 bitwise what [`DetScorer`] returns on the same mapping.
+/// Each score charges the contention shares of the candidate and
+/// evaluates every app's columnwise throughput against them — bitwise
+/// what the cold path over [`timing::contended_times`] computes.
 #[derive(Debug)]
 pub struct WorkloadDetScorer<'a> {
     workload: WorkloadRef<'a>,
@@ -321,20 +128,20 @@ impl<'a> WorkloadDetScorer<'a> {
         self.memo.stats()
     }
 
-    /// Contended per-app deterministic throughputs of a joint candidate,
-    /// appended to `out` (cleared first).
+    /// Contended per-app deterministic throughputs of the candidate with
+    /// per-app `mappings`, appended to `out` (cleared first).
     pub fn score_into(
         &mut self,
-        joint: &JointMapping,
+        mappings: &[Mapping],
         out: &mut Vec<f64>,
     ) -> Result<(), ModelError> {
-        self.workload.validate(joint)?;
+        self.workload.validate(mappings)?;
         self.evaluations += 1;
         out.clear();
-        self.contention.refill_from_joint(joint);
+        self.contention.refill_from_joint(mappings);
         let contention = &self.contention;
         for k in 0..self.workload.n_apps() {
-            let system = self.workload.system_of(k, joint);
+            let system = self.workload.system_of(k, mappings);
             out.push(match self.model {
                 // Hot path: fold the contention shares on the fly — the
                 // closures compute exactly the expressions
@@ -356,6 +163,8 @@ impl<'a> WorkloadDetScorer<'a> {
                             app.work(stage) / (platform.speed(p) / users)
                         },
                         &mut |file, comp, g, up, vp| {
+                            // Row k of the pattern is the link
+                            // (k mod u′) → (k mod v′) of the component.
                             scratch.clear();
                             scratch.extend((0..up * vp).map(|k| {
                                 let p = system.proc_at(file, comp + g * (k % up));
@@ -377,23 +186,27 @@ impl<'a> WorkloadDetScorer<'a> {
     }
 
     /// As [`WorkloadDetScorer::score_into`], allocating the result.
-    pub fn score(&mut self, joint: &JointMapping) -> Result<Vec<f64>, ModelError> {
+    pub fn score(&mut self, mappings: &[Mapping]) -> Result<Vec<f64>, ModelError> {
         let mut out = Vec::with_capacity(self.workload.n_apps());
-        self.score_into(joint, &mut out)?;
+        self.score_into(mappings, &mut out)?;
         Ok(out)
     }
 }
 
-/// Exponential **per-app** throughput scorer for joint candidates, with
-/// **one** [`ChainCache`] shared across apps and candidates — two apps
-/// with the same replication shape (same `TpnSignature`) pay one
-/// marking-graph BFS, the designed stress-test for the cache.
+/// Exponential **per-app** throughput scorer for the candidates of a
+/// workload, with **one** [`ChainCache`] shared across apps and
+/// candidates — two apps with the same replication shape (same
+/// `TpnSignature`) pay one marking-graph BFS, the designed stress-test
+/// for the cache.  Generic over the chain oracle so a test can
+/// substitute a recording fake; every production caller scores through a
+/// [`ChainCache`].
 #[derive(Debug)]
 pub struct WorkloadExpScorer<'a, S = ChainCache> {
     workload: WorkloadRef<'a>,
     model: ExecModel,
     opts: RunConfig,
     cache: S,
+    contention: Contention,
     evaluations: usize,
 }
 
@@ -412,23 +225,28 @@ impl<'a> WorkloadExpScorer<'a> {
 
 impl<'a, S: ChainSolver> WorkloadExpScorer<'a, S> {
     /// As [`WorkloadExpScorer::new`] under an explicit [`RunConfig`],
-    /// scoring through a caller-supplied chain oracle.
+    /// scoring through a caller-supplied chain oracle (a served search
+    /// hands a pooled cache in so repeated shapes skip their BFS across
+    /// requests).
     pub fn with_cache(
         workload: WorkloadRef<'a>,
         model: ExecModel,
         opts: RunConfig,
         cache: S,
     ) -> WorkloadExpScorer<'a, S> {
+        let contention = Contention::empty(workload.n_apps(), workload.platform().n_processors());
         WorkloadExpScorer {
             workload,
             model,
             opts,
             cache,
+            contention,
             evaluations: 0,
         }
     }
 
-    /// Surrender the chain oracle to the caller.
+    /// Surrender the chain oracle (warm entries included) to the caller —
+    /// the inverse of [`WorkloadExpScorer::with_cache`].
     pub fn into_cache(self) -> S {
         self.cache
     }
@@ -438,30 +256,41 @@ impl<'a, S: ChainSolver> WorkloadExpScorer<'a, S> {
         self.evaluations
     }
 
-    /// Contended per-app exponential throughputs of a joint candidate.
-    pub fn score(&mut self, joint: &JointMapping) -> Result<Vec<f64>, ExpScoreError> {
+    /// Contended per-app exponential throughputs of the candidate with
+    /// per-app `mappings`.
+    pub fn score(&mut self, mappings: &[Mapping]) -> Result<Vec<f64>, ExpScoreError> {
         self.workload
-            .validate(joint)
+            .validate(mappings)
             .map_err(ExpScoreError::Model)?;
         self.evaluations += 1;
-        let contention = Contention::from_joint(joint, self.workload.platform().n_processors());
+        self.contention.refill_from_joint(mappings);
         let mut out = Vec::with_capacity(self.workload.n_apps());
         for k in 0..self.workload.n_apps() {
-            let system = self.workload.system_of(k, joint);
-            let rates = timing::contended_system_times(system, &contention).map(|_, &t| 1.0 / t);
-            out.push(exp_throughput(
-                self.model,
-                &system.shape(),
-                &rates,
-                self.opts,
-                &mut self.cache,
-            )?);
+            let system = self.workload.system_of(k, mappings);
+            let rates =
+                timing::contended_system_times(system, &self.contention).map(|_, &t| 1.0 / t);
+            let shape = system.shape();
+            let rho = match self.model {
+                ExecModel::Overlap => exponential::throughput_overlap_with_solver(
+                    &shape,
+                    &rates,
+                    self.opts,
+                    &mut self.cache,
+                )
+                .map(|r| r.throughput),
+                ExecModel::Strict => self
+                    .cache
+                    .strict_solve(&shape, &rates, self.opts)
+                    .map(|s| s.throughput)
+                    .map_err(ExpError::MarkingGraph),
+            };
+            out.push(rho.map_err(ExpScoreError::Exp)?);
         }
         Ok(out)
     }
 }
 
-/// Errors of [`ExpScorer::score`].
+/// Errors of [`WorkloadExpScorer::score`].
 #[derive(Debug)]
 pub enum ExpScoreError {
     /// The candidate failed triple validation.
@@ -495,10 +324,15 @@ impl std::error::Error for ExpScoreError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use repstream_core::model::System;
+    use repstream_core::model::{App, Application, JointMapping, Platform, System, Workload};
 
     fn instance() -> (Application, Platform) {
         repstream_workload::scenarios::mapping_search()
+    }
+
+    /// The one-app workload of an application.
+    fn one_app(app: &Application, platform: &Platform) -> Workload {
+        Workload::new(vec![App::new(app.clone())], platform.clone()).unwrap()
     }
 
     fn mappings() -> Vec<Mapping> {
@@ -513,17 +347,19 @@ mod tests {
     #[test]
     fn det_scorer_matches_cold_columnwise_bitwise() {
         let (app, platform) = instance();
-        let mut scorer = DetScorer::new(&app, &platform, ExecModel::Overlap);
+        let workload = one_app(&app, &platform);
+        let mut scorer = WorkloadDetScorer::new(workload.as_ref(), ExecModel::Overlap);
         for m in mappings() {
             let cold = deterministic::throughput_columnwise(
                 &System::new(app.clone(), platform.clone(), m.clone()).unwrap(),
             );
-            let s = scorer.score(&m).unwrap();
-            assert_eq!(cold.to_bits(), s.to_bits(), "{:?}", m.teams());
+            let s = scorer.score(std::slice::from_ref(&m)).unwrap();
+            assert_eq!(s.len(), 1);
+            assert_eq!(cold.to_bits(), s[0].to_bits(), "{:?}", m.teams());
             // Scoring the same candidate again hits the memo and must not
             // change the value.
-            let again = scorer.score(&m).unwrap();
-            assert_eq!(s.to_bits(), again.to_bits());
+            let again = scorer.score(std::slice::from_ref(&m)).unwrap();
+            assert_eq!(s[0].to_bits(), again[0].to_bits());
         }
         let (hits, _) = scorer.memo_stats();
         assert!(hits > 0, "uniform-bandwidth platform must hit the memo");
@@ -532,25 +368,28 @@ mod tests {
     #[test]
     fn det_scorer_strict_matches_analyze() {
         let (app, platform) = instance();
-        let mut scorer = DetScorer::new(&app, &platform, ExecModel::Strict);
+        let workload = one_app(&app, &platform);
+        let mut scorer = WorkloadDetScorer::new(workload.as_ref(), ExecModel::Strict);
         let m = &mappings()[0];
         let cold = deterministic::analyze(
             &System::new(app.clone(), platform.clone(), m.clone()).unwrap(),
             ExecModel::Strict,
         )
         .throughput;
-        assert_eq!(cold.to_bits(), scorer.score(m).unwrap().to_bits());
+        let s = scorer.score(std::slice::from_ref(m)).unwrap();
+        assert_eq!(cold.to_bits(), s[0].to_bits());
     }
 
     #[test]
     fn exp_scorer_matches_cold_overlap_bitwise() {
         let (app, platform) = instance();
-        let mut scorer = ExpScorer::new(&app, &platform, ExecModel::Overlap);
+        let workload = one_app(&app, &platform);
+        let mut scorer = WorkloadExpScorer::new(workload.as_ref(), ExecModel::Overlap);
         for m in mappings() {
             let sys = System::new(app.clone(), platform.clone(), m.clone()).unwrap();
             let cold = exponential::throughput_overlap(&sys).unwrap().throughput;
-            let s = scorer.score(&m).unwrap();
-            assert_eq!(cold.to_bits(), s.to_bits(), "{:?}", m.teams());
+            let s = scorer.score(std::slice::from_ref(&m)).unwrap();
+            assert_eq!(cold.to_bits(), s[0].to_bits(), "{:?}", m.teams());
         }
     }
 
@@ -558,7 +397,8 @@ mod tests {
     fn exp_scorer_matches_cold_strict_bitwise() {
         let app = Application::uniform(2, 6.0, 12.0).unwrap();
         let platform = Platform::complete(vec![1.0; 5], 2.0).unwrap();
-        let mut scorer = ExpScorer::new(&app, &platform, ExecModel::Strict);
+        let workload = one_app(&app, &platform);
+        let mut scorer = WorkloadExpScorer::new(workload.as_ref(), ExecModel::Strict);
         for teams in [
             vec![vec![0], vec![1]],
             vec![vec![0, 1], vec![2, 3]],
@@ -567,56 +407,43 @@ mod tests {
             let m = Mapping::new(teams).unwrap();
             let sys = System::new(app.clone(), platform.clone(), m.clone()).unwrap();
             let cold = exponential::throughput_strict(&sys, RunConfig::default()).unwrap();
-            let s = scorer.score(&m).unwrap();
-            assert_eq!(cold.to_bits(), s.to_bits(), "{:?}", m.teams());
+            let s = scorer.score(std::slice::from_ref(&m)).unwrap();
+            assert_eq!(cold.to_bits(), s[0].to_bits(), "{:?}", m.teams());
         }
         // Same-shape candidates share one chain structure.
         let m = Mapping::new(vec![vec![4, 1], vec![3]]).unwrap();
-        scorer.score(&m).unwrap();
+        scorer.score(std::slice::from_ref(&m)).unwrap();
         assert!(scorer.cache_stats().strict_hits >= 1);
     }
 
     #[test]
     fn invalid_candidate_is_reported_not_scored() {
         let (app, platform) = instance();
-        let mut scorer = DetScorer::new(&app, &platform, ExecModel::Overlap);
+        let workload = one_app(&app, &platform);
+        let mut scorer = WorkloadDetScorer::new(workload.as_ref(), ExecModel::Overlap);
         let bad = Mapping::new(vec![vec![0], vec![1], vec![2], vec![42]]).unwrap();
         assert!(matches!(
-            scorer.score(&bad),
+            scorer.score(std::slice::from_ref(&bad)),
             Err(ModelError::UnknownProcessor { proc: 42 })
         ));
         assert_eq!(scorer.evaluations(), 0);
     }
 
-    use repstream_core::model::{App, Workload};
-
-    #[test]
-    fn workload_det_scorer_k1_matches_det_scorer_bitwise() {
-        let (app, platform) = instance();
-        let workload = Workload::new(vec![App::new(app.clone())], platform.clone()).unwrap();
-        for model in [ExecModel::Overlap, ExecModel::Strict] {
-            let mut single = DetScorer::new(&app, &platform, model);
-            let mut joint = WorkloadDetScorer::new(workload.as_ref(), model);
-            for m in mappings() {
-                let s = single.score(&m).unwrap();
-                let j = joint.score(&m.clone().into()).unwrap();
-                assert_eq!(j.len(), 1);
-                assert_eq!(s.to_bits(), j[0].to_bits(), "{model:?} {:?}", m.teams());
-            }
-        }
-    }
-
     #[test]
     fn workload_det_scorer_matches_cold_contended_tables() {
         let (app, platform) = instance();
-        let workload = Workload::new(vec![App::new(app.clone()), App::new(app)], platform).unwrap();
+        let workload = Workload::new(
+            vec![App::new(app.clone()), App::new(app.clone())],
+            platform.clone(),
+        )
+        .unwrap();
         let joint = JointMapping::new(vec![
             Mapping::new(vec![vec![0], vec![1, 2], vec![3, 4, 5], vec![6]]).unwrap(),
             Mapping::new(vec![vec![7], vec![3, 4], vec![0, 1, 2], vec![8]]).unwrap(),
         ])
         .unwrap();
         let mut scorer = WorkloadDetScorer::new(workload.as_ref(), ExecModel::Overlap);
-        let scores = scorer.score(&joint).unwrap();
+        let scores = scorer.score(joint.mappings()).unwrap();
         let cold: Vec<f64> = timing::contended_times(&workload, &joint)
             .iter()
             .zip(joint.mappings())
@@ -626,26 +453,11 @@ mod tests {
             assert_eq!(s.to_bits(), c.to_bits(), "app {k}");
         }
         // Contention must actually bite: both apps share procs 0..=4.
-        let mut solo = DetScorer::new(
-            workload.app(0).application(),
-            workload.platform(),
-            ExecModel::Overlap,
-        );
-        let alone = solo.score(joint.mapping(0)).unwrap();
+        let solo = one_app(&app, &platform);
+        let alone = WorkloadDetScorer::new(solo.as_ref(), ExecModel::Overlap)
+            .score(&joint.mappings()[..1])
+            .unwrap()[0];
         assert!(scores[0] < alone, "{} !< {alone}", scores[0]);
-    }
-
-    #[test]
-    fn workload_exp_scorer_k1_matches_exp_scorer_bitwise() {
-        let (app, platform) = instance();
-        let workload = Workload::new(vec![App::new(app.clone())], platform.clone()).unwrap();
-        let mut single = ExpScorer::new(&app, &platform, ExecModel::Overlap);
-        let mut joint = WorkloadExpScorer::new(workload.as_ref(), ExecModel::Overlap);
-        for m in mappings() {
-            let s = single.score(&m).unwrap();
-            let j = joint.score(&m.clone().into()).unwrap();
-            assert_eq!(s.to_bits(), j[0].to_bits(), "{:?}", m.teams());
-        }
     }
 
     #[test]
@@ -660,7 +472,7 @@ mod tests {
         ])
         .unwrap();
         let mut scorer = WorkloadExpScorer::new(workload.as_ref(), ExecModel::Strict);
-        scorer.score(&joint).unwrap();
+        scorer.score(joint.mappings()).unwrap();
         let stats = scorer.cache_stats();
         assert_eq!(
             stats.strict_misses, 1,

@@ -1,14 +1,16 @@
 //! Engine equivalence properties: every reuse path (parallel chunks,
 //! memo/cache hits, delta rescoring) must be **bitwise identical** to the
-//! cold sequential evaluators it replaces.
+//! cold sequential evaluators it replaces.  (a)–(c) run the engine on a
+//! single application — its one-app workload — against the cold
+//! single-application evaluators; (d) on K apps.
 
 use proptest::prelude::*;
 use rand::Rng;
-use repstream_core::model::{App, Application, Platform, System, Workload};
+use repstream_core::model::{App, Application, JointMapping, Platform, System, Workload};
 use repstream_core::{deterministic, exponential, timing};
-use repstream_engine::batch::score_batch_with_threads;
-use repstream_engine::score::{DetScorer, ExpScorer};
-use repstream_engine::{DeltaScorer, JointDeltaScorer};
+use repstream_engine::batch::score_joint_batch_with_threads;
+use repstream_engine::{JointDeltaScorer, WorkloadDetScorer, WorkloadExpScorer};
+use repstream_markov::govern::Budget;
 use repstream_petri::shape::ExecModel;
 use repstream_stochastic::rng::seeded_rng;
 use repstream_workload::random::{random_joint_mapping_with, random_mapping_with, random_mappings};
@@ -38,6 +40,11 @@ fn random_instance(stages: usize, procs: usize, seed: u64) -> (Application, Plat
     (app, platform)
 }
 
+/// The one-app workload of an application.
+fn one_app(app: &Application, platform: &Platform) -> Workload {
+    Workload::new(vec![App::new(app.clone())], platform.clone()).expect("one app")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -53,12 +60,14 @@ proptest! {
         let procs = stages + extra;
         let (app, platform) = random_instance(stages, procs, seed);
         let candidates = random_mappings(stages, procs, 48, seed ^ 0xBA7C4);
-        let seq = score_batch_with_threads(&app, &platform, ExecModel::Overlap, &candidates, 1)
-            .expect("valid candidates");
-        let par = score_batch_with_threads(
-            &app, &platform, ExecModel::Overlap, &candidates, threads,
-        )
-        .expect("valid candidates");
+        let workload = one_app(&app, &platform);
+        let batch = |threads| {
+            score_joint_batch_with_threads(
+                workload.as_ref(), ExecModel::Overlap, &candidates, &Budget::UNLIMITED, threads,
+            )
+            .expect("valid candidates")
+        };
+        let (seq, par) = (batch(1), batch(threads));
         for (i, (a, b)) in seq.iter().zip(par.iter()).enumerate() {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "candidate {} of case", i);
         }
@@ -76,14 +85,15 @@ proptest! {
         let procs = stages + extra;
         let (app, platform) = random_instance(stages, procs, seed);
         let candidates = random_mappings(stages, procs, 10, seed ^ 0x5EED);
-        let mut det = DetScorer::new(&app, &platform, ExecModel::Overlap);
-        let mut exp = ExpScorer::new(&app, &platform, ExecModel::Overlap);
+        let workload = one_app(&app, &platform);
+        let mut det = WorkloadDetScorer::new(workload.as_ref(), ExecModel::Overlap);
+        let mut exp = WorkloadExpScorer::new(workload.as_ref(), ExecModel::Overlap);
         for visit in 0..2 {
             for (i, m) in candidates.iter().enumerate() {
                 let sys = System::new(app.clone(), platform.clone(), m.clone())
                     .expect("valid candidate");
                 let cold_det = deterministic::throughput_columnwise(&sys);
-                let warm_det = det.score(m).expect("valid candidate");
+                let warm_det = det.score(std::slice::from_ref(m)).expect("valid candidate")[0];
                 prop_assert_eq!(
                     cold_det.to_bits(), warm_det.to_bits(),
                     "det candidate {} visit {}", i, visit
@@ -91,7 +101,7 @@ proptest! {
                 let cold_exp = exponential::throughput_overlap(&sys)
                     .expect("pattern chains fit")
                     .throughput;
-                let warm_exp = exp.score(m).expect("pattern chains fit");
+                let warm_exp = exp.score(std::slice::from_ref(m)).expect("pattern chains fit")[0];
                 prop_assert_eq!(
                     cold_exp.to_bits(), warm_exp.to_bits(),
                     "exp candidate {} visit {}", i, visit
@@ -111,13 +121,14 @@ proptest! {
         let procs = stages + extra;
         let (app, platform) = random_instance(stages, procs, seed);
         let candidates = random_mappings(stages, procs, 6, seed ^ 0x57817);
-        let mut exp = ExpScorer::new(&app, &platform, ExecModel::Strict);
+        let workload = one_app(&app, &platform);
+        let mut exp = WorkloadExpScorer::new(workload.as_ref(), ExecModel::Strict);
         for (i, m) in candidates.iter().enumerate() {
             let sys = System::new(app.clone(), platform.clone(), m.clone())
                 .expect("valid candidate");
             let cold = exponential::throughput_strict(&sys, Default::default())
                 .expect("small chain");
-            let warm = exp.score(m).expect("small chain");
+            let warm = exp.score(std::slice::from_ref(m)).expect("small chain")[0];
             prop_assert_eq!(cold.to_bits(), warm.to_bits(), "candidate {}", i);
         }
     }
@@ -134,33 +145,35 @@ proptest! {
         let procs = stages + extra;
         let (app, platform) = random_instance(stages, procs, seed);
         let mut rng = seeded_rng(seed ^ 0xDE17A);
-        let start = random_mapping_with(stages, procs, &mut rng);
-        let mut scorer = DeltaScorer::new(&app, &platform, &start).expect("valid start");
+        let start = JointMapping::from(random_mapping_with(stages, procs, &mut rng));
+        let workload = one_app(&app, &platform);
+        let mut scorer =
+            JointDeltaScorer::new(workload.as_ref(), &start).expect("valid start");
         for step in 0..moves {
             // A random move that keeps every team non-empty: move one
             // processor from a team of ≥ 2 to any other stage (or drop it
             // if the assignment stays valid).
             let candidates: Vec<usize> = (0..stages)
-                .filter(|&s| scorer.teams()[s].len() >= 2)
+                .filter(|&s| scorer.teams_of(0)[s].len() >= 2)
                 .collect();
             if candidates.is_empty() {
                 break;
             }
             let from = candidates[rng.gen_range(0..candidates.len())];
-            let pos = rng.gen_range(0..scorer.teams()[from].len());
-            let p = scorer.remove(from, pos);
+            let pos = rng.gen_range(0..scorer.teams_of(0)[from].len());
+            let p = scorer.remove(0, from, pos);
             let drop_it = rng.gen_bool(0.2);
             if !drop_it {
                 let to = rng.gen_range(0..stages);
-                let at = rng.gen_range(0..=scorer.teams()[to].len());
-                scorer.insert(to, at, p);
+                let at = rng.gen_range(0..=scorer.teams_of(0)[to].len());
+                scorer.insert(0, to, at, p);
             }
-            let mapping = scorer.mapping().expect("teams stay non-empty");
+            let mapping = scorer.mapping_of(0).expect("teams stay non-empty");
             let sys = System::new(app.clone(), platform.clone(), mapping).expect("valid");
             let full = deterministic::throughput_columnwise(&sys);
             prop_assert_eq!(
                 full.to_bits(),
-                scorer.score().to_bits(),
+                scorer.score_of(0).to_bits(),
                 "step {} of case", step
             );
         }

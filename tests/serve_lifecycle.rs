@@ -2,13 +2,19 @@
 //! ephemeral port must answer concurrent clients, degrade (not die)
 //! when a client's deadline fires, survive peers that disconnect
 //! mid-request or talk garbage, and drain in-flight work on shutdown.
-//! Plus the exit-taxonomy pin: an `.rsys` that fails validation exits
-//! the one-shot CLI with the configuration code 2, not a panic.
+//! A served search must find what the in-process search finds.  Plus
+//! the exit-taxonomy pins: an `.rsys` that fails validation exits the
+//! one-shot CLI with the configuration code 2, not a panic, and a search
+//! whose deadline fires exits 4.
 
 use repstream::core::report::{system_report_status, ReportOptions, ReportStatus};
-use repstream::core::wire::{write_frame, AnalyzeRequest, Request, Response, WireOptions};
+use repstream::core::wire::{
+    write_frame, AnalyzeRequest, Request, Response, SearchRequest, WireOptions,
+};
+use repstream::engine::{portfolio_search, PortfolioOptions};
 use repstream::serve::{Client, ServeOptions, Server};
 use repstream::workload::examples::example_a;
+use repstream::workload::scenarios::mapping_search;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::process::Command;
@@ -238,4 +244,99 @@ fn invalid_rsys_exits_with_config_code() {
 
     let _ = std::fs::remove_file(&bad);
     let _ = std::fs::remove_file(&good);
+}
+
+/// A served `Search` — with no deadline, and with one that never fires —
+/// returns the finalists (origin, teams, det and exp bits) and effort
+/// counts of the in-process `portfolio_search` on the same options.
+#[test]
+fn served_search_matches_in_process_search() {
+    let (server, addr) = test_server(1);
+    let run = {
+        let server = server.clone();
+        std::thread::spawn(move || server.run())
+    };
+    let (app, platform) = mapping_search();
+    let opts = PortfolioOptions {
+        random_candidates: 300,
+        seed: 11,
+        exp_rerank: true,
+        ..Default::default()
+    };
+    let local = portfolio_search(&app, &platform, opts).expect("in-process search");
+    let local_finalists: Vec<_> = local
+        .finalists
+        .iter()
+        .map(|c| {
+            let teams = c.mapping.teams().to_vec();
+            (
+                c.origin.to_string(),
+                teams,
+                c.det.to_bits(),
+                c.exp.map(f64::to_bits),
+            )
+        })
+        .collect();
+
+    let mut client = Client::connect(addr).expect("connect");
+    for (i, deadline_ms) in [None, Some(3_600_000)].into_iter().enumerate() {
+        let resp = client
+            .call(&Request::Search(SearchRequest {
+                app: app.clone(),
+                platform: platform.clone(),
+                random_candidates: opts.random_candidates,
+                seed: opts.seed,
+                exp_rerank: opts.exp_rerank,
+                deadline_ms,
+            }))
+            .expect("search");
+        let Response::Search(served) = resp else {
+            panic!("deadline {deadline_ms:?}: unexpected response {resp:?}");
+        };
+        let served_finalists: Vec<_> = served
+            .finalists
+            .iter()
+            .map(|c| {
+                (
+                    c.origin.clone(),
+                    c.teams.clone(),
+                    c.det.to_bits(),
+                    c.exp.map(f64::to_bits),
+                )
+            })
+            .collect();
+        assert_eq!(
+            served_finalists, local_finalists,
+            "deadline {deadline_ms:?}"
+        );
+        assert_eq!(served.det_evaluations, opts.random_candidates);
+        assert_eq!(served.det_evaluations, local.det_evaluations);
+        assert_eq!(served.delta_recomputes, local.delta_recomputes);
+        assert_eq!(served.exp_evaluations, local.exp_evaluations);
+        if i == 0 {
+            // The first search runs on a cold pooled cache, like the
+            // in-process one; later ones reuse it warm.
+            assert_eq!(served.cache_hits, local.exp_cache.hits());
+            assert_eq!(served.cache_misses, local.exp_cache.misses());
+        }
+    }
+    let _ = client.call(&Request::Shutdown).expect("shutdown");
+    drop(client);
+    run.join().expect("server thread").expect("clean shutdown");
+}
+
+/// A search whose deadline fires mid-batch exits with the interrupted
+/// code 4 and says so.
+#[test]
+fn interrupted_search_exits_4() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repstream"))
+        .args(["search", "--candidates", "4000", "--deadline", "1ms"])
+        .output()
+        .expect("run repstream search");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(4), "stderr:\n{stderr}");
+    assert!(
+        stderr.starts_with("error: search: interrupted"),
+        "stderr:\n{stderr}"
+    );
 }
