@@ -14,8 +14,7 @@
 //! [`Mapping`] of a one-app workload, scored as the slice of its one
 //! mapping (no per-candidate `JointMapping` is built).  Its scores are
 //! flat, `K` per candidate, so a one-app batch is exactly the list of
-//! throughputs.  [`score_batch`] and [`score_joint_batch`] are its
-//! unbudgeted views.
+//! throughputs.  [`score_batch`] is its unbudgeted one-app view.
 
 use crate::score::WorkloadDetScorer;
 use repstream_core::model::{
@@ -82,40 +81,12 @@ pub fn score_batch(
 ) -> Result<Vec<f64>, ModelError> {
     let apps = [App::new(app.clone())];
     let workload = WorkloadRef::new(&apps, platform)?;
-    unbudgeted(score_joint_batch_with_threads(
-        workload,
-        model,
-        candidates,
-        &Budget::UNLIMITED,
-        0,
-    ))
-}
-
-/// Contended per-app deterministic throughputs of every joint candidate,
-/// in input order; threads and errors as in [`score_batch`].
-pub fn score_joint_batch(
-    workload: WorkloadRef<'_>,
-    model: ExecModel,
-    candidates: &[JointMapping],
-) -> Result<Vec<Vec<f64>>, ModelError> {
-    let flat = unbudgeted(score_joint_batch_with_threads(
-        workload,
-        model,
-        candidates,
-        &Budget::UNLIMITED,
-        0,
-    ))?;
-    Ok(flat
-        .chunks(workload.n_apps())
-        .map(<[f64]>::to_vec)
-        .collect())
-}
-
-fn unbudgeted<T>(result: Result<T, BatchError>) -> Result<T, ModelError> {
-    result.map_err(|e| match e {
-        BatchError::Model(e) => e,
-        BatchError::Interrupted(_) => unreachable!("an unlimited budget never fires"),
-    })
+    score_joint_batch_with_threads(workload, model, candidates, &Budget::UNLIMITED, 0).map_err(
+        |e| match e {
+            BatchError::Model(e) => e,
+            BatchError::Interrupted(_) => unreachable!("an unlimited budget never fires"),
+        },
+    )
 }
 
 /// The one batch: the contended per-app deterministic throughputs of

@@ -48,7 +48,7 @@ pub mod delta;
 pub mod portfolio;
 pub mod score;
 
-pub use batch::{score_batch, score_joint_batch};
+pub use batch::score_batch;
 pub use delta::JointDeltaScorer;
 pub use portfolio::{
     portfolio_search, portfolio_search_cached, workload_search, Objective, PortfolioOptions,
