@@ -525,12 +525,6 @@ impl JointMapping {
     pub fn mappings(&self) -> &[Mapping] {
         &self.mappings
     }
-
-    /// Replace the mapping of application `k` (builder-style tweak for
-    /// search loops that own their candidate).
-    pub fn set_mapping(&mut self, k: usize, mapping: Mapping) {
-        self.mappings[k] = mapping;
-    }
 }
 
 impl From<Mapping> for JointMapping {

@@ -26,7 +26,7 @@
 use crate::bounds;
 use crate::deterministic;
 use crate::exponential::{self, ChainSolver, ColumnRef, ExpError};
-use crate::model::{JointMapping, ModelError, System, Workload};
+use crate::model::System;
 use crate::timing;
 use repstream_markov::cache::{ChainCache, SharedChainCache};
 use repstream_markov::govern::{InterruptReason, RunConfig};
@@ -68,6 +68,20 @@ pub enum ReportStatus {
     /// An internal failure (spill I/O, unexpected unsafety, …) — CLI
     /// exit 5.
     Internal,
+}
+
+impl ReportStatus {
+    /// The exit code of a report with this status, for the one-shot CLI
+    /// and a served `analyze` alike: `0` ok or degraded, `3` over budget,
+    /// `4` interrupted, `5` internal.
+    pub fn exit_code(self) -> u8 {
+        match self {
+            ReportStatus::Ok | ReportStatus::Degraded(_) => 0,
+            ReportStatus::OverBudget => 3,
+            ReportStatus::Interrupted(_) => 4,
+            ReportStatus::Internal => 5,
+        }
+    }
 }
 
 /// Options for report generation: what to render, how to run the exact
@@ -355,104 +369,6 @@ pub fn system_report_with(
     (s, status)
 }
 
-/// Render the multi-app analysis of `workload` under `joint` as text:
-/// a contention summary (how much of the platform is actually shared)
-/// and a per-app table of **contended** throughputs — deterministic
-/// columnwise (Theorem 1) and exponential (Theorems 3/4), both over the
-/// fair-share service times of [`timing::contended_times`].
-///
-/// All apps' exponential decompositions share a single [`ChainCache`]:
-/// two apps with the same replication shape pay one marking-graph build.
-pub fn workload_report(
-    workload: &Workload,
-    joint: &JointMapping,
-    opts: ReportOptions,
-) -> Result<String, ModelError> {
-    workload.as_ref().validate(joint.mappings())?;
-    let mut s = String::new();
-    let m = workload.platform().n_processors();
-    writeln!(
-        s,
-        "workload: {} applications on {} shared processors",
-        workload.n_apps(),
-        m
-    )
-    .unwrap();
-    for (k, app) in workload.apps().iter().enumerate() {
-        let sla = match app.sla() {
-            Some(x) => format!("{x:.4}"),
-            None => "-".to_string(),
-        };
-        writeln!(
-            s,
-            "  app {k}: {} stages, teams {:?}, weight {}, sla {}",
-            app.application().n_stages(),
-            joint.mapping(k).shape().teams(),
-            app.weight(),
-            sla
-        )
-        .unwrap();
-    }
-
-    // Contention summary (raw user counts, straight from the mappings).
-    let mut proc_users = vec![0usize; m];
-    let mut link_users: std::collections::HashMap<(usize, usize), usize> =
-        std::collections::HashMap::new();
-    for mapping in joint.mappings() {
-        for team in mapping.teams() {
-            for &p in team {
-                proc_users[p] += 1;
-            }
-        }
-        for file in 0..mapping.n_stages().saturating_sub(1) {
-            for &p in mapping.team(file) {
-                for &q in mapping.team(file + 1) {
-                    *link_users.entry((p, q)).or_insert(0) += 1;
-                }
-            }
-        }
-    }
-    let shared_procs = proc_users.iter().filter(|&&u| u >= 2).count();
-    let shared_links = link_users.values().filter(|&&u| u >= 2).count();
-    let busiest = proc_users.iter().copied().max().unwrap_or(0);
-    writeln!(s, "\n[contention]").unwrap();
-    writeln!(
-        s,
-        "  processors shared by >=2 apps: {shared_procs} of {m} (busiest carries {busiest})"
-    )
-    .unwrap();
-    writeln!(s, "  directed links shared by >=2 apps: {shared_links}").unwrap();
-
-    // Per-app contended throughputs; one chain cache for every app.
-    let times = timing::contended_times(workload, joint);
-    let mut cache = ChainCache::new();
-    writeln!(s, "\n[per-app contended throughput]").unwrap();
-    writeln!(
-        s,
-        "  {:<5} {:>12} {:>12}  sla check",
-        "app", "det(T1)", "exp(T3/4)"
-    )
-    .unwrap();
-    for (k, app_times) in times.iter().enumerate() {
-        let shape = joint.mapping(k).shape();
-        let det = deterministic::throughput_columnwise_shape(&shape, app_times);
-        let rates = app_times.map(|_, &t| 1.0 / t);
-        let exp_cell =
-            match exponential::throughput_overlap_with_solver(&shape, &rates, opts.run, &mut cache)
-            {
-                Ok(rep) => format!("{:>12.6}", rep.throughput),
-                Err(e) => format!("(unavailable: {e})"),
-            };
-        let sla_cell = match workload.app(k).sla() {
-            Some(target) if det >= target => format!("meets {target:.4}"),
-            Some(target) => format!("MISSES {target:.4}"),
-            None => "-".to_string(),
-        };
-        writeln!(s, "  {k:<5} {det:>12.6} {exp_cell}  {sla_cell}").unwrap();
-    }
-    Ok(s)
-}
-
 /// Render a byte count as MiB with enough precision for small builds.
 fn mib(bytes: usize) -> String {
     format!("{:.2} MiB", bytes as f64 / (1024.0 * 1024.0))
@@ -564,40 +480,6 @@ mod tests {
         );
         assert!(r.contains("skipped: m = 10395"), "{r}");
         assert!(r.contains("Theorem 1"), "{r}");
-    }
-
-    #[test]
-    fn workload_report_lists_apps_and_contention() {
-        use crate::model::App;
-        let app = Application::uniform(2, 6.0, 12.0).unwrap();
-        let platform = Platform::complete(vec![1.0; 4], 4.0).unwrap();
-        let workload = Workload::new(
-            vec![
-                App::new(app.clone()).with_sla(0.02).unwrap(),
-                App::new(app).with_weight(2.0).unwrap(),
-            ],
-            platform,
-        )
-        .unwrap();
-        let joint = JointMapping::new(vec![
-            Mapping::new(vec![vec![0], vec![1, 2]]).unwrap(),
-            Mapping::new(vec![vec![0], vec![3]]).unwrap(),
-        ])
-        .unwrap();
-        let r = workload_report(&workload, &joint, ReportOptions::default()).unwrap();
-        for needle in [
-            "workload: 2 applications on 4 shared processors",
-            "app 0: 2 stages, teams [1, 2], weight 1, sla 0.0200",
-            "app 1: 2 stages, teams [1, 1], weight 2, sla -",
-            "[contention]",
-            "processors shared by >=2 apps: 1 of 4 (busiest carries 2)",
-            "[per-app contended throughput]",
-        ] {
-            assert!(r.contains(needle), "missing {needle:?} in:\n{r}");
-        }
-        // A wrong joint mapping is rejected, not rendered.
-        let bad = JointMapping::new(vec![Mapping::one_to_one(2)]).unwrap();
-        assert!(workload_report(&workload, &bad, ReportOptions::default()).is_err());
     }
 
     #[test]

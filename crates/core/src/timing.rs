@@ -141,17 +141,6 @@ pub fn contended_times<'a>(
         .collect()
 }
 
-/// Per-app exponential rates (`1 / contended time`) for a joint mapping.
-pub fn contended_rates<'a>(
-    workload: impl Into<WorkloadRef<'a>>,
-    joint: &JointMapping,
-) -> Vec<ResourceTable<f64>> {
-    contended_times(workload, joint)
-        .into_iter()
-        .map(|t| t.map(|_, &x| 1.0 / x))
-        .collect()
-}
-
 /// Deterministic per-resource times (`w_i/s_p`, `δ_i/b_{p,q}`).
 ///
 /// Routes through the K = 1 workload path: a single-app system has no

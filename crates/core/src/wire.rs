@@ -5,7 +5,8 @@
 //! ```text
 //!   u32 LE  body length              (0 < len ≤ 64 MiB)
 //!   u8      protocol version         (WIRE_VERSION = 4)
-//!   u8      message tag              (Request: 0–6, Response: 128–135)
+//!   u8      message tag              (Request: 0–6, Response: 128–135;
+//!                                     2 and 130 unassigned)
 //!   …       tag-specific payload
 //! ```
 //!
@@ -36,11 +37,8 @@ use crate::report::{DegradeMode, ReportOptions, ReportStatus};
 use repstream_markov::cache::CacheStats;
 use repstream_markov::ctmc::{Solver, SolverChoice};
 use repstream_markov::govern::{Budget, InterruptReason, RunConfig};
-use repstream_markov::marking::ArenaStats;
 use std::io::{Read, Write};
 use std::time::Duration;
-
-use crate::exponential::{StrictMethod, StrictReport};
 
 /// Protocol version carried by every frame.
 pub const WIRE_VERSION: u8 = 4;
@@ -442,61 +440,6 @@ fn get_status(c: &mut Cursor<'_>) -> Result<ReportStatus, WireError> {
 }
 
 // ---------------------------------------------------------------------
-// Report serde.
-// ---------------------------------------------------------------------
-
-fn put_arena(out: &mut Vec<u8>, a: &ArenaStats) {
-    put_usize(out, a.keys_bytes);
-    put_usize(out, a.reps_bytes);
-    put_usize(out, a.interner_bytes);
-    put_usize(out, a.spill_bytes);
-}
-
-fn get_arena(c: &mut Cursor<'_>) -> Result<ArenaStats, WireError> {
-    Ok(ArenaStats {
-        keys_bytes: c.usize()?,
-        reps_bytes: c.usize()?,
-        interner_bytes: c.usize()?,
-        spill_bytes: c.usize()?,
-    })
-}
-
-/// Encode a [`StrictReport`] payload (shared by responses and tests).
-pub fn put_strict_report(out: &mut Vec<u8>, r: &StrictReport) {
-    put_f64(out, r.throughput);
-    put_usize(out, r.full_states);
-    put_opt_varint(out, r.lumped_states.map(|x| x as u64));
-    // Byte 1 named the full-then-lump method of wire version 3; it is
-    // not reused.
-    out.push(match r.method {
-        StrictMethod::DirectQuotient => 0,
-        StrictMethod::Full => 2,
-    });
-    put_solver(out, r.solver);
-    put_usize(out, r.iterations);
-    put_f64(out, r.residual);
-    put_arena(out, &r.arena);
-}
-
-/// Decode a [`StrictReport`] payload.
-pub fn get_strict_report(c: &mut Cursor<'_>) -> Result<StrictReport, WireError> {
-    Ok(StrictReport {
-        throughput: c.f64()?,
-        full_states: c.usize()?,
-        lumped_states: get_opt_varint(c)?.map(|x| x as usize),
-        method: match c.u8()? {
-            0 => StrictMethod::DirectQuotient,
-            2 => StrictMethod::Full,
-            b => return Err(WireError::Invalid(format!("strict-method byte {b}"))),
-        },
-        solver: get_solver(c)?,
-        iterations: c.usize()?,
-        residual: c.f64()?,
-        arena: get_arena(c)?,
-    })
-}
-
-// ---------------------------------------------------------------------
 // Requests.
 // ---------------------------------------------------------------------
 
@@ -618,16 +561,6 @@ pub struct AnalyzeRequest {
     pub options: WireOptions,
 }
 
-/// `report`: the structured Strict Theorem 2 result of one system
-/// (what the text report's `[strict/exponential]` section renders).
-#[derive(Debug, Clone)]
-pub struct ReportRequest {
-    /// The system to solve.
-    pub system: System,
-    /// Analysis options and relative deadline.
-    pub options: WireOptions,
-}
-
 /// `search`: run the portfolio mapping search for an application on a
 /// platform and return the scored finalists.
 #[derive(Debug, Clone)]
@@ -665,8 +598,6 @@ pub enum Request {
     Ping,
     /// Full governed text report.
     Analyze(AnalyzeRequest),
-    /// Structured Strict Theorem 2 report.
-    Report(ReportRequest),
     /// Portfolio mapping search.
     Search(SearchRequest),
     /// Multi-size scaling sweep.
@@ -679,7 +610,8 @@ pub enum Request {
 
 const TAG_PING: u8 = 0;
 const TAG_ANALYZE: u8 = 1;
-const TAG_REPORT: u8 = 2;
+// 2 is retired (a structured Strict report no client sent) and never
+// reused, so an old peer's frame fails as an unknown tag.
 const TAG_SEARCH: u8 = 3;
 const TAG_SCALE: u8 = 4;
 const TAG_STATS: u8 = 5;
@@ -693,11 +625,6 @@ impl Request {
             Request::Ping => out.push(TAG_PING),
             Request::Analyze(r) => {
                 out.push(TAG_ANALYZE);
-                put_system(&mut out, &r.system);
-                put_options(&mut out, &r.options);
-            }
-            Request::Report(r) => {
-                out.push(TAG_REPORT);
                 put_system(&mut out, &r.system);
                 put_options(&mut out, &r.options);
             }
@@ -732,10 +659,6 @@ impl Request {
         let req = match tag {
             TAG_PING => Request::Ping,
             TAG_ANALYZE => Request::Analyze(AnalyzeRequest {
-                system: get_system(&mut c)?,
-                options: get_options(&mut c)?,
-            }),
-            TAG_REPORT => Request::Report(ReportRequest {
                 system: get_system(&mut c)?,
                 options: get_options(&mut c)?,
             }),
@@ -860,22 +783,6 @@ impl ErrorResponse {
         }
     }
 
-    /// An over-budget error (class 3).
-    pub fn over_budget(message: impl Into<String>) -> ErrorResponse {
-        ErrorResponse {
-            class: 3,
-            message: message.into(),
-        }
-    }
-
-    /// An interrupted-under-fail error (class 4).
-    pub fn interrupted(message: impl Into<String>) -> ErrorResponse {
-        ErrorResponse {
-            class: 4,
-            message: message.into(),
-        }
-    }
-
     /// An internal error (class 5).
     pub fn internal(message: impl Into<String>) -> ErrorResponse {
         ErrorResponse {
@@ -892,8 +799,6 @@ pub enum Response {
     Pong,
     /// Full text report.
     Analyze(AnalyzeResponse),
-    /// Structured Strict report.
-    Report(StrictReport),
     /// Search finalists.
     Search(SearchResponse),
     /// Scaling sweep.
@@ -908,7 +813,7 @@ pub enum Response {
 
 const TAG_PONG: u8 = 128;
 const TAG_ANALYZE_OK: u8 = 129;
-const TAG_REPORT_OK: u8 = 130;
+// 130 answered tag 2: retired the same way.
 const TAG_SEARCH_OK: u8 = 131;
 const TAG_SCALE_OK: u8 = 132;
 const TAG_STATS_OK: u8 = 133;
@@ -925,10 +830,6 @@ impl Response {
                 out.push(TAG_ANALYZE_OK);
                 put_str(&mut out, &r.text);
                 put_status(&mut out, r.status);
-            }
-            Response::Report(r) => {
-                out.push(TAG_REPORT_OK);
-                put_strict_report(&mut out, r);
             }
             Response::Search(r) => {
                 out.push(TAG_SEARCH_OK);
@@ -995,7 +896,6 @@ impl Response {
                 text: c.string()?,
                 status: get_status(&mut c)?,
             }),
-            TAG_REPORT_OK => Response::Report(get_strict_report(&mut c)?),
             TAG_SEARCH_OK => {
                 let n = c.seq_len(1)?;
                 let mut finalists = Vec::with_capacity(n);
@@ -1162,10 +1062,10 @@ mod tests {
             Request::decode(&[9, TAG_PING]),
             Err(WireError::UnknownVersion(9))
         ));
-        // A version-1 report carried one more arena byte: refused, not
+        // A version-1 frame is refused on its version byte, not
         // misparsed.
         assert!(matches!(
-            Response::decode(&[1, TAG_REPORT_OK]),
+            Response::decode(&[1, TAG_ANALYZE_OK]),
             Err(WireError::UnknownVersion(1))
         ));
         assert!(matches!(

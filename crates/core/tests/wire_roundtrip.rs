@@ -5,18 +5,16 @@
 //! [`WireError`], never a panic.
 
 use proptest::prelude::*;
-use repstream_core::exponential::{StrictMethod, StrictReport};
 use repstream_core::model::{Application, Mapping, Platform, System};
 use repstream_core::report::{DegradeMode, ReportStatus};
 use repstream_core::wire::{
-    read_frame, write_frame, AnalyzeRequest, AnalyzeResponse, ErrorResponse, ReportRequest,
-    Request, Response, ScalePoint, ScaleRequest, ScaleResponse, SearchRequest, SearchResponse,
-    StatsResponse, WireCandidate, WireError, WireOptions, MAX_FRAME, WIRE_VERSION,
+    read_frame, write_frame, AnalyzeRequest, AnalyzeResponse, ErrorResponse, Request, Response,
+    ScalePoint, ScaleRequest, ScaleResponse, SearchRequest, SearchResponse, StatsResponse,
+    WireCandidate, WireError, WireOptions, MAX_FRAME, WIRE_VERSION,
 };
 use repstream_markov::cache::CacheStats;
 use repstream_markov::ctmc::{Solver, SolverChoice};
 use repstream_markov::govern::InterruptReason;
-use repstream_markov::marking::ArenaStats;
 
 /// Deterministic pseudo-random System: `teams` stage team sizes over
 /// consecutive processors, complete platform.  Every numeric field is
@@ -106,8 +104,7 @@ fn assert_options_eq(a: &WireOptions, b: &WireOptions) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Analyze/Report requests round-trip: system bits, options,
-    /// deadline.
+    /// Analyze requests round-trip: system bits, options, deadline.
     #[test]
     fn analyze_and_report_requests_round_trip(
         stages in 2usize..5,
@@ -125,18 +122,6 @@ proptest! {
             Request::Analyze(a) => {
                 assert_system_bits(&a.system, &system);
                 assert_options_eq(&a.options, &options);
-            }
-            other => panic!("wrong tag: {other:?}"),
-        }
-        let body = Request::Report(ReportRequest {
-            system: system.clone(),
-            options,
-        })
-        .encode();
-        match Request::decode(&body).unwrap() {
-            Request::Report(r) => {
-                assert_system_bits(&r.system, &system);
-                assert_options_eq(&r.options, &options);
             }
             other => panic!("wrong tag: {other:?}"),
         }
@@ -187,48 +172,16 @@ proptest! {
         }
     }
 
-    /// Report/Analyze/Error responses round-trip bit-exactly —
-    /// including throughputs that are arbitrary f64 bit patterns.
+    /// Analyze/Error responses round-trip bit-exactly — including
+    /// report text that carries arbitrary f64 bit patterns.
     #[test]
-    fn responses_round_trip(seed in 0u64..u64::MAX, states in 1usize..5_000_000) {
-        let methods = [StrictMethod::DirectQuotient, StrictMethod::Full];
-        let solvers = [Solver::Gth, Solver::GaussSeidel, Solver::Power];
+    fn responses_round_trip(seed in 0u64..u64::MAX) {
         let reasons = [
             InterruptReason::Deadline,
             InterruptReason::Cancelled,
             InterruptReason::MemoryCap,
             InterruptReason::SolverStall,
         ];
-        let report = StrictReport {
-            throughput: f64::from_bits(seed),
-            full_states: states,
-            lumped_states: (seed & 1 == 0).then_some(states / 2),
-            method: methods[(seed % 2) as usize],
-            solver: solvers[(seed % 3) as usize],
-            iterations: (seed % 100_000) as usize,
-            residual: f64::from_bits(seed.rotate_left(17)),
-            arena: ArenaStats {
-                keys_bytes: (seed % 1_000_000) as usize,
-                reps_bytes: (seed % 500_000) as usize,
-                interner_bytes: (seed % 250_000) as usize,
-                spill_bytes: (seed % 125_000) as usize,
-            },
-        };
-        let body = Response::Report(report.clone()).encode();
-        match Response::decode(&body).unwrap() {
-            Response::Report(r) => {
-                assert_eq!(r.throughput.to_bits(), report.throughput.to_bits());
-                assert_eq!(r.residual.to_bits(), report.residual.to_bits());
-                assert_eq!(r.full_states, report.full_states);
-                assert_eq!(r.lumped_states, report.lumped_states);
-                assert_eq!(r.method.label(), report.method.label());
-                assert_eq!(r.solver, report.solver);
-                assert_eq!(r.iterations, report.iterations);
-                assert_eq!(r.arena, report.arena);
-            }
-            other => panic!("wrong tag: {other:?}"),
-        }
-
         let statuses = [
             ReportStatus::Ok,
             ReportStatus::Degraded(reasons[(seed % 4) as usize]),
@@ -375,9 +328,13 @@ fn unknown_version_and_tag_reject() {
         Request::decode(&[0, 0]),
         Err(WireError::UnknownVersion(0))
     ));
-    // A version-2 report carried a preconditioner byte after the solver:
-    // refused on its version byte, before any field is read.
-    let mut body = strict_report(StrictMethod::DirectQuotient, Solver::GaussSeidel).encode();
+    // A version-2 frame is refused on its version byte, before any field
+    // is read.
+    let mut body = Response::Analyze(AnalyzeResponse {
+        text: "report\n".to_string(),
+        status: ReportStatus::Ok,
+    })
+    .encode();
     body[0] = 2;
     assert!(matches!(
         Response::decode(&body),
@@ -385,11 +342,7 @@ fn unknown_version_and_tag_reject() {
     ));
     // A version-3 request carried a lumping byte in its options: refused
     // on its version byte too.
-    let mut body = Request::Analyze(AnalyzeRequest {
-        system: arb_system(2, 1, 3),
-        options: WireOptions::default(),
-    })
-    .encode();
+    let mut body = analyze_request(SolverChoice::Auto);
     body[0] = 3;
     assert!(matches!(
         Request::decode(&body),
@@ -408,20 +361,30 @@ fn unknown_version_and_tag_reject() {
         Response::decode(&[WIRE_VERSION, 136]),
         Err(WireError::UnknownTag(136))
     ));
+    // 2 tagged a structured Strict report request that no client sent,
+    // and 130 its answer: the tag is refused before the payload is read.
+    let mut body = analyze_request(SolverChoice::Auto);
+    body[1] = 2;
+    assert!(matches!(
+        Request::decode(&body),
+        Err(WireError::UnknownTag(2))
+    ));
+    assert!(matches!(
+        Response::decode(&[WIRE_VERSION, 130]),
+        Err(WireError::UnknownTag(130))
+    ));
 }
 
-/// A small Strict report whose only free bytes are its method and solver.
-fn strict_report(method: StrictMethod, solver: Solver) -> Response {
-    Response::Report(StrictReport {
-        throughput: 0.5,
-        full_states: 10,
-        lumped_states: None,
-        method,
-        solver,
-        iterations: 10,
-        residual: 0.0,
-        arena: ArenaStats::default(),
+/// A small analyze request, encoded, under `solver`.
+fn analyze_request(solver: SolverChoice) -> Vec<u8> {
+    Request::Analyze(AnalyzeRequest {
+        system: arb_system(2, 1, 3),
+        options: WireOptions {
+            solver,
+            ..WireOptions::default()
+        },
     })
+    .encode()
 }
 
 /// The solver byte has three assigned values (`Gth 0`, `GaussSeidel 1`,
@@ -429,7 +392,7 @@ fn strict_report(method: StrictMethod, solver: Solver) -> Response {
 /// — is a structured `Invalid`, not a misparse.
 #[test]
 fn unassigned_solver_byte_is_invalid() {
-    let encode = |solver| strict_report(StrictMethod::DirectQuotient, solver).encode();
+    let encode = |solver| analyze_request(SolverChoice::Force(solver));
     let (gth, power) = (encode(Solver::Gth), encode(Solver::Power));
     assert_eq!(gth.len(), power.len());
     let differ: Vec<usize> = (0..gth.len()).filter(|&i| gth[i] != power[i]).collect();
@@ -440,35 +403,8 @@ fn unassigned_solver_byte_is_invalid() {
         let mut body = gth.clone();
         body[at] = byte;
         assert!(
-            matches!(Response::decode(&body), Err(WireError::Invalid(_))),
+            matches!(Request::decode(&body), Err(WireError::Invalid(_))),
             "solver byte {byte}"
-        );
-    }
-}
-
-/// The strict-method byte has two assigned values (`DirectQuotient 0`,
-/// `Full 2`); `1`, the retired full-then-lump method, and every other
-/// value are a structured `Invalid`.
-#[test]
-fn unassigned_strict_method_byte_is_invalid() {
-    let encode = |method| strict_report(method, Solver::Gth).encode();
-    let (direct, full) = (
-        encode(StrictMethod::DirectQuotient),
-        encode(StrictMethod::Full),
-    );
-    assert_eq!(direct.len(), full.len());
-    let differ: Vec<usize> = (0..direct.len())
-        .filter(|&i| direct[i] != full[i])
-        .collect();
-    assert_eq!(differ.len(), 1, "the method is one byte");
-    let at = differ[0];
-    assert_eq!((direct[at], full[at]), (0, 2));
-    for byte in [1u8, 3, 0xff] {
-        let mut body = direct.clone();
-        body[at] = byte;
-        assert!(
-            matches!(Response::decode(&body), Err(WireError::Invalid(_))),
-            "strict-method byte {byte}"
         );
     }
 }

@@ -9,17 +9,15 @@
 //! sweep (see `repstream-markov`), and pinned by the engine's property
 //! tests.
 //!
-//! There is one batch, [`score_joint_batch_with_threads`], over any
-//! [`Candidate`]: a [`JointMapping`] of a K-app workload, or a single
-//! [`Mapping`] of a one-app workload, scored as the slice of its one
-//! mapping (no per-candidate `JointMapping` is built).  Its scores are
-//! flat, `K` per candidate, so a one-app batch is exactly the list of
-//! throughputs.  [`score_batch`] is its unbudgeted one-app view.
+//! There is one batch, [`score_joint_batch_with_threads`], over a flat
+//! slice of mappings, `K` per candidate for a K-app workload — so a
+//! one-app batch is a plain list of [`Mapping`]s and no per-candidate
+//! container is built.  Its scores are flat the same way, `K` per
+//! candidate, so a one-app batch is exactly the list of throughputs.
+//! [`score_batch`] is its unbudgeted one-app view.
 
 use crate::score::WorkloadDetScorer;
-use repstream_core::model::{
-    App, Application, JointMapping, Mapping, ModelError, Platform, WorkloadRef,
-};
+use repstream_core::model::{App, Application, Mapping, ModelError, Platform, WorkloadRef};
 use repstream_markov::govern::{Budget, Interrupt, Phase, Progress};
 use repstream_petri::shape::ExecModel;
 
@@ -47,25 +45,6 @@ impl std::fmt::Display for BatchError {
 
 impl std::error::Error for BatchError {}
 
-/// A candidate of a batch: the per-app mappings it assigns.
-pub trait Candidate: Sync {
-    /// The per-app mappings (one for a single application).
-    fn per_app(&self) -> &[Mapping];
-}
-
-/// A single application's candidate, scored on a one-app workload.
-impl Candidate for Mapping {
-    fn per_app(&self) -> &[Mapping] {
-        std::slice::from_ref(self)
-    }
-}
-
-impl Candidate for JointMapping {
-    fn per_app(&self) -> &[Mapping] {
-        self.mappings()
-    }
-}
-
 /// Deterministic throughput of every candidate of one application, in
 /// input order — the one batch on the one-app workload.
 ///
@@ -90,10 +69,14 @@ pub fn score_batch(
 }
 
 /// The one batch: the contended per-app deterministic throughputs of
-/// every candidate, flat and in input order (candidate `i`'s `K` scores
-/// at `i·K..(i+1)·K`), on `threads` threads (0 = `available_parallelism`,
-/// capped so each thread scores at least `PAR_MIN_CANDIDATES`) under a
-/// cooperative [`Budget`].
+/// every candidate, flat and in input order, on `threads` threads (0 =
+/// `available_parallelism`, capped so each thread scores at least
+/// `PAR_MIN_CANDIDATES`) under a cooperative [`Budget`].  `candidates`
+/// holds `K` mappings per candidate for the workload's `K` apps
+/// (candidate `i`'s app `k` at `i·K + k`), and candidate `i`'s `K` scores
+/// land at `i·K..(i+1)·K`.  A length that is not a multiple of `K` fails
+/// with [`ModelError::AppCountMismatch`], naming how many mappings the
+/// trailing candidate has.
 ///
 /// Each thread checks the budget before every `PAR_MIN_CANDIDATES`
 /// candidates of its own chunk; the checks only decide whether the batch
@@ -101,28 +84,39 @@ pub fn score_batch(
 /// thread count and budget that does not fire.  The first failing chunk
 /// (in chunk order) reports: its first invalid candidate's validation
 /// error, or the interrupt.
-pub fn score_joint_batch_with_threads<C: Candidate>(
+pub fn score_joint_batch_with_threads(
     workload: WorkloadRef<'_>,
     model: ExecModel,
-    candidates: &[C],
+    candidates: &[Mapping],
     budget: &Budget,
     threads: usize,
 ) -> Result<Vec<f64>, BatchError> {
+    let k = workload.n_apps();
+    if !candidates.len().is_multiple_of(k) {
+        return Err(BatchError::Model(ModelError::AppCountMismatch {
+            apps: k,
+            mappings: candidates.len() % k,
+        }));
+    }
+    let n = candidates.len() / k;
     let threads = match threads {
         0 => std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
-            .min(candidates.len() / PAR_MIN_CANDIDATES),
+            .min(n / PAR_MIN_CANDIDATES),
         n => n,
     }
     .max(1);
-    let chunk = candidates.len().div_ceil(threads).max(1);
-    let k = workload.n_apps();
-    let mut out = vec![0.0f64; candidates.len() * k];
-    let score_chunk = |(i, (slots, chunk_candidates)): (usize, (&mut [f64], &[C]))| {
+    let chunk = n.div_ceil(threads).max(1);
+    let mut out = vec![0.0f64; candidates.len()];
+    let score_chunk = |(i, (slots, chunk_candidates)): (usize, (&mut [f64], &[Mapping]))| {
         let mut scorer = WorkloadDetScorer::new(workload, model);
         let mut per_app = Vec::with_capacity(k);
-        for (j, (c, slot)) in chunk_candidates.iter().zip(slots.chunks_mut(k)).enumerate() {
+        for (j, (c, slot)) in chunk_candidates
+            .chunks(k)
+            .zip(slots.chunks_mut(k))
+            .enumerate()
+        {
             if j % PAR_MIN_CANDIDATES == 0 {
                 budget
                     .check(Progress {
@@ -135,7 +129,7 @@ pub fn score_joint_batch_with_threads<C: Candidate>(
                     .map_err(BatchError::Interrupted)?;
             }
             scorer
-                .score_into(c.per_app(), &mut per_app)
+                .score_into(c, &mut per_app)
                 .map_err(BatchError::Model)?;
             slot.copy_from_slice(&per_app);
         }
@@ -143,7 +137,7 @@ pub fn score_joint_batch_with_threads<C: Candidate>(
     };
     let parts = out
         .chunks_mut(chunk * k)
-        .zip(candidates.chunks(chunk))
+        .zip(candidates.chunks(chunk * k))
         .enumerate();
     // One Result per chunk, in chunk order, so the reported error is the
     // first failing chunk's regardless of thread scheduling.
@@ -188,9 +182,9 @@ mod tests {
         Workload::new(vec![App::new(app.clone()), App::new(app)], platform).unwrap()
     }
 
-    fn with_threads<C: Candidate>(
+    fn with_threads(
         workload: &Workload,
-        candidates: &[C],
+        candidates: &[Mapping],
         budget: &Budget,
         threads: usize,
     ) -> Result<Vec<f64>, BatchError> {
@@ -252,7 +246,7 @@ mod tests {
         let seq = with_threads(&workload, &candidates, &Budget::UNLIMITED, 1).unwrap();
         for threads in [2, 3, 8] {
             let par = with_threads(&workload, &candidates, &Budget::UNLIMITED, threads).unwrap();
-            assert_eq!(seq.len(), 2 * candidates.len());
+            assert_eq!(seq.len(), candidates.len());
             assert_eq!(seq.len(), par.len());
             for (i, (x, y)) in seq.iter().zip(par.iter()).enumerate() {
                 assert_eq!(
@@ -271,19 +265,40 @@ mod tests {
         let workload = two_apps();
         let mut candidates =
             random_joint_mappings(&[4, 4], workload.platform().n_processors(), 8, 3);
-        candidates.insert(
-            2,
-            JointMapping::new(vec![
+        candidates.splice(
+            4..4,
+            [
                 Mapping::one_to_one(4),
                 Mapping::new(vec![vec![0], vec![1], vec![2], vec![99]]).unwrap(),
-            ])
-            .unwrap(),
+            ],
         );
         let err = with_threads(&workload, &candidates, &Budget::UNLIMITED, 4).unwrap_err();
         assert!(matches!(
             err,
             BatchError::Model(ModelError::UnknownProcessor { proc: 99 })
         ));
+    }
+
+    /// A joint batch is `K` mappings per candidate: a slice that ends
+    /// part-way through a candidate is rejected before anything is
+    /// scored, naming how many mappings the trailing candidate has.
+    #[test]
+    fn joint_batch_rejects_a_partial_candidate() {
+        let workload = two_apps();
+        let mut candidates =
+            random_joint_mappings(&[4, 4], workload.platform().n_processors(), 8, 3);
+        candidates.pop();
+        for threads in [1, 4] {
+            let err =
+                with_threads(&workload, &candidates, &Budget::UNLIMITED, threads).unwrap_err();
+            assert!(matches!(
+                err,
+                BatchError::Model(ModelError::AppCountMismatch {
+                    apps: 2,
+                    mappings: 1
+                })
+            ));
+        }
     }
 
     #[test]

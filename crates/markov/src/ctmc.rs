@@ -213,7 +213,9 @@ impl ChainStructure {
         &self.row_ptr
     }
 
-    /// Every edge's target, in forward order.
+    /// Every edge's target, in forward order (read by the test oracle's
+    /// orbit partition only).
+    #[cfg(test)]
     pub(crate) fn targets(&self) -> &[u32] {
         &self.col
     }
@@ -415,11 +417,11 @@ pub struct SolveReport {
     pub iterations: usize,
 }
 
-/// Incremental builder of [`Ctmc::new`] and the lumped quotient: rows
-/// are appended in state order straight into the flat arrays, no nested
-/// `Vec`s.
+/// Incremental builder of [`Ctmc::new`] (and of the test oracle's lumped
+/// quotient): rows are appended in state order straight into the flat
+/// arrays, no nested `Vec`s.
 #[derive(Debug)]
-pub struct CsrBuilder {
+pub(crate) struct CsrBuilder {
     row_ptr: Vec<u32>,
     col: Vec<u32>,
     rate: Vec<f64>,

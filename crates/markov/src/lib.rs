@@ -34,11 +34,10 @@
 //!   count `S(u,v) = C(u+v−1, u−1) · v` and the homogeneous closed form
 //!   `u·v·λ/(u+v−1)` of Theorem 4 (its stationary throughput under
 //!   arbitrary per-link rates is [`cache::ChainCache::pattern_throughput`]);
-//! * [`lump`] — exact ordinary lumping, kept as the test oracle of the
-//!   direct quotient: orbit partitions (from the TPN row-rotation via
-//!   [`marking::MarkingGraph::orbit_partition`]),
-//!   [`Ctmc::quotient`](ctmc::Ctmc::quotient) with a lift back to
-//!   full-state marginals, and a lumpability check;
+//! * `lump` *(test builds only)* — exact ordinary lumping, the test
+//!   oracle of the direct quotient: the full chain's orbit partition
+//!   under the TPN row-rotation, its Kemeny–Snell quotient with a lift
+//!   back to full-state marginals, and a lumpability check;
 //! * [`cache`] — structure-keyed chain reuse for batch evaluation:
 //!   marking graphs (and their symmetry orbit seeds) cached per
 //!   [`TpnSignature`](repstream_petri::tpn::TpnSignature) / pattern shape,
@@ -69,7 +68,8 @@ pub mod ctmc;
 pub mod fault;
 pub mod fxhash;
 pub mod govern;
-pub mod lump;
+#[cfg(test)]
+mod lump;
 pub mod marking;
 pub mod net;
 pub mod pattern;

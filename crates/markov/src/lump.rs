@@ -51,10 +51,10 @@
 //! is the reference that construction is held to: build the full chain,
 //! take its orbit partition, and [`Ctmc::quotient`] it.
 //! [`Ctmc::quotient`] is deliberately arranged (first-member rows,
-//! first-hit edge order) so the two agree bit for bit, and the property
-//! tests (`tests/quotient.rs`, `tests/lumping.rs`, `marking::tests`)
-//! compare them; [`is_ordinarily_lumpable`] checks the criterion above
-//! from its definition.
+//! first-hit edge order) so the two agree bit for bit; the tests below
+//! and `marking::tests` compare them, and [`is_ordinarily_lumpable`]
+//! checks the criterion above from its definition.  The module is
+//! compiled into test builds only: nothing the library ships reads it.
 
 use crate::ctmc::{CsrBuilder, Ctmc};
 
@@ -319,87 +319,4 @@ impl Ctmc {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Two mirrored copies of a 2-state gadget glued through a hub: the
-    /// mirror symmetry is an automorphism, so the orbit seed lumps it.
-    fn mirrored_chain() -> Ctmc {
-        // states: 0 hub; (1,2) left pair; (3,4) right pair (mirror of left)
-        Ctmc::new(vec![
-            vec![(1, 2.0), (3, 2.0)],
-            vec![(2, 1.0)],
-            vec![(0, 3.0)],
-            vec![(4, 1.0)],
-            vec![(0, 3.0)],
-        ])
-    }
-
-    #[test]
-    fn partition_constructors() {
-        // Orbits of the permutation (0 1)(2)(3 4): cycles become blocks,
-        // numbered in order of first appearance.
-        let o = Partition::from_permutation_orbits(&[1, 0, 2, 4, 3]);
-        assert_eq!(o.n_states(), 5);
-        assert_eq!(o.n_blocks(), 3);
-        assert_eq!(o.block_of(3), o.block_of(4));
-        assert_ne!(o.block_of(0), o.block_of(2));
-        assert_eq!(o.blocks(), vec![vec![0, 1], vec![2], vec![3, 4]]);
-        assert!(!o.is_discrete());
-        assert!(Partition::from_permutation_orbits(&[0, 1, 2]).is_discrete());
-    }
-
-    #[test]
-    #[should_panic(expected = "not a permutation")]
-    fn non_permutation_rejected() {
-        Partition::from_permutation_orbits(&[0, 0, 1]);
-    }
-
-    #[test]
-    fn mirror_symmetry_lumps() {
-        let c = mirrored_chain();
-        // Orbit seed of the mirror automorphism 0↔0, 1↔3, 2↔4.
-        let seed = Partition::from_permutation_orbits(&[0, 3, 4, 1, 2]);
-        assert!(is_ordinarily_lumpable(&c, &seed, 1e-12));
-        assert_eq!(seed.n_blocks(), 3, "{seed:?}");
-
-        let (q, lift) = c.quotient(&seed);
-        assert_eq!(q.n_states(), 3);
-        assert_eq!(lift.n_states(), 5);
-        let pi = lift.lift(&q.stationary_gth());
-        let full = c.stationary_gth();
-        for (s, (&a, &b)) in pi.iter().zip(full.iter()).enumerate() {
-            assert!((a - b).abs() < 1e-12, "state {s}: {a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn uniform_ring_lumps_to_one_state() {
-        // The rotation automorphism of a uniform ring has a single orbit,
-        // so the orbit seed is one block and the quotient is one state.
-        let n = 12;
-        let rows: Vec<Vec<(usize, f64)>> = (0..n).map(|i| vec![((i + 1) % n, 2.5)]).collect();
-        let c = Ctmc::new(rows);
-        let rot: Vec<u32> = (0..n as u32).map(|i| (i + 1) % n as u32).collect();
-        let seed = Partition::from_permutation_orbits(&rot);
-        assert_eq!(seed.n_blocks(), 1);
-        let (q, lift) = c.quotient(&seed);
-        assert_eq!(q.n_states(), 1);
-        for &p in &lift.lift(&q.stationary()) {
-            assert!((p - 1.0 / n as f64).abs() < 1e-15);
-        }
-    }
-
-    #[test]
-    fn single_state_chain() {
-        let c = Ctmc::new(vec![Vec::new()]);
-        // One state is its own orbit: the seed is discrete and the
-        // quotient is the chain itself.
-        let p = Partition::from_permutation_orbits(&[0]);
-        assert!(p.is_discrete());
-        let (q, lift) = c.quotient(&p);
-        assert_eq!(q.n_states(), 1);
-        assert_eq!(lift.lift(&[1.0]), vec![1.0]);
-    }
-}
+mod tests;

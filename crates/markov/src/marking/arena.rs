@@ -346,8 +346,10 @@ impl MarkingStore {
         buf
     }
 
-    /// Does marking `s` equal `probe`?
-    pub fn matches(&self, s: usize, probe: &[u8]) -> bool {
+    /// Does marking `s` equal `probe`?  (Read by the test oracle's orbit
+    /// partition only.)
+    #[cfg(test)]
+    pub(crate) fn matches(&self, s: usize, probe: &[u8]) -> bool {
         self.get(s) == probe
     }
 

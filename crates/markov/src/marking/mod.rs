@@ -85,11 +85,11 @@
 //! automorphism's cyclic group before interning, so the interner and the
 //! row arena only ever hold one key and one representative per orbit —
 //! the peak interned-state count is `full / m` on free orbits — and the
-//! CSR is emitted orbit-aggregated.  The rated chain (and its uniform
-//! [`Lift`]) is **bitwise identical** to building the full chain and
-//! lumping it through [`Graph::orbit_partition`] +
-//! [`Ctmc::quotient`](crate::ctmc::Ctmc::quotient) (the test oracle),
-//! without ever materializing the full graph or running the orbit pass.
+//! CSR is emitted orbit-aggregated.  The rated chain is **bitwise
+//! identical** to building the full chain, taking its orbit partition
+//! and lumping it (Kemeny–Snell) — the test oracle the crate's unit tests
+//! hold it to — without ever materializing the full graph or running the
+//! orbit pass.
 //! See the [`Graph`] docs for why the state numbering and rate
 //! arithmetic coincide exactly.
 //!
@@ -124,7 +124,6 @@ pub use arena::MarkingStore;
 use crate::ctmc::{unlimited, ChainStructure, Ctmc, SolveReport, SolverChoice};
 use crate::fxhash::FxHashMap;
 use crate::govern::{Budget, Interrupt, Phase};
-use crate::lump::{Lift, Partition};
 use crate::net::{EventNet, NetSymmetry};
 use bfs::{Canonicalizer, Identity, PerFiring, RowRotation, RowSink, ROT_BUFFER_CAP};
 use repstream_petri::canon::MarkingCanonicalizer;
@@ -466,8 +465,8 @@ pub type QuotientGraph = Graph<Orbits>;
 /// lexicographically smallest member of its orbit) but stores the
 /// **first-discovered** member as the orbit's representative, and it is
 /// that representative's row that is explored.  Three facts make the
-/// output coincide exactly with
-/// [`Ctmc::quotient`]`(`[`MarkingGraph::orbit_partition`]`)`:
+/// output coincide exactly with the full-then-lump oracle — the full
+/// chain's orbit partition, each block's row read off its first member:
 ///
 /// 1. **Numbering.** In the full BFS, a non-first member `σᵃ(x)` of an
 ///    orbit can never discover an orbit its first member `x` did not: its
@@ -476,10 +475,9 @@ pub type QuotientGraph = Graph<Orbits>;
 ///    from first members, in ascending transition order of their rows —
 ///    exactly the order this BFS visits (its representative *is* that
 ///    first member, by induction along the discovery sequence).  Orbit
-///    ids here therefore equal the block ids of
-///    [`MarkingGraph::orbit_partition`] (first appearance by full state
-///    index).
-/// 2. **Rates.** [`Ctmc::quotient`] reads each block's row off its first
+///    ids here therefore equal the block ids of the full chain's orbit
+///    partition (first appearance by full state index).
+/// 2. **Rates.** The oracle reads each block's row off its first
 ///    member (every member agrees — that is lumpability), accumulating
 ///    edge rates per target block in CSR row order, which for the full
 ///    BFS is ascending enabled-transition order — the scan order in which
@@ -497,8 +495,8 @@ pub type QuotientGraph = Graph<Orbits>;
 /// over a transition set are the true full-chain sums **iff the set is
 /// closed under the automorphism** (e.g. a whole TPN column, like the
 /// last-column throughput set: the rotation permutes rows within a
-/// column).  Uniform per-state probabilities come from
-/// [`QuotientGraph::lift`].
+/// column).  A per-state probability is its orbit's probability spread
+/// evenly over the orbit's [`QuotientGraph::orbit_sizes`] members.
 #[derive(Debug, Clone)]
 pub struct Graph<K> {
     /// The marking each state's row was scanned from: every reachable
@@ -704,7 +702,7 @@ impl<K> Graph<K> {
     /// Number of full-chain states represented: `Σ orbit sizes` on a
     /// [`QuotientGraph`] — the full reachable count whenever the
     /// automorphism maps the reachable set onto itself (always the case
-    /// when [`MarkingGraph::orbit_partition`] accepts the same hint) —
+    /// when the test oracle's orbit partition accepts the same hint) —
     /// and [`Self::n_states`] on a [`MarkingGraph`].
     pub fn full_states(&self) -> usize {
         if self.orbit_size.is_empty() {
@@ -748,8 +746,9 @@ impl<K> Graph<K> {
     /// The chain rated from per-transition rates: edge `e` gets
     /// `Σ trans_rates[t]` over [`Self::edge_transitions`]`(e)`, summed in
     /// the order the BFS fired them — on a [`QuotientGraph`], bitwise
-    /// identical to lumping the full chain of a net with those rates
-    /// (which must themselves be orbit-invariant, the caller's gate).
+    /// identical to lumping the full chain of a net with those rates, as
+    /// the test oracle does (the rates must themselves be orbit-invariant,
+    /// the caller's gate).
     /// The graph stores no rate: the chain shares the graph's edge
     /// structure and rates it by label, one sum per label, so this is
     /// how every chain is made, with no allocation per edge — only the
@@ -839,7 +838,12 @@ impl MarkingGraph {
             ..graph
         })
     }
+}
 
+/// The full-then-lump oracle's hooks into the graphs (`crate::lump`),
+/// compiled into test builds only.
+#[cfg(test)]
+impl MarkingGraph {
     /// Orbit seed partition of the reachable markings under a net
     /// symmetry: state `s` maps to the state holding the place-permuted
     /// marking, and the cycles of that state permutation become blocks.
@@ -855,10 +859,10 @@ impl MarkingGraph {
     /// with merged edges.
     ///
     /// The resulting partition satisfies the automorphism-orbit contract
-    /// of [`crate::lump`], so [`Ctmc::quotient`](crate::ctmc::Ctmc::quotient)
-    /// and [`Lift::lift`] recover per-state marginals from it — the
-    /// reference the direct [`QuotientGraph`] is tested against.
-    pub fn orbit_partition(&self, sym: &NetSymmetry) -> Option<Partition> {
+    /// of `crate::lump`, so `Ctmc::quotient` and `Lift::lift` recover
+    /// per-state marginals from it — the reference the direct
+    /// [`QuotientGraph`] is tested against.
+    pub(crate) fn orbit_partition(&self, sym: &NetSymmetry) -> Option<crate::lump::Partition> {
         let n = self.n_states();
         let width = self.states.width();
         if sym.place_perm.len() != width {
@@ -935,7 +939,7 @@ impl MarkingGraph {
         if visited != n {
             return None;
         }
-        Some(Partition::from_permutation_orbits(&sigma))
+        Some(crate::lump::Partition::from_permutation_orbits(&sigma))
     }
 }
 
@@ -976,12 +980,15 @@ impl QuotientGraph {
     pub fn orbit_sizes(&self) -> &[u32] {
         &self.orbit_size
     }
+}
 
+#[cfg(test)]
+impl QuotientGraph {
     /// The uniform lift of this quotient: block sizes only (per-block
     /// member probability `π̂(B)/|B|`), no full-state map — see
-    /// [`Lift::from_block_sizes`].
-    pub fn lift(&self) -> Lift {
-        Lift::from_block_sizes(self.orbit_size.clone())
+    /// `Lift::from_block_sizes`.
+    pub(crate) fn lift(&self) -> crate::lump::Lift {
+        crate::lump::Lift::from_block_sizes(self.orbit_size.clone())
     }
 }
 

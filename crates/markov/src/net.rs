@@ -14,10 +14,9 @@ use repstream_petri::tpn::Tpn;
 /// the transitions and places that map the net onto itself (each place's
 /// endpoints follow the transition permutation) with *exactly* equal
 /// firing rates along every transition orbit.  Initial markings need not
-/// be invariant: the marking-graph consumer
-/// ([`crate::marking::MarkingGraph::orbit_partition`]) checks that the
-/// permuted markings stay inside the reachable set, which is what makes
-/// the induced state permutation a CTMC automorphism.
+/// be invariant: the test oracle's orbit partition of the full marking
+/// graph checks that the permuted markings stay inside the reachable set,
+/// which is what makes the induced state permutation a CTMC automorphism.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetSymmetry {
     /// Image of every transition.

@@ -179,22 +179,28 @@ pub fn random_joint_mapping_with<R: Rng>(
 
 /// `count` seeded random joint mappings (see
 /// [`random_joint_mapping_with`]), the candidate sets of the joint search
-/// and its property tests.  Candidate `i` depends only on
+/// and its property tests, flat: candidate `i`'s mapping of app `k` is at
+/// `i·K + k` for `K = stage_counts.len()`.  Candidate `i` depends only on
 /// `(seed, i)`, so sets are reproducible and extendable — and for a
-/// single app, candidate `i`'s first mapping is exactly
-/// [`random_mappings`]' candidate `i` (same per-candidate stream).
+/// single app the set is exactly [`random_mappings`]' (same
+/// per-candidate stream).
+///
+/// # Panics
+/// Panics when any app has more stages than there are processors.
 pub fn random_joint_mappings(
     stage_counts: &[usize],
     processors: usize,
     count: usize,
     seed: u64,
-) -> Vec<JointMapping> {
-    (0..count as u64)
-        .map(|i| {
-            let mut rng = seeded_rng(seed.wrapping_add(i).wrapping_mul(0x9E37_79B9));
-            random_joint_mapping_with(stage_counts, processors, &mut rng)
-        })
-        .collect()
+) -> Vec<Mapping> {
+    let mut out = Vec::with_capacity(count * stage_counts.len());
+    for i in 0..count as u64 {
+        let mut rng = seeded_rng(seed.wrapping_add(i).wrapping_mul(0x9E37_79B9));
+        for &stages in stage_counts {
+            out.push(random_mapping_with(stages, processors, &mut rng));
+        }
+    }
+    out
 }
 
 /// Iterator over `count` seeded instances of a family.
@@ -308,15 +314,13 @@ mod tests {
     fn random_joint_mappings_are_valid_and_reproducible() {
         let a = random_joint_mappings(&[4, 3], 12, 30, 9);
         let b = random_joint_mappings(&[4, 3], 12, 30, 9);
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.mappings(), y.mappings());
-        }
-        for j in &a {
-            assert_eq!(j.n_apps(), 2);
-            assert_eq!(j.mapping(0).n_stages(), 4);
-            assert_eq!(j.mapping(1).n_stages(), 3);
+        assert_eq!(a, b);
+        assert_eq!(a.len(), 2 * 30);
+        for j in a.chunks(2) {
+            assert_eq!(j[0].n_stages(), 4);
+            assert_eq!(j[1].n_stages(), 3);
             // Per-app disjointness holds; cross-app sharing may not.
-            for m in j.mappings() {
+            for m in j {
                 let mut seen = std::collections::HashSet::new();
                 for team in m.teams() {
                     assert!(!team.is_empty());
@@ -329,23 +333,26 @@ mod tests {
         }
         // With 2 apps on 12 processors some candidate shares a processor.
         assert!(
-            a.iter().any(|j| {
+            a.chunks(2).any(|j| {
                 let first: std::collections::HashSet<_> =
-                    j.mapping(0).teams().iter().flatten().copied().collect();
-                j.mapping(1)
-                    .teams()
-                    .iter()
-                    .flatten()
-                    .any(|p| first.contains(p))
+                    j[0].teams().iter().flatten().copied().collect();
+                j[1].teams().iter().flatten().any(|p| first.contains(p))
             }),
             "no candidate exercises cross-app sharing"
         );
-        // For one app the first mapping replays `random_mappings`' stream.
-        let solo = random_joint_mappings(&[4], 12, 10, 9);
-        let plain = random_mappings(4, 12, 10, 9);
-        for (j, m) in solo.iter().zip(plain.iter()) {
-            assert_eq!(j.mapping(0).teams(), m.teams());
+        // Candidate `i` is `random_joint_mapping_with` on its own stream.
+        for (i, j) in a.chunks(2).enumerate() {
+            let mut rng = seeded_rng(9u64.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9));
+            assert_eq!(
+                random_joint_mapping_with(&[4, 3], 12, &mut rng).mappings(),
+                j
+            );
         }
+        // For one app the set replays `random_mappings`' stream.
+        assert_eq!(
+            random_joint_mappings(&[4], 12, 10, 9),
+            random_mappings(4, 12, 10, 9)
+        );
     }
 
     #[test]

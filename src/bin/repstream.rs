@@ -126,21 +126,16 @@ fn parse_deadline(s: &str) -> Option<Duration> {
 /// documented taxonomy.
 fn print_report(text: &str, status: ReportStatus) -> i32 {
     print!("{text}");
+    let code = status.exit_code();
     match status {
-        ReportStatus::Ok | ReportStatus::Degraded(_) => 0,
-        ReportStatus::OverBudget => {
-            eprintln!("error: over the --max-states budget (exit 3)");
-            3
-        }
+        ReportStatus::Ok | ReportStatus::Degraded(_) => {}
+        ReportStatus::OverBudget => eprintln!("error: over the --max-states budget (exit {code})"),
         ReportStatus::Interrupted(r) => {
-            eprintln!("error: interrupted ({}) (exit 4)", r.label());
-            4
+            eprintln!("error: interrupted ({}) (exit {code})", r.label())
         }
-        ReportStatus::Internal => {
-            eprintln!("error: internal analysis failure (exit 5)");
-            5
-        }
+        ReportStatus::Internal => eprintln!("error: internal analysis failure (exit {code})"),
     }
+    i32::from(code)
 }
 
 /// Print a configuration error the way every command does; exit code 2.
@@ -492,20 +487,6 @@ fn print_client_response(resp: &Response) {
         Response::Analyze(a) => {
             print_report(&a.text, a.status);
         }
-        Response::Report(r) => {
-            println!("throughput {:.6}", r.throughput);
-            println!(
-                "states {} (lumped {}) method {} solver {} iterations {} residual {:.3e}",
-                r.full_states,
-                r.lumped_states
-                    .map(|n| n.to_string())
-                    .unwrap_or_else(|| "-".into()),
-                r.method.label(),
-                r.solver.label(),
-                r.iterations,
-                r.residual
-            );
-        }
         Response::Search(s) => {
             println!("origin      det-throughput  exp-throughput  teams");
             for c in &s.finalists {
@@ -629,13 +610,7 @@ fn search_args(args: &[String]) -> Result<SearchArgs, String> {
 /// chain outgrew `--max-states`, 2 otherwise.
 fn search_failed(e: &EngineError) -> i32 {
     eprintln!("error: {e}");
-    if e.interrupt().is_some() {
-        4
-    } else if e.over_budget() {
-        3
-    } else {
-        2
-    }
+    i32::from(e.exit_code())
 }
 
 /// `repstream search …` (see [`search_args`] for the flags).

@@ -12,7 +12,7 @@
 //!
 //! ## The shared cache
 //!
-//! All analyze/report requests solve through one
+//! All analyze requests solve through one
 //! [`SharedChainCache`] — the sharded concurrent chain cache
 //! (`repstream-markov`).  Two clients asking about the same TPN shape
 //! pay one marking BFS: the first request builds, every later request
@@ -35,9 +35,8 @@
 //! interrupted class.  One slow request cannot take the server down —
 //! or even another connection's latency budget.
 
-use repstream_core::exponential::ExpError;
 use repstream_core::model::{Application, Platform, System};
-use repstream_core::report::{system_report_shared, ReportOptions, ReportStatus};
+use repstream_core::report::{system_report_shared, ReportOptions};
 use repstream_core::timing;
 use repstream_core::wire::{
     read_request, read_response, write_request, write_response, AnalyzeResponse, ErrorResponse,
@@ -48,7 +47,6 @@ use repstream_engine::portfolio::EngineError;
 use repstream_engine::{portfolio_search_cached, PortfolioOptions, PortfolioReport};
 use repstream_markov::cache::{ChainCache, SharedChainCache};
 use repstream_markov::govern::RunConfig;
-use repstream_markov::marking::MarkingError;
 use std::collections::VecDeque;
 use std::io::{self, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -67,8 +65,8 @@ pub struct ServeOptions {
     /// Server-side relative deadline cap applied to every request
     /// (`None` = only client deadlines apply).
     pub deadline_cap: Option<Duration>,
-    /// Server-side clamp on any request's `max_states` — analyze, report
-    /// and search alike, Theorem 2 and pattern chains alike.
+    /// Server-side clamp on any request's `max_states` — analyze and
+    /// search alike, Theorem 2 and pattern chains alike.
     pub max_states_cap: usize,
     /// Shards of the shared chain cache (rounded up to a power of two).
     pub shards: usize,
@@ -236,7 +234,6 @@ impl Server {
         match req {
             Request::Ping => Response::Pong,
             Request::Analyze(r) => self.analyze(&r.system, r.options),
-            Request::Report(r) => self.report(&r.system, r.options),
             Request::Search(r) => self.search(&r),
             Request::Scale(r) => self.scale(&r.system, &r.processor_counts),
             Request::Stats => Response::Stats(StatsResponse {
@@ -264,7 +261,7 @@ impl Server {
     }
 
     /// A request's options under this server's deadline and state caps —
-    /// the one clamp `analyze`, `report` and `search` all go through.
+    /// the one clamp `analyze` and `search` both go through.
     fn governed(&self, options: WireOptions) -> ReportOptions {
         options.report_options(self.opts.deadline_cap, self.opts.max_states_cap)
     }
@@ -275,18 +272,6 @@ impl Server {
         }
         let (text, status) = system_report_shared(system, self.governed(options), &self.cache);
         Response::Analyze(AnalyzeResponse { text, status })
-    }
-
-    fn report(&self, system: &System, options: WireOptions) -> Response {
-        if let Err(e) = timing::validate_service_times(system) {
-            return Response::Error(ErrorResponse::config(e));
-        }
-        let run = self.governed(options).run;
-        let mut solver = &self.cache;
-        match repstream_core::exponential::throughput_strict_with_solver(system, run, &mut solver) {
-            Ok(report) => Response::Report(report),
-            Err(e) => Response::Error(classify_exp_error(&e)),
-        }
     }
 
     fn search(&self, r: &repstream_core::wire::SearchRequest) -> Response {
@@ -321,12 +306,9 @@ impl Server {
                 cache_hits: report.exp_cache.hits(),
                 cache_misses: report.exp_cache.misses(),
             }),
-            Err(e) => Response::Error(if e.interrupt().is_some() {
-                ErrorResponse::interrupted(e.to_string())
-            } else if e.over_budget() {
-                ErrorResponse::over_budget(e.to_string())
-            } else {
-                ErrorResponse::config(e.to_string())
+            Err(e) => Response::Error(ErrorResponse {
+                class: e.exit_code(),
+                message: e.to_string(),
             }),
         }
     }
@@ -396,18 +378,6 @@ impl Server {
     }
 }
 
-/// Map a strict-solve failure onto the response error taxonomy.
-fn classify_exp_error(e: &ExpError) -> ErrorResponse {
-    match e.marking() {
-        MarkingError::TooManyStates(_) => ErrorResponse::over_budget(e.to_string()),
-        MarkingError::Interrupted(_) => ErrorResponse::interrupted(e.to_string()),
-        MarkingError::NotSafe { .. }
-        | MarkingError::Deadlock
-        | MarkingError::CapacityTooLarge(_) => ErrorResponse::config(e.to_string()),
-        MarkingError::SpillIo(_) => ErrorResponse::internal(e.to_string()),
-    }
-}
-
 // ---------------------------------------------------------------------
 // Client.
 // ---------------------------------------------------------------------
@@ -447,12 +417,7 @@ impl Client {
 pub fn response_exit_code(resp: &Response) -> i32 {
     match resp {
         Response::Error(e) => i32::from(e.class),
-        Response::Analyze(a) => match a.status {
-            ReportStatus::Ok | ReportStatus::Degraded(_) => 0,
-            ReportStatus::OverBudget => 3,
-            ReportStatus::Interrupted(_) => 4,
-            ReportStatus::Internal => 5,
-        },
+        Response::Analyze(a) => i32::from(a.status.exit_code()),
         _ => 0,
     }
 }
@@ -460,7 +425,47 @@ pub fn response_exit_code(resp: &Response) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use repstream_core::exponential::ExpError;
+    use repstream_core::model::ModelError;
+    use repstream_core::report::ReportStatus;
     use repstream_core::wire::SearchRequest;
+    use repstream_engine::score::ExpScoreError;
+    use repstream_markov::govern::{Interrupt, InterruptReason, Progress};
+    use repstream_markov::marking::MarkingError;
+
+    /// One exit-code table for the CLI and the server: every report
+    /// status, computed here or served, and every class of failed search.
+    #[test]
+    fn exit_codes_follow_the_documented_taxonomy() {
+        for (status, code) in [
+            (ReportStatus::Ok, 0),
+            (ReportStatus::Degraded(InterruptReason::Deadline), 0),
+            (ReportStatus::OverBudget, 3),
+            (ReportStatus::Interrupted(InterruptReason::Cancelled), 4),
+            (ReportStatus::Internal, 5),
+        ] {
+            assert_eq!(status.exit_code(), code, "{status:?}");
+            let served = Response::Analyze(AnalyzeResponse {
+                text: String::new(),
+                status,
+            });
+            assert_eq!(response_exit_code(&served), i32::from(code), "{status:?}");
+        }
+        let interrupt = Interrupt {
+            reason: InterruptReason::Deadline,
+            progress: Progress::default(),
+        };
+        let chain = |e| EngineError::Exp(ExpScoreError::Exp(ExpError::MarkingGraph(e)));
+        for (error, code) in [
+            (EngineError::Interrupted(interrupt), 4),
+            (chain(MarkingError::Interrupted(interrupt)), 4),
+            (chain(MarkingError::TooManyStates(100)), 3),
+            (chain(MarkingError::Deadlock), 2),
+            (EngineError::Model(ModelError::NoApps), 2),
+        ] {
+            assert_eq!(error.exit_code(), code, "{error}");
+        }
+    }
 
     #[test]
     fn the_state_cap_bounds_a_served_search() {
