@@ -1411,22 +1411,28 @@ mod tests {
         })
     }
 
-    /// The homogeneous Strict 2×3 quotient (64 orbits) and a seeded
-    /// 300-state sparse chain.
-    fn pinned_chains() -> [(&'static str, Ctmc); 2] {
+    /// The homogeneous Strict quotient of `teams` at one compute and one
+    /// link rate.
+    fn hom_quotient(teams: &[usize], compute: f64, link: f64) -> Ctmc {
         use crate::marking::{MarkingOptions, QuotientGraph};
         use crate::net::EventNet;
         use repstream_petri::shape::{ExecModel, MappingShape, ResourceTable};
         use repstream_petri::tpn::Tpn;
 
-        let shape = MappingShape::new(vec![2, 3]);
+        let shape = MappingShape::new(teams.to_vec());
         let tpn = Tpn::build(&shape, ExecModel::Strict);
-        let rates = ResourceTable::from_fns(&shape, |_, _| 0.5, |_, _, _| 2.0);
+        let rates = ResourceTable::from_fns(&shape, |_, _| compute, |_, _, _| link);
         let (net, sym) = EventNet::from_tpn_with_symmetry(&tpn, &rates);
         let qg = QuotientGraph::build(&net, &sym.unwrap(), MarkingOptions::default()).unwrap();
+        qg.ctmc_with_trans_rates(&net.rates)
+    }
 
-        let n = 300;
-        let mut x = 0x5eed_u64;
+    /// A seeded `n`-state chain: a ring edge out of every state (which
+    /// keeps it irreducible), then `draws` random targets, a draw that
+    /// lands on the state itself skipped.  Targets may repeat: parallel
+    /// edges.
+    fn seeded_chain(n: usize, draws: usize, seed: u64) -> Ctmc {
+        let mut x = seed;
         let mut rnd = move || {
             x = x
                 .wrapping_mul(6364136223846793005)
@@ -1436,7 +1442,7 @@ mod tests {
         let rows = (0..n)
             .map(|i| {
                 let mut row = vec![((i + 1) % n, 0.1 + (rnd() % 1000) as f64 / 250.0)];
-                for _ in 0..2 {
+                for _ in 0..draws {
                     let j = rnd() as usize % n;
                     if j != i {
                         row.push((j, 0.1 + (rnd() % 1000) as f64 / 250.0));
@@ -1445,10 +1451,30 @@ mod tests {
                 row
             })
             .collect();
+        Ctmc::new(rows)
+    }
+
+    /// The homogeneous Strict 2×3 quotient (64 orbits) and a seeded
+    /// 300-state sparse chain.
+    fn pinned_chains() -> [(&'static str, Ctmc); 2] {
         [
-            ("hom(2x3) quotient", qg.ctmc_with_trans_rates(&net.rates)),
-            ("seeded sparse", Ctmc::new(rows)),
+            ("hom(2x3) quotient", hom_quotient(&[2, 3], 0.5, 2.0)),
+            ("seeded sparse", seeded_chain(300, 2, 0x5eed)),
         ]
+    }
+
+    /// A path `0 → 1 → … → n−1` whose last state is absorbing.
+    fn absorbing_chain(n: usize) -> Ctmc {
+        let rows: Vec<Vec<(usize, f64)>> = (0..n)
+            .map(|i| {
+                if i + 1 < n {
+                    vec![(i + 1, 1.0)]
+                } else {
+                    Vec::new()
+                }
+            })
+            .collect();
+        Ctmc::new(rows)
     }
 
     /// The power sweep's bits, pinned: a forced [`Solver::Power`] solve,
@@ -1484,6 +1510,73 @@ mod tests {
         }
     }
 
+    /// The Gauss–Seidel sweep's bits, pinned: π's digest, the sweeps and
+    /// the residual's bits of a forced [`Solver::GaussSeidel`] solve on
+    /// the two pinned chains, the absorbing chain (the relaxation
+    /// divides by its zero exit rate and stops on a NaN entry) and a
+    /// stiff hom(4×5) quotient.  Recorded when the sweep still summed the
+    /// iterate in a separate normalisation pass and divided for every
+    /// column's stop test.
+    #[test]
+    fn gauss_seidel_bits_are_pinned() {
+        let expected = [
+            (
+                "hom(2x3) quotient",
+                (0x1bb6_f7c9_784a_6b04, 20, 0x3c85_0000_0000_0000),
+            ),
+            (
+                "seeded sparse",
+                (0x898d_166c_d4e6_1f45, 39, 0x3c90_0000_0000_0000),
+            ),
+            ("absorbing", (0x73be_9e0c_f0f6_5c45, 2, 0)),
+            (
+                "stiff hom(4x5) quotient",
+                (0xe00c_25cc_52dd_e3a7, 44, 0x3c1d_4400_0000_0000),
+            ),
+        ];
+        let chains = pinned_chains().into_iter().chain([
+            ("absorbing", absorbing_chain(40)),
+            ("stiff hom(4x5) quotient", hom_quotient(&[4, 5], 0.04, 6.0)),
+        ]);
+        for ((label, c), (want_label, want)) in chains.zip(expected) {
+            assert_eq!(label, want_label);
+            let rep = c.stationary_solve(SolverChoice::Force(Solver::GaussSeidel));
+            let got = (bits_digest(&rep.pi), rep.iterations, rep.residual.to_bits());
+            assert_eq!(got, want, "{label}");
+        }
+    }
+
+    /// GTH's bits, pinned: π's digest and the residual's bits of a forced
+    /// [`Solver::Gth`] solve on a 30-state sparse chain and a dense
+    /// (`nnz > n²/4`) 40-state one, each with parallel edges.  Recorded
+    /// when the dense matrix was still filled from the forward CSR.
+    #[test]
+    fn gth_bits_are_pinned() {
+        let expected = [
+            ("sparse 30", (0x2b1a_6524_da33_bdf1, 0x3cb1_b800_0000_0000)),
+            ("dense 40", (0x81f9_842a_582c_5378, 0x3cc2_8000_0000_0000)),
+        ];
+        let chains = [
+            ("sparse 30", seeded_chain(30, 3, 0x6717)),
+            ("dense 40", seeded_chain(40, 16, 0xde45e)),
+        ];
+        for ((label, c), (want_label, want)) in chains.into_iter().zip(expected) {
+            assert_eq!(label, want_label);
+            let n = c.n_states();
+            let parallel = (0..n).any(|s| {
+                let t = c.row_targets(s);
+                (1..t.len()).any(|k| t[..k].contains(&t[k]))
+            });
+            assert!(parallel, "{label}: no parallel edge");
+            if n > GTH_SMALL_N {
+                assert!(4 * c.nnz() > n * n, "{label}: not dense");
+            }
+            let rep = c.stationary_solve(SolverChoice::Force(Solver::Gth));
+            let got = (bits_digest(&rep.pi), rep.residual.to_bits());
+            assert_eq!(got, want, "{label}");
+        }
+    }
+
     /// The chain's layout: 16 bytes per edge (a target or source and a
     /// label in each CSR), 16 per state (the exit rate and two row
     /// pointers), 8 for the two closing row pointers, and the label
@@ -1507,16 +1600,7 @@ mod tests {
         // `stationary()` must discard that iterate and restart the power
         // fallback from the uniform vector, converging to the point mass.
         let n = 40;
-        let rows: Vec<Vec<(usize, f64)>> = (0..n)
-            .map(|i| {
-                if i + 1 < n {
-                    vec![(i + 1, 1.0)]
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
-        let c = Ctmc::new(rows);
+        let c = absorbing_chain(n);
         let pi = c.stationary();
         assert!(pi.iter().all(|v| v.is_finite()), "{pi:?}");
         assert!(
