@@ -13,8 +13,11 @@
 //!   label    : [u32; nnz]   which rate the edge fires at
 //!   in_ptr   : [u32; n+1]   the transpose: for each state, the sources
 //!   in_src   : [u32; nnz]   and labels of its in-transitions, which the
-//!   in_label : [u32; nnz]   relaxation, residual and power sweep gather
+//!   in_label : [u32; nnz]   relaxation, residual, power sweep and GTH gather
 //! ```
+//!
+//! No solver reads the forward `col`; the forward `label` is read once
+//! per rate table, for the exit rates below.
 //!
 //! The **rates** are a small table, `label_rate[l]`, one entry per label.
 //! On a Theorem 2 marking chain a label is the transition (or list of
@@ -55,7 +58,8 @@
 //!   `O(n³)` time, `O(n²)` space.  The elimination is right-looking
 //!   (rank-1 updates trailing the eliminated state) with the divisor
 //!   applied once per pivot row (`s_inv`) instead of once per column
-//!   entry;
+//!   entry.  Its dense matrix is filled from the incoming CSR, whose
+//!   stable order gives every cell the additions of a forward fill;
 //! * [`Ctmc::stationary_power`] — uniformized power iteration over the
 //!   incoming CSR: cache-linear, parallelizable, `O(iters · nnz)`, with
 //!   periodic renormalization and a safeguarded reduced-rank (vector
@@ -66,7 +70,15 @@
 //!   repository it converges in tens of sweeps at every size measured
 //!   (40–90 from 4×5 to the 1 081 344-state 6×7 quotient, stiff rate
 //!   tables included), so its `O(sweeps · nnz)` beats GTH's `O(n³)` by
-//!   orders of magnitude from a few hundred states up.
+//!   orders of magnitude from a few hundred states up.  A sweep is one
+//!   dependent add chain per column and a divide by `exit_j`; around
+//!   them it reads the validated structure without bounds checks,
+//!   accumulates the normalisation sum as it stores each entry (the
+//!   additions of a separate `pi.iter().sum()`, in the same order) and,
+//!   until one entry has moved, divides for the stop test only where an
+//!   entry's change reaches half the threshold — an exact pre-filter, so
+//!   the iterate, the sweep count and every bit are those of the plain
+//!   loop.
 //!
 //! # Selection policy ([`Ctmc::stationary`])
 //!
@@ -648,14 +660,18 @@ impl Ctmc {
             return vec![1.0];
         }
         let inv_lambda = 1.0 / self.lambda;
-        // Dense uniformized chain, built in one pass over the CSR.
+        // Dense uniformized chain, filled column by column from the
+        // incoming CSR.  Its stable transpose lists the parallel edges
+        // `i → j` in forward order, so each cell sums the same rates in
+        // the same order as a forward fill; the diagonal comes last.
         let mut p = vec![0.0f64; n * n];
-        for s in 0..n {
-            let row = &mut p[s * n..(s + 1) * n];
-            for (j, r) in self.row(s) {
-                row[j] += r * inv_lambda;
+        for j in 0..n {
+            for (i, r) in self.incoming(j) {
+                p[i * n + j] += r * inv_lambda;
             }
-            row[s] += 1.0 - self.exit[s] * inv_lambda;
+        }
+        for s in 0..n {
+            p[s * n + s] += 1.0 - self.exit[s] * inv_lambda;
         }
         // GTH elimination: for k = n−1 … 1, redistribute state k's
         // probability flow over the remaining states using only additions
@@ -868,8 +884,13 @@ impl Ctmc {
     ///   π_j ← ( Σ_{i → j} π_i · r_ij ) / exit_j
     /// ```
     ///
-    /// Stops when the max relative change of a sweep drops below `tol` or
-    /// after `max_sweeps`.  `O(sweeps · nnz)` time, `O(n)` extra space.
+    /// Stops after the first sweep in which no entry moved by `tol` or
+    /// more relative to the larger of its old and new magnitudes, or
+    /// after `max_sweeps`; a `tol` that is not positive never stops
+    /// early.  After each sweep the
+    /// iterate is scaled to unit sum, by a sum the sweep accumulates as
+    /// it stores each entry — the additions, in the order, of
+    /// `pi.iter().sum()`.  `O(sweeps · nnz)` time, `O(n)` extra space.
     /// Convergence is not guaranteed for every irreducible chain (unlike
     /// the uniformized power method), so callers that cannot tolerate a
     /// miss should check [`Ctmc::stationarity_residual`] and fall back —
@@ -892,34 +913,48 @@ impl Ctmc {
             return Ok((vec![1.0], 0));
         }
         let c = &*self.chain;
-        let (in_ptr, in_src, in_label) = (&c.in_ptr[..], &c.in_src[..], &c.in_label[..]);
+        let exit = &self.exit[..n];
         let mut pi = vec![1.0 / n as f64; n];
+        let half_tol = 0.5 * tol;
+        // A `tol` that is not positive counts every sweep as moved, so
+        // the test below never runs and the loop never stops.
+        let may_stop = tol > 0.0;
         let mut sweeps = 0usize;
         for it in 0..max_sweeps {
             sweeps = it + 1;
             if it % CHECK_PERIOD == CHECK_PERIOD - 1 {
                 solver_checkpoint(budget, n, sweeps)?;
             }
-            let mut max_rel = 0.0f64;
+            let mut moved = !may_stop;
+            // `Sum for f64` starts from −0.0, so this is `pi.iter().sum()`.
+            let mut total = -0.0f64;
             for j in 0..n {
-                let (lo, hi) = (in_ptr[j] as usize, in_ptr[j + 1] as usize);
-                let mut acc = 0.0;
-                for (&i, &l) in in_src[lo..hi].iter().zip(&in_label[lo..hi]) {
-                    // SAFETY: every `in_label` entry occurs in the
-                    // structure, and `with_label_rates` checked each
-                    // against the table.
-                    acc += pi[i as usize] * unsafe { *self.rate_of(l) };
-                }
-                let new = acc / self.exit[j];
-                let old = pi[j];
-                pi[j] = new;
-                let scale = old.abs().max(new.abs());
-                if scale > 0.0 {
-                    max_rel = max_rel.max((new - old).abs() / scale);
+                // SAFETY: `ChainStructure::new` built `in_ptr` as the
+                // prefix sums of the in-degrees (`n + 1` entries,
+                // non-decreasing, ending at `nnz` = the length of
+                // `in_src` and `in_label`) and every `in_src` entry as a
+                // row index `< n`; `with_label_rates` checked every label
+                // that occurs against `label_rate`; `pi` and `exit` have
+                // length `n`, and `j < n`.
+                unsafe {
+                    let lo = *c.in_ptr.get_unchecked(j) as usize;
+                    let hi = *c.in_ptr.get_unchecked(j + 1) as usize;
+                    let mut acc = 0.0;
+                    for e in lo..hi {
+                        let i = *c.in_src.get_unchecked(e) as usize;
+                        let r = *self.rate_of(*c.in_label.get_unchecked(e));
+                        acc += *pi.get_unchecked(i) * r;
+                    }
+                    let new = acc / *exit.get_unchecked(j);
+                    let old = std::mem::replace(pi.get_unchecked_mut(j), new);
+                    total += new;
+                    if !moved {
+                        moved = moved_by(old, new, tol, half_tol);
+                    }
                 }
             }
-            normalize(&mut pi);
-            if max_rel < tol {
+            scale_to_unit(&mut pi, total);
+            if !moved {
                 break;
             }
         }
@@ -1075,12 +1110,24 @@ impl Ctmc {
     /// and by the Gauss–Seidel acceptance check.
     pub fn stationarity_residual(&self, pi: &[f64]) -> f64 {
         let n = self.n_states();
+        let (pi, exit) = (&pi[..n], &self.exit[..n]);
+        let c = &*self.chain;
         let mut worst = 0.0f64;
         for j in 0..n {
-            let mut acc = -pi[j] * self.exit[j];
-            for (i, r) in self.incoming(j) {
-                acc += pi[i] * r;
-            }
+            // SAFETY: as in `gauss_seidel` — `ChainStructure::new` bounds
+            // `in_ptr` by `nnz` and every `in_src` entry by `n`,
+            // `with_label_rates` checked every label that occurs, and
+            // `pi` and `exit` were sliced to length `n` above.
+            let acc = unsafe {
+                let lo = *c.in_ptr.get_unchecked(j) as usize;
+                let hi = *c.in_ptr.get_unchecked(j + 1) as usize;
+                let mut acc = -*pi.get_unchecked(j) * *exit.get_unchecked(j);
+                for e in lo..hi {
+                    let i = *c.in_src.get_unchecked(e) as usize;
+                    acc += *pi.get_unchecked(i) * *self.rate_of(*c.in_label.get_unchecked(e));
+                }
+                acc
+            };
             worst = worst.max(acc.abs());
         }
         worst
@@ -1179,9 +1226,32 @@ fn rre_extrapolate(xs: &[Vec<f64>]) -> Option<Vec<f64>> {
     Some(ext)
 }
 
+/// Whether a Gauss–Seidel update `old → new` moved by `tol` or more
+/// relative to `scale = max(|old|, |new|)`: exactly
+/// `scale > 0 && |new − old| / scale >= tol`, with the divide only where
+/// `|new − old| >= half_tol · scale` (`half_tol` is `0.5 · tol`, hoisted
+/// by the caller).  Where that pre-filter fails the quotient is below
+/// `tol` as well: the rounded product overshoots the exact one by at
+/// most a factor `1 + 2⁻⁵³`, or by half a subnormal step when it
+/// underflows (a product rounded to zero passes the filter), so the
+/// quotient stays within a rounding of `tol / 2`.  A zero, infinite or
+/// NaN `scale` makes the quotient NaN, which compares false, as the
+/// unfiltered test did.
+#[inline(always)]
+fn moved_by(old: f64, new: f64, tol: f64, half_tol: f64) -> bool {
+    let d = (new - old).abs();
+    let scale = old.abs().max(new.abs());
+    d >= half_tol * scale && d / scale >= tol
+}
+
 /// Normalize to unit sum (in place).
 pub(crate) fn normalize(pi: &mut [f64]) {
-    let total: f64 = pi.iter().sum();
+    scale_to_unit(pi, pi.iter().sum());
+}
+
+/// Scale `pi` by `1 / total`, its sum — unless that sum is not positive
+/// and finite, when `pi` is left as it is.
+fn scale_to_unit(pi: &mut [f64], total: f64) {
     if total > 0.0 && total.is_finite() {
         let inv = 1.0 / total;
         for v in pi.iter_mut() {
@@ -1575,6 +1645,64 @@ mod tests {
             let got = (bits_digest(&rep.pi), rep.residual.to_bits());
             assert_eq!(got, want, "{label}");
         }
+    }
+
+    /// The stop test's pre-filter changes no verdict: on a grid of zero,
+    /// subnormal, extreme, infinite and NaN values, and on seeded pairs
+    /// whose change straddles `tol · scale` and `tol / 2 · scale` by up
+    /// to two ulps, [`moved_by`] agrees with the unfiltered
+    /// `scale > 0 && |new − old| / scale >= tol`.
+    #[test]
+    fn moved_by_is_the_unfiltered_test() {
+        let unfiltered = |old: f64, new: f64, tol: f64| {
+            let scale = old.abs().max(new.abs());
+            scale > 0.0 && (new - old).abs() / scale >= tol
+        };
+        let grid = [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            1e-310,
+            1e-300,
+            1.0,
+            1e300,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        let mut x = 0x5709_u64;
+        let mut unit = move || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut verdicts = [0usize; 2];
+        for tol in [1e-14, 1e-10] {
+            let mut check = |old: f64, new: f64| {
+                let want = unfiltered(old, new, tol);
+                let got = moved_by(old, new, tol, 0.5 * tol);
+                assert_eq!(got, want, "old {old:e}, new {new:e}, tol {tol:e}");
+                verdicts[want as usize] += 1;
+            };
+            for old in grid {
+                for new in grid {
+                    check(old, new);
+                }
+            }
+            for _ in 0..2000 {
+                let old = 10f64.powf(unit() * 630.0 - 322.0);
+                for f in [tol, 0.5 * tol] {
+                    // |new − old| = f · scale: scale is `new` above `old`
+                    // and `old` below it.
+                    for edge in [old / (1.0 - f), old * (1.0 - f)] {
+                        for k in -2i64..=2 {
+                            check(old, f64::from_bits(edge.to_bits().wrapping_add_signed(k)));
+                        }
+                    }
+                }
+            }
+        }
+        assert!(verdicts.iter().all(|&v| v > 1000), "{verdicts:?}");
     }
 
     /// The chain's layout: 16 bytes per edge (a target or source and a

@@ -22,6 +22,9 @@
 //! resident set after the build, the refill and the solve (`VmRSS`) and
 //! its peak (`VmHWM`), Linux only; those are reported, not asserted.
 //!
+//! Each plan line also prints the solve's wall time per edge per sweep
+//! (`ns/nnz·sweep`: wall ÷ (sweeps × nnz)), the kernel's cost.
+//!
 //! `--teams a,b` swaps in another shape for the balanced leg (e.g.
 //! `--teams 4,5` for a quick local run).  `--plan-only` runs the balanced
 //! leg's plan and layout pin alone — no forced-power leg, no stiff legs —
@@ -141,8 +144,11 @@ fn leg(teams: &[usize], compute: f64, link: f64, pin_layout: bool, against_power
     let plan = ctmc.stationary_solve(SolverChoice::Auto);
     let t_plan = t.elapsed();
     let rho_plan = rho_of(&plan.pi);
+    // The kernel's cost: the solve's wall time per edge per sweep.
+    let ns_per_nnz_sweep = t_plan.as_secs_f64() * 1e9 / (plan.iterations * ctmc.nnz()) as f64;
     println!(
-        "  plan  rho = {rho_plan:.12}  ({} {} sweeps, residual {:.3e}, {t_plan:?})",
+        "  plan  rho = {rho_plan:.12}  ({} {} sweeps, residual {:.3e}, {t_plan:?}, \
+         {ns_per_nnz_sweep:.2} ns/nnz·sweep)",
         plan.solver.label(),
         plan.iterations,
         plan.residual
