@@ -16,8 +16,7 @@
 //!   in_label : [u32; nnz]   relaxation, residual, power sweep and GTH gather
 //! ```
 //!
-//! No solver reads the forward `col`; the forward `label` is read once
-//! per rate table, for the exit rates below.
+//! No solver reads the forward `col`.
 //!
 //! The **rates** are a small table, `label_rate[l]`, one entry per label.
 //! On a Theorem 2 marking chain a label is the transition (or list of
@@ -887,10 +886,10 @@ impl Ctmc {
     /// Stops after the first sweep in which no entry moved by `tol` or
     /// more relative to the larger of its old and new magnitudes, or
     /// after `max_sweeps`; a `tol` that is not positive never stops
-    /// early.  After each sweep the
-    /// iterate is scaled to unit sum, by a sum the sweep accumulates as
-    /// it stores each entry — the additions, in the order, of
-    /// `pi.iter().sum()`.  `O(sweeps · nnz)` time, `O(n)` extra space.
+    /// early.  After each sweep the iterate is scaled to unit sum, by a
+    /// sum the sweep accumulates as it stores each entry — the additions,
+    /// in the order, of `pi.iter().sum()`.  `O(sweeps · nnz)` time, `O(n)`
+    /// extra space.
     /// Convergence is not guaranteed for every irreducible chain (unlike
     /// the uniformized power method), so callers that cannot tolerate a
     /// miss should check [`Ctmc::stationarity_residual`] and fall back —
@@ -912,7 +911,6 @@ impl Ctmc {
         if n == 1 {
             return Ok((vec![1.0], 0));
         }
-        let c = &*self.chain;
         let exit = &self.exit[..n];
         let mut pi = vec![1.0 / n as f64; n];
         let half_tol = 0.5 * tol;
@@ -929,23 +927,9 @@ impl Ctmc {
             // `Sum for f64` starts from −0.0, so this is `pi.iter().sum()`.
             let mut total = -0.0f64;
             for j in 0..n {
-                // SAFETY: `ChainStructure::new` built `in_ptr` as the
-                // prefix sums of the in-degrees (`n + 1` entries,
-                // non-decreasing, ending at `nnz` = the length of
-                // `in_src` and `in_label`) and every `in_src` entry as a
-                // row index `< n`; `with_label_rates` checked every label
-                // that occurs against `label_rate`; `pi` and `exit` have
-                // length `n`, and `j < n`.
+                // SAFETY: `j < n`, and `pi` and `exit` have length `n`.
                 unsafe {
-                    let lo = *c.in_ptr.get_unchecked(j) as usize;
-                    let hi = *c.in_ptr.get_unchecked(j + 1) as usize;
-                    let mut acc = 0.0;
-                    for e in lo..hi {
-                        let i = *c.in_src.get_unchecked(e) as usize;
-                        let r = *self.rate_of(*c.in_label.get_unchecked(e));
-                        acc += *pi.get_unchecked(i) * r;
-                    }
-                    let new = acc / *exit.get_unchecked(j);
+                    let new = self.gather(j, &pi, 0.0) / *exit.get_unchecked(j);
                     let old = std::mem::replace(pi.get_unchecked_mut(j), new);
                     total += new;
                     if !moved {
@@ -1095,6 +1079,30 @@ impl Ctmc {
         self.max_rate
     }
 
+    /// `init + Σ_{i→j} pi[i] · r_ij`, summed in incoming-CSR order (sources
+    /// ascending) with no bounds check — the gather of Gauss–Seidel and
+    /// of the residual.
+    ///
+    /// # Safety
+    /// `j < n` and `pi.len() >= n`.  The rest is the structure's:
+    /// `ChainStructure::new` built `in_ptr` as the prefix sums of the
+    /// in-degrees (`n + 1` entries, non-decreasing, ending at `nnz`, the
+    /// length of `in_src` and `in_label`) and every `in_src` entry as a
+    /// row index `< n`, and [`Ctmc::with_label_rates`] checked every
+    /// label that occurs against the rate table.
+    #[inline(always)]
+    unsafe fn gather(&self, j: usize, pi: &[f64], init: f64) -> f64 {
+        let c = &*self.chain;
+        let lo = *c.in_ptr.get_unchecked(j) as usize;
+        let hi = *c.in_ptr.get_unchecked(j + 1) as usize;
+        let mut acc = init;
+        for e in lo..hi {
+            let i = *c.in_src.get_unchecked(e) as usize;
+            acc += *pi.get_unchecked(i) * *self.rate_of(*c.in_label.get_unchecked(e));
+        }
+        acc
+    }
+
     /// The rate of label `l`, unchecked.
     ///
     /// # Safety
@@ -1111,23 +1119,11 @@ impl Ctmc {
     pub fn stationarity_residual(&self, pi: &[f64]) -> f64 {
         let n = self.n_states();
         let (pi, exit) = (&pi[..n], &self.exit[..n]);
-        let c = &*self.chain;
         let mut worst = 0.0f64;
         for j in 0..n {
-            // SAFETY: as in `gauss_seidel` — `ChainStructure::new` bounds
-            // `in_ptr` by `nnz` and every `in_src` entry by `n`,
-            // `with_label_rates` checked every label that occurs, and
-            // `pi` and `exit` were sliced to length `n` above.
-            let acc = unsafe {
-                let lo = *c.in_ptr.get_unchecked(j) as usize;
-                let hi = *c.in_ptr.get_unchecked(j + 1) as usize;
-                let mut acc = -*pi.get_unchecked(j) * *exit.get_unchecked(j);
-                for e in lo..hi {
-                    let i = *c.in_src.get_unchecked(e) as usize;
-                    acc += *pi.get_unchecked(i) * *self.rate_of(*c.in_label.get_unchecked(e));
-                }
-                acc
-            };
+            // SAFETY: `j < n`, and `pi` and `exit` were sliced to length
+            // `n` above.
+            let acc = unsafe { self.gather(j, pi, -*pi.get_unchecked(j) * *exit.get_unchecked(j)) };
             worst = worst.max(acc.abs());
         }
         worst
