@@ -1470,11 +1470,16 @@ mod tests {
         assert_eq!(c.stationary_gauss_seidel(1e-12, 10), vec![1.0]);
     }
 
+    /// FNV-1a over a stream of words.
+    fn words_digest(words: impl IntoIterator<Item = u64>) -> u64 {
+        words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+            (h ^ x).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
     /// FNV-1a over the bit patterns of a vector.
     fn bits_digest(v: &[f64]) -> u64 {
-        v.iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
-            (h ^ x.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
-        })
+        words_digest(v.iter().map(|x| x.to_bits()))
     }
 
     /// The homogeneous Strict quotient of `teams` at one compute and one
@@ -1520,6 +1525,69 @@ mod tests {
         Ctmc::new(rows)
     }
 
+    /// The full Strict chain of `teams` on a heterogeneous platform:
+    /// every processor and every link at its own rate.
+    fn het_full(teams: &[usize]) -> Ctmc {
+        use crate::marking::{MarkingGraph, MarkingOptions};
+        use crate::net::EventNet;
+        use repstream_petri::shape::{ExecModel, MappingShape, ResourceTable};
+        use repstream_petri::tpn::Tpn;
+
+        let shape = MappingShape::new(teams.to_vec());
+        let tpn = Tpn::build(&shape, ExecModel::Strict);
+        let rates = ResourceTable::from_fns(
+            &shape,
+            |c, s| 0.3 + 0.7 * c as f64 + 0.1 * s as f64,
+            |f, a, b| 1.1 + 0.2 * f as f64 + 0.3 * (a + 2 * b) as f64,
+        );
+        let net = EventNet::from_tpn(&tpn, &rates);
+        let mg = MarkingGraph::build(&net, MarkingOptions::default()).unwrap();
+        mg.ctmc_with_trans_rates(&net.rates)
+    }
+
+    /// A seeded `n`-state chain through [`Ctmc::from_csr`]: a ring edge
+    /// out of every state, then `draws` random targets (a draw of the
+    /// state itself skipped, repeats kept as parallel edges).  Edge `e`
+    /// is rated `1 + (e mod distinct) · 10⁻⁵`, so the chain has
+    /// `min(distinct, nnz)` labels.
+    fn distinct_rate_chain(n: usize, draws: usize, seed: u64, distinct: usize) -> Ctmc {
+        let mut x = seed;
+        let mut rnd = move || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) as usize
+        };
+        let (mut row_ptr, mut col, mut rate) = (vec![0u32], Vec::new(), Vec::new());
+        for i in 0..n {
+            let draws: Vec<usize> = (0..draws).map(|_| rnd() % n).collect();
+            for j in std::iter::once((i + 1) % n).chain(draws) {
+                if j != i {
+                    rate.push(1.0 + (col.len() % distinct) as f64 * 1e-5);
+                    col.push(j as u32);
+                }
+            }
+            row_ptr.push(col.len() as u32);
+        }
+        Ctmc::from_csr(row_ptr, col, rate)
+    }
+
+    /// Two dense `from_csr` chains whose labels outgrow a byte: 300
+    /// distinct rates on a 40-state chain, and one distinct rate per edge
+    /// on a 300-state chain with more than 65 536 edges.
+    fn wide_label_chains() -> [(&'static str, Ctmc); 2] {
+        let wide = [
+            ("300 labels", distinct_rate_chain(40, 16, 0x1616, 300)),
+            (
+                "one label per edge",
+                distinct_rate_chain(300, 240, 0x3232, usize::MAX),
+            ),
+        ];
+        assert_eq!(wide[0].1.label_rates().len(), 300);
+        assert!(wide[1].1.label_rates().len() > 1 << 16);
+        wide
+    }
+
     /// The homogeneous Strict 2×3 quotient (64 orbits) and a seeded
     /// 300-state sparse chain.
     fn pinned_chains() -> [(&'static str, Ctmc); 2] {
@@ -1545,10 +1613,10 @@ mod tests {
 
     /// The power sweep's bits, pinned: a forced [`Solver::Power`] solve,
     /// and the plan's Gauss–Seidel → power polish (the relaxation cut
-    /// short at three sweeps so the polish has work to do), on two
-    /// chains.  The digests were recorded when the sweep still read a
-    /// precomputed `rate / Λ` array; the inline `rate · (1/Λ)` must
-    /// reproduce them exactly.
+    /// short at three sweeps so the polish has work to do), on the two
+    /// pinned chains and the two wide-label ones.  The first two were
+    /// recorded when the sweep still read a precomputed `rate / Λ` array,
+    /// the wide-label ones when every label was stored as `u32`.
     #[test]
     fn power_sweep_bits_are_pinned() {
         let expected = [
@@ -1562,9 +1630,23 @@ mod tests {
                 (0xc19f_a282_5c01_84fb, 112),
                 (0x2e9b_be88_2e1d_255d, 104),
             ),
+            (
+                "300 labels",
+                (0xdd4d_bd1a_b368_f891, 24),
+                (0xd285_8c6a_593b_8ed4, 24),
+            ),
+            (
+                "one label per edge",
+                (0xdf98_341d_9f06_7cdd, 32),
+                (0xc092_6c66_f0a8_81ad, 32),
+            ),
         ];
-        for ((label, c), (want_label, forced, polish)) in pinned_chains().into_iter().zip(expected)
-        {
+        let chains: Vec<_> = pinned_chains()
+            .into_iter()
+            .chain(wide_label_chains())
+            .collect();
+        assert_eq!(chains.len(), expected.len());
+        for ((label, c), (want_label, forced, polish)) in chains.into_iter().zip(expected) {
             assert_eq!(label, want_label);
             let rep = c.stationary_solve(SolverChoice::Force(Solver::Power));
             let got_forced = (bits_digest(&rep.pi), rep.iterations);
@@ -1580,9 +1662,10 @@ mod tests {
     /// the residual's bits of a forced [`Solver::GaussSeidel`] solve on
     /// the two pinned chains, the absorbing chain (the relaxation
     /// divides by its zero exit rate and stops on a NaN entry) and a
-    /// stiff hom(4×5) quotient.  Recorded when the sweep still summed the
+    /// stiff hom(4×5) quotient, recorded when the sweep still summed the
     /// iterate in a separate normalisation pass and divided for every
-    /// column's stop test.
+    /// column's stop test; and the two wide-label chains, recorded when
+    /// every label was stored as `u32`.
     #[test]
     fn gauss_seidel_bits_are_pinned() {
         let expected = [
@@ -1599,12 +1682,25 @@ mod tests {
                 "stiff hom(4x5) quotient",
                 (0xe00c_25cc_52dd_e3a7, 44, 0x3c1d_4400_0000_0000),
             ),
+            (
+                "300 labels",
+                (0x33a2_3b7a_ba15_0812, 16, 0x3cb6_8000_0000_0000),
+            ),
+            (
+                "one label per edge",
+                (0x7b35_f807_63ba_2ecb, 16, 0x3ce2_7e00_0000_0000),
+            ),
         ];
-        let chains = pinned_chains().into_iter().chain([
-            ("absorbing", absorbing_chain(40)),
-            ("stiff hom(4x5) quotient", hom_quotient(&[4, 5], 0.04, 6.0)),
-        ]);
-        for ((label, c), (want_label, want)) in chains.zip(expected) {
+        let chains: Vec<_> = pinned_chains()
+            .into_iter()
+            .chain([
+                ("absorbing", absorbing_chain(40)),
+                ("stiff hom(4x5) quotient", hom_quotient(&[4, 5], 0.04, 6.0)),
+            ])
+            .chain(wide_label_chains())
+            .collect();
+        assert_eq!(chains.len(), expected.len());
+        for ((label, c), (want_label, want)) in chains.into_iter().zip(expected) {
             assert_eq!(label, want_label);
             let rep = c.stationary_solve(SolverChoice::Force(Solver::GaussSeidel));
             let got = (bits_digest(&rep.pi), rep.iterations, rep.residual.to_bits());
@@ -1614,18 +1710,29 @@ mod tests {
 
     /// GTH's bits, pinned: π's digest and the residual's bits of a forced
     /// [`Solver::Gth`] solve on a 30-state sparse chain and a dense
-    /// (`nnz > n²/4`) 40-state one, each with parallel edges.  Recorded
-    /// when the dense matrix was still filled from the forward CSR.
+    /// (`nnz > n²/4`) 40-state one, recorded when the dense matrix was
+    /// still filled from the forward CSR, and on the two (dense)
+    /// wide-label chains, recorded when every label was stored as `u32`;
+    /// each chain has parallel edges.
     #[test]
     fn gth_bits_are_pinned() {
         let expected = [
             ("sparse 30", (0x2b1a_6524_da33_bdf1, 0x3cb1_b800_0000_0000)),
             ("dense 40", (0x81f9_842a_582c_5378, 0x3cc2_8000_0000_0000)),
+            ("300 labels", (0x7c12_dacf_3e46_c144, 0x3cb7_8000_0000_0000)),
+            (
+                "one label per edge",
+                (0x0d10_e007_4eb7_49b3, 0x3ce6_8e00_0000_0000),
+            ),
         ];
-        let chains = [
+        let chains: Vec<_> = [
             ("sparse 30", seeded_chain(30, 3, 0x6717)),
             ("dense 40", seeded_chain(40, 16, 0xde45e)),
-        ];
+        ]
+        .into_iter()
+        .chain(wide_label_chains())
+        .collect();
+        assert_eq!(chains.len(), expected.len());
         for ((label, c), (want_label, want)) in chains.into_iter().zip(expected) {
             assert_eq!(label, want_label);
             let n = c.n_states();
@@ -1639,6 +1746,83 @@ mod tests {
             }
             let rep = c.stationary_solve(SolverChoice::Force(Solver::Gth));
             let got = (bits_digest(&rep.pi), rep.residual.to_bits());
+            assert_eq!(got, want, "{label}");
+        }
+    }
+
+    /// The structure's bits, pinned: per chain, its state and edge
+    /// counts and digests of the forward labels row by row, of
+    /// `incoming(j)` as (source, rate bits) for every `j`, and of the
+    /// exit rates' bits — on a quotient, a full chain and the two
+    /// `from_csr` chains whose labels outgrow a byte.  Recorded when the
+    /// structure still stored forward targets and every label as `u32`.
+    #[test]
+    fn structure_bits_are_pinned() {
+        let expected = [
+            (
+                "hom(4x5) quotient",
+                (
+                    7168,
+                    36736,
+                    0x20c6_e827_7dcf_5ad3,
+                    0xeb53_c66b_ab07_b47e,
+                    0xa4fa_6292_9cf2_5efb,
+                ),
+            ),
+            (
+                "het(3x4) full",
+                (
+                    7680,
+                    30720,
+                    0x620e_9d0f_ff15_527b,
+                    0xcc24_48cd_36c6_031e,
+                    0x840b_100b_bd30_a059,
+                ),
+            ),
+            (
+                "300 labels",
+                (
+                    40,
+                    668,
+                    0x4088_6e94_9dd7_008d,
+                    0xc945_526c_c651_874c,
+                    0x7269_e2cc_4119_6ab6,
+                ),
+            ),
+            (
+                "one label per edge",
+                (
+                    300,
+                    72041,
+                    0xe366_390b_372c_f5dc,
+                    0xb696_5bff_7eb2_8112,
+                    0xf440_eaa8_1a7a_0c92,
+                ),
+            ),
+        ];
+        let chains: Vec<_> = [
+            ("hom(4x5) quotient", hom_quotient(&[4, 5], 0.3, 1.7)),
+            ("het(3x4) full", het_full(&[3, 4])),
+        ]
+        .into_iter()
+        .chain(wide_label_chains())
+        .collect();
+        assert_eq!(chains.len(), expected.len());
+        for ((label, c), (want_label, want)) in chains.into_iter().zip(expected) {
+            assert_eq!(label, want_label);
+            let (n, chain) = (c.n_states(), c.structure());
+            let ptr = chain.row_ptr();
+            let forward = words_digest((0..n).flat_map(|s| {
+                let row = &chain.labels()[ptr[s] as usize..ptr[s + 1] as usize];
+                std::iter::once(row.len() as u64).chain(row.iter().map(|&l| u64::from(l)))
+            }));
+            let incoming = words_digest((0..n).flat_map(|j| {
+                let edges: Vec<_> = c.incoming(j).collect();
+                std::iter::once(edges.len() as u64)
+                    .chain(edges.into_iter().flat_map(|(i, r)| [i as u64, r.to_bits()]))
+            }));
+            let exit = words_digest((0..n).map(|s| c.exit_rate(s).to_bits()));
+            let got = (n, c.nnz(), forward, incoming, exit);
             assert_eq!(got, want, "{label}");
         }
     }
