@@ -4,19 +4,28 @@
 //!
 //! A [`Ctmc`] is two parts.  The **structure** ([`ChainStructure`],
 //! behind an `Arc`) is the chain's edges in **compressed sparse row**
-//! form, each edge carrying a `u32` *label* instead of a rate:
+//! form, each edge carrying a *label* instead of a rate:
 //!
 //! ```text
 //!   row_ptr  : [u32; n+1]   row s occupies entries row_ptr[s]..row_ptr[s+1]
-//!   col      : [u32; nnz]   transition targets (no self-loops; the
-//!                           diagonal of the generator is implied)
-//!   label    : [u32; nnz]   which rate the edge fires at
+//!   label    : [u32; nnz]   which rate each edge fires at (read by the
+//!                           exit sums, and the enabled sets of a graph)
 //!   in_ptr   : [u32; n+1]   the transpose: for each state, the sources
 //!   in_src   : [u32; nnz]   and labels of its in-transitions, which the
-//!   in_label : [u32; nnz]   relaxation, residual, power sweep and GTH gather
+//!   in_label : [uw;  nnz]   relaxation, residual, power sweep and GTH gather
 //! ```
 //!
-//! No solver reads the forward `col`.
+//! The forward targets are not kept: the transpose is built from them
+//! (no self-loops; the diagonal of the generator is implied) and no
+//! solver reads them, so tests and tools that want them derive them
+//! ([`ChainStructure::forward_targets`]).  `in_label` is stored at the
+//! narrowest width `w` that holds the largest label — one byte up to 256
+//! labels (every marking chain measured: 126 transitions at hom(6×7), 168
+//! labels at hom(7×8)), two up to 65 536, four beyond, which only a
+//! [`Ctmc::from_csr`] chain with that many distinct rates needs.  Each
+//! reader matches on the width once per call and runs one loop compiled
+//! per width, so no loop branches on it.  The forward labels stay `u32`:
+//! a graph's enabled sets are them (`Graph::enabled` returns `&[u32]`).
 //!
 //! The **rates** are a small table, `label_rate[l]`, one entry per label.
 //! On a Theorem 2 marking chain a label is the transition (or list of
@@ -35,8 +44,9 @@
 //! * `max_rate` — the largest rate of a label that occurs (the residual
 //!   contract's scale).
 //!
-//! That is the whole chain: 16 bytes per edge, 16 per state and the label
-//! table ([`Ctmc::heap_bytes`]).  The hot loops read `label_rate[in_label[e]]`
+//! That is the whole chain: `8 + w` bytes per edge (9 on a marking
+//! chain), 16 per state and the label table ([`Ctmc::heap_bytes`]).  The
+//! hot loops read `label_rate[in_label[e]]`
 //! — an L1-resident table — where a rated CSR would read an `f64` per
 //! edge; labels are validated against the table once, at construction.
 //!
@@ -108,27 +118,75 @@ use crate::fxhash::FxHashMap;
 use crate::govern::{Budget, Interrupt, Phase, Progress};
 use std::sync::Arc;
 
-/// The edges of a chain, rate-free: a forward and an incoming CSR whose
-/// edges carry `u32` labels (see the module docs).  Built once — by the
-/// marking BFS, or by [`Ctmc::from_csr`] — and shared behind an `Arc` by
-/// every [`Ctmc`] rated over it.
+/// An incoming label as stored: `u8`, `u16` or `u32`, the narrowest
+/// that holds the structure's largest label.
+trait Label: Copy {
+    /// `l` at this width; the caller chose a width that holds it.
+    fn narrow(l: u32) -> Self;
+    /// The label as a rate-table index.
+    fn index(self) -> usize;
+}
+
+macro_rules! impl_label {
+    ($($t:ty),*) => {$(
+        impl Label for $t {
+            #[inline(always)]
+            fn narrow(l: u32) -> Self {
+                l as $t
+            }
+            #[inline(always)]
+            fn index(self) -> usize {
+                self as usize
+            }
+        }
+    )*};
+}
+impl_label!(u8, u16, u32);
+
+/// The incoming labels at their stored width.
+#[derive(Debug, PartialEq)]
+enum InLabels {
+    U8(Vec<u8>),
+    U16(Vec<u16>),
+    U32(Vec<u32>),
+}
+
+/// `$body` with `$l` bound to the incoming labels at their stored width:
+/// one match per call, and the body compiled once per width, so no loop
+/// inside it branches on the width.
+macro_rules! by_width {
+    ($labels:expr, |$l:ident| $body:expr) => {
+        match $labels {
+            InLabels::U8($l) => $body,
+            InLabels::U16($l) => $body,
+            InLabels::U32($l) => $body,
+        }
+    };
+}
+
+/// The edges of a chain, rate-free: a forward CSR of labels and an
+/// incoming CSR of sources and labels (see the module docs).  Built once
+/// — by the marking BFS, or by [`Ctmc::from_csr`] — and shared behind an
+/// `Arc` by every [`Ctmc`] rated over it.
 #[derive(Debug)]
 pub struct ChainStructure {
-    /// Forward CSR: row `s` is `col/label[row_ptr[s]..row_ptr[s+1]]`.
+    /// Forward CSR: row `s` is `label[row_ptr[s]..row_ptr[s+1]]`.  Its
+    /// targets are not kept: the transpose consumed them.
     row_ptr: Vec<u32>,
-    col: Vec<u32>,
     label: Vec<u32>,
     /// Incoming CSR (the stable transpose): the sources of column `j`
     /// ascending, each with its edge's label.
     in_ptr: Vec<u32>,
     in_src: Vec<u32>,
-    in_label: Vec<u32>,
+    in_label: InLabels,
     /// The labels that occur, ascending.
     used: Vec<u32>,
 }
 
 impl ChainStructure {
-    /// Validate a forward CSR and build its transpose.
+    /// Validate a forward CSR and build its transpose, storing the
+    /// incoming labels at the narrowest width that holds the largest
+    /// label.  The forward targets are consumed: no solver reads them.
     ///
     /// # Panics
     /// Panics on a malformed `row_ptr`, a dangling target, a diagonal
@@ -153,7 +211,7 @@ impl ChainStructure {
             }
             occurs[l] = true;
         }
-        let used = (0..occurs.len() as u32)
+        let used: Vec<u32> = (0..occurs.len() as u32)
             .filter(|&l| occurs[l as usize])
             .collect();
 
@@ -166,23 +224,19 @@ impl ChainStructure {
         for j in 0..n {
             in_ptr[j + 1] += in_ptr[j];
         }
-        let mut next = in_ptr.clone();
-        let mut in_src = vec![0u32; nnz];
-        let mut in_label = vec![0u32; nnz];
-        for s in 0..n {
-            let (lo, hi) = (row_ptr[s] as usize, row_ptr[s + 1] as usize);
-            for e in lo..hi {
-                let j = col[e] as usize;
-                assert!(j != s, "self-loop at state {s}");
-                let slot = next[j] as usize;
-                next[j] += 1;
-                in_src[slot] = s as u32;
-                in_label[slot] = label[e];
-            }
-        }
+        let top = used.last().copied().unwrap_or(0);
+        let (in_src, in_label) = if top <= u32::from(u8::MAX) {
+            let (src, label) = transpose(&row_ptr, &col, &label, &in_ptr);
+            (src, InLabels::U8(label))
+        } else if top <= u32::from(u16::MAX) {
+            let (src, label) = transpose(&row_ptr, &col, &label, &in_ptr);
+            (src, InLabels::U16(label))
+        } else {
+            let (src, label) = transpose(&row_ptr, &col, &label, &in_ptr);
+            (src, InLabels::U32(label))
+        };
         ChainStructure {
             row_ptr,
-            col,
             label,
             in_ptr,
             in_src,
@@ -198,7 +252,7 @@ impl ChainStructure {
 
     /// Number of edges.
     pub fn nnz(&self) -> usize {
-        self.col.len()
+        self.in_src.len()
     }
 
     /// The labels some edge carries, ascending.
@@ -206,29 +260,62 @@ impl ChainStructure {
         &self.used
     }
 
+    /// Bytes per stored incoming label: 1, 2 or 4, the narrowest width
+    /// that holds the largest label.
+    pub fn in_label_bytes(&self) -> usize {
+        match self.in_label {
+            InLabels::U8(_) => 1,
+            InLabels::U16(_) => 2,
+            InLabels::U32(_) => 4,
+        }
+    }
+
     /// Heap bytes of the structure's arrays, from their lengths:
-    /// `16 · nnz + 8 · n + 8 + 4 · labels_used().len()`.
+    /// `(8 + w) · nnz + 8 · n + 8 + 4 · labels_used().len()`, with `w`
+    /// [`Self::in_label_bytes`].
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of_val;
+        let in_label = by_width!(&self.in_label, |l| size_of_val(&l[..]));
         size_of_val(&self.row_ptr[..])
-            + size_of_val(&self.col[..])
             + size_of_val(&self.label[..])
             + size_of_val(&self.in_ptr[..])
             + size_of_val(&self.in_src[..])
-            + size_of_val(&self.in_label[..])
+            + in_label
             + size_of_val(&self.used[..])
+    }
+
+    /// Every edge's target, in forward order, derived from the incoming
+    /// CSR and the forward labels — the structure stores no forward
+    /// targets.  Column `j`'s edges from state `i` take, in turn, the
+    /// first free slot of row `i` that carries their label, so the
+    /// derivation is exact wherever the labels within a row are
+    /// distinct, as on every marking chain; where a row of a
+    /// [`Ctmc::from_csr`] chain repeats a label, the targets among those
+    /// repeats come out ascending.  It allocates `4 · nnz` bytes and
+    /// scans a row once per edge out of it: for checks and tools, not
+    /// for solvers, which read no forward target.
+    pub fn forward_targets(&self) -> Vec<u32> {
+        let mut col = vec![u32::MAX; self.nnz()];
+        by_width!(&self.in_label, |in_label| {
+            for j in 0..self.n_states() {
+                for e in self.in_range(j) {
+                    let (i, l) = (self.in_src[e] as usize, in_label[e].index());
+                    let mut row = self.row_range(i);
+                    let Some(slot) =
+                        row.find(|&f| col[f] == u32::MAX && self.label[f] as usize == l)
+                    else {
+                        unreachable!("the transpose lists each forward edge once")
+                    };
+                    col[slot] = j as u32;
+                }
+            }
+        });
+        col
     }
 
     /// The forward row pointer (`n + 1` entries).
     pub(crate) fn row_ptr(&self) -> &[u32] {
         &self.row_ptr
-    }
-
-    /// Every edge's target, in forward order (read by the test oracle's
-    /// orbit partition only).
-    #[cfg(test)]
-    pub(crate) fn targets(&self) -> &[u32] {
-        &self.col
     }
 
     /// Every edge's label, in forward order.
@@ -247,6 +334,34 @@ impl ChainStructure {
     fn in_range(&self, j: usize) -> std::ops::Range<usize> {
         self.in_ptr[j] as usize..self.in_ptr[j + 1] as usize
     }
+}
+
+/// The stable transpose of a validated forward CSR: the sources and
+/// labels of column `j` at `in_ptr[j]..in_ptr[j+1]`, in forward order
+/// (so sources ascend), the labels at width `L`.
+///
+/// # Panics
+/// Panics on a self-loop.
+fn transpose<L: Label>(
+    row_ptr: &[u32],
+    col: &[u32],
+    label: &[u32],
+    in_ptr: &[u32],
+) -> (Vec<u32>, Vec<L>) {
+    let mut next = in_ptr.to_vec();
+    let mut in_src = vec![0u32; col.len()];
+    let mut in_label = vec![L::narrow(0); col.len()];
+    for (s, w) in row_ptr.windows(2).enumerate() {
+        for e in w[0] as usize..w[1] as usize {
+            let j = col[e] as usize;
+            assert!(j != s, "self-loop at state {s}");
+            let slot = next[j] as usize;
+            next[j] += 1;
+            in_src[slot] = s as u32;
+            in_label[slot] = L::narrow(label[e]);
+        }
+    }
+    (in_src, in_label)
 }
 
 /// A CTMC: a shared [`ChainStructure`] rated by a table with one rate per
@@ -566,11 +681,12 @@ impl Ctmc {
 
     /// Heap bytes the solvers read, from the arrays' lengths (not their
     /// capacities, so the figure is deterministic): the shared
-    /// [`ChainStructure`] — both CSRs and the used labels — plus the label
-    /// table and the exit rates,
-    /// `16 · nnz + 16 · n + 8 + 8 · label_rates().len() + 4 · labels_used`.
-    /// The structure is counted in full although every chain rated over
-    /// it shares it.
+    /// [`ChainStructure`] — the forward labels, the incoming CSR and the
+    /// used labels — plus the label table and the exit rates,
+    /// `(8 + w) · nnz + 16 · n + 8 + 8 · label_rates().len() + 4 ·
+    /// labels_used`, with `w` the incoming labels' width
+    /// ([`ChainStructure::in_label_bytes`]).  The structure is counted in
+    /// full although every chain rated over it shares it.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of_val;
         self.chain.heap_bytes() + size_of_val(&self.label_rate[..]) + size_of_val(&self.exit[..])
@@ -591,14 +707,9 @@ impl Ctmc {
         &self.label_rate
     }
 
-    /// Targets of the outgoing transitions of state `s`.
-    #[inline]
-    pub fn row_targets(&self, s: usize) -> &[u32] {
-        &self.chain.col[self.chain.row_range(s)]
-    }
-
-    /// Rates of the outgoing transitions of state `s` (same order as
-    /// [`Ctmc::row_targets`]).
+    /// Rates of the outgoing transitions of state `s`, in forward order
+    /// (the order of the exit-rate sum; the targets are
+    /// [`ChainStructure::forward_targets`]).
     #[inline]
     pub fn row_rates(&self, s: usize) -> impl Iterator<Item = f64> + '_ {
         self.chain.label[self.chain.row_range(s)]
@@ -606,27 +717,29 @@ impl Ctmc {
             .map(|&l| self.label_rate[l as usize])
     }
 
-    /// Outgoing transitions of state `s` as `(target, rate)` pairs.
-    #[inline]
-    pub fn row(&self, s: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        self.row_targets(s)
-            .iter()
-            .zip(self.row_rates(s))
-            .map(|(&j, r)| (j as usize, r))
-    }
-
     /// Incoming transitions of state `j` as `(source, rate)` pairs,
     /// sources ascending — the gather of Gauss–Seidel and the residual,
-    /// in the order they sum it.
-    #[inline]
+    /// in the order they sum it.  Collected per call, so the label width
+    /// is matched once per column, not per edge.
     pub fn incoming(&self, j: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let edges: Vec<_> = by_width!(&self.chain.in_label, |l| self.incoming_in(l, j).collect());
+        edges.into_iter()
+    }
+
+    /// [`Ctmc::incoming`] over the incoming labels at their stored width.
+    #[inline]
+    fn incoming_in<'a, L: Label>(
+        &'a self,
+        in_label: &'a [L],
+        j: usize,
+    ) -> impl Iterator<Item = (usize, f64)> + 'a {
         let range = self.chain.in_range(j);
         self.chain.in_src[range.clone()]
             .iter()
-            .zip(&self.chain.in_label[range])
-            // SAFETY: every `in_label` entry occurs in the structure, and
+            .zip(&in_label[range])
+            // SAFETY: every incoming label occurs in the structure, and
             // `with_label_rates` checked each against the table.
-            .map(|(&i, &l)| (i as usize, unsafe { *self.rate_of(l) }))
+            .map(|(&i, &l)| (i as usize, unsafe { *self.rate_of(l.index()) }))
     }
 
     /// Total exit rate of state `s` (cached at construction).
@@ -664,11 +777,13 @@ impl Ctmc {
         // `i → j` in forward order, so each cell sums the same rates in
         // the same order as a forward fill; the diagonal comes last.
         let mut p = vec![0.0f64; n * n];
-        for j in 0..n {
-            for (i, r) in self.incoming(j) {
-                p[i * n + j] += r * inv_lambda;
+        by_width!(&self.chain.in_label, |in_label| {
+            for j in 0..n {
+                for (i, r) in self.incoming_in(in_label, j) {
+                    p[i * n + j] += r * inv_lambda;
+                }
             }
-        }
+        });
         for s in 0..n {
             p[s * n + s] += 1.0 - self.exit[s] * inv_lambda;
         }
@@ -751,26 +866,29 @@ impl Ctmc {
     fn power_sweep_range(&self, pi: &[f64], out: &mut [f64], stay: &[f64], start: usize) {
         // SAFETY of the `get_unchecked` below: `ChainStructure::new`
         // validated that `in_ptr` is non-decreasing with `in_ptr[n] ==
-        // nnz` and every `in_src` entry is `< n`; `with_label_rates`
-        // checked every label that occurs against `label_rate`; `pi`/`stay`
-        // have length `n` (asserted by the callers); `start + out.len() ≤
-        // n` holds for every chunk `power_sweep` creates.
+        // nnz`, the length of `in_src` and of the incoming labels, and
+        // every `in_src` entry is `< n`; `with_label_rates` checked every
+        // label that occurs against `label_rate`; `pi`/`stay` have length
+        // `n` (asserted by the callers); `start + out.len() ≤ n` holds for
+        // every chunk `power_sweep` creates.
         let inv_lambda = 1.0 / self.lambda;
         let c = &*self.chain;
-        for (dj, v) in out.iter_mut().enumerate() {
-            let j = start + dj;
-            unsafe {
-                let lo = *c.in_ptr.get_unchecked(j) as usize;
-                let hi = *c.in_ptr.get_unchecked(j + 1) as usize;
-                let mut acc = *pi.get_unchecked(j) * *stay.get_unchecked(j);
-                for e in lo..hi {
-                    let i = *c.in_src.get_unchecked(e) as usize;
-                    let r = *self.rate_of(*c.in_label.get_unchecked(e));
-                    acc += *pi.get_unchecked(i) * (r * inv_lambda);
+        by_width!(&c.in_label, |in_label| {
+            for (dj, v) in out.iter_mut().enumerate() {
+                let j = start + dj;
+                unsafe {
+                    let lo = *c.in_ptr.get_unchecked(j) as usize;
+                    let hi = *c.in_ptr.get_unchecked(j + 1) as usize;
+                    let mut acc = *pi.get_unchecked(j) * *stay.get_unchecked(j);
+                    for e in lo..hi {
+                        let i = *c.in_src.get_unchecked(e) as usize;
+                        let r = *self.rate_of(in_label.get_unchecked(e).index());
+                        acc += *pi.get_unchecked(i) * (r * inv_lambda);
+                    }
+                    *v = acc;
                 }
-                *v = acc;
             }
-        }
+        })
     }
 
     /// Stationary distribution by uniformized power iteration.
@@ -918,30 +1036,32 @@ impl Ctmc {
         // the test below never runs and the loop never stops.
         let may_stop = tol > 0.0;
         let mut sweeps = 0usize;
-        for it in 0..max_sweeps {
-            sweeps = it + 1;
-            if it % CHECK_PERIOD == CHECK_PERIOD - 1 {
-                solver_checkpoint(budget, n, sweeps)?;
-            }
-            let mut moved = !may_stop;
-            // `Sum for f64` starts from −0.0, so this is `pi.iter().sum()`.
-            let mut total = -0.0f64;
-            for j in 0..n {
-                // SAFETY: `j < n`, and `pi` and `exit` have length `n`.
-                unsafe {
-                    let new = self.gather(j, &pi, 0.0) / *exit.get_unchecked(j);
-                    let old = std::mem::replace(pi.get_unchecked_mut(j), new);
-                    total += new;
-                    if !moved {
-                        moved = moved_by(old, new, tol, half_tol);
+        by_width!(&self.chain.in_label, |in_label| {
+            for it in 0..max_sweeps {
+                sweeps = it + 1;
+                if it % CHECK_PERIOD == CHECK_PERIOD - 1 {
+                    solver_checkpoint(budget, n, sweeps)?;
+                }
+                let mut moved = !may_stop;
+                // `Sum for f64` starts from −0.0, so this is `pi.iter().sum()`.
+                let mut total = -0.0f64;
+                for j in 0..n {
+                    // SAFETY: `j < n`, and `pi` and `exit` have length `n`.
+                    unsafe {
+                        let new = self.gather(in_label, j, &pi, 0.0) / *exit.get_unchecked(j);
+                        let old = std::mem::replace(pi.get_unchecked_mut(j), new);
+                        total += new;
+                        if !moved {
+                            moved = moved_by(old, new, tol, half_tol);
+                        }
                     }
                 }
+                scale_to_unit(&mut pi, total);
+                if !moved {
+                    break;
+                }
             }
-            scale_to_unit(&mut pi, total);
-            if !moved {
-                break;
-            }
-        }
+        });
         Ok((pi, sweeps))
     }
 
@@ -1081,24 +1201,25 @@ impl Ctmc {
 
     /// `init + Σ_{i→j} pi[i] · r_ij`, summed in incoming-CSR order (sources
     /// ascending) with no bounds check — the gather of Gauss–Seidel and
-    /// of the residual.
+    /// of the residual, over the incoming labels at their stored width.
     ///
     /// # Safety
-    /// `j < n` and `pi.len() >= n`.  The rest is the structure's:
-    /// `ChainStructure::new` built `in_ptr` as the prefix sums of the
-    /// in-degrees (`n + 1` entries, non-decreasing, ending at `nnz`, the
-    /// length of `in_src` and `in_label`) and every `in_src` entry as a
-    /// row index `< n`, and [`Ctmc::with_label_rates`] checked every
-    /// label that occurs against the rate table.
+    /// `j < n`, `pi.len() >= n`, and `in_label` is this chain's incoming
+    /// labels.  The rest is the structure's: `ChainStructure::new` built
+    /// `in_ptr` as the prefix sums of the in-degrees (`n + 1` entries,
+    /// non-decreasing, ending at `nnz`, the length of `in_src` and of the
+    /// incoming labels) and every `in_src` entry as a row index `< n`,
+    /// and [`Ctmc::with_label_rates`] checked every label that occurs
+    /// against the rate table.
     #[inline(always)]
-    unsafe fn gather(&self, j: usize, pi: &[f64], init: f64) -> f64 {
+    unsafe fn gather<L: Label>(&self, in_label: &[L], j: usize, pi: &[f64], init: f64) -> f64 {
         let c = &*self.chain;
         let lo = *c.in_ptr.get_unchecked(j) as usize;
         let hi = *c.in_ptr.get_unchecked(j + 1) as usize;
         let mut acc = init;
         for e in lo..hi {
             let i = *c.in_src.get_unchecked(e) as usize;
-            acc += *pi.get_unchecked(i) * *self.rate_of(*c.in_label.get_unchecked(e));
+            acc += *pi.get_unchecked(i) * *self.rate_of(in_label.get_unchecked(e).index());
         }
         acc
     }
@@ -1109,9 +1230,9 @@ impl Ctmc {
     /// `l` must be a label of this chain's structure:
     /// [`Ctmc::with_label_rates`] checked every one against the table.
     #[inline(always)]
-    unsafe fn rate_of(&self, l: u32) -> &f64 {
-        debug_assert!((l as usize) < self.label_rate.len());
-        self.label_rate.get_unchecked(l as usize)
+    unsafe fn rate_of(&self, l: usize) -> &f64 {
+        debug_assert!(l < self.label_rate.len());
+        self.label_rate.get_unchecked(l)
     }
 
     /// Verify `π Q = 0` (stationarity residual, max-norm) — used by tests
@@ -1120,12 +1241,17 @@ impl Ctmc {
         let n = self.n_states();
         let (pi, exit) = (&pi[..n], &self.exit[..n]);
         let mut worst = 0.0f64;
-        for j in 0..n {
-            // SAFETY: `j < n`, and `pi` and `exit` were sliced to length
-            // `n` above.
-            let acc = unsafe { self.gather(j, pi, -*pi.get_unchecked(j) * *exit.get_unchecked(j)) };
-            worst = worst.max(acc.abs());
-        }
+        by_width!(&self.chain.in_label, |in_label| {
+            for j in 0..n {
+                // SAFETY: `j < n`, and `pi` and `exit` were sliced to
+                // length `n` above.
+                let acc = unsafe {
+                    let init = -*pi.get_unchecked(j) * *exit.get_unchecked(j);
+                    self.gather(in_label, j, pi, init)
+                };
+                worst = worst.max(acc.abs());
+            }
+        });
         worst
     }
 }
@@ -1327,9 +1453,10 @@ mod tests {
         ]);
         assert_eq!(c.n_states(), 3);
         assert_eq!(c.nnz(), 4);
-        assert_eq!(c.row_targets(0), &[1, 2]);
+        assert_eq!(c.structure().forward_targets(), vec![1, 2, 2, 0]);
         assert_eq!(c.row_rates(0).collect::<Vec<_>>(), vec![2.0, 1.0]);
-        assert_eq!(c.row(1).collect::<Vec<_>>(), vec![(2, 3.0)]);
+        assert_eq!(c.row_rates(1).collect::<Vec<_>>(), vec![3.0]);
+        assert_eq!(c.incoming(2).collect::<Vec<_>>(), vec![(0, 1.0), (1, 3.0)]);
         assert!((c.exit_rate(0) - 3.0).abs() < 1e-15);
         assert!((c.exit_rate(2) - 0.5).abs() < 1e-15);
         assert!((c.uniformization() - 3.3).abs() < 1e-12);
@@ -1346,7 +1473,8 @@ mod tests {
         b.push(1, 1.0);
         b.end_row();
         let b = b.finish();
-        assert_eq!(a.row_targets(1), b.row_targets(1));
+        let targets = |c: &Ctmc| c.structure().forward_targets();
+        assert_eq!(targets(&a), targets(&b));
         assert!(a.row_rates(1).eq(b.row_rates(1)));
     }
 
@@ -1369,8 +1497,10 @@ mod tests {
             .collect();
         let (plain, looped) = (Ctmc::new(rows), Ctmc::new(looped));
         assert_eq!(looped.nnz(), plain.nnz());
+        let targets = |c: &Ctmc| c.structure().forward_targets();
+        assert_eq!(targets(&looped), targets(&plain));
         for s in 0..n {
-            assert_eq!(looped.row_targets(s), plain.row_targets(s), "row {s}");
+            assert!(looped.row_rates(s).eq(plain.row_rates(s)), "row {s}");
             let exit = (looped.exit_rate(s).to_bits(), plain.exit_rate(s).to_bits());
             assert_eq!(exit.0, exit.1, "exit {s}");
         }
@@ -1736,9 +1866,10 @@ mod tests {
         for ((label, c), (want_label, want)) in chains.into_iter().zip(expected) {
             assert_eq!(label, want_label);
             let n = c.n_states();
-            let parallel = (0..n).any(|s| {
-                let t = c.row_targets(s);
-                (1..t.len()).any(|k| t[..k].contains(&t[k]))
+            // Parallel edges are repeated sources within a column.
+            let parallel = (0..n).any(|j| {
+                let src: Vec<usize> = c.incoming(j).map(|(i, _)| i).collect();
+                src.windows(2).any(|w| w[0] == w[1])
             });
             assert!(parallel, "{label}: no parallel edge");
             if n > GTH_SMALL_N {
@@ -1885,20 +2016,78 @@ mod tests {
         assert!(verdicts.iter().all(|&v| v > 1000), "{verdicts:?}");
     }
 
-    /// The chain's layout: 16 bytes per edge (a target or source and a
-    /// label in each CSR), 16 per state (the exit rate and two row
-    /// pointers), 8 for the two closing row pointers, and the label
-    /// table — 8 bytes per rate, 4 per label that occurs.  No array is
-    /// per edge *and* per rate table: a refill shares the structure.
+    /// The chain's layout: `8 + w` bytes per edge (a source and a
+    /// forward label of 4 bytes each, and the incoming label at its
+    /// width `w`: 1, 2, 2 and 4 bytes on the chains below), 16 per state
+    /// (the exit rate and two row pointers), 8 for the two closing row
+    /// pointers, and the label table — 8 bytes per rate, 4 per label that
+    /// occurs.  No array is per edge *and* per rate table: a refill
+    /// shares the structure.
     #[test]
     fn heap_bytes_is_the_layout_formula() {
-        for (label, c) in pinned_chains() {
+        let widths = [1, 2, 2, 4];
+        let chains: Vec<_> = pinned_chains()
+            .into_iter()
+            .chain(wide_label_chains())
+            .collect();
+        assert_eq!(chains.len(), widths.len());
+        for ((label, c), w) in chains.into_iter().zip(widths) {
+            assert_eq!(c.structure().in_label_bytes(), w, "{label}");
             let table = 8 * c.label_rates().len() + 4 * c.structure().labels_used().len();
-            let want = 16 * c.nnz() + 16 * c.n_states() + 8 + table;
+            let want = (8 + w) * c.nnz() + 16 * c.n_states() + 8 + table;
             assert_eq!(c.heap_bytes(), want, "{label}");
             assert_eq!(c.structure().nnz(), c.nnz(), "{label}");
             assert_eq!(c.structure().n_states(), c.n_states(), "{label}");
         }
+    }
+
+    /// The incoming labels take the narrowest width that holds the
+    /// largest label: 255 fits a byte, 256 needs two, 65 535 still fits
+    /// two and 65 536 needs four.
+    #[test]
+    fn label_width_follows_the_largest_label() {
+        for (top, w) in [(0u32, 1), (255, 1), (256, 2), (65_535, 2), (65_536, 4)] {
+            let chain = ChainStructure::new(vec![0, 1, 2], vec![1, 0], vec![top, 0]);
+            assert_eq!(chain.in_label_bytes(), w, "largest label {top}");
+            assert_eq!(chain.labels_used().last(), Some(&top));
+        }
+    }
+
+    /// The derived forward view inverts the transpose: transposed again,
+    /// it gives back the incoming CSR, and it is the one preimage where
+    /// the labels within a row are distinct — on a quotient, a full chain
+    /// and a chain with one label per edge.  Where a row repeats a label,
+    /// the targets among the repeats come out ascending.
+    #[test]
+    fn forward_targets_invert_the_transpose() {
+        let chains = [
+            ("hom(4x5) quotient", hom_quotient(&[4, 5], 0.3, 1.7)),
+            ("het(3x4) full", het_full(&[3, 4])),
+            ("one label per edge", wide_label_chains()[1].1.clone()),
+        ];
+        for (label, c) in chains {
+            let s = c.structure();
+            let distinct = (0..c.n_states()).all(|r| {
+                let row = &s.labels()[s.row_range(r)];
+                (1..row.len()).all(|k| !row[..k].contains(&row[k]))
+            });
+            assert!(distinct, "{label}: a row repeats a label");
+            let again = ChainStructure::new(
+                s.row_ptr().to_vec(),
+                s.forward_targets(),
+                s.labels().to_vec(),
+            );
+            assert_eq!(again.in_ptr, s.in_ptr, "{label}");
+            assert_eq!(again.in_src, s.in_src, "{label}");
+            assert_eq!(again.in_label, s.in_label, "{label}");
+        }
+        // Row 0 fires rate 2 at 3 and then at 1, and rate 1 at 2.
+        let c = Ctmc::from_csr(
+            vec![0, 3, 4, 5, 6],
+            vec![3, 2, 1, 0, 0, 0],
+            vec![2.0, 1.0, 2.0, 1.0, 1.0, 1.0],
+        );
+        assert_eq!(c.structure().forward_targets(), vec![1, 2, 3, 0, 0, 0]);
     }
 
     #[test]

@@ -152,13 +152,14 @@ pub fn is_ordinarily_lumpable(c: &Ctmc, p: &Partition, rtol: f64) -> bool {
     let mut row = vec![0.0f64; k];
     let mut first = vec![0.0f64; k];
     let blocks = p.blocks();
+    let rows = forward_rows(c);
     for block in &blocks {
         for (pos, &s) in block.iter().enumerate() {
             let sb = p.block_of(s as usize);
             for v in row.iter_mut() {
                 *v = 0.0;
             }
-            for (j, r) in c.row(s as usize) {
+            for &(j, r) in &rows[s as usize] {
                 let jb = p.block_of(j);
                 if jb != sb {
                     row[jb] += r;
@@ -262,6 +263,19 @@ impl Lift {
     }
 }
 
+/// The forward rows of `c` as `(target, rate)` lists, in CSR order: the
+/// targets are [`crate::ctmc::ChainStructure::forward_targets`], exact on
+/// marking chains, whose rows carry each label once.
+pub(crate) fn forward_rows(c: &Ctmc) -> Vec<Vec<(usize, f64)>> {
+    let mut targets = c.structure().forward_targets().into_iter();
+    (0..c.n_states())
+        .map(|s| {
+            let row = c.row_rates(s);
+            row.map(|r| (targets.next().unwrap() as usize, r)).collect()
+        })
+        .collect()
+}
+
 impl Ctmc {
     /// Quotient chain of an ordinarily lumpable partition, plus the
     /// [`Lift`] mapping its stationary vector back to the full states.
@@ -290,9 +304,10 @@ impl Ctmc {
         // Scratch accumulator over target blocks.
         let mut acc = vec![0.0f64; k];
         let mut hit: Vec<u32> = Vec::new();
+        let rows = forward_rows(self);
         for (b, block) in blocks.iter().enumerate() {
             let first = block[0];
-            for (j, r) in self.row(first as usize) {
+            for &(j, r) in &rows[first as usize] {
                 let c = p.block_of(j);
                 if c == b {
                     continue;

@@ -127,12 +127,13 @@ fn random_irreducible(n: usize, extra: usize, seed: u64) -> Ctmc {
 /// automorphism, so its orbits lump the chain `k`-fold.
 fn replicated_chain(copy_states: usize, copies: usize, seed: u64) -> (Ctmc, Vec<u32>) {
     let base = random_irreducible(copy_states, 2, seed);
+    let base_rows = forward_rows(&base);
     let n = copy_states * copies;
     let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
     for c in 0..copies {
         let off = c * copy_states;
         for s in 0..copy_states {
-            for (j, r) in base.row(s) {
+            for &(j, r) in &base_rows[s] {
                 rows[off + s].push((off + j, r));
             }
         }
@@ -327,12 +328,15 @@ fn strict_net(teams: &[usize], comp: f64, comm: f64) -> (Tpn, EventNet, Option<N
     (tpn, net, sym)
 }
 
-/// Assert two chains are bitwise identical (structure and rates).
+/// Assert two chains are bitwise identical: every column's incoming
+/// (source, rate) pairs, every row's rates and the exit rates.
 fn assert_chains_identical(a: &Ctmc, b: &Ctmc, context: &str) {
     assert_eq!(a.n_states(), b.n_states(), "{context}: state counts");
     assert_eq!(a.nnz(), b.nnz(), "{context}: edge counts");
+    let incoming = |c: &Ctmc, j| -> Vec<(usize, u64)> {
+        c.incoming(j).map(|(i, r)| (i, r.to_bits())).collect()
+    };
     for s in 0..a.n_states() {
-        assert_eq!(a.row_targets(s), b.row_targets(s), "{context}: row {s}");
         let (ra, rb) = (a.row_rates(s), b.row_rates(s));
         for (e, (x, y)) in ra.zip(rb).enumerate() {
             assert_eq!(
@@ -341,6 +345,9 @@ fn assert_chains_identical(a: &Ctmc, b: &Ctmc, context: &str) {
                 "{context}: rate of edge {e} in row {s}: {x} vs {y}"
             );
         }
+        assert_eq!(incoming(a, s), incoming(b, s), "{context}: incoming {s}");
+        let exit = (a.exit_rate(s).to_bits(), b.exit_rate(s).to_bits());
+        assert_eq!(exit.0, exit.1, "{context}: exit {s}");
     }
 }
 

@@ -896,13 +896,10 @@ impl MarkingGraph {
         let image0 = image0?;
         let s0_img = (0..n).find(|&s| self.states.matches(s, &image0))? as u32;
 
-        let ptr = self.chain.row_ptr();
+        let (ptr, targets) = (self.chain.row_ptr(), self.chain.forward_targets());
         let row = |s: usize| {
             let edges = ptr[s] as usize..ptr[s + 1] as usize;
-            (
-                &self.chain.labels()[edges.clone()],
-                &self.chain.targets()[edges],
-            )
+            (&self.chain.labels()[edges.clone()], &targets[edges])
         };
         let mut sigma = vec![u32::MAX; n];
         let mut taken = vec![false; n];
@@ -1164,11 +1161,16 @@ mod tests {
     fn assert_same_chain(a: &Ctmc, b: &Ctmc, what: &str) {
         assert_eq!(a.n_states(), b.n_states(), "{what}: states");
         assert_eq!(a.nnz(), b.nnz(), "{what}: nnz");
+        let incoming = |c: &Ctmc, j| -> Vec<(usize, u64)> {
+            c.incoming(j).map(|(i, r)| (i, r.to_bits())).collect()
+        };
         for s in 0..a.n_states() {
-            assert_eq!(a.row_targets(s), b.row_targets(s), "{what}: row {s}");
             for (x, y) in a.row_rates(s).zip(b.row_rates(s)) {
                 assert_eq!(x.to_bits(), y.to_bits(), "{what}: rates of row {s}");
             }
+            assert_eq!(incoming(a, s), incoming(b, s), "{what}: incoming {s}");
+            let exit = (a.exit_rate(s).to_bits(), b.exit_rate(s).to_bits());
+            assert_eq!(exit.0, exit.1, "{what}: exit {s}");
         }
     }
 

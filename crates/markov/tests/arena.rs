@@ -33,11 +33,16 @@ fn assert_rows_bitwise(
     what: &str,
 ) {
     assert_eq!(a.n_states(), b.n_states(), "{what}: state count");
+    let incoming = |c: &repstream_markov::ctmc::Ctmc, j| -> Vec<(usize, u64)> {
+        c.incoming(j).map(|(i, r)| (i, r.to_bits())).collect()
+    };
     for s in 0..a.n_states() {
-        assert_eq!(a.row_targets(s), b.row_targets(s), "{what}: targets of {s}");
+        assert_eq!(incoming(a, s), incoming(b, s), "{what}: incoming of {s}");
         for (x, y) in a.row_rates(s).zip(b.row_rates(s)) {
             assert_eq!(x.to_bits(), y.to_bits(), "{what}: rate bits of {s}");
         }
+        let exit = (a.exit_rate(s).to_bits(), b.exit_rate(s).to_bits());
+        assert_eq!(exit.0, exit.1, "{what}: exit of {s}");
     }
 }
 

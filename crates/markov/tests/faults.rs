@@ -15,7 +15,7 @@
 #![cfg(feature = "fault-inject")]
 
 use repstream_markov::cache::ChainCache;
-use repstream_markov::ctmc::{Solver, SolverChoice};
+use repstream_markov::ctmc::{Ctmc, Solver, SolverChoice};
 use repstream_markov::fault::{self, FaultPlan};
 use repstream_markov::govern::{Budget, InterruptReason, Phase};
 use repstream_markov::marking::{
@@ -257,6 +257,14 @@ fn no_fault_run_is_bitwise_identical() {
         for (x, y) in armed_ctmc.row_rates(s).zip(reference_ctmc.row_rates(s)) {
             assert_eq!(x.to_bits(), y.to_bits(), "rate bits of {s}");
         }
+        let incoming = |c: &Ctmc| -> Vec<(usize, u64)> {
+            c.incoming(s).map(|(i, r)| (i, r.to_bits())).collect()
+        };
+        assert_eq!(
+            incoming(&armed_ctmc),
+            incoming(&reference_ctmc),
+            "incoming of {s}"
+        );
     }
     let pi_armed = armed_ctmc.stationary();
     for (i, (x, y)) in pi_armed.iter().zip(pi_ref.iter()).enumerate() {

@@ -5,6 +5,7 @@
 //! BFS order, same representative bytes, same orbit sizes, same enabled
 //! sets, and the same chain bits through a rate refill.
 
+use repstream_markov::ctmc::Ctmc;
 use repstream_markov::marking::{Graph, MarkingGraph, MarkingOptions, QuotientGraph};
 use repstream_markov::net::EventNet;
 use repstream_petri::shape::{ExecModel, MappingShape, ResourceTable};
@@ -54,15 +55,20 @@ fn assert_graphs_bitwise<K>(a: &Graph<K>, b: &Graph<K>, net: &EventNet, what: &s
         b.ctmc_with_trans_rates(&net.rates),
     );
     assert_eq!(a_ctmc.n_states(), b_ctmc.n_states(), "{what}: ctmc states");
+    let incoming = |c: &Ctmc, j| -> Vec<(usize, u64)> {
+        c.incoming(j).map(|(i, r)| (i, r.to_bits())).collect()
+    };
     for s in 0..b_ctmc.n_states() {
         assert_eq!(
-            a_ctmc.row_targets(s),
-            b_ctmc.row_targets(s),
-            "{what}: targets of {s}"
+            incoming(&a_ctmc, s),
+            incoming(&b_ctmc, s),
+            "{what}: incoming of {s}"
         );
         for (x, y) in a_ctmc.row_rates(s).zip(b_ctmc.row_rates(s)) {
             assert_eq!(x.to_bits(), y.to_bits(), "{what}: rate bits of {s}");
         }
+        let exit = (a_ctmc.exit_rate(s).to_bits(), b_ctmc.exit_rate(s).to_bits());
+        assert_eq!(exit.0, exit.1, "{what}: exit of {s}");
     }
 }
 

@@ -15,10 +15,12 @@
 //! no stiff 6×7 leg: power alone takes minutes there.
 //!
 //! It also pins the chain's layout: the 6×7 chain's `heap_bytes()` must
-//! equal `16 · nnz + 16 · n + 8` plus its label table (8 bytes per label
-//! rate, 4 per label that occurs) — a forward and an incoming CSR of
-//! targets or sources and `u32` labels, shared with the graph, and exit
-//! rates; no rate per edge.  The figure is printed beside the process's
+//! equal `(8 + w) · nnz + 16 · n + 8` plus its label table (8 bytes per
+//! label rate, 4 per label that occurs) — forward `u32` labels, and an
+//! incoming CSR of `u32` sources and labels stored `w` bytes wide (the
+//! narrowest width that holds the largest label: 1 on every marking
+//! chain measured), shared with the graph, and exit rates; no forward
+//! target and no rate per edge.  The figure is printed beside the process's
 //! resident set after the build, the refill and the solve (`VmRSS`) and
 //! its peak (`VmHWM`), Linux only; those are reported, not asserted.
 //!
@@ -121,18 +123,20 @@ fn leg(teams: &[usize], compute: f64, link: f64, pin_layout: bool, against_power
     let after_refill = status("VmRSS");
     if pin_layout {
         let table = 8 * ctmc.label_rates().len() + 4 * ctmc.structure().labels_used().len();
-        let layout = 16 * ctmc.nnz() + 16 * ctmc.n_states() + 8 + table;
+        let w = ctmc.structure().in_label_bytes();
+        let layout = (8 + w) * ctmc.nnz() + 16 * ctmc.n_states() + 8 + table;
         assert_eq!(
             ctmc.heap_bytes(),
             layout,
-            "chain layout: 16 B/nnz + 16 B/state + 8 + label table"
+            "chain layout: (8 + w) B/nnz + 16 B/state + 8 + label table, w = {w}"
         );
         println!(
-            "chain: {} nnz, {} labels, heap {:.1} MiB (16 B/nnz + 16 B/state + 8 + {table} B \
-             of label table), refilled in {t_refill:?}",
+            "chain: {} nnz, {} labels, w = {w}, heap {:.1} MiB ({} B/nnz + 16 B/state + 8 + \
+             {table} B of label table), refilled in {t_refill:?}",
             ctmc.nnz(),
             ctmc.label_rates().len(),
             ctmc.heap_bytes() as f64 / (1 << 20) as f64,
+            8 + w,
         );
     }
 
