@@ -44,9 +44,9 @@
 //! * `max_rate` — the largest rate of a label that occurs (the residual
 //!   contract's scale).
 //!
-//! That is the whole chain: `8 + w` bytes per edge (9 on a marking
-//! chain), 16 per state and the label table ([`Ctmc::heap_bytes`]).  The
-//! hot loops read `label_rate[in_label[e]]`
+//! That is the whole chain: `8 + w` bytes per edge (9 on the marking
+//! chains measured), 16 per state and the label table
+//! ([`Ctmc::heap_bytes`]).  The hot loops read `label_rate[in_label[e]]`
 //! — an L1-resident table — where a rated CSR would read an `f64` per
 //! edge; labels are validated against the table once, at construction.
 //!
