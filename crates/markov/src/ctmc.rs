@@ -19,9 +19,9 @@
 //! (no self-loops; the diagonal of the generator is implied) and no
 //! solver reads them, so tests and tools that want them derive them
 //! ([`ChainStructure::forward_targets`]).  `in_label` is stored at the
-//! narrowest width `w` that holds the largest label — one byte up to 256
-//! labels (every marking chain measured: 126 transitions at hom(6×7), 168
-//! labels at hom(7×8)), two up to 65 536, four beyond, which only a
+//! narrowest of two widths `w` that holds the largest label — one byte
+//! up to 256 labels (every marking chain measured: 126 transitions at
+//! hom(6×7), 168 labels at hom(7×8)), four beyond, which only a
 //! [`Ctmc::from_csr`] chain with that many distinct rates needs.  Each
 //! reader matches on the width once per call and runs one loop compiled
 //! per width, so no loop branches on it.  The forward labels stay `u32`:
@@ -118,8 +118,8 @@ use crate::fxhash::FxHashMap;
 use crate::govern::{Budget, Interrupt, Phase, Progress};
 use std::sync::Arc;
 
-/// An incoming label as stored: `u8`, `u16` or `u32`, the narrowest
-/// that holds the structure's largest label.
+/// An incoming label as stored: `u8` where the structure's largest
+/// label fits a byte, `u32` otherwise.
 trait Label: Copy {
     /// `l` at this width; the caller chose a width that holds it.
     fn narrow(l: u32) -> Self;
@@ -141,13 +141,12 @@ macro_rules! impl_label {
         }
     )*};
 }
-impl_label!(u8, u16, u32);
+impl_label!(u8, u32);
 
 /// The incoming labels at their stored width.
 #[derive(Debug, PartialEq)]
 enum InLabels {
     U8(Vec<u8>),
-    U16(Vec<u16>),
     U32(Vec<u32>),
 }
 
@@ -158,10 +157,28 @@ macro_rules! by_width {
     ($labels:expr, |$l:ident| $body:expr) => {
         match $labels {
             InLabels::U8($l) => $body,
-            InLabels::U16($l) => $body,
             InLabels::U32($l) => $body,
         }
     };
+}
+
+/// One of two iterators over the same items: the one read through the
+/// narrow incoming labels, or the one read through the wide ones.
+enum Either<N, W> {
+    Narrow(N),
+    Wide(W),
+}
+
+impl<N: Iterator, W: Iterator<Item = N::Item>> Iterator for Either<N, W> {
+    type Item = N::Item;
+
+    #[inline]
+    fn next(&mut self) -> Option<N::Item> {
+        match self {
+            Either::Narrow(it) => it.next(),
+            Either::Wide(it) => it.next(),
+        }
+    }
 }
 
 /// The edges of a chain, rate-free: a forward CSR of labels and an
@@ -228,9 +245,6 @@ impl ChainStructure {
         let (in_src, in_label) = if top <= u32::from(u8::MAX) {
             let (src, label) = transpose(&row_ptr, &col, &label, &in_ptr);
             (src, InLabels::U8(label))
-        } else if top <= u32::from(u16::MAX) {
-            let (src, label) = transpose(&row_ptr, &col, &label, &in_ptr);
-            (src, InLabels::U16(label))
         } else {
             let (src, label) = transpose(&row_ptr, &col, &label, &in_ptr);
             (src, InLabels::U32(label))
@@ -260,12 +274,11 @@ impl ChainStructure {
         &self.used
     }
 
-    /// Bytes per stored incoming label: 1, 2 or 4, the narrowest width
-    /// that holds the largest label.
+    /// Bytes per stored incoming label: 1 where the largest label fits a
+    /// byte, 4 otherwise.
     pub fn in_label_bytes(&self) -> usize {
         match self.in_label {
             InLabels::U8(_) => 1,
-            InLabels::U16(_) => 2,
             InLabels::U32(_) => 4,
         }
     }
@@ -719,11 +732,13 @@ impl Ctmc {
 
     /// Incoming transitions of state `j` as `(source, rate)` pairs,
     /// sources ascending — the gather of Gauss–Seidel and the residual,
-    /// in the order they sum it.  Collected per call, so the label width
-    /// is matched once per column, not per edge.
+    /// in the order they sum it.  Allocation-free; each step branches on
+    /// the stored label width, which the solvers' own loops do not.
     pub fn incoming(&self, j: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        let edges: Vec<_> = by_width!(&self.chain.in_label, |l| self.incoming_in(l, j).collect());
-        edges.into_iter()
+        match &self.chain.in_label {
+            InLabels::U8(l) => Either::Narrow(self.incoming_in(l, j)),
+            InLabels::U32(l) => Either::Wide(self.incoming_in(l, j)),
+        }
     }
 
     /// [`Ctmc::incoming`] over the incoming labels at their stored width.
@@ -2018,14 +2033,14 @@ mod tests {
 
     /// The chain's layout: `8 + w` bytes per edge (a source and a
     /// forward label of 4 bytes each, and the incoming label at its
-    /// width `w`: 1, 2, 2 and 4 bytes on the chains below), 16 per state
+    /// width `w`: 1, 4, 4 and 4 bytes on the chains below), 16 per state
     /// (the exit rate and two row pointers), 8 for the two closing row
     /// pointers, and the label table — 8 bytes per rate, 4 per label that
     /// occurs.  No array is per edge *and* per rate table: a refill
     /// shares the structure.
     #[test]
     fn heap_bytes_is_the_layout_formula() {
-        let widths = [1, 2, 2, 4];
+        let widths = [1, 4, 4, 4];
         let chains: Vec<_> = pinned_chains()
             .into_iter()
             .chain(wide_label_chains())
@@ -2041,12 +2056,11 @@ mod tests {
         }
     }
 
-    /// The incoming labels take the narrowest width that holds the
-    /// largest label: 255 fits a byte, 256 needs two, 65 535 still fits
-    /// two and 65 536 needs four.
+    /// The incoming labels take the narrower of the two widths that holds
+    /// the largest label: 255 fits a byte, 256 and beyond take four.
     #[test]
     fn label_width_follows_the_largest_label() {
-        for (top, w) in [(0u32, 1), (255, 1), (256, 2), (65_535, 2), (65_536, 4)] {
+        for (top, w) in [(0u32, 1), (255, 1), (256, 4), (65_535, 4), (65_536, 4)] {
             let chain = ChainStructure::new(vec![0, 1, 2], vec![1, 0], vec![top, 0]);
             assert_eq!(chain.in_label_bytes(), w, "largest label {top}");
             assert_eq!(chain.labels_used().last(), Some(&top));

@@ -56,7 +56,8 @@
 //! checks the criterion above from its definition.  The module is
 //! compiled into test builds only: nothing the library ships reads it.
 
-use crate::ctmc::{CsrBuilder, Ctmc};
+use crate::ctmc::{ChainStructure, Ctmc};
+use std::sync::Arc;
 
 /// A partition of `0..n` states into contiguous-numbered blocks.
 ///
@@ -300,7 +301,10 @@ impl Ctmc {
         let k = p.n_blocks();
         let blocks = p.blocks();
 
-        let mut builder = CsrBuilder::with_capacity(k, self.nnz().min(k * 8));
+        // One label per edge, so the labels within a row are distinct and
+        // the derived forward targets keep the first-hit order (a chain
+        // labelled by rate could not order a row's equal-rate edges).
+        let (mut row_ptr, mut col, mut rate) = (vec![0u32], Vec::new(), Vec::new());
         // Scratch accumulator over target blocks.
         let mut acc = vec![0.0f64; k];
         let mut hit: Vec<u32> = Vec::new();
@@ -318,19 +322,23 @@ impl Ctmc {
                 acc[c] += r;
             }
             for &c in &hit {
-                builder.push(c as usize, acc[c as usize]);
+                col.push(c);
+                rate.push(acc[c as usize]);
                 acc[c as usize] = 0.0;
             }
             hit.clear();
-            builder.end_row();
+            row_ptr.push(col.len() as u32);
         }
+        let label = (0..col.len() as u32).collect();
+        let chain =
+            Ctmc::with_label_rates(Arc::new(ChainStructure::new(row_ptr, col, label)), rate);
 
         let lift = Lift {
             block_of: p.block_of.clone(),
             block_size: blocks.iter().map(|b| b.len() as u32).collect(),
             full_states: n,
         };
-        (builder.finish(), lift)
+        (chain, lift)
     }
 }
 

@@ -333,6 +333,8 @@ fn strict_net(teams: &[usize], comp: f64, comm: f64) -> (Tpn, EventNet, Option<N
 fn assert_chains_identical(a: &Ctmc, b: &Ctmc, context: &str) {
     assert_eq!(a.n_states(), b.n_states(), "{context}: state counts");
     assert_eq!(a.nnz(), b.nnz(), "{context}: edge counts");
+    let targets = |c: &Ctmc| c.structure().forward_targets();
+    assert_eq!(targets(a), targets(b), "{context}: forward targets");
     let incoming = |c: &Ctmc, j| -> Vec<(usize, u64)> {
         c.incoming(j).map(|(i, r)| (i, r.to_bits())).collect()
     };

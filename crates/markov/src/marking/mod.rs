@@ -1161,6 +1161,8 @@ mod tests {
     fn assert_same_chain(a: &Ctmc, b: &Ctmc, what: &str) {
         assert_eq!(a.n_states(), b.n_states(), "{what}: states");
         assert_eq!(a.nnz(), b.nnz(), "{what}: nnz");
+        let targets = |c: &Ctmc| c.structure().forward_targets();
+        assert_eq!(targets(a), targets(b), "{what}: forward targets");
         let incoming = |c: &Ctmc, j| -> Vec<(usize, u64)> {
             c.incoming(j).map(|(i, r)| (i, r.to_bits())).collect()
         };

@@ -33,6 +33,11 @@ fn assert_rows_bitwise(
     what: &str,
 ) {
     assert_eq!(a.n_states(), b.n_states(), "{what}: state count");
+    assert_eq!(
+        a.structure().forward_targets(),
+        b.structure().forward_targets(),
+        "{what}: forward targets"
+    );
     let incoming = |c: &repstream_markov::ctmc::Ctmc, j| -> Vec<(usize, u64)> {
         c.incoming(j).map(|(i, r)| (i, r.to_bits())).collect()
     };

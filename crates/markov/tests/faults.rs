@@ -247,6 +247,11 @@ fn no_fault_run_is_bitwise_identical() {
     let armed_run = QuotientGraph::build(&net, &sym, spill_opts()).unwrap();
     assert_eq!(armed_run.n_states(), reference.n_states());
     let armed_ctmc = armed_run.ctmc_with_trans_rates(&net.rates);
+    assert_eq!(
+        armed_ctmc.structure().forward_targets(),
+        reference_ctmc.structure().forward_targets(),
+        "forward targets"
+    );
     let (mut a, mut b) = (Vec::new(), Vec::new());
     for s in 0..reference.n_states() {
         assert_eq!(

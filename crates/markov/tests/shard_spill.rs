@@ -55,6 +55,11 @@ fn assert_graphs_bitwise<K>(a: &Graph<K>, b: &Graph<K>, net: &EventNet, what: &s
         b.ctmc_with_trans_rates(&net.rates),
     );
     assert_eq!(a_ctmc.n_states(), b_ctmc.n_states(), "{what}: ctmc states");
+    assert_eq!(
+        a_ctmc.structure().forward_targets(),
+        b_ctmc.structure().forward_targets(),
+        "{what}: forward targets"
+    );
     let incoming = |c: &Ctmc, j| -> Vec<(usize, u64)> {
         c.incoming(j).map(|(i, r)| (i, r.to_bits())).collect()
     };

@@ -17,9 +17,9 @@
 //! It also pins the chain's layout: the 6×7 chain's `heap_bytes()` must
 //! equal `(8 + w) · nnz + 16 · n + 8` plus its label table (8 bytes per
 //! label rate, 4 per label that occurs) — forward `u32` labels, and an
-//! incoming CSR of `u32` sources and labels stored `w` bytes wide (the
-//! narrowest width that holds the largest label: 1 on every marking
-//! chain measured), shared with the graph, and exit rates; no forward
+//! incoming CSR of `u32` sources and labels stored `w` bytes wide (1
+//! where the largest label fits a byte, as on every marking chain
+//! measured, 4 otherwise), shared with the graph, and exit rates; no forward
 //! target and no rate per edge.  The figure is printed beside the process's
 //! resident set after the build, the refill and the solve (`VmRSS`) and
 //! its peak (`VmHWM`), Linux only; those are reported, not asserted.

@@ -59,6 +59,7 @@ fn main() {
     let (reference, rates) =
         quotient_for(&[5, 6], opts(1, 1, false, 1 << 22)).expect("reference build");
     let reference_ctmc = reference.ctmc_with_trans_rates(&rates);
+    let reference_targets = reference_ctmc.structure().forward_targets();
     println!(
         "5x6 reference: {} states ({} full), {:?}, {} arena+interner bytes resident",
         reference.n_states(),
@@ -80,6 +81,11 @@ fn main() {
             );
             assert_eq!(qg.n_states(), reference.n_states(), "{what}: states");
             assert_eq!(qg.orbit_sizes(), reference.orbit_sizes(), "{what}: orbits");
+            assert_eq!(
+                ctmc.structure().forward_targets(),
+                reference_targets,
+                "{what}: forward targets"
+            );
             for s in 0..reference.n_states() {
                 assert_eq!(
                     qg.states.read_into(s, &mut buf_a),
