@@ -675,7 +675,7 @@ pub fn ablation(smoke: bool, seed: u64) -> Table {
     let rho = |pi: &[f64]| -> f64 { mg.firing_rates_with(&net.rates, pi).iter().sum() };
     let (pi_gth, t_gth) = timed(|| ctmc.stationary_gth());
     let (pi_pow, t_pow) = timed(|| ctmc.stationary_power(1e-13, 500_000));
-    let pattern = format!("pattern {u}x{v} ({} states)", mg.states.len());
+    let pattern = format!("pattern {u}x{v} ({} states)", mg.n_states());
     push(&pattern, "GTH", rho(&pi_gth), t_gth);
     push(&pattern, "power iteration", rho(&pi_pow), t_pow);
 

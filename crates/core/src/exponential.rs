@@ -340,8 +340,8 @@ pub struct StrictReport {
     /// vector, measured by the solver layer after the solve (for every
     /// method, including the direct ones).
     pub residual: f64,
-    /// Storage accounting of the build: marking-arena, interner
-    /// slot-table, and spill-file bytes — the report's memory line.
+    /// Storage accounting of the build: interning keys, the row queue's
+    /// peak and the interner's slot tables — the report's memory line.
     pub arena: ArenaStats,
 }
 

@@ -65,7 +65,7 @@ pub enum ReportStatus {
     /// A chain exceeded its state budget (`max_states`) — a sizing
     /// problem, not a resource overrun (CLI exit 3).
     OverBudget,
-    /// An internal failure (spill I/O, unexpected unsafety, …) — CLI
+    /// An internal failure (an unexpected unsafety, deadlock, …) — CLI
     /// exit 5.
     Internal,
 }
@@ -299,10 +299,9 @@ pub fn system_report_with(
                 .unwrap();
                 writeln!(
                     s,
-                    "  memory: arena {} + interner {} resident, {} spilled",
+                    "  memory: arena {} + interner {} resident",
                     mib(rep.arena.keys_bytes + rep.arena.reps_bytes),
-                    mib(rep.arena.interner_bytes),
-                    mib(rep.arena.spill_bytes)
+                    mib(rep.arena.interner_bytes)
                 )
                 .unwrap();
             }

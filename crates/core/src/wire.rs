@@ -460,8 +460,6 @@ pub struct WireOptions {
     pub solver: SolverChoice,
     /// [`RunConfig::max_states`] (the server may clamp it further).
     pub max_states: usize,
-    /// [`RunConfig::interner_spill`].
-    pub interner_spill: bool,
     /// [`ReportOptions::degrade`].
     pub degrade: DegradeMode,
     /// Relative request deadline in milliseconds (`None` = no client
@@ -485,7 +483,6 @@ impl WireOptions {
             threads: opts.run.threads,
             solver: opts.run.solver,
             max_states: opts.run.max_states,
-            interner_spill: opts.run.interner_spill,
             degrade: opts.degrade,
             deadline_ms,
         }
@@ -513,7 +510,6 @@ impl WireOptions {
                 max_states: self.max_states.min(max_states_cap),
                 threads: self.threads,
                 solver: self.solver,
-                interner_spill: self.interner_spill,
                 budget: match self.effective_deadline(cap) {
                     Some(d) => Budget::deadline_in(d),
                     None => Budget::UNLIMITED,
@@ -530,7 +526,9 @@ fn put_options(out: &mut Vec<u8>, o: &WireOptions) {
     put_usize(out, o.threads);
     put_solver_choice(out, o.solver);
     put_usize(out, o.max_states);
-    put_bool(out, o.interner_spill);
+    // Retired byte (a row-spill switch): always written 0, read and
+    // ignored, so version-4 frames keep their layout.
+    put_bool(out, false);
     put_bool(out, matches!(o.degrade, DegradeMode::Bounds));
     put_opt_varint(out, o.deadline_ms);
 }
@@ -541,8 +539,11 @@ fn get_options(c: &mut Cursor<'_>) -> Result<WireOptions, WireError> {
         list_candidates: c.bool()?,
         threads: c.usize()?,
         solver: get_solver_choice(c)?,
-        max_states: c.usize()?,
-        interner_spill: c.bool()?,
+        max_states: {
+            let max_states = c.usize()?;
+            c.bool()?; // the retired byte: still a bool, ignored
+            max_states
+        },
         degrade: if c.bool()? {
             DegradeMode::Bounds
         } else {

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use repstream_core::model::{Application, Mapping, Platform, System};
-use repstream_core::report::{DegradeMode, ReportStatus};
+use repstream_core::report::{system_report_status, DegradeMode, ReportStatus};
 use repstream_core::wire::{
     read_frame, write_frame, AnalyzeRequest, AnalyzeResponse, ErrorResponse, Request, Response,
     ScalePoint, ScaleRequest, ScaleResponse, SearchRequest, SearchResponse, StatsResponse,
@@ -87,7 +87,6 @@ fn arb_options(seed: u64) -> WireOptions {
         threads: (seed % 9) as usize,
         solver: solvers[(seed % 4) as usize],
         max_states: 1 + (seed % 4_000_000) as usize,
-        interner_spill: seed & 4 == 0,
         degrade: if seed & 8 == 0 {
             DegradeMode::Bounds
         } else {
@@ -410,8 +409,9 @@ fn unassigned_solver_byte_is_invalid() {
 }
 
 /// Wire version 4 options and search requests carry no lumping byte: the
-/// options are exactly their eight fields, and a search request ends
-/// `candidates, seed, exp_rerank, deadline` with nothing in between.
+/// options are exactly their seven fields and the retired byte after
+/// `max_states` (written 0), and a search request ends `candidates, seed,
+/// exp_rerank, deadline` with nothing in between.
 #[test]
 fn options_and_search_carry_no_lumping_byte() {
     let system = arb_system(2, 1, 5);
@@ -421,7 +421,6 @@ fn options_and_search_carry_no_lumping_byte() {
         threads: 3,
         solver: SolverChoice::Auto,
         max_states: 100,
-        interner_spill: true,
         degrade: DegradeMode::Bounds,
         deadline_ms: None,
     };
@@ -437,7 +436,7 @@ fn options_and_search_carry_no_lumping_byte() {
         processor_counts: vec![],
     })
     .encode();
-    assert_eq!(&analyze[scale.len() - 1..], &[5, 1, 3, 0, 100, 1, 1, 0]);
+    assert_eq!(&analyze[scale.len() - 1..], &[5, 1, 3, 0, 100, 0, 1, 0]);
     match Request::decode(&analyze).unwrap() {
         Request::Analyze(a) => assert_eq!(a.options, options),
         other => panic!("wrong tag: {other:?}"),
@@ -457,6 +456,49 @@ fn options_and_search_carry_no_lumping_byte() {
         Request::decode(&search),
         Ok(Request::Search(s)) if s.random_candidates == 5 && s.seed == 7 && s.exp_rerank
     ));
+}
+
+/// The options' retired byte (after `max_states`, once a row-spill
+/// switch) is still a bool: a version-4 request carrying it as 1 decodes
+/// to the same options as one carrying 0 and is answered byte for byte
+/// alike; any other value is invalid, as for every bool.
+#[test]
+fn retired_option_byte_is_read_and_ignored() {
+    let system = arb_system(2, 1, 5);
+    let options = WireOptions {
+        max_rows_strict: 5,
+        list_candidates: false,
+        threads: 1,
+        solver: SolverChoice::Auto,
+        max_states: 100_000,
+        degrade: DegradeMode::Bounds,
+        deadline_ms: None,
+    };
+    let zero = Request::Analyze(AnalyzeRequest {
+        system: system.clone(),
+        options,
+    })
+    .encode();
+    // The byte sits three from the end: retired, degrade, deadline.
+    let at = zero.len() - 3;
+    assert_eq!(&zero[at..], &[0, 1, 0]);
+    let with = |byte| {
+        let mut body = zero.clone();
+        body[at] = byte;
+        Request::decode(&body)
+    };
+    let answer = |req: Result<Request, WireError>| match req {
+        Ok(Request::Analyze(a)) => {
+            assert_eq!(a.options, options);
+            let opts = a.options.report_options(None, usize::MAX);
+            let (text, status) = system_report_status(&a.system, opts);
+            assert_eq!(status, ReportStatus::Ok);
+            Response::Analyze(AnalyzeResponse { text, status }).encode()
+        }
+        other => panic!("expected an analyze request, got {other:?}"),
+    };
+    assert_eq!(answer(with(1)), answer(with(0)));
+    assert!(matches!(with(2), Err(WireError::Invalid(_))));
 }
 
 #[test]

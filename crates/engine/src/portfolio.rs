@@ -1022,7 +1022,6 @@ mod tests {
             max_states: 12_345,
             threads: 3,
             solver: SolverChoice::Force(Solver::Power),
-            interner_spill: true,
             budget: Budget::deadline_in(Duration::from_secs(3600))
                 .cancelled_by(&CANCEL)
                 .arena_cap(1 << 30),
@@ -1036,7 +1035,6 @@ mod tests {
             assert_eq!(got.max_states, sent.max_states);
             assert_eq!(got.threads, sent.threads);
             assert_eq!(got.solver, sent.solver);
-            assert_eq!(got.interner_spill, sent.interner_spill);
             assert_eq!(got.budget.deadline, sent.budget.deadline);
             assert_eq!(got.budget.max_arena_bytes, sent.budget.max_arena_bytes);
             assert!(std::ptr::eq(

@@ -118,8 +118,8 @@ pub struct StrictSolve {
     /// power, `n` for GTH).
     pub iterations: usize,
     /// Storage accounting of the structure that served this solve.  On a
-    /// warm hit these are the bytes of the **cached** build (the arenas
-    /// resident in the cache), not of any per-request allocation.
+    /// warm hit these are the peaks of the **cached** structure's build,
+    /// not of any per-request allocation.
     pub arena: ArenaStats,
 }
 

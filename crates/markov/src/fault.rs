@@ -2,32 +2,28 @@
 //! `fault-inject` feature).
 //!
 //! A [`FaultPlan`] says which fault to inject and at which occurrence:
-//! spill-file read/write failures at the Nth I/O operation, forced
-//! solver stagnation at the Nth solver checkpoint, and budget
+//! forced solver stagnation at the Nth solver checkpoint, and budget
 //! exhaustion when a BFS build reaches level N.  Plans install into a
 //! process-global slot ([`install`]/[`clear`]) or from the
 //! `REPSTREAM_FAULT` environment variable
-//! (`REPSTREAM_FAULT=spill-write:3,solver-stall:0`, see [`parse`]).
+//! (`REPSTREAM_FAULT=budget-level:3,solver-stall:0`, see [`parse`]).
 //!
 //! Faults are **deterministic**: occurrence counters tick in the code's
 //! own operation order, so a given plan fails the same operation on
 //! every run.  With no plan installed every hook is inert and the
 //! feature-compiled binary behaves bitwise identically to one built
-//! without the feature — the `markov/tests/faults.rs` matrix pins that.
+//! without the feature — this module's tests and the
+//! `markov/tests/faults.rs` matrix pin that.
 
-use std::io;
 use std::sync::{Mutex, MutexGuard};
 
 use crate::govern::{Phase, Progress};
 
 /// Which faults to inject and at which occurrence.  Counters are
-/// 0-based: `spill_write: Some(3)` fails the **4th** spill write.
+/// 0-based: `solver_stall: Some(3)` stalls the **4th** solver
+/// checkpoint.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Fail the Nth spill-file write.
-    pub spill_write: Option<u64>,
-    /// Fail the Nth spill-file read.
-    pub spill_read: Option<u64>,
     /// Report stagnation at the Nth solver checkpoint.
     pub solver_stall: Option<u64>,
     /// Fail budget checks once a BFS build reaches level N.
@@ -37,8 +33,6 @@ pub struct FaultPlan {
 /// Installed plan plus its occurrence counters.
 struct FaultState {
     plan: FaultPlan,
-    writes: u64,
-    reads: u64,
     solver_checks: u64,
 }
 
@@ -54,8 +48,6 @@ fn state() -> MutexGuard<'static, Option<FaultState>> {
 pub fn install(plan: FaultPlan) {
     *state() = Some(FaultState {
         plan,
-        writes: 0,
-        reads: 0,
         solver_checks: 0,
     });
 }
@@ -66,7 +58,7 @@ pub fn clear() {
 }
 
 /// Parse a `REPSTREAM_FAULT` spec: comma-separated `kind:N` pairs with
-/// kind ∈ {`spill-write`, `spill-read`, `solver-stall`, `budget-level`}.
+/// kind ∈ {`solver-stall`, `budget-level`}.
 pub fn parse(spec: &str) -> Result<FaultPlan, String> {
     let mut plan = FaultPlan::default();
     for part in spec.split(',') {
@@ -82,14 +74,11 @@ pub fn parse(spec: &str) -> Result<FaultPlan, String> {
             .parse()
             .map_err(|_| format!("fault spec `{part}`: `{n}` is not a number"))?;
         let slot = match kind.trim() {
-            "spill-write" => &mut plan.spill_write,
-            "spill-read" => &mut plan.spill_read,
             "solver-stall" => &mut plan.solver_stall,
             "budget-level" => &mut plan.budget_level,
             other => {
                 return Err(format!(
-                    "unknown fault kind `{other}` (expected spill-write, \
-                     spill-read, solver-stall or budget-level)"
+                    "unknown fault kind `{other}` (expected solver-stall or budget-level)"
                 ))
             }
         };
@@ -110,28 +99,6 @@ pub fn install_from_env() -> Result<bool, String> {
         }
         _ => Ok(false),
     }
-}
-
-/// Hook for the spill write path: `Some(error)` when this write is the
-/// planned casualty.
-pub(crate) fn spill_write_fault() -> Option<io::Error> {
-    let mut g = state();
-    let st = g.as_mut()?;
-    let n = st.plan.spill_write?;
-    let k = st.writes;
-    st.writes += 1;
-    (k == n).then(|| io::Error::other("injected spill-write fault"))
-}
-
-/// Hook for the spill read path: `Some(error)` when this read is the
-/// planned casualty.
-pub(crate) fn spill_read_fault() -> Option<io::Error> {
-    let mut g = state();
-    let st = g.as_mut()?;
-    let n = st.plan.spill_read?;
-    let k = st.reads;
-    st.reads += 1;
-    (k == n).then(|| io::Error::other("injected spill-read fault"))
 }
 
 /// Hook for solver checkpoints: `true` when this checkpoint is the
@@ -164,12 +131,10 @@ mod tests {
 
     #[test]
     fn parse_full_spec() {
-        let plan = parse("spill-write:3, solver-stall:0,budget-level:2").unwrap();
+        let plan = parse("solver-stall:0, budget-level:2").unwrap();
         assert_eq!(
             plan,
             FaultPlan {
-                spill_write: Some(3),
-                spill_read: None,
                 solver_stall: Some(0),
                 budget_level: Some(2),
             }
@@ -178,9 +143,83 @@ mod tests {
 
     #[test]
     fn parse_rejects_garbage() {
-        assert!(parse("spill-write").is_err());
-        assert!(parse("spill-write:x").is_err());
+        assert!(parse("solver-stall").is_err());
+        assert!(parse("solver-stall:x").is_err());
         assert!(parse("flux-capacitor:1").is_err());
+        assert!(parse("spill-write:0").is_err());
         assert_eq!(parse("").unwrap(), FaultPlan::default());
+    }
+
+    /// Clears the plan on drop, so a failed test never leaves it armed.
+    struct Cleared;
+
+    impl Drop for Cleared {
+        fn drop(&mut self) {
+            clear();
+        }
+    }
+
+    /// With no plan installed — or a plan whose trigger is never reached —
+    /// the hooks are inert: states, rates, and the stationary solve are
+    /// bitwise identical to an unfaulted run.
+    #[test]
+    fn no_fault_run_is_bitwise_identical() {
+        use crate::ctmc::Ctmc;
+        use crate::marking::{MarkingOptions, QuotientGraph};
+        use crate::net::EventNet;
+        use repstream_petri::shape::{ExecModel, MappingShape, ResourceTable};
+        use repstream_petri::tpn::Tpn;
+
+        let _cleared = Cleared;
+        clear();
+        let shape = MappingShape::new(vec![4, 5]);
+        let tpn = Tpn::build(&shape, ExecModel::Strict);
+        let rates = ResourceTable::from_fns(&shape, |_, _| 0.5, |_, _, _| 2.0);
+        let (net, sym) = EventNet::from_tpn_with_symmetry(&tpn, &rates);
+        let sym = sym.expect("homogeneous table keeps the row rotation");
+        let opts = MarkingOptions {
+            max_states: 1 << 22,
+            capacity: None,
+            ..Default::default()
+        };
+        let reference = QuotientGraph::build(&net, &sym, opts).unwrap();
+        let reference_ctmc = reference.ctmc_with_trans_rates(&net.rates);
+        let pi_ref = reference_ctmc.stationary();
+
+        install(FaultPlan {
+            solver_stall: Some(u64::MAX),
+            budget_level: Some(10_000),
+        });
+        let armed_run = QuotientGraph::build(&net, &sym, opts).unwrap();
+        assert_eq!(armed_run.n_states(), reference.n_states());
+        let armed_ctmc = armed_run.ctmc_with_trans_rates(&net.rates);
+        assert_eq!(
+            armed_ctmc.structure().forward_targets(),
+            reference_ctmc.structure().forward_targets(),
+            "forward targets"
+        );
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for s in 0..reference.n_states() {
+            assert_eq!(
+                armed_run.recorded.read_into(s, &mut a),
+                reference.recorded.read_into(s, &mut b),
+                "representative {s}"
+            );
+            for (x, y) in armed_ctmc.row_rates(s).zip(reference_ctmc.row_rates(s)) {
+                assert_eq!(x.to_bits(), y.to_bits(), "rate bits of {s}");
+            }
+            let incoming = |c: &Ctmc| -> Vec<(usize, u64)> {
+                c.incoming(s).map(|(i, r)| (i, r.to_bits())).collect()
+            };
+            assert_eq!(
+                incoming(&armed_ctmc),
+                incoming(&reference_ctmc),
+                "incoming of {s}"
+            );
+        }
+        let pi_armed = armed_ctmc.stationary();
+        for (i, (x, y)) in pi_armed.iter().zip(pi_ref.iter()).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "pi[{i}]");
+        }
     }
 }

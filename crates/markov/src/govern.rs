@@ -215,7 +215,7 @@ impl Budget {
     }
 }
 
-/// How to run one exact analysis: the five knobs every evaluator above
+/// How to run one exact analysis: the four knobs every evaluator above
 /// the marking BFS shares.  Declared here once; the report, search and
 /// serving layers *hold* a `RunConfig` (`ReportOptions::run`,
 /// `PortfolioOptions::run`, …) instead of re-declaring its fields, and it
@@ -223,8 +223,8 @@ impl Budget {
 /// [`RunConfig::marking`].
 ///
 /// Only `max_states` and `solver` can change a result (an over-budget
-/// error, the method that solves the chain); `threads`,
-/// `interner_spill` and an un-fired `budget` are **bitwise-neutral**.
+/// error, the method that solves the chain); `threads` and an un-fired
+/// `budget` are **bitwise-neutral**.
 /// Which chain is solved is not a knob: the Theorem 2 chain is the
 /// row-rotation quotient whenever the rotation survives the rates.
 #[derive(Debug, Clone, Copy)]
@@ -233,7 +233,7 @@ pub struct RunConfig {
     /// The Theorem 2 chain gets all of it; a Theorem 3 pattern chain gets
     /// [`RunConfig::pattern_states`].  The 4M default covers quotients up
     /// to the 6×7 shape; 10M-class shapes (7×8, 14.06M lumped states)
-    /// also want `interner_spill`.  A warm cache hit reuses the cached
+    /// need a larger budget.  A warm cache hit reuses the cached
     /// structure without re-checking it.
     pub max_states: usize,
     /// Worker threads of the chunk-parallel marking BFS (the CLI's
@@ -247,10 +247,6 @@ pub struct RunConfig {
     /// tolerance.  Pattern chains always use the automatic policy (they
     /// are small; forcing there only adds noise).
     pub solver: SolverChoice,
-    /// Spill the row arena's rows to an unlinked temp file once they
-    /// cross the spill limit, bounding peak RSS on 10M-state builds
-    /// (the CLI's `--interner-spill`).
-    pub interner_spill: bool,
     /// Cooperative resource budget (the CLI's `--deadline`), checked once
     /// per BFS level of a cold build, at the stationary solver's
     /// checkpoints, and per candidate batch of a search.  An overrun
@@ -264,7 +260,6 @@ impl Default for RunConfig {
             max_states: 4_000_000,
             threads: 0,
             solver: SolverChoice::Auto,
-            interner_spill: false,
             budget: Budget::UNLIMITED,
         }
     }
@@ -285,14 +280,12 @@ impl RunConfig {
     /// The marking BFS's own options for a build under this
     /// configuration (`capacity`: `None` for the safe Strict nets, a
     /// per-place token bound for the capped Overlap validation chain).
-    /// The BFS-only knobs (`interner_shards`, `spill_limit`) keep their
-    /// built-in defaults.
+    /// The BFS-only knob `interner_shards` keeps its built-in default.
     pub fn marking(&self, capacity: Option<u32>) -> MarkingOptions {
         MarkingOptions {
             max_states: self.max_states,
             capacity,
             threads: self.threads,
-            interner_spill: self.interner_spill,
             budget: self.budget,
             ..Default::default()
         }

@@ -15,7 +15,7 @@
 //!   constructors: adapters from `repstream-petri` TPNs and the `u × v`
 //!   communication *pattern* of Theorem 3;
 //! * [`marking`] — reachable-marking enumeration: one frontier-BFS kernel
-//!   over a fixed-width row arena and a word-keyed Fx interner, both
+//!   over a queue of fixed-width rows and a word-keyed Fx interner, both
 //!   holding each state as packed `u64` words (optional capacity bound
 //!   for non-safe nets), and one row sink producing one graph type,
 //!   [`marking::Graph`], rated into a [`ctmc::Ctmc`].  When a validated
@@ -51,8 +51,8 @@
 //!   checkpoint / candidate batch, surfacing overruns as structured
 //!   [`Interrupt`]s instead of running to completion;
 //! * `fault` *(feature `fault-inject`)* — deterministic fault
-//!   injection: spill I/O failures at the Nth operation, forced solver
-//!   stagnation and budget exhaustion at chosen BFS levels, installable
+//!   injection: forced solver stagnation at the Nth checkpoint and
+//!   budget exhaustion at chosen BFS levels, installable
 //!   from `REPSTREAM_FAULT`, so every error path is exercised by tests;
 //! * [`fxhash`] — a small Fx-style hasher for marking deduplication
 //!   (keys are a few packed words; SipHash is measurably slower and

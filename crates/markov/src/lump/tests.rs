@@ -393,8 +393,8 @@ fn direct_quotient_equals_full_then_lump_bitwise() {
                 .find(|&s| seed.block_of(s) == b)
                 .expect("non-empty block");
             assert_eq!(
-                qg.states.get(b),
-                mg.states.get(first),
+                qg.recorded.get(b),
+                mg.recorded.get(first),
                 "{ctx}: representative of block {b}"
             );
             assert_eq!(qg.enabled(b), mg.enabled(first), "{ctx}: enabled of {b}");

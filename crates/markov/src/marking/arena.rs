@@ -1,8 +1,5 @@
 //! Row storage of the BFS kernel: the two row formats keys and rows are
-//! packed in, and the append-only [`MarkingStore`] of fixed-width packed
-//! rows, optionally spilled to an unlinked temp file.
-
-use super::{MarkingError, SpillIoError, SpillOp};
+//! packed in, and the [`MarkingStore`] queue of fixed-width packed rows.
 
 /// Words per bit row of `n_places` places (one even for none, so the
 /// rotations of an empty marking still compare — all equal).
@@ -40,9 +37,10 @@ pub(super) fn pack_bytes(m: &[u8], row: &mut [u64]) {
     }
 }
 
-/// The row arena: every marking a build interned, in state order, as
-/// `words` packed `u64`s at `s · words` — packed the way the build's
-/// canonicaliser packs its keys (read-only outside this module):
+/// The row queue: the markings a build has discovered but not yet
+/// finished expanding, in state order, as `words` packed `u64`s each —
+/// packed the way the build's canonicaliser packs its keys (read-only
+/// outside this module):
 ///
 /// * **bit rows** (every safe build): one bit per place, big-endian —
 ///   place `q` is bit `63 − q % 64` of word `q / 64`;
@@ -50,320 +48,117 @@ pub(super) fn pack_bytes(m: &[u8], row: &mut [u64]) {
 ///   cannot hold): eight places per word, place `q` in little-endian byte
 ///   `q % 8` of word `q / 8`.
 ///
-/// Reads decode a row into one byte per place.  Under
-/// [`super::MarkingOptions::interner_spill`] the resident rows move to a
-/// spill file once they reach the spill limit, as fixed-width records —
-/// row `s` at byte `s · words · 8` — so a spilled row is one `pread`.
+/// Rows are appended as states are interned and released from the front
+/// by [`Self::release_below`], which the BFS calls at each level
+/// boundary: row `s` lives from its discovery to the end of its level's
+/// expansion.  Reads decode a row into one byte per place.
 #[derive(Debug, Clone)]
-pub struct MarkingStore {
+pub(crate) struct MarkingStore {
     /// Places per marking.
     width: usize,
     /// Words per row.
     words: usize,
     /// Bit rows (`true`) or byte rows.
     bits: bool,
-    len: usize,
-    /// The rows not in the spill file: row `s` at
-    /// `(s − spilled rows) · words`.
-    resident: Vec<u64>,
-    /// Resident bytes kept before flushing to the spill file;
-    /// `usize::MAX` disables spilling (see
-    /// [`super::MarkingOptions::interner_spill`]).
-    spill_limit: usize,
-    /// Lazily-created spill region (first flush).
-    spill: Option<SpillFile>,
-    /// First spill I/O failure.  The `&self` read paths are shared
-    /// immutably by the parallel BFS workers and stay infallible: on a
-    /// read error they record it here and read a zero-filled row; the BFS
-    /// drivers drain the slot at level boundaries into
-    /// [`MarkingError::SpillIo`], discarding the garbage level.
-    poison: std::sync::OnceLock<SpillIoError>,
-}
-
-/// Temp-file-backed spill region of one arena: the first `rows` rows sit
-/// in an **unlinked** temp file — space is reclaimed by the OS when the
-/// last handle drops.  Reads go through positioned I/O (`pread`), so the
-/// parallel workers of a level can read spilled rows concurrently.
-/// Clones share the file; that is sound because graphs are only cloned
-/// after their build finishes (the rows are append-only and frozen by
-/// then).
-#[derive(Debug, Clone)]
-struct SpillFile {
-    file: std::sync::Arc<std::fs::File>,
-    rows: usize,
-    /// Retained only when the immediate unlink failed (the normal case
-    /// deletes the directory entry at creation): the last clone removes
-    /// the file on drop, so no temp file leaks on any path — error
-    /// paths included.
-    _cleanup: Option<std::sync::Arc<CleanupPath>>,
-}
-
-/// Deletes the named file when dropped (the unlink-failed fallback of
-/// `SpillFile::create`).
-#[derive(Debug)]
-struct CleanupPath(std::path::PathBuf);
-
-impl Drop for CleanupPath {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-    }
-}
-
-impl SpillFile {
-    /// Open an unlinked temp file under `REPSTREAM_SPILL_DIR` (default:
-    /// the system temp dir).  `None` when creation fails or the target
-    /// has no positioned-I/O support — the arena then stays in memory.
-    fn create() -> Option<Self> {
-        #[cfg(unix)]
-        {
-            use std::sync::atomic::{AtomicU64, Ordering};
-            static SEQ: AtomicU64 = AtomicU64::new(0);
-            let dir = std::env::var_os("REPSTREAM_SPILL_DIR")
-                .map(std::path::PathBuf::from)
-                .unwrap_or_else(std::env::temp_dir);
-            let n = SEQ.fetch_add(1, Ordering::Relaxed);
-            let path = dir.join(format!("repstream-spill-{}-{n}.bin", std::process::id()));
-            let file = std::fs::OpenOptions::new()
-                .read(true)
-                .write(true)
-                .create_new(true)
-                .open(&path)
-                .ok()?;
-            let cleanup = match std::fs::remove_file(&path) {
-                Ok(()) => None,
-                Err(_) => Some(std::sync::Arc::new(CleanupPath(path))),
-            };
-            Some(SpillFile {
-                file: std::sync::Arc::new(file),
-                rows: 0,
-                _cleanup: cleanup,
-            })
-        }
-        #[cfg(not(unix))]
-        {
-            None
-        }
-    }
-
-    fn read_exact_at(&self, buf: &mut [u8], off: u64) -> std::io::Result<()> {
-        #[cfg(feature = "fault-inject")]
-        if let Some(e) = crate::fault::spill_read_fault() {
-            return Err(e);
-        }
-        #[cfg(unix)]
-        {
-            use std::os::unix::fs::FileExt;
-            self.file.read_exact_at(buf, off)
-        }
-        #[cfg(not(unix))]
-        {
-            let _ = (buf, off);
-            unreachable!("spill files are never created off-Unix");
-        }
-    }
-
-    fn write_all_at(&self, buf: &[u8], off: u64) -> std::io::Result<()> {
-        #[cfg(feature = "fault-inject")]
-        if let Some(e) = crate::fault::spill_write_fault() {
-            return Err(e);
-        }
-        #[cfg(unix)]
-        {
-            use std::os::unix::fs::FileExt;
-            self.file.write_all_at(buf, off)
-        }
-        #[cfg(not(unix))]
-        {
-            let _ = (buf, off);
-            unreachable!("spill files are never created off-Unix");
-        }
-    }
-}
-
-thread_local! {
-    /// Scratch pair (record bytes, row words) for reads of spilled rows —
-    /// per thread so the row reads of the parallel BFS workers stay
-    /// allocation-free after warm-up.
-    static SPILL_SCRATCH: std::cell::RefCell<(Vec<u8>, Vec<u64>)> =
-        const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
+    /// Id of the first resident row; the rows below it were released.
+    base: usize,
+    /// The resident rows: row `s` at `(s − base) · words`.
+    rows: Vec<u64>,
+    /// Most words resident at once so far.
+    peak: usize,
 }
 
 impl MarkingStore {
-    /// An empty arena of `words`-word rows of `width` places — bit rows
-    /// or byte rows — that flushes its resident rows to the spill file
-    /// once they reach `spill_limit` bytes (`usize::MAX` = never).
-    pub(super) fn new(width: usize, words: usize, bits: bool, spill_limit: usize) -> Self {
+    /// An empty queue of `words`-word rows of `width` places — bit rows
+    /// or byte rows.
+    pub(super) fn new(width: usize, words: usize, bits: bool) -> Self {
         MarkingStore {
             width,
             words,
             bits,
-            len: 0,
-            resident: Vec::new(),
-            spill_limit,
-            spill: None,
-            poison: std::sync::OnceLock::new(),
+            base: 0,
+            rows: Vec::new(),
+            peak: 0,
         }
     }
 
-    /// Number of stored markings.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when no marking is stored.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Places per marking.
-    pub fn width(&self) -> usize {
-        self.width
+    /// Number of markings appended so far, released ones included.
+    pub(super) fn len(&self) -> usize {
+        self.base + self.rows.len() / self.words
     }
 
     /// Append a packed row (its id is the current [`Self::len`]).
     pub(super) fn push(&mut self, row: &[u64]) {
         debug_assert_eq!(row.len(), self.words);
-        self.resident.extend_from_slice(row);
-        self.len += 1;
-        if self.resident.len() * 8 >= self.spill_limit {
-            self.flush_spill();
-        }
+        self.rows.extend_from_slice(row);
     }
 
-    /// Rows already flushed to the spill file.
-    fn spilled_rows(&self) -> usize {
-        self.spill.as_ref().map_or(0, |f| f.rows)
+    /// Release the rows below `s`: they are never read again.
+    pub(super) fn release_below(&mut self, s: usize) {
+        self.peak = self.peak.max(self.rows.len());
+        self.rows.drain(..(s - self.base) * self.words);
+        self.base = s;
     }
 
-    /// Flush the resident rows to the spill file (creating it on first
-    /// use; when creation fails the arena silently stays resident).
-    #[cold]
-    fn flush_spill(&mut self) {
-        if self.spill.is_none() {
-            self.spill = SpillFile::create();
-        }
-        let Some(sp) = self.spill.as_mut() else {
-            self.spill_limit = usize::MAX;
-            return;
-        };
-        let off = (sp.rows * self.words * 8) as u64;
-        let bytes: Vec<u8> = self.resident.iter().flat_map(|w| w.to_le_bytes()).collect();
-        match sp.write_all_at(&bytes, off) {
-            Ok(()) => {
-                sp.rows += self.resident.len() / self.words;
-                self.resident.clear();
-            }
-            Err(e) => {
-                // Keep the unwritten rows resident, stop spilling, and
-                // record the failure for the level-boundary drain.
-                self.spill_limit = usize::MAX;
-                let _ = self.poison.set(SpillIoError {
-                    op: SpillOp::Write,
-                    offset: off,
-                    source: std::sync::Arc::new(e),
-                });
-            }
-        }
-    }
-
-    /// The first spill I/O failure as a build error — the BFS drivers
-    /// drain this at level boundaries (and once more after the loop).
-    pub(super) fn take_poison(&self) -> Option<MarkingError> {
-        self.poison.get().map(|p| MarkingError::SpillIo(p.clone()))
-    }
-
-    /// `f` applied to the words of row `s`: resident, or one record read
-    /// back from the spill file (zero-filled, with the failure recorded,
-    /// when that read fails).
-    fn with_row<R>(&self, s: usize, f: impl FnOnce(&[u64]) -> R) -> R {
-        let w = self.words;
-        match &self.spill {
-            Some(file) if s < file.rows => SPILL_SCRATCH.with(|c| {
-                let (bytes, row) = &mut *c.borrow_mut();
-                bytes.resize(w * 8, 0);
-                row.resize(w, 0);
-                let off = (s * w * 8) as u64;
-                match file.read_exact_at(bytes, off) {
-                    Ok(()) => {
-                        for (word, le) in row.iter_mut().zip(bytes.as_chunks::<8>().0) {
-                            *word = u64::from_le_bytes(*le);
-                        }
-                    }
-                    Err(e) => {
-                        let _ = self.poison.set(SpillIoError {
-                            op: SpillOp::Read,
-                            offset: off,
-                            source: std::sync::Arc::new(e),
-                        });
-                        row.fill(0);
-                    }
-                }
-                f(row)
-            }),
-            _ => f(&self.resident[(s - self.spilled_rows()) * w..][..w]),
-        }
-    }
-
-    /// Decode marking `s` into `out` (exactly `width` bytes, one per
-    /// place).
+    /// Decode marking `s` (not yet released) into `out` (exactly `width`
+    /// bytes, one per place).
     pub(super) fn copy_to(&self, s: usize, out: &mut [u8]) {
         debug_assert_eq!(out.len(), self.width);
-        self.with_row(s, |row| {
-            if self.bits {
-                out.fill(0);
-                for (i, &word) in row.iter().enumerate() {
-                    let mut rest = word;
-                    while rest != 0 {
-                        let k = rest.leading_zeros() as usize;
-                        out[i * 64 + k] = 1;
-                        rest ^= 1 << (63 - k);
-                    }
-                }
-            } else {
-                for (eight, word) in out.chunks_mut(8).zip(row) {
-                    eight.copy_from_slice(&word.to_le_bytes()[..eight.len()]);
+        let row = &self.rows[(s - self.base) * self.words..][..self.words];
+        if self.bits {
+            out.fill(0);
+            for (i, &word) in row.iter().enumerate() {
+                let mut rest = word;
+                while rest != 0 {
+                    let k = rest.leading_zeros() as usize;
+                    out[i * 64 + k] = 1;
+                    rest ^= 1 << (63 - k);
                 }
             }
-        });
+        } else {
+            for (eight, word) in out.chunks_mut(8).zip(row) {
+                eight.copy_from_slice(&word.to_le_bytes()[..eight.len()]);
+            }
+        }
+    }
+
+    /// The most row bytes resident at once so far — the queue's peak.
+    pub(super) fn peak_bytes(&self) -> usize {
+        self.peak.max(self.rows.len()) * std::mem::size_of::<u64>()
+    }
+}
+
+/// The test builds' reads of a store that releases nothing: the recorder
+/// of every interned row (see `bfs::Frontier`).
+#[cfg(test)]
+impl MarkingStore {
+    /// Places per marking.
+    pub(crate) fn width(&self) -> usize {
+        self.width
     }
 
     /// Tokens per place of marking `s`.
-    pub fn get(&self, s: usize) -> Vec<u8> {
+    pub(crate) fn get(&self, s: usize) -> Vec<u8> {
         let mut m = vec![0; self.width];
         self.copy_to(s, &mut m);
         m
     }
 
-    /// All markings in state order.
-    pub fn iter(&self) -> impl Iterator<Item = Vec<u8>> + '_ {
-        (0..self.len).map(move |s| self.get(s))
+    /// All resident markings in state order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = Vec<u8>> + '_ {
+        (self.base..self.len()).map(move |s| self.get(s))
     }
 
     /// Tokens per place of marking `s`, decoded into `buf`.
-    pub fn read_into<'a>(&'a self, s: usize, buf: &'a mut Vec<u8>) -> &'a [u8] {
+    pub(crate) fn read_into<'a>(&'a self, s: usize, buf: &'a mut Vec<u8>) -> &'a [u8] {
         buf.resize(self.width, 0);
         self.copy_to(s, buf);
         buf
     }
 
-    /// Does marking `s` equal `probe`?  (Read by the test oracle's orbit
-    /// partition only.)
-    #[cfg(test)]
+    /// Does marking `s` equal `probe`?
     pub(crate) fn matches(&self, s: usize, probe: &[u8]) -> bool {
         self.get(s) == probe
-    }
-
-    /// Resident row bytes (the spilled rows are accounted by
-    /// [`Self::spill_bytes`]).
-    pub fn heap_bytes(&self) -> usize {
-        self.resident.len() * std::mem::size_of::<u64>()
-    }
-
-    /// Row bytes parked in the spill file
-    /// ([`super::MarkingOptions::interner_spill`]); `0` when nothing
-    /// spilled.
-    pub fn spill_bytes(&self) -> usize {
-        self.spilled_rows() * self.words * std::mem::size_of::<u64>()
     }
 }
 
@@ -385,13 +180,13 @@ mod tests {
     }
 
     /// Every layout round-trips: bit rows at widths below, at and across
-    /// word boundaries, and byte rows with counts up to 255, resident or
-    /// (`spilled`) at a spill limit that is not a multiple of a record
-    /// (each flush writes whole records, so rows end up on both sides of
-    /// the file/memory boundary).  Every accessor agrees with the pushed
-    /// markings, a probe one place off never matches, and the arena holds
-    /// exactly `len · words · 8` bytes across memory and file.
-    fn assert_rows_roundtrip(spilled: bool) {
+    /// word boundaries, and byte rows with counts up to 255.  Every
+    /// accessor agrees with the pushed markings, a probe one place off
+    /// never matches, and the queue holds exactly `len · words · 8`
+    /// bytes.  Releasing the front keeps the later rows readable at their
+    /// ids, and the peak is what was held before the release.
+    #[test]
+    fn marking_arena_roundtrip() {
         let mut x = 0x2545f4914f6cdd1du64;
         let mut step = move || {
             x ^= x << 13;
@@ -414,20 +209,13 @@ mod tests {
                     .collect()
             }));
             let record = words * 8;
-            let spill_limit = if spilled { 3 * record + 5 } else { usize::MAX };
-            let at = format!("width {width} bits {bits} spill limit {spill_limit}");
-            let mut store = MarkingStore::new(width, words, bits, spill_limit);
+            let at = format!("width {width} bits {bits}");
+            let mut store = MarkingStore::new(width, words, bits);
             for m in &markings {
                 store.push(&pack(m, bits, words));
             }
             assert_eq!(store.len(), markings.len(), "{at}");
-            assert_eq!(store.spill_bytes() > 0, spilled, "{at}");
-            assert!(store.heap_bytes() > 0, "{at}");
-            assert_eq!(
-                store.heap_bytes() + store.spill_bytes(),
-                markings.len() * record,
-                "{at}"
-            );
+            assert_eq!(store.peak_bytes(), markings.len() * record, "{at}");
             let mut buf = Vec::new();
             for (s, m) in markings.iter().enumerate() {
                 assert_eq!(store.read_into(s, &mut buf), &m[..], "{at}: state {s}");
@@ -438,20 +226,15 @@ mod tests {
                 assert!(!store.matches(s, &off), "{at}: state {s}");
             }
             assert!(store.iter().eq(markings.iter().cloned()), "{at}");
-            assert!(store.take_poison().is_none(), "{at}");
+
+            store.release_below(30);
+            store.push(&pack(&markings[0], bits, words));
+            assert_eq!(store.len(), markings.len() + 1, "{at}");
+            assert_eq!(store.peak_bytes(), markings.len() * record, "{at}");
+            assert!(store
+                .iter()
+                .eq(markings[30..].iter().chain(&markings[..1]).cloned()));
+            assert_eq!(store.get(markings.len()), markings[0], "{at}");
         }
-    }
-
-    /// Resident fixed-width rows round-trip.
-    #[test]
-    fn marking_arena_roundtrip() {
-        assert_rows_roundtrip(false);
-    }
-
-    /// Fixed-width rows split between the spill file and memory
-    /// round-trip.
-    #[test]
-    fn spilled_arena_roundtrip() {
-        assert_rows_roundtrip(true);
     }
 }

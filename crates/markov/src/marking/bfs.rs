@@ -417,24 +417,30 @@ pub(super) trait RowSink {
 }
 
 /// Everything the BFS has interned: the interner (which owns the keys),
-/// and per state the marking its row is scanned from — the first-found
-/// representative of the orbit, or the marking itself on a full chain —
-/// and its orbit size.
+/// the row queue — the marking each discovered state's row is scanned
+/// from, the first-found representative of the orbit or the marking
+/// itself on a full chain, kept until its level is expanded — and every
+/// state's orbit size.
 pub(super) struct Frontier {
-    /// The row arena: what the graph keeps as `states`.
-    pub(super) rows: MarkingStore,
-    pub(super) orbit_size: Vec<u32>,
+    rows: MarkingStore,
+    orbit_size: Vec<u32>,
     interner: Interner,
+    /// Every interned row, never released: what the tests read markings
+    /// from after the build.  Apart from the queue, so test builds
+    /// release rows as shipped builds do.
+    #[cfg(test)]
+    pub(super) recorded: MarkingStore,
 }
 
 impl Frontier {
     fn new<C: Canonicalizer>(net: &EventNet, canon: &C, opts: &MarkingOptions) -> Self {
         let words = canon.key_words(net);
-        let spill_limit = opts.resolved_spill_limit();
         Frontier {
-            rows: MarkingStore::new(net.n_places(), words, C::BIT_ROWS, spill_limit),
+            rows: MarkingStore::new(net.n_places(), words, C::BIT_ROWS),
             orbit_size: Vec::new(),
             interner: Interner::new(words, opts.resolved_interner_shards()),
+            #[cfg(test)]
+            recorded: MarkingStore::new(net.n_places(), words, C::BIT_ROWS),
         }
     }
 
@@ -443,26 +449,14 @@ impl Frontier {
         self.rows.len()
     }
 
-    /// The first spill I/O failure of the row arena.  A poisoned read
-    /// zero-fills its marking, which can cascade into bogus successors or
-    /// dead rows — so wherever a build error is raised, this root cause
-    /// takes precedence over the symptom.
-    fn poison(&self) -> Option<MarkingError> {
-        self.rows.take_poison()
-    }
-
-    /// Cooperative checkpoint: drain any spill failure, then one governor
-    /// check.  Never on the per-firing hot path, so checks cannot perturb
-    /// output bits.
+    /// Cooperative checkpoint: one governor check.  Never on the
+    /// per-firing hot path, so checks cannot perturb output bits.
     fn checkpoint(
         &self,
         opts: &MarkingOptions,
         phase: Phase,
         levels: usize,
     ) -> Result<(), MarkingError> {
-        if let Some(e) = self.poison() {
-            return Err(e);
-        }
         opts.budget.check(Progress {
             phase,
             states: self.len(),
@@ -480,31 +474,31 @@ impl Frontier {
         let (id, is_new) = self.interner.intern(succ.key);
         if is_new {
             if id as usize >= max_states {
-                return Err(self
-                    .poison()
-                    .unwrap_or(MarkingError::TooManyStates(max_states)));
+                return Err(MarkingError::TooManyStates(max_states));
             }
             self.rows.push(succ.rep);
+            #[cfg(test)]
+            self.recorded.push(succ.rep);
             self.orbit_size.push(succ.period);
         }
         Ok(id)
     }
 
-    /// Byte accounting of the build so far.
-    /// The row arena, orbit sizes and storage accounting of a finished
-    /// build; the interner (keys and slots) is freed here, before the
-    /// graph builds its chain structure.
-    pub(super) fn finish(self) -> (MarkingStore, Vec<u32>, ArenaStats) {
+    /// The orbit sizes and storage accounting of a finished build; the
+    /// interner (keys and slots) and the row queue are freed here, before
+    /// the graph builds its chain structure.
+    pub(super) fn finish(self) -> (Vec<u32>, ArenaStats) {
         let stats = self.stats();
-        (self.rows, self.orbit_size, stats)
+        (self.orbit_size, stats)
     }
 
+    /// Byte accounting of the build so far.
     fn stats(&self) -> ArenaStats {
         ArenaStats {
             keys_bytes: self.interner.keys_bytes(),
-            reps_bytes: self.rows.heap_bytes(),
+            reps_bytes: self.rows.peak_bytes(),
             interner_bytes: self.interner.table_bytes(),
-            spill_bytes: self.rows.spill_bytes(),
+            spill_bytes: 0,
         }
     }
 }
@@ -695,7 +689,7 @@ fn merge_chunk<S: RowSink>(
                 return Err(e.clone());
             }
         }
-        sink.end_row().map_err(|e| store.poison().unwrap_or(e))?;
+        sink.end_row()?;
     }
     Ok(())
 }
@@ -759,14 +753,19 @@ pub(super) fn explore<C: Canonicalizer, S: RowSink>(
     while frontier < store.len() {
         if frontier >= level_end {
             store.checkpoint(&opts, S::PHASE, levels)?;
+            // The level below `frontier` is expanded: its rows are never
+            // read again.
+            store.rows.release_below(frontier);
             levels += 1;
             level_end = store.len();
         }
-        let threads = bfs_threads(opts.threads, store.len() - frontier);
+        // A level is scanned whole on one path, so the queue holds the
+        // same rows at each boundary whatever the thread count.
+        let threads = bfs_threads(opts.threads, level_end - frontier);
         if threads > 1 {
-            // Parallel level: freeze the store over the pending range,
-            // stage one chunk per worker, merge in chunk order.
-            let hi = store.len();
+            // Parallel level: freeze the store over the level, stage one
+            // chunk per worker, merge in chunk order.
+            let hi = level_end;
             let chunk = (hi - frontier).div_ceil(threads);
             let stages: Vec<ChunkStage> = std::thread::scope(|scope| {
                 let (scan, store) = (&scan, &store);
@@ -811,15 +810,9 @@ pub(super) fn explore<C: Canonicalizer, S: RowSink>(
             sink.fire(s as u32, t, id);
             Ok(())
         })?;
-        sink.end_row().map_err(|e| store.poison().unwrap_or(e))?;
+        sink.end_row()?;
     }
-
-    // The last level has no following boundary: drain once more so a
-    // spill failure there still surfaces.
-    match store.poison() {
-        Some(e) => Err(e),
-        None => Ok(store),
-    }
+    Ok(store)
 }
 
 #[cfg(test)]

@@ -13,17 +13,16 @@ const EMPTY: u64 = u64::MAX;
 /// Slots a shard starts with; it doubles as states arrive.
 const INIT_SLOTS: usize = 64;
 
-/// Fx hash of a packed key, folded: Fx's low bits depend only on the low
-/// bits of the last word — zero padding on most bit rows — so the high
-/// half is XORed in before the low half becomes tag and slot position.
+/// Fx hash of a packed key; its low half becomes tag and slot position
+/// ([`FxHasher::finish`] folds the high half in, so zero padding in the
+/// last word does not cluster the slots).
 #[inline]
 fn hash_key(key: &[u64]) -> u64 {
     let mut h = FxHasher::default();
     for &word in key {
         h.write_u64(word);
     }
-    let h = h.finish();
-    h ^ h >> 32
+    h.finish()
 }
 
 /// Append `slot` to the probe run of its tag (the caller knows its key
@@ -226,7 +225,7 @@ mod tests {
         let mut buf = Vec::new();
         let keys: Vec<Vec<u64>> = (0..qg.n_states())
             .map(|s| {
-                rowrot.load_row(qg.states.read_into(s, &mut buf), &mut scratch);
+                rowrot.load_row(qg.recorded.read_into(s, &mut buf), &mut scratch);
                 rowrot.elect(&mut scratch).key.to_vec()
             })
             .collect();

@@ -44,15 +44,16 @@
 //!
 //! The BFS allocates nothing per firing:
 //!
-//! * **row arena** (`arena.rs`) — the marking each state's row is scanned
+//! * **row queue** (`arena.rs`) — the marking each state's row is scanned
 //!   from (the full chain's markings, the quotient's representatives)
-//!   lives in one append-only store of fixed-width rows
-//!   ([`MarkingStore`]): state `s` is `W` words at `s · W`, packed the way
-//!   its canonicaliser packs keys (bit rows on every safe build, eight
-//!   places per word on the capacity-bounded ones), optionally spilled to
-//!   an unlinked temp file as fixed-width records
-//!   ([`MarkingOptions::interner_spill`]); the BFS decodes it once per
-//!   scanned row and never reads it to deduplicate;
+//!   lives in one queue of fixed-width rows, `W` words each, packed the
+//!   way its canonicaliser packs keys (bit rows on every safe build, eight
+//!   places per word on the capacity-bounded ones); the BFS decodes a row
+//!   once, when it expands the state, and never reads it to deduplicate,
+//!   so a row lives from its discovery to its level boundary, where the
+//!   expanded level's rows are released.  The queue peaks at the two
+//!   widest adjacent levels, `max_k (|L_k| + |L_{k+1}|) · W · 8` bytes,
+//!   and no row outlives the build;
 //! * **word-keyed interner** (`interner.rs`) — the interner owns the
 //!   keys, `W` words per state at `id · W`, and finds them through
 //!   open-addressing tables of tagged slots (a 32-bit hash tag beside
@@ -62,7 +63,7 @@
 //!   64 slots as states arrive;
 //! * **scratch successor** — each firing writes the successor into the
 //!   canonicaliser's reused per-thread scratch; its key and packed row are
-//!   copied into the interner and the row arena only when the key turns
+//!   copied into the interner and the row queue only when the key turns
 //!   out to be new;
 //! * **flat CSR structure** — the chain's edges are built directly in
 //!   compressed sparse row form, with a label and no rate per edge, and
@@ -74,7 +75,7 @@
 //!   allocating nothing per edge.
 //!
 //! Storage and scheduling never reach the output: the chain is **bitwise
-//! identical** for every thread count, shard count and spill setting.
+//! identical** for every thread count and shard count.
 //!
 //! # Direct quotient construction
 //!
@@ -83,7 +84,7 @@
 //! [`QuotientGraph::build`] explores the state space **directly in the
 //! quotient**: every successor marking is canonicalized under the
 //! automorphism's cyclic group before interning, so the interner and the
-//! row arena only ever hold one key and one representative per orbit —
+//! row queue only ever hold one key and one representative per orbit —
 //! the peak interned-state count is `full / m` on free orbits — and the
 //! CSR is emitted orbit-aggregated.  The rated chain is **bitwise
 //! identical** to building the full chain, taking its orbit partition
@@ -99,8 +100,9 @@
 //! discovered-but-unexplored states form a batch whose rows can be
 //! scanned independently.  [`MarkingOptions::threads`] splits each large
 //! enough level into one contiguous chunk per `std::thread::scope`
-//! worker; smaller levels are scanned in place.  Both run the same row
-//! scanner and differ only in how a successor is resolved:
+//! worker; smaller levels are scanned in place, each level whole on one
+//! path.  Both run the same row scanner and differ only in how a
+//! successor is resolved:
 //!
 //! * **direct** — interned on the spot and emitted into the sink;
 //! * **staged** — workers probe a **level-frozen** interner; a miss is
@@ -118,8 +120,6 @@
 mod arena;
 mod bfs;
 mod interner;
-
-pub use arena::MarkingStore;
 
 use crate::ctmc::{unlimited, ChainStructure, Ctmc, SolveReport, SolverChoice};
 use crate::fxhash::FxHashMap;
@@ -163,20 +163,6 @@ pub struct MarkingOptions {
     /// sequential scan/merge order and dedup is exact key equality, so
     /// output is **bitwise identical** for any shard count.
     pub interner_shards: usize,
-    /// Spill the row arena's rows to an unlinked temp file once they
-    /// outgrow [`Self::spill_limit`], so peak RSS stays bounded on
-    /// 10M+-state builds.  The interner's packed keys (`⌈places/64⌉`
-    /// words per state on a safe net) and slot tables stay resident:
-    /// deduplication never touches the disk, and only the read of each
-    /// scanned row does.  Storage-only: a spilled row reads back the same
-    /// words, so chains are bitwise identical with spill on or off.
-    /// No-op on non-Unix targets.
-    pub interner_spill: bool,
-    /// Row bytes the row arena keeps resident before flushing to the
-    /// spill file (only meaningful with
-    /// [`Self::interner_spill`]).  `0` (the default) means
-    /// [`DEFAULT_SPILL_LIMIT`], 64 MiB.
-    pub spill_limit: usize,
     /// Cooperative resource limits ([`Budget`]), checked at every BFS
     /// level and chunk boundary and every 4096 states in between.  The
     /// default [`Budget::UNLIMITED`] never fires; output is
@@ -192,25 +178,12 @@ impl Default for MarkingOptions {
             capacity: None,
             threads: 0,
             interner_shards: 0,
-            interner_spill: false,
-            spill_limit: 0,
             budget: Budget::UNLIMITED,
         }
     }
 }
 
 impl MarkingOptions {
-    /// Resolved resident-byte bound of the spill machinery:
-    /// `usize::MAX` (never spill) unless [`Self::interner_spill`] is set,
-    /// then [`Self::spill_limit`] or [`DEFAULT_SPILL_LIMIT`].
-    fn resolved_spill_limit(&self) -> usize {
-        match (self.interner_spill, self.spill_limit) {
-            (false, _) => usize::MAX,
-            (true, 0) => DEFAULT_SPILL_LIMIT,
-            (true, limit) => limit,
-        }
-    }
-
     /// Resolved shard count of the two-level interner (see
     /// [`Self::interner_shards`]).
     fn resolved_interner_shards(&self) -> usize {
@@ -222,11 +195,6 @@ impl MarkingOptions {
     }
 }
 
-/// Row bytes the row arena keeps resident under
-/// [`MarkingOptions::interner_spill`] when no
-/// [`MarkingOptions::spill_limit`] is given.
-pub const DEFAULT_SPILL_LIMIT: usize = 64 << 20;
-
 /// Upper bound on [`MarkingOptions::capacity`]: a place's token count is
 /// one byte of a byte row.
 const MAX_CAPACITY: u32 = u8::MAX as u32;
@@ -235,49 +203,6 @@ const MAX_CAPACITY: u32 = u8::MAX as u32;
 /// the per-shard budget ≥ 2^15 states even at the 2^31 id ceiling; more
 /// shards would only add top-bit collisions without spreading work.
 pub const MAX_INTERNER_SHARDS: usize = 256;
-
-/// Which spill-file operation failed (see [`SpillIoError`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpillOp {
-    /// A positioned read of a spilled row.
-    Read,
-    /// A positioned write flushing resident rows.
-    Write,
-}
-
-impl SpillOp {
-    fn label(self) -> &'static str {
-        match self {
-            SpillOp::Read => "read",
-            SpillOp::Write => "write",
-        }
-    }
-}
-
-/// A failed spill-file operation: what was attempted, at which spill-file
-/// byte offset, and the underlying I/O error (shared behind an `Arc`
-/// because `io::Error` is not `Clone`).
-#[derive(Debug, Clone)]
-pub struct SpillIoError {
-    /// The operation that failed.
-    pub op: SpillOp,
-    /// Byte offset into the spill file at which it failed.
-    pub offset: u64,
-    /// The underlying I/O error.
-    pub source: std::sync::Arc<std::io::Error>,
-}
-
-impl PartialEq for SpillIoError {
-    fn eq(&self, other: &Self) -> bool {
-        // `io::Error` carries no equality; the kind is what callers
-        // match on.
-        self.op == other.op
-            && self.offset == other.offset
-            && self.source.kind() == other.source.kind()
-    }
-}
-
-impl Eq for SpillIoError {}
 
 /// Failure modes of the marking BFS.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -296,10 +221,6 @@ pub enum MarkingError {
     /// count, does not fit a marking byte (rejected before the BFS
     /// starts).
     CapacityTooLarge(u32),
-    /// A spill-file read or write failed.  The build aborts at the next
-    /// level boundary; no temp files are leaked (spill files are
-    /// unlinked at creation, or deleted on drop when that failed).
-    SpillIo(SpillIoError),
     /// The resource governor fired (deadline, cancellation, memory cap
     /// — see [`Interrupt`]).
     Interrupted(Interrupt),
@@ -339,15 +260,6 @@ impl std::fmt::Display for MarkingError {
                     "{c} tokens per place (capacity or initial marking) exceed the supported {MAX_CAPACITY}"
                 )
             }
-            MarkingError::SpillIo(e) => {
-                write!(
-                    f,
-                    "spill {} failed at byte {}: {}",
-                    e.op.label(),
-                    e.offset,
-                    e.source
-                )
-            }
             MarkingError::Interrupted(i) => write!(f, "{i}"),
         }
     }
@@ -356,7 +268,6 @@ impl std::fmt::Display for MarkingError {
 impl std::error::Error for MarkingError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            MarkingError::SpillIo(e) => Some(e.source.as_ref()),
             MarkingError::Interrupted(i) => Some(i),
             _ => None,
         }
@@ -364,28 +275,28 @@ impl std::error::Error for MarkingError {
 }
 
 /// Byte accounting of a build's marking storage, captured when the BFS
-/// finishes (keys, arena and tables only grow, so this is also the peak).
+/// finishes: each field is its store's peak (keys and tables only grow;
+/// the row queue peaks at its two widest adjacent levels).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArenaStats {
     /// Packed interning keys, on every build: `⌈places/64⌉` words
     /// per state on bit rows, `⌈places/8⌉` on byte rows.
     pub keys_bytes: usize,
-    /// Resident row arena bytes: the markings of a [`MarkingGraph`], the
-    /// representatives of a [`QuotientGraph`] — as many words per state
-    /// as a key.
+    /// The row queue's peak: the most markings of a [`MarkingGraph`], or
+    /// representatives of a [`QuotientGraph`], resident at once — as
+    /// many words per row as a key, `max_k (|L_k| + |L_{k+1}|)` rows
+    /// over the BFS levels `L_k`, whatever the thread or shard count.
     pub reps_bytes: usize,
     /// Interner bytes: open-addressing slots summed over every shard.
     pub interner_bytes: usize,
-    /// Row-arena bytes parked in the spill file
-    /// ([`MarkingOptions::interner_spill`]); these are *not* resident,
-    /// so they are excluded from [`Self::total`].
+    /// Always 0: no row leaves memory.  Kept while readers of this
+    /// struct still name it.
     pub spill_bytes: usize,
 }
 
 impl ArenaStats {
-    /// Total **resident** bytes: keys, row arena and slots (spilled
-    /// bytes are on disk; add [`Self::spill_bytes`] for the total stored
-    /// footprint).
+    /// Total resident bytes at the stores' peaks: keys, row queue and
+    /// slots.
     pub fn total(&self) -> usize {
         self.keys_bytes + self.reps_bytes + self.interner_bytes
     }
@@ -499,11 +410,12 @@ pub type QuotientGraph = Graph<Orbits>;
 /// evenly over the orbit's [`QuotientGraph::orbit_sizes`] members.
 #[derive(Debug, Clone)]
 pub struct Graph<K> {
-    /// The marking each state's row was scanned from: every reachable
-    /// marking of a [`MarkingGraph`], the first-discovered member of each
-    /// orbit of a [`QuotientGraph`] (whose enabled set [`Self::enabled`]
-    /// reports).
-    pub states: MarkingStore,
+    /// The marking each state's row was scanned from, recorded for the
+    /// tests: every reachable marking of a [`MarkingGraph`], the
+    /// first-discovered member of each orbit of a [`QuotientGraph`]
+    /// (whose enabled set [`Self::enabled`] reports).
+    #[cfg(test)]
+    pub(crate) recorded: arena::MarkingStore,
     /// The chain's edges (see the type docs).
     chain: Arc<ChainStructure>,
     /// The enabled sets when they are not the chain's forward rows.
@@ -678,10 +590,14 @@ impl<K: Kind> Graph<K> {
             merged: Vec::new(),
             kind: PhantomData,
         };
-        let (states, orbit_size, arena_stats) = bfs::explore(net, opts, canon, &mut out)?.finish();
+        let frontier = bfs::explore(net, opts, canon, &mut out)?;
+        #[cfg(test)]
+        let recorded = frontier.recorded.clone();
+        let (orbit_size, arena_stats) = frontier.finish();
         let chain = ChainStructure::new(out.row_ptr, out.col, out.label);
         Ok(Graph {
-            states,
+            #[cfg(test)]
+            recorded,
             chain: Arc::new(chain),
             enabled: out.enabled,
             lists: out.lists,
@@ -722,8 +638,8 @@ impl<K> Graph<K> {
         &idx[ptr[s] as usize..ptr[s + 1] as usize]
     }
 
-    /// Byte accounting of the build's marking storage (the peak — arenas
-    /// and interner only grow during the BFS).
+    /// Byte accounting of the build's marking storage, each store at its
+    /// peak ([`ArenaStats`]).
     pub fn arena_stats(&self) -> ArenaStats {
         self.arena_stats
     }
@@ -864,7 +780,7 @@ impl MarkingGraph {
     /// [`QuotientGraph`] is tested against.
     pub(crate) fn orbit_partition(&self, sym: &NetSymmetry) -> Option<crate::lump::Partition> {
         let n = self.n_states();
-        let width = self.states.width();
+        let width = self.recorded.width();
         if sym.place_perm.len() != width {
             return None;
         }
@@ -880,7 +796,7 @@ impl MarkingGraph {
         // image proves the hint does not apply and returns `None`.
         let image0: Option<Vec<u8>> = {
             let mut buf = Vec::new();
-            let m0 = self.states.read_into(0, &mut buf);
+            let m0 = self.recorded.read_into(0, &mut buf);
             let mut img = vec![0u8; width];
             let mut ok = true;
             for (p, &tokens) in m0.iter().enumerate() {
@@ -894,7 +810,7 @@ impl MarkingGraph {
             ok.then_some(img)
         };
         let image0 = image0?;
-        let s0_img = (0..n).find(|&s| self.states.matches(s, &image0))? as u32;
+        let s0_img = (0..n).find(|&s| self.recorded.matches(s, &image0))? as u32;
 
         let (ptr, targets) = (self.chain.row_ptr(), self.chain.forward_targets());
         let row = |s: usize| {
@@ -990,533 +906,4 @@ impl QuotientGraph {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::net::comm_pattern;
-    use repstream_petri::shape::{ExecModel, MappingShape, ResourceTable};
-    use repstream_petri::tpn::Tpn;
-
-    #[test]
-    fn single_transition_self_loop() {
-        // One transition with a marked self-loop: a Poisson clock.
-        let net = EventNet::new(vec![2.0], vec![(0, 0, 1)]);
-        let mg = MarkingGraph::build(&net, MarkingOptions::default()).unwrap();
-        assert_eq!(mg.n_states(), 1);
-        // The firing changes no state: enabled, but no chain edge.
-        assert_eq!(mg.ctmc_with_trans_rates(&net.rates).nnz(), 0);
-        assert_eq!(mg.enabled(0), [0]);
-        let rates = mg.firing_rates_with(&net.rates, &[1.0]);
-        assert!((rates[0] - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn two_transition_cycle() {
-        // A ⇄ B with one token: alternating firings; each fires at rate
-        // 1/(1/λa + 1/λb).
-        let net = EventNet::new(vec![2.0, 3.0], vec![(0, 1, 1), (1, 0, 0)]);
-        let mg = MarkingGraph::build(&net, MarkingOptions::default()).unwrap();
-        assert_eq!(mg.n_states(), 2);
-        let pi = mg.ctmc_with_trans_rates(&net.rates).stationary();
-        let rates = mg.firing_rates_with(&net.rates, &pi);
-        let expect = 1.0 / (1.0 / 2.0 + 1.0 / 3.0);
-        assert!((rates[0] - expect).abs() < 1e-10, "{rates:?}");
-        assert!((rates[1] - expect).abs() < 1e-10);
-    }
-
-    #[test]
-    fn pattern_1x1_is_poisson() {
-        let net = comm_pattern(1, 1, |_, _| 5.0);
-        let mg = MarkingGraph::build(&net, MarkingOptions::default()).unwrap();
-        assert_eq!(mg.n_states(), 1);
-        assert!((mg.throughput_of(&net, &[0]) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn unsafe_net_detected() {
-        // Producer feeding a place with no consumer constraint forming
-        // accumulation: t0 self-loop marked + place t0→t1, t1 needs also a
-        // token that never comes back… simplest: t0 (free-running) feeds
-        // t1 which is throttled by a slow self-loop — the middle place
-        // accumulates.
-        let net = EventNet::new(vec![1.0, 1.0], vec![(0, 0, 1), (0, 1, 0), (1, 1, 1)]);
-        let err = MarkingGraph::build(&net, MarkingOptions::default()).unwrap_err();
-        assert!(matches!(err, MarkingError::NotSafe { .. }), "{err}");
-        // With a capacity it converges.
-        let mg = MarkingGraph::build(
-            &net,
-            MarkingOptions {
-                capacity: Some(4),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(mg.n_states() > 2);
-        // Throughput of the sink transition is throttled by both clocks.
-        let rho = mg.throughput_of(&net, &[1]);
-        assert!(rho < 1.0 && rho > 0.4, "rho {rho}");
-    }
-
-    /// Monotone up to the largest capacity a marking byte holds; anything
-    /// above is refused up front instead of wrapping a token count (debug
-    /// builds used to panic there, release builds returned a throughput
-    /// *below* cap 255's).
-    #[test]
-    fn capacity_increases_throughput_monotonically() {
-        let net = EventNet::new(vec![1.0, 1.0], vec![(0, 0, 1), (0, 1, 0), (1, 1, 1)]);
-        let build = |capacity| {
-            let opts = MarkingOptions {
-                capacity: Some(capacity),
-                ..Default::default()
-            };
-            MarkingGraph::build(&net, opts)
-        };
-        let mut last = 0.0;
-        for cap in [1, 2, 4, 8, 16, 254, 255] {
-            let mg = build(cap).unwrap();
-            assert_eq!(mg.n_states(), cap as usize + 1);
-            let rho = mg.throughput_of(&net, &[1]);
-            assert!(rho >= last - 1e-12, "cap {cap}: {rho} < {last}");
-            // Tandem of two rate-1 exponential servers with infinite
-            // buffer saturates at 1; with cap 16 we should be close.
-            assert!(cap < 16 || (rho > 0.8 && rho < 1.0), "cap {cap}: {rho}");
-            last = rho;
-        }
-        for cap in [256, 300, 1000, u32::MAX] {
-            assert_eq!(build(cap).unwrap_err(), MarkingError::CapacityTooLarge(cap));
-        }
-    }
-
-    #[test]
-    fn state_budget_enforced() {
-        let net = comm_pattern(4, 5, |_, _| 1.0);
-        let err = MarkingGraph::build(
-            &net,
-            MarkingOptions {
-                max_states: 10,
-                capacity: None,
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, MarkingError::TooManyStates(10)));
-    }
-
-    /// The 1×n pattern (2n places) with its row shift: transition
-    /// `k ↦ k+1 mod n` maps both one-port cycle families onto themselves
-    /// (sender cycle place `k`, receiver cycle place `n+k`).  Its n
-    /// markings are one orbit.
-    fn pattern_1xn_with_shift(n: usize) -> (EventNet, NetSymmetry) {
-        let net = comm_pattern(1, n, |_, _| 1.5);
-        let sym = NetSymmetry {
-            trans_perm: (0..n).map(|k| (k + 1) % n).collect(),
-            place_perm: (0..2 * n)
-                .map(|p| {
-                    if p < n {
-                        (p + 1) % n
-                    } else {
-                        n + (p + 1 - n) % n
-                    }
-                })
-                .collect(),
-        };
-        (net, sym)
-    }
-
-    /// The homogeneous Strict 2×3 TPN (> 8 places) with its row rotation.
-    fn strict_2x3_with_rotation() -> (EventNet, NetSymmetry) {
-        let shape = MappingShape::new(vec![2, 3]);
-        let tpn = Tpn::build(&shape, ExecModel::Strict);
-        let rates = ResourceTable::from_fns(&shape, |_, _| 0.5, |_, _, _| 2.0);
-        let (net, sym) = EventNet::from_tpn_with_symmetry(&tpn, &rates);
-        (net, sym.expect("homogeneous rates keep the rotation"))
-    }
-
-    /// [`strict_2x3_with_rotation`] re-indexed behind `pad` (even)
-    /// always-marked places — self-loops of one extra transition, swapped
-    /// in pairs by the symmetry, which keeps its order — so the same
-    /// many-orbit chain is elected on bits that sit `pad` places further
-    /// into the packed rows.
-    fn strict_2x3_padded(pad: usize) -> (EventNet, NetSymmetry) {
-        let (net, sym) = strict_2x3_with_rotation();
-        let extra = net.n_transitions();
-        let mut rates = net.rates.clone();
-        rates.push(1.0);
-        let places = (0..pad)
-            .map(|_| (extra, extra, 1))
-            .chain(net.places.iter().copied())
-            .collect();
-        let mut trans_perm = sym.trans_perm.clone();
-        trans_perm.push(extra);
-        let place_perm = (0..pad)
-            .map(|p| p ^ 1)
-            .chain(sym.place_perm.iter().map(|&p| pad + p))
-            .collect();
-        let sym = NetSymmetry {
-            trans_perm,
-            place_perm,
-        };
-        (EventNet::new(rates, places), sym)
-    }
-
-    fn assert_same_chain(a: &Ctmc, b: &Ctmc, what: &str) {
-        assert_eq!(a.n_states(), b.n_states(), "{what}: states");
-        assert_eq!(a.nnz(), b.nnz(), "{what}: nnz");
-        let targets = |c: &Ctmc| c.structure().forward_targets();
-        assert_eq!(targets(a), targets(b), "{what}: forward targets");
-        let incoming = |c: &Ctmc, j| -> Vec<(usize, u64)> {
-            c.incoming(j).map(|(i, r)| (i, r.to_bits())).collect()
-        };
-        for s in 0..a.n_states() {
-            for (x, y) in a.row_rates(s).zip(b.row_rates(s)) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{what}: rates of row {s}");
-            }
-            assert_eq!(incoming(a, s), incoming(b, s), "{what}: incoming {s}");
-            let exit = (a.exit_rate(s).to_bits(), b.exit_rate(s).to_bits());
-            assert_eq!(exit.0, exit.1, "{what}: exit {s}");
-        }
-    }
-
-    /// `mg` against the resident `reference`: same chain bits, markings
-    /// and enabled sets.
-    fn assert_same_graph(mg: &MarkingGraph, reference: &MarkingGraph, net: &EventNet, what: &str) {
-        assert_same_chain(
-            &mg.ctmc_with_trans_rates(&net.rates),
-            &reference.ctmc_with_trans_rates(&net.rates),
-            what,
-        );
-        let mut buf = Vec::new();
-        for s in 0..reference.n_states() {
-            assert_eq!(
-                mg.states.read_into(s, &mut buf),
-                reference.states.get(s),
-                "{what}: marking {s}"
-            );
-            assert_eq!(mg.enabled(s), reference.enabled(s), "{what}: enabled {s}");
-        }
-    }
-
-    /// One kernel, every instantiation: canonicaliser × threads × spill
-    /// on a ≤ 8-place and a > 8-place net.  The full chain — on bit rows
-    /// and on byte-row `Identity` — must equal the sequential resident
-    /// one, and both quotient canonicalisers must equal full-then-lump bit
-    /// for bit — chain, representatives, orbit sizes, enabled sets,
-    /// refill map.  Every build stores its rows as wide as its keys:
-    /// `⌈places/64⌉` words per state on bit rows, `⌈places/8⌉` on byte
-    /// rows, resident or spilled.
-    ///
-    /// The nets also span `RowRotation`'s election widths: one word (1×4,
-    /// 2×3), two with the deciding bits in word 1 (2×3 behind 64 places),
-    /// three (1×70; 2×3 behind 128, deciding in word 2) and the slice
-    /// pass beyond four (1×130, five words).  The single-orbit counts
-    /// are what an election that depended on the rotation it starts from
-    /// could not produce.
-    #[test]
-    fn kernel_instantiations_agree() {
-        for (label, (net, sym), orbits) in [
-            ("pattern 1x4", pattern_1xn_with_shift(4), 1),
-            ("strict 2x3", strict_2x3_with_rotation(), 64),
-            ("strict 2x3 behind 64", strict_2x3_padded(64), 64),
-            ("strict 2x3 behind 128", strict_2x3_padded(128), 64),
-            ("pattern 1x70", pattern_1xn_with_shift(70), 1),
-            ("pattern 1x130", pattern_1xn_with_shift(130), 1),
-        ] {
-            assert!(net.symmetry_valid(&sym), "{label}");
-            let canon = MarkingCanonicalizer::new(&sym.place_perm).unwrap();
-            let order = canon.order() as usize;
-
-            let plain = MarkingOptions {
-                threads: 1,
-                ..Default::default()
-            };
-            let full = MarkingGraph::build(&net, plain).unwrap();
-            let seed = full.orbit_partition(&sym).expect("orbit seed applies");
-            let (lumped, lift) = full.ctmc_with_trans_rates(&net.rates).quotient(&seed);
-            assert_eq!(lumped.n_states(), orbits, "{label}");
-            let firsts: Vec<usize> = (0..lumped.n_states())
-                .map(|b| {
-                    (0..full.n_states())
-                        .find(|&s| seed.block_of(s) == b)
-                        .unwrap()
-                })
-                .collect();
-            let refill = QuotientGraph::explore(&net, plain, &PerFiring(&canon)).unwrap();
-            let places = net.n_places();
-            let assert_words = |stats: ArenaStats, n: usize, per_word: usize, what: &str| {
-                let bytes = n * places.div_ceil(per_word) * 8;
-                assert_eq!(stats.keys_bytes, bytes, "{what}: keys");
-                assert_eq!(stats.reps_bytes + stats.spill_bytes, bytes, "{what}: rows");
-            };
-
-            let mut buf = Vec::new();
-            for threads in [1usize, 2, 4] {
-                for interner_spill in [false, true] {
-                    let opts = MarkingOptions {
-                        threads,
-                        interner_spill,
-                        spill_limit: 16,
-                        ..Default::default()
-                    };
-                    let what = format!("{label} threads={threads} spill={interner_spill}");
-
-                    let mg = MarkingGraph::build(&net, opts).unwrap();
-                    assert_same_graph(&mg, &full, &net, &what);
-                    assert_eq!(mg.arena_stats().spill_bytes > 0, interner_spill, "{what}");
-                    assert_words(mg.arena_stats(), mg.n_states(), 64, &what);
-
-                    // The safe full chain is built on bit rows; byte-row
-                    // `Identity` must build the same graph.
-                    let bytes = MarkingGraph::explore(&net, opts, &Identity).unwrap();
-                    let bytes_what = format!("{what} bytes");
-                    assert_same_graph(&bytes, &full, &net, &bytes_what);
-                    assert_words(bytes.arena_stats(), bytes.n_states(), 8, &bytes_what);
-
-                    let rowrot = RowRotation::new(&net, &sym, order);
-                    for (name, qg, per_word) in [
-                        ("rowrot", QuotientGraph::explore(&net, opts, &rowrot), 64),
-                        (
-                            "perfiring",
-                            QuotientGraph::explore(&net, opts, &PerFiring(&canon)),
-                            8,
-                        ),
-                    ] {
-                        let what = format!("{what} {name}");
-                        let qg = qg.unwrap();
-                        assert_same_chain(&qg.ctmc_with_trans_rates(&net.rates), &lumped, &what);
-                        assert_eq!(qg.full_states(), full.n_states(), "{what}");
-                        assert_eq!(qg.chain.labels(), refill.chain.labels(), "{what}");
-                        assert_eq!(qg.lists.ptr, refill.lists.ptr, "{what}");
-                        assert_eq!(qg.lists.trans, refill.lists.trans, "{what}");
-                        assert_words(qg.arena_stats(), qg.n_states(), per_word, &what);
-                        for (b, &first) in firsts.iter().enumerate() {
-                            assert_eq!(qg.orbit_sizes()[b] as usize, lift.block_size(b));
-                            assert_eq!(qg.states.read_into(b, &mut buf), full.states.get(first));
-                            assert_eq!(qg.enabled(b), full.enabled(first), "{what}: {b}");
-                        }
-                    }
-                }
-            }
-        }
-        // The quotient preserves the Theorem 4 closed form u·v·λ/(u+v−1).
-        let (net, sym) = pattern_1xn_with_shift(4);
-        let rho = QuotientGraph::build(&net, &sym, MarkingOptions::default())
-            .unwrap()
-            .throughput_of(&net, &[0, 1, 2, 3]);
-        assert!((rho - 4.0 * 1.5 / 4.0).abs() < 1e-12, "rho {rho}");
-    }
-
-    /// The padded 2×3 net's extra transition is enabled in every marking
-    /// and moves no token.  Each of its firings stays in its state and
-    /// takes no edge, so the full chain is the unpadded one — its `nnz`
-    /// and its π bits — and the extra transition still fires at its
-    /// rate.
-    #[test]
-    fn self_loop_firings_take_no_edge() {
-        let (plain, _) = strict_2x3_with_rotation();
-        let (padded, _) = strict_2x3_padded(64);
-        let opts = MarkingOptions::default();
-        let (a, b) = (
-            MarkingGraph::build(&plain, opts).unwrap(),
-            MarkingGraph::build(&padded, opts).unwrap(),
-        );
-        let (ca, cb) = (
-            a.ctmc_with_trans_rates(&plain.rates),
-            b.ctmc_with_trans_rates(&padded.rates),
-        );
-        assert_eq!(cb.nnz(), ca.nnz());
-        let bits = |pi: &[f64]| pi.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
-        let pi = cb.stationary();
-        assert_eq!(bits(&pi), bits(&ca.stationary()));
-        let extra = plain.n_transitions();
-        for s in 0..b.n_states() {
-            assert_eq!(b.enabled(s).last(), Some(&(extra as u32)), "{s}");
-        }
-        let fired = b.firing_rates_with(&padded.rates, &pi)[extra];
-        assert!((fired - padded.rates[extra]).abs() < 1e-12, "{fired}");
-    }
-
-    /// No `Tpn::build` net drops or merges a firing, so on each the
-    /// enabled sets are the chain's forward rows, stored once, and the
-    /// chain has one edge per firing: Strict hom and het 2×3, 3×4 and
-    /// 4×5 under both aliases (the quotient where the rotation survives),
-    /// and an Overlap net under a capacity of 2.
-    #[test]
-    fn tpn_graphs_keep_no_separate_enabled_table() {
-        fn assert_shared<K>(g: &Graph<K>, what: &str) {
-            assert!(g.enabled.is_none(), "{what}: separate enabled table");
-            let firings: usize = (0..g.n_states()).map(|s| g.enabled(s).len()).sum();
-            assert_eq!(g.chain.nnz(), firings, "{what}: nnz");
-        }
-        let check = |teams: &[usize], model, capacity| {
-            let shape = MappingShape::new(teams.to_vec());
-            let tpn = Tpn::build(&shape, model);
-            let opts = MarkingOptions {
-                capacity,
-                ..Default::default()
-            };
-            let hom = ResourceTable::from_fns(&shape, |_, _| 0.5, |_, _, _| 2.0);
-            let het = ResourceTable::from_fns(&shape, |_, s| 0.5 + s as f64, |_, _, _| 2.0);
-            let (net, sym) = EventNet::from_tpn_with_symmetry(&tpn, &hom);
-            let what = format!("{model:?} {teams:?}");
-            let sym = sym.expect("homogeneous rates keep the rotation");
-            let qg = QuotientGraph::build(&net, &sym, opts).unwrap();
-            assert_shared(&qg, &format!("{what} hom quotient"));
-            let net = EventNet::from_tpn(&tpn, &het);
-            assert_shared(
-                &MarkingGraph::build(&net, opts).unwrap(),
-                &format!("{what} het full"),
-            );
-        };
-        for teams in [[2usize, 3], [3, 4], [4, 5]] {
-            check(&teams, ExecModel::Strict, None);
-        }
-        check(&[2, 3], ExecModel::Overlap, Some(2));
-    }
-
-    /// Two copies of [`unsafe_net_detected`]'s producer/consumer pair,
-    /// swapped by the symmetry: unsafe (place 1 accumulates), finite under
-    /// a capacity, and a genuine order-2 automorphism either way.
-    fn unsafe_pair_with_swap() -> (EventNet, NetSymmetry) {
-        let copy = |t: usize| [(t, t, 1), (t, t + 1, 0), (t + 1, t + 1, 1)];
-        let net = EventNet::new(vec![1.0, 3.0, 1.0, 3.0], [copy(0), copy(2)].concat());
-        let sym = NetSymmetry {
-            trans_perm: vec![2, 3, 0, 1],
-            place_perm: vec![3, 4, 5, 0, 1, 2],
-        };
-        assert!(net.symmetry_valid(&sym));
-        (net, sym)
-    }
-
-    /// Which canonicaliser runs never shows in a failure: an unsafe net
-    /// is refused at the same place by `RowRotation` (whose key for the
-    /// unsafe successor is garbage, and must not be interned first) and
-    /// by `PerFiring`, at every thread count.
-    #[test]
-    fn unsafe_quotient_fails_alike_under_both_canonicalisers() {
-        let (net, sym) = unsafe_pair_with_swap();
-        let canon = MarkingCanonicalizer::new(&sym.place_perm).unwrap();
-        let rowrot = RowRotation::new(&net, &sym, canon.order() as usize);
-        for threads in [1usize, 2, 4] {
-            let opts = MarkingOptions {
-                threads,
-                ..Default::default()
-            };
-            for err in [
-                QuotientGraph::explore(&net, opts, &rowrot).unwrap_err(),
-                QuotientGraph::explore(&net, opts, &PerFiring(&canon)).unwrap_err(),
-                QuotientGraph::build(&net, &sym, opts).unwrap_err(),
-            ] {
-                assert_eq!(err, MarkingError::NotSafe { place: 1 }, "threads {threads}");
-            }
-        }
-    }
-
-    /// A capacity-bounded quotient holds token counts above one, so it
-    /// is built on byte rows (`PerFiring`) — and still equals
-    /// full-then-lump bit for bit.
-    #[test]
-    fn capacity_bounded_quotient_equals_full_then_lump() {
-        let (net, sym) = unsafe_pair_with_swap();
-        let opts = MarkingOptions {
-            capacity: Some(2),
-            ..Default::default()
-        };
-        let full = MarkingGraph::build(&net, opts).unwrap();
-        let seed = full.orbit_partition(&sym).expect("orbit seed applies");
-        let (lumped, lift) = full.ctmc_with_trans_rates(&net.rates).quotient(&seed);
-        let qg = QuotientGraph::build(&net, &sym, opts).unwrap();
-        assert!(qg.n_states() < full.n_states());
-        assert!(qg.states.iter().any(|m| m.contains(&2)), "never above one");
-        assert_same_chain(&qg.ctmc_with_trans_rates(&net.rates), &lumped, "capacity 2");
-        assert_eq!(qg.full_states(), full.n_states());
-        for b in 0..qg.n_states() {
-            assert_eq!(qg.orbit_sizes()[b] as usize, lift.block_size(b), "{b}");
-        }
-    }
-
-    /// The contract on markings covers the first one: more than one
-    /// token under `capacity: None` is `NotSafe` before any state is
-    /// built, a count that does not fit a marking byte is
-    /// `CapacityTooLarge` under any capacity — an error, not a panic —
-    /// and a start above a `Some(c)` bound stays legal: the place drains.
-    /// Both builders, every thread count.
-    #[test]
-    fn initial_marking_is_validated_before_the_search() {
-        let cycle = |tokens| EventNet::new(vec![2.0, 3.0], vec![(0, 1, tokens), (1, 0, 0)]);
-        // The tandem of `unsafe_net_detected`, its buffer pre-filled.
-        let tandem = |tokens| {
-            let places = vec![(0, 0, 1), (0, 1, tokens), (1, 1, 1)];
-            EventNet::new(vec![1.0, 1.0], places)
-        };
-        let both = |net: &EventNet, capacity, threads| {
-            let identity = NetSymmetry {
-                trans_perm: (0..net.n_transitions()).collect(),
-                place_perm: (0..net.n_places()).collect(),
-            };
-            let opts = MarkingOptions {
-                capacity,
-                threads,
-                ..Default::default()
-            };
-            let full = MarkingGraph::build(net, opts).map(|g| g.n_states());
-            let quotient = QuotientGraph::build(net, &identity, opts).map(|g| g.n_states());
-            assert_eq!(full, quotient);
-            full
-        };
-        for threads in [0usize, 1, 2, 4] {
-            assert_eq!(
-                both(&cycle(2), None, threads),
-                Err(MarkingError::NotSafe { place: 0 })
-            );
-            for capacity in [None, Some(1), Some(255)] {
-                assert_eq!(
-                    both(&cycle(300), capacity, threads),
-                    Err(MarkingError::CapacityTooLarge(300))
-                );
-            }
-            // The buffer drains from 5 before the bound 2 ever gates it.
-            assert_eq!(both(&tandem(5), Some(2), threads), Ok(6));
-            assert_eq!(both(&tandem(255), Some(255), threads), Ok(256));
-        }
-    }
-
-    /// A sharded + spilled build must be bitwise identical to the default
-    /// build: the same states, chain bits and enabled sets — only the
-    /// storage accounting differs.
-    #[test]
-    fn spilled_sharded_build_is_bitwise_identical() {
-        let net = comm_pattern(2, 3, |i, j| 1.0 + (i + 2 * j) as f64);
-        let reference = MarkingGraph::build(
-            &net,
-            MarkingOptions {
-                interner_shards: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let spilled = MarkingGraph::build(
-            &net,
-            MarkingOptions {
-                interner_shards: 16,
-                interner_spill: true,
-                spill_limit: 64,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(spilled.arena_stats().spill_bytes > 0, "never spilled");
-        assert_same_graph(&spilled, &reference, &net, "sharded + spilled");
-    }
-
-    /// Safe pattern nets must reproduce the Theorem 3 state count.
-    #[test]
-    fn arena_pattern_states_match_closed_form() {
-        let net = comm_pattern(2, 3, |_, _| 1.0);
-        let mg = MarkingGraph::build(&net, MarkingOptions::default()).unwrap();
-        assert_eq!(mg.n_states(), 12); // S(2,3) = C(4,1)·3
-        assert_eq!(mg.states.width(), net.n_places());
-        // Every stored marking is 0/1 (safe net).
-        for m in mg.states.iter() {
-            assert!(m.iter().all(|&b| b <= 1));
-        }
-    }
-}
+mod tests;

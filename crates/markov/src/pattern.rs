@@ -46,7 +46,7 @@ pub fn enumerated_state_count(u: usize, v: usize) -> Result<usize, MarkingError>
             ..Default::default()
         },
     )?;
-    Ok(mg.states.len())
+    Ok(mg.n_states())
 }
 
 #[cfg(test)]
@@ -92,7 +92,7 @@ mod tests {
         let net = comm_pattern(3, 4, |_, _| 2.0);
         let mg = MarkingGraph::build(&net, MarkingOptions::default()).unwrap();
         let pi = mg.ctmc_with_trans_rates(&net.rates).stationary();
-        let expect = 1.0 / mg.states.len() as f64;
+        let expect = 1.0 / mg.n_states() as f64;
         for (s, &p) in pi.iter().enumerate() {
             assert!((p - expect).abs() < 1e-10, "state {s}: {p} vs {expect}");
         }

@@ -1,12 +1,14 @@
-//! The direct quotient construction on its own terms: the `m = 1`
-//! degenerate, the state budget, refills, labelled chains, thread
-//! counts and refused hints.  Its bit-for-bit agreement with building
-//! the full chain and lumping it is pinned next to the oracle, in
-//! `src/lump/tests.rs`: the oracle is compiled into the crate's own test
-//! builds only, out of reach of these integration tests.
+//! The direct quotient construction on its own terms: the state budget,
+//! refills, labelled chains and refused hints.  Its bit-for-bit
+//! agreement with building the full chain and lumping it is pinned next
+//! to the oracle, in `src/lump/tests.rs`, and the pins that compare its
+//! markings — the `m = 1` degenerate, every thread count — are unit
+//! tests in `src/marking/tests.rs`: the oracle and the recorded markings
+//! are compiled into the crate's own test builds only, out of reach of
+//! these integration tests.
 
 use repstream_markov::ctmc::{Ctmc, Solver, SolverChoice};
-use repstream_markov::marking::{Graph, MarkingGraph, MarkingOptions, QuotientGraph};
+use repstream_markov::marking::{MarkingGraph, MarkingOptions, QuotientGraph};
 use repstream_markov::net::{EventNet, NetSymmetry};
 use repstream_petri::shape::{ExecModel, MappingShape, ResourceTable};
 use repstream_petri::tpn::Tpn;
@@ -55,29 +57,6 @@ fn assert_same_edges(a: &Ctmc, b: &Ctmc, context: &str) {
             b.exit_rate(s).to_bits(),
             "{context}: exit {s}"
         );
-    }
-}
-
-/// `m = 1` (no replication): the rotation is the identity, every orbit is
-/// a singleton, and the quotient BFS degenerates to the plain marking BFS
-/// bit for bit.
-#[test]
-fn m1_degenerates_to_the_plain_bfs_bitwise() {
-    let (_, net, sym) = strict_net(&[1, 1, 1], 0.5, 2.0);
-    let sym = sym.expect("identity rotation is always valid");
-    let opts = MarkingOptions::default();
-    let mg = MarkingGraph::build(&net, opts).unwrap();
-    let qg = QuotientGraph::build(&net, &sym, opts).unwrap();
-    assert_chains_identical(
-        &qg.ctmc_with_trans_rates(&net.rates),
-        &mg.ctmc_with_trans_rates(&net.rates),
-        "teams [1,1,1]",
-    );
-    assert_eq!(qg.full_states(), mg.n_states());
-    assert!(qg.orbit_sizes().iter().all(|&k| k == 1));
-    for s in 0..mg.n_states() {
-        assert_eq!(qg.states.get(s), mg.states.get(s), "state {s}");
-        assert_eq!(qg.enabled(s), mg.enabled(s), "state {s}");
     }
 }
 
@@ -333,104 +312,6 @@ fn three_cycles_with_rotation() -> (Vec<usize>, EventNet, NetSymmetry) {
     assert!(net.symmetry_valid(&sym));
     // The `a` transitions: their summed rate is rotation-closed.
     (vec![0, 2, 4], net, sym)
-}
-
-/// `par` against the sequential `seq`, either graph kind: chain (targets
-/// and rate bits, at the net's rates and refilled from a scaled table),
-/// state counts, markings, enabled sets and the solved throughput of
-/// `last`.
-fn assert_parallel_is_sequential<K>(
-    par: &Graph<K>,
-    seq: &Graph<K>,
-    net: &EventNet,
-    last: &[usize],
-    ctx: &str,
-) {
-    assert_chains_identical(
-        &par.ctmc_with_trans_rates(&net.rates),
-        &seq.ctmc_with_trans_rates(&net.rates),
-        ctx,
-    );
-    assert_eq!(par.n_states(), seq.n_states(), "{ctx}");
-    assert_eq!(par.full_states(), seq.full_states(), "{ctx}");
-    for s in 0..seq.n_states() {
-        assert_eq!(par.states.get(s), seq.states.get(s), "{ctx}: state {s}");
-        assert_eq!(par.enabled(s), seq.enabled(s), "{ctx}: enabled {s}");
-    }
-    // The edge→transitions refill maps coincide: re-rating both graphs
-    // from a scaled table gives identical chains.
-    let doubled: Vec<f64> = net.rates.iter().map(|r| r * 2.0).collect();
-    assert_chains_identical(
-        &par.ctmc_with_trans_rates(&doubled),
-        &seq.ctmc_with_trans_rates(&doubled),
-        &format!("{ctx} (refilled)"),
-    );
-    assert_eq!(
-        par.throughput_of(net, last).to_bits(),
-        seq.throughput_of(net, last).to_bits(),
-        "{ctx}"
-    );
-}
-
-/// The chunk-parallel frontier BFS of the quotient build is **bitwise
-/// identical** to the sequential scan for every thread count: chain
-/// (targets and rate bits), representatives, enabled sets, orbit sizes,
-/// the edge→transitions refill map, and the solved throughput.
-#[test]
-fn parallel_quotient_build_is_bitwise_sequential() {
-    for teams in [vec![2usize, 3], vec![3, 4], vec![2, 3, 4]] {
-        let (tpn, net, sym) = strict_net(&teams, 0.5, 2.0);
-        let sym = sym.expect("homogeneous rates keep the rotation");
-        let build = |threads| {
-            let opts = MarkingOptions {
-                threads,
-                ..Default::default()
-            };
-            QuotientGraph::build(&net, &sym, opts).unwrap()
-        };
-        let seq = build(1);
-        for threads in [2usize, 4, 8] {
-            let par = build(threads);
-            let ctx = format!("teams {teams:?} threads {threads}");
-            assert_parallel_is_sequential(&par, &seq, &net, &tpn.last_column(), &ctx);
-            assert_eq!(par.orbit_sizes(), seq.orbit_sizes(), "{ctx}");
-        }
-    }
-}
-
-/// The same contract for the plain marking BFS (the `m = 1` degenerate of
-/// the quotient): states, enabled sets and chain agree bit for bit at
-/// every thread count, and budget errors fire identically.
-#[test]
-fn parallel_plain_bfs_is_bitwise_sequential() {
-    for teams in [vec![2usize, 3], vec![1, 2, 2]] {
-        let (tpn, net, _) = strict_net(&teams, 0.5, 2.0);
-        let build = |threads| {
-            let opts = MarkingOptions {
-                threads,
-                ..Default::default()
-            };
-            MarkingGraph::build(&net, opts).unwrap()
-        };
-        let seq = build(1);
-        for threads in [2usize, 4, 8] {
-            let par = build(threads);
-            let ctx = format!("teams {teams:?} threads {threads}");
-            assert_parallel_is_sequential(&par, &seq, &net, &tpn.last_column(), &ctx);
-            // A budget below the reachable count errors identically.
-            let tight = MarkingOptions {
-                max_states: seq.n_states() - 1,
-                threads,
-                ..Default::default()
-            };
-            let err = MarkingGraph::build(&net, tight).unwrap_err();
-            assert_eq!(
-                err,
-                repstream_markov::marking::MarkingError::TooManyStates(seq.n_states() - 1),
-                "{ctx}"
-            );
-        }
-    }
 }
 
 /// Heterogeneous rate tables refuse the symmetry (no `NetSymmetry` is

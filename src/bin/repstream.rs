@@ -35,9 +35,6 @@
 //!   report prints what actually ran, its iterations and residual);
 //! * `--max-states N` — state budget of every chain the command builds
 //!   (default 4M; a Theorem 3 pattern chain gets at most 2M of it);
-//! * `--interner-spill` — park the row arena's packed rows in an unlinked
-//!   temp file under `REPSTREAM_SPILL_DIR` (bitwise-neutral, bounds peak
-//!   RSS);
 //! * `--deadline DUR` (`2s`, `500ms`) — arm the cooperative governor: the
 //!   BFS checks it per level, the solvers per checkpoint, the portfolio
 //!   per candidate sub-batch; un-fired, it changes no output bit;
@@ -50,7 +47,7 @@
 //! Exit codes: `0` success (including a degraded-to-bounds report),
 //! `2` configuration/usage error, `3` over the `--max-states` budget,
 //! `4` interrupted (a report under `--degrade fail`, any search), `5`
-//! internal error (e.g. spill I/O).
+//! internal error (e.g. unexpected unsafety).
 //!
 //! The `.rsys` format is a small line-oriented description (see
 //! [`repstream::workload` docs] and `parse_system`):
@@ -158,8 +155,8 @@ fn parsed<T: std::str::FromStr>(args: &[String], i: &mut usize, needs: &str) -> 
         .ok_or_else(|| needs.to_string())
 }
 
-/// The run flags — `--threads --solver --max-states --interner-spill
-/// --deadline --degrade` — parsed in this one place for
+/// The run flags — `--threads --solver --max-states --deadline
+/// --degrade` — parsed in this one place for
 /// `analyze`, `client analyze` and `search`: one spelling, one error text
 /// and one [`RunConfig`] per flag, whichever command it is given to.
 #[derive(Default)]
@@ -179,7 +176,6 @@ impl RunFlags {
     /// flag; `Ok(false)` leaves it to the calling command.
     fn take(&mut self, args: &[String], i: &mut usize) -> Result<bool, String> {
         match args[*i].as_str() {
-            "--interner-spill" => self.run.interner_spill = true,
             "--threads" => {
                 self.run.threads = parsed(args, i, "--threads needs a count (0 = auto)")?
             }
@@ -761,7 +757,7 @@ fn run_workload_search(apps: usize, objective: Objective, portfolio: PortfolioOp
 fn usage() -> i32 {
     eprintln!(
         "usage: repstream <analyze FILE [--threads N] [--solver S] \
-         [--max-states N] [--interner-spill] [--deadline DUR] [--degrade bounds|fail] | \
+         [--max-states N] [--deadline DUR] [--degrade bounds|fail] | \
          dot FILE [overlap|strict] | \
          example-a | search [SCENARIO|FILE] [--model overlap|strict] [--candidates N] [--seed N] \
          [--no-exp] [--threads N] [--solver S] [--deadline DUR] \
@@ -886,11 +882,11 @@ team      6
     /// whichever of the three commands parses it.
     #[test]
     fn run_flags_parse_the_same_in_every_command() {
-        // max_states, threads, solver, interner_spill, deadline armed
-        type Knobs = (usize, usize, SolverChoice, bool, bool);
+        // max_states, threads, solver, deadline armed
+        type Knobs = (usize, usize, SolverChoice, bool);
         fn knobs(r: &RunConfig) -> Knobs {
             let armed = r.budget.deadline.is_some();
-            (r.max_states, r.threads, r.solver, r.interner_spill, armed)
+            (r.max_states, r.threads, r.solver, armed)
         }
         let all: &[&str] = &[
             "--threads",
@@ -899,14 +895,13 @@ team      6
             "power",
             "--max-states",
             "5000",
-            "--interner-spill",
             "--deadline",
             "1500ms",
         ];
         let power = SolverChoice::Force(Solver::Power);
         let table: &[(&[&str], Result<Knobs, &str>)] = &[
             (&[], Ok(knobs(&RunConfig::default()))),
-            (all, Ok((5000, 3, power, true, true))),
+            (all, Ok((5000, 3, power, true))),
             (&["--threads"], Err("--threads needs a count (0 = auto)")),
             (
                 &["--threads", "x"],
@@ -958,24 +953,26 @@ team      6
             let cmd = ["analyze", "x.rsys", "--solver", retired].map(String::from);
             assert_eq!(run(&cmd), 2, "--solver {retired}");
         }
-        // `--no-lump` is no flag: an unknown argument, exit 2, before any
-        // file is read or any server is dialled.
-        let no_lump = argv(&["--no-lump"]);
-        assert_eq!(
-            analyze_args(&no_lump).err().as_deref(),
-            Some("unknown analyze argument --no-lump")
-        );
-        let search = ["search", "x.rsys", "--no-lump"].map(String::from);
-        assert_eq!(
-            build_client_request(&search).err().as_deref(),
-            Some("unknown client search argument --no-lump")
-        );
-        for cmd in [
-            &["analyze", "x.rsys", "--no-lump"][..],
-            &["client", "search", "x.rsys", "--no-lump"][..],
-        ] {
-            let cmd: Vec<String> = cmd.iter().copied().map(String::from).collect();
-            assert_eq!(run(&cmd), 2, "{cmd:?}");
+        // `--no-lump` and `--interner-spill` are no flags: an unknown
+        // argument, exit 2, before any file is read or any server is
+        // dialled.
+        for flag in ["--no-lump", "--interner-spill"] {
+            assert_eq!(
+                analyze_args(&argv(&[flag])).err(),
+                Some(format!("unknown analyze argument {flag}"))
+            );
+            let search = ["search", "x.rsys", flag].map(String::from);
+            assert_eq!(
+                build_client_request(&search).err(),
+                Some(format!("unknown client search argument {flag}"))
+            );
+            for cmd in [
+                &["analyze", "x.rsys", flag][..],
+                &["client", "search", "x.rsys", flag][..],
+            ] {
+                let cmd: Vec<String> = cmd.iter().copied().map(String::from).collect();
+                assert_eq!(run(&cmd), 2, "{cmd:?}");
+            }
         }
 
         // The wire carries the deadline relative, for the server to arm.
