@@ -77,17 +77,23 @@
 //!   balance equations `π_j · exit_j = Σ_{i→j} π_i r_ij` using the latest
 //!   values in place.  On the sparse, shallow marking chains of this
 //!   repository it converges in tens of sweeps at every size measured
-//!   (40–90 from 4×5 to the 1 081 344-state 6×7 quotient, stiff rate
-//!   tables included), so its `O(sweeps · nnz)` beats GTH's `O(n³)` by
-//!   orders of magnitude from a few hundred states up.  A sweep is one
-//!   dependent add chain per column and a divide by `exit_j`; around
-//!   them it reads the validated structure without bounds checks,
-//!   accumulates the normalisation sum as it stores each entry (the
-//!   additions of a separate `pi.iter().sum()`, in the same order) and,
-//!   until one entry has moved, divides for the stop test only where an
-//!   entry's change reaches half the threshold — an exact pre-filter, so
-//!   the iterate, the sweep count and every bit are those of the plain
-//!   loop.
+//!   (30–45 from 4×5 to the 1 081 344-state 6×7 quotient, stiff rate
+//!   tables included; ≈ 20 on full chains), so its `O(sweeps · nnz)`
+//!   beats GTH's `O(n³)` by orders of magnitude from a few hundred states
+//!   up.  A sweep is one dependent add chain per column and a divide by
+//!   `exit_j`; around them it reads the validated structure without
+//!   bounds checks, accumulates the normalisation sum as it stores each
+//!   entry (the additions of a separate `pi.iter().sum()`, in the same
+//!   order) and, until one entry has moved, divides for the stop test
+//!   only where an entry's change reaches half the threshold — an exact
+//!   pre-filter.  On a quotient most sweeps of plain relaxation shrink
+//!   one isolated real error mode, so every 8 sweeps from sweep 16 on
+//!   the loop measures that mode's ratio from two successive iterate
+//!   differences and, when they line up, adds its remaining sum at once
+//!   (Aitken extrapolation): about half the sweeps, for one extra
+//!   `n`-vector.  Where the gate never opens (the large full chains
+//!   measured), and on every chain that converges within 16 sweeps, the
+//!   iterate, the sweep count and every bit are those of the plain loop.
 //!
 //! # Selection policy ([`Ctmc::stationary`])
 //!
@@ -411,6 +417,14 @@ pub const RRE_WINDOW: usize = 6;
 
 /// Sweeps between extrapolation bursts of the power iteration.
 pub const RRE_PERIOD: usize = 24;
+
+/// Gauss–Seidel sweeps per one-mode extrapolation: from the second
+/// period on, sweep `s ≡ K − 1` (mod K) records its iterate difference
+/// d₀, and sweep `s ≡ 0` measures the next and may jump along it
+/// ([`extrapolate`]).  The first jump can come after sweep 2K only, so a
+/// chain that converges within 2K sweeps — the small full chains the
+/// server answers — keeps plain relaxation's bits and sweep count.
+const EXTRAPOLATION_PERIOD: usize = 8;
 
 /// GTH is used below this state count regardless of density.  Measured
 /// on pattern chains when the CSR engine landed (`CHANGES.md`): GTH wins
@@ -1021,8 +1035,11 @@ impl Ctmc {
     /// after `max_sweeps`; a `tol` that is not positive never stops
     /// early.  After each sweep the iterate is scaled to unit sum, by a
     /// sum the sweep accumulates as it stores each entry — the additions,
-    /// in the order, of `pi.iter().sum()`.  `O(sweeps · nnz)` time, `O(n)`
-    /// extra space.
+    /// in the order, of `pi.iter().sum()`.  Every 8 sweeps from sweep 16
+    /// on, when the last two iterate differences line up, it jumps along
+    /// that one slow error mode (Aitken extrapolation).
+    /// `O(sweeps · nnz)` time; one extra `n`-vector (the last iterate
+    /// difference), allocated from sweep 15 on.
     /// Convergence is not guaranteed for every irreducible chain (unlike
     /// the uniformized power method), so callers that cannot tolerate a
     /// miss should check [`Ctmc::stationarity_residual`] and fall back —
@@ -1044,12 +1061,11 @@ impl Ctmc {
         if n == 1 {
             return Ok((vec![1.0], 0));
         }
-        let exit = &self.exit[..n];
         let mut pi = vec![1.0 / n as f64; n];
-        let half_tol = 0.5 * tol;
-        // A `tol` that is not positive counts every sweep as moved, so
-        // the test below never runs and the loop never stops.
-        let may_stop = tol > 0.0;
+        // The one extra vector: d₀ = π_s − π_{s−1} after a sweep
+        // `s ≡ K − 1`, then the entries' changes δ during the sweep after.
+        let mut d = Vec::new();
+        let mut d0_sq = 0.0f64;
         let mut sweeps = 0usize;
         by_width!(&self.chain.in_label, |in_label| {
             for it in 0..max_sweeps {
@@ -1057,27 +1073,88 @@ impl Ctmc {
                 if it % CHECK_PERIOD == CHECK_PERIOD - 1 {
                     solver_checkpoint(budget, n, sweeps)?;
                 }
-                let mut moved = !may_stop;
-                // `Sum for f64` starts from −0.0, so this is `pi.iter().sum()`.
-                let mut total = -0.0f64;
-                for j in 0..n {
-                    // SAFETY: `j < n`, and `pi` and `exit` have length `n`.
-                    unsafe {
-                        let new = self.gather(in_label, j, &pi, 0.0) / *exit.get_unchecked(j);
-                        let old = std::mem::replace(pi.get_unchecked_mut(j), new);
-                        total += new;
-                        if !moved {
-                            moved = moved_by(old, new, tol, half_tol);
-                        }
-                    }
+                // No window in the first period, so a chain that converges
+                // within two periods runs plain relaxation, bit for bit.
+                let phase = sweeps % EXTRAPOLATION_PERIOD;
+                let record = sweeps > EXTRAPOLATION_PERIOD && phase == EXTRAPOLATION_PERIOD - 1;
+                let measure = sweeps > EXTRAPOLATION_PERIOD && phase == 0;
+                if record {
+                    d.clear();
+                    d.extend_from_slice(&pi);
                 }
-                scale_to_unit(&mut pi, total);
-                if !moved {
+                // SAFETY: `pi` has length `n`, and `d` too whenever the
+                // sweep reads it: it was refilled at the previous sweep.
+                let sweep = unsafe {
+                    if measure {
+                        self.relax::<_, true>(in_label, &mut pi, &mut d, tol)
+                    } else {
+                        self.relax::<_, false>(in_label, &mut pi, &mut d, tol)
+                    }
+                };
+                scale_to_unit(&mut pi, sweep.total);
+                if !sweep.moved {
                     break;
+                }
+                if record {
+                    d0_sq = -0.0;
+                    for (dj, &p) in d.iter_mut().zip(&pi) {
+                        *dj = p - *dj;
+                        d0_sq += *dj * *dj;
+                    }
+                } else if measure {
+                    extrapolate(&mut pi, &d, d0_sq, &sweep);
                 }
             }
         });
         Ok((pi, sweeps))
+    }
+
+    /// One Gauss–Seidel sweep over `pi`, in place and unscaled: its sum
+    /// (the additions, in the order, of `pi.iter().sum()`) and whether an
+    /// entry moved by `tol` (see [`moved_by`]).  With `WINDOW` it also
+    /// reads `d` as d₀, stores each entry's change `δ_j = new_j − old_j`
+    /// over it and accumulates the inner products [`extrapolate`] needs.
+    ///
+    /// # Safety
+    /// `pi.len() == n`, and `d.len() == n` when `WINDOW`.
+    #[inline(always)]
+    unsafe fn relax<L: Label, const WINDOW: bool>(
+        &self,
+        in_label: &[L],
+        pi: &mut [f64],
+        d: &mut [f64],
+        tol: f64,
+    ) -> Sweep {
+        let exit = &self.exit[..pi.len()];
+        let half_tol = 0.5 * tol;
+        // A `tol` that is not positive counts every sweep as moved, so the
+        // stop test never runs and the loop never stops.
+        let may_stop = tol > 0.0;
+        // `Sum for f64` starts from −0.0, so `total` is `pi.iter().sum()`.
+        let mut s = Sweep {
+            total: -0.0,
+            moved: !may_stop,
+            dots: [-0.0; 5],
+        };
+        for j in 0..pi.len() {
+            let new = self.gather(in_label, j, pi, 0.0) / *exit.get_unchecked(j);
+            let old = std::mem::replace(pi.get_unchecked_mut(j), new);
+            s.total += new;
+            if !s.moved {
+                s.moved = moved_by(old, new, tol, half_tol);
+            }
+            if WINDOW {
+                let dj = d.get_unchecked_mut(j);
+                let (delta, d0) = (new - old, *dj);
+                s.dots[0] += delta * d0;
+                s.dots[1] += new * d0;
+                s.dots[2] += delta * delta;
+                s.dots[3] += delta * new;
+                s.dots[4] += new * new;
+                *dj = delta;
+            }
+        }
+        s
     }
 
     /// The explicit [`SolverPlan`] the automatic selection follows for
@@ -1379,6 +1456,45 @@ fn moved_by(old: f64, new: f64, tol: f64, half_tol: f64) -> bool {
     let d = (new - old).abs();
     let scale = old.abs().max(new.abs());
     d >= half_tol * scale && d / scale >= tol
+}
+
+/// What one Gauss–Seidel sweep ([`Ctmc::relax`]) hands back: the
+/// unscaled sum `T` of the new iterate, whether an entry moved, and on a
+/// sweep `s ≡ 0` (mod [`EXTRAPOLATION_PERIOD`]) the sums `Σ δ·d₀`,
+/// `Σ new·d₀`, `Σ δ²`, `Σ δ·new` and `Σ new²` over its entries.
+struct Sweep {
+    total: f64,
+    moved: bool,
+    dots: [f64; 5],
+}
+
+/// The one-mode (Aitken) jump of Gauss–Seidel, after the sweep `s ≡ 0`
+/// has been scaled to unit sum.  `d` holds that sweep's changes `δ`, so
+/// its iterate difference is `d₁ = δ + π·(1 − T)` exactly, and with
+/// `c = (1 − T)/T` the sweep's sums give `⟨d₁,d₀⟩ = Σδd₀ + c·Σ new·d₀`
+/// and `⟨d₁,d₁⟩ = Σδ² + 2c·Σδ·new + c²·Σ new²` with no second copy of
+/// the iterate.  When the two differences line up (`cos > 0.999`) and
+/// shrink by `0 < λ = ⟨d₁,d₀⟩/⟨d₀,d₀⟩ < 0.99`, one real error mode
+/// dominates, and its sum `λ/(1 − λ)·d₁` is added at once, clamped at 0
+/// and renormalised.  A NaN anywhere fails the gate.
+fn extrapolate(pi: &mut [f64], d: &[f64], d0_sq: f64, sweep: &Sweep) {
+    let [dd0, nd0, dd, dn, nn] = sweep.dots;
+    let one_minus_t = 1.0 - sweep.total;
+    let c = one_minus_t / sweep.total;
+    let d1_d0 = dd0 + c * nd0;
+    let d1_sq = dd + 2.0 * c * dn + c * c * nn;
+    let lambda = d1_d0 / d0_sq;
+    let cos = d1_d0 / (d0_sq * d1_sq).sqrt();
+    if !(lambda > 0.0 && lambda < 0.99 && cos > 0.999) {
+        return;
+    }
+    let step = lambda / (1.0 - lambda);
+    let mut total = -0.0f64;
+    for (p, &delta) in pi.iter_mut().zip(d) {
+        *p = (*p + step * (delta + *p * one_minus_t)).max(0.0);
+        total += *p;
+    }
+    scale_to_unit(pi, total);
 }
 
 /// Normalize to unit sum (in place).
@@ -1810,7 +1926,10 @@ mod tests {
     /// stiff hom(4×5) quotient, recorded when the sweep still summed the
     /// iterate in a separate normalisation pass and divided for every
     /// column's stop test; and the two wide-label chains, recorded when
-    /// every label was stored as `u32`.
+    /// every label was stored as `u32`.  The one-mode extrapolation
+    /// jumps only on the stiff quotient, whose entry was re-recorded
+    /// with it (44 sweeps before, 30 after); on the other five its gate
+    /// never opens, so their bits are the plain relaxation's.
     #[test]
     fn gauss_seidel_bits_are_pinned() {
         let expected = [
@@ -1825,7 +1944,7 @@ mod tests {
             ("absorbing", (0x73be_9e0c_f0f6_5c45, 2, 0)),
             (
                 "stiff hom(4x5) quotient",
-                (0xe00c_25cc_52dd_e3a7, 44, 0x3c1d_4400_0000_0000),
+                (0xd17b_3470_5fb3_e122, 30, 0x3c1e_8000_0000_0000),
             ),
             (
                 "300 labels",
@@ -1850,6 +1969,27 @@ mod tests {
             let rep = c.stationary_solve(SolverChoice::Force(Solver::GaussSeidel));
             let got = (bits_digest(&rep.pi), rep.iterations, rep.residual.to_bits());
             assert_eq!(got, want, "{label}");
+        }
+    }
+
+    /// The extrapolation reaches the quotients it is for: on the plan's
+    /// Gauss–Seidel, hom(4×5) at compute 0.5 / link 2.0 and hom(5×6) at
+    /// 1/3 / 1/12 (the benchmark's warm op 0) converge in at most 0.7×
+    /// the 47 and 64 sweeps plain relaxation takes, so an edit that
+    /// shuts the gate fails here.
+    #[test]
+    fn extrapolation_cuts_quotient_sweeps() {
+        for (teams, compute, link, plain) in [
+            (&[4usize, 5][..], 0.5, 2.0, 47usize),
+            (&[5, 6], 1.0 / 3.0, 1.0 / 12.0, 64),
+        ] {
+            let rep = hom_quotient(teams, compute, link).stationary_solve(SolverChoice::Auto);
+            assert_eq!(rep.solver, Solver::GaussSeidel, "{teams:?}");
+            assert!(
+                10 * rep.iterations <= 7 * plain,
+                "{teams:?}: {} sweeps, plain relaxation {plain}",
+                rep.iterations
+            );
         }
     }
 
